@@ -8,14 +8,16 @@
 //! Matrix covered here: {NoPush, PushList, Interleaved} × {Testbed,
 //! Internet} × {fault-free, 2% Gilbert-Elliott} × {traced, untraced} ×
 //! {prepared, unprepared} × {H2, H1}, plus cross-page contamination
-//! (one context serving two different sites alternately).
+//! (one context serving two different sites alternately), plus the
+//! many-connection page w17-cnn (81 server groups) × {NoPush, PushAll} ×
+//! {fault-free, 2% Gilbert-Elliott} × {prepared, unprepared}.
 
-use h2push_strategies::Strategy;
+use h2push_strategies::{paper_strategy, PaperStrategy, Strategy};
 use h2push_testbed::{
     replay_in, replay_shared, FaultProfile, Mode, Protocol, ReplayConfig, ReplayCtx, ReplayInputs,
     RunPlan,
 };
-use h2push_webmodel::{Page, PageBuilder, ResourceId, ResourceSpec};
+use h2push_webmodel::{realworld_site, Page, PageBuilder, ResourceId, ResourceSpec};
 
 const REPS: usize = 3;
 
@@ -83,6 +85,41 @@ fn recycled_ctx_matches_cold_ctx_across_the_matrix() {
                             faults.is_some(),
                         );
                     }
+                }
+            }
+        }
+    }
+}
+
+/// The same contract on the many-connection page: 81 server groups means
+/// 81 client/server machine pairs parked and reissued per rep (far past
+/// every spare-pool cap), so this is where per-connection state that
+/// survives a reset would show.
+#[test]
+fn recycled_ctx_matches_cold_ctx_on_the_81_group_page() {
+    let w17 = realworld_site(17);
+    let mut warm = ReplayCtx::new();
+    for which in [PaperStrategy::NoPush, PaperStrategy::PushAll] {
+        let (page, strategy) = paper_strategy(&w17, which);
+        for faults in [None, Some(FaultProfile::gilbert_elliott(0.02))] {
+            for prepared in [false, true] {
+                let mut plan = RunPlan::new(&page).strategy(strategy.clone()).seed(42).reps(2);
+                if let Some(f) = &faults {
+                    plan = plan.faults(f.clone());
+                }
+                if prepared {
+                    plan = plan.prepared();
+                }
+                for rep in 0..2 {
+                    let cold = plan.run_rep_in(rep, &mut ReplayCtx::new());
+                    let recycled = plan.run_rep_in(rep, &mut warm);
+                    assert_eq!(
+                        cold,
+                        recycled,
+                        "recycled ctx diverged on w17: {which:?} faults {} prepared {prepared} \
+                         rep {rep}",
+                        faults.is_some(),
+                    );
                 }
             }
         }

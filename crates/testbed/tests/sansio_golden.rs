@@ -14,10 +14,12 @@
 //! H2PUSH_BLESS_GOLDEN=1 cargo test -p h2push-testbed --test sansio_golden
 //! ```
 
-use h2push_strategies::{push_all, Strategy};
+use h2push_strategies::{paper_strategy, push_all, PaperStrategy, Strategy};
 use h2push_testbed::{FaultProfile, Mode, Protocol, ReplayConfig, RunPlan, SweepPlan};
 use h2push_trace::WaterfallMeta;
-use h2push_webmodel::{generate_site, CorpusKind, Page, PageBuilder, ResourceId, ResourceSpec};
+use h2push_webmodel::{
+    generate_site, realworld_site, CorpusKind, Page, PageBuilder, ResourceId, ResourceSpec,
+};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -113,6 +115,19 @@ fn observed() -> BTreeMap<String, u64> {
     // A generated corpus site end to end.
     let corpus_run = RunPlan::new(&corpus).strategy(push_all(&corpus, &[])).reps(2).seed(3).run();
     put("corpus_pushall", render_report(&corpus_run));
+
+    // Many-connection pages: w17-cnn (367 resources over 81 server
+    // groups) without and with push, and the byte-heavy w10 push-all —
+    // the cells the benchmark's `fanout` and `bulkpush` workloads replay.
+    for (key, site, which) in [
+        ("w17_fanout_nopush", 17, PaperStrategy::NoPush),
+        ("w17_fanout_pushall", 17, PaperStrategy::PushAll),
+        ("w10_bulk_pushall", 10, PaperStrategy::PushAll),
+    ] {
+        let (page, strategy) = paper_strategy(&realworld_site(site), which);
+        let run = RunPlan::new(&page).strategy(strategy).reps(2).seed(42).run();
+        put(key, render_report(&run));
+    }
 
     // Traced run: the full per-stream timeline rendered as waterfall
     // JSON + text (covers frame events, scheduler picks, CRP milestones).
