@@ -312,6 +312,22 @@ fn splice_into_chain(cs: &mut ConnState, stream: u32, class: u8) -> PrioritySpec
     spec
 }
 
+/// The live HTTP/2 connection to `group`, for a call that can queue output
+/// on it (a request, a reset, a PRIORITY, or received bytes the endpoint
+/// may answer): the group is marked for the next flush. A free function
+/// over the two fields so callers keep the rest of the browser borrowable.
+fn conn_for_output<'a>(
+    conns: &'a mut BTreeMap<usize, ConnState>,
+    dirty: &mut Vec<usize>,
+    group: usize,
+) -> Option<&'a mut ConnState> {
+    let cs = conns.get_mut(&group)?;
+    if dirty.last() != Some(&group) {
+        dirty.push(group);
+    }
+    Some(cs)
+}
+
 /// The browser: drive it with `on_connected` / `on_bytes` / `on_timer`,
 /// collect [`BrowserAction`]s, read the [`LoadResult`] when done.
 pub struct Browser {
@@ -363,6 +379,18 @@ pub struct Browser {
     timeouts: u32,
     conn_errors: u32,
     actions: Vec<BrowserAction>,
+    /// Groups whose HTTP/2 connection may have queued output since the
+    /// last flush. Every call that can queue a frame reaches its
+    /// connection through [`conn_for_output`] (or opens it in
+    /// `ensure_conn`), so `flush_conns` visits these and no others.
+    dirty: Vec<usize>,
+    /// An input of `after_state_change` — the parse position, a resource
+    /// state, `parser_done` or `dcl` — changed since it last ran.
+    progress_dirty: bool,
+    /// Reference mode for the flush-equivalence test: flush every
+    /// connection, as if all were dirty.
+    #[cfg(test)]
+    pub(crate) flush_all: bool,
     trace: TraceHandle,
     /// Retired HTTP/2 connection machines (from [`Browser::reset`] or a
     /// failed connection), recycled by `ensure_conn` instead of building a
@@ -436,6 +464,10 @@ impl Browser {
             timeouts: 0,
             conn_errors: 0,
             actions: Vec::new(),
+            dirty: Vec::new(),
+            progress_dirty: true,
+            #[cfg(test)]
+            flush_all: false,
             trace: TraceHandle::off(),
             spare_conns: Vec::new(),
             spare_h1: Vec::new(),
@@ -510,6 +542,8 @@ impl Browser {
         self.timeouts = 0;
         self.conn_errors = 0;
         self.actions.clear();
+        self.dirty.clear();
+        self.progress_dirty = true;
         self.trace = TraceHandle::off();
     }
 
@@ -592,7 +626,7 @@ impl Browser {
                 // Bytes from a connection abandoned after an error still
                 // drain out of the network on the old slot; only the live
                 // connection's slot is fed to the state machine.
-                if let Some(cs) = self.conns.get_mut(&group) {
+                if let Some(cs) = conn_for_output(&mut self.conns, &mut self.dirty, group) {
                     if cs.slot == slot {
                         cs.conn.receive(bytes);
                     }
@@ -729,6 +763,8 @@ impl Browser {
             cs.conn.set_hpack_decode_cache(cache.clone());
         }
         self.conns.insert(group, cs);
+        // The new connection has its preface queued.
+        self.dirty.push(group);
         self.actions.push(BrowserAction::OpenConnection { group, slot });
     }
 
@@ -745,6 +781,7 @@ impl Browser {
         }
         if rid.0 != 0 && self.cfg.warm_cache.contains(&rid) {
             // Cache hit: no network, straight to evaluation.
+            self.progress_dirty = true;
             let info = &mut self.res[rid.0];
             info.state = ResState::Loaded;
             info.received = self.page.resource(rid).size;
@@ -759,7 +796,7 @@ impl Browser {
     /// first discovery and retries after a timeout or transport error; a
     /// retry requests the resource afresh on a live connection.
     fn fetch(&mut self, rid: ResourceId, now: SimTime) {
-        self.res[rid.0].state = ResState::Fetching;
+        self.set_state(rid, ResState::Fetching);
         if let Some(timeout) = self.cfg.resource_timeout {
             let attempt = self.res[rid.0].attempts;
             self.set_timer(now + timeout, TimerKind::ResourceTimeout(rid, attempt));
@@ -781,7 +818,7 @@ impl Browser {
         }
         self.ensure_conn(group);
         let class = self.class_of(rid);
-        let cs = self.conns.get_mut(&group).expect("just ensured");
+        let cs = conn_for_output(&mut self.conns, &mut self.dirty, group).expect("just ensured");
         // Reserve the id the connection will assign, then splice it into
         // the Chromium-style exclusive chain and send HEADERS with that
         // priority.
@@ -939,11 +976,24 @@ impl Browser {
         }
     }
 
+    /// Turn queued connection output into `SendBytes` actions. Only the
+    /// connections touched since the last flush can have any (every flush
+    /// drains its connections completely), and they are visited in
+    /// ascending group order — the order a walk over all of `conns` would
+    /// emit their actions in.
     fn flush_conns(&mut self) {
+        #[cfg(test)]
+        if self.flush_all {
+            self.dirty.clear();
+            self.dirty.extend(self.conns.keys());
+        }
         let mut sched = FifoScheduler;
-        for (&group, cs) in self.conns.iter_mut() {
-            // `wants_send` is a cheap conservative pre-check: when it says
-            // no, `produce` would return empty, so skip the stream walk.
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.sort_unstable();
+        dirty.dedup();
+        for &group in &dirty {
+            // A dirty group's connection may be gone (`conn_failed`).
+            let Some(cs) = self.conns.get_mut(&group) else { continue };
             while cs.conn.wants_send() {
                 let bytes = cs.conn.produce(usize::MAX, &mut sched);
                 if bytes.is_empty() {
@@ -952,6 +1002,12 @@ impl Browser {
                 self.actions.push(BrowserAction::SendBytes { group, slot: cs.slot, bytes });
             }
         }
+        dirty.clear();
+        self.dirty = dirty;
+        debug_assert!(
+            self.conns.values().all(|cs| !cs.conn.wants_send()),
+            "a connection queued output without being marked dirty"
+        );
     }
 
     fn drain_events(&mut self, group: usize, now: SimTime) {
@@ -974,7 +1030,7 @@ impl Browser {
                     // ⇒ re-request it plainly.
                     if let Some(rid) = self.stream_map.remove(&(group, stream)) {
                         if self.res[rid.0].state == ResState::Fetching {
-                            self.res[rid.0].state = ResState::Undiscovered;
+                            self.set_state(rid, ResState::Undiscovered);
                             self.res[rid.0].discovered = false;
                             self.discover(rid, now);
                         }
@@ -1048,7 +1104,7 @@ impl Browser {
     fn cancel_inflight(&mut self, rid: ResourceId) {
         if let Some(key) = self.stream_map.iter().find(|&(_, &r)| r == rid).map(|(&k, _)| k) {
             self.stream_map.remove(&key);
-            if let Some(cs) = self.conns.get_mut(&key.0) {
+            if let Some(cs) = conn_for_output(&mut self.conns, &mut self.dirty, key.0) {
                 cs.conn.reset(key.1, ErrorCode::Cancel);
                 cs.chain.retain(|&(s, _)| s != key.1);
             }
@@ -1073,7 +1129,7 @@ impl Browser {
         if matches!(self.res[rid.0].state, ResState::Evaluated | ResState::Failed) {
             return;
         }
-        self.res[rid.0].state = ResState::Failed;
+        self.set_state(rid, ResState::Failed);
         self.trace.emit_at(now.as_micros(), TraceEvent::ResourceFailed { resource: rid.0 });
         if rid.0 == 0 {
             // The document itself is unrecoverable: keep whatever rendered.
@@ -1119,6 +1175,7 @@ impl Browser {
         }
         self.partial = true;
         self.parser_done = true;
+        self.progress_dirty = true;
         if self.dcl.is_none() {
             self.dcl = Some(now);
             self.trace.emit_at(now.as_micros(), TraceEvent::DomContentLoaded);
@@ -1150,13 +1207,14 @@ impl Browser {
             {
                 // Already cached: cancel, like real clients do — by which
                 // time the object may be in flight (§2.1).
-                let cs = self.conns.get_mut(&group).expect("push on unknown group");
+                let cs = conn_for_output(&mut self.conns, &mut self.dirty, group)
+                    .expect("push on unknown group");
                 cs.conn.reset(promised, ErrorCode::Cancel);
                 self.cancelled_pushes += 1;
                 self.trace.emit(TraceEvent::PushCancelled { group, stream: promised });
             }
             Some(id) if self.res[id.0].state == ResState::Undiscovered => {
-                self.res[id.0].state = ResState::Fetching;
+                self.set_state(id, ResState::Fetching);
                 self.res[id.0].pushed = true;
                 self.stream_map.insert((group, promised), id);
                 self.trace.emit(TraceEvent::PushAccepted {
@@ -1171,7 +1229,8 @@ impl Browser {
                 // children) would starve pushed critical resources behind
                 // low-priority content.
                 let class = self.class_of(id);
-                let cs = self.conns.get_mut(&group).expect("push on unknown group");
+                let cs = conn_for_output(&mut self.conns, &mut self.dirty, group)
+                    .expect("push on unknown group");
                 let spec = splice_into_chain(cs, promised, class);
                 cs.conn.send_priority(promised, spec);
             }
@@ -1179,7 +1238,8 @@ impl Browser {
                 // Duplicate (already requested) or unknown: cancel. Bytes
                 // already in flight still arrive and are discarded — the
                 // paper's §2.1 "can be already in flight" caveat.
-                let cs = self.conns.get_mut(&group).expect("push on unknown group");
+                let cs = conn_for_output(&mut self.conns, &mut self.dirty, group)
+                    .expect("push on unknown group");
                 cs.conn.reset(promised, ErrorCode::Cancel);
                 self.cancelled_pushes += 1;
                 self.trace.emit(TraceEvent::PushCancelled { group, stream: promised });
@@ -1220,6 +1280,7 @@ impl Browser {
     fn response_finished(&mut self, rid: ResourceId, now: SimTime) {
         let info = &mut self.res[rid.0];
         if info.state == ResState::Fetching {
+            self.progress_dirty = true;
             info.state = ResState::Loaded;
             info.timing.loaded.get_or_insert(now);
             info.timing.pushed = info.pushed;
@@ -1277,7 +1338,7 @@ impl Browser {
             let stop = self.scan.stops.get(self.stop_idx).copied();
             match stop {
                 Some((off, kind)) if off < limit => {
-                    self.parsed = self.parsed.max(off);
+                    self.set_parsed(self.parsed.max(off));
                     if !self.cfg.preload_scanner {
                         // The parser has now read everything up to (and
                         // including) this tag.
@@ -1315,7 +1376,7 @@ impl Browser {
                     }
                 }
                 _ => {
-                    self.parsed = limit;
+                    self.set_parsed(limit);
                     if !self.cfg.preload_scanner {
                         self.scan(now);
                     }
@@ -1324,6 +1385,7 @@ impl Browser {
                         && self.res[0].state != ResState::Undiscovered
                     {
                         self.parser_done = true;
+                        self.progress_dirty = true;
                         self.build_defer_queue();
                         self.process_defers(now);
                     }
@@ -1367,6 +1429,7 @@ impl Browser {
         }
         if self.dcl.is_none() {
             self.dcl = Some(now);
+            self.progress_dirty = true;
             self.trace.emit_at(now.as_micros(), TraceEvent::DomContentLoaded);
         }
     }
@@ -1396,7 +1459,7 @@ impl Browser {
         if rid.0 == 0 {
             // The document has no evaluation of its own.
             if self.res[0].state == ResState::Loaded {
-                self.res[0].state = ResState::Evaluated;
+                self.set_state(rid, ResState::Evaluated);
                 self.advance_parser(now);
             }
             return;
@@ -1440,7 +1503,7 @@ impl Browser {
     }
 
     fn finish_eval(&mut self, rid: ResourceId, now: SimTime) {
-        self.res[rid.0].state = ResState::Evaluated;
+        self.set_state(rid, ResState::Evaluated);
         self.res[rid.0].timing.evaluated.get_or_insert(now);
         self.trace.emit_at(now.as_micros(), TraceEvent::ResourceEvaluated { resource: rid.0 });
         let page = Arc::clone(&self.page);
@@ -1535,27 +1598,60 @@ impl Browser {
         (done / self.scan.total_weight).min(1.0)
     }
 
-    fn after_state_change(&mut self, now: SimTime) {
-        // Paint.
-        if self.render_unblocked() {
-            let c = self.completeness();
-            if c > self.last_completeness + 1e-12 {
-                self.last_completeness = c;
-                if self.first_paint.is_none() {
-                    self.trace.emit_at(now.as_micros(), TraceEvent::FirstPaint);
-                }
-                self.first_paint.get_or_insert(now);
-                self.paints.push(PaintSample { time: now, completeness: c });
-            }
+    fn set_state(&mut self, rid: ResourceId, state: ResState) {
+        self.res[rid.0].state = state;
+        self.progress_dirty = true;
+    }
+
+    fn set_parsed(&mut self, parsed: usize) {
+        if parsed != self.parsed {
+            self.parsed = parsed;
+            self.progress_dirty = true;
         }
-        // Loads done?
-        if self.onload.is_none()
+    }
+
+    /// The completeness to paint now, if rendering is unblocked and the
+    /// page got visibly more complete since the last paint.
+    fn paint_due(&self) -> Option<f64> {
+        if !self.render_unblocked() {
+            return None;
+        }
+        Some(self.completeness()).filter(|&c| c > self.last_completeness + 1e-12)
+    }
+
+    /// Whether onload should fire: not yet fired, parsing and DCL done,
+    /// and every discovered resource settled.
+    fn onload_due(&self) -> bool {
+        self.onload.is_none()
             && self.parser_done
             && self.dcl.is_some()
             && self.res.iter().all(|i| {
                 matches!(i.state, ResState::Evaluated | ResState::Undiscovered | ResState::Failed)
             })
-        {
+    }
+
+    /// Paint what became paintable and fire onload once everything
+    /// settled. Both are functions of the parse position, the resource
+    /// states, `parser_done` and `dcl` only, so when none of those moved
+    /// since the last run (a DATA event in the middle of a subresource
+    /// body, say) the three scans over the page's resources are skipped.
+    fn after_state_change(&mut self, now: SimTime) {
+        if !std::mem::take(&mut self.progress_dirty) {
+            debug_assert!(
+                self.paint_due().is_none() && !self.onload_due(),
+                "an input of after_state_change moved without setting progress_dirty"
+            );
+            return;
+        }
+        if let Some(c) = self.paint_due() {
+            self.last_completeness = c;
+            if self.first_paint.is_none() {
+                self.trace.emit_at(now.as_micros(), TraceEvent::FirstPaint);
+            }
+            self.first_paint.get_or_insert(now);
+            self.paints.push(PaintSample { time: now, completeness: c });
+        }
+        if self.onload_due() {
             self.onload = Some(now);
             self.trace.emit_at(now.as_micros(), TraceEvent::Onload);
             // Whatever is painted by onload is the final frame: close the

@@ -21,8 +21,11 @@ mod tests {
     use super::*;
     use h2push_h2proto::{Connection, DefaultScheduler, Event, Settings};
     use h2push_hpack::Header;
-    use h2push_netsim::{EventQueue, SimDuration, SimTime};
-    use h2push_webmodel::{Page, PageBuilder, RecordDb, ResourceId, ResourceSpec};
+    use h2push_netsim::{
+        ConnId, Dir, EventQueue, FaultSpec, NetEvent, Network, NetworkSpec, ServerSpec,
+        SimDuration, SimTime,
+    };
+    use h2push_webmodel::{realworld_site, Page, PageBuilder, RecordDb, ResourceId, ResourceSpec};
     use std::collections::{HashMap, VecDeque};
     use std::sync::Arc;
 
@@ -125,45 +128,15 @@ mod tests {
 
         /// Answer any newly arrived requests on `group`'s server.
         fn serve(&mut self, group: usize) {
-            let page = self.page.clone();
             let (server, _) = self.servers.get_mut(&group).unwrap();
-            while let Some(ev) = server.poll_event() {
-                if let Event::Headers { stream, headers, .. } = ev {
-                    let get = |n: &str| {
-                        headers
-                            .iter()
-                            .find(|h| h.name == n.as_bytes())
-                            .map(|h| String::from_utf8_lossy(&h.value).to_string())
-                            .unwrap_or_default()
-                    };
-                    let (host, path) = (get(":authority"), get(":path"));
-                    let rec = self
-                        .db
-                        .lookup(&host, &path)
-                        .unwrap_or_else(|| panic!("404 {host}{path}"))
-                        .clone();
-                    if self.blackhole.contains(&rec.resource) {
-                        continue; // swallow the request: the stream stalls
-                    }
-                    if rec.resource == self.push_trigger {
-                        for &pid in &self.push_on_html {
-                            let r = page.resource(pid);
-                            let req = vec![
-                                Header::new(":method", "GET"),
-                                Header::new(":scheme", "https"),
-                                Header::new(":authority", &page.origins[r.origin].host),
-                                Header::new(":path", &r.path),
-                            ];
-                            if let Some(sid) = server.push_promise(stream, &req) {
-                                server.respond(sid, &[Header::new(":status", "200")], false);
-                                server.queue_body(sid, r.size, true);
-                            }
-                        }
-                    }
-                    server.respond(stream, &[Header::new(":status", "200")], false);
-                    server.queue_body(stream, rec.body_len, true);
-                }
-            }
+            answer_requests(
+                server,
+                &self.page,
+                &self.db,
+                &self.push_on_html,
+                self.push_trigger,
+                &self.blackhole,
+            );
         }
 
         fn pump_server(&mut self, group: usize) -> Vec<u8> {
@@ -177,6 +150,53 @@ mod tests {
                 out.extend_from_slice(&bytes);
             }
             out
+        }
+    }
+
+    /// Answer every request `server` has received from the record
+    /// database; the request for `push_trigger` also pushes `pushes`, and
+    /// requests for `blackhole` resources are swallowed.
+    fn answer_requests(
+        server: &mut Connection,
+        page: &Page,
+        db: &RecordDb,
+        pushes: &[ResourceId],
+        push_trigger: ResourceId,
+        blackhole: &[ResourceId],
+    ) {
+        while let Some(ev) = server.poll_event() {
+            if let Event::Headers { stream, headers, .. } = ev {
+                let get = |n: &str| {
+                    headers
+                        .iter()
+                        .find(|h| h.name == n.as_bytes())
+                        .map(|h| String::from_utf8_lossy(&h.value).to_string())
+                        .unwrap_or_default()
+                };
+                let (host, path) = (get(":authority"), get(":path"));
+                let rec =
+                    db.lookup(&host, &path).unwrap_or_else(|| panic!("404 {host}{path}")).clone();
+                if blackhole.contains(&rec.resource) {
+                    continue; // swallow the request: the stream stalls
+                }
+                if rec.resource == push_trigger {
+                    for &pid in pushes {
+                        let r = page.resource(pid);
+                        let req = vec![
+                            Header::new(":method", "GET"),
+                            Header::new(":scheme", "https"),
+                            Header::new(":authority", &page.origins[r.origin].host),
+                            Header::new(":path", &r.path),
+                        ];
+                        if let Some(sid) = server.push_promise(stream, &req) {
+                            server.respond(sid, &[Header::new(":status", "200")], false);
+                            server.queue_body(sid, r.size, true);
+                        }
+                    }
+                }
+                server.respond(stream, &[Header::new(":status", "200")], false);
+                server.queue_body(stream, rec.body_len, true);
+            }
         }
     }
 
@@ -484,5 +504,169 @@ mod tests {
         assert_eq!(r.retries, 0);
         assert_eq!(r.failed_resources, 1);
         assert!(r.first_paint.is_none(), "nothing ever rendered");
+    }
+
+    // ------------------------------------------------------------------
+    // Dirty-connection flush ≡ flushing every connection
+    // ------------------------------------------------------------------
+
+    /// One simulated TCP connection of [`LossyBed`]: its browser address,
+    /// the server machine behind it and the bytes in flight each way.
+    struct BedConn {
+        group: usize,
+        slot: usize,
+        server: Connection,
+        up: VecDeque<u8>,
+        down: VecDeque<u8>,
+    }
+
+    /// The browser on the packet-level simulator with raw h2proto servers:
+    /// latency, bandwidth and injected loss, so connections make progress
+    /// interleaved and resource timers fire — the conditions under which
+    /// a flush that skips connections could go wrong.
+    struct LossyBed {
+        page: Arc<Page>,
+        db: RecordDb,
+        pushes: Vec<ResourceId>,
+        net: Network,
+        conns: Vec<BedConn>,
+        /// The first connection to this group answers its first request
+        /// with a fatal frame, so the browser abandons it and reopens on
+        /// the next slot.
+        poisoned_group: usize,
+    }
+
+    impl LossyBed {
+        /// Load the page; returns the result and every action the browser
+        /// emitted, rendered, in order.
+        fn run(&mut self, cfg: BrowserConfig, flush_all: bool) -> (LoadResult, Vec<String>) {
+            let mut browser = Browser::new(self.page.clone(), cfg);
+            browser.flush_all = flush_all;
+            let mut log = Vec::new();
+            let mut pending: VecDeque<BrowserAction> = browser.start(self.net.now()).into();
+            loop {
+                while let Some(a) = pending.pop_front() {
+                    log.push(format!("{a:?}"));
+                    match a {
+                        BrowserAction::OpenConnection { group, slot } => {
+                            let sid = self.net.add_server(ServerSpec::default());
+                            let conn = self.net.connect(sid);
+                            assert_eq!(conn.0, self.conns.len(), "netsim ids are dense");
+                            self.conns.push(BedConn {
+                                group,
+                                slot,
+                                server: Connection::server(Settings::default()),
+                                up: VecDeque::new(),
+                                down: VecDeque::new(),
+                            });
+                        }
+                        BrowserAction::SendBytes { group, slot, bytes } => {
+                            let conn = self
+                                .conns
+                                .iter()
+                                .position(|c| (c.group, c.slot) == (group, slot))
+                                .expect("bytes for an unopened connection");
+                            self.net.send(ConnId(conn), Dir::Up, bytes.len());
+                            self.conns[conn].up.extend(bytes.iter());
+                        }
+                        BrowserAction::SetTimer { at, token } => self.net.schedule(at, token),
+                    }
+                }
+                if browser.done() {
+                    return (browser.result(), log);
+                }
+                let (t, ev) = self.net.step().expect("lossy bed stalled before onload");
+                match ev {
+                    NetEvent::Connected { conn } => {
+                        let c = &self.conns[conn.0];
+                        pending.extend(browser.on_connected(c.group, c.slot, t));
+                    }
+                    NetEvent::Delivered { conn, dir: Dir::Up, bytes } => {
+                        let out = self.serve(conn.0, bytes);
+                        self.net.send(conn, Dir::Down, out.len());
+                        self.conns[conn.0].down.extend(out);
+                    }
+                    NetEvent::Delivered { conn, dir: Dir::Down, bytes } => {
+                        let c = &mut self.conns[conn.0];
+                        let chunk: Vec<u8> = c.down.drain(..bytes).collect();
+                        pending.extend(browser.on_bytes(c.group, c.slot, &chunk, t));
+                    }
+                    NetEvent::SendReady { .. } => {}
+                    NetEvent::App { token } => pending.extend(browser.on_timer(token, t)),
+                }
+            }
+        }
+
+        /// Feed `bytes` delivered upstream into the connection's server
+        /// and return everything it has to say in response.
+        fn serve(&mut self, conn: usize, bytes: usize) -> Vec<u8> {
+            let c = &mut self.conns[conn];
+            let chunk: Vec<u8> = c.up.drain(..bytes).collect();
+            c.server.receive(&chunk);
+            if (c.group, c.slot) == (self.poisoned_group, 0) {
+                let mut got_request = false;
+                while let Some(ev) = c.server.poll_event() {
+                    got_request |= matches!(ev, Event::Headers { .. });
+                }
+                // A frame header announcing 16 MB: FRAME_SIZE_ERROR, fatal.
+                return if got_request { vec![0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0] } else { vec![] };
+            }
+            answer_requests(&mut c.server, &self.page, &self.db, &self.pushes, ResourceId(0), &[]);
+            let mut sched = DefaultScheduler::new();
+            let mut out = Vec::new();
+            loop {
+                let bytes = c.server.produce(usize::MAX, &mut sched);
+                if bytes.is_empty() {
+                    break out;
+                }
+                out.extend_from_slice(&bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn dirty_flush_emits_the_same_actions_as_flushing_every_connection() {
+        // w17-cnn: 367 resources over 81 server groups. 2 % Gilbert-Elliott
+        // loss with the hardening the testbed's fault profile of that name
+        // applies, except a resource timeout short enough to fire here.
+        let page = realworld_site(17);
+        let groups: std::collections::BTreeSet<usize> =
+            page.resources.iter().map(|r| page.server_group_of(r.id)).collect();
+        assert_eq!(groups.len(), 81);
+        let run = |flush_all: bool| {
+            let mut bed = LossyBed {
+                db: RecordDb::record(&page),
+                pushes: page.pushable().into_iter().take(6).collect(),
+                net: Network::new(NetworkSpec {
+                    fault: FaultSpec::gilbert_elliott(0.02),
+                    seed: 42,
+                    ..NetworkSpec::dsl_testbed()
+                }),
+                conns: Vec::new(),
+                poisoned_group: *groups.iter().nth(7).unwrap(),
+                page: Arc::new(page.clone()),
+            };
+            let cfg = BrowserConfig {
+                resource_timeout: Some(SimDuration::from_millis(1_500)),
+                max_retries: 2,
+                load_deadline: Some(SimDuration::from_millis(120_000)),
+                ..Default::default()
+            };
+            let (result, log) = bed.run(cfg, flush_all);
+            (result, log, bed.conns.len())
+        };
+        let (result, dirty_log, conns) = run(false);
+        let (reference_result, reference_log, _) = run(true);
+        assert_eq!(dirty_log, reference_log);
+        assert_eq!(result, reference_result);
+        // The run went where the flush could go wrong: every group got a
+        // connection, one was abandoned and reopened on the next slot,
+        // fetches timed out and were reset from a timer, pushes arrived.
+        assert!(result.finished());
+        assert_eq!(result.conn_errors, 1);
+        assert_eq!(conns, 82);
+        assert!(dirty_log.iter().any(|a| a.contains("slot: 1")));
+        assert!(result.timeouts > 0, "no fetch timed out: {result:?}");
+        assert!(result.pushed_count > 0);
     }
 }

@@ -49,6 +49,17 @@ pub enum StreamState {
     Closed,
 }
 
+impl StreamState {
+    /// The state after we sent END_STREAM.
+    fn send_closed(self) -> Self {
+        match self {
+            StreamState::Open => StreamState::HalfClosedLocal,
+            StreamState::HalfClosedRemote | StreamState::ReservedLocal => StreamState::Closed,
+            other => other,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct OutBody {
     queued: usize,
@@ -73,6 +84,27 @@ impl Stream {
             recv_consumed: 0,
             out: OutBody { queued: 0, fin: false, sent: 0, headers_sent: false },
         }
+    }
+
+    /// Ready-set membership (see [`Connection::ready`]): the response
+    /// headers are out, the stream is not closed, and body bytes wait.
+    fn has_unsent_body(&self) -> bool {
+        self.out.headers_sent && self.state != StreamState::Closed && self.out.queued > 0
+    }
+
+    /// Body bytes both flow-control windows let out now (`conn_window` is
+    /// the connection's; either may be negative after a SETTINGS shrink).
+    fn sendable(&self, conn_window: i64) -> usize {
+        self.out.queued.min(conn_window.max(0) as usize).min(self.send_window.max(0) as usize)
+    }
+
+    /// The response ended without a last DATA frame to carry END_STREAM:
+    /// headers out, send side still open, `fin` set and nothing queued.
+    fn owes_empty_fin(&self) -> bool {
+        self.out.headers_sent
+            && self.out.fin
+            && self.out.queued == 0
+            && matches!(self.state, StreamState::Open | StreamState::HalfClosedRemote)
     }
 }
 
@@ -117,6 +149,22 @@ pub struct Connection {
     hpack_enc: HpackEncoder,
     hpack_dec: HpackDecoder,
     streams: StreamSlab<Stream>,
+    /// Ids of the streams with unsent body ([`Stream::has_unsent_body`]),
+    /// ascending: what `wants_send` and `produce` look at instead of every
+    /// stream the connection ever opened. Exact at all times — every
+    /// change to a stream's state, headers flag or queue goes through
+    /// [`Connection::update_stream`] or [`Connection::insert_stream`],
+    /// which re-derive membership. Send windows are not part of it
+    /// (WINDOW_UPDATE and SETTINGS move them without touching the set);
+    /// the two readers check them per ready stream.
+    ready: Vec<u32>,
+    /// Streams not in [`StreamState::Closed`] (the §5.1.2 concurrency
+    /// count), maintained by the same two functions.
+    active_streams: usize,
+    /// Reference mode for the lockstep test: re-derive `ready` by a full
+    /// slab scan wherever the send path reads it.
+    #[cfg(test)]
+    scan_reference: bool,
     tree: PriorityTree,
     control: VecDeque<Bytes>,
     recv_buf: Vec<u8>,
@@ -261,6 +309,8 @@ impl Connection {
             self.hpack_dec.set_max_header_list_size(mhls as usize);
         }
         self.streams.reset();
+        self.ready.clear();
+        self.active_streams = 0;
         self.tree.reset();
         self.control.clear();
         self.recv_buf.clear();
@@ -310,6 +360,10 @@ impl Connection {
             hpack_enc: HpackEncoder::new(),
             hpack_dec,
             streams: take_recycled_slab(),
+            ready: Vec::new(),
+            active_streams: 0,
+            #[cfg(test)]
+            scan_reference: false,
             tree: PriorityTree::new(),
             control: VecDeque::new(),
             recv_buf: Vec::new(),
@@ -498,8 +552,7 @@ impl Connection {
         let block = self.hpack_enc.encode_bytes(headers);
         self.queue_header_block(id, block, true, priority, None);
         // Requests in the replay have no body: half-closed (local) at once.
-        self.streams
-            .insert(id, Stream::new(StreamState::HalfClosedLocal, self.peer_initial_window));
+        self.insert_stream(id, StreamState::HalfClosedLocal);
         self.tree.insert(id, priority.unwrap_or_default());
         id
     }
@@ -512,13 +565,9 @@ impl Connection {
 
     /// Reset a stream (e.g. cancel an unwanted push with CANCEL).
     pub fn reset(&mut self, stream: u32, code: ErrorCode) {
-        if let Some(s) = self.streams.get_mut(stream) {
-            if s.state != StreamState::Closed {
-                s.state = StreamState::Closed;
-                s.out.queued = 0;
-                self.queue_frame(Frame::RstStream { stream, code });
-                self.tree.remove(stream);
-            }
+        if self.stream_state(stream).is_some_and(|state| state != StreamState::Closed) {
+            self.close_stream(stream);
+            self.queue_frame(Frame::RstStream { stream, code });
         }
     }
 
@@ -550,7 +599,7 @@ impl Connection {
         self.next_push_id += 2;
         let block = self.hpack_enc.encode_bytes(request_headers);
         self.queue_push_promise(parent, id, block);
-        self.streams.insert(id, Stream::new(StreamState::ReservedLocal, self.peer_initial_window));
+        self.insert_stream(id, StreamState::ReservedLocal);
         // h2o treats the pushed stream as a child of the stream that
         // triggered it (paper Fig. 5a), default weight.
         self.tree.insert(id, PrioritySpec { depends_on: parent, weight: 16, exclusive: false });
@@ -563,41 +612,99 @@ impl Connection {
         assert_eq!(self.role, Role::Server);
         let block = self.hpack_enc.encode_bytes(headers);
         self.queue_header_block(stream, block, end_stream, None, None);
-        if let Some(s) = self.streams.get_mut(stream) {
+        let owes_fin = self.update_stream(stream, |s| {
             s.out.headers_sent = true;
             match (s.state, end_stream) {
                 (StreamState::ReservedLocal, false) => s.state = StreamState::HalfClosedRemote,
-                (StreamState::ReservedLocal, true) => s.state = StreamState::Closed,
-                (_, true) => self.close_send_side(stream),
+                (_, true) => s.state = s.state.send_closed(),
                 _ => {}
             }
-        }
+            s.owes_empty_fin()
+        });
         if end_stream {
             self.tree.remove(stream);
+        }
+        if owes_fin == Some(true) {
+            self.queue_empty_fin(stream);
         }
     }
 
     /// Queue `len` body bytes on `stream`; `fin` marks the end of the
-    /// response. Actual emission is driven by [`Connection::produce`].
+    /// response. Actual emission is driven by [`Connection::produce`],
+    /// except for a response that ends with nothing left to send: its
+    /// empty `DATA|END_STREAM` frame is queued at once.
     pub fn queue_body(&mut self, stream: u32, len: usize, fin: bool) {
-        if let Some(s) = self.streams.get_mut(stream) {
+        let owes_fin = self.update_stream(stream, |s| {
             if s.state == StreamState::Closed {
-                return;
+                return false;
             }
             // Saturating: a hostile application layer cannot overflow the
             // byte counter into a panic.
             s.out.queued = s.out.queued.saturating_add(len);
             s.out.fin |= fin;
+            s.owes_empty_fin()
+        });
+        if owes_fin == Some(true) {
+            self.queue_empty_fin(stream);
         }
     }
 
-    fn close_send_side(&mut self, stream: u32) {
-        if let Some(s) = self.streams.get_mut(stream) {
-            s.state = match s.state {
-                StreamState::Open => StreamState::HalfClosedLocal,
-                StreamState::HalfClosedRemote | StreamState::ReservedLocal => StreamState::Closed,
-                other => other,
-            };
+    /// End a response whose body is (or has become) empty. A zero-length
+    /// DATA frame needs no flow-control credit (§6.9) and no scheduling
+    /// decision, so it rides the control queue right behind the stream's
+    /// HEADERS.
+    fn queue_empty_fin(&mut self, stream: u32) {
+        self.queue_frame(Frame::Data { stream, len: 0, end_stream: true });
+        self.update_stream(stream, |s| s.state = s.state.send_closed());
+        self.tree.remove(stream);
+    }
+
+    // ----- stream bookkeeping -----
+
+    /// Mutate `stream` through `f`, then re-derive what the connection
+    /// caches about it — the active-stream count and the ready-set
+    /// membership — so no call site can leave either stale. `None` when
+    /// the stream is unknown.
+    fn update_stream<R>(&mut self, stream: u32, f: impl FnOnce(&mut Stream) -> R) -> Option<R> {
+        let s = self.streams.get_mut(stream)?;
+        let was_active = s.state != StreamState::Closed;
+        let out = f(s);
+        // `Closed` is terminal, so the count only ever goes down here.
+        if was_active && s.state == StreamState::Closed {
+            self.active_streams -= 1;
+        }
+        let ready = s.has_unsent_body();
+        self.set_ready(stream, ready);
+        Some(out)
+    }
+
+    /// Track a newly opened or reserved stream (fresh send window, nothing
+    /// queued). A hostile peer can make ids collide; the displaced stream
+    /// stops counting.
+    fn insert_stream(&mut self, stream: u32, state: StreamState) {
+        let displaced = self.streams.insert(stream, Stream::new(state, self.peer_initial_window));
+        if !displaced.is_some_and(|old| old.state != StreamState::Closed) {
+            self.active_streams += 1;
+        }
+        self.set_ready(stream, false);
+    }
+
+    /// Close `stream` in both directions, dropping its queued body.
+    fn close_stream(&mut self, stream: u32) {
+        self.update_stream(stream, |s| {
+            s.state = StreamState::Closed;
+            s.out.queued = 0;
+        });
+        self.tree.remove(stream);
+    }
+
+    fn set_ready(&mut self, stream: u32, ready: bool) {
+        match (self.ready.binary_search(&stream), ready) {
+            (Err(pos), true) => self.ready.insert(pos, stream),
+            (Ok(pos), false) => {
+                self.ready.remove(pos);
+            }
+            _ => {}
         }
     }
 
@@ -649,25 +756,38 @@ impl Connection {
 
     // ----- send path -----
 
-    /// True when there is anything to put on the wire.
+    /// True when there is anything to put on the wire: a queued control
+    /// frame, or a ready stream both flow-control windows let through.
+    /// Independent of how many streams the connection has carried; only
+    /// when every ready stream is window-blocked does it look at them all.
     pub fn wants_send(&self) -> bool {
-        if !self.control.is_empty() {
-            return true;
+        #[cfg(test)]
+        if self.scan_reference {
+            return self.wants_send_scan();
         }
-        self.streams.values().any(|s| {
-            s.out.headers_sent
-                && s.state != StreamState::Closed
-                && (s.out.queued > 0 || (s.out.fin && s.out.sent == 0 && s.out.queued == 0))
-                && self.conn_send_window > 0
-                && s.send_window > 0
-        })
+        !self.control.is_empty()
+            || (self.conn_send_window > 0
+                && self
+                    .ready
+                    .iter()
+                    .any(|&id| self.streams.get(id).is_some_and(|s| s.send_window > 0)))
     }
 
-    fn sendable(&self, s: &Stream) -> usize {
-        if !s.out.headers_sent || s.state == StreamState::Closed {
-            return 0;
-        }
-        s.out.queued.min(self.conn_send_window.max(0) as usize).min(s.send_window.max(0) as usize)
+    /// [`Connection::wants_send`] by full slab scan: the reference the
+    /// ready set is checked against.
+    #[cfg(test)]
+    fn wants_send_scan(&self) -> bool {
+        !self.control.is_empty()
+            || self
+                .streams
+                .iter()
+                .any(|(_, s)| s.has_unsent_body() && self.conn_send_window > 0 && s.send_window > 0)
+    }
+
+    /// [`Connection::ready`] by full slab scan.
+    #[cfg(test)]
+    fn ready_scan(&self) -> Vec<u32> {
+        self.streams.iter().filter(|(_, s)| s.has_unsent_body()).map(|(id, _)| id).collect()
     }
 
     /// Produce up to roughly `max` wire bytes: pending control frames first,
@@ -685,25 +805,41 @@ impl Connection {
         }
         let mut snapshots = std::mem::take(&mut self.snap_scratch);
         while self.send_buf.len() < max {
+            #[cfg(test)]
+            if self.scan_reference {
+                self.ready = self.ready_scan();
+            }
+            // Ascending because `ready` is: the order the deterministic
+            // schedulers depend on.
             snapshots.clear();
-            snapshots.extend(self.streams.iter().filter_map(|(id, s)| {
-                let sendable = self.sendable(s);
-                if sendable > 0 {
-                    Some(StreamSnapshot {
-                        id,
-                        sendable,
-                        sent: s.out.sent,
-                        is_push: id.is_multiple_of(2),
-                    })
-                } else {
-                    None
-                }
+            snapshots.extend(self.ready.iter().filter_map(|&id| {
+                let s = self.streams.get(id)?;
+                let sendable = s.sendable(self.conn_send_window);
+                (sendable > 0).then_some(StreamSnapshot {
+                    id,
+                    sendable,
+                    sent: s.out.sent,
+                    is_push: id.is_multiple_of(2),
+                })
             }));
             if snapshots.is_empty() {
                 break;
             }
             let Some(id) = scheduler.pick(&snapshots, &self.tree) else { break };
-            let Some(s) = self.streams.get_mut(id) else {
+            let conn_window = self.conn_send_window;
+            let room = self.peer_max_frame_size.min(max - self.send_buf.len().min(max));
+            let sent = self.update_stream(id, |s| {
+                let chunk = s.sendable(conn_window).min(room);
+                s.out.queued -= chunk;
+                s.out.sent += chunk as u64;
+                s.send_window -= chunk as i64;
+                let end_stream = chunk > 0 && s.out.fin && s.out.queued == 0;
+                if end_stream {
+                    s.state = s.state.send_closed();
+                }
+                (chunk, end_stream)
+            });
+            let Some((chunk, end_stream)) = sent else {
                 // The scheduler picked an id the connection no longer
                 // tracks (stale policy state). Fail the pick, tell the
                 // scheduler the stream is gone, and keep the connection —
@@ -715,21 +851,10 @@ impl Connection {
                 });
                 break;
             };
-            let sendable = s
-                .out
-                .queued
-                .min(self.conn_send_window.max(0) as usize)
-                .min(s.send_window.max(0) as usize);
-            let chunk =
-                sendable.min(self.peer_max_frame_size).min(max - self.send_buf.len().min(max));
             if chunk == 0 {
                 break;
             }
-            s.out.queued -= chunk;
-            s.out.sent += chunk as u64;
-            s.send_window -= chunk as i64;
             self.conn_send_window -= chunk as i64;
-            let end_stream = s.out.fin && s.out.queued == 0;
             // Exact reserve, not amortized growth: doubling would push a
             // recycled buffer's capacity past the recycle pool's cap and
             // lose it, so capacities converge on the real burst size and
@@ -755,7 +880,6 @@ impl Connection {
             }
             scheduler.charge(id, chunk, &self.tree);
             if end_stream {
-                self.close_send_side(id);
                 self.tree.remove(id);
                 scheduler.stream_closed(id);
             }
@@ -976,9 +1100,7 @@ impl Connection {
                     });
                 } else if let Some(s) = self.streams.get_mut(stream) {
                     if s.send_window + increment as i64 > MAX_WINDOW {
-                        s.state = StreamState::Closed;
-                        s.out.queued = 0;
-                        self.tree.remove(stream);
+                        self.close_stream(stream);
                         self.trace_limit_violation(stream, false);
                         self.queue_frame(Frame::RstStream {
                             stream,
@@ -1072,14 +1194,15 @@ impl Connection {
                 }
                 // Single borrow of the stream: the WINDOW_UPDATE is queued
                 // after it ends, so no re-lookup (and no unwrap) is needed.
-                let (known, window_inc) = match self.streams.get_mut(stream) {
-                    Some(s) if s.state == StreamState::Closed => {
-                        // Data raced our RST; ignore at stream level.
-                        (false, None)
-                    }
-                    Some(s) => {
+                let local_initial_window = self.local_initial_window;
+                let (known, window_inc) = self
+                    .update_stream(stream, |s| {
+                        if s.state == StreamState::Closed {
+                            // Data raced our RST; ignore at stream level.
+                            return (false, None);
+                        }
                         s.recv_consumed += len;
-                        let inc = if s.recv_consumed as i64 * 2 >= self.local_initial_window {
+                        let inc = if s.recv_consumed as i64 * 2 >= local_initial_window {
                             let inc = s.recv_consumed as u32;
                             s.recv_consumed = 0;
                             Some(inc)
@@ -1096,9 +1219,8 @@ impl Connection {
                             };
                         }
                         (true, inc)
-                    }
-                    None => return Err(ConnError::DataOnUnknownStream),
-                };
+                    })
+                    .ok_or(ConnError::DataOnUnknownStream)?;
                 if let Some(increment) = window_inc {
                     self.queue_frame(Frame::WindowUpdate { stream, increment });
                 }
@@ -1114,11 +1236,7 @@ impl Connection {
                 if self.resets_received > self.limits.max_resets {
                     return Err(ConnError::ResetFlood);
                 }
-                if let Some(s) = self.streams.get_mut(stream) {
-                    s.state = StreamState::Closed;
-                    s.out.queued = 0;
-                }
-                self.tree.remove(stream);
+                self.close_stream(stream);
                 self.events.push_back(Event::Reset { stream, code });
             }
             Frame::Ping { ack, payload } => {
@@ -1150,9 +1268,7 @@ impl Connection {
                 // Reserved push streams count against the concurrency
                 // limit: a push-flooding server gets refusals, not
                 // unbounded stream-table growth.
-                let active =
-                    self.streams.values().filter(|s| s.state != StreamState::Closed).count();
-                if active >= self.limits.max_concurrent_streams as usize {
+                if self.active_streams >= self.limits.max_concurrent_streams as usize {
                     self.refused_streams = self.refused_streams.saturating_add(1);
                     if self.refused_streams > self.limits.max_concurrent_streams {
                         return Err(ConnError::ConcurrentStreamsExceeded);
@@ -1168,10 +1284,7 @@ impl Connection {
                     });
                     return Ok(());
                 }
-                self.streams.insert(
-                    promised,
-                    Stream::new(StreamState::ReservedRemote, self.peer_initial_window),
-                );
+                self.insert_stream(promised, StreamState::ReservedRemote);
                 self.tree.insert(
                     promised,
                     PrioritySpec { depends_on: ph.stream, weight: 16, exclusive: false },
@@ -1196,9 +1309,7 @@ impl Connection {
                     // (RST REFUSED_STREAM, the stream-error path); a peer
                     // that keeps opening past a full limit's worth of
                     // refusals escalates to a connection error.
-                    let active =
-                        self.streams.values().filter(|s| s.state != StreamState::Closed).count();
-                    if active >= self.limits.max_concurrent_streams as usize {
+                    if self.active_streams >= self.limits.max_concurrent_streams as usize {
                         self.refused_streams = self.refused_streams.saturating_add(1);
                         if self.refused_streams > self.limits.max_concurrent_streams {
                             return Err(ConnError::ConcurrentStreamsExceeded);
@@ -1215,15 +1326,9 @@ impl Connection {
                         return Ok(());
                     }
                     self.highest_peer_stream = ph.stream;
-                    self.streams.insert(
-                        ph.stream,
-                        Stream::new(StreamState::Open, self.peer_initial_window),
-                    );
+                    self.insert_stream(ph.stream, StreamState::Open);
                 }
-                let Some(entry) = self.streams.get_mut(ph.stream) else {
-                    return Ok(()); // unreachable: inserted or present above
-                };
-                match entry.state {
+                self.update_stream(ph.stream, |entry| match entry.state {
                     StreamState::ReservedRemote => {
                         // Push response headers.
                         entry.state = if ph.end_stream {
@@ -1239,7 +1344,7 @@ impl Connection {
                         entry.state = StreamState::Closed;
                     }
                     _ => {}
-                }
+                });
                 if let Some(spec) = ph.priority {
                     self.tree.insert(ph.stream, spec);
                 } else if !self.tree.contains(ph.stream) {
@@ -2114,5 +2219,360 @@ mod edge_tests {
             }
         }
         assert!(got_error);
+    }
+}
+
+/// The ready set and the active-stream count are caches of per-stream
+/// state; these tests check them against full slab scans.
+#[cfg(test)]
+mod ready_set_tests {
+    use super::*;
+    use crate::scheduler::DefaultScheduler;
+    use proptest::prelude::*;
+
+    fn h(n: &str, v: &str) -> Header {
+        Header::new(n, v)
+    }
+
+    fn request_headers() -> Vec<Header> {
+        vec![
+            h(":method", "GET"),
+            h(":scheme", "https"),
+            h(":authority", "rs.test"),
+            h(":path", "/"),
+        ]
+    }
+
+    impl Connection {
+        fn active_scan(&self) -> usize {
+            self.streams.values().filter(|s| s.state != StreamState::Closed).count()
+        }
+    }
+
+    /// Decode every frame in `wire`.
+    fn frames(wire: &[u8]) -> Vec<Frame> {
+        let (mut pos, mut out) = (0, Vec::new());
+        while pos < wire.len() {
+            let (frame, used) = Frame::decode(&wire[pos..], 1 << 24).unwrap();
+            out.push(frame);
+            pos += used;
+        }
+        out
+    }
+
+    /// A server with stream 1 open (request complete) and its preface and
+    /// SETTINGS ack already drained.
+    fn server_with_request() -> Connection {
+        let mut c = Connection::client(Settings::default());
+        let mut s = Connection::server(Settings::default());
+        c.request(&request_headers(), None);
+        let mut sched = DefaultScheduler::new();
+        s.receive(&c.produce(usize::MAX, &mut sched));
+        while s.poll_event().is_some() {}
+        s.produce(usize::MAX, &mut sched);
+        s
+    }
+
+    #[test]
+    fn empty_body_response_ends_with_an_empty_data_frame() {
+        let mut s = server_with_request();
+        s.respond(1, &[h(":status", "200")], false);
+        s.queue_body(1, 0, true);
+        let wire = s.produce(usize::MAX, &mut DefaultScheduler::new());
+        let got = frames(&wire);
+        assert!(matches!(got[0], Frame::Headers { stream: 1, end_stream: false, .. }));
+        assert_eq!(got[1], Frame::Data { stream: 1, len: 0, end_stream: true });
+        assert_eq!(got.len(), 2);
+        assert_eq!(s.stream_state(1), Some(StreamState::Closed));
+        assert!(!s.wants_send(), "nothing is left to send once the stream ended");
+        assert!(!s.tree().contains(1));
+    }
+
+    #[test]
+    fn fin_after_the_body_drained_and_fin_before_the_headers_both_end_the_stream() {
+        // Body first, end marker later: by then nothing is queued to
+        // carry END_STREAM.
+        let mut s = server_with_request();
+        let mut sched = DefaultScheduler::new();
+        s.respond(1, &[h(":status", "200")], false);
+        s.queue_body(1, 100, false);
+        s.produce(usize::MAX, &mut sched);
+        assert_eq!(s.bytes_sent(1), 100);
+        s.queue_body(1, 0, true);
+        let got = frames(&s.produce(usize::MAX, &mut sched));
+        assert_eq!(got, vec![Frame::Data { stream: 1, len: 0, end_stream: true }]);
+        assert_eq!(s.stream_state(1), Some(StreamState::Closed));
+
+        // End marker queued before the headers went out.
+        let mut s = server_with_request();
+        s.queue_body(1, 0, true);
+        assert!(!s.wants_send());
+        s.respond(1, &[h(":status", "200")], false);
+        let got = frames(&s.produce(usize::MAX, &mut sched));
+        assert_eq!(got.last(), Some(&Frame::Data { stream: 1, len: 0, end_stream: true }));
+        assert!(!s.wants_send());
+
+        // A body that is still queued carries END_STREAM itself.
+        let mut s = server_with_request();
+        s.respond(1, &[h(":status", "200")], false);
+        s.queue_body(1, 100, false);
+        s.queue_body(1, 0, true);
+        let got = frames(&s.produce(usize::MAX, &mut sched));
+        assert_eq!(got.last(), Some(&Frame::Data { stream: 1, len: 100, end_stream: true }));
+    }
+
+    /// One step of the lockstep script. Stream operands are indices into
+    /// the list of streams opened so far (modulo its length).
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Client HEADERS opening the next odd stream.
+        Open {
+            end_stream: bool,
+            chain: bool,
+        },
+        PushPromise {
+            parent: usize,
+        },
+        Respond {
+            stream: usize,
+            end_stream: bool,
+        },
+        QueueBody {
+            stream: usize,
+            len: usize,
+            fin: bool,
+        },
+        /// Client WINDOW_UPDATE; `stream: None` is the connection window.
+        WindowUpdate {
+            stream: Option<usize>,
+            increment: u32,
+        },
+        /// Client SETTINGS_INITIAL_WINDOW_SIZE (shrinking it drives stream
+        /// windows negative).
+        InitialWindow(u32),
+        RstFromPeer {
+            stream: usize,
+        },
+        ResetLocal {
+            stream: usize,
+        },
+        /// Client DATA|END_STREAM (closes a half-closed stream under us).
+        PeerEndsStream {
+            stream: usize,
+        },
+        /// Client PUSH_PROMISE reusing the id of one of the server's own
+        /// push streams: hostile, and it displaces that stream.
+        HostilePromise {
+            stream: usize,
+        },
+        Produce {
+            max: usize,
+        },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        let stream = 0usize..64;
+        let len = || prop_oneof![Just(0usize), 1usize..200, 10_000usize..200_000];
+        let increment = prop_oneof![1u32..2_000, 60_000u32..70_000, Just(0x7fff_ffffu32)];
+        let window = prop_oneof![Just(0u32), 1u32..200, 16_000u32..70_000, Just(0x7fff_ffffu32)];
+        let max = || prop_oneof![1usize..64, 1_000usize..40_000, Just(usize::MAX)];
+        // Respond, QueueBody and Produce appear twice: they are the ops
+        // that move bytes, the rest perturb them.
+        prop_oneof![
+            (any::<bool>(), any::<bool>())
+                .prop_map(|(end_stream, chain)| Op::Open { end_stream, chain }),
+            stream.clone().prop_map(|parent| Op::PushPromise { parent }),
+            (stream.clone(), any::<bool>())
+                .prop_map(|(stream, end_stream)| Op::Respond { stream, end_stream }),
+            (stream.clone(), any::<bool>())
+                .prop_map(|(stream, end_stream)| Op::Respond { stream, end_stream }),
+            (stream.clone(), len(), any::<bool>()).prop_map(|(stream, len, fin)| Op::QueueBody {
+                stream,
+                len,
+                fin
+            }),
+            (stream.clone(), len(), any::<bool>()).prop_map(|(stream, len, fin)| Op::QueueBody {
+                stream,
+                len,
+                fin
+            }),
+            (stream.clone(), increment)
+                .prop_map(|(s, increment)| Op::WindowUpdate { stream: Some(s), increment }),
+            (1u32..2_000).prop_map(|increment| Op::WindowUpdate { stream: None, increment }),
+            window.prop_map(Op::InitialWindow),
+            stream.clone().prop_map(|stream| Op::RstFromPeer { stream }),
+            stream.clone().prop_map(|stream| Op::ResetLocal { stream }),
+            stream.clone().prop_map(|stream| Op::PeerEndsStream { stream }),
+            stream.prop_map(|stream| Op::HostilePromise { stream }),
+            max().prop_map(|max| Op::Produce { max }),
+            max().prop_map(|max| Op::Produce { max }),
+        ]
+    }
+
+    /// The connection under test and the full-scan reference, fed the
+    /// same script.
+    struct Lockstep {
+        tested: Connection,
+        reference: Connection,
+        /// The peer's HPACK encoder (one byte stream feeds both servers).
+        peer_hpack: HpackEncoder,
+        streams: Vec<u32>,
+        next_client_id: u32,
+        /// Highest id a hostile promise used (reusing one is fatal, which
+        /// would end the script's useful part early).
+        last_hostile: u32,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            let server = || {
+                let mut s = Connection::server(Settings::default());
+                s.set_limits(ConnLimits::permissive());
+                s.receive(PREFACE);
+                s
+            };
+            let mut reference = server();
+            reference.scan_reference = true;
+            Lockstep {
+                tested: server(),
+                reference,
+                peer_hpack: HpackEncoder::new(),
+                streams: Vec::new(),
+                next_client_id: 1,
+                last_hostile: 0,
+            }
+        }
+
+        fn pick(&self, index: usize) -> Option<u32> {
+            (!self.streams.is_empty()).then(|| self.streams[index % self.streams.len()])
+        }
+
+        fn both(&mut self, f: impl Fn(&mut Connection)) {
+            f(&mut self.tested);
+            f(&mut self.reference);
+        }
+
+        fn feed(&mut self, frame: Frame) {
+            let mut wire = Vec::new();
+            frame.encode(&mut wire);
+            self.both(|c| c.receive(&wire));
+        }
+
+        fn apply(&mut self, op: &Op) {
+            match *op {
+                Op::Open { end_stream, chain } => {
+                    let stream = self.next_client_id;
+                    self.next_client_id += 2;
+                    let priority = chain.then(|| PrioritySpec {
+                        depends_on: stream.saturating_sub(2),
+                        weight: 100 + (stream % 5) as u16 * 30,
+                        exclusive: stream.is_multiple_of(3),
+                    });
+                    let block: Bytes = self.peer_hpack.encode(&request_headers()).into();
+                    self.feed(Frame::Headers {
+                        stream,
+                        block,
+                        end_stream,
+                        end_headers: true,
+                        priority,
+                    });
+                    self.streams.push(stream);
+                }
+                Op::PushPromise { parent } => {
+                    let Some(parent) = self.pick(parent) else { return };
+                    let a = self.tested.push_promise(parent, &request_headers());
+                    let b = self.reference.push_promise(parent, &request_headers());
+                    assert_eq!(a, b);
+                    self.streams.extend(a);
+                }
+                Op::Respond { stream, end_stream } => {
+                    let Some(id) = self.pick(stream) else { return };
+                    self.both(|c| c.respond(id, &[h(":status", "200")], end_stream));
+                }
+                Op::QueueBody { stream, len, fin } => {
+                    let Some(id) = self.pick(stream) else { return };
+                    self.both(|c| c.queue_body(id, len, fin));
+                }
+                Op::WindowUpdate { stream, increment } => {
+                    let stream = match stream {
+                        Some(index) => match self.pick(index) {
+                            Some(id) => id,
+                            None => return,
+                        },
+                        None => 0,
+                    };
+                    self.feed(Frame::WindowUpdate { stream, increment });
+                }
+                Op::InitialWindow(window) => self.feed(Frame::Settings {
+                    ack: false,
+                    settings: Settings { initial_window_size: Some(window), ..Default::default() },
+                }),
+                Op::RstFromPeer { stream } => {
+                    let Some(stream) = self.pick(stream) else { return };
+                    self.feed(Frame::RstStream { stream, code: ErrorCode::Cancel });
+                }
+                Op::ResetLocal { stream } => {
+                    let Some(id) = self.pick(stream) else { return };
+                    self.both(|c| c.reset(id, ErrorCode::Cancel));
+                }
+                Op::PeerEndsStream { stream } => {
+                    let Some(stream) = self.pick(stream) else { return };
+                    self.feed(Frame::Data { stream, len: 0, end_stream: true });
+                }
+                Op::HostilePromise { stream } => {
+                    let Some(promised) = self.pick(stream) else { return };
+                    if promised % 2 == 1 || promised <= self.last_hostile {
+                        return;
+                    }
+                    self.last_hostile = promised;
+                    let stream = self.streams[0];
+                    let block: Bytes = self.peer_hpack.encode(&request_headers()).into();
+                    self.feed(Frame::PushPromise { stream, promised, block, end_headers: true });
+                }
+                Op::Produce { max } => {
+                    let mut sched = DefaultScheduler::new();
+                    let a = self.tested.produce(max, &mut sched);
+                    let b = self.reference.produce(max, &mut sched);
+                    assert_eq!(a, b, "ready-set produce diverged from the full-scan reference");
+                }
+            }
+        }
+
+        fn check(&mut self) {
+            let t = &self.tested;
+            assert_eq!(t.ready, t.ready_scan());
+            assert_eq!(t.active_streams, t.active_scan());
+            assert_eq!(t.wants_send(), t.wants_send_scan());
+            assert_eq!(t.wants_send(), self.reference.wants_send());
+            loop {
+                let (a, b) = (self.tested.poll_event(), self.reference.poll_event());
+                assert_eq!(a, b);
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn ready_set_tracks_the_full_scan_in_lockstep(
+            ops in proptest::collection::vec(op_strategy(), 1..120),
+        ) {
+            let mut pair = Lockstep::new();
+            for op in &ops {
+                pair.apply(op);
+                pair.check();
+            }
+            // Whatever state the script left behind drains identically.
+            pair.apply(&Op::InitialWindow(0x7fff_ffff));
+            for _ in 0..4 {
+                pair.apply(&Op::WindowUpdate { stream: None, increment: 0x0fff_ffff });
+                pair.apply(&Op::Produce { max: usize::MAX });
+                pair.check();
+            }
+        }
     }
 }

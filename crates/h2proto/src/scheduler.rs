@@ -29,7 +29,8 @@ pub struct StreamSnapshot {
 /// A stream scheduling policy.
 pub trait Scheduler {
     /// Choose the stream to send the next DATA chunk on. `streams` lists
-    /// only streams that can make progress right now.
+    /// only streams that can make progress right now, in ascending id
+    /// order (the tree schedulers binary-search it).
     fn pick(&mut self, streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32>;
 
     /// Account `bytes` sent on `stream` (used by weighted round-robin).
@@ -37,6 +38,24 @@ pub trait Scheduler {
 
     /// A stream finished or was reset.
     fn stream_closed(&mut self, _stream: u32) {}
+}
+
+/// Whether `id` has sendable bytes in the id-sorted snapshot `streams`.
+fn is_ready(streams: &[StreamSnapshot], id: u32) -> bool {
+    streams.binary_search_by_key(&id, |s| s.id).is_ok_and(|i| streams[i].sendable > 0)
+}
+
+/// Whether `node` or any of its descendants has sendable bytes.
+fn subtree_sendable(node: u32, tree: &PriorityTree, streams: &[StreamSnapshot]) -> bool {
+    (node != ROOT && is_ready(streams, node))
+        || tree.children(node).iter().any(|&c| subtree_sendable(c, tree, streams))
+}
+
+/// The ready stream with the lowest id. The tree schedulers fall back to
+/// it when their walk finds nothing: streams the tree doesn't know (e.g.
+/// no HEADERS seen yet) are implicitly root children.
+fn lowest_ready(streams: &[StreamSnapshot]) -> Option<u32> {
+    streams.iter().filter(|s| s.sendable > 0).map(|s| s.id).min()
 }
 
 /// h2o-style default scheduler:
@@ -48,6 +67,9 @@ pub trait Scheduler {
 ///   id within a class, so pushes drain in promise order — which is why
 ///   the §4.2 push order matters.
 ///
+/// The policy is a pure function of the snapshot and the tree, so the
+/// scheduler carries no state.
+///
 /// A weighted-fair variant ([`FairScheduler`]) that shares bandwidth
 /// *proportionally* across sibling weight classes (closer to h2o's
 /// byte-level weighted fair queuing) is provided for ablation; with the
@@ -55,45 +77,18 @@ pub trait Scheduler {
 /// mostly coincide — they differ when low-weight pushed streams coexist
 /// with the chain as siblings.
 #[derive(Debug, Default)]
-pub struct DefaultScheduler {
-    /// Bytes charged per tree node (including traffic of its subtree).
-    charged: HashMap<u32, u64>,
-    /// Bytes charged per (parent node, child weight class).
-    class_charged: HashMap<(u32, u16), u64>,
-    /// Scratch map rebuilt on every [`Scheduler::pick`]; kept across calls
-    /// so steady-state picks allocate nothing.
-    ready_scratch: HashMap<u32, usize>,
-}
+pub struct DefaultScheduler;
 
 impl DefaultScheduler {
-    /// New scheduler with empty accounting.
+    /// New scheduler.
     pub fn new() -> Self {
-        Self::default()
+        DefaultScheduler
     }
 
-    /// Clear all accounting, retaining map capacity for reuse.
-    pub fn reset(&mut self) {
-        self.charged.clear();
-        self.class_charged.clear();
-        self.ready_scratch.clear();
-    }
-
-    fn subtree_sendable(
-        &self,
-        node: u32,
-        tree: &PriorityTree,
-        ready: &HashMap<u32, usize>,
-    ) -> bool {
-        if node != ROOT && ready.contains_key(&node) {
-            return true;
-        }
-        tree.children(node).iter().any(|&c| self.subtree_sendable(c, tree, ready))
-    }
-
-    fn pick_rec(&self, node: u32, tree: &PriorityTree, ready: &HashMap<u32, usize>) -> Option<u32> {
+    fn pick_rec(node: u32, tree: &PriorityTree, streams: &[StreamSnapshot]) -> Option<u32> {
         // Strict dependency order: a sendable stream outranks its whole
         // subtree.
-        if node != ROOT && ready.contains_key(&node) {
+        if node != ROOT && is_ready(streams, node) {
             return Some(node);
         }
         // Among children with sendable descendants: strictly higher weight
@@ -104,52 +99,20 @@ impl DefaultScheduler {
             .children(node)
             .iter()
             .copied()
-            .filter(|&c| self.subtree_sendable(c, tree, ready))
+            .filter(|&c| subtree_sendable(c, tree, streams))
             .min_by(|&a, &b| {
                 let wa = tree.weight(a).unwrap_or(16);
                 let wb = tree.weight(b).unwrap_or(16);
                 wb.cmp(&wa).then(a.cmp(&b))
             })?;
-        self.pick_rec(best, tree, ready)
+        Self::pick_rec(best, tree, streams)
     }
 }
 
 impl Scheduler for DefaultScheduler {
     fn pick(&mut self, streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32> {
-        let mut ready = std::mem::take(&mut self.ready_scratch);
-        ready.clear();
-        ready.extend(streams.iter().filter(|s| s.sendable > 0).map(|s| (s.id, s.sendable)));
-        if ready.is_empty() {
-            self.ready_scratch = ready;
-            return None;
-        }
-        // Streams the tree doesn't know (e.g. no HEADERS seen yet) are
-        // treated as root children implicitly by falling back to any ready
-        // stream if the walk finds nothing.
-        let pick = self.pick_rec(ROOT, tree, &ready).or_else(|| ready.keys().min().copied());
-        self.ready_scratch = ready;
-        pick
-    }
-
-    fn charge(&mut self, stream: u32, bytes: usize, tree: &PriorityTree) {
-        // Charge the stream and every ancestor link so sibling WFQ is fair
-        // at each level of the tree.
-        let mut cur = stream;
-        loop {
-            *self.charged.entry(cur).or_insert(0) += bytes as u64;
-            match tree.parent(cur) {
-                Some(p) if cur != ROOT => {
-                    let w = tree.weight(cur).unwrap_or(16);
-                    *self.class_charged.entry((p, w)).or_insert(0) += bytes as u64;
-                    cur = p;
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn stream_closed(&mut self, stream: u32) {
-        self.charged.remove(&stream);
+        debug_assert!(streams.windows(2).all(|w| w[0].id < w[1].id), "snapshot not id-sorted");
+        Self::pick_rec(ROOT, tree, streams).or_else(|| lowest_ready(streams))
     }
 }
 
@@ -160,11 +123,8 @@ impl Scheduler for DefaultScheduler {
 /// by the scheduler ablation bench.
 #[derive(Debug, Default)]
 pub struct FairScheduler {
-    charged: HashMap<u32, u64>,
+    /// Bytes charged per (parent node, child weight class).
     class_charged: HashMap<(u32, u16), u64>,
-    /// Scratch map rebuilt on every [`Scheduler::pick`] (see
-    /// [`DefaultScheduler`]).
-    ready_scratch: HashMap<u32, usize>,
 }
 
 impl FairScheduler {
@@ -173,27 +133,15 @@ impl FairScheduler {
         Self::default()
     }
 
-    fn subtree_sendable(
-        &self,
-        node: u32,
-        tree: &PriorityTree,
-        ready: &HashMap<u32, usize>,
-    ) -> bool {
-        if node != ROOT && ready.contains_key(&node) {
-            return true;
-        }
-        tree.children(node).iter().any(|&c| self.subtree_sendable(c, tree, ready))
-    }
-
-    fn pick_rec(&self, node: u32, tree: &PriorityTree, ready: &HashMap<u32, usize>) -> Option<u32> {
-        if node != ROOT && ready.contains_key(&node) {
+    fn pick_rec(&self, node: u32, tree: &PriorityTree, streams: &[StreamSnapshot]) -> Option<u32> {
+        if node != ROOT && is_ready(streams, node) {
             return Some(node);
         }
         let eligible: Vec<u32> = tree
             .children(node)
             .iter()
             .copied()
-            .filter(|&c| self.subtree_sendable(c, tree, ready))
+            .filter(|&c| subtree_sendable(c, tree, streams))
             .collect();
         if eligible.is_empty() {
             return None;
@@ -222,41 +170,25 @@ impl FairScheduler {
             .map(|&(w, _)| w)?;
         let best =
             eligible.into_iter().filter(|&c| tree.weight(c).unwrap_or(16) == best_class).min()?;
-        self.pick_rec(best, tree, ready)
+        self.pick_rec(best, tree, streams)
     }
 }
 
 impl Scheduler for FairScheduler {
     fn pick(&mut self, streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32> {
-        let mut ready = std::mem::take(&mut self.ready_scratch);
-        ready.clear();
-        ready.extend(streams.iter().filter(|s| s.sendable > 0).map(|s| (s.id, s.sendable)));
-        if ready.is_empty() {
-            self.ready_scratch = ready;
-            return None;
-        }
-        let pick = self.pick_rec(ROOT, tree, &ready).or_else(|| ready.keys().min().copied());
-        self.ready_scratch = ready;
-        pick
+        debug_assert!(streams.windows(2).all(|w| w[0].id < w[1].id), "snapshot not id-sorted");
+        self.pick_rec(ROOT, tree, streams).or_else(|| lowest_ready(streams))
     }
 
     fn charge(&mut self, stream: u32, bytes: usize, tree: &PriorityTree) {
+        // Charge every ancestor link so sibling WFQ is fair at each level
+        // of the tree.
         let mut cur = stream;
-        loop {
-            *self.charged.entry(cur).or_insert(0) += bytes as u64;
-            match tree.parent(cur) {
-                Some(p) if cur != ROOT => {
-                    let w = tree.weight(cur).unwrap_or(16);
-                    *self.class_charged.entry((p, w)).or_insert(0) += bytes as u64;
-                    cur = p;
-                }
-                _ => break,
-            }
+        while let Some(p) = tree.parent(cur) {
+            let w = tree.weight(cur).unwrap_or(16);
+            *self.class_charged.entry((p, w)).or_insert(0) += bytes as u64;
+            cur = p;
         }
-    }
-
-    fn stream_closed(&mut self, stream: u32) {
-        self.charged.remove(&stream);
     }
 }
 
@@ -267,7 +199,7 @@ pub struct FifoScheduler;
 
 impl Scheduler for FifoScheduler {
     fn pick(&mut self, streams: &[StreamSnapshot], _tree: &PriorityTree) -> Option<u32> {
-        streams.iter().filter(|s| s.sendable > 0).map(|s| s.id).min()
+        lowest_ready(streams)
     }
 }
 
@@ -381,5 +313,64 @@ mod tests {
         let tree = PriorityTree::new();
         let mut s = FifoScheduler;
         assert_eq!(s.pick(&[snap(5, 1), snap(3, 1), snap(7, 1)], &tree), Some(3));
+    }
+
+    /// The default policy as it was written before the snapshot lookups
+    /// became binary searches: ready ids in a hash map.
+    fn reference_pick(streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32> {
+        type Ready = HashMap<u32, usize>;
+        fn subtree_sendable(node: u32, tree: &PriorityTree, ready: &Ready) -> bool {
+            (node != ROOT && ready.contains_key(&node))
+                || tree.children(node).iter().any(|&c| subtree_sendable(c, tree, ready))
+        }
+        fn pick_rec(node: u32, tree: &PriorityTree, ready: &Ready) -> Option<u32> {
+            if node != ROOT && ready.contains_key(&node) {
+                return Some(node);
+            }
+            let best = tree
+                .children(node)
+                .iter()
+                .copied()
+                .filter(|&c| subtree_sendable(c, tree, ready))
+                .min_by(|&a, &b| {
+                    let wa = tree.weight(a).unwrap_or(16);
+                    let wb = tree.weight(b).unwrap_or(16);
+                    wb.cmp(&wa).then(a.cmp(&b))
+                })?;
+            pick_rec(best, tree, ready)
+        }
+        let ready: Ready =
+            streams.iter().filter(|s| s.sendable > 0).map(|s| (s.id, s.sendable)).collect();
+        pick_rec(ROOT, tree, &ready).or_else(|| ready.keys().min().copied())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sorted_slice_lookups_make_the_same_picks_as_the_hash_map(
+            nodes in proptest::collection::vec(
+                (1u32..48, 0u32..48, 1u16..=256, proptest::any::<bool>()), 0..40),
+            removed in proptest::collection::vec(1u32..48, 0..8),
+            snapshot in proptest::collection::vec((1u32..56, 0usize..3), 0..24),
+        ) {
+            let mut tree = PriorityTree::new();
+            for (id, depends_on, weight, exclusive) in nodes {
+                tree.insert(id, spec(depends_on, weight, exclusive));
+            }
+            for id in removed {
+                tree.remove(id);
+            }
+            // One entry per id, ascending; some with nothing sendable,
+            // some unknown to the tree.
+            let streams: Vec<StreamSnapshot> = snapshot
+                .into_iter()
+                .collect::<std::collections::BTreeMap<u32, usize>>()
+                .into_iter()
+                .map(|(id, sendable)| snap(id, sendable * 1000))
+                .collect();
+            let pick = DefaultScheduler::new().pick(&streams, &tree);
+            proptest::prop_assert_eq!(pick, reference_pick(&streams, &tree));
+        }
     }
 }

@@ -10,9 +10,11 @@
 //! [`StreamSlab`] exploits the id structure instead: two dense vectors
 //! (one per parity, indexed by `id / 2` rounded down to the sequence
 //! position) give O(1) array lookups and a single allocation that is
-//! recycled across connections. Ascending-id iteration — which the
-//! deterministic scheduler snapshot in `produce()` depends on — is a
-//! two-pointer merge of the parity lanes.
+//! recycled across connections. The send path never walks the slab: the
+//! connection keeps the ids of streams with unsent body in its ready set
+//! and only looks those up. Ascending-id iteration (a two-pointer merge
+//! of the parity lanes) survives for tests, as the full-scan reference
+//! that ready set is checked against.
 //!
 //! A hostile peer is not bound by "next id": PUSH_PROMISE and request
 //! HEADERS carry peer-chosen ids up to 2^31-1, and the badpeer suite
@@ -128,6 +130,7 @@ impl<T> StreamSlab<T> {
     }
 
     /// All stored values, iteration order unspecified.
+    #[cfg(test)]
     pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
         self.odd.iter().flatten().chain(self.even.iter().flatten()).chain(self.spill.values())
     }
@@ -141,8 +144,8 @@ impl<T> StreamSlab<T> {
             .chain(self.spill.values_mut())
     }
 
-    /// `(id, value)` pairs in strictly ascending id order — the order the
-    /// deterministic scheduler snapshot depends on.
+    /// `(id, value)` pairs in strictly ascending id order.
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> AscendingIter<'_, T> {
         AscendingIter { slab: self, oi: 0, ei: 0, spill: self.spill.iter() }
     }
@@ -167,6 +170,7 @@ impl<T> StreamSlab<T> {
 }
 
 /// Ascending-id merge over the odd lane, the even lane and the spill.
+#[cfg(test)]
 pub(crate) struct AscendingIter<'a, T> {
     slab: &'a StreamSlab<T>,
     /// Next odd-lane slot to inspect.
@@ -176,6 +180,7 @@ pub(crate) struct AscendingIter<'a, T> {
     spill: std::collections::btree_map::Iter<'a, u32, T>,
 }
 
+#[cfg(test)]
 impl<'a, T> Iterator for AscendingIter<'a, T> {
     type Item = (u32, &'a T);
 

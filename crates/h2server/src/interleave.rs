@@ -59,7 +59,6 @@ impl InterleavingScheduler {
 
     /// Return to the fresh state with a new offset, retaining capacity.
     pub fn reset(&mut self, offset: usize) {
-        self.inner.reset();
         self.parent = None;
         self.offset = offset as u64;
         self.critical.clear();
@@ -138,12 +137,7 @@ impl Scheduler for InterleavingScheduler {
         }
     }
 
-    fn charge(&mut self, stream: u32, bytes: usize, tree: &PriorityTree) {
-        self.inner.charge(stream, bytes, tree);
-    }
-
     fn stream_closed(&mut self, stream: u32) {
-        self.inner.stream_closed(stream);
         self.critical.retain(|&c| c != stream);
     }
 }

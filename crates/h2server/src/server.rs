@@ -181,8 +181,8 @@ impl ReplayServer {
 
     /// Recycle this instance into a fresh server for (possibly different)
     /// inputs: equivalent to [`ReplayServer::new`] but reusing every buffer
-    /// the previous life grew — the HTTP/2 connection, the scheduler maps
-    /// and the observation log are cleared, not reallocated.
+    /// the previous life grew — the HTTP/2 connection, the scheduler's
+    /// critical list and the observation log are cleared, not reallocated.
     pub fn reset(
         &mut self,
         page: Arc<Page>,
@@ -199,7 +199,7 @@ impl ReplayServer {
             (Some(Strategy::Interleaved { offset, .. }), sched) => {
                 *sched = Sched::Interleaving(InterleavingScheduler::new(*offset))
             }
-            (_, Sched::Default(d)) => d.reset(),
+            (_, Sched::Default(_)) => {}
             (_, sched) => *sched = Sched::Default(DefaultScheduler::new()),
         }
         self.page = page;
@@ -617,6 +617,41 @@ mod tests {
             _ => None,
         });
         assert_eq!(status, Some(("404".to_string(), true)));
+    }
+
+    #[test]
+    fn zero_byte_recorded_resource_ends_its_stream() {
+        // `RecordDb::from_json` does not validate, so a recorded corpus can
+        // carry an empty 200 body. The response must still end: HEADERS,
+        // then an empty DATA frame with END_STREAM — not a stream that
+        // stays open while `wants_send` stays true.
+        let p = page();
+        let css = p.resource(ResourceId(1));
+        let json = RecordDb::record(&p).to_json();
+        let needle = format!("\"body_len\": {}", css.size);
+        assert_eq!(json.matches(&needle).count(), 1, "the stylesheet's size is unique");
+        let db = RecordDb::from_json(&json.replace(&needle, "\"body_len\": 0")).unwrap();
+        let mut server =
+            ReplayServer::new(Arc::clone(&p), Arc::new(db), 0, &Arc::new(Strategy::NoPush));
+        let mut client = Connection::client(Settings::default());
+        let s = client.request(&get(&css.path), None);
+        let events = converse(&mut server, &mut client, 10);
+        let on_stream: Vec<_> = events
+            .iter()
+            .filter(|e| {
+                matches!(e, h2push_h2proto::Event::Headers { stream, .. }
+                    | h2push_h2proto::Event::Data { stream, .. } if *stream == s)
+            })
+            .collect();
+        assert!(matches!(
+            on_stream[..],
+            [
+                h2push_h2proto::Event::Headers { end_stream: false, .. },
+                h2push_h2proto::Event::Data { len: 0, end_stream: true, .. }
+            ]
+        ));
+        assert_eq!(client.stream_state(s), Some(StreamState::Closed));
+        assert!(!server.wants_send(), "an ended response leaves nothing to send");
     }
 
     #[test]

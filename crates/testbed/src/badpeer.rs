@@ -468,7 +468,6 @@ pub fn attack_server_in(
     // Benign splice-in: a real client issues a real request, so the
     // victim's HPACK and stream state are mid-flight when the attack hits.
     ctx.splice.reset_client(Settings::default());
-    ctx.splice_sched.reset();
     let cli = &mut ctx.splice;
     cli.request(&benign_request(), Some(PrioritySpec::default()));
     loop {
@@ -520,7 +519,6 @@ pub fn attack_client_in(
     ctx: &mut AttackCtx,
 ) -> AttackOutcome {
     ctx.cli.reset_client(Settings::default());
-    ctx.cli_sched.reset();
     let cli = &mut ctx.cli;
     cli.set_limits(limits);
     let sched = &mut ctx.cli_sched;

@@ -39,7 +39,7 @@ use h2push_strategies::{RunTrace, Strategy};
 use h2push_trace::{conn_label, TraceHandle};
 use h2push_webmodel::ResourceId;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One direction of an in-flight TCP stream: a FIFO of `Bytes` chunks.
@@ -95,11 +95,12 @@ impl ByteFifo {
 }
 
 /// Per-connection adapter state: which browser (group, slot) the netsim
-/// connection belongs to, plus the bytes handed to the simulator but not
-/// yet delivered, per direction.
+/// connection belongs to, the replay server behind it, plus the bytes
+/// handed to the simulator but not yet delivered, per direction.
 struct ConnCtx {
     group: usize,
     slot: usize,
+    server: AnyServer,
     /// Bytes handed to netsim (up = client→server) not yet delivered.
     up: ByteFifo,
     down: ByteFifo,
@@ -169,9 +170,13 @@ const SPARE_CAP: usize = 16;
 pub struct ReplayCtx {
     net: Option<Network>,
     browser: Option<Browser>,
-    servers: HashMap<(usize, usize), AnyServer>,
-    conn_of_slot: HashMap<(usize, usize), ConnId>,
-    conns: HashMap<ConnId, ConnCtx>,
+    /// This run's connections, indexed by [`ConnId`]: netsim hands out
+    /// dense ids in connect order.
+    conns: Vec<ConnCtx>,
+    /// The same connections in (group, slot) order: the browser's address
+    /// for a connection resolves by binary search, and the timer pump
+    /// walks it instead of sorting.
+    by_slot: Vec<ConnId>,
     queue: VecDeque<BrowserAction>,
     /// Parked H2 replay servers from the previous run, reissued (via
     /// `ReplayServer::reset`) by `open_connection`. The box is the
@@ -182,9 +187,7 @@ pub struct ReplayCtx {
     /// Parked H1 replay servers, reissued via `H1ReplayServer::reset`.
     spare_h1: Vec<H1ReplayServer>,
     /// Parked per-connection FIFO pairs (chunk deques retained).
-    spare_conns: Vec<ConnCtx>,
-    /// Scratch for the timer-event server pump ordering.
-    pending: Vec<((usize, usize), ConnId)>,
+    spare_fifos: Vec<(ByteFifo, ByteFifo)>,
 }
 
 impl ReplayCtx {
@@ -197,30 +200,24 @@ impl ReplayCtx {
     /// Park last run's per-connection state and reset the long-lived
     /// machines for a new `(inputs, cfg, trace)` run.
     fn begin_run(&mut self, inputs: &ReplayInputs, cfg: &ReplayConfig, trace: &TraceHandle) {
-        for (_, server) in self.servers.drain() {
-            match server {
-                AnyServer::H2(s) => {
-                    if self.spare_h2.len() < SPARE_CAP {
-                        self.spare_h2.push(s);
-                    }
-                }
-                AnyServer::H1(s) => {
-                    if self.spare_h1.len() < SPARE_CAP {
-                        self.spare_h1.push(s);
-                    }
-                }
+        // Park the first connections' machines last-opened first, so the
+        // next run's connection i is issued what this run's connection i
+        // grew (the document's connection, the largest, is opened first).
+        self.conns.truncate(SPARE_CAP);
+        while let Some(mut c) = self.conns.pop() {
+            match c.server {
+                AnyServer::H2(s) if self.spare_h2.len() < SPARE_CAP => self.spare_h2.push(s),
+                AnyServer::H1(s) if self.spare_h1.len() < SPARE_CAP => self.spare_h1.push(s),
+                _ => {}
             }
-        }
-        for (_, mut c) in self.conns.drain() {
-            if self.spare_conns.len() < SPARE_CAP {
+            if self.spare_fifos.len() < SPARE_CAP {
                 c.up.clear();
                 c.down.clear();
-                self.spare_conns.push(c);
+                self.spare_fifos.push((c.up, c.down));
             }
         }
-        self.conn_of_slot.clear();
+        self.by_slot.clear();
         self.queue.clear();
-        self.pending.clear();
 
         match &mut self.net {
             Some(n) => n.reset(cfg.network.clone()),
@@ -276,19 +273,25 @@ struct SimDriver<'a> {
     trace: &'a TraceHandle,
     net: &'a mut Network,
     browser: &'a mut Browser,
-    servers: &'a mut HashMap<(usize, usize), AnyServer>,
-    conn_of_slot: &'a mut HashMap<(usize, usize), ConnId>,
-    ctx: &'a mut HashMap<ConnId, ConnCtx>,
+    conns: &'a mut Vec<ConnCtx>,
+    by_slot: &'a mut Vec<ConnId>,
     /// Browser actions not yet realized against the simulator.
     queue: &'a mut VecDeque<BrowserAction>,
     #[allow(clippy::vec_box)] // parked `AnyServer::H2` boxes, reissued whole
     spare_h2: &'a mut Vec<Box<ReplayServer>>,
     spare_h1: &'a mut Vec<H1ReplayServer>,
-    spare_conns: &'a mut Vec<ConnCtx>,
-    pending: &'a mut Vec<((usize, usize), ConnId)>,
+    spare_fifos: &'a mut Vec<(ByteFifo, ByteFifo)>,
 }
 
 impl SimDriver<'_> {
+    /// Where `(group, slot)` is, or would go, in `by_slot`.
+    fn find_slot(&self, group: usize, slot: usize) -> Result<usize, usize> {
+        self.by_slot.binary_search_by_key(&(group, slot), |c| {
+            let c = &self.conns[c.0];
+            (c.group, c.slot)
+        })
+    }
+
     /// Realize queued browser actions against the simulator; handling one
     /// may enqueue more.
     fn drain_actions(&mut self) {
@@ -296,10 +299,9 @@ impl SimDriver<'_> {
             match a {
                 BrowserAction::OpenConnection { group, slot } => self.open_connection(group, slot),
                 BrowserAction::SendBytes { group, slot, bytes } => {
-                    let conn = self.conn_of_slot[&(group, slot)];
-                    let c = self.ctx.get_mut(&conn).expect("unknown conn");
+                    let conn = self.by_slot[self.find_slot(group, slot).expect("unknown conn")];
                     self.net.send(conn, Dir::Up, bytes.len());
-                    c.up.push(bytes);
+                    self.conns[conn.0].up.push(bytes);
                 }
                 BrowserAction::SetTimer { at, token } => {
                     self.net.schedule(at, token);
@@ -321,12 +323,8 @@ impl SimDriver<'_> {
         };
         let sid: ServerId = self.net.add_server(spec);
         let conn = self.net.connect(sid);
-        self.conn_of_slot.insert((group, slot), conn);
-        let (up, down) = match self.spare_conns.pop() {
-            Some(c) => (c.up, c.down),
-            None => Default::default(),
-        };
-        self.ctx.insert(conn, ConnCtx { group, slot, up, down });
+        assert_eq!(conn.0, self.conns.len(), "netsim connection ids are dense");
+        let (up, down) = self.spare_fifos.pop().unwrap_or_default();
         let server = match cfg.protocol {
             Protocol::H2 => {
                 let mut s = match self.spare_h2.pop() {
@@ -369,28 +367,28 @@ impl SimDriver<'_> {
                 AnyServer::H1(s)
             }
         };
-        self.servers.insert((group, slot), server);
+        let pos = self.find_slot(group, slot).expect_err("(group, slot) opened twice");
+        self.by_slot.insert(pos, conn);
+        self.conns.push(ConnCtx { group, slot, server, up, down });
     }
 
     /// Pull response bytes from a server while the TCP window has room.
-    fn pump_server(&mut self, conn: ConnId, key: (usize, usize)) {
+    fn pump_server(&mut self, conn: ConnId) {
+        let c = &mut self.conns[conn.0];
         loop {
-            if !self.servers.get(&key).expect("server exists").wants_output() {
+            if !c.server.wants_output() {
                 self.net.set_hungry(conn, Dir::Down, false);
                 break;
             }
             match self.net.set_hungry(conn, Dir::Down, true) {
                 Some(window) => {
-                    let now = self.net.now().as_micros();
-                    let bytes =
-                        self.servers.get_mut(&key).expect("server exists").poll_output(window, now);
+                    let bytes = c.server.poll_output(window, self.net.now().as_micros());
                     if bytes.is_empty() {
                         // Flow-control (H2-level) blocked: wait for
                         // client window updates.
                         self.net.set_hungry(conn, Dir::Down, false);
                         break;
                     }
-                    let c = self.ctx.get_mut(&conn).expect("ctx");
                     self.net.send(conn, Dir::Down, bytes.len());
                     c.down.push(bytes);
                 }
@@ -437,33 +435,27 @@ impl SimDriver<'_> {
             }
             match ev {
                 NetEvent::Connected { conn } => {
-                    let (group, slot) = (self.ctx[&conn].group, self.ctx[&conn].slot);
-                    let actions = self.browser.on_connected(group, slot, t);
+                    let c = &self.conns[conn.0];
+                    let actions = self.browser.on_connected(c.group, c.slot, t);
                     self.intake(actions);
-                    self.pump_server(conn, (group, slot));
+                    self.pump_server(conn);
                 }
                 NetEvent::Delivered { conn, dir: Dir::Up, bytes } => {
-                    let (group, slot) = (self.ctx[&conn].group, self.ctx[&conn].slot);
-                    let chunk = self.ctx.get_mut(&conn).expect("ctx").up.pop(bytes);
-                    self.servers
-                        .get_mut(&(group, slot))
-                        .expect("server")
-                        .feed_bytes(&chunk, t.as_micros());
-                    self.pump_server(conn, (group, slot));
+                    let c = &mut self.conns[conn.0];
+                    let chunk = c.up.pop(bytes);
+                    c.server.feed_bytes(&chunk, t.as_micros());
+                    self.pump_server(conn);
                 }
                 NetEvent::Delivered { conn, dir: Dir::Down, bytes } => {
-                    let (group, slot) = (self.ctx[&conn].group, self.ctx[&conn].slot);
-                    let chunk = self.ctx.get_mut(&conn).expect("ctx").down.pop(bytes);
-                    let actions = self.browser.on_bytes(group, slot, &chunk, t);
+                    let c = &mut self.conns[conn.0];
+                    let chunk = c.down.pop(bytes);
+                    let actions = self.browser.on_bytes(c.group, c.slot, &chunk, t);
                     self.intake(actions);
                     // The browser may have ACKed at the H2 level (window
                     // updates) — give the server a chance to continue.
-                    self.pump_server(conn, (group, slot));
+                    self.pump_server(conn);
                 }
-                NetEvent::SendReady { conn, dir: Dir::Down, .. } => {
-                    let (group, slot) = (self.ctx[&conn].group, self.ctx[&conn].slot);
-                    self.pump_server(conn, (group, slot));
-                }
+                NetEvent::SendReady { conn, dir: Dir::Down, .. } => self.pump_server(conn),
                 NetEvent::SendReady { .. } => {
                     // The browser sends eagerly; it never registers hunger.
                 }
@@ -472,27 +464,24 @@ impl SimDriver<'_> {
                     self.intake(actions);
                     // Timers can trigger new requests on any connection;
                     // make sure all servers with pending output are
-                    // pulling. Pump in (group, slot) order — HashMap
-                    // iteration order varies per instance and must not
-                    // leak into the simulation. The sort scratch lives in
-                    // the context, so steady-state timer events allocate
-                    // nothing.
-                    let mut pending = std::mem::take(self.pending);
-                    pending.clear();
-                    pending.extend(self.conn_of_slot.iter().map(|(&k, &c)| (k, c)));
-                    pending.sort_unstable_by_key(|&(k, _)| k);
-                    for &(key, conn) in &pending {
-                        if self.servers.get(&key).map(|s| s.wants_output()).unwrap_or(false) {
-                            self.pump_server(conn, key);
+                    // pulling, in (group, slot) order (pumping sends, and
+                    // the order of sends at one instant is simulation
+                    // input).
+                    for i in 0..self.by_slot.len() {
+                        let conn = self.by_slot[i];
+                        if self.conns[conn.0].server.wants_output() {
+                            self.pump_server(conn);
                         }
                     }
-                    *self.pending = pending;
                 }
             }
         }
 
         let main_group = self.inputs.page.server_group_of(ResourceId(0));
-        let main_server = self.servers.get(&(main_group, 0)).and_then(|s| s.h2());
+        let main_server = self
+            .find_slot(main_group, 0)
+            .ok()
+            .and_then(|i| self.conns[self.by_slot[i].0].server.h2());
         let trace = RunTrace {
             order: main_server
                 .map(|s| s.observations().iter().map(|o| o.resource).collect())
@@ -517,32 +506,19 @@ pub(crate) fn drive_in(
     ctx: &mut ReplayCtx,
 ) -> Result<ReplayOutcome, ReplayError> {
     ctx.begin_run(inputs, cfg, trace);
-    let ReplayCtx {
-        net,
-        browser,
-        servers,
-        conn_of_slot,
-        conns,
-        queue,
-        spare_h2,
-        spare_h1,
-        spare_conns,
-        pending,
-    } = ctx;
+    let ReplayCtx { net, browser, conns, by_slot, queue, spare_h2, spare_h1, spare_fifos } = ctx;
     SimDriver {
         inputs,
         cfg,
         trace,
         net: net.as_mut().expect("net initialised"),
         browser: browser.as_mut().expect("browser initialised"),
-        servers,
-        conn_of_slot,
-        ctx: conns,
+        conns,
+        by_slot,
         queue,
         spare_h2,
         spare_h1,
-        spare_conns,
-        pending,
+        spare_fifos,
     }
     .run()
 }

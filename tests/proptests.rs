@@ -424,6 +424,9 @@ proptest! {
                 TreeOp::Remove(id) => tree.remove(id),
             }
         }
+        // `pick` takes its snapshot in ascending id order, one entry per
+        // stream, the way `Connection::produce` builds it.
+        let ready_ids: std::collections::BTreeSet<u32> = ready_ids.into_iter().collect();
         let snaps: Vec<StreamSnapshot> = ready_ids
             .iter()
             .map(|&id| StreamSnapshot { id, sendable: 100, sent: 0, is_push: id % 2 == 0 })
