@@ -328,6 +328,12 @@ fn conn_for_output<'a>(
     Some(cs)
 }
 
+/// Cut a stack of parked machines down to its newest `keep`.
+fn drop_stale<T>(spares: &mut Vec<T>, keep: usize) {
+    let stale = spares.len().saturating_sub(keep);
+    spares.drain(..stale);
+}
+
 /// The browser: drive it with `on_connected` / `on_bytes` / `on_timer`,
 /// collect [`BrowserAction`]s, read the [`LoadResult`] when done.
 pub struct Browser {
@@ -396,6 +402,9 @@ pub struct Browser {
     /// failed connection), recycled by `ensure_conn` instead of building a
     /// fresh [`Connection`] per open.
     spare_conns: Vec<ConnState>,
+    /// HTTP/2 connections this load has opened, failed ones included: how
+    /// many parked machines the next [`Browser::reset`] keeps.
+    h2_opened: usize,
     /// Retired HTTP/1.1 connection machines, recycled by `h1_dispatch`.
     spare_h1: Vec<h2push_h1::H1ClientConn>,
     /// Retired (emptied) HTTP/1.1 pools, recycled per group.
@@ -470,6 +479,7 @@ impl Browser {
             flush_all: false,
             trace: TraceHandle::off(),
             spare_conns: Vec::new(),
+            h2_opened: 0,
             spare_h1: Vec::new(),
             spare_h1_pools: Vec::new(),
         }
@@ -495,20 +505,24 @@ impl Browser {
         }));
         self.page = page;
         self.cfg = cfg;
+        // Park every connection machine the last load opened, and nothing
+        // older: the bound on what a browser keeps is that load's own
+        // connection count. Spares it left unused lie at the bottom of the
+        // stacks (reissue pops from the top) and go.
         while let Some((_, cs)) = self.conns.pop_first() {
             self.park_conn(cs);
         }
+        drop_stale(&mut self.spare_conns, self.h2_opened);
+        self.h2_opened = 0;
+        let (pools, mut slots) = (self.h1.len(), 0);
         for (_, mut pool) in self.h1.drain() {
             pool.queue.clear();
-            for slot in pool.slots.drain(..) {
-                if self.spare_h1.len() < 16 {
-                    self.spare_h1.push(slot.conn);
-                }
-            }
-            if self.spare_h1_pools.len() < 8 {
-                self.spare_h1_pools.push(pool);
-            }
+            slots += pool.slots.len();
+            self.spare_h1.extend(pool.slots.drain(..).map(|slot| slot.conn));
+            self.spare_h1_pools.push(pool);
         }
+        drop_stale(&mut self.spare_h1, slots);
+        drop_stale(&mut self.spare_h1_pools, pools);
         self.h1_seq = 0;
         self.stream_map.clear();
         self.scan = scan;
@@ -548,10 +562,8 @@ impl Browser {
     }
 
     fn park_conn(&mut self, mut cs: ConnState) {
-        if self.spare_conns.len() < 8 {
-            cs.chain.clear();
-            self.spare_conns.push(cs);
-        }
+        cs.chain.clear();
+        self.spare_conns.push(cs);
     }
 
     /// Attach a trace handle before [`Browser::start`]. Forwarded to every
@@ -621,6 +633,22 @@ impl Browser {
         bytes: &[u8],
         now: SimTime,
     ) -> Vec<BrowserAction> {
+        self.on_pieces(group, slot, [bytes], now)
+    }
+
+    /// [`Browser::on_bytes`] for a delivery that arrives cut into
+    /// consecutive pieces (the chunks a transport queued it in): the
+    /// actions are those of the pieces' concatenation, and nothing is
+    /// concatenated. The connection takes the pieces one by one — where
+    /// the cuts fall is invisible to it — and events are handled and
+    /// output flushed once, after the last.
+    pub fn on_pieces<P: AsRef<[u8]>>(
+        &mut self,
+        group: usize,
+        slot: usize,
+        pieces: impl IntoIterator<Item = P>,
+        now: SimTime,
+    ) -> Vec<BrowserAction> {
         match self.cfg.transport {
             TransportMode::H2 => {
                 // Bytes from a connection abandoned after an error still
@@ -628,12 +656,14 @@ impl Browser {
                 // connection's slot is fed to the state machine.
                 if let Some(cs) = conn_for_output(&mut self.conns, &mut self.dirty, group) {
                     if cs.slot == slot {
-                        cs.conn.receive(bytes);
+                        for piece in pieces {
+                            cs.conn.receive(piece.as_ref());
+                        }
                     }
                 }
                 self.drain_events(group, now);
             }
-            TransportMode::H1 => self.h1_on_bytes(group, slot, bytes, now),
+            TransportMode::H1 => self.h1_on_bytes(group, slot, pieces, now),
         }
         self.flush_conns();
         std::mem::take(&mut self.actions)
@@ -752,6 +782,7 @@ impl Browser {
             },
         };
         cs.slot = slot;
+        self.h2_opened += 1;
         cs.conn.set_limits(self.cfg.limits);
         if self.trace.is_on() {
             cs.conn.set_trace(self.trace.clone(), conn_label(group, slot));
@@ -927,13 +958,21 @@ impl Browser {
         }
     }
 
-    fn h1_on_bytes(&mut self, group: usize, slot: usize, bytes: &[u8], now: SimTime) {
+    fn h1_on_bytes<P: AsRef<[u8]>>(
+        &mut self,
+        group: usize,
+        slot: usize,
+        pieces: impl IntoIterator<Item = P>,
+        now: SimTime,
+    ) {
         let Some(pool) = self.h1.get_mut(&group) else { return };
         let Some(s) = pool.slots.get_mut(slot) else { return };
         if s.dead {
             return; // late bytes for an abandoned connection
         }
-        s.conn.receive(bytes);
+        for piece in pieces {
+            s.conn.receive(piece.as_ref());
+        }
         loop {
             let pool = self.h1.get_mut(&group).expect("pool exists");
             let s = &mut pool.slots[slot];

@@ -534,6 +534,9 @@ mod tests {
         /// with a fatal frame, so the browser abandons it and reopens on
         /// the next slot.
         poisoned_group: usize,
+        /// Hand each downstream delivery to the browser cut into pieces
+        /// (`on_pieces`) instead of whole (`on_bytes`).
+        piecewise: bool,
     }
 
     impl LossyBed {
@@ -589,7 +592,20 @@ mod tests {
                     NetEvent::Delivered { conn, dir: Dir::Down, bytes } => {
                         let c = &mut self.conns[conn.0];
                         let chunk: Vec<u8> = c.down.drain(..bytes).collect();
-                        pending.extend(browser.on_bytes(c.group, c.slot, &chunk, t));
+                        pending.extend(if self.piecewise {
+                            // Cut where no frame boundary is: single
+                            // bytes, inside headers, across frames.
+                            let mut cuts = [1, 7, 300, 2, 9, 1_000].iter().cycle();
+                            let mut rest = &chunk[..];
+                            let pieces = std::iter::from_fn(|| {
+                                let (piece, tail) = rest.split_at(rest.len().min(*cuts.next()?));
+                                rest = tail;
+                                (!piece.is_empty()).then_some(piece)
+                            });
+                            browser.on_pieces(c.group, c.slot, pieces, t)
+                        } else {
+                            browser.on_bytes(c.group, c.slot, &chunk, t)
+                        });
                     }
                     NetEvent::SendReady { .. } => {}
                     NetEvent::App { token } => pending.extend(browser.on_timer(token, t)),
@@ -624,49 +640,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dirty_flush_emits_the_same_actions_as_flushing_every_connection() {
-        // w17-cnn: 367 resources over 81 server groups. 2 % Gilbert-Elliott
-        // loss with the hardening the testbed's fault profile of that name
-        // applies, except a resource timeout short enough to fire here.
+    /// w17-cnn (367 resources over 81 server groups) on a [`LossyBed`]
+    /// under 2 % Gilbert-Elliott loss, with the hardening the testbed's
+    /// fault profile of that name applies, except a resource timeout short
+    /// enough to fire here. Returns the load result, the rendered action
+    /// log and how many connections were opened, after checking that the
+    /// run went where a shortcut in the browser's input or output path
+    /// could go wrong: every group got a connection, one was abandoned and
+    /// reopened on the next slot, fetches timed out and were reset from a
+    /// timer, pushes arrived.
+    fn lossy_cnn_load(flush_all: bool, piecewise: bool) -> (LoadResult, Vec<String>) {
         let page = realworld_site(17);
         let groups: std::collections::BTreeSet<usize> =
             page.resources.iter().map(|r| page.server_group_of(r.id)).collect();
         assert_eq!(groups.len(), 81);
-        let run = |flush_all: bool| {
-            let mut bed = LossyBed {
-                db: RecordDb::record(&page),
-                pushes: page.pushable().into_iter().take(6).collect(),
-                net: Network::new(NetworkSpec {
-                    fault: FaultSpec::gilbert_elliott(0.02),
-                    seed: 42,
-                    ..NetworkSpec::dsl_testbed()
-                }),
-                conns: Vec::new(),
-                poisoned_group: *groups.iter().nth(7).unwrap(),
-                page: Arc::new(page.clone()),
-            };
-            let cfg = BrowserConfig {
-                resource_timeout: Some(SimDuration::from_millis(1_500)),
-                max_retries: 2,
-                load_deadline: Some(SimDuration::from_millis(120_000)),
-                ..Default::default()
-            };
-            let (result, log) = bed.run(cfg, flush_all);
-            (result, log, bed.conns.len())
+        let mut bed = LossyBed {
+            db: RecordDb::record(&page),
+            pushes: page.pushable().into_iter().take(6).collect(),
+            net: Network::new(NetworkSpec {
+                fault: FaultSpec::gilbert_elliott(0.02),
+                seed: 42,
+                ..NetworkSpec::dsl_testbed()
+            }),
+            conns: Vec::new(),
+            poisoned_group: *groups.iter().nth(7).unwrap(),
+            page: Arc::new(page),
+            piecewise,
         };
-        let (result, dirty_log, conns) = run(false);
-        let (reference_result, reference_log, _) = run(true);
-        assert_eq!(dirty_log, reference_log);
-        assert_eq!(result, reference_result);
-        // The run went where the flush could go wrong: every group got a
-        // connection, one was abandoned and reopened on the next slot,
-        // fetches timed out and were reset from a timer, pushes arrived.
+        let cfg = BrowserConfig {
+            resource_timeout: Some(SimDuration::from_millis(1_500)),
+            max_retries: 2,
+            load_deadline: Some(SimDuration::from_millis(120_000)),
+            ..Default::default()
+        };
+        let (result, log) = bed.run(cfg, flush_all);
         assert!(result.finished());
         assert_eq!(result.conn_errors, 1);
-        assert_eq!(conns, 82);
-        assert!(dirty_log.iter().any(|a| a.contains("slot: 1")));
+        assert_eq!(bed.conns.len(), 82);
+        assert!(log.iter().any(|a| a.contains("slot: 1")));
         assert!(result.timeouts > 0, "no fetch timed out: {result:?}");
         assert!(result.pushed_count > 0);
+        (result, log)
+    }
+
+    #[test]
+    fn dirty_flush_emits_the_same_actions_as_flushing_every_connection() {
+        assert_eq!(lossy_cnn_load(false, false), lossy_cnn_load(true, false));
+    }
+
+    #[test]
+    fn piecewise_delivery_emits_the_same_actions_as_concatenated_delivery() {
+        // Every network delivery cut into pieces and fed through
+        // `on_pieces` — one `receive` per piece, events drained and output
+        // flushed once — against the same delivery whole.
+        assert_eq!(lossy_cnn_load(false, true), lossy_cnn_load(false, false));
     }
 }

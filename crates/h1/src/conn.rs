@@ -132,7 +132,13 @@ impl H1ClientConn {
                     }
                     let take = remaining.min(self.buf.len());
                     self.buf.drain(..take);
-                    self.events.push_back(H1ClientEvent::BodyData { len: take });
+                    // Body bytes fed in several calls since the last poll
+                    // are one event, as if fed in one: where a delivery
+                    // is cut is not the application's business.
+                    match self.events.back_mut() {
+                        Some(H1ClientEvent::BodyData { len }) => *len += take,
+                        _ => self.events.push_back(H1ClientEvent::BodyData { len: take }),
+                    }
                     if take == remaining {
                         self.state = ClientState::Idle;
                         self.events.push_back(H1ClientEvent::ResponseComplete);
@@ -298,6 +304,32 @@ mod tests {
         assert_eq!(body, 5000);
         assert_eq!(events.last(), Some(&H1ClientEvent::ResponseComplete));
         assert!(c.is_idle(), "keep-alive: connection reusable");
+    }
+
+    #[test]
+    fn pieces_fed_before_a_poll_read_as_their_concatenation() {
+        let mut s = H1ServerConn::new();
+        s.respond(200, 3_000, "text/css");
+        let wire = s.produce(usize::MAX);
+        let events = |cuts: &[usize]| {
+            let mut c = H1ClientConn::new();
+            c.send_request("a.test", "/x.css", &[]);
+            let mut rest = &wire[..];
+            for &cut in cuts {
+                let (piece, tail) = rest.split_at(cut.min(rest.len()));
+                c.receive(piece);
+                rest = tail;
+            }
+            c.receive(rest);
+            std::iter::from_fn(|| c.poll_event()).collect::<Vec<_>>()
+        };
+        let whole = events(&[]);
+        assert_eq!(whole.len(), 3, "head, one body event, complete: {whole:?}");
+        // Cuts inside the head, at its end, and all over the body.
+        let head = wire.len() - 3_000;
+        for cuts in [&[5][..], &[head], &[head + 1, 1, 1_000], &[3, head, 7, 7, 2_000, 900]] {
+            assert_eq!(events(cuts), whole, "cut at {cuts:?}");
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 
 use crate::error::{ConnError, StreamError};
 use crate::frame::{
-    ErrorCode, Frame, FrameError, PrioritySpec, Settings, DEFAULT_MAX_FRAME_SIZE, DEFAULT_WINDOW,
-    FRAME_HEADER_LEN, PREFACE,
+    ErrorCode, Frame, FrameError, FrameHead, PrioritySpec, Settings, DEFAULT_MAX_FRAME_SIZE,
+    DEFAULT_WINDOW, FRAME_HEADER_LEN, PREFACE,
 };
 use crate::limits::ConnLimits;
 use crate::priority::PriorityTree;
@@ -167,10 +167,13 @@ pub struct Connection {
     scan_reference: bool,
     tree: PriorityTree,
     control: VecDeque<Bytes>,
+    /// A partial frame header, or a partial frame that is not DATA, held
+    /// over between [`Connection::receive`] calls (and the partial preface
+    /// on a server). Never DATA payload.
     recv_buf: Vec<u8>,
-    /// Consumed prefix of `recv_buf`; compacted once per [`Connection::receive`]
-    /// call instead of an O(n) drain per decoded frame.
-    recv_pos: usize,
+    /// The DATA frame whose payload is arriving, and how much of it is
+    /// still to come: payload octets are counted off, not stored.
+    data_in_flight: Option<(FrameHead, usize)>,
     events: VecDeque<Event>,
     next_stream_id: u32,
     next_push_id: u32,
@@ -314,7 +317,7 @@ impl Connection {
         self.tree.reset();
         self.control.clear();
         self.recv_buf.clear();
-        self.recv_pos = 0;
+        self.data_in_flight = None;
         self.events.clear();
         self.next_stream_id = 1;
         self.next_push_id = 2;
@@ -359,7 +362,7 @@ impl Connection {
             role,
             hpack_enc: HpackEncoder::new(),
             hpack_dec,
-            streams: take_recycled_slab(),
+            streams: StreamSlab::with_capacity(SLAB_INITIAL_SLOTS),
             ready: Vec::new(),
             active_streams: 0,
             #[cfg(test)]
@@ -367,7 +370,7 @@ impl Connection {
             tree: PriorityTree::new(),
             control: VecDeque::new(),
             recv_buf: Vec::new(),
-            recv_pos: 0,
+            data_in_flight: None,
             events: VecDeque::new(),
             next_stream_id: 1,
             next_push_id: 2,
@@ -514,6 +517,10 @@ impl Connection {
             });
         }
         debug_assert!(self.frame_buf.is_empty());
+        // One exact reservation, so a cold buffer is sized by one
+        // allocation instead of growing under the header and again under
+        // the payload.
+        self.frame_buf.reserve(frame.encoded_len());
         frame.encode_to(&mut self.frame_buf);
         self.control.push_back(self.frame_buf.split().freeze());
         // Backpressure against response-forcing floods (PING acks,
@@ -890,63 +897,135 @@ impl Connection {
 
     // ----- receive path -----
 
-    /// Feed wire bytes from the peer.
-    pub fn receive(&mut self, data: &[u8]) {
+    /// Feed wire bytes from the peer. How the bytes are cut into calls is
+    /// invisible: every frame takes effect at its last byte, wherever the
+    /// cuts fall. DATA payload is counted, never stored — `recv_buf` holds
+    /// at most one partial frame of another type (or a partial header), so
+    /// the cost of a call does not grow with the body bytes it carries.
+    pub fn receive(&mut self, mut data: &[u8]) {
         if self.dead {
             return;
         }
-        // Fast path: nothing buffered from a previous batch — decode frames
-        // directly from `data` and buffer only an incomplete tail. This
-        // skips copying the whole batch (dominated by DATA filler) into
-        // `recv_buf`; the decoded frames and events are byte-identical to
-        // the buffered path below.
-        if self.preface_received && self.recv_buf.len() == self.recv_pos {
+        if !self.preface_received {
+            data = self.top_up(PREFACE.len(), data);
+            if self.recv_buf.len() < PREFACE.len() {
+                return;
+            }
+            if self.recv_buf != PREFACE {
+                self.fatal(ConnError::BadPreface);
+                return;
+            }
             self.recv_buf.clear();
-            self.recv_pos = 0;
-            let mut pos = 0usize;
-            let mut pending = self.pending_headers.take();
-            loop {
-                let local_max = self
-                    .local_settings
-                    .max_frame_size
-                    .map(|v| v as usize)
-                    .unwrap_or(DEFAULT_MAX_FRAME_SIZE);
-                match Frame::decode(&data[pos..], local_max) {
-                    Ok((frame, used)) => {
-                        pos += used;
-                        if let Err(error) = self.handle_frame(frame, &mut pending) {
-                            self.fatal(error);
-                            return;
-                        }
-                        if self.dead {
-                            // A limit tripped inside handle_frame (e.g.
-                            // control-queue backpressure); stop consuming.
-                            return;
-                        }
-                    }
-                    Err(FrameError::Incomplete) => break,
-                    Err(FrameError::UnknownType { skip }) => {
-                        pos += skip;
-                    }
-                    Err(FrameError::TooLarge) => {
-                        self.fatal(ConnError::FrameTooLarge);
-                        return;
-                    }
-                    Err(FrameError::Protocol(reason)) => {
-                        self.fatal(ConnError::Frame(reason));
+            self.preface_received = true;
+        }
+        let local_max = self.local_max_frame_size();
+        let mut pending = self.pending_headers.take();
+        loop {
+            if let Some((head, left)) = self.data_in_flight.take() {
+                let n = left.min(data.len());
+                data = &data[n..];
+                if n < left {
+                    self.data_in_flight = Some((head, left - n));
+                    break;
+                }
+                if !self.dispatch(head.data(), &mut pending) {
+                    return;
+                }
+                continue;
+            }
+            // The next frame starts in `recv_buf` when an earlier call left
+            // part of it there, and directly in `data` otherwise. What must
+            // be in hand before anything happens is a DATA frame's header
+            // or any other frame whole; `recv_buf` is topped up with just
+            // the bytes it still lacks of that.
+            let held = !self.recv_buf.is_empty();
+            if held {
+                data = self.top_up(FRAME_HEADER_LEN, data);
+            }
+            let Some(head) = FrameHead::parse(if held { &self.recv_buf } else { data }) else {
+                break;
+            };
+            if head.len > local_max {
+                self.fatal(ConnError::FrameTooLarge);
+                return;
+            }
+            let want = FRAME_HEADER_LEN + if head.is_data() { 0 } else { head.len };
+            if held {
+                data = self.top_up(want, data);
+            }
+            let src = if held { &self.recv_buf[..] } else { data };
+            if src.len() < want {
+                break;
+            }
+            let frame = (!head.is_data())
+                .then(|| Frame::decode(&src[..want], local_max).map(|(frame, _)| frame));
+            if held {
+                self.recv_buf.clear();
+            } else {
+                data = &data[want..];
+            }
+            match frame {
+                None => self.data_in_flight = Some((head, head.len)),
+                Some(frame) => {
+                    if !self.dispatch(frame, &mut pending) {
                         return;
                     }
                 }
             }
-            if pos < data.len() {
-                self.recv_buf.extend_from_slice(&data[pos..]);
-            }
-            // An unfinished CONTINUATION sequence simply waits for the
-            // next batch, like any other partial frame.
-            self.pending_headers = pending;
+        }
+        // Out of input mid-frame: the rest (less than one frame, and empty
+        // if `recv_buf` already holds the start of it) waits for the next
+        // call, as does an unfinished CONTINUATION sequence.
+        self.recv_buf.extend_from_slice(data);
+        self.pending_headers = pending;
+    }
+
+    /// Our SETTINGS_MAX_FRAME_SIZE: the largest payload we accept.
+    fn local_max_frame_size(&self) -> usize {
+        self.local_settings.max_frame_size.map(|v| v as usize).unwrap_or(DEFAULT_MAX_FRAME_SIZE)
+    }
+
+    /// Move bytes from the front of `data` into `recv_buf` until it holds
+    /// `want` (or `data` runs out); returns the rest of `data`.
+    fn top_up<'a>(&mut self, want: usize, data: &'a [u8]) -> &'a [u8] {
+        let take = want.saturating_sub(self.recv_buf.len()).min(data.len());
+        self.recv_buf.extend_from_slice(&data[..take]);
+        &data[take..]
+    }
+
+    /// Act on one decoded frame, or die of the decode error. False when the
+    /// connection is dead afterwards and must consume nothing further.
+    fn dispatch(
+        &mut self,
+        frame: Result<Frame, FrameError>,
+        pending: &mut Option<PendingHeaders>,
+    ) -> bool {
+        let handled = match frame {
+            Ok(frame) => self.handle_frame(frame, pending),
+            Err(FrameError::TooLarge) => Err(ConnError::FrameTooLarge),
+            Err(FrameError::Protocol(reason)) => Err(ConnError::Frame(reason)),
+            // §4.1: frames of unknown type are ignored.
+            Err(FrameError::UnknownType { .. }) => Ok(()),
+            Err(FrameError::Incomplete) => unreachable!("only whole frames are decoded"),
+        };
+        if let Err(error) = handled {
+            self.fatal(error);
+        }
+        // A limit can also trip inside `handle_frame` (control-queue
+        // backpressure) and kill the connection without an `Err`.
+        !self.dead
+    }
+
+    /// The decoder `receive` replaced, kept as the reference the lockstep
+    /// test checks it against: buffer everything, decode whole frames
+    /// (DATA payload included) from the buffer, compact once per call.
+    #[cfg(test)]
+    fn receive_buffered(&mut self, data: &[u8]) {
+        if self.dead {
             return;
         }
         self.recv_buf.extend_from_slice(data);
+        let mut pos = 0;
         if !self.preface_received {
             if self.recv_buf.len() < PREFACE.len() {
                 return;
@@ -955,47 +1034,27 @@ impl Connection {
                 self.fatal(ConnError::BadPreface);
                 return;
             }
-            self.recv_pos = PREFACE.len();
+            pos = PREFACE.len();
             self.preface_received = true;
         }
         let mut pending = self.pending_headers.take();
         loop {
-            let local_max = self
-                .local_settings
-                .max_frame_size
-                .map(|v| v as usize)
-                .unwrap_or(DEFAULT_MAX_FRAME_SIZE);
-            match Frame::decode(&self.recv_buf[self.recv_pos..], local_max) {
-                Ok((frame, used)) => {
-                    self.recv_pos += used;
-                    if let Err(error) = self.handle_frame(frame, &mut pending) {
-                        self.fatal(error);
-                        return;
-                    }
-                    if self.dead {
-                        return;
-                    }
-                }
+            match Frame::decode(&self.recv_buf[pos..], self.local_max_frame_size()) {
                 Err(FrameError::Incomplete) => break,
-                Err(FrameError::UnknownType { skip }) => {
-                    self.recv_pos += skip;
+                Err(FrameError::UnknownType { skip }) => pos += skip,
+                Ok((frame, used)) => {
+                    pos += used;
+                    if !self.dispatch(Ok(frame), &mut pending) {
+                        return;
+                    }
                 }
-                Err(FrameError::TooLarge) => {
-                    self.fatal(ConnError::FrameTooLarge);
-                    return;
-                }
-                Err(FrameError::Protocol(reason)) => {
-                    self.fatal(ConnError::Frame(reason));
+                Err(error) => {
+                    self.dispatch(Err(error), &mut pending);
                     return;
                 }
             }
         }
-        // One compaction per receive() batch (instead of an O(n) drain per
-        // frame); retains the buffer's capacity for the next batch.
-        if self.recv_pos > 0 {
-            self.recv_buf.drain(..self.recv_pos);
-            self.recv_pos = 0;
-        }
+        self.recv_buf.drain(..pos);
         self.pending_headers = pending;
     }
 
@@ -1020,7 +1079,7 @@ impl Connection {
     fn fatal(&mut self, error: ConnError) {
         self.dead = true;
         self.recv_buf.clear();
-        self.recv_pos = 0;
+        self.data_in_flight = None;
         if error.is_limit_violation() {
             self.trace_limit_violation(0, true);
         }
@@ -1366,46 +1425,9 @@ impl Connection {
     }
 }
 
-/// Connections retired per thread whose stream-slab allocation is kept
-/// for the next endpoint. A sweep rep builds a client/server pair per
-/// origin, so a small pool flattens per-rep allocator traffic.
-const SLAB_POOL_CAP: usize = 8;
-/// Dense slots pre-reserved per parity when no recycled slab is available
+/// Dense slots pre-reserved per parity in a new connection's stream slab
 /// — enough for every benign page replay in the corpus.
 const SLAB_INITIAL_SLOTS: usize = 64;
-
-thread_local! {
-    static SLAB_POOL: std::cell::RefCell<Vec<StreamSlab<Stream>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-fn take_recycled_slab() -> StreamSlab<Stream> {
-    SLAB_POOL
-        .with(|p| p.borrow_mut().pop())
-        .unwrap_or_else(|| StreamSlab::with_capacity(SLAB_INITIAL_SLOTS))
-}
-
-impl Drop for Connection {
-    fn drop(&mut self) {
-        let mut slab = std::mem::take(&mut self.streams);
-        if slab.capacity() == 0 {
-            // The placeholder left by a previous take (or a slab that
-            // never carried a stream) is not worth pooling.
-            return;
-        }
-        slab.reset();
-        // `try_with`: a Connection can be dropped from another
-        // thread-local's destructor (the testbed parks a whole replay
-        // context per thread), at which point SLAB_POOL may already be
-        // torn down — then the slab is simply freed instead of parked.
-        let _ = SLAB_POOL.try_with(|p| {
-            let mut pool = p.borrow_mut();
-            if pool.len() < SLAB_POOL_CAP {
-                pool.push(slab);
-            }
-        });
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -2573,6 +2595,490 @@ mod ready_set_tests {
                 pair.apply(&Op::Produce { max: usize::MAX });
                 pair.check();
             }
+        }
+    }
+}
+
+/// `receive` counts DATA payload off instead of buffering it; these tests
+/// run it in lockstep with the buffer-everything decoder it replaced.
+#[cfg(test)]
+mod counted_receive_tests {
+    use super::*;
+    use crate::scheduler::FifoScheduler;
+    use proptest::prelude::*;
+
+    /// Something done to the connection itself, between two wire bytes.
+    #[derive(Debug, Clone, Copy)]
+    enum Local {
+        /// Cancel the `n`th request stream.
+        Reset(usize),
+        /// Kill the connection (a limit tripping on the send side).
+        Fatal,
+        /// Drain the output queue and compare it.
+        Produce,
+    }
+
+    /// A peer's byte stream, and what the application does at which offset
+    /// of it (ascending).
+    #[derive(Debug, Default)]
+    struct Script {
+        wire: Vec<u8>,
+        locals: Vec<(usize, Local)>,
+    }
+
+    impl Script {
+        fn frame(&mut self, frame: Frame) {
+            frame.encode(&mut self.wire);
+        }
+
+        /// A frame from its parts: what `Frame::encode` cannot express
+        /// (PADDED, stream 0, unknown types, oversize lengths, a payload
+        /// that is not zeros or not all there).
+        fn raw(&mut self, len: usize, ty: u8, flags: u8, stream: u32, payload: &[u8]) {
+            self.wire.extend_from_slice(&(len as u32).to_be_bytes()[1..]);
+            self.wire.extend_from_slice(&[ty, flags]);
+            self.wire.extend_from_slice(&stream.to_be_bytes());
+            self.wire.extend_from_slice(payload);
+        }
+
+        /// DATA with a payload of anything but zeros — nothing may look at
+        /// it — and `local` done once `at` octets of the frame are in.
+        fn data(&mut self, stream: u32, len: usize, flags: u8, mid: Option<(usize, Local)>) {
+            if let Some((at, local)) = mid {
+                self.locals.push((self.wire.len() + at.min(FRAME_HEADER_LEN + len), local));
+            }
+            let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8 | 1).collect();
+            self.raw(len, 0x0, flags, stream, &payload);
+        }
+    }
+
+    /// Request streams every script's client has open.
+    const REQUESTS: usize = 4;
+
+    fn stream_id(n: usize) -> u32 {
+        (n % REQUESTS) as u32 * 2 + 1
+    }
+
+    fn response_block(enc: &mut HpackEncoder) -> Bytes {
+        enc.encode(&[Header::new(":status", "200"), Header::new("content-type", "text/css")]).into()
+    }
+
+    /// A client with [`REQUESTS`] requests out, a stream window small enough
+    /// that a few hundred octets of DATA owe a WINDOW_UPDATE, and the
+    /// connection window one DATA frame short of owing one too.
+    fn client() -> Connection {
+        let mut c =
+            Connection::client(Settings { initial_window_size: Some(1_000), ..Default::default() });
+        for n in 0..REQUESTS {
+            let path = format!("/r{n}");
+            c.request(
+                &[
+                    Header::new(":method", "GET"),
+                    Header::new(":scheme", "https"),
+                    Header::new(":authority", "cr.test"),
+                    Header::new(":path", &path),
+                ],
+                None,
+            );
+        }
+        c.produce(usize::MAX, &mut FifoScheduler);
+        c.conn_recv_consumed = (15 * 1024 * 1024 + DEFAULT_WINDOW as usize) / 2 - 2_000;
+        c
+    }
+
+    /// Everything observable about a connection that input can move.
+    fn observe(c: &mut Connection) -> (Vec<Event>, bool, bool) {
+        let events = std::iter::from_fn(|| c.poll_event()).collect();
+        (events, c.is_dead(), c.wants_send())
+    }
+
+    /// Feed `script` to a connection on the counting `receive` and to one on
+    /// the buffered reference, cut into the same pieces (`cut` gives each
+    /// piece's length; application steps always fall between two pieces),
+    /// and require the same observable state after every piece.
+    fn lockstep(make: fn() -> Connection, script: &Script, mut cut: impl FnMut() -> usize) {
+        let (mut tested, mut reference) = (make(), make());
+        let mut locals = script.locals.iter().peekable();
+        let mut pos = 0;
+        loop {
+            while let Some(&(_, local)) = locals.next_if(|&&(at, _)| at == pos) {
+                for c in [&mut tested, &mut reference] {
+                    match local {
+                        Local::Reset(n) => c.reset(stream_id(n), ErrorCode::Cancel),
+                        Local::Fatal if !c.is_dead() => c.fatal(ConnError::ControlQueueOverflow),
+                        Local::Fatal | Local::Produce => {}
+                    }
+                }
+                let a = tested.produce(usize::MAX, &mut FifoScheduler);
+                let b = reference.produce(usize::MAX, &mut FifoScheduler);
+                assert_eq!(a, b, "output diverged at byte {pos}");
+            }
+            if pos == script.wire.len() {
+                break;
+            }
+            let stop = locals.peek().map_or(script.wire.len(), |&&(at, _)| at);
+            let end = pos.saturating_add(cut().max(1)).min(stop);
+            tested.receive(&script.wire[pos..end]);
+            reference.receive_buffered(&script.wire[pos..end]);
+            pos = end;
+            assert_eq!(observe(&mut tested), observe(&mut reference), "diverged at byte {pos}");
+            // DATA payload is never stored: what waits is a partial header
+            // or part of one frame that is not DATA.
+            let held = &tested.recv_buf;
+            assert!(held.len() < FRAME_HEADER_LEN + (1 << 14));
+            if let Some(head) = FrameHead::parse(held).filter(|_| tested.preface_received) {
+                assert!(!head.is_data() && held.len() < FRAME_HEADER_LEN + head.len);
+            }
+        }
+        let a = tested.produce(usize::MAX, &mut FifoScheduler);
+        let b = reference.produce(usize::MAX, &mut FifoScheduler);
+        assert_eq!(a, b, "final output diverged");
+        assert_eq!(tested.pending_headers.is_some(), reference.pending_headers.is_some());
+    }
+
+    /// A named script and the connection it is fed to.
+    type Scenario = (&'static str, fn() -> Connection, Script);
+
+    /// The scenarios the counting decoder could get wrong, one script each.
+    fn scenarios() -> Vec<Scenario> {
+        let mut out: Vec<Scenario> = Vec::new();
+        // Each script starts from a fresh peer encoder, as its client
+        // starts from a fresh decoder.
+        let mut add = |name, build: fn(&mut Script, &mut HpackEncoder)| {
+            let mut s = Script::default();
+            build(&mut s, &mut HpackEncoder::new());
+            out.push((name, client as fn() -> Connection, s));
+        };
+        fn headers(s: &mut Script, enc: &mut HpackEncoder, stream: u32) {
+            s.frame(Frame::Headers {
+                stream,
+                block: response_block(enc),
+                end_stream: false,
+                end_headers: true,
+                priority: None,
+            })
+        }
+        add("benign: bodies, window updates at both levels, empty DATA", |s, enc| {
+            headers(s, enc, 1);
+            s.data(1, 700, 0, None);
+            s.frame(Frame::Ping { ack: false, payload: [7; 8] });
+            s.data(1, 1_500, 0, None);
+            s.data(1, 0, 0, None);
+            s.data(1, 300, 0x1, None);
+        });
+        add("PADDED DATA: padding is payload", |s, enc| {
+            headers(s, enc, 3);
+            s.data(3, 600, 0x8, None);
+            s.data(3, 40, 0x8 | 0x1, None);
+        });
+        add("DATA on stream 0", |s, _| {
+            s.data(1, 20, 0, None);
+            s.data(0, 120, 0, None);
+            s.data(1, 20, 0, None);
+        });
+        add("DATA inside an open CONTINUATION sequence", |s, enc| {
+            let block = response_block(enc);
+            s.frame(Frame::Headers {
+                stream: 1,
+                block: block.slice(..2),
+                end_stream: false,
+                end_headers: false,
+                priority: None,
+            });
+            s.data(1, 90, 0, None);
+            s.frame(Frame::Continuation { stream: 1, block: block.slice(2..), end_headers: true });
+        });
+        add("DATA on stream 0 inside an open CONTINUATION sequence", |s, _| {
+            s.frame(Frame::Headers {
+                stream: 1,
+                block: Bytes::new(),
+                end_stream: false,
+                end_headers: false,
+                priority: None,
+            });
+            s.data(0, 30, 0, None);
+        });
+        add("oversize DATA header", |s, _| {
+            s.data(1, 64, 0, None);
+            s.raw((1 << 14) + 1, 0x0, 0, 1, &[0xee; 40]);
+        });
+        add("DATA on a stream that never existed", |s, _| s.data(99, 50, 0, None));
+        add("RST mid-payload", |s, enc| {
+            headers(s, enc, 5);
+            s.data(5, 800, 0, Some((300, Local::Reset(2))));
+            s.data(5, 800, 0x1, None);
+            s.data(1, 10, 0, None);
+        });
+        add("fatal() mid-payload", |s, _| {
+            s.data(1, 400, 0, Some((FRAME_HEADER_LEN + 1, Local::Fatal)));
+            s.data(1, 10, 0, None);
+        });
+        add("fatal() inside a DATA header", |s, _| s.data(1, 40, 0, Some((4, Local::Fatal))));
+        add("output drained mid-payload", |s, _| {
+            s.data(1, 900, 0, None);
+            s.data(3, 900, 0, Some((500, Local::Produce)));
+        });
+        add("control frames and an unknown type between bodies", |s, enc| {
+            s.frame(Frame::Settings { ack: false, settings: Settings::default() });
+            s.data(1, 33, 0, None);
+            s.raw(300, 0xbe, 0xff, 7, &[0xbe; 300]);
+            s.frame(Frame::WindowUpdate { stream: 0, increment: 1_000 });
+            s.frame(Frame::PushPromise {
+                stream: 1,
+                promised: 2,
+                block: enc
+                    .encode(&[
+                        Header::new(":method", "GET"),
+                        Header::new(":scheme", "https"),
+                        Header::new(":authority", "cr.test"),
+                        Header::new(":path", "/pushed"),
+                    ])
+                    .into(),
+                end_headers: true,
+            });
+            headers(s, enc, 2);
+            s.data(2, 1_200, 0x1, None);
+            s.frame(Frame::RstStream { stream: 3, code: ErrorCode::Cancel });
+            s.data(3, 77, 0, None);
+            s.frame(Frame::GoAway { last_stream: 7, code: ErrorCode::NoError });
+        });
+        // A server: the preface is cut like anything else, and a request
+        // body is counted like a response body.
+        let mut s = Script::default();
+        s.wire.extend_from_slice(PREFACE);
+        s.frame(Frame::Settings { ack: false, settings: Settings::default() });
+        s.frame(Frame::Headers {
+            stream: 1,
+            block: HpackEncoder::new().encode(&[Header::new(":method", "POST")]).into(),
+            end_stream: false,
+            end_headers: true,
+            priority: None,
+        });
+        s.data(1, 1 << 14, 0, None);
+        s.data(1, 1 << 14, 0, None);
+        s.data(1, 5, 0x1, None);
+        out.push((
+            "server: preface, then a request body",
+            || Connection::server(Settings::default()),
+            s,
+        ));
+        let mut s = Script::default();
+        s.wire.extend_from_slice(b"PRI * HTTP/2.0\r\n\r\nSM\r\n\rX");
+        s.data(1, 10, 0, None);
+        out.push(("server: bad preface", || Connection::server(Settings::default()), s));
+        out
+    }
+
+    #[test]
+    fn every_scenario_at_every_split_offset_and_byte_at_a_time() {
+        for (name, make, script) in scenarios() {
+            // Whole, then one byte per call.
+            lockstep(make, &script, || usize::MAX);
+            lockstep(make, &script, || 1);
+            // Two pieces, cut at every offset (long bodies: every offset
+            // around each frame boundary is what matters, so stride the
+            // middles).
+            let n = script.wire.len();
+            for at in (1..n).filter(|at| n < 4_000 || at % 997 == 0 || at % 16_393 < 24) {
+                let mut first = true;
+                lockstep(
+                    make,
+                    &script,
+                    || if std::mem::take(&mut first) { at } else { usize::MAX },
+                );
+            }
+            // The scenario went where its name says: its wire alone kills
+            // the connection exactly when the peer is hostile.
+            let mut c = make();
+            c.receive(&script.wire);
+            let hostile = ["stream 0", "open CONTINUATION", "oversize", "never existed", "bad pre"];
+            assert_eq!(c.is_dead(), hostile.iter().any(|h| name.contains(h)), "{name}");
+        }
+    }
+
+    /// One frame (or hostile fragment) of a generated script.
+    #[derive(Debug, Clone)]
+    enum Item {
+        Headers {
+            stream: usize,
+            end_stream: bool,
+        },
+        /// HEADERS without END_HEADERS, then — unless `interrupted`, which
+        /// leaves the sequence open for whatever comes next — CONTINUATION.
+        SplitHeaders {
+            stream: usize,
+            interrupted: bool,
+        },
+        Data {
+            stream: usize,
+            len: usize,
+            end_stream: bool,
+            padded: bool,
+            mid: Option<(usize, u8)>,
+        },
+        Ping,
+        Settings,
+        WindowUpdate {
+            stream: usize,
+        },
+        Rst {
+            stream: usize,
+        },
+        Promise {
+            parent: usize,
+        },
+        Unknown {
+            len: usize,
+        },
+        DataOnStreamZero {
+            len: usize,
+        },
+        DataOnUnknownStream {
+            len: usize,
+        },
+        Oversize {
+            extra: usize,
+        },
+    }
+
+    fn item_strategy() -> impl Strategy<Value = Item> {
+        let stream = 0usize..REQUESTS;
+        let len = || prop_oneof![Just(0usize), 1usize..40, 300usize..1_200, Just(1usize << 14)];
+        let mid = || prop_oneof![Just(None), Just(None), (0usize..2_000, 0u8..3).prop_map(Some)];
+        let data = || {
+            (stream.clone(), len(), any::<bool>(), any::<bool>(), mid()).prop_map(
+                |(stream, len, end_stream, padded, mid)| Item::Data {
+                    stream,
+                    len,
+                    end_stream,
+                    padded,
+                    mid,
+                },
+            )
+        };
+        // DATA four times: it is what the test is about; the rest is what
+        // it has to coexist with, hostile input last and rarest.
+        prop_oneof![
+            data(),
+            data(),
+            data(),
+            data(),
+            (stream.clone(), any::<bool>())
+                .prop_map(|(stream, end_stream)| Item::Headers { stream, end_stream }),
+            (stream.clone(), any::<bool>())
+                .prop_map(|(stream, end_stream)| Item::Headers { stream, end_stream }),
+            (stream.clone(), any::<bool>())
+                .prop_map(|(stream, interrupted)| Item::SplitHeaders { stream, interrupted }),
+            Just(Item::Ping),
+            Just(Item::Settings),
+            stream.clone().prop_map(|stream| Item::WindowUpdate { stream }),
+            stream.clone().prop_map(|stream| Item::Rst { stream }),
+            stream.clone().prop_map(|parent| Item::Promise { parent }),
+            (0usize..400).prop_map(|len| Item::Unknown { len }),
+            prop_oneof![
+                len().prop_map(|len| Item::DataOnStreamZero { len }),
+                len().prop_map(|len| Item::DataOnUnknownStream { len }),
+                (1usize..5_000).prop_map(|extra| Item::Oversize { extra }),
+            ],
+        ]
+    }
+
+    fn build(items: &[Item]) -> Script {
+        let mut s = Script::default();
+        let mut enc = HpackEncoder::new();
+        let mut promised = 0;
+        for item in items {
+            match *item {
+                Item::Headers { stream, end_stream } => s.frame(Frame::Headers {
+                    stream: stream_id(stream),
+                    block: response_block(&mut enc),
+                    end_stream,
+                    end_headers: true,
+                    priority: None,
+                }),
+                Item::SplitHeaders { stream, interrupted } => {
+                    let block = response_block(&mut enc);
+                    s.frame(Frame::Headers {
+                        stream: stream_id(stream),
+                        block: block.slice(..1),
+                        end_stream: false,
+                        end_headers: false,
+                        priority: None,
+                    });
+                    if !interrupted {
+                        s.frame(Frame::Continuation {
+                            stream: stream_id(stream),
+                            block: block.slice(1..),
+                            end_headers: true,
+                        });
+                    }
+                }
+                Item::Data { stream, len, end_stream, padded, mid } => {
+                    let flags = end_stream as u8 | if padded { 0x8 } else { 0 };
+                    let mid = mid.map(|(at, what)| {
+                        let local = match what {
+                            0 => Local::Reset(stream),
+                            1 => Local::Produce,
+                            _ => Local::Fatal,
+                        };
+                        (at, local)
+                    });
+                    s.data(stream_id(stream), len, flags, mid);
+                }
+                Item::Ping => s.frame(Frame::Ping { ack: false, payload: [3; 8] }),
+                Item::Settings => {
+                    s.frame(Frame::Settings { ack: false, settings: Settings::default() })
+                }
+                Item::WindowUpdate { stream } => {
+                    s.frame(Frame::WindowUpdate { stream: stream_id(stream), increment: 500 })
+                }
+                Item::Rst { stream } => {
+                    s.frame(Frame::RstStream { stream: stream_id(stream), code: ErrorCode::Cancel })
+                }
+                Item::Promise { parent } => {
+                    promised += 2;
+                    s.frame(Frame::PushPromise {
+                        stream: stream_id(parent),
+                        promised,
+                        block: enc.encode(&[Header::new(":path", "/p")]).into(),
+                        end_headers: true,
+                    });
+                }
+                Item::Unknown { len } => s.raw(len, 0xbe, 0x9, 5, &vec![0xbe; len]),
+                Item::DataOnStreamZero { len } => s.data(0, len, 0, None),
+                Item::DataOnUnknownStream { len } => s.data(99, len, 0, None),
+                // The header alone is fatal; what follows it is whatever
+                // the script has next.
+                Item::Oversize { extra } => s.raw((1 << 14) + extra, 0x0, 0, 1, &[]),
+            }
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn counted_receive_matches_the_buffered_reference_under_any_partition(
+            items in proptest::collection::vec(item_strategy(), 1..24),
+            cuts in prop_oneof![
+                Just(vec![1usize]),
+                proptest::collection::vec(
+                    prop_oneof![
+                        1usize..12,
+                        1usize..12,
+                        100usize..1_460,
+                        Just(1_460usize),
+                        Just((1usize << 14) + FRAME_HEADER_LEN),
+                        20_000usize..70_000,
+                    ],
+                    1..40,
+                ),
+            ],
+        ) {
+            let cuts: Vec<usize> = cuts;
+            let mut next = cuts.iter().copied().cycle();
+            lockstep(client, &build(&items), || next.next().expect("a cycle never ends"));
         }
     }
 }

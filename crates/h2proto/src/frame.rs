@@ -263,21 +263,68 @@ impl FrameBuf for BytesMut {
     }
 }
 
-fn put_u24<B: FrameBuf + ?Sized>(out: &mut B, v: usize) {
-    out.put_byte((v >> 16) as u8);
-    out.put_byte((v >> 8) as u8);
-    out.put_byte(v as u8);
-}
-
 fn put_u32<B: FrameBuf + ?Sized>(out: &mut B, v: u32) {
     out.put_slice(&v.to_be_bytes());
 }
 
+/// The 9-octet frame header (§4.1), built on the stack and appended in
+/// one write: a `BytesMut` pays its uniqueness check per call, not per
+/// octet.
 fn header<B: FrameBuf + ?Sized>(out: &mut B, len: usize, ty: FrameType, flags: u8, stream: u32) {
-    put_u24(out, len);
-    out.put_byte(ty.code());
-    out.put_byte(flags);
-    put_u32(out, stream & 0x7fff_ffff);
+    let [s0, s1, s2, s3] = (stream & 0x7fff_ffff).to_be_bytes();
+    out.put_slice(&[
+        (len >> 16) as u8,
+        (len >> 8) as u8,
+        len as u8,
+        ty.code(),
+        flags,
+        s0,
+        s1,
+        s2,
+        s3,
+    ]);
+}
+
+/// The fields of a 9-octet frame header (§4.1), before the type is
+/// looked up or the payload is in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameHead {
+    /// Payload length.
+    pub(crate) len: usize,
+    /// Frame type code, possibly unknown.
+    pub(crate) ty: u8,
+    pub(crate) flags: u8,
+    /// Stream identifier, reserved bit cleared.
+    pub(crate) stream: u32,
+}
+
+impl FrameHead {
+    /// The header at the start of `buf`; `None` until nine octets are in.
+    pub(crate) fn parse(buf: &[u8]) -> Option<FrameHead> {
+        let head = buf.first_chunk::<FRAME_HEADER_LEN>()?;
+        Some(FrameHead {
+            len: ((head[0] as usize) << 16) | ((head[1] as usize) << 8) | head[2] as usize,
+            ty: head[3],
+            flags: head[4],
+            stream: u32::from_be_bytes([head[5], head[6], head[7], head[8]]) & 0x7fff_ffff,
+        })
+    }
+
+    /// Whether this announces a DATA frame.
+    pub(crate) fn is_data(&self) -> bool {
+        self.ty == FrameType::Data.code()
+    }
+
+    /// The DATA frame this header announces. The payload is opaque (a
+    /// PADDED frame's padding counts as payload, as flow control counts
+    /// it), so the header alone decides the frame; the connection still
+    /// acts on it only once the last payload octet is in.
+    pub(crate) fn data(&self) -> Result<Frame, FrameError> {
+        if self.stream == 0 {
+            return Err(FrameError::Protocol("DATA on stream 0"));
+        }
+        Ok(Frame::Data { stream: self.stream, len: self.len, end_stream: self.flags & 0x1 != 0 })
+    }
 }
 
 impl Frame {
@@ -414,16 +461,13 @@ impl Frame {
     ///
     /// On success returns the frame and the number of bytes consumed.
     pub fn decode(buf: &[u8], max_frame_size: usize) -> Result<(Frame, usize), FrameError> {
-        if buf.len() < FRAME_HEADER_LEN {
+        let Some(head) = FrameHead::parse(buf) else {
             return Err(FrameError::Incomplete);
-        }
-        let len = ((buf[0] as usize) << 16) | ((buf[1] as usize) << 8) | buf[2] as usize;
+        };
+        let FrameHead { len, ty, flags, stream } = head;
         if len > max_frame_size {
             return Err(FrameError::TooLarge);
         }
-        let ty = buf[3];
-        let flags = buf[4];
-        let stream = u32::from_be_bytes([buf[5], buf[6], buf[7], buf[8]]) & 0x7fff_ffff;
         let total = FRAME_HEADER_LEN + len;
         if buf.len() < total {
             return Err(FrameError::Incomplete);
@@ -434,12 +478,7 @@ impl Frame {
             None => return Err(FrameError::UnknownType { skip: total }),
         };
         let frame = match ty {
-            FrameType::Data => {
-                if stream == 0 {
-                    return Err(FrameError::Protocol("DATA on stream 0"));
-                }
-                Frame::Data { stream, len, end_stream: flags & 0x1 != 0 }
-            }
+            FrameType::Data => head.data()?,
             FrameType::Headers => {
                 if stream == 0 {
                     return Err(FrameError::Protocol("HEADERS on stream 0"));
@@ -575,6 +614,10 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn put_u24(out: &mut Vec<u8>, v: usize) {
+        out.extend_from_slice(&(v as u32).to_be_bytes()[1..]);
+    }
 
     fn round_trip(f: Frame) {
         let mut buf = Vec::new();

@@ -9,12 +9,12 @@
 //!
 //! [`StreamSlab`] exploits the id structure instead: two dense vectors
 //! (one per parity, indexed by `id / 2` rounded down to the sequence
-//! position) give O(1) array lookups and a single allocation that is
-//! recycled across connections. The send path never walks the slab: the
-//! connection keeps the ids of streams with unsent body in its ready set
-//! and only looks those up. Ascending-id iteration (a two-pointer merge
-//! of the parity lanes) survives for tests, as the full-scan reference
-//! that ready set is checked against.
+//! position) give O(1) array lookups and a single allocation that a
+//! recycled connection keeps across resets. The send path never walks
+//! the slab: the connection keeps the ids of streams with unsent body in
+//! its ready set and only looks those up. Ascending-id iteration (a
+//! two-pointer merge of the parity lanes) survives for tests, as the
+//! full-scan reference that ready set is checked against.
 //!
 //! A hostile peer is not bound by "next id": PUSH_PROMISE and request
 //! HEADERS carry peer-chosen ids up to 2^31-1, and the badpeer suite
@@ -161,12 +161,6 @@ impl<T> StreamSlab<T> {
         }
         self.spill.clear();
     }
-
-    /// Reserved dense positions (both lanes) — the recycling signal:
-    /// nonzero once a connection has carried any dense stream.
-    pub(crate) fn capacity(&self) -> usize {
-        self.odd.capacity() + self.even.capacity()
-    }
 }
 
 /// Ascending-id merge over the odd lane, the even lane and the spill.
@@ -271,8 +265,9 @@ mod tests {
             slab.insert(id, id);
         }
         slab.insert(0x7fff_fffe, 99);
-        let cap = slab.capacity();
-        assert!(cap >= 40);
+        let cap = |slab: &StreamSlab<u32>| slab.odd.capacity() + slab.even.capacity();
+        let before = cap(&slab);
+        assert!(before >= 40);
         slab.reset();
         assert_eq!(slab.values().count(), 0);
         assert_eq!(slab.iter().count(), 0);
@@ -280,7 +275,7 @@ mod tests {
             assert_eq!(slab.get(id), None, "stale entry for id {id} after reset");
         }
         assert_eq!(slab.get(0x7fff_fffe), None);
-        assert_eq!(slab.capacity(), cap, "reset must keep the allocation");
+        assert_eq!(cap(&slab), before, "reset must keep the allocation");
         // Refilled after reset, ids resolve to the new values only.
         slab.insert(3, 1234);
         assert_eq!(slab.get(3), Some(&1234));

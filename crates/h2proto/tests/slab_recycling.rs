@@ -1,10 +1,12 @@
-//! Stream-slab recycling must never alias state across connections.
+//! Stream-slab recycling must never alias state across connection lives.
 //!
-//! Connections recycle their dense stream storage through a thread-local
-//! pool (one sweep rep builds a client/server pair per origin, so the
-//! same allocation is reused rep after rep). These tests prove the reuse
-//! is observationally invisible: a connection built from a recycled slab
-//! answers every stream-id query exactly like one built from scratch.
+//! A connection machine is recycled whole: the replay context parks every
+//! endpoint its last run opened and reissues it through
+//! `reset_client` / `reset_server`, which clear the dense stream storage
+//! in place (one rep opens a client/server pair per origin, so the same
+//! allocation is reused rep after rep). These tests prove the reuse is
+//! observationally invisible: a recycled connection answers every
+//! stream-id query exactly like one built from scratch.
 
 use h2push_h2proto::connection::{Connection, Event, StreamState};
 use h2push_h2proto::frame::Settings;
@@ -37,23 +39,22 @@ fn drain(client: &mut Connection, server: &mut Connection) {
     }
 }
 
-/// Run one "rep": a client/server pair exchanging requests and pushes,
-/// returning every stream id that existed on the client.
-fn run_rep(paths: usize) -> Vec<u32> {
-    let mut client = Connection::client(Settings::default());
-    let mut server = Connection::server(Settings::default());
-    drain(&mut client, &mut server);
+/// Run one "rep" on a client/server pair fresh out of construction or
+/// reset: requests and pushes exchanged, returning every stream id that
+/// existed on the client.
+fn run_rep(client: &mut Connection, server: &mut Connection, paths: usize) -> Vec<u32> {
+    drain(client, server);
     let mut ids = Vec::new();
     for i in 0..paths {
         let id = client.request(&req_headers(&format!("/r{i}")), None);
         ids.push(id);
-        drain(&mut client, &mut server);
+        drain(client, server);
         if let Some(push) = server.push_promise(id, &req_headers(&format!("/p{i}"))) {
             server.respond(push, &[Header::new(":status", "200")], true);
             ids.push(push);
         }
         server.respond(id, &[Header::new(":status", "200")], true);
-        drain(&mut client, &mut server);
+        drain(client, server);
         while client.poll_event().is_some() {}
         while server.poll_event().is_some() {}
     }
@@ -65,15 +66,16 @@ fn run_rep(paths: usize) -> Vec<u32> {
 
 #[test]
 fn recycled_slabs_never_alias_stream_ids_across_reps() {
-    // First rep opens plenty of streams, then its connections drop and
-    // their slabs enter the thread-local pool.
-    let first_ids = run_rep(40);
+    // First rep opens plenty of streams; then both machines are recycled,
+    // slabs and all.
+    let mut client = Connection::client(Settings::default());
+    let mut server = Connection::server(Settings::default());
+    let first_ids = run_rep(&mut client, &mut server, 40);
     assert!(first_ids.len() >= 40);
+    client.reset_client(Settings::default());
+    server.reset_server(Settings::default());
 
-    // The next pair on this thread is built from the recycled slabs. No
-    // id from the previous rep may resolve before this rep creates it.
-    let client = Connection::client(Settings::default());
-    let server = Connection::server(Settings::default());
+    // No id from the previous life may resolve before this one creates it.
     for &id in &first_ids {
         assert_eq!(
             client.stream_state(id),
@@ -83,33 +85,34 @@ fn recycled_slabs_never_alias_stream_ids_across_reps() {
         assert_eq!(server.stream_state(id), None);
     }
     assert_eq!(client.peek_next_stream_id(), 1, "id allocation must restart per connection");
-    assert!(!client.wants_send() || client.stream_state(1).is_none());
-    drop(client);
-    drop(server);
 
-    // A full second rep over recycled storage behaves byte-for-byte like
-    // the first: same ids in the same order, same terminal states.
-    let second_ids = run_rep(40);
+    // A full second rep over recycled storage behaves like the first: same
+    // ids in the same order, same terminal states — also with the roles
+    // swapped, as a context reissues machines to whoever asks next.
+    let second_ids = run_rep(&mut client, &mut server, 40);
     assert_eq!(first_ids, second_ids, "recycled slabs changed id allocation");
+    client.reset_server(Settings::default());
+    server.reset_client(Settings::default());
+    let third_ids = run_rep(&mut server, &mut client, 40);
+    assert_eq!(first_ids, third_ids, "a machine recycled into the other role kept state");
 }
 
 #[test]
 fn recycled_slab_streams_start_fresh() {
-    // Open-and-finish a stream in rep 1; in rep 2 the same id must come
+    // Open-and-finish a stream in life 1; in life 2 the same id must come
     // back with pristine per-stream state (no inherited bytes counters).
-    {
-        let mut client = Connection::client(Settings::default());
-        let mut server = Connection::server(Settings::default());
-        drain(&mut client, &mut server);
-        let id = client.request(&req_headers("/a"), None);
-        drain(&mut client, &mut server);
-        server.respond(id, &[Header::new(":status", "200")], false);
-        server.queue_body(id, 9000, true);
-        drain(&mut client, &mut server);
-        assert_eq!(server.bytes_sent(id), 9000);
-    }
     let mut client = Connection::client(Settings::default());
     let mut server = Connection::server(Settings::default());
+    drain(&mut client, &mut server);
+    let id = client.request(&req_headers("/a"), None);
+    drain(&mut client, &mut server);
+    server.respond(id, &[Header::new(":status", "200")], false);
+    server.queue_body(id, 9000, true);
+    drain(&mut client, &mut server);
+    assert_eq!(server.bytes_sent(id), 9000);
+
+    client.reset_client(Settings::default());
+    server.reset_server(Settings::default());
     drain(&mut client, &mut server);
     let id = client.request(&req_headers("/a"), None);
     assert_eq!(id, 1);
@@ -124,5 +127,5 @@ fn recycled_slab_streams_start_fresh() {
             saw_headers = true;
         }
     }
-    assert!(saw_headers, "second rep's stream {id} never completed");
+    assert!(saw_headers, "second life's stream {id} never completed");
 }

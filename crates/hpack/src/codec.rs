@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 
 /// Fowler–Noll–Vo 1a, 64-bit: deterministic across runs/platforms (unlike
 /// `DefaultHasher`), which the encoder-state fingerprint requires.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {

@@ -115,6 +115,72 @@ pub struct IndexTable {
     /// [`IndexTable::insert_from`]. Invisible to every observable table
     /// operation (lookups, folds, eviction accounting).
     free: Vec<Header>,
+    /// Running fingerprint of `entries`, contents and order; see
+    /// [`Rolling`].
+    rolling: Rolling,
+}
+
+/// A polynomial hash over the dynamic entries' own hashes, kept current in
+/// O(1) per insertion and eviction instead of re-hashing the whole table
+/// per fingerprint. With entries oldest to newest `s_0 … s_{n-1}`,
+///
+/// `sum = Σ h(s_j) · B^(n-1-j)  (mod 2^64)`,  `top = B^n`:
+///
+/// inserting multiplies `sum` by `B` and adds the new entry's hash;
+/// evicting the oldest subtracts `h(s_0) · B^(n-1)`. `B` is odd, hence
+/// invertible mod 2^64, so `top` steps down exactly as it steps up and the
+/// pair is a function of the current entries and their order alone —
+/// however the table got there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Rolling {
+    sum: u64,
+    top: u64,
+}
+
+/// The polynomial's base (odd; the 64-bit golden-ratio constant).
+const ROLL_BASE: u64 = 0x9e37_79b9_7f4a_7c15;
+/// `ROLL_BASE`'s inverse mod 2^64, by Newton's iteration: each step
+/// doubles the number of correct low bits, and an odd number is its own
+/// inverse mod 8.
+const ROLL_BASE_INV: u64 = {
+    let mut inv = ROLL_BASE;
+    let mut i = 0;
+    while i < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(ROLL_BASE.wrapping_mul(inv)));
+        i += 1;
+    }
+    inv
+};
+const _: () = assert!(ROLL_BASE.wrapping_mul(ROLL_BASE_INV) == 1);
+
+impl Rolling {
+    const EMPTY: Rolling = Rolling { sum: 0, top: 1 };
+
+    fn push_newest(&mut self, entry: u64) {
+        self.sum = self.sum.wrapping_mul(ROLL_BASE).wrapping_add(entry);
+        self.top = self.top.wrapping_mul(ROLL_BASE);
+    }
+
+    fn pop_oldest(&mut self, entry: u64) {
+        self.top = self.top.wrapping_mul(ROLL_BASE_INV);
+        self.sum = self.sum.wrapping_sub(entry.wrapping_mul(self.top));
+    }
+}
+
+/// One entry's contribution to the table fingerprint: FNV-1a over the
+/// length-prefixed name and value, then a finalizer so that every input
+/// bit reaches every bit the polynomial multiplies.
+fn entry_hash(h: &Header) -> u64 {
+    use crate::codec::{fnv1a, fnv1a_usize, FNV_OFFSET};
+    let mut x = FNV_OFFSET;
+    fnv1a_usize(&mut x, h.name.len());
+    fnv1a(&mut x, &h.name);
+    fnv1a_usize(&mut x, h.value.len());
+    fnv1a(&mut x, &h.value);
+    // splitmix64's finalizer.
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
 }
 
 /// Retired entries kept for reuse; beyond this they are simply dropped.
@@ -134,6 +200,7 @@ impl IndexTable {
             max_size: limit,
             capacity_limit: limit,
             free: Vec::new(),
+            rolling: Rolling::EMPTY,
         }
     }
 
@@ -144,6 +211,7 @@ impl IndexTable {
         while let Some(h) = self.entries.pop_back() {
             self.park(h);
         }
+        self.rolling = Rolling::EMPTY;
         self.size = 0;
         self.max_size = limit;
         self.capacity_limit = limit;
@@ -200,6 +268,7 @@ impl IndexTable {
     pub fn insert(&mut self, header: Header) {
         let esize = header.table_size();
         self.size += esize;
+        self.rolling.push_newest(entry_hash(&header));
         self.entries.push_front(header);
         self.evict();
     }
@@ -225,6 +294,7 @@ impl IndexTable {
             match self.entries.pop_back() {
                 Some(h) => {
                     self.size -= h.table_size();
+                    self.rolling.pop_oldest(entry_hash(&h));
                     self.park(h);
                 }
                 None => {
@@ -249,20 +319,17 @@ impl IndexTable {
     }
 
     /// Fold the complete observable table state — limits plus every dynamic
-    /// entry in index order — into `hash` (FNV-1a). Two tables with equal
-    /// folds behave identically for all future operations, which is what
-    /// the encoder-state fingerprint of [`crate::BlockCache`] relies on.
+    /// entry in index order — into `hash` (FNV-1a), in O(1): the entries
+    /// come in through the running [`Rolling`] fingerprint. Two tables with
+    /// equal folds behave identically for all future operations, which is
+    /// what the encoder-state fingerprint of [`crate::BlockCache`] relies
+    /// on.
     pub(crate) fn fold_state(&self, hash: &mut u64) {
         use crate::codec::{fnv1a, fnv1a_usize};
         fnv1a_usize(hash, self.max_size);
         fnv1a_usize(hash, self.capacity_limit);
         fnv1a_usize(hash, self.entries.len());
-        for e in &self.entries {
-            fnv1a_usize(hash, e.name.len());
-            fnv1a(hash, &e.name);
-            fnv1a_usize(hash, e.value.len());
-            fnv1a(hash, &e.value);
-        }
+        fnv1a(hash, &self.rolling.sum.to_le_bytes());
     }
 
     /// Find the best index for `header`: an exact match if one exists,
@@ -381,6 +448,102 @@ mod tests {
         // Static name match beats dynamic full match? No — full match wins.
         t.insert(Header::new(":method", "PATCH"));
         assert_eq!(t.find(&Header::new(":method", "PATCH")), Match::Full(62));
+    }
+
+    fn fold(t: &IndexTable) -> u64 {
+        let mut h = crate::codec::FNV_OFFSET;
+        t.fold_state(&mut h);
+        h
+    }
+
+    /// The running fingerprint rebuilt from the entries as they stand.
+    fn rolling_from_scratch(t: &IndexTable) -> Rolling {
+        let mut r = Rolling::EMPTY;
+        for e in t.entries.iter().rev() {
+            r.push_newest(entry_hash(e));
+        }
+        r
+    }
+
+    #[test]
+    fn equal_tables_reached_by_different_histories_fingerprint_equal() {
+        let h = |i: usize| Header::new(&format!("x-header-{i}"), &"v".repeat(i % 7 + 1));
+        // The target: the last three of five insertions, limits 4096/4096.
+        let mut direct = IndexTable::new();
+        for i in 2..5 {
+            direct.insert(h(i));
+        }
+        // Inserted after two entries a shrink-and-restore evicted.
+        let mut resized = IndexTable::new();
+        resized.insert(h(0));
+        resized.insert(h(1));
+        resized.set_max_size(0).unwrap();
+        resized.set_max_size(4096).unwrap();
+        for i in 2..5 {
+            resized.insert(h(i));
+        }
+        // Overflowed: a table that only ever holds three such entries.
+        let mut evicted = IndexTable::with_limit(3 * h(2).table_size() + 10);
+        for i in 0..5 {
+            evicted.insert(h(i));
+        }
+        assert_eq!(evicted.len(), 3);
+        evicted.capacity_limit = 4096;
+        evicted.max_size = 4096;
+        // Recycled from an unrelated life, one oversized entry included.
+        let mut recycled = IndexTable::with_limit(64);
+        recycled.insert(h(9));
+        recycled.insert(Header::new("huge", &"z".repeat(100)));
+        recycled.reset(4096);
+        for i in 2..5 {
+            recycled.insert_from(&h(i).name, &h(i).value);
+        }
+        for other in [&resized, &evicted, &recycled] {
+            assert_eq!(other.entries, direct.entries);
+            assert_eq!(fold(other), fold(&direct));
+        }
+        // Contents, order and each limit all count.
+        let mut reordered = IndexTable::new();
+        for i in [3, 2, 4] {
+            reordered.insert(h(i));
+        }
+        assert_ne!(fold(&reordered), fold(&direct));
+        let mut shorter = direct.clone();
+        shorter.set_max_size(2 * h(2).table_size() + 40).unwrap();
+        assert_eq!(shorter.len(), 2);
+        assert_ne!(fold(&shorter), fold(&direct));
+        let mut limited = direct.clone();
+        limited.set_max_size(4000).unwrap();
+        assert_eq!(limited.entries, direct.entries);
+        assert_ne!(fold(&limited), fold(&direct));
+        let mut capped = direct.clone();
+        capped.set_capacity_limit(8192);
+        assert_ne!(fold(&capped), fold(&direct));
+    }
+
+    #[test]
+    fn running_fingerprint_tracks_the_entries_through_any_history() {
+        // A seeded walk over every mutation, sized so the table overflows,
+        // empties and refills many times.
+        let mut seed = 0x5eed_u64;
+        let mut next = move |n: u64| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) % n
+        };
+        let mut t = IndexTable::with_limit(600);
+        for step in 0..5_000 {
+            match next(20) {
+                0 => t.set_max_size(next(t.capacity_limit as u64 + 1) as usize).unwrap(),
+                1 => t.set_capacity_limit(300 + next(600) as usize),
+                2 => t.reset(600),
+                3 => t.insert(Header::new("oversized", &"x".repeat(700))),
+                _ => {
+                    let name = format!("n{}", next(40));
+                    t.insert_from(name.as_bytes(), "v".repeat(next(60) as usize).as_bytes());
+                }
+            }
+            assert_eq!(t.rolling, rolling_from_scratch(&t), "step {step}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! loop's outputs bit-for-bit.
 
 use crate::replay::{Protocol, ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome};
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use h2push_browser::{Browser, BrowserAction, PreparedScan};
 use h2push_h2proto::sansio::Endpoint;
 use h2push_netsim::{ConnId, Dir, NetEvent, Network, ServerId, ServerSpec, SimTime};
@@ -44,7 +44,8 @@ use std::sync::Arc;
 
 /// One direction of an in-flight TCP stream: a FIFO of `Bytes` chunks.
 /// Producers queue their output buffers as-is (no copy); deliveries pop
-/// by byte count, slicing the front chunk in place via O(1) `split_to`.
+/// by byte count, as the queued chunks themselves and O(1) `split_to`
+/// slices of them.
 #[derive(Default)]
 struct ByteFifo {
     chunks: VecDeque<Bytes>,
@@ -62,35 +63,21 @@ impl ByteFifo {
         self.len = 0;
     }
 
-    /// Pop up to `max` bytes as one contiguous buffer. A delivery that
-    /// spans queued chunks concatenates them so the receiver still sees
-    /// exactly one `feed_bytes` call per network delivery.
-    fn pop(&mut self, max: usize) -> Bytes {
-        let take = max.min(self.len);
-        if take == 0 {
-            return Bytes::new();
-        }
-        self.len -= take;
-        let front = self.chunks.front_mut().expect("non-empty fifo");
-        if take <= front.len() {
-            let out = front.split_to(take);
-            if front.is_empty() {
-                self.chunks.pop_front();
-            }
-            return out;
-        }
-        let mut buf = BytesMut::with_capacity(take);
-        let mut rem = take;
+    /// Pop up to `max` bytes into `out`, in order, as the pieces they were
+    /// queued in: a delivery that spans chunks is handed over uncopied,
+    /// one piece per chunk it touches.
+    fn pop_into(&mut self, max: usize, out: &mut Vec<Bytes>) {
+        let mut rem = max.min(self.len);
+        self.len -= rem;
         while rem > 0 {
             let front = self.chunks.front_mut().expect("non-empty fifo");
-            let n = rem.min(front.len());
-            buf.extend_from_slice(&front.split_to(n));
-            if front.is_empty() {
-                self.chunks.pop_front();
+            if rem < front.len() {
+                out.push(front.split_to(rem));
+                return;
             }
-            rem -= n;
+            rem -= front.len();
+            out.extend(self.chunks.pop_front());
         }
-        buf.freeze()
     }
 }
 
@@ -147,10 +134,6 @@ impl Endpoint for AnyServer {
     }
 }
 
-/// How many parked components a context keeps between runs. Replays open
-/// one connection per (group, slot); real pages stay well under this.
-const SPARE_CAP: usize = 16;
-
 /// The run context: every piece of per-rep machinery a replay needs,
 /// recycled between repetitions instead of reconstructed.
 ///
@@ -188,6 +171,8 @@ pub struct ReplayCtx {
     spare_h1: Vec<H1ReplayServer>,
     /// Parked per-connection FIFO pairs (chunk deques retained).
     spare_fifos: Vec<(ByteFifo, ByteFifo)>,
+    /// The pieces of the delivery being dispatched (emptied after each).
+    pieces: Vec<Bytes>,
 }
 
 impl ReplayCtx {
@@ -200,22 +185,26 @@ impl ReplayCtx {
     /// Park last run's per-connection state and reset the long-lived
     /// machines for a new `(inputs, cfg, trace)` run.
     fn begin_run(&mut self, inputs: &ReplayInputs, cfg: &ReplayConfig, trace: &TraceHandle) {
-        // Park the first connections' machines last-opened first, so the
-        // next run's connection i is issued what this run's connection i
-        // grew (the document's connection, the largest, is opened first).
-        self.conns.truncate(SPARE_CAP);
+        // Park every connection the last run opened, and nothing older:
+        // spares that run left unused go, so what a context holds is
+        // bounded by its last run's own connection count (81 on w17-cnn),
+        // not by a constant some page outgrows or by the largest page the
+        // thread ever saw. Last-opened first, so the next run's connection
+        // i is issued what this run's connection i grew (the document's
+        // connection, the largest, is opened first).
+        self.spare_h2.clear();
+        self.spare_h1.clear();
+        self.spare_fifos.clear();
         while let Some(mut c) = self.conns.pop() {
             match c.server {
-                AnyServer::H2(s) if self.spare_h2.len() < SPARE_CAP => self.spare_h2.push(s),
-                AnyServer::H1(s) if self.spare_h1.len() < SPARE_CAP => self.spare_h1.push(s),
-                _ => {}
+                AnyServer::H2(s) => self.spare_h2.push(s),
+                AnyServer::H1(s) => self.spare_h1.push(s),
             }
-            if self.spare_fifos.len() < SPARE_CAP {
-                c.up.clear();
-                c.down.clear();
-                self.spare_fifos.push((c.up, c.down));
-            }
+            c.up.clear();
+            c.down.clear();
+            self.spare_fifos.push((c.up, c.down));
         }
+        self.pieces.clear();
         self.by_slot.clear();
         self.queue.clear();
 
@@ -281,6 +270,7 @@ struct SimDriver<'a> {
     spare_h2: &'a mut Vec<Box<ReplayServer>>,
     spare_h1: &'a mut Vec<H1ReplayServer>,
     spare_fifos: &'a mut Vec<(ByteFifo, ByteFifo)>,
+    pieces: &'a mut Vec<Bytes>,
 }
 
 impl SimDriver<'_> {
@@ -442,14 +432,20 @@ impl SimDriver<'_> {
                 }
                 NetEvent::Delivered { conn, dir: Dir::Up, bytes } => {
                     let c = &mut self.conns[conn.0];
-                    let chunk = c.up.pop(bytes);
-                    c.server.feed_bytes(&chunk, t.as_micros());
+                    c.up.pop_into(bytes, self.pieces);
+                    // Chunk boundaries mean nothing to an endpoint, and a
+                    // server answers when polled, not when fed: one feed
+                    // per piece equals one feed of their concatenation.
+                    for piece in self.pieces.drain(..) {
+                        c.server.feed_bytes(&piece, t.as_micros());
+                    }
                     self.pump_server(conn);
                 }
                 NetEvent::Delivered { conn, dir: Dir::Down, bytes } => {
                     let c = &mut self.conns[conn.0];
-                    let chunk = c.down.pop(bytes);
-                    let actions = self.browser.on_bytes(c.group, c.slot, &chunk, t);
+                    c.down.pop_into(bytes, self.pieces);
+                    let actions = self.browser.on_pieces(c.group, c.slot, &*self.pieces, t);
+                    self.pieces.clear();
                     self.intake(actions);
                     // The browser may have ACKed at the H2 level (window
                     // updates) — give the server a chance to continue.
@@ -506,7 +502,8 @@ pub(crate) fn drive_in(
     ctx: &mut ReplayCtx,
 ) -> Result<ReplayOutcome, ReplayError> {
     ctx.begin_run(inputs, cfg, trace);
-    let ReplayCtx { net, browser, conns, by_slot, queue, spare_h2, spare_h1, spare_fifos } = ctx;
+    let ReplayCtx { net, browser, conns, by_slot, queue, spare_h2, spare_h1, spare_fifos, pieces } =
+        ctx;
     SimDriver {
         inputs,
         cfg,
@@ -519,6 +516,7 @@ pub(crate) fn drive_in(
         spare_h2,
         spare_h1,
         spare_fifos,
+        pieces,
     }
     .run()
 }

@@ -10,7 +10,8 @@
 //! {prepared, unprepared} × {H2, H1}, plus cross-page contamination
 //! (one context serving two different sites alternately), plus the
 //! many-connection page w17-cnn (81 server groups) × {NoPush, PushAll} ×
-//! {fault-free, 2% Gilbert-Elliott} × {prepared, unprepared}.
+//! {fault-free, 2% Gilbert-Elliott} × {prepared, unprepared}, plus that
+//! page alternating with a small one over {H2, H1}.
 
 use h2push_strategies::{paper_strategy, PaperStrategy, Strategy};
 use h2push_testbed::{
@@ -92,9 +93,10 @@ fn recycled_ctx_matches_cold_ctx_across_the_matrix() {
 }
 
 /// The same contract on the many-connection page: 81 server groups means
-/// 81 client/server machine pairs parked and reissued per rep (far past
-/// every spare-pool cap), so this is where per-connection state that
-/// survives a reset would show.
+/// 81 client/server machine pairs parked and reissued per rep (a context
+/// parks everything its last run opened; constants of 8 and 16 used to
+/// cut that short), so this is where per-connection state that survives a
+/// reset would show.
 #[test]
 fn recycled_ctx_matches_cold_ctx_on_the_81_group_page() {
     let w17 = realworld_site(17);
@@ -162,6 +164,40 @@ fn recycled_ctx_matches_cold_over_h1() {
         let cold = replay_shared(&inputs, &cfg).expect("cold h1");
         let recycled = replay_in(&inputs, &cfg, &mut warm).expect("recycled h1");
         assert_eq!(cold, recycled, "h1 rep {rep} diverged under recycling");
+    }
+}
+
+/// Past the old caps on the HTTP/1.1 side too (16 connection machines, 8
+/// per-origin pools), and across a context that grows and shrinks: w17-cnn
+/// (81 groups, up to six HTTP/1.1 connections each) alternates with a
+/// two-origin page over both protocols, so every run is issued machines
+/// parked by a run of another size — more than it needs after the big
+/// page, fewer after the small one, the surplus dropped in between.
+#[test]
+fn recycled_ctx_matches_cold_as_the_connection_count_swings() {
+    let w17 = realworld_site(17);
+    let groups: std::collections::BTreeSet<usize> =
+        w17.resources.iter().map(|r| w17.server_group_of(r.id)).collect();
+    assert_eq!(groups.len(), 81, "one pool and at least one connection each");
+    let big = ReplayInputs::from(&w17).prepared();
+    let small = ReplayInputs::from(&page());
+    let cfg_h2 = ReplayConfig::testbed(Strategy::NoPush);
+    let mut cfg_h1 = ReplayConfig::testbed(Strategy::NoPush);
+    cfg_h1.protocol = Protocol::H1;
+    let mut warm = ReplayCtx::new();
+    for round in 0..2 {
+        for (name, inputs, cfg) in [
+            ("w17 h1", &big, &cfg_h1),
+            ("w17 h1 again", &big, &cfg_h1),
+            ("small h2", &small, &cfg_h2),
+            ("w17 h2", &big, &cfg_h2),
+            ("small h1", &small, &cfg_h1),
+            ("w17 h2 again", &big, &cfg_h2),
+        ] {
+            let cold = replay_in(inputs, cfg, &mut ReplayCtx::new()).expect("cold");
+            let recycled = replay_in(inputs, cfg, &mut warm).expect("recycled");
+            assert_eq!(cold, recycled, "round {round}, {name}: recycled ctx diverged");
+        }
     }
 }
 
