@@ -9,6 +9,7 @@
 use crate::codec::{
     encode_request, encode_response_head, parse_request, parse_response, H1Request,
 };
+use h2push_h2proto::sansio::WireSink;
 use std::collections::VecDeque;
 
 /// Events surfaced by the client half.
@@ -224,28 +225,40 @@ impl H1ServerConn {
         !self.out_head.is_empty()
     }
 
-    /// Produce up to `max` wire bytes (responses strictly in order).
+    /// [`H1ServerConn::produce_into`] an owned buffer, bodies materialised.
     pub fn produce(&mut self, max: usize) -> Vec<u8> {
         let mut out = Vec::new();
-        while out.len() < max {
+        self.produce_into(max, &mut out);
+        out
+    }
+
+    /// Write up to `max` wire bytes into `sink` (responses strictly in
+    /// order) and return how many: heads through `put_slice`, filler
+    /// bodies as `put_zeros` runs.
+    pub fn produce_into(&mut self, max: usize, sink: &mut dyn WireSink) -> usize {
+        let mut written = 0;
+        while written < max {
             let Some(head) = self.out_head.front_mut() else { break };
             if !head.is_empty() {
-                let take = head.len().min(max - out.len());
-                out.extend(head.drain(..take));
+                let take = head.len().min(max - written);
+                sink.put_slice(&head[..take]);
+                head.drain(..take);
+                written += take;
                 continue;
             }
             let body = self.out_body.front_mut().expect("head and body queues in sync");
             if *body > 0 {
-                let take = (*body).min(max - out.len());
-                out.resize(out.len() + take, 0);
+                let take = (*body).min(max - written);
+                sink.put_zeros(take);
                 *body -= take;
+                written += take;
             }
             if *body == 0 {
                 self.out_head.pop_front();
                 self.out_body.pop_front();
             }
         }
-        out
+        written
     }
 }
 

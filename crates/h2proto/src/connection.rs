@@ -15,6 +15,7 @@ use crate::frame::{
 };
 use crate::limits::ConnLimits;
 use crate::priority::PriorityTree;
+use crate::sansio::WireSink;
 use crate::scheduler::{Scheduler, StreamSnapshot};
 use crate::stream_slab::StreamSlab;
 use bytes::{Bytes, BytesMut};
@@ -135,6 +136,65 @@ pub enum Event {
     ConnectionError { error: ConnError },
 }
 
+/// Encoded control frames awaiting [`Connection::produce_into`], back to
+/// back in one byte ring, plus the length of each: a frame is encoded
+/// once, straight into the ring, and leaves it in one move. A recycled
+/// connection's ring keeps its capacity, so queueing allocates nothing.
+#[derive(Default)]
+struct ControlQueue {
+    bytes: VecDeque<u8>,
+    /// Length of each queued frame, oldest first. Frames are atomic on
+    /// the wire; the client preface and its SETTINGS count as one.
+    frame_lens: VecDeque<usize>,
+}
+
+impl ControlQueue {
+    /// Queue whatever `encode` writes as one frame.
+    fn push(&mut self, encode: impl FnOnce(&mut VecDeque<u8>)) {
+        let before = self.bytes.len();
+        encode(&mut self.bytes);
+        self.frame_lens.push_back(self.bytes.len() - before);
+    }
+
+    /// Queued frames.
+    fn len(&self) -> usize {
+        self.frame_lens.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.frame_lens.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.frame_lens.clear();
+    }
+
+    /// Move whole frames into `sink`, oldest first, while they fit in
+    /// `max` — the first always goes — and return the bytes moved.
+    fn drain_into(&mut self, max: usize, sink: &mut dyn WireSink) -> usize {
+        let (mut n, mut frames) = (0, 0);
+        for &len in &self.frame_lens {
+            if n > 0 && n + len > max {
+                break;
+            }
+            n += len;
+            frames += 1;
+        }
+        if n > 0 {
+            self.frame_lens.drain(..frames);
+            let (head, tail) = self.bytes.as_slices();
+            let cut = n.min(head.len());
+            sink.put_slice(&head[..cut]);
+            if n > cut {
+                sink.put_slice(&tail[..n - cut]);
+            }
+            self.bytes.drain(..n);
+        }
+        n
+    }
+}
+
 struct PendingHeaders {
     stream: u32,
     promised: Option<u32>,
@@ -166,7 +226,7 @@ pub struct Connection {
     #[cfg(test)]
     scan_reference: bool,
     tree: PriorityTree,
-    control: VecDeque<Bytes>,
+    control: ControlQueue,
     /// A partial frame header, or a partial frame that is not DATA, held
     /// over between [`Connection::receive`] calls (and the partial preface
     /// on a server). Never DATA payload.
@@ -206,13 +266,7 @@ pub struct Connection {
     trace: TraceHandle,
     /// Replay connection label stamped into trace events.
     trace_conn: u32,
-    /// Persistent assembly buffer for [`Connection::produce`]; each call
-    /// writes into it and hands out a `split().freeze()` view, so
-    /// steady-state produces reuse capacity instead of growing a fresh Vec.
-    send_buf: BytesMut,
-    /// Persistent per-frame encode buffer for [`Connection::queue_frame`].
-    frame_buf: BytesMut,
-    /// Reused snapshot vector for the scheduler loop in `produce`.
+    /// Reused snapshot vector for the scheduler loop in `produce_into`.
     snap_scratch: Vec<StreamSnapshot>,
     /// A header block mid-assembly across CONTINUATION frames whose tail
     /// has not arrived yet. Carried across [`Connection::receive`] calls:
@@ -262,13 +316,12 @@ impl Connection {
 
     /// Queue the client connection preface: the 24-octet magic and our
     /// SETTINGS as one chunk, then the generous connection-window update.
-    /// Assembled in `frame_buf` so a recycled connection reuses capacity.
     fn queue_client_preface(&mut self) {
-        debug_assert!(self.frame_buf.is_empty());
-        self.frame_buf.extend_from_slice(PREFACE);
-        Frame::Settings { ack: false, settings: self.local_settings }
-            .encode_to(&mut self.frame_buf);
-        self.control.push_back(self.frame_buf.split().freeze());
+        let settings = Frame::Settings { ack: false, settings: self.local_settings };
+        self.control.push(|out| {
+            out.put_slice(PREFACE);
+            settings.encode(out);
+        });
         self.preface_sent = true;
         // Mirror Chromium: open the connection-level window generously so
         // stream windows are the effective limit.
@@ -342,8 +395,6 @@ impl Connection {
         self.last_promised_id = 0;
         self.trace = TraceHandle::off();
         self.trace_conn = 0;
-        self.send_buf.clear();
-        self.frame_buf.clear();
         self.snap_scratch.clear();
         self.pending_headers = None;
     }
@@ -368,7 +419,7 @@ impl Connection {
             #[cfg(test)]
             scan_reference: false,
             tree: PriorityTree::new(),
-            control: VecDeque::new(),
+            control: ControlQueue::default(),
             recv_buf: Vec::new(),
             data_in_flight: None,
             events: VecDeque::new(),
@@ -397,8 +448,6 @@ impl Connection {
             last_promised_id: 0,
             trace: TraceHandle::off(),
             trace_conn: 0,
-            send_buf: BytesMut::new(),
-            frame_buf: BytesMut::new(),
             snap_scratch: Vec::new(),
             pending_headers: None,
         }
@@ -516,13 +565,7 @@ impl Connection {
                 end_stream,
             });
         }
-        debug_assert!(self.frame_buf.is_empty());
-        // One exact reservation, so a cold buffer is sized by one
-        // allocation instead of growing under the header and again under
-        // the payload.
-        self.frame_buf.reserve(frame.encoded_len());
-        frame.encode_to(&mut self.frame_buf);
-        self.control.push_back(self.frame_buf.split().freeze());
+        self.control.push(|out| frame.encode(out));
         // Backpressure against response-forcing floods (PING acks,
         // SETTINGS acks, RSTs queued faster than the link drains them).
         // `fatal` itself queues a GOAWAY with `dead` already set, so this
@@ -797,21 +840,29 @@ impl Connection {
         self.streams.iter().filter(|(_, s)| s.has_unsent_body()).map(|(id, _)| id).collect()
     }
 
-    /// Produce up to roughly `max` wire bytes: pending control frames first,
-    /// then DATA chunks chosen by `scheduler`. The returned [`Bytes`] is
-    /// moved (not copied) out of the assembly buffer, so downstream layers
-    /// can queue and re-slice it without further copies.
+    /// [`Connection::produce_into`] an owned buffer, DATA payloads
+    /// materialised as zeros: for callers that want the wire bytes in
+    /// hand (the browser's `SendBytes`, tests, benchmarks).
     pub fn produce(&mut self, max: usize, scheduler: &mut dyn Scheduler) -> Bytes {
-        debug_assert!(self.send_buf.is_empty());
-        while let Some(front) = self.control.front() {
-            if !self.send_buf.is_empty() && self.send_buf.len() + front.len() > max {
-                break;
-            }
-            self.send_buf.extend_from_slice(front);
-            self.control.pop_front();
-        }
+        let mut out = BytesMut::new();
+        self.produce_into(max, scheduler, &mut out);
+        out.freeze()
+    }
+
+    /// Write up to roughly `max` wire bytes into `sink` and return how
+    /// many: pending control frames first (whole frames only), then DATA
+    /// chunks chosen by `scheduler`. Control frames and DATA headers go
+    /// through `put_slice`; a DATA payload is only ever `put_zeros(len)`,
+    /// so a sink that keeps lengths never sees a body byte.
+    pub fn produce_into(
+        &mut self,
+        max: usize,
+        scheduler: &mut dyn Scheduler,
+        sink: &mut dyn WireSink,
+    ) -> usize {
+        let mut written = self.control.drain_into(max, sink);
         let mut snapshots = std::mem::take(&mut self.snap_scratch);
-        while self.send_buf.len() < max {
+        while written < max {
             #[cfg(test)]
             if self.scan_reference {
                 self.ready = self.ready_scan();
@@ -834,7 +885,7 @@ impl Connection {
             }
             let Some(id) = scheduler.pick(&snapshots, &self.tree) else { break };
             let conn_window = self.conn_send_window;
-            let room = self.peer_max_frame_size.min(max - self.send_buf.len().min(max));
+            let room = self.peer_max_frame_size.min(max - written);
             let sent = self.update_stream(id, |s| {
                 let chunk = s.sendable(conn_window).min(room);
                 s.out.queued -= chunk;
@@ -862,14 +913,8 @@ impl Connection {
                 break;
             }
             self.conn_send_window -= chunk as i64;
-            // Exact reserve, not amortized growth: doubling would push a
-            // recycled buffer's capacity past the recycle pool's cap and
-            // lose it, so capacities converge on the real burst size and
-            // steady-state DATA bursts never grow the buffer.
-            if chunk + FRAME_HEADER_LEN > self.send_buf.capacity() - self.send_buf.len() {
-                self.send_buf.reserve_exact(chunk + FRAME_HEADER_LEN);
-            }
-            Frame::Data { stream: id, len: chunk, end_stream }.encode_to(&mut self.send_buf);
+            Frame::Data { stream: id, len: chunk, end_stream }.encode(sink);
+            written += FRAME_HEADER_LEN + chunk;
             if self.trace.is_on() {
                 self.trace.emit(TraceEvent::SchedulerPick {
                     conn: self.trace_conn,
@@ -892,7 +937,7 @@ impl Connection {
             }
         }
         self.snap_scratch = snapshots;
-        self.send_buf.split().freeze()
+        written
     }
 
     // ----- receive path -----
@@ -2245,7 +2290,10 @@ mod edge_tests {
 }
 
 /// The ready set and the active-stream count are caches of per-stream
-/// state; these tests check them against full slab scans.
+/// state; these tests check them against full slab scans. The same
+/// lockstep pair is the differential for the send path: one twin writes
+/// into a sink that keeps the two kinds of call apart, the other goes
+/// through the materialising [`Connection::produce`].
 #[cfg(test)]
 mod ready_set_tests {
     use super::*;
@@ -2341,6 +2389,51 @@ mod ready_set_tests {
         s.queue_body(1, 0, true);
         let got = frames(&s.produce(usize::MAX, &mut sched));
         assert_eq!(got.last(), Some(&Frame::Data { stream: 1, len: 100, end_stream: true }));
+    }
+
+    /// A sink that remembers, per octet, which call wrote it.
+    #[derive(Default)]
+    struct Recording {
+        /// The wire bytes, zero runs expanded.
+        bytes: Vec<u8>,
+        /// Whether `put_zeros` wrote the octet.
+        zeros: Vec<bool>,
+    }
+
+    impl WireSink for Recording {
+        fn put_slice(&mut self, bytes: &[u8]) {
+            self.bytes.extend_from_slice(bytes);
+            self.zeros.resize(self.bytes.len(), false);
+        }
+        fn put_zeros(&mut self, n: usize) {
+            self.bytes.resize(self.bytes.len() + n, 0);
+            self.zeros.resize(self.bytes.len(), true);
+        }
+    }
+
+    impl Recording {
+        /// One `produce_into(max, ..)` call's output is whole frames,
+        /// `put_zeros` wrote exactly the DATA payloads, and the budget
+        /// held: at most a DATA header over `max`, or one control frame.
+        fn check(&self, max: usize) {
+            let (mut pos, mut frames) = (0, 0);
+            while pos < self.bytes.len() {
+                let head = FrameHead::parse(&self.bytes[pos..]).expect("a whole frame header");
+                let (body, end) = (pos + FRAME_HEADER_LEN, pos + FRAME_HEADER_LEN + head.len);
+                assert!(end <= self.bytes.len(), "a frame was split across produce calls");
+                for i in pos..end {
+                    let payload = head.is_data() && i >= body;
+                    assert_eq!(self.zeros[i], payload, "octet {i} of a {head:?} frame at {pos}");
+                }
+                pos = end;
+                frames += 1;
+            }
+            assert!(
+                self.bytes.len() <= max.saturating_add(FRAME_HEADER_LEN) || frames == 1,
+                "{} bytes in {frames} frames against a budget of {max}",
+                self.bytes.len()
+            );
+        }
     }
 
     /// One step of the lockstep script. Stream operands are indices into
@@ -2553,9 +2646,15 @@ mod ready_set_tests {
                 }
                 Op::Produce { max } => {
                     let mut sched = DefaultScheduler::new();
-                    let a = self.tested.produce(max, &mut sched);
+                    let mut sink = Recording::default();
+                    let n = self.tested.produce_into(max, &mut sched, &mut sink);
                     let b = self.reference.produce(max, &mut sched);
-                    assert_eq!(a, b, "ready-set produce diverged from the full-scan reference");
+                    assert_eq!(
+                        b, sink.bytes,
+                        "the sink path diverged from the full-scan produce()"
+                    );
+                    assert_eq!(n, b.len(), "produce_into miscounted what it wrote");
+                    sink.check(max);
                 }
             }
         }

@@ -1,14 +1,15 @@
 //! HTTP/2 frame codec (RFC 7540 §4, §6).
 //!
-//! All ten frame types are supported. Frames are encoded to / decoded from
-//! plain byte buffers; DATA payloads are carried as *lengths* plus opaque
-//! filler, because the testbed replays body bytes as counted placeholders
-//! (the record database knows the real sizes; the wire never needs the
-//! content itself). Header-block fragments are carried as [`Bytes`] so a
-//! block can be chunked into CONTINUATION frames — and re-queued on the
-//! connection's control queue — without copying the fragment payloads.
+//! All ten frame types are supported. Frames are decoded from plain byte
+//! buffers and encoded into any [`WireSink`]; DATA payloads are carried as
+//! *lengths* — `put_zeros(len)` on the way out — because the testbed
+//! replays body bytes as counted placeholders (the record database knows
+//! the real sizes; the wire never needs the content itself). Header-block
+//! fragments are carried as [`Bytes`] so a block can be chunked into
+//! CONTINUATION frames without copying the fragment payloads.
 
-use bytes::{Bytes, BytesMut};
+use crate::sansio::WireSink;
+use bytes::Bytes;
 
 /// The 9-octet frame header length.
 pub(crate) const FRAME_HEADER_LEN: usize = 9;
@@ -208,69 +209,21 @@ pub enum FrameError {
     TooLarge,
 }
 
-/// The shared all-zero filler region DATA payloads are sliced from: body
-/// bytes are counted placeholders in this testbed, so every DATA payload is
-/// a window into this one static block instead of freshly zeroed memory.
-static ZERO_REGION: [u8; DEFAULT_MAX_FRAME_SIZE] = [0; DEFAULT_MAX_FRAME_SIZE];
-
-/// A zero-copy [`Bytes`] slice of the shared zero region
-/// (`n ≤ DEFAULT_MAX_FRAME_SIZE`) — pre-chunked DATA payload filler.
-pub fn zero_payload(n: usize) -> Bytes {
-    Bytes::from_static(&ZERO_REGION[..n])
-}
-
-/// An output buffer frames can serialize into. Implemented for `Vec<u8>`
-/// (the original API) and [`BytesMut`], which lets the connection send path
-/// reuse one buffer across calls and hand out `split().freeze()` views
-/// without copying.
-pub(crate) trait FrameBuf {
-    /// Append one byte.
-    fn put_byte(&mut self, b: u8);
-    /// Append a slice.
-    fn put_slice(&mut self, s: &[u8]);
-    /// Append `n` zero bytes (DATA filler).
-    fn put_zeros(&mut self, n: usize) {
-        let mut left = n;
-        while left > 0 {
-            let take = left.min(ZERO_REGION.len());
-            self.put_slice(&ZERO_REGION[..take]);
-            left -= take;
-        }
-    }
-}
-
-impl FrameBuf for Vec<u8> {
-    fn put_byte(&mut self, b: u8) {
-        self.push(b);
-    }
-    fn put_slice(&mut self, s: &[u8]) {
-        self.extend_from_slice(s);
-    }
-    fn put_zeros(&mut self, n: usize) {
-        self.resize(self.len() + n, 0);
-    }
-}
-
-impl FrameBuf for BytesMut {
-    fn put_byte(&mut self, b: u8) {
-        self.extend_from_slice(&[b]);
-    }
-    fn put_slice(&mut self, s: &[u8]) {
-        self.extend_from_slice(s);
-    }
-    fn put_zeros(&mut self, n: usize) {
-        self.resize(self.len() + n, 0);
-    }
-}
-
-fn put_u32<B: FrameBuf + ?Sized>(out: &mut B, v: u32) {
+fn put_u32<W: WireSink + ?Sized>(out: &mut W, v: u32) {
     out.put_slice(&v.to_be_bytes());
 }
 
+/// The 5-octet priority section (§6.3): dependency with its exclusive
+/// bit, then the weight as 0..=255.
+fn put_priority<W: WireSink + ?Sized>(out: &mut W, spec: &PrioritySpec) {
+    let dep = (spec.depends_on & 0x7fff_ffff) | if spec.exclusive { 0x8000_0000 } else { 0 };
+    let [d0, d1, d2, d3] = dep.to_be_bytes();
+    out.put_slice(&[d0, d1, d2, d3, (spec.weight - 1) as u8]);
+}
+
 /// The 9-octet frame header (§4.1), built on the stack and appended in
-/// one write: a `BytesMut` pays its uniqueness check per call, not per
-/// octet.
-fn header<B: FrameBuf + ?Sized>(out: &mut B, len: usize, ty: FrameType, flags: u8, stream: u32) {
+/// one write: a sink pays its per-call cost once, not per octet.
+fn header<W: WireSink + ?Sized>(out: &mut W, len: usize, ty: FrameType, flags: u8, stream: u32) {
     let [s0, s1, s2, s3] = (stream & 0x7fff_ffff).to_be_bytes();
     out.put_slice(&[
         (len >> 16) as u8,
@@ -328,15 +281,11 @@ impl FrameHead {
 }
 
 impl Frame {
-    /// Serialize this frame, appending to `out`. DATA payload is filler
-    /// zeros of the declared length.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        self.encode_to(out);
-    }
-
-    /// Serialize into any [`FrameBuf`] (`Vec<u8>` or `BytesMut`); the wire
-    /// bytes are identical whichever buffer is used.
-    pub(crate) fn encode_to<B: FrameBuf + ?Sized>(&self, out: &mut B) {
+    /// Serialize this frame into any [`WireSink`] (a `Vec<u8>` for one):
+    /// everything through `put_slice` except a DATA payload, which is
+    /// `put_zeros(len)` — filler of the declared length. The wire bytes
+    /// are identical whichever sink is used.
+    pub fn encode<W: WireSink + ?Sized>(&self, out: &mut W) {
         match self {
             Frame::Data { stream, len, end_stream } => {
                 header(out, *len, FrameType::Data, if *end_stream { 0x1 } else { 0 }, *stream);
@@ -358,19 +307,13 @@ impl Frame {
                 };
                 header(out, block.len() + extra, FrameType::Headers, flags, *stream);
                 if let Some(p) = priority {
-                    let dep =
-                        (p.depends_on & 0x7fff_ffff) | if p.exclusive { 0x8000_0000 } else { 0 };
-                    put_u32(out, dep);
-                    out.put_byte((p.weight - 1) as u8);
+                    put_priority(out, p);
                 }
                 out.put_slice(block);
             }
             Frame::Priority { stream, spec } => {
                 header(out, 5, FrameType::Priority, 0, *stream);
-                let dep =
-                    (spec.depends_on & 0x7fff_ffff) | if spec.exclusive { 0x8000_0000 } else { 0 };
-                put_u32(out, dep);
-                out.put_byte((spec.weight - 1) as u8);
+                put_priority(out, spec);
             }
             Frame::RstStream { stream, code } => {
                 header(out, 4, FrameType::RstStream, 0, *stream);
@@ -434,27 +377,6 @@ impl Frame {
                 out.put_slice(block);
             }
         }
-    }
-
-    /// Serialized length of this frame including the 9-octet header.
-    pub fn encoded_len(&self) -> usize {
-        /// A [`FrameBuf`] that only counts — `encoded_len` without a heap
-        /// buffer.
-        struct LenCount(usize);
-        impl FrameBuf for LenCount {
-            fn put_byte(&mut self, _b: u8) {
-                self.0 += 1;
-            }
-            fn put_slice(&mut self, s: &[u8]) {
-                self.0 += s.len();
-            }
-            fn put_zeros(&mut self, n: usize) {
-                self.0 += n;
-            }
-        }
-        let mut c = LenCount(0);
-        self.encode_to(&mut c);
-        c.0
     }
 
     /// Try to decode one frame from the start of `buf`.

@@ -5,7 +5,6 @@
 //! One instance per *connection* (H1 state is per-connection); the record
 //! database is shared across the pool through an `Arc`.
 
-use bytes::Bytes;
 use h2push_h1::H1ServerConn;
 use h2push_netsim::SimTime;
 use h2push_webmodel::RecordDb;
@@ -55,11 +54,6 @@ impl H1ReplayServer {
     pub fn wants_send(&self) -> bool {
         self.conn.wants_send()
     }
-
-    /// Produce up to `max` wire bytes.
-    pub fn produce(&mut self, max: usize) -> Bytes {
-        Bytes::from(self.conn.produce(max))
-    }
 }
 
 /// Sans-IO transport surface — see `h2push_h2proto::sansio`. The H1
@@ -74,8 +68,13 @@ impl h2push_h2proto::sansio::Endpoint for H1ReplayServer {
         self.wants_send()
     }
 
-    fn poll_output(&mut self, max: usize, _now: h2push_h2proto::sansio::Micros) -> Bytes {
-        self.produce(max)
+    fn poll_output_into(
+        &mut self,
+        max: usize,
+        _now: h2push_h2proto::sansio::Micros,
+        sink: &mut dyn h2push_h2proto::sansio::WireSink,
+    ) -> usize {
+        self.conn.produce_into(max, sink)
     }
 }
 
@@ -83,6 +82,7 @@ impl h2push_h2proto::sansio::Endpoint for H1ReplayServer {
 mod tests {
     use super::*;
     use h2push_h1::encode_request;
+    use h2push_h2proto::sansio::Endpoint;
     use h2push_webmodel::{PageBuilder, ResourceSpec};
 
     #[test]
@@ -94,14 +94,14 @@ mod tests {
         let mut srv = H1ReplayServer::new(db.clone());
         srv.on_bytes(&encode_request("h1.test", "/", &[]), SimTime::ZERO);
         assert!(srv.wants_send());
-        let out = srv.produce(usize::MAX);
+        let out = srv.poll_output(usize::MAX, 0);
         // Head + 10 000 filler bytes.
         assert!(out.len() > 10_000);
         assert_eq!(srv.served(), 1);
         // Unknown path → 404, still answered.
         let mut srv2 = H1ReplayServer::new(db);
         srv2.on_bytes(&encode_request("h1.test", "/nope", &[]), SimTime::ZERO);
-        let out = srv2.produce(usize::MAX);
+        let out = srv2.poll_output(usize::MAX, 0);
         assert!(String::from_utf8_lossy(&out).starts_with("HTTP/1.1 404"));
         assert_eq!(srv2.served(), 0);
     }

@@ -514,8 +514,13 @@ impl h2push_h2proto::sansio::Endpoint for ReplayServer {
         self.wants_send()
     }
 
-    fn poll_output(&mut self, max: usize, _now: h2push_h2proto::sansio::Micros) -> Bytes {
-        self.produce(max)
+    fn poll_output_into(
+        &mut self,
+        max: usize,
+        _now: h2push_h2proto::sansio::Micros,
+        sink: &mut dyn h2push_h2proto::sansio::WireSink,
+    ) -> usize {
+        self.conn.produce_into(max, self.sched.as_dyn(), sink)
     }
 }
 

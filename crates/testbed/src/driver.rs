@@ -10,8 +10,9 @@
 //! * shuttle delivered bytes into the machines
 //!   ([`Endpoint::feed_bytes`] / `Browser::on_bytes`) stamped with
 //!   sim-time,
-//! * shuttle produced bytes ([`Endpoint::poll_output`] /
-//!   `BrowserAction::SendBytes`) into the simulated TCP pipes,
+//! * shuttle produced bytes ([`Endpoint::poll_output_into`] /
+//!   `BrowserAction::SendBytes`) into the simulated TCP pipes — the
+//!   per-direction [`WireFifo`] is the sink a server produces into,
 //! * realize browser actions (open connections, arm timers) against the
 //!   simulator, and
 //! * police the run: deadline, stall detection and the event watchdog.
@@ -30,9 +31,9 @@
 //! loop's outputs bit-for-bit.
 
 use crate::replay::{Protocol, ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome};
-use bytes::Bytes;
+use crate::wire_fifo::WireFifo;
 use h2push_browser::{Browser, BrowserAction, PreparedScan};
-use h2push_h2proto::sansio::Endpoint;
+use h2push_h2proto::sansio::{Endpoint, WireSink};
 use h2push_netsim::{ConnId, Dir, NetEvent, Network, ServerId, ServerSpec, SimTime};
 use h2push_server::{H1ReplayServer, ReplayServer};
 use h2push_strategies::{RunTrace, Strategy};
@@ -42,45 +43,6 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-/// One direction of an in-flight TCP stream: a FIFO of `Bytes` chunks.
-/// Producers queue their output buffers as-is (no copy); deliveries pop
-/// by byte count, as the queued chunks themselves and O(1) `split_to`
-/// slices of them.
-#[derive(Default)]
-struct ByteFifo {
-    chunks: VecDeque<Bytes>,
-    len: usize,
-}
-
-impl ByteFifo {
-    fn push(&mut self, b: Bytes) {
-        self.len += b.len();
-        self.chunks.push_back(b);
-    }
-
-    fn clear(&mut self) {
-        self.chunks.clear();
-        self.len = 0;
-    }
-
-    /// Pop up to `max` bytes into `out`, in order, as the pieces they were
-    /// queued in: a delivery that spans chunks is handed over uncopied,
-    /// one piece per chunk it touches.
-    fn pop_into(&mut self, max: usize, out: &mut Vec<Bytes>) {
-        let mut rem = max.min(self.len);
-        self.len -= rem;
-        while rem > 0 {
-            let front = self.chunks.front_mut().expect("non-empty fifo");
-            if rem < front.len() {
-                out.push(front.split_to(rem));
-                return;
-            }
-            rem -= front.len();
-            out.extend(self.chunks.pop_front());
-        }
-    }
-}
-
 /// Per-connection adapter state: which browser (group, slot) the netsim
 /// connection belongs to, the replay server behind it, plus the bytes
 /// handed to the simulator but not yet delivered, per direction.
@@ -89,8 +51,8 @@ struct ConnCtx {
     slot: usize,
     server: AnyServer,
     /// Bytes handed to netsim (up = client→server) not yet delivered.
-    up: ByteFifo,
-    down: ByteFifo,
+    up: WireFifo,
+    down: WireFifo,
 }
 
 /// A per-connection replay server of either protocol. (Boxed: the H2
@@ -126,10 +88,10 @@ impl Endpoint for AnyServer {
         }
     }
 
-    fn poll_output(&mut self, max: usize, now: u64) -> Bytes {
+    fn poll_output_into(&mut self, max: usize, now: u64, sink: &mut dyn WireSink) -> usize {
         match self {
-            AnyServer::H2(s) => s.poll_output(max, now),
-            AnyServer::H1(s) => s.poll_output(max, now),
+            AnyServer::H2(s) => s.poll_output_into(max, now, sink),
+            AnyServer::H1(s) => s.poll_output_into(max, now, sink),
         }
     }
 }
@@ -169,10 +131,8 @@ pub struct ReplayCtx {
     spare_h2: Vec<Box<ReplayServer>>,
     /// Parked H1 replay servers, reissued via `H1ReplayServer::reset`.
     spare_h1: Vec<H1ReplayServer>,
-    /// Parked per-connection FIFO pairs (chunk deques retained).
-    spare_fifos: Vec<(ByteFifo, ByteFifo)>,
-    /// The pieces of the delivery being dispatched (emptied after each).
-    pieces: Vec<Bytes>,
+    /// Parked per-connection FIFO pairs (literal rings retained).
+    spare_fifos: Vec<(WireFifo, WireFifo)>,
 }
 
 impl ReplayCtx {
@@ -204,7 +164,6 @@ impl ReplayCtx {
             c.down.clear();
             self.spare_fifos.push((c.up, c.down));
         }
-        self.pieces.clear();
         self.by_slot.clear();
         self.queue.clear();
 
@@ -269,8 +228,7 @@ struct SimDriver<'a> {
     #[allow(clippy::vec_box)] // parked `AnyServer::H2` boxes, reissued whole
     spare_h2: &'a mut Vec<Box<ReplayServer>>,
     spare_h1: &'a mut Vec<H1ReplayServer>,
-    spare_fifos: &'a mut Vec<(ByteFifo, ByteFifo)>,
-    pieces: &'a mut Vec<Bytes>,
+    spare_fifos: &'a mut Vec<(WireFifo, WireFifo)>,
 }
 
 impl SimDriver<'_> {
@@ -291,7 +249,7 @@ impl SimDriver<'_> {
                 BrowserAction::SendBytes { group, slot, bytes } => {
                     let conn = self.by_slot[self.find_slot(group, slot).expect("unknown conn")];
                     self.net.send(conn, Dir::Up, bytes.len());
-                    self.conns[conn.0].up.push(bytes);
+                    self.conns[conn.0].up.put_slice(&bytes);
                 }
                 BrowserAction::SetTimer { at, token } => {
                     self.net.schedule(at, token);
@@ -372,15 +330,15 @@ impl SimDriver<'_> {
             }
             match self.net.set_hungry(conn, Dir::Down, true) {
                 Some(window) => {
-                    let bytes = c.server.poll_output(window, self.net.now().as_micros());
-                    if bytes.is_empty() {
+                    let now = self.net.now().as_micros();
+                    let n = c.server.poll_output_into(window, now, &mut c.down);
+                    if n == 0 {
                         // Flow-control (H2-level) blocked: wait for
                         // client window updates.
                         self.net.set_hungry(conn, Dir::Down, false);
                         break;
                     }
-                    self.net.send(conn, Dir::Down, bytes.len());
-                    c.down.push(bytes);
+                    self.net.send(conn, Dir::Down, n);
                 }
                 None => break, // TCP window full; SendReady will fire
             }
@@ -432,20 +390,19 @@ impl SimDriver<'_> {
                 }
                 NetEvent::Delivered { conn, dir: Dir::Up, bytes } => {
                     let c = &mut self.conns[conn.0];
-                    c.up.pop_into(bytes, self.pieces);
                     // Chunk boundaries mean nothing to an endpoint, and a
                     // server answers when polled, not when fed: one feed
                     // per piece equals one feed of their concatenation.
-                    for piece in self.pieces.drain(..) {
-                        c.server.feed_bytes(&piece, t.as_micros());
+                    for piece in c.up.peek(bytes) {
+                        c.server.feed_bytes(piece, t.as_micros());
                     }
+                    c.up.consume(bytes);
                     self.pump_server(conn);
                 }
                 NetEvent::Delivered { conn, dir: Dir::Down, bytes } => {
                     let c = &mut self.conns[conn.0];
-                    c.down.pop_into(bytes, self.pieces);
-                    let actions = self.browser.on_pieces(c.group, c.slot, &*self.pieces, t);
-                    self.pieces.clear();
+                    let actions = self.browser.on_pieces(c.group, c.slot, c.down.peek(bytes), t);
+                    c.down.consume(bytes);
                     self.intake(actions);
                     // The browser may have ACKed at the H2 level (window
                     // updates) — give the server a chance to continue.
@@ -502,8 +459,7 @@ pub(crate) fn drive_in(
     ctx: &mut ReplayCtx,
 ) -> Result<ReplayOutcome, ReplayError> {
     ctx.begin_run(inputs, cfg, trace);
-    let ReplayCtx { net, browser, conns, by_slot, queue, spare_h2, spare_h1, spare_fifos, pieces } =
-        ctx;
+    let ReplayCtx { net, browser, conns, by_slot, queue, spare_h2, spare_h1, spare_fifos } = ctx;
     SimDriver {
         inputs,
         cfg,
@@ -516,7 +472,6 @@ pub(crate) fn drive_in(
         spare_h2,
         spare_h1,
         spare_fifos,
-        pieces,
     }
     .run()
 }

@@ -22,6 +22,7 @@ pub mod prepared;
 pub mod replay;
 pub mod sweep;
 pub mod waterfall;
+pub(crate) mod wire_fifo;
 
 pub use badpeer::{
     attack_client, attack_client_in, attack_page, attack_server, attack_server_in, benign_request,

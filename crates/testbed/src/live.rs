@@ -60,16 +60,16 @@
 //! open at `drain_deadline` is flushed once and killed. `run()` then
 //! returns the complete [`LiveServerStats`].
 
-use bytes::Bytes;
+use crate::wire_fifo::WireFifo;
 use h2push_browser::{Browser, BrowserAction, BrowserConfig, LoadResult, TransportMode};
-use h2push_h2proto::sansio::Endpoint;
+use h2push_h2proto::sansio::{Endpoint, WireSink};
 use h2push_h2proto::{ConnError, ConnLimits};
 use h2push_netsim::SimTime;
 use h2push_server::ReplayServer;
 use h2push_strategies::Strategy;
 use h2push_webmodel::{Page, RecordDb};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -127,32 +127,34 @@ const READ_CHUNK: usize = 64 * 1024;
 /// supervision-deadline granularity).
 const TICK: Duration = Duration::from_millis(25);
 
-/// Flush as much of `out` into `stream` as the socket accepts right now.
-/// Partial writes drop exactly the written prefix (zero-copy `split_to`)
-/// and keep the remainder queued; `WouldBlock` leaves the queue intact;
-/// EINTR retries. `out_len` mirrors the queue's byte total incrementally.
+/// Pieces of the queue handed to one `writev`: a 64 KiB poll is four
+/// DATA frames, header and body each.
+const FLUSH_PIECES: usize = 16;
+/// Retired connections [`LiveServerStats::close_log`] remembers.
+const CLOSE_LOG_CAP: usize = 1024;
+
+/// Flush as much of `out` into `w` as it accepts right now, a batch of
+/// pieces per vectored write (zero runs are written from the shared zero
+/// page). Partial writes drop exactly the written prefix and keep the
+/// remainder queued; `WouldBlock` leaves the queue intact; EINTR retries.
 /// Returns `(alive, progressed)`: `alive == false` means the connection
 /// is unusable (reset / broken pipe), `progressed` whether at least one
 /// byte left the queue (the write-stall supervision signal).
-fn flush_out(
-    stream: &mut TcpStream,
-    out: &mut VecDeque<Bytes>,
-    out_len: &mut usize,
-    sent: &mut u64,
-) -> (bool, bool) {
+fn flush_out(w: &mut impl Write, out: &mut WireFifo, sent: &mut u64) -> (bool, bool) {
     let mut progressed = false;
-    while let Some(front) = out.front_mut() {
-        match stream.write(front) {
+    while !out.is_empty() {
+        let mut iov = [IoSlice::new(&[]); FLUSH_PIECES];
+        let mut pieces = 0;
+        for (slot, piece) in iov.iter_mut().zip(out.peek(usize::MAX)) {
+            *slot = IoSlice::new(piece);
+            pieces += 1;
+        }
+        match w.write_vectored(&iov[..pieces]) {
             Ok(0) => return (false, progressed),
             Ok(n) => {
                 *sent += n as u64;
-                *out_len -= n;
+                out.consume(n);
                 progressed = true;
-                if n == front.len() {
-                    out.pop_front();
-                } else {
-                    let _ = front.split_to(n);
-                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -349,8 +351,21 @@ pub struct LiveServerStats {
     pub max_queued_bytes: usize,
     /// Per-close-reason counters.
     pub closed: CloseCounts,
-    /// Every retired connection with its reason and typed error.
-    pub close_log: Vec<ConnClose>,
+    /// The most recent retired connections (up to 1024; older ones leave
+    /// only their `closed` count), oldest first, each with its reason and
+    /// typed error.
+    pub close_log: VecDeque<ConnClose>,
+}
+
+impl LiveServerStats {
+    /// Record one retired (or refused) connection.
+    fn log_close(&mut self, reason: CloseReason, error: Option<ConnError>) {
+        self.closed.bump(reason);
+        if self.close_log.len() == CLOSE_LOG_CAP {
+            self.close_log.pop_front();
+        }
+        self.close_log.push_back(ConnClose { reason, error });
+    }
 }
 
 /// Remote control for a running [`LiveServer`]: signal shutdown from
@@ -382,9 +397,8 @@ impl LiveServerHandle {
 struct ServerConn {
     stream: TcpStream,
     machine: ReplayServer,
-    out: VecDeque<Bytes>,
-    /// Byte total of `out`, maintained incrementally.
-    out_len: usize,
+    /// Wire bytes the machine produced and the socket has not taken.
+    out: WireFifo,
     /// µs timestamps for the lifecycle deadlines.
     accepted_at: u64,
     preface_at: Option<u64>,
@@ -402,8 +416,7 @@ impl ServerConn {
         ServerConn {
             stream,
             machine,
-            out: VecDeque::new(),
-            out_len: 0,
+            out: WireFifo::default(),
             accepted_at: now,
             preface_at: None,
             first_request_at: None,
@@ -429,7 +442,7 @@ impl ServerConn {
                 Some(CloseReason::Timeout(TimeoutKind::HeaderReceive))
             }
             (Some(_), Some(_))
-                if self.out_len == 0
+                if self.out.is_empty()
                     && !self.machine.wants_output()
                     && over(self.last_progress_at, lim.idle_timeout) =>
             {
@@ -535,12 +548,7 @@ impl LiveServer {
                 if elapsed - started >= lim.drain_deadline {
                     // Deadline: one last flush each, then kill the rest.
                     for c in conns.iter_mut() {
-                        let _ = flush_out(
-                            &mut c.stream,
-                            &mut c.out,
-                            &mut c.out_len,
-                            &mut stats.bytes_out,
-                        );
+                        let _ = flush_out(&mut c.stream, &mut c.out, &mut stats.bytes_out);
                         c.close.get_or_insert(CloseReason::DrainKilled);
                     }
                     harvest(&mut conns, &mut stats);
@@ -578,18 +586,12 @@ impl LiveServer {
                                 // client an immediate EOF and keeps the
                                 // listener from staying readable forever.
                                 stats.shed += 1;
-                                stats.closed.bump(CloseReason::Shed);
-                                stats
-                                    .close_log
-                                    .push(ConnClose { reason: CloseReason::Shed, error: None });
+                                stats.log_close(CloseReason::Shed, None);
                                 drop(stream);
                                 continue;
                             }
                             if stream.set_nonblocking(true).is_err() {
-                                stats.closed.bump(CloseReason::IoError);
-                                stats
-                                    .close_log
-                                    .push(ConnClose { reason: CloseReason::IoError, error: None });
+                                stats.log_close(CloseReason::IoError, None);
                                 continue;
                             }
                             let _ = stream.set_nodelay(true);
@@ -654,21 +656,18 @@ impl LiveServer {
                     // Saturating: frames are atomic, so a poll can land a
                     // few bytes past the cap — the next iteration must see
                     // zero room, not a wrapped-around "infinite" budget.
-                    let room = lim.max_queued_bytes.saturating_sub(c.out_len);
+                    let room = lim.max_queued_bytes.saturating_sub(c.out.len());
                     if room == 0 {
                         break;
                     }
-                    let bytes = c.machine.poll_output(room.min(READ_CHUNK), now);
-                    if bytes.is_empty() {
+                    if c.machine.poll_output_into(room.min(READ_CHUNK), now, &mut c.out) == 0 {
                         break; // flow-control blocked on the H2 level
                     }
-                    c.out_len += bytes.len();
-                    stats.max_queued_bytes = stats.max_queued_bytes.max(c.out_len);
-                    c.out.push_back(bytes);
+                    stats.max_queued_bytes = stats.max_queued_bytes.max(c.out.len());
                 }
                 if c.close.is_none() && !c.out.is_empty() {
                     let (alive, progressed) =
-                        flush_out(&mut c.stream, &mut c.out, &mut c.out_len, &mut stats.bytes_out);
+                        flush_out(&mut c.stream, &mut c.out, &mut stats.bytes_out);
                     if progressed {
                         c.last_progress_at = now;
                     }
@@ -678,7 +677,7 @@ impl LiveServer {
                 }
                 // Write-stall tracking: armed while bytes sit unqueued,
                 // cleared by any progress (or an emptied queue).
-                if c.out_len == 0 || c.last_progress_at == now {
+                if c.out.is_empty() || c.last_progress_at == now {
                     c.stalled_since = None;
                 } else if c.stalled_since.is_none() {
                     c.stalled_since = Some(now);
@@ -718,8 +717,7 @@ fn harvest(conns: &mut Vec<ServerConn>, stats: &mut LiveServerStats) {
         stats.requests += c.machine.observations().len() as u64;
         stats.pushed_bytes += c.machine.pushed_bytes();
         stats.protocol_errors += u64::from(c.machine.protocol_errors());
-        stats.closed.bump(reason);
-        stats.close_log.push(ConnClose { reason, error });
+        stats.log_close(reason, error);
         false
     });
 }
@@ -748,8 +746,7 @@ pub struct LiveLoadReport {
 
 struct ClientConn {
     stream: TcpStream,
-    out: VecDeque<Bytes>,
-    out_len: usize,
+    out: WireFifo,
     bytes_in: u64,
     dead: bool,
 }
@@ -807,13 +804,7 @@ pub fn load_page(
                     stream.set_nonblocking(true)?;
                     conns.insert(
                         (group, slot),
-                        ClientConn {
-                            stream,
-                            out: VecDeque::new(),
-                            out_len: 0,
-                            bytes_in: 0,
-                            dead: false,
-                        },
+                        ClientConn { stream, out: WireFifo::default(), bytes_in: 0, dead: false },
                     );
                     opened += 1;
                     let actions = browser.on_connected(group, slot, SimTime(now_us(&epoch)));
@@ -822,14 +813,8 @@ pub fn load_page(
                 BrowserAction::SendBytes { group, slot, bytes } => {
                     if let Some(c) = conns.get_mut(&(group, slot)) {
                         if !c.dead {
-                            c.out_len += bytes.len();
-                            c.out.push_back(bytes);
-                            let (alive, _) = flush_out(
-                                &mut c.stream,
-                                &mut c.out,
-                                &mut c.out_len,
-                                &mut bytes_out,
-                            );
+                            c.out.put_slice(&bytes);
+                            let (alive, _) = flush_out(&mut c.stream, &mut c.out, &mut bytes_out);
                             if !alive {
                                 classify(c, &mut shed_conns, &mut closed_conns);
                             }
@@ -915,8 +900,7 @@ pub fn load_page(
                 classify(c, &mut shed_conns, &mut closed_conns);
             }
             if !c.dead && fd.revents & POLLOUT != 0 {
-                let (alive, _) =
-                    flush_out(&mut c.stream, &mut c.out, &mut c.out_len, &mut bytes_out);
+                let (alive, _) = flush_out(&mut c.stream, &mut c.out, &mut bytes_out);
                 if !alive {
                     classify(c, &mut shed_conns, &mut closed_conns);
                 }
@@ -934,4 +918,171 @@ pub fn load_page(
         shed_conns,
         closed_conns,
     })
+}
+
+/// [`flush_out`] against a writer that does what a non-blocking socket
+/// may: short writes, `WouldBlock`, `EINTR`, a zero-length write, a hard
+/// error — at every piece boundary of the queue and in the middle of
+/// every piece.
+#[cfg(test)]
+mod flush_tests {
+    use super::*;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Step {
+        /// Take this many bytes, over as many calls as offer them.
+        Accept(usize),
+        Fail(io::ErrorKind),
+        /// `Ok(0)`.
+        Zero,
+    }
+
+    /// Plays its script one step per write call, then blocks for good.
+    struct Scripted {
+        script: VecDeque<Step>,
+        accepted: Vec<u8>,
+    }
+
+    impl Scripted {
+        fn new(script: &[Step]) -> Self {
+            Scripted { script: script.iter().copied().collect(), accepted: Vec::new() }
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            match self.script.pop_front().unwrap_or(Step::Fail(io::ErrorKind::WouldBlock)) {
+                Step::Accept(mut room) => {
+                    let before = self.accepted.len();
+                    for buf in bufs {
+                        let take = buf.len().min(room);
+                        self.accepted.extend_from_slice(&buf[..take]);
+                        room -= take;
+                    }
+                    if room > 0 {
+                        self.script.push_front(Step::Accept(room));
+                    }
+                    Ok(self.accepted.len() - before)
+                }
+                Step::Fail(kind) => Err(kind.into()),
+                Step::Zero => Ok(0),
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A queue of more pieces than one `writev` takes — literals, short
+    /// zero runs and one longer than the zero page — with its octets and
+    /// the offsets its pieces end at.
+    fn queue() -> (WireFifo, Vec<u8>, Vec<usize>) {
+        let mut fifo = WireFifo::default();
+        for i in 0..FLUSH_PIECES as u8 {
+            fifo.put_slice(&[i + 1; 9]);
+            fifo.put_zeros(if i == 3 { 20_000 } else { 40 + i as usize });
+        }
+        fifo.put_slice(b"tail");
+        let mut octets = Vec::new();
+        let mut edges = Vec::new();
+        for piece in fifo.peek(usize::MAX) {
+            octets.extend_from_slice(piece);
+            edges.push(octets.len());
+        }
+        assert!(edges.len() > 2 * FLUSH_PIECES);
+        (fifo, octets, edges)
+    }
+
+    /// Run `script` against a fresh queue; returns what the writer got,
+    /// what is left queued, the byte counter and `flush_out`'s verdict.
+    fn run(script: &[Step]) -> (Vec<u8>, usize, u64, (bool, bool)) {
+        let (mut fifo, _, _) = queue();
+        let mut w = Scripted::new(script);
+        let mut sent = 0;
+        let verdict = flush_out(&mut w, &mut fifo, &mut sent);
+        (w.accepted, fifo.len(), sent, verdict)
+    }
+
+    #[test]
+    fn every_outcome_at_every_piece_edge_and_inside_every_piece() {
+        let (_, octets, edges) = queue();
+        let total = octets.len();
+        let mut cuts = vec![0];
+        let mut start = 0;
+        for &edge in &edges {
+            cuts.extend([(start + edge) / 2, edge - 1, edge]);
+            start = edge;
+        }
+        for k in cuts {
+            // The first write takes `k` bytes (no first write when k is 0).
+            let first: &[Step] = if k == 0 { &[] } else { &[Step::Accept(k)] };
+            let then = |rest: &[Step]| [first, rest].concat();
+            let drained = k == total;
+
+            // WouldBlock: the rest stays queued, the connection lives.
+            let (got, left, sent, verdict) = run(&then(&[Step::Fail(io::ErrorKind::WouldBlock)]));
+            assert!(got == octets[..k], "cut {k}");
+            assert_eq!((left, sent), (total - k, k as u64), "cut {k}");
+            assert_eq!(verdict, (true, k > 0), "cut {k}");
+
+            // EINTR: retried at once, from exactly where the queue stands.
+            let (got, left, sent, verdict) =
+                run(&then(&[Step::Fail(io::ErrorKind::Interrupted), Step::Accept(7)]));
+            let upto = (k + 7).min(total);
+            assert!(got == octets[..upto], "cut {k}");
+            assert_eq!((left, sent), (total - upto, upto as u64), "cut {k}");
+            assert_eq!(verdict, (true, upto > 0), "cut {k}");
+
+            // A zero-length write or a hard error: dead, unless nothing
+            // was left to write.
+            for fatal in [Step::Zero, Step::Fail(io::ErrorKind::BrokenPipe)] {
+                let (got, left, sent, verdict) = run(&then(&[fatal]));
+                assert!(got == octets[..k], "cut {k} {fatal:?}");
+                assert_eq!((left, sent), (total - k, k as u64), "cut {k} {fatal:?}");
+                assert_eq!(verdict, (drained, k > 0), "cut {k} {fatal:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn short_writes_of_every_size_concatenate_to_the_queue() {
+        let (_, octets, _) = queue();
+        for size in [1, 2, 8, 9, 10, 57, 4_096, 16_384, 16_385, usize::MAX] {
+            let (mut fifo, _, _) = queue();
+            let mut w = Scripted::new(&[]);
+            let mut sent = 0;
+            while !fifo.is_empty() {
+                w.script.extend([Step::Accept(size), Step::Accept(size)]);
+                let before = fifo.len();
+                assert_eq!(flush_out(&mut w, &mut fifo, &mut sent), (true, true));
+                assert_eq!(before - fifo.len(), w.accepted.len() - (octets.len() - before));
+            }
+            assert!(w.accepted == octets, "write size {size}");
+            assert_eq!(sent, octets.len() as u64);
+        }
+    }
+}
+
+#[cfg(test)]
+mod close_log_tests {
+    use super::*;
+
+    #[test]
+    fn close_log_keeps_the_most_recent_closes_and_the_counters_keep_all() {
+        let mut stats = LiveServerStats::default();
+        for _ in 0..5 {
+            stats.log_close(CloseReason::Shed, None);
+        }
+        for _ in 0..CLOSE_LOG_CAP {
+            stats.log_close(CloseReason::Clean, None);
+        }
+        assert_eq!(stats.close_log.len(), CLOSE_LOG_CAP);
+        assert!(stats.close_log.iter().all(|c| c.reason == CloseReason::Clean));
+        assert_eq!((stats.closed.shed, stats.closed.clean), (5, CLOSE_LOG_CAP as u64));
+    }
 }

@@ -22,7 +22,6 @@
 //! per-config work is an `Arc` clone; the per-rep hot path reads shared
 //! immutable data and allocates almost nothing.
 
-use bytes::Bytes;
 use h2push_browser::PreparedScan;
 use h2push_hpack::{BlockCache, DecodeCache};
 use h2push_server::Prepared as ServerPrepared;
@@ -48,13 +47,6 @@ pub struct PreparedPage {
     /// it — the cache only skips redundant decoding work and the header
     /// allocations that come with it.
     pub(crate) hpack_decode: DecodeCache,
-    /// Per-resource response bodies pre-chunked into DATA-frame payload
-    /// slices (≤ `DEFAULT_MAX_FRAME_SIZE` each). Replay bodies are
-    /// synthetic zero-fill, so every chunk is a zero-copy view of one
-    /// static region (`h2push_h2proto::zero_payload`); the vector exists
-    /// so strategies that later carry recorded payloads slot in without
-    /// touching the replay loop.
-    pub(crate) bodies: Vec<Vec<Bytes>>,
 }
 
 impl PreparedPage {
@@ -66,20 +58,6 @@ impl PreparedPage {
             server: Arc::new(ServerPrepared::build(page)),
             hpack: BlockCache::new(),
             hpack_decode: DecodeCache::new(),
-            bodies: page
-                .resources
-                .iter()
-                .map(|r| {
-                    let mut chunks = Vec::new();
-                    let mut left = r.size;
-                    while left > 0 {
-                        let take = left.min(h2push_h2proto::DEFAULT_MAX_FRAME_SIZE);
-                        chunks.push(h2push_h2proto::zero_payload(take));
-                        left -= take;
-                    }
-                    chunks
-                })
-                .collect(),
         }
     }
 
@@ -102,11 +80,6 @@ impl PreparedPage {
     pub fn hpack_decode_cache(&self) -> &DecodeCache {
         &self.hpack_decode
     }
-
-    /// Pre-chunked body payload of resource `i` (zero-copy slices).
-    pub fn body(&self, i: usize) -> &[Bytes] {
-        &self.bodies[i]
-    }
 }
 
 #[cfg(test)]
@@ -123,18 +96,7 @@ mod tests {
     }
 
     #[test]
-    fn build_is_pure_and_bodies_match_sizes() {
-        let p = page();
-        let a = PreparedPage::build(&p);
-        let b = PreparedPage::build(&p);
-        assert_eq!(a.bodies.len(), p.resources.len());
-        for (chunks, r) in a.bodies.iter().zip(&p.resources) {
-            assert_eq!(chunks.iter().map(|c| c.len()).sum::<usize>(), r.size);
-            assert!(chunks.iter().all(|c| c.iter().all(|&x| x == 0)));
-        }
-        for (x, y) in a.bodies.iter().zip(&b.bodies) {
-            assert_eq!(x, y);
-        }
-        assert!(a.hpack.is_empty(), "cache starts cold");
+    fn build_starts_with_a_cold_block_cache() {
+        assert!(PreparedPage::build(&page()).hpack.is_empty());
     }
 }
