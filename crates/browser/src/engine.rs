@@ -31,11 +31,10 @@ use h2push_h2proto::{
     CacheDigest, Connection, ErrorCode, Event, FifoScheduler, PrioritySpec, Settings,
 };
 use h2push_hpack::FxHashMap;
-use h2push_hpack::{BlockCache, DecodeCache, Header};
+use h2push_hpack::{BlockCache, DecodeCache, HeaderList};
 use h2push_netsim::{SimDuration, SimTime};
 use h2push_trace::{conn_label, TraceEvent, TraceHandle};
 use h2push_webmodel::{Discovery, Page, ResourceId, ResourceType, ScriptMode};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Request priority classes, highest first (Chromium's five buckets).
@@ -171,11 +170,12 @@ enum StopKind {
 }
 
 /// Pre-scanned, page-derived load inputs: parser stop points, the preload
-/// scanner's HTML reference index, the visual-weight total, and per-resource
-/// request header lists — everything [`Browser::new`] derives from the
-/// [`Page`] alone. A pure function of the page, so a sweep builds it once
-/// per site and shares it across every configuration and rep touching that
-/// page; [`Browser::new`] builds one lazily otherwise.
+/// scanner's HTML reference index, the visual-weight total, and the index
+/// that resolves a push promise to its resource — everything
+/// [`Browser::new`] derives from the [`Page`] alone. A pure function of the
+/// page, so a sweep builds it once per site and shares it across every
+/// configuration and rep touching that page; [`Browser::new`] builds one
+/// lazily otherwise.
 #[derive(Debug)]
 pub struct PreparedScan {
     /// Parser stop points (external blocking scripts + inline scripts),
@@ -185,9 +185,9 @@ pub struct PreparedScan {
     html_refs: Vec<(usize, ResourceId)>,
     inline_count: usize,
     total_weight: f64,
-    /// Per-resource GET header lists, byte-identical to what
-    /// [`Browser::fetch`] would format live.
-    request_headers: Vec<Vec<Header>>,
+    /// Resources sorted by `(host, path)`, for resolving a promised
+    /// request; where several share one the first in page order is kept.
+    by_url: Vec<ResourceId>,
 }
 
 impl PreparedScan {
@@ -219,25 +219,25 @@ impl PreparedScan {
             })
             .collect();
         html_refs.sort_by_key(|&(off, id)| (off, id));
-        let request_headers = page
-            .resources
-            .iter()
-            .map(|r| {
-                vec![
-                    Header::new(":method", "GET"),
-                    Header::new(":scheme", "https"),
-                    Header::new(":authority", page.host_of(r.id)),
-                    Header::new(":path", &r.path),
-                ]
-            })
-            .collect();
+        let url = |id: ResourceId| (page.host_of(id), page.resource(id).path.as_str());
+        let mut by_url: Vec<ResourceId> = page.resources.iter().map(|r| r.id).collect();
+        by_url.sort_by_key(|&id| (url(id), id));
+        by_url.dedup_by_key(|id| url(*id));
         PreparedScan {
             stops,
             html_refs,
             inline_count: page.inline_scripts.len(),
             total_weight: page.total_visual_weight(),
-            request_headers,
+            by_url,
         }
+    }
+
+    /// The resource `page` serves at `(authority, path)`, compared as
+    /// octets: what a PUSH_PROMISE's request headers name.
+    fn resource_at(&self, page: &Page, authority: &[u8], path: &[u8]) -> Option<ResourceId> {
+        let url = |id: ResourceId| (page.host_of(id).as_bytes(), page.resource(id).path.as_bytes());
+        let at = self.by_url.binary_search_by(|&id| url(id).cmp(&(authority, path))).ok()?;
+        Some(self.by_url[at])
     }
 }
 
@@ -317,11 +317,11 @@ fn splice_into_chain(cs: &mut ConnState, stream: u32, class: u8) -> PrioritySpec
 /// may answer): the group is marked for the next flush. A free function
 /// over the two fields so callers keep the rest of the browser borrowable.
 fn conn_for_output<'a>(
-    conns: &'a mut BTreeMap<usize, ConnState>,
+    conns: &'a mut [Option<ConnState>],
     dirty: &mut Vec<usize>,
     group: usize,
 ) -> Option<&'a mut ConnState> {
-    let cs = conns.get_mut(&group)?;
+    let cs = conns.get_mut(group)?.as_mut()?;
     if dirty.last() != Some(&group) {
         dirty.push(group);
     }
@@ -339,7 +339,10 @@ fn drop_stale<T>(spares: &mut Vec<T>, keep: usize) {
 pub struct Browser {
     page: Arc<Page>,
     cfg: BrowserConfig,
-    conns: BTreeMap<usize, ConnState>,
+    /// The live HTTP/2 connection per server group, indexed by group: one
+    /// table sized by the page and cleared in place between loads, so a
+    /// recycled browser allocates nothing to hold these 850-byte states.
+    conns: Vec<Option<ConnState>>,
     h1: FxHashMap<usize, H1Pool>,
     h1_seq: u64,
     res: Vec<ResInfo>,
@@ -437,9 +440,9 @@ impl Browser {
                     timing: ResourceTiming::default(),
                 })
                 .collect(),
+            conns: (0..page.server_group_count()).map(|_| None).collect(),
             page,
             cfg,
-            conns: BTreeMap::new(),
             h1: FxHashMap::default(),
             h1_seq: 0,
             stream_map: FxHashMap::default(),
@@ -503,15 +506,18 @@ impl Browser {
             attempts: 0,
             timing: ResourceTiming::default(),
         }));
-        self.page = page;
-        self.cfg = cfg;
         // Park every connection machine the last load opened, and nothing
         // older: the bound on what a browser keeps is that load's own
         // connection count. Spares it left unused lie at the bottom of the
         // stacks (reissue pops from the top) and go.
-        while let Some((_, cs)) = self.conns.pop_first() {
-            self.park_conn(cs);
+        for group in 0..self.conns.len() {
+            if let Some(cs) = self.conns[group].take() {
+                self.park_conn(cs);
+            }
         }
+        self.conns.resize_with(page.server_group_count(), || None);
+        self.page = page;
+        self.cfg = cfg;
         drop_stale(&mut self.spare_conns, self.h2_opened);
         self.h2_opened = 0;
         let (pools, mut slots) = (self.h1.len(), 0);
@@ -757,7 +763,7 @@ impl Browser {
     }
 
     fn ensure_conn(&mut self, group: usize) {
-        if self.conns.contains_key(&group) {
+        if self.conns[group].is_some() {
             return;
         }
         let slot = self.next_h2_slot.get(&group).copied().unwrap_or(0);
@@ -793,7 +799,7 @@ impl Browser {
         if let Some(cache) = &self.hpack_decode_cache {
             cs.conn.set_hpack_decode_cache(cache.clone());
         }
-        self.conns.insert(group, cs);
+        self.conns[group] = Some(cs);
         // The new connection has its preface queued.
         self.dirty.push(group);
         self.actions.push(BrowserAction::OpenConnection { group, slot });
@@ -855,26 +861,30 @@ impl Browser {
         // priority.
         let spec_stream = cs.conn.peek_next_stream_id();
         let spec = splice_into_chain(cs, spec_stream, class);
-        // The common path sends the pre-built GET list; only the first
-        // request on a warm-cache connection appends a digest, built live.
-        let digest_headers;
-        let headers: &[Header] = if !cs.digest_sent && !self.cfg.warm_cache.is_empty() {
+        // The GET as borrowed fields over the page's own strings; only the
+        // first request on a warm-cache connection appends a digest.
+        let digest;
+        let mut get = [
+            (":method", "GET"),
+            (":scheme", "https"),
+            (":authority", self.page.host_of(rid)),
+            (":path", self.page.resource(rid).path.as_str()),
+            ("cache-digest", ""),
+        ];
+        let mut fields = 4;
+        if !cs.digest_sent && !self.cfg.warm_cache.is_empty() {
             cs.digest_sent = true;
-            let mut headers = self.scan.request_headers[rid.0].clone();
             let urls: Vec<String> = self
                 .cfg
                 .warm_cache
                 .iter()
                 .map(|&c| self.page.resource(c).url(self.page.host_of(c)))
                 .collect();
-            let digest = CacheDigest::build(&urls, 7);
-            headers.push(Header::new("cache-digest", &digest.to_hex()));
-            digest_headers = headers;
-            &digest_headers
-        } else {
-            &self.scan.request_headers[rid.0]
-        };
-        let stream = cs.conn.request(headers, Some(spec));
+            digest = CacheDigest::build(&urls, 7).to_hex();
+            get[4].1 = &digest;
+            fields = 5;
+        }
+        let stream = cs.conn.request(&get[..fields], Some(spec));
         debug_assert_eq!(stream, spec_stream);
         self.stream_map.insert((group, stream), rid);
         self.requests += 1;
@@ -1024,7 +1034,7 @@ impl Browser {
         #[cfg(test)]
         if self.flush_all {
             self.dirty.clear();
-            self.dirty.extend(self.conns.keys());
+            self.dirty.extend((0..self.conns.len()).filter(|&g| self.conns[g].is_some()));
         }
         let mut sched = FifoScheduler;
         let mut dirty = std::mem::take(&mut self.dirty);
@@ -1032,7 +1042,7 @@ impl Browser {
         dirty.dedup();
         for &group in &dirty {
             // A dirty group's connection may be gone (`conn_failed`).
-            let Some(cs) = self.conns.get_mut(&group) else { continue };
+            let Some(cs) = &mut self.conns[group] else { continue };
             while cs.conn.wants_send() {
                 let bytes = cs.conn.produce(usize::MAX, &mut sched);
                 if bytes.is_empty() {
@@ -1044,18 +1054,15 @@ impl Browser {
         dirty.clear();
         self.dirty = dirty;
         debug_assert!(
-            self.conns.values().all(|cs| !cs.conn.wants_send()),
+            self.conns.iter().flatten().all(|cs| !cs.conn.wants_send()),
             "a connection queued output without being marked dirty"
         );
     }
 
     fn drain_events(&mut self, group: usize, now: SimTime) {
         loop {
-            let ev = match self.conns.get_mut(&group) {
-                Some(cs) => cs.conn.poll_event(),
-                None => None,
-            };
-            let Some(ev) = ev else { break };
+            let conn = self.conns.get_mut(group).and_then(Option::as_mut);
+            let Some(ev) = conn.and_then(|cs| cs.conn.poll_event()) else { break };
             match ev {
                 Event::Headers { .. } | Event::Settings(_) | Event::SettingsAck => {}
                 Event::PushPromise { parent: _, promised, headers } => {
@@ -1078,7 +1085,7 @@ impl Browser {
                 Event::StreamError { stream, .. } => {
                     // One stream failed; the connection lives. Retry the
                     // resource (with backoff) or give up on it.
-                    if let Some(cs) = self.conns.get_mut(&group) {
+                    if let Some(cs) = &mut self.conns[group] {
                         cs.chain.retain(|&(s, _)| s != stream);
                     }
                     if let Some(rid) = self.stream_map.remove(&(group, stream)) {
@@ -1103,7 +1110,7 @@ impl Browser {
     /// in flight on it.
     fn conn_failed(&mut self, group: usize, now: SimTime) {
         self.trace.emit_at(now.as_micros(), TraceEvent::ConnError { group });
-        if let Some(cs) = self.conns.remove(&group) {
+        if let Some(cs) = self.conns[group].take() {
             self.next_h2_slot.insert(group, cs.slot + 1);
             self.park_conn(cs);
         }
@@ -1223,22 +1230,9 @@ impl Browser {
         self.trace.emit_at(now.as_micros(), TraceEvent::Onload);
     }
 
-    fn handle_push_promise(&mut self, group: usize, promised: u32, headers: &[Header]) {
-        let get = |name: &str| {
-            headers
-                .iter()
-                .find(|h| h.name == name.as_bytes())
-                .map(|h| String::from_utf8_lossy(&h.value).to_string())
-                .unwrap_or_default()
-        };
-        let authority = get(":authority");
-        let path = get(":path");
-        let rid = self
-            .page
-            .resources
-            .iter()
-            .find(|r| r.path == path && self.page.origins[r.origin].host == authority)
-            .map(|r| r.id);
+    fn handle_push_promise(&mut self, group: usize, promised: u32, headers: &HeaderList) {
+        let get = |name: &[u8]| headers.get(name).unwrap_or_default();
+        let rid = self.scan.resource_at(&self.page, get(b":authority"), get(b":path"));
         match rid {
             Some(id)
                 if self.res[id.0].state == ResState::Undiscovered
@@ -1293,7 +1287,7 @@ impl Browser {
         self.body_arrived(rid, len, now);
         if end {
             // Retire the stream from the priority chain.
-            if let Some(cs) = self.conns.get_mut(&group) {
+            if let Some(cs) = &mut self.conns[group] {
                 cs.chain.retain(|&(s, _)| s != stream);
             }
             self.response_finished(rid, now);

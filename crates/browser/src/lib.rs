@@ -167,11 +167,8 @@ mod tests {
         while let Some(ev) = server.poll_event() {
             if let Event::Headers { stream, headers, .. } = ev {
                 let get = |n: &str| {
-                    headers
-                        .iter()
-                        .find(|h| h.name == n.as_bytes())
-                        .map(|h| String::from_utf8_lossy(&h.value).to_string())
-                        .unwrap_or_default()
+                    String::from_utf8_lossy(headers.get(n.as_bytes()).unwrap_or_default())
+                        .to_string()
                 };
                 let (host, path) = (get(":authority"), get(":path"));
                 let rec =

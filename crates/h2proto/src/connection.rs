@@ -10,8 +10,8 @@
 
 use crate::error::{ConnError, StreamError};
 use crate::frame::{
-    ErrorCode, Frame, FrameError, FrameHead, PrioritySpec, Settings, DEFAULT_MAX_FRAME_SIZE,
-    DEFAULT_WINDOW, FRAME_HEADER_LEN, PREFACE,
+    ErrorCode, FrameError, FrameHead, FrameOf, FrameRef, PrioritySpec, Settings,
+    DEFAULT_MAX_FRAME_SIZE, DEFAULT_WINDOW, FRAME_HEADER_LEN, PREFACE,
 };
 use crate::limits::ConnLimits;
 use crate::priority::PriorityTree;
@@ -19,7 +19,7 @@ use crate::sansio::WireSink;
 use crate::scheduler::{Scheduler, StreamSnapshot};
 use crate::stream_slab::StreamSlab;
 use bytes::{Bytes, BytesMut};
-use h2push_hpack::{Decoder as HpackDecoder, Encoder as HpackEncoder, Header};
+use h2push_hpack::{Decoder as HpackDecoder, Encoder as HpackEncoder, HeaderField, HeaderList};
 use h2push_trace::{FrameKind as TraceFrameKind, TraceEvent, TraceHandle};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -117,11 +117,13 @@ pub enum Event {
     /// Peer acknowledged our SETTINGS.
     SettingsAck,
     /// A complete header block arrived on `stream`. The list is shared
-    /// (`Arc`) so event delivery never copies header bytes; consumers that
-    /// need ownership clone the slice explicitly.
-    Headers { stream: u32, headers: Arc<[Header]>, end_stream: bool },
+    /// (`Arc`) so event delivery never copies header bytes — and the
+    /// connection decodes a later block into the same list once every
+    /// holder has dropped it, so drop it before the next `receive`; a
+    /// consumer that keeps one merely costs the connection a fresh list.
+    Headers { stream: u32, headers: Arc<HeaderList>, end_stream: bool },
     /// The peer promised to push `promised` in response to `parent`.
-    PushPromise { parent: u32, promised: u32, headers: Arc<[Header]> },
+    PushPromise { parent: u32, promised: u32, headers: Arc<HeaderList> },
     /// Body bytes arrived.
     Data { stream: u32, len: usize, end_stream: bool },
     /// Peer reset a stream.
@@ -195,12 +197,14 @@ impl ControlQueue {
     }
 }
 
+/// What the frame that opened a header block said about it; the block's
+/// octets are elsewhere (see [`Connection::header_frag`]).
+#[derive(Clone, Copy)]
 struct PendingHeaders {
     stream: u32,
     promised: Option<u32>,
     end_stream: bool,
     priority: Option<PrioritySpec>,
-    block: Bytes,
 }
 
 /// One endpoint of an HTTP/2 connection.
@@ -274,28 +278,61 @@ pub struct Connection {
     /// the machine must not observe (a live TCP read can split a block
     /// anywhere).
     pending_headers: Option<PendingHeaders>,
+    /// The fragments of that block received so far, concatenated. A block
+    /// that arrives in one frame — nearly all do — never comes here: it
+    /// is decoded where it lies in the receive buffer.
+    header_frag: Vec<u8>,
+    /// The header lists this connection handed out in events, kept so a
+    /// later block can be decoded into one nobody holds any more (see
+    /// [`HpackDecoder::decode_shared`]). The first `lists_out` went out
+    /// during the current [`Connection::receive`]; a consumer that drains
+    /// and drops its events between calls lets a recycled connection
+    /// decode every block without allocating.
+    lists: Vec<Arc<HeaderList>>,
+    lists_out: usize,
 }
 
 /// `(kind, stream, payload bytes)` of a frame, for trace stamping only.
-fn frame_meta(frame: &Frame) -> (TraceFrameKind, u32, u32) {
+fn frame_meta(frame: &FrameRef<'_>) -> (TraceFrameKind, u32, u32) {
     match frame {
-        Frame::Data { stream, len, .. } => (TraceFrameKind::Data, *stream, *len as u32),
-        Frame::Headers { stream, block, .. } => {
+        FrameOf::Data { stream, len, .. } => (TraceFrameKind::Data, *stream, *len as u32),
+        FrameOf::Headers { stream, block, .. } => {
             (TraceFrameKind::Headers, *stream, block.len() as u32)
         }
-        Frame::Priority { stream, .. } => (TraceFrameKind::Priority, *stream, 5),
-        Frame::RstStream { stream, .. } => (TraceFrameKind::RstStream, *stream, 4),
-        Frame::Settings { .. } => (TraceFrameKind::Settings, 0, 0),
-        Frame::PushPromise { stream, block, .. } => {
+        FrameOf::Priority { stream, .. } => (TraceFrameKind::Priority, *stream, 5),
+        FrameOf::RstStream { stream, .. } => (TraceFrameKind::RstStream, *stream, 4),
+        FrameOf::Settings { .. } => (TraceFrameKind::Settings, 0, 0),
+        FrameOf::PushPromise { stream, block, .. } => {
             (TraceFrameKind::PushPromise, *stream, block.len() as u32 + 4)
         }
-        Frame::Ping { .. } => (TraceFrameKind::Ping, 0, 8),
-        Frame::GoAway { .. } => (TraceFrameKind::Goaway, 0, 8),
-        Frame::WindowUpdate { stream, .. } => (TraceFrameKind::WindowUpdate, *stream, 4),
-        Frame::Continuation { stream, block, .. } => {
+        FrameOf::Ping { .. } => (TraceFrameKind::Ping, 0, 8),
+        FrameOf::GoAway { .. } => (TraceFrameKind::Goaway, 0, 8),
+        FrameOf::WindowUpdate { stream, .. } => (TraceFrameKind::WindowUpdate, *stream, 4),
+        FrameOf::Continuation { stream, block, .. } => {
             (TraceFrameKind::Continuation, *stream, block.len() as u32)
         }
     }
+}
+
+/// Stamp `frame` into the trace and encode it at the tail of `control`. A
+/// free function over the fields it touches, so the frame may borrow the
+/// connection's own HPACK encoder.
+fn push_frame(
+    control: &mut ControlQueue,
+    trace: &TraceHandle,
+    conn: u32,
+    role: h2push_trace::Role,
+    frame: &FrameRef<'_>,
+) {
+    if trace.is_on() {
+        let (kind, stream, bytes) = frame_meta(frame);
+        let end_stream = matches!(
+            frame,
+            FrameOf::Headers { end_stream: true, .. } | FrameOf::Data { end_stream: true, .. }
+        );
+        trace.emit(TraceEvent::FrameSent { conn, role, stream, kind, bytes, end_stream });
+    }
+    control.push(|out| frame.encode(out));
 }
 
 impl Connection {
@@ -317,7 +354,7 @@ impl Connection {
     /// Queue the client connection preface: the 24-octet magic and our
     /// SETTINGS as one chunk, then the generous connection-window update.
     fn queue_client_preface(&mut self) {
-        let settings = Frame::Settings { ack: false, settings: self.local_settings };
+        let settings = FrameRef::Settings { ack: false, settings: self.local_settings };
         self.control.push(|out| {
             out.put_slice(PREFACE);
             settings.encode(out);
@@ -325,13 +362,13 @@ impl Connection {
         self.preface_sent = true;
         // Mirror Chromium: open the connection-level window generously so
         // stream windows are the effective limit.
-        self.queue_frame(Frame::WindowUpdate { stream: 0, increment: 15 * 1024 * 1024 });
+        self.queue_frame(FrameOf::WindowUpdate { stream: 0, increment: 15 * 1024 * 1024 });
     }
 
     /// Queue the server half's opening SETTINGS and window update.
     fn queue_server_preface(&mut self) {
-        self.queue_frame(Frame::Settings { ack: false, settings: self.local_settings });
-        self.queue_frame(Frame::WindowUpdate { stream: 0, increment: 15 * 1024 * 1024 });
+        self.queue_frame(FrameOf::Settings { ack: false, settings: self.local_settings });
+        self.queue_frame(FrameOf::WindowUpdate { stream: 0, increment: 15 * 1024 * 1024 });
         self.preface_sent = true;
     }
 
@@ -397,6 +434,8 @@ impl Connection {
         self.trace_conn = 0;
         self.snap_scratch.clear();
         self.pending_headers = None;
+        self.header_frag.clear();
+        self.lists_out = 0;
     }
 
     fn new(role: Role, settings: Settings) -> Self {
@@ -450,6 +489,9 @@ impl Connection {
             trace_conn: 0,
             snap_scratch: Vec::new(),
             pending_headers: None,
+            header_frag: Vec::new(),
+            lists: Vec::new(),
+            lists_out: 0,
         }
     }
 
@@ -549,27 +591,30 @@ impl Connection {
         self.streams.get(stream).map(|s| s.out.queued).unwrap_or(0)
     }
 
-    fn queue_frame(&mut self, frame: Frame) {
-        if self.trace.is_on() {
-            let (kind, stream, bytes) = frame_meta(&frame);
-            let end_stream = matches!(
-                frame,
-                Frame::Headers { end_stream: true, .. } | Frame::Data { end_stream: true, .. }
-            );
-            self.trace.emit(TraceEvent::FrameSent {
-                conn: self.trace_conn,
-                role: self.trace_role(),
-                stream,
-                kind,
-                bytes,
-                end_stream,
-            });
-        }
-        self.control.push(|out| frame.encode(out));
-        // Backpressure against response-forcing floods (PING acks,
-        // SETTINGS acks, RSTs queued faster than the link drains them).
-        // `fatal` itself queues a GOAWAY with `dead` already set, so this
-        // cannot recurse.
+    fn queue_frame(&mut self, frame: FrameRef<'_>) {
+        let role = self.trace_role();
+        push_frame(&mut self.control, &self.trace, self.trace_conn, role, &frame);
+        self.control_backpressure();
+    }
+
+    /// Queue the frame `make` builds around `range` of the header block
+    /// the encoder just produced: the fragment goes from the encoder's
+    /// buffer into the control ring, and nowhere in between.
+    fn queue_block_frame(
+        &mut self,
+        range: std::ops::Range<usize>,
+        make: impl for<'a> FnOnce(&'a [u8]) -> FrameRef<'a>,
+    ) {
+        let role = self.trace_role();
+        let frame = make(&self.hpack_enc.block()[range]);
+        push_frame(&mut self.control, &self.trace, self.trace_conn, role, &frame);
+        self.control_backpressure();
+    }
+
+    /// Backpressure against response-forcing floods (PING acks, SETTINGS
+    /// acks, RSTs queued faster than the link drains them). `fatal` itself
+    /// queues a GOAWAY with `dead` already set, so this cannot recurse.
+    fn control_backpressure(&mut self) {
         if self.control.len() > self.limits.max_control_frames && !self.dead {
             self.fatal(ConnError::ControlQueueOverflow);
         }
@@ -595,12 +640,16 @@ impl Connection {
     }
 
     /// Open a request stream (client). Returns the new stream id.
-    pub fn request(&mut self, headers: &[Header], priority: Option<PrioritySpec>) -> u32 {
+    pub fn request<H: HeaderField>(
+        &mut self,
+        headers: &[H],
+        priority: Option<PrioritySpec>,
+    ) -> u32 {
         assert_eq!(self.role, Role::Client, "only clients open requests");
         let id = self.next_stream_id;
         self.next_stream_id += 2;
-        let block = self.hpack_enc.encode_bytes(headers);
-        self.queue_header_block(id, block, true, priority, None);
+        self.hpack_enc.encode_block(headers);
+        self.queue_header_block(id, true, priority);
         // Requests in the replay have no body: half-closed (local) at once.
         self.insert_stream(id, StreamState::HalfClosedLocal);
         self.tree.insert(id, priority.unwrap_or_default());
@@ -610,14 +659,14 @@ impl Connection {
     /// Send PRIORITY for `stream` (client reprioritization).
     pub fn send_priority(&mut self, stream: u32, spec: PrioritySpec) {
         self.tree.insert(stream, spec);
-        self.queue_frame(Frame::Priority { stream, spec });
+        self.queue_frame(FrameOf::Priority { stream, spec });
     }
 
     /// Reset a stream (e.g. cancel an unwanted push with CANCEL).
     pub fn reset(&mut self, stream: u32, code: ErrorCode) {
         if self.stream_state(stream).is_some_and(|state| state != StreamState::Closed) {
             self.close_stream(stream);
-            self.queue_frame(Frame::RstStream { stream, code });
+            self.queue_frame(FrameOf::RstStream { stream, code });
         }
     }
 
@@ -626,7 +675,7 @@ impl Connection {
     /// Promise a push in response to `parent` (server). Returns the
     /// promised stream id, or `None` if the peer disabled push, sent
     /// GOAWAY, the connection died, or the parent is gone.
-    pub fn push_promise(&mut self, parent: u32, request_headers: &[Header]) -> Option<u32> {
+    pub fn push_promise<H: HeaderField>(&mut self, parent: u32, headers: &[H]) -> Option<u32> {
         assert_eq!(self.role, Role::Server, "only servers push");
         // A peer that disabled push, announced departure (GOAWAY), or
         // killed the connection will never accept the promise.
@@ -647,8 +696,14 @@ impl Connection {
         }
         let id = self.next_push_id;
         self.next_push_id += 2;
-        let block = self.hpack_enc.encode_bytes(request_headers);
-        self.queue_push_promise(parent, id, block);
+        // Push promise blocks are small in practice; single frame.
+        let len = self.hpack_enc.encode_block(headers).len();
+        self.queue_block_frame(0..len, |block| FrameOf::PushPromise {
+            stream: parent,
+            promised: id,
+            block,
+            end_headers: true,
+        });
         self.insert_stream(id, StreamState::ReservedLocal);
         // h2o treats the pushed stream as a child of the stream that
         // triggered it (paper Fig. 5a), default weight.
@@ -658,10 +713,10 @@ impl Connection {
 
     /// Send response headers on `stream` (server). With `end_stream` the
     /// response has no body.
-    pub fn respond(&mut self, stream: u32, headers: &[Header], end_stream: bool) {
+    pub fn respond<H: HeaderField>(&mut self, stream: u32, headers: &[H], end_stream: bool) {
         assert_eq!(self.role, Role::Server);
-        let block = self.hpack_enc.encode_bytes(headers);
-        self.queue_header_block(stream, block, end_stream, None, None);
+        self.hpack_enc.encode_block(headers);
+        self.queue_header_block(stream, end_stream, None);
         let owes_fin = self.update_stream(stream, |s| {
             s.out.headers_sent = true;
             match (s.state, end_stream) {
@@ -704,7 +759,7 @@ impl Connection {
     /// decision, so it rides the control queue right behind the stream's
     /// HEADERS.
     fn queue_empty_fin(&mut self, stream: u32) {
-        self.queue_frame(Frame::Data { stream, len: 0, end_stream: true });
+        self.queue_frame(FrameOf::Data { stream, len: 0, end_stream: true });
         self.update_stream(stream, |s| s.state = s.state.send_closed());
         self.tree.remove(stream);
     }
@@ -758,50 +813,33 @@ impl Connection {
         }
     }
 
+    /// Queue the block the encoder just produced as HEADERS on `stream`,
+    /// cut into CONTINUATION frames where it exceeds the peer's frame size.
     fn queue_header_block(
         &mut self,
         stream: u32,
-        block: Bytes,
         end_stream: bool,
         priority: Option<PrioritySpec>,
-        _promised: Option<u32>,
     ) {
         let limit = self.peer_max_frame_size - 16; // room for priority section
-        if block.len() <= limit {
-            self.queue_frame(Frame::Headers {
-                stream,
-                block,
-                end_stream,
-                end_headers: true,
-                priority,
-            });
-            return;
-        }
-        // Every HEADERS/CONTINUATION chunk is an O(1) slice of the shared
-        // block: chunking copies no payload bytes.
-        let total = block.len();
-        self.queue_frame(Frame::Headers {
+        let total = self.hpack_enc.block().len();
+        let mut end = limit.min(total);
+        self.queue_block_frame(0..end, |block| FrameOf::Headers {
             stream,
-            block: block.slice(..limit),
+            block,
             end_stream,
-            end_headers: false,
+            end_headers: end == total,
             priority,
         });
-        let mut pos = limit;
-        while pos < total {
-            let end = (pos + limit).min(total);
-            self.queue_frame(Frame::Continuation {
+        while end < total {
+            let pos = end;
+            end = (pos + limit).min(total);
+            self.queue_block_frame(pos..end, |block| FrameOf::Continuation {
                 stream,
-                block: block.slice(pos..end),
+                block,
                 end_headers: end == total,
             });
-            pos = end;
         }
-    }
-
-    fn queue_push_promise(&mut self, parent: u32, promised: u32, block: Bytes) {
-        // Push promise blocks are small in practice; single frame.
-        self.queue_frame(Frame::PushPromise { stream: parent, promised, block, end_headers: true });
     }
 
     // ----- send path -----
@@ -913,7 +951,7 @@ impl Connection {
                 break;
             }
             self.conn_send_window -= chunk as i64;
-            Frame::Data { stream: id, len: chunk, end_stream }.encode(sink);
+            FrameRef::Data { stream: id, len: chunk, end_stream }.encode(sink);
             written += FRAME_HEADER_LEN + chunk;
             if self.trace.is_on() {
                 self.trace.emit(TraceEvent::SchedulerPick {
@@ -963,8 +1001,8 @@ impl Connection {
             self.recv_buf.clear();
             self.preface_received = true;
         }
+        self.lists_out = 0;
         let local_max = self.local_max_frame_size();
-        let mut pending = self.pending_headers.take();
         loop {
             if let Some((head, left)) = self.data_in_flight.take() {
                 let n = left.min(data.len());
@@ -973,7 +1011,7 @@ impl Connection {
                     self.data_in_flight = Some((head, left - n));
                     break;
                 }
-                if !self.dispatch(head.data(), &mut pending) {
+                if !self.dispatch(head.data()) {
                     return;
                 }
                 continue;
@@ -994,35 +1032,43 @@ impl Connection {
                 self.fatal(ConnError::FrameTooLarge);
                 return;
             }
-            let want = FRAME_HEADER_LEN + if head.is_data() { 0 } else { head.len };
+            if head.is_data() {
+                if held {
+                    self.recv_buf.clear();
+                } else {
+                    data = &data[FRAME_HEADER_LEN..];
+                }
+                self.data_in_flight = Some((head, head.len));
+                continue;
+            }
+            // The frame is parsed, and a header block decoded, where its
+            // octets lie; `recv_buf` steps aside while the connection acts
+            // on a frame that borrows it.
+            let want = FRAME_HEADER_LEN + head.len;
             if held {
                 data = self.top_up(want, data);
             }
-            let src = if held { &self.recv_buf[..] } else { data };
+            let mut buf = std::mem::take(&mut self.recv_buf);
+            let src = if held { &buf[..] } else { data };
             if src.len() < want {
+                self.recv_buf = buf;
                 break;
             }
-            let frame = (!head.is_data())
-                .then(|| Frame::decode(&src[..want], local_max).map(|(frame, _)| frame));
+            let alive = self.dispatch(FrameOf::parse(head, &src[FRAME_HEADER_LEN..want], |b| b));
             if held {
-                self.recv_buf.clear();
+                buf.clear();
             } else {
                 data = &data[want..];
             }
-            match frame {
-                None => self.data_in_flight = Some((head, head.len)),
-                Some(frame) => {
-                    if !self.dispatch(frame, &mut pending) {
-                        return;
-                    }
-                }
+            self.recv_buf = buf;
+            if !alive {
+                return;
             }
         }
         // Out of input mid-frame: the rest (less than one frame, and empty
         // if `recv_buf` already holds the start of it) waits for the next
-        // call, as does an unfinished CONTINUATION sequence.
+        // call.
         self.recv_buf.extend_from_slice(data);
-        self.pending_headers = pending;
     }
 
     /// Our SETTINGS_MAX_FRAME_SIZE: the largest payload we accept.
@@ -1040,13 +1086,9 @@ impl Connection {
 
     /// Act on one decoded frame, or die of the decode error. False when the
     /// connection is dead afterwards and must consume nothing further.
-    fn dispatch(
-        &mut self,
-        frame: Result<Frame, FrameError>,
-        pending: &mut Option<PendingHeaders>,
-    ) -> bool {
+    fn dispatch(&mut self, frame: Result<FrameRef<'_>, FrameError>) -> bool {
         let handled = match frame {
-            Ok(frame) => self.handle_frame(frame, pending),
+            Ok(frame) => self.handle_frame(frame),
             Err(FrameError::TooLarge) => Err(ConnError::FrameTooLarge),
             Err(FrameError::Protocol(reason)) => Err(ConnError::Frame(reason)),
             // §4.1: frames of unknown type are ignored.
@@ -1082,25 +1124,24 @@ impl Connection {
             pos = PREFACE.len();
             self.preface_received = true;
         }
-        let mut pending = self.pending_headers.take();
+        self.lists_out = 0;
+        let buf = std::mem::take(&mut self.recv_buf);
         loop {
-            match Frame::decode(&self.recv_buf[pos..], self.local_max_frame_size()) {
-                Err(FrameError::Incomplete) => break,
-                Err(FrameError::UnknownType { skip }) => pos += skip,
-                Ok((frame, used)) => {
-                    pos += used;
-                    if !self.dispatch(Ok(frame), &mut pending) {
-                        return;
-                    }
-                }
-                Err(error) => {
-                    self.dispatch(Err(error), &mut pending);
-                    return;
-                }
+            let Some(head) = FrameHead::parse(&buf[pos..]) else { break };
+            let frame = if head.len > self.local_max_frame_size() {
+                Err(FrameError::TooLarge)
+            } else if buf.len() - pos < FRAME_HEADER_LEN + head.len {
+                break;
+            } else {
+                pos += FRAME_HEADER_LEN + head.len;
+                FrameOf::parse(head, &buf[pos - head.len..pos], |b| b)
+            };
+            if !self.dispatch(frame) {
+                return;
             }
         }
+        self.recv_buf = buf;
         self.recv_buf.drain(..pos);
-        self.pending_headers = pending;
     }
 
     /// The sans-IO action surface (see [`crate::sansio`]): feed a chunk of
@@ -1128,16 +1169,12 @@ impl Connection {
         if error.is_limit_violation() {
             self.trace_limit_violation(0, true);
         }
-        self.queue_frame(Frame::GoAway { last_stream: 0, code: error.code() });
+        self.queue_frame(FrameOf::GoAway { last_stream: 0, code: error.code() });
         self.events.push_back(Event::ConnectionError { error });
     }
 
-    fn handle_frame(
-        &mut self,
-        frame: Frame,
-        pending: &mut Option<PendingHeaders>,
-    ) -> Result<(), ConnError> {
-        if pending.is_some() && !matches!(frame, Frame::Continuation { .. }) {
+    fn handle_frame(&mut self, frame: FrameRef<'_>) -> Result<(), ConnError> {
+        if self.pending_headers.is_some() && !matches!(frame, FrameOf::Continuation { .. }) {
             return Err(ConnError::ExpectedContinuation);
         }
         if self.trace.is_on() {
@@ -1151,7 +1188,7 @@ impl Connection {
             });
         }
         match frame {
-            Frame::Settings { ack, settings } => {
+            FrameOf::Settings { ack, settings } => {
                 if ack {
                     self.events.push_back(Event::SettingsAck);
                     return Ok(());
@@ -1183,10 +1220,10 @@ impl Connection {
                 if let Some(hts) = settings.header_table_size {
                     self.hpack_enc.set_table_size((hts as usize).min(4096));
                 }
-                self.queue_frame(Frame::Settings { ack: true, settings: Settings::default() });
+                self.queue_frame(FrameOf::Settings { ack: true, settings: Settings::default() });
                 self.events.push_back(Event::Settings(settings));
             }
-            Frame::WindowUpdate { stream, increment } => {
+            FrameOf::WindowUpdate { stream, increment } => {
                 // §6.9.1: a sender must not let a flow-control window
                 // exceed 2^31-1; an update that would is FLOW_CONTROL_ERROR
                 // (fatal on stream 0, RST on a stream).
@@ -1206,7 +1243,7 @@ impl Connection {
                     if s.send_window + increment as i64 > MAX_WINDOW {
                         self.close_stream(stream);
                         self.trace_limit_violation(stream, false);
-                        self.queue_frame(Frame::RstStream {
+                        self.queue_frame(FrameOf::RstStream {
                             stream,
                             code: ErrorCode::FlowControlError,
                         });
@@ -1225,19 +1262,15 @@ impl Connection {
                     });
                 }
             }
-            Frame::Priority { stream, spec } => {
+            FrameOf::Priority { stream, spec } => {
                 self.tree.insert(stream, spec);
                 self.events.push_back(Event::Priority { stream, spec });
             }
-            Frame::Headers { stream, block, end_stream, end_headers, priority } => {
-                let ph = PendingHeaders { stream, promised: None, end_stream, priority, block };
-                if end_headers {
-                    self.finish_header_block(ph)?;
-                } else {
-                    *pending = Some(ph);
-                }
+            FrameOf::Headers { stream, block, end_stream, end_headers, priority } => {
+                let ph = PendingHeaders { stream, promised: None, end_stream, priority };
+                self.begin_header_block(ph, block, end_headers)?;
             }
-            Frame::PushPromise { stream, promised, block, end_headers } => {
+            FrameOf::PushPromise { stream, promised, block, end_headers } => {
                 if self.role == Role::Client && self.local_settings.enable_push == Some(false) {
                     return Err(ConnError::PushDisabled);
                 }
@@ -1255,46 +1288,41 @@ impl Connection {
                     promised: Some(promised),
                     end_stream: false,
                     priority: None,
-                    block,
                 };
-                if end_headers {
-                    self.finish_header_block(ph)?;
-                } else {
-                    *pending = Some(ph);
-                }
+                self.begin_header_block(ph, block, end_headers)?;
             }
-            Frame::Continuation { stream, block, end_headers } => {
-                let mut ph = pending.take().ok_or(ConnError::ContinuationWithoutHeaders)?;
+            FrameOf::Continuation { stream, block, end_headers } => {
+                let ph =
+                    self.pending_headers.take().ok_or(ConnError::ContinuationWithoutHeaders)?;
                 if ph.stream != stream {
                     return Err(ConnError::ContinuationWrongStream);
                 }
-                // Reassembly concatenates only on the (rare) multi-frame
-                // header-block path; single-frame blocks stay zero-copy.
-                let mut buf = BytesMut::with_capacity(ph.block.len() + block.len());
-                buf.extend_from_slice(&ph.block);
-                buf.extend_from_slice(&block);
-                ph.block = buf.freeze();
+                self.header_frag.extend_from_slice(block);
                 // A CONTINUATION flood grows the compressed block without
                 // bound. Compressed HPACK is never larger than the decoded
                 // list it carries, so the §10.5.1 decoded-list cap is a
                 // sound bound on the fragment too.
-                if ph.block.len() > self.limits.max_header_list_size {
+                if self.header_frag.len() > self.limits.max_header_list_size {
                     return Err(ConnError::HeaderListTooLarge);
                 }
                 if end_headers {
-                    self.finish_header_block(ph)?;
+                    let mut block = std::mem::take(&mut self.header_frag);
+                    let finished = self.finish_header_block(ph, &block);
+                    block.clear();
+                    self.header_frag = block;
+                    finished?;
                 } else {
-                    *pending = Some(ph);
+                    self.pending_headers = Some(ph);
                 }
             }
-            Frame::Data { stream, len, end_stream } => {
+            FrameOf::Data { stream, len, end_stream } => {
                 self.conn_recv_consumed += len;
                 // Replenish the connection window at the halfway mark.
                 let conn_limit = 15 * 1024 * 1024 + DEFAULT_WINDOW as usize;
                 if self.conn_recv_consumed * 2 >= conn_limit {
                     let inc = self.conn_recv_consumed as u32;
                     self.conn_recv_consumed = 0;
-                    self.queue_frame(Frame::WindowUpdate { stream: 0, increment: inc });
+                    self.queue_frame(FrameOf::WindowUpdate { stream: 0, increment: inc });
                 }
                 // Single borrow of the stream: the WINDOW_UPDATE is queued
                 // after it ends, so no re-lookup (and no unwrap) is needed.
@@ -1326,13 +1354,13 @@ impl Connection {
                     })
                     .ok_or(ConnError::DataOnUnknownStream)?;
                 if let Some(increment) = window_inc {
-                    self.queue_frame(Frame::WindowUpdate { stream, increment });
+                    self.queue_frame(FrameOf::WindowUpdate { stream, increment });
                 }
                 if known {
                     self.events.push_back(Event::Data { stream, len, end_stream });
                 }
             }
-            Frame::RstStream { stream, code } => {
+            FrameOf::RstStream { stream, code } => {
                 // Rapid-reset mitigation (cf. CVE-2023-44487): a peer that
                 // opens-and-cancels streams pays for each RST against a
                 // lifetime budget.
@@ -1343,16 +1371,16 @@ impl Connection {
                 self.close_stream(stream);
                 self.events.push_back(Event::Reset { stream, code });
             }
-            Frame::Ping { ack, payload } => {
+            FrameOf::Ping { ack, payload } => {
                 if !ack {
                     self.pings_received = self.pings_received.saturating_add(1);
                     if self.pings_received > self.limits.max_pings {
                         return Err(ConnError::PingFlood);
                     }
-                    self.queue_frame(Frame::Ping { ack: true, payload });
+                    self.queue_frame(FrameOf::Ping { ack: true, payload });
                 }
             }
-            Frame::GoAway { last_stream, code } => {
+            FrameOf::GoAway { last_stream, code } => {
                 self.goaway_received = true;
                 self.events.push_back(Event::GoAway { last_stream, code });
             }
@@ -1360,13 +1388,36 @@ impl Connection {
         Ok(())
     }
 
-    fn finish_header_block(&mut self, ph: PendingHeaders) -> Result<(), ConnError> {
-        let headers = self.hpack_dec.decode_shared(&ph.block).map_err(|e| match e {
+    /// The first (usually only) fragment of a header block: decode it in
+    /// place if it is the whole block, else start the reassembly buffer.
+    fn begin_header_block(
+        &mut self,
+        ph: PendingHeaders,
+        block: &[u8],
+        end_headers: bool,
+    ) -> Result<(), ConnError> {
+        if end_headers {
+            return self.finish_header_block(ph, block);
+        }
+        self.header_frag.clear();
+        self.header_frag.extend_from_slice(block);
+        self.pending_headers = Some(ph);
+        Ok(())
+    }
+
+    fn finish_header_block(&mut self, ph: PendingHeaders, block: &[u8]) -> Result<(), ConnError> {
+        if self.lists_out == self.lists.len() {
+            self.lists.push(Arc::default());
+        }
+        let spare = &mut self.lists[self.lists_out];
+        let headers = self.hpack_dec.decode_shared(block, spare).map_err(|e| match e {
             // A header bomb (small wire bytes, huge decoded list) is a
             // flood, not a compression defect.
             h2push_hpack::Error::HeaderListTooLarge => ConnError::HeaderListTooLarge,
             _ => ConnError::HpackDecode,
         })?;
+        // A memoized list is the cache's own; the spare stays spare.
+        self.lists_out += usize::from(Arc::ptr_eq(&headers, spare));
         match ph.promised {
             Some(promised) => {
                 // Reserved push streams count against the concurrency
@@ -1378,7 +1429,7 @@ impl Connection {
                         return Err(ConnError::ConcurrentStreamsExceeded);
                     }
                     self.trace_limit_violation(promised, false);
-                    self.queue_frame(Frame::RstStream {
+                    self.queue_frame(FrameOf::RstStream {
                         stream: promised,
                         code: ErrorCode::RefusedStream,
                     });
@@ -1419,7 +1470,7 @@ impl Connection {
                             return Err(ConnError::ConcurrentStreamsExceeded);
                         }
                         self.trace_limit_violation(ph.stream, false);
-                        self.queue_frame(Frame::RstStream {
+                        self.queue_frame(FrameOf::RstStream {
                             stream: ph.stream,
                             code: ErrorCode::RefusedStream,
                         });
@@ -1477,7 +1528,9 @@ const SLAB_INITIAL_SLOTS: usize = 64;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::scheduler::{DefaultScheduler, FifoScheduler};
+    use h2push_hpack::Header;
 
     fn h(n: &str, v: &str) -> Header {
         Header::new(n, v)
@@ -1541,7 +1594,7 @@ mod tests {
         let (stream, headers, end) = req.expect("server saw the request");
         assert_eq!(stream, 1);
         assert!(end);
-        assert_eq!(headers[0], h(":method", "GET"));
+        assert_eq!(headers.field(0), (&b":method"[..], &b"GET"[..]));
 
         s.respond(1, &resp_headers(), false);
         s.queue_body(1, 10_000, true);
@@ -1584,7 +1637,7 @@ mod tests {
         });
         let (parent, promised, headers) = pp.expect("client saw PUSH_PROMISE");
         assert_eq!((parent, promised), (1, 2));
-        assert!(headers.contains(&h(":path", "/style.css")));
+        assert_eq!(headers.get(b":path"), Some(&b"/style.css"[..]));
         // Both bodies arrive fully.
         let sum = |id: u32| -> usize {
             cev.iter()
@@ -1797,14 +1850,43 @@ mod tests {
             Event::Headers { headers, .. } => Some(headers.clone()),
             _ => None,
         });
-        assert_eq!(got.expect("headers arrived").last().unwrap().value.len(), 40_000);
+        assert_eq!(got.expect("headers arrived").iter().last().unwrap().1.len(), 40_000);
+    }
+
+    #[test]
+    fn a_header_list_a_consumer_keeps_is_never_decoded_over() {
+        // The connection decodes into the lists it handed out once they
+        // are dropped; one that is still held must stay what it was.
+        let mut c = Connection::client(Settings::default());
+        let mut s = Connection::server(Settings::default());
+        let (mut cs, mut ss) = (FifoScheduler, FifoScheduler);
+        let path_of = |events: &[Event]| {
+            events.iter().find_map(|e| match e {
+                Event::Headers { headers, .. } => Some(Arc::clone(headers)),
+                _ => None,
+            })
+        };
+        c.request(&get_headers("/kept"), None);
+        let kept = path_of(&pump(&mut c, &mut s, &mut cs, &mut ss).1).expect("first request");
+        c.request(&get_headers("/dropped"), None);
+        let dropped = path_of(&pump(&mut c, &mut s, &mut cs, &mut ss).1).expect("second request");
+        assert!(!Arc::ptr_eq(&kept, &dropped));
+        let reused = Arc::as_ptr(&dropped);
+        drop(dropped);
+        c.request(&get_headers("/third"), None);
+        let third = path_of(&pump(&mut c, &mut s, &mut cs, &mut ss).1).expect("third request");
+        assert_eq!(Arc::as_ptr(&third), reused, "a dropped list is decoded into again");
+        assert_eq!(kept.get(b":path"), Some(&b"/kept"[..]));
+        assert_eq!(third.get(b":path"), Some(&b"/third"[..]));
     }
 }
 
 #[cfg(test)]
 mod edge_tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::scheduler::FifoScheduler;
+    use h2push_hpack::Header;
 
     fn h(n: &str, v: &str) -> Header {
         Header::new(n, v)
@@ -1890,7 +1972,7 @@ mod edge_tests {
         let mut saw = false;
         while let Some(ev) = c.poll_event() {
             if let Event::Headers { headers, .. } = ev {
-                assert_eq!(headers[0], h(":status", "200"));
+                assert_eq!(headers.field(0), (&b":status"[..], &b"200"[..]));
                 saw = true;
             }
         }
@@ -2297,7 +2379,9 @@ mod edge_tests {
 #[cfg(test)]
 mod ready_set_tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::scheduler::DefaultScheduler;
+    use h2push_hpack::Header;
     use proptest::prelude::*;
 
     fn h(n: &str, v: &str) -> Header {
@@ -2703,7 +2787,9 @@ mod ready_set_tests {
 #[cfg(test)]
 mod counted_receive_tests {
     use super::*;
+    use crate::frame::Frame;
     use crate::scheduler::FifoScheduler;
+    use h2push_hpack::Header;
     use proptest::prelude::*;
 
     /// Something done to the connection itself, between two wire bytes.

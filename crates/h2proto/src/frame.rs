@@ -4,9 +4,11 @@
 //! buffers and encoded into any [`WireSink`]; DATA payloads are carried as
 //! *lengths* — `put_zeros(len)` on the way out — because the testbed
 //! replays body bytes as counted placeholders (the record database knows
-//! the real sizes; the wire never needs the content itself). Header-block
-//! fragments are carried as [`Bytes`] so a block can be chunked into
-//! CONTINUATION frames without copying the fragment payloads.
+//! the real sizes; the wire never needs the content itself). A frame is
+//! generic over what holds its header-block fragment ([`FrameOf`]): the
+//! connection parses and queues frames whose fragment is a slice of the
+//! buffer it already sits in, and [`Frame`] — the fragment as owned
+//! [`Bytes`] — is what tests and scripted peers build and compare.
 
 use crate::sansio::WireSink;
 use bytes::Bytes;
@@ -165,15 +167,22 @@ impl Default for PrioritySpec {
     }
 }
 
-/// A parsed HTTP/2 frame.
+/// An HTTP/2 frame that owns its header-block fragment.
+pub type Frame = FrameOf<Bytes>;
+
+/// An HTTP/2 frame whose header-block fragment borrows the buffer the
+/// frame was parsed from (or will be encoded from).
+pub(crate) type FrameRef<'a> = FrameOf<&'a [u8]>;
+
+/// A parsed HTTP/2 frame; `B` holds a header-block fragment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame {
+pub enum FrameOf<B> {
     /// DATA: `len` payload octets (content is opaque filler).
     Data { stream: u32, len: usize, end_stream: bool },
-    /// HEADERS with an (already reassembled) header block fragment.
+    /// HEADERS with a header block fragment.
     Headers {
         stream: u32,
-        block: Bytes,
+        block: B,
         end_stream: bool,
         end_headers: bool,
         priority: Option<PrioritySpec>,
@@ -185,7 +194,7 @@ pub enum Frame {
     /// SETTINGS (ack == true ⇒ empty payload).
     Settings { ack: bool, settings: Settings },
     /// PUSH_PROMISE reserving `promised` with a request header block.
-    PushPromise { stream: u32, promised: u32, block: Bytes, end_headers: bool },
+    PushPromise { stream: u32, promised: u32, block: B, end_headers: bool },
     /// PING.
     Ping { ack: bool, payload: [u8; 8] },
     /// GOAWAY.
@@ -193,7 +202,7 @@ pub enum Frame {
     /// WINDOW_UPDATE.
     WindowUpdate { stream: u32, increment: u32 },
     /// CONTINUATION of a header block.
-    Continuation { stream: u32, block: Bytes, end_headers: bool },
+    Continuation { stream: u32, block: B, end_headers: bool },
 }
 
 /// Frame decode errors; most are connection errors per §4.
@@ -272,26 +281,26 @@ impl FrameHead {
     /// PADDED frame's padding counts as payload, as flow control counts
     /// it), so the header alone decides the frame; the connection still
     /// acts on it only once the last payload octet is in.
-    pub(crate) fn data(&self) -> Result<Frame, FrameError> {
+    pub(crate) fn data<B>(&self) -> Result<FrameOf<B>, FrameError> {
         if self.stream == 0 {
             return Err(FrameError::Protocol("DATA on stream 0"));
         }
-        Ok(Frame::Data { stream: self.stream, len: self.len, end_stream: self.flags & 0x1 != 0 })
+        Ok(FrameOf::Data { stream: self.stream, len: self.len, end_stream: self.flags & 0x1 != 0 })
     }
 }
 
-impl Frame {
+impl<B: AsRef<[u8]>> FrameOf<B> {
     /// Serialize this frame into any [`WireSink`] (a `Vec<u8>` for one):
     /// everything through `put_slice` except a DATA payload, which is
     /// `put_zeros(len)` — filler of the declared length. The wire bytes
     /// are identical whichever sink is used.
     pub fn encode<W: WireSink + ?Sized>(&self, out: &mut W) {
         match self {
-            Frame::Data { stream, len, end_stream } => {
+            FrameOf::Data { stream, len, end_stream } => {
                 header(out, *len, FrameType::Data, if *end_stream { 0x1 } else { 0 }, *stream);
                 out.put_zeros(*len);
             }
-            Frame::Headers { stream, block, end_stream, end_headers, priority } => {
+            FrameOf::Headers { stream, block, end_stream, end_headers, priority } => {
                 let mut flags = 0u8;
                 if *end_stream {
                     flags |= 0x1;
@@ -305,21 +314,22 @@ impl Frame {
                 } else {
                     0
                 };
+                let block = block.as_ref();
                 header(out, block.len() + extra, FrameType::Headers, flags, *stream);
                 if let Some(p) = priority {
                     put_priority(out, p);
                 }
                 out.put_slice(block);
             }
-            Frame::Priority { stream, spec } => {
+            FrameOf::Priority { stream, spec } => {
                 header(out, 5, FrameType::Priority, 0, *stream);
                 put_priority(out, spec);
             }
-            Frame::RstStream { stream, code } => {
+            FrameOf::RstStream { stream, code } => {
                 header(out, 4, FrameType::RstStream, 0, *stream);
                 put_u32(out, code.code());
             }
-            Frame::Settings { ack, settings } => {
+            FrameOf::Settings { ack, settings } => {
                 // Six defined settings at six octets each: a stack buffer
                 // keeps connection setup allocation-free.
                 fn put(buf: &mut [u8; 36], n: &mut usize, id: u16, v: u32) {
@@ -352,52 +362,70 @@ impl Frame {
                 header(out, n, FrameType::Settings, if *ack { 0x1 } else { 0 }, 0);
                 out.put_slice(&payload[..n]);
             }
-            Frame::PushPromise { stream, promised, block, end_headers } => {
+            FrameOf::PushPromise { stream, promised, block, end_headers } => {
                 let flags = if *end_headers { 0x4 } else { 0 };
+                let block = block.as_ref();
                 header(out, block.len() + 4, FrameType::PushPromise, flags, *stream);
                 put_u32(out, promised & 0x7fff_ffff);
                 out.put_slice(block);
             }
-            Frame::Ping { ack, payload } => {
+            FrameOf::Ping { ack, payload } => {
                 header(out, 8, FrameType::Ping, if *ack { 0x1 } else { 0 }, 0);
                 out.put_slice(payload);
             }
-            Frame::GoAway { last_stream, code } => {
+            FrameOf::GoAway { last_stream, code } => {
                 header(out, 8, FrameType::GoAway, 0, 0);
                 put_u32(out, last_stream & 0x7fff_ffff);
                 put_u32(out, code.code());
             }
-            Frame::WindowUpdate { stream, increment } => {
+            FrameOf::WindowUpdate { stream, increment } => {
                 header(out, 4, FrameType::WindowUpdate, 0, *stream);
                 put_u32(out, increment & 0x7fff_ffff);
             }
-            Frame::Continuation { stream, block, end_headers } => {
+            FrameOf::Continuation { stream, block, end_headers } => {
                 let flags = if *end_headers { 0x4 } else { 0 };
+                let block = block.as_ref();
                 header(out, block.len(), FrameType::Continuation, flags, *stream);
                 out.put_slice(block);
             }
         }
     }
+}
 
-    /// Try to decode one frame from the start of `buf`.
+impl Frame {
+    /// Try to decode one frame from the start of `buf`, copying a
+    /// header-block fragment into [`Bytes`] of its own.
     ///
     /// On success returns the frame and the number of bytes consumed.
     pub fn decode(buf: &[u8], max_frame_size: usize) -> Result<(Frame, usize), FrameError> {
         let Some(head) = FrameHead::parse(buf) else {
             return Err(FrameError::Incomplete);
         };
-        let FrameHead { len, ty, flags, stream } = head;
-        if len > max_frame_size {
+        if head.len > max_frame_size {
             return Err(FrameError::TooLarge);
         }
-        let total = FRAME_HEADER_LEN + len;
+        let total = FRAME_HEADER_LEN + head.len;
         if buf.len() < total {
             return Err(FrameError::Incomplete);
         }
-        let payload = &buf[FRAME_HEADER_LEN..total];
+        let frame = Frame::parse(head, &buf[FRAME_HEADER_LEN..total], Bytes::copy_from_slice)?;
+        Ok((frame, total))
+    }
+}
+
+impl<B> FrameOf<B> {
+    /// The frame `head` announces, parsed from its complete `payload`;
+    /// `block` turns the header-block fragment's octets into a `B`.
+    pub(crate) fn parse<'a>(
+        head: FrameHead,
+        payload: &'a [u8],
+        block: impl FnOnce(&'a [u8]) -> B,
+    ) -> Result<Self, FrameError> {
+        let FrameHead { len, ty, flags, stream } = head;
+        debug_assert_eq!(len, payload.len());
         let ty = match FrameType::from_code(ty) {
             Some(t) => t,
-            None => return Err(FrameError::UnknownType { skip: total }),
+            None => return Err(FrameError::UnknownType { skip: FRAME_HEADER_LEN + len }),
         };
         let frame = match ty {
             FrameType::Data => head.data()?,
@@ -430,9 +458,9 @@ impl Frame {
                 } else {
                     None
                 };
-                Frame::Headers {
+                FrameOf::Headers {
                     stream,
-                    block: Bytes::copy_from_slice(body),
+                    block: block(body),
                     end_stream: flags & 0x1 != 0,
                     end_headers: flags & 0x4 != 0,
                     priority,
@@ -443,7 +471,7 @@ impl Frame {
                     return Err(FrameError::Protocol("PRIORITY length != 5"));
                 }
                 let dep = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
-                Frame::Priority {
+                FrameOf::Priority {
                     stream,
                     spec: PrioritySpec {
                         depends_on: dep & 0x7fff_ffff,
@@ -457,7 +485,7 @@ impl Frame {
                     return Err(FrameError::Protocol("RST_STREAM length != 4"));
                 }
                 let code = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]]);
-                Frame::RstStream { stream, code: ErrorCode::from_code(code) }
+                FrameOf::RstStream { stream, code: ErrorCode::from_code(code) }
             }
             FrameType::Settings => {
                 if stream != 0 {
@@ -480,7 +508,7 @@ impl Frame {
                         _ => {} // §6.5.2: ignore unknown settings
                     }
                 }
-                Frame::Settings { ack: flags & 0x1 != 0, settings }
+                FrameOf::Settings { ack: flags & 0x1 != 0, settings }
             }
             FrameType::PushPromise => {
                 if len < 4 {
@@ -488,10 +516,10 @@ impl Frame {
                 }
                 let promised = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]])
                     & 0x7fff_ffff;
-                Frame::PushPromise {
+                FrameOf::PushPromise {
                     stream,
                     promised,
-                    block: Bytes::copy_from_slice(&payload[4..]),
+                    block: block(&payload[4..]),
                     end_headers: flags & 0x4 != 0,
                 }
             }
@@ -501,7 +529,7 @@ impl Frame {
                 }
                 let mut p = [0u8; 8];
                 p.copy_from_slice(payload);
-                Frame::Ping { ack: flags & 0x1 != 0, payload: p }
+                FrameOf::Ping { ack: flags & 0x1 != 0, payload: p }
             }
             FrameType::GoAway => {
                 if len < 8 {
@@ -510,7 +538,7 @@ impl Frame {
                 let last = u32::from_be_bytes([payload[0], payload[1], payload[2], payload[3]])
                     & 0x7fff_ffff;
                 let code = u32::from_be_bytes([payload[4], payload[5], payload[6], payload[7]]);
-                Frame::GoAway { last_stream: last, code: ErrorCode::from_code(code) }
+                FrameOf::GoAway { last_stream: last, code: ErrorCode::from_code(code) }
             }
             FrameType::WindowUpdate => {
                 if len != 4 {
@@ -521,15 +549,15 @@ impl Frame {
                 if inc == 0 {
                     return Err(FrameError::Protocol("zero WINDOW_UPDATE"));
                 }
-                Frame::WindowUpdate { stream, increment: inc }
+                FrameOf::WindowUpdate { stream, increment: inc }
             }
-            FrameType::Continuation => Frame::Continuation {
+            FrameType::Continuation => FrameOf::Continuation {
                 stream,
-                block: Bytes::copy_from_slice(payload),
+                block: block(payload),
                 end_headers: flags & 0x4 != 0,
             },
         };
-        Ok((frame, total))
+        Ok(frame)
     }
 }
 

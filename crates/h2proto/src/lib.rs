@@ -28,8 +28,8 @@ pub use cache_digest::CacheDigest;
 pub use connection::{Connection, Event, Role, StreamState};
 pub use error::{ConnError, StreamError};
 pub use frame::{
-    ErrorCode, Frame, FrameError, PrioritySpec, Settings, DEFAULT_MAX_FRAME_SIZE, DEFAULT_WINDOW,
-    PREFACE,
+    ErrorCode, Frame, FrameError, FrameOf, PrioritySpec, Settings, DEFAULT_MAX_FRAME_SIZE,
+    DEFAULT_WINDOW, PREFACE,
 };
 pub use h2push_hpack::BlockCache;
 pub use limits::ConnLimits;

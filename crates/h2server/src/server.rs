@@ -12,7 +12,7 @@ use bytes::Bytes;
 use h2push_h2proto::{
     CacheDigest, ConnError, Connection, DefaultScheduler, Event, Scheduler, Settings,
 };
-use h2push_hpack::Header;
+use h2push_hpack::HeaderList;
 use h2push_netsim::SimTime;
 use h2push_strategies::Strategy;
 use h2push_trace::{TraceEvent, TraceHandle};
@@ -29,46 +29,49 @@ pub struct RequestObservation {
 }
 
 /// Precomputed per-resource server metadata, shared across every
-/// connection of every repetition of a page.
-///
-/// The header lists are built exactly as the live path builds them, so a
-/// prepared server's wire output is byte-identical to an unprepared one —
-/// it just skips re-formatting `content-length`, the response header
-/// triple and the synthetic push request on every request.
+/// connection of every repetition of a page: the URL a cache digest is
+/// asked about before a push. (Header lists are not here — they are
+/// formatted per request as borrowed fields over the page's own strings,
+/// which costs nothing to redo.)
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    /// Response headers (`:status`/`content-type`/`content-length`) per
-    /// resource, indexed by [`ResourceId`].
-    resp_headers: Vec<Vec<Header>>,
-    /// Synthetic request headers a push promise carries, per resource.
-    push_req: Vec<Vec<Header>>,
-    /// Full URL per resource (cache-digest membership checks).
+    /// Full URL per resource, indexed by [`ResourceId`].
     urls: Vec<String>,
 }
 
 impl Prepared {
-    /// Build the per-resource header lists for `page`.
+    /// Build the per-resource URLs for `page`.
     pub fn build(page: &Page) -> Self {
-        let mut resp_headers = Vec::with_capacity(page.resources.len());
-        let mut push_req = Vec::with_capacity(page.resources.len());
-        let mut urls = Vec::with_capacity(page.resources.len());
-        for r in &page.resources {
-            let host = &page.origins[r.origin].host;
-            resp_headers.push(vec![
-                Header::new(":status", "200"),
-                Header::new("content-type", r.rtype.mime()),
-                Header::new("content-length", &r.size.to_string()),
-            ]);
-            push_req.push(vec![
-                Header::new(":method", "GET"),
-                Header::new(":scheme", "https"),
-                Header::new(":authority", host),
-                Header::new(":path", &r.path),
-            ]);
-            urls.push(r.url(host));
-        }
-        Prepared { resp_headers, push_req, urls }
+        Prepared { urls: page.resources.iter().map(|r| r.url(page.host_of(r.id))).collect() }
     }
+}
+
+/// `n` in decimal, written into `buf` (a 64-bit `usize` has at most 20
+/// digits): a `content-length` value without a `String`.
+fn decimal(mut n: usize, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
+/// Answer `stream` with a 200 carrying `len` octets of `content_type`:
+/// the header triple as borrowed fields, then the body.
+fn respond_200(conn: &mut Connection, stream: u32, content_type: &str, len: usize) {
+    let mut digits = [0; 20];
+    let fields = [
+        (":status", "200"),
+        ("content-type", content_type),
+        ("content-length", decimal(len, &mut digits)),
+    ];
+    conn.respond(stream, &fields, false);
+    conn.queue_body(stream, len, true);
 }
 
 /// The scheduler variants a replay server can run.
@@ -104,7 +107,7 @@ impl Sched {
 pub struct ReplayServer {
     page: Arc<Page>,
     db: Arc<RecordDb>,
-    /// Optional precomputed header lists; `None` formats headers live.
+    /// Optional precomputed push URLs; `None` formats them when asked.
     prepared: Option<Arc<Prepared>>,
     group: usize,
     conn: Connection,
@@ -237,7 +240,7 @@ impl ReplayServer {
         self.honor_cache_digest = honor;
     }
 
-    /// Attach precomputed header lists ([`Prepared::build`] of the same
+    /// Attach precomputed push URLs ([`Prepared::build`] of the same
     /// page). Purely a fast path: responses are byte-identical either way.
     pub fn set_prepared(&mut self, prepared: Arc<Prepared>) {
         self.prepared = Some(prepared);
@@ -353,151 +356,99 @@ impl ReplayServer {
         Self::new(page, db, main_group, strategy)
     }
 
-    fn handle_request(&mut self, stream: u32, headers: &[Header], now: SimTime) {
-        // Borrowed (Cow) header values: valid UTF-8 — the always case in a
-        // replay — costs no allocation.
-        let find = |n: &[u8]| {
-            headers
-                .iter()
-                .find(|h| h.name == n)
-                .map(|h| String::from_utf8_lossy(&h.value))
-                .unwrap_or(std::borrow::Cow::Borrowed(""))
-        };
-        let host = find(b":authority");
-        let path = find(b":path");
+    fn handle_request(&mut self, stream: u32, headers: &HeaderList, now: SimTime) {
+        // A recorded host or path is UTF-8; a value that is not matches
+        // nothing, like a missing one.
+        let text =
+            |name: &[u8]| headers.get(name).and_then(|v| std::str::from_utf8(v).ok()).unwrap_or("");
         if let Some(d) = headers
-            .iter()
-            .find(|h| h.name == b"cache-digest")
-            .and_then(|h| CacheDigest::from_hex(&String::from_utf8_lossy(&h.value)))
+            .get(b"cache-digest")
+            .and_then(|v| CacheDigest::from_hex(std::str::from_utf8(v).ok()?))
         {
             self.client_digest = Some(d);
         }
-        // Borrow the record through a local Arc handle so the response can
-        // be queued without cloning the record.
-        let db = Arc::clone(&self.db);
-        let Some(rec) = db.lookup(&host, &path) else {
+        let Some(rec) = self.db.lookup(text(b":authority"), text(b":path")) else {
             // Mahimahi aborts on unmatched requests; we answer 404 so a
             // broken strategy surfaces as a failed load, not a hang.
-            self.conn.respond(
-                stream,
-                &[Header::new(":status", "404"), Header::new("content-length", "0")],
-                true,
-            );
+            self.conn.respond(stream, &[(":status", "404"), ("content-length", "0")], true);
             return;
         };
         self.observations.push(RequestObservation { resource: rec.resource, at: now });
 
-        let is_html = rec.resource == ResourceId(0);
-        if is_html {
+        if rec.resource == ResourceId(0) {
             self.html_stream = Some(stream);
             if let Some(il) = self.sched.interleaving() {
                 il.set_parent(stream);
             }
-            // Fire the strategy: promises go out before the document's
-            // response so the client cannot race requests for them. The
-            // `Arc` clone is a refbump that releases the borrow on `self`.
-            if let Some(strategy) = self.strategy.clone() {
-                match &*strategy {
-                    Strategy::NoPush => {}
-                    Strategy::PushList { order } => {
-                        for &rid in order {
-                            self.start_push(stream, rid, false);
-                        }
-                    }
-                    Strategy::Interleaved { critical, after, .. } => {
-                        // All promises go out up front (h2o promises before
-                        // the referencing bytes); only the critical list
-                        // takes part in the hard switch. The `after` pushes
-                        // stay ordinary children of the document stream, so
-                        // the stock tree scheduling delivers them once the
-                        // document finished.
-                        for &rid in critical {
-                            self.start_push(stream, rid, true);
-                        }
-                        for &rid in after {
-                            self.start_push(stream, rid, false);
-                        }
+            // One push: the promise, then the response headers and body on
+            // the promised stream. A closure so that it borrows only the
+            // fields it names, and the record and the strategy stay
+            // borrowed from theirs while it runs.
+            let mut push = |rid: ResourceId, critical: bool| {
+                let r = self.page.resource(rid);
+                let host = self.page.host_of(rid);
+                if let (true, Some(d)) = (self.honor_cache_digest, &self.client_digest) {
+                    let covered = match &self.prepared {
+                        Some(p) => d.contains(&p.urls[rid.0]),
+                        None => d.contains(&r.url(host)),
+                    };
+                    if covered {
+                        self.digest_suppressed += 1;
+                        return;
                     }
                 }
-            }
-        }
-
-        // The response itself. The prepared header list is byte-identical
-        // to the live formatting below (both derive from the same page).
-        match &self.prepared {
-            Some(p) => self.conn.respond(stream, &p.resp_headers[rec.resource.0], false),
-            None => self.conn.respond(
-                stream,
-                &[
-                    Header::new(":status", "200"),
-                    Header::new("content-type", &rec.content_type),
-                    Header::new("content-length", &rec.body_len.to_string()),
-                ],
-                false,
-            ),
-        }
-        self.conn.queue_body(stream, rec.body_len, true);
-    }
-
-    fn start_push(&mut self, parent: u32, rid: ResourceId, critical: bool) {
-        let page = Arc::clone(&self.page);
-        let prepared = self.prepared.clone();
-        let r = page.resource(rid);
-        let host = &page.origins[r.origin].host;
-        if self.honor_cache_digest {
-            if let Some(d) = &self.client_digest {
-                let covered = match &prepared {
-                    Some(p) => d.contains(&p.urls[rid.0]),
-                    None => d.contains(&r.url(host)),
-                };
-                if covered {
-                    self.digest_suppressed += 1;
-                    return;
-                }
-            }
-        }
-        let live_req;
-        let req: &[Header] = match &prepared {
-            Some(p) => &p.push_req[rid.0],
-            None => {
-                live_req = vec![
-                    Header::new(":method", "GET"),
-                    Header::new(":scheme", "https"),
-                    Header::new(":authority", host),
-                    Header::new(":path", &r.path),
+                let request = [
+                    (":method", "GET"),
+                    (":scheme", "https"),
+                    (":authority", host),
+                    (":path", &r.path),
                 ];
-                &live_req
-            }
-        };
-        let Some(promised) = self.conn.push_promise(parent, req) else {
-            return; // peer disabled push, or parent gone
-        };
-        self.trace.emit(TraceEvent::PushPromised {
-            conn: self.trace_conn,
-            parent,
-            promised,
-            resource: rid.0,
-            critical,
-        });
-        if critical {
-            if let Some(il) = self.sched.interleaving() {
-                il.add_critical(promised);
+                let Some(promised) = self.conn.push_promise(stream, &request) else {
+                    return; // peer disabled push, or parent gone
+                };
+                self.trace.emit(TraceEvent::PushPromised {
+                    conn: self.trace_conn,
+                    parent: stream,
+                    promised,
+                    resource: rid.0,
+                    critical,
+                });
+                if critical {
+                    if let Some(il) = self.sched.interleaving() {
+                        il.add_critical(promised);
+                    }
+                }
+                respond_200(&mut self.conn, promised, r.rtype.mime(), r.size);
+                self.pushed_bytes += r.size as u64;
+            };
+            // Fire the strategy: promises go out before the document's
+            // response so the client cannot race requests for them.
+            match self.strategy.as_deref() {
+                None | Some(Strategy::NoPush) => {}
+                Some(Strategy::PushList { order }) => {
+                    for &rid in order {
+                        push(rid, false);
+                    }
+                }
+                Some(Strategy::Interleaved { critical, after, .. }) => {
+                    // All promises go out up front (h2o promises before
+                    // the referencing bytes); only the critical list
+                    // takes part in the hard switch. The `after` pushes
+                    // stay ordinary children of the document stream, so
+                    // the stock tree scheduling delivers them once the
+                    // document finished.
+                    for &rid in critical {
+                        push(rid, true);
+                    }
+                    for &rid in after {
+                        push(rid, false);
+                    }
+                }
             }
         }
-        match &prepared {
-            Some(p) => self.conn.respond(promised, &p.resp_headers[rid.0], false),
-            None => self.conn.respond(
-                promised,
-                &[
-                    Header::new(":status", "200"),
-                    Header::new("content-type", r.rtype.mime()),
-                    Header::new("content-length", &r.size.to_string()),
-                ],
-                false,
-            ),
-        }
-        self.conn.queue_body(promised, r.size, true);
-        self.pushed_bytes += r.size as u64;
+
+        // The response itself, as recorded.
+        respond_200(&mut self.conn, stream, &rec.content_type, rec.body_len);
     }
 }
 
@@ -528,6 +479,7 @@ impl h2push_h2proto::sansio::Endpoint for ReplayServer {
 mod tests {
     use super::*;
     use h2push_h2proto::{Connection, FifoScheduler, Settings, StreamState};
+    use h2push_hpack::Header;
     use h2push_webmodel::{PageBuilder, ResourceSpec};
 
     fn page() -> Arc<Page> {
@@ -587,6 +539,13 @@ mod tests {
     }
 
     #[test]
+    fn decimal_formats_every_length_a_usize_can_take() {
+        for n in [0, 7, 10, 20_000, 2_450_000, usize::MAX] {
+            assert_eq!(decimal(n, &mut [0; 20]), n.to_string());
+        }
+    }
+
+    #[test]
     fn serves_recorded_response() {
         let p = page();
         let mut server = server_for(&p, 0, Strategy::NoPush);
@@ -617,7 +576,7 @@ mod tests {
         let events = converse(&mut server, &mut client, 10);
         let status = events.iter().find_map(|e| match e {
             h2push_h2proto::Event::Headers { headers, end_stream, .. } => {
-                Some((String::from_utf8_lossy(&headers[0].value).to_string(), *end_stream))
+                Some((String::from_utf8_lossy(headers.field(0).1).to_string(), *end_stream))
             }
             _ => None,
         });

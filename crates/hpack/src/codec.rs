@@ -2,12 +2,12 @@
 //! [`BlockCache`] for replay workloads that encode the same header lists
 //! from identical encoder states over and over.
 
+use crate::field::{entry_size, HeaderField, HeaderList};
 use crate::fx::FxHashMap;
 use crate::huffman;
 use crate::integer;
-use crate::table::{Header, IndexTable, Match};
+use crate::table::{IndexTable, Match};
 use crate::Error;
-use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -29,13 +29,11 @@ pub(crate) fn fnv1a_usize(hash: &mut u64, v: usize) {
 
 /// One memoized header block: the encoded bytes plus the dynamic-table
 /// insertions the live encoding performed, replayed verbatim on a cache hit
-/// so the encoder state after a hit is identical to a live encode. The
-/// block is a [`Bytes`] so a hit hands out a reference-counted view — no
-/// per-hit copy.
+/// so the encoder state after a hit is identical to a live encode.
 #[derive(Debug, Clone)]
 struct CachedBlock {
-    block: Bytes,
-    inserts: Vec<Header>,
+    block: Box<[u8]>,
+    inserts: HeaderList,
 }
 
 /// One memoized decode: the decoded header list (shared via `Arc` so a hit
@@ -44,16 +42,16 @@ struct CachedBlock {
 /// order on a hit (§4.2 guarantees updates precede fields).
 #[derive(Debug, Clone)]
 struct CachedDecode {
-    headers: Arc<[Header]>,
-    size_updates: Vec<usize>,
-    inserts: Vec<Header>,
+    headers: Arc<HeaderList>,
+    record: DecodeRecord,
 }
 
 /// Table effects recorded during a live decode for later replay.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct DecodeRecord {
     size_updates: Vec<usize>,
-    inserts: Vec<Header>,
+    /// Which fields of the decoded list were inserted, in order.
+    inserts: Vec<usize>,
 }
 
 /// A shared memo of encoded header blocks, keyed by (encoder-state
@@ -164,14 +162,14 @@ impl BlockCache {
     }
 
     /// Deterministic hash of a header list (order-sensitive).
-    fn headers_hash(headers: &[Header]) -> u64 {
+    fn headers_hash<H: HeaderField>(headers: &[H]) -> u64 {
         let mut h = FNV_OFFSET;
         fnv1a_usize(&mut h, headers.len());
         for hd in headers {
-            fnv1a_usize(&mut h, hd.name.len());
-            fnv1a(&mut h, &hd.name);
-            fnv1a_usize(&mut h, hd.value.len());
-            fnv1a(&mut h, &hd.value);
+            fnv1a_usize(&mut h, hd.name().len());
+            fnv1a(&mut h, hd.name());
+            fnv1a_usize(&mut h, hd.value().len());
+            fnv1a(&mut h, hd.value());
         }
         h
     }
@@ -250,15 +248,15 @@ pub enum HuffmanPolicy {
 /// policy as the RFC examples and mainstream servers.
 ///
 /// ```
-/// use h2push_hpack::{Encoder, Decoder, Header};
+/// use h2push_hpack::{Encoder, Decoder};
 ///
 /// let mut enc = Encoder::new();
 /// let mut dec = Decoder::new();
-/// let headers = vec![Header::new(":method", "GET"), Header::new(":path", "/app.css")];
+/// let headers = [(":method", "GET"), (":path", "/app.css")];
 /// let block = enc.encode(&headers);
 /// assert_eq!(dec.decode(&block).unwrap(), headers);
 /// // The second occurrence compresses to two indexed bytes.
-/// assert!(enc.encode(&headers).len() <= 2);
+/// assert!(enc.encode_block(&headers).len() <= 2);
 /// ```
 #[derive(Debug)]
 pub struct Encoder {
@@ -269,6 +267,10 @@ pub struct Encoder {
     pending_size_updates: Vec<usize>,
     /// Optional shared block memo; `None` means every block is encoded live.
     cache: Option<BlockCache>,
+    /// The block [`Encoder::encode_block`] last produced. Not encoder
+    /// state: it survives [`Encoder::reset`] so a recycled encoder writes
+    /// into the capacity its last life grew.
+    block: Vec<u8>,
 }
 
 impl Encoder {
@@ -279,6 +281,7 @@ impl Encoder {
             policy: HuffmanPolicy::Auto,
             pending_size_updates: Vec::new(),
             cache: None,
+            block: Vec::new(),
         }
     }
 
@@ -305,47 +308,51 @@ impl Encoder {
         &self.table
     }
 
-    /// Encode one header block. With a [`BlockCache`] attached, a block
-    /// already encoded from a byte-identical encoder state is returned from
-    /// the memo (replaying its recorded table insertions); otherwise the
-    /// block is encoded live and memoized.
-    pub fn encode(&mut self, headers: &[Header]) -> Vec<u8> {
-        self.encode_bytes(headers).to_vec()
+    /// [`Encoder::encode_block`] copied into a `Vec` of its own.
+    pub fn encode<H: HeaderField>(&mut self, headers: &[H]) -> Vec<u8> {
+        self.encode_block(headers).to_vec()
     }
 
-    /// [`Encoder::encode`] returning a reference-counted [`Bytes`] view:
-    /// a cache hit hands out the memoized buffer without copying it, so
-    /// steady-state encoding of a previously-seen block allocates nothing.
-    pub fn encode_bytes(&mut self, headers: &[Header]) -> Bytes {
+    /// Encode one header block into the encoder's own buffer and return a
+    /// view of it, valid until the next call; a warmed-up encoder allocates
+    /// nothing. With a [`BlockCache`] attached, a block already encoded
+    /// from a byte-identical encoder state is copied out of the memo
+    /// (replaying its recorded table insertions); otherwise the block is
+    /// encoded live and memoized.
+    pub fn encode_block<H: HeaderField>(&mut self, headers: &[H]) -> &[u8] {
+        self.block.clear();
         let Some(cache) = self.cache.clone() else {
-            return Bytes::from(self.encode_live(headers, None));
+            self.encode_live(headers, None);
+            return &self.block;
         };
         let key = (self.fingerprint(), BlockCache::headers_hash(headers));
-        {
-            let map = lock_shard(cache.inner.shard(key));
-            if let Some(entry) = map.get(&key) {
-                let block = entry.block.clone();
-                for h in &entry.inserts {
-                    self.table.insert_from(&h.name, &h.value);
-                }
-                // The cached block already carries the size-update prefix
-                // the live encode emitted from this same state.
-                self.pending_size_updates.clear();
-                cache.inner.hits.fetch_add(1, Ordering::Relaxed);
-                return block;
+        if let Some(entry) = lock_shard(cache.inner.shard(key)).get(&key) {
+            self.block.extend_from_slice(&entry.block);
+            for (name, value) in entry.inserts.iter() {
+                self.table.insert(name, value);
             }
+            // The cached block already carries the size-update prefix
+            // the live encode emitted from this same state.
+            self.pending_size_updates.clear();
+            cache.inner.hits.fetch_add(1, Ordering::Relaxed);
+            return &self.block;
         }
         cache.inner.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inserts = Vec::new();
-        let block = Bytes::from(self.encode_live(headers, Some(&mut inserts)));
+        let mut inserts = HeaderList::new();
+        self.encode_live(headers, Some(&mut inserts));
         lock_shard(cache.inner.shard(key))
-            .insert(key, CachedBlock { block: block.clone(), inserts });
-        block
+            .insert(key, CachedBlock { block: self.block.as_slice().into(), inserts });
+        &self.block
+    }
+
+    /// The block [`Encoder::encode_block`] last produced.
+    pub fn block(&self) -> &[u8] {
+        &self.block
     }
 
     /// Restore the state of [`Encoder::new`] — empty default-sized table,
     /// no pending size updates, no cache attached — while keeping the
-    /// table's container allocations for reuse.
+    /// table's and the block buffer's allocations for reuse.
     pub fn reset(&mut self) {
         self.table.reset(4096);
         self.policy = HuffmanPolicy::Auto;
@@ -353,67 +360,62 @@ impl Encoder {
         self.cache = None;
     }
 
-    fn encode_live(&mut self, headers: &[Header], mut record: Option<&mut Vec<Header>>) -> Vec<u8> {
-        let mut out = Vec::new();
+    fn encode_live<H: HeaderField>(&mut self, headers: &[H], mut record: Option<&mut HeaderList>) {
         for size in self.pending_size_updates.drain(..) {
-            integer::encode(size as u64, 5, 0x20, &mut out);
+            integer::encode(size as u64, 5, 0x20, &mut self.block);
         }
         for h in headers {
-            self.encode_header(h, &mut out, record.as_deref_mut());
+            self.encode_field(h.name(), h.value(), record.as_deref_mut());
         }
-        out
     }
 
-    fn encode_header(&mut self, h: &Header, out: &mut Vec<u8>, record: Option<&mut Vec<Header>>) {
-        match self.table.find(h) {
+    fn encode_field(&mut self, name: &[u8], value: &[u8], record: Option<&mut HeaderList>) {
+        let out = &mut self.block;
+        match self.table.find(name, value) {
             Match::Full(i) => {
                 // Indexed header field (§6.1): '1' + 7-bit index.
                 integer::encode(i as u64, 7, 0x80, out);
+                return;
             }
             Match::Name(i) => {
                 // Literal with incremental indexing, indexed name (§6.2.1).
                 integer::encode(i as u64, 6, 0x40, out);
-                self.encode_string(&h.value, out);
-                self.table.insert(h.clone());
-                if let Some(rec) = record {
-                    rec.push(h.clone());
-                }
             }
             Match::None => {
                 // Literal with incremental indexing, new name.
                 out.push(0x40);
-                self.encode_string(&h.name, out);
-                self.encode_string(&h.value, out);
-                self.table.insert(h.clone());
-                if let Some(rec) = record {
-                    rec.push(h.clone());
-                }
+                encode_string(self.policy, name, out);
             }
         }
-    }
-
-    fn encode_string(&self, s: &[u8], out: &mut Vec<u8>) {
-        // One encoded_len pass serves both the Auto decision and the length
-        // prefix; Never skips the scan entirely.
-        let hlen = match self.policy {
-            HuffmanPolicy::Never => 0,
-            _ => huffman::encoded_len(s),
-        };
-        let use_huffman = match self.policy {
-            HuffmanPolicy::Never => false,
-            HuffmanPolicy::Always => true,
-            // "No shorter" rather than "strictly shorter": the RFC C.6.2
-            // example Huffman-encodes "307" although both forms are 3
-            // octets.
-            HuffmanPolicy::Auto => !s.is_empty() && hlen <= s.len(),
-        };
-        if use_huffman {
-            integer::encode(hlen as u64, 7, 0x80, out);
-            huffman::encode(s, out);
-        } else {
-            integer::encode(s.len() as u64, 7, 0, out);
-            out.extend_from_slice(s);
+        encode_string(self.policy, value, out);
+        self.table.insert(name, value);
+        if let Some(rec) = record {
+            rec.push(name, value);
         }
+    }
+}
+
+fn encode_string(policy: HuffmanPolicy, s: &[u8], out: &mut Vec<u8>) {
+    // One encoded_len pass serves both the Auto decision and the length
+    // prefix; Never skips the scan entirely.
+    let hlen = match policy {
+        HuffmanPolicy::Never => 0,
+        _ => huffman::encoded_len(s),
+    };
+    let use_huffman = match policy {
+        HuffmanPolicy::Never => false,
+        HuffmanPolicy::Always => true,
+        // "No shorter" rather than "strictly shorter": the RFC C.6.2
+        // example Huffman-encodes "307" although both forms are 3
+        // octets.
+        HuffmanPolicy::Auto => !s.is_empty() && hlen <= s.len(),
+    };
+    if use_huffman {
+        integer::encode(hlen as u64, 7, 0x80, out);
+        huffman::encode(s, out);
+    } else {
+        integer::encode(s.len() as u64, 7, 0, out);
+        out.extend_from_slice(s);
     }
 }
 
@@ -458,7 +460,7 @@ impl Decoder {
     }
 
     /// Restore the state of [`Decoder::new`] while keeping the table's
-    /// container allocations for reuse.
+    /// allocations for reuse.
     pub fn reset(&mut self) {
         self.table.reset(4096);
         self.max_header_list_size = 1 << 20;
@@ -483,81 +485,98 @@ impl Decoder {
     /// Decode one complete header block into a shared list. With a
     /// [`DecodeCache`] attached, a block already decoded from a
     /// byte-identical decoder state is returned from the memo (replaying
-    /// its recorded size updates and table insertions); otherwise the block
-    /// decodes live and is memoized. Only successful decodes are cached, so
-    /// error behavior is exactly [`Decoder::decode`]'s.
-    pub fn decode_shared(&mut self, buf: &[u8]) -> Result<Arc<[Header]>, Error> {
+    /// its recorded size updates and table insertions), and a block that
+    /// misses decodes live into a new list that is memoized. Without a
+    /// cache the block decodes live into the list `spare` points at — in
+    /// place when the caller holds the only reference (every earlier user
+    /// dropped theirs), into a fresh list put in its place when not — so a
+    /// caller that keeps handing the same `spare` back decodes without
+    /// allocating. Only successful decodes are cached, so error behavior
+    /// is exactly [`Decoder::decode_into`]'s.
+    pub fn decode_shared(
+        &mut self,
+        buf: &[u8],
+        spare: &mut Arc<HeaderList>,
+    ) -> Result<Arc<HeaderList>, Error> {
         let Some(cache) = self.cache.clone() else {
-            return self.decode_inner(buf, None).map(Arc::from);
+            if Arc::get_mut(spare).is_none() {
+                *spare = Arc::default();
+            }
+            let list = Arc::get_mut(spare).expect("unique: checked or just created");
+            self.decode_into(buf, list)?;
+            return Ok(Arc::clone(spare));
         };
         let key = (self.fingerprint(), DecodeCache::block_hash(buf));
-        {
-            let map = lock_shard(cache.inner.shard(key));
-            if let Some(entry) = map.get(&key) {
-                let headers = entry.headers.clone();
-                // Replay the live decode's table effects in live order:
-                // §4.2 puts every size update before the first field.
-                for &s in &entry.size_updates {
-                    self.table.set_max_size(s)?;
-                }
-                for h in &entry.inserts {
-                    self.table.insert_from(&h.name, &h.value);
-                }
-                cache.inner.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(headers);
+        if let Some(entry) = lock_shard(cache.inner.shard(key)).get(&key) {
+            // Replay the live decode's table effects in live order:
+            // §4.2 puts every size update before the first field.
+            for &s in &entry.record.size_updates {
+                self.table.set_max_size(s)?;
             }
+            for &i in &entry.record.inserts {
+                let (name, value) = entry.headers.field(i);
+                self.table.insert(name, value);
+            }
+            cache.inner.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(&entry.headers));
         }
         cache.inner.misses.fetch_add(1, Ordering::Relaxed);
-        let mut rec = DecodeRecord::default();
-        let headers: Arc<[Header]> = self.decode_inner(buf, Some(&mut rec))?.into();
-        lock_shard(cache.inner.shard(key)).insert(
-            key,
-            CachedDecode {
-                headers: headers.clone(),
-                size_updates: rec.size_updates,
-                inserts: rec.inserts,
-            },
-        );
+        let (mut list, mut record) = (HeaderList::new(), DecodeRecord::default());
+        self.decode_recording(buf, &mut list, Some(&mut record))?;
+        let headers = Arc::new(list);
+        lock_shard(cache.inner.shard(key))
+            .insert(key, CachedDecode { headers: Arc::clone(&headers), record });
         Ok(headers)
     }
 
-    /// Decode one complete header block.
-    pub fn decode(&mut self, buf: &[u8]) -> Result<Vec<Header>, Error> {
-        self.decode_inner(buf, None)
+    /// [`Decoder::decode_into`] a list of its own.
+    pub fn decode(&mut self, buf: &[u8]) -> Result<HeaderList, Error> {
+        let mut list = HeaderList::new();
+        self.decode_into(buf, &mut list)?;
+        Ok(list)
     }
 
-    fn decode_inner(
+    /// Decode one complete header block into `list`, replacing what it
+    /// held and reusing its allocations: indexed fields are copied out of
+    /// the table, literals decode straight into the list, table insertions
+    /// copy from the list. On error the list is left empty.
+    pub fn decode_into(&mut self, buf: &[u8], list: &mut HeaderList) -> Result<(), Error> {
+        self.decode_recording(buf, list, None)
+    }
+
+    fn decode_recording(
         &mut self,
         buf: &[u8],
+        list: &mut HeaderList,
+        record: Option<&mut DecodeRecord>,
+    ) -> Result<(), Error> {
+        list.clear();
+        // A list on its first block gets room for a typical one at once (a
+        // handful of mostly indexed fields: far longer decoded than coded)
+        // instead of doubling its way there; a reused list already has it.
+        list.bytes.reserve((2 * buf.len()).max(128));
+        list.ends.reserve(buf.len().min(8));
+        let decoded = self.decode_fields(buf, list, record);
+        if decoded.is_err() {
+            // A literal that failed half-way left bytes no span covers.
+            list.clear();
+        }
+        decoded
+    }
+
+    fn decode_fields(
+        &mut self,
+        buf: &[u8],
+        list: &mut HeaderList,
         mut record: Option<&mut DecodeRecord>,
-    ) -> Result<Vec<Header>, Error> {
-        let mut headers = Vec::new();
+    ) -> Result<(), Error> {
         let mut listed = 0usize;
-        let mut seen_field = false;
         let mut pos = 0usize;
         while pos < buf.len() {
             let b = buf[pos];
-            if b & 0x80 != 0 {
-                // Indexed header field.
-                let idx = integer::decode(buf, &mut pos, 7)?;
-                let h = self.table.get(idx as usize)?;
-                listed += h.table_size();
-                headers.push(h);
-                seen_field = true;
-            } else if b & 0xc0 == 0x40 {
-                // Literal with incremental indexing.
-                let idx = integer::decode(buf, &mut pos, 6)?;
-                let h = self.read_literal(buf, &mut pos, idx as usize)?;
-                listed += h.table_size();
-                self.table.insert(h.clone());
-                if let Some(rec) = record.as_deref_mut() {
-                    rec.inserts.push(h.clone());
-                }
-                headers.push(h);
-                seen_field = true;
-            } else if b & 0xe0 == 0x20 {
+            if b & 0xe0 == 0x20 {
                 // Dynamic table size update — must precede fields (§4.2).
-                if seen_field {
+                if !list.is_empty() {
                     return Err(Error::SizeUpdateTooLarge);
                 }
                 let size = integer::decode(buf, &mut pos, 5)?;
@@ -565,43 +584,70 @@ impl Decoder {
                 if let Some(rec) = record.as_deref_mut() {
                     rec.size_updates.push(size as usize);
                 }
-            } else {
-                // Literal without indexing (0000) or never indexed (0001):
-                // both decode identically and do not touch the table.
-                let idx = integer::decode(buf, &mut pos, 4)?;
-                let h = self.read_literal(buf, &mut pos, idx as usize)?;
-                listed += h.table_size();
-                headers.push(h);
-                seen_field = true;
+                continue;
             }
+            if b & 0x80 != 0 {
+                // Indexed header field.
+                let idx = integer::decode(buf, &mut pos, 7)?;
+                let (name, value) = self.table.get(idx as usize)?;
+                list.push(name, value);
+            } else {
+                // Literal: with incremental indexing (01), or without
+                // (0000) / never indexed (0001), which decode identically
+                // and do not touch the table.
+                let indexing = b & 0xc0 == 0x40;
+                let idx = integer::decode(buf, &mut pos, if indexing { 6 } else { 4 })?;
+                self.read_literal(buf, &mut pos, idx as usize, list)?;
+                if indexing {
+                    let (name, value) = list.field(list.len() - 1);
+                    self.table.insert(name, value);
+                    if let Some(rec) = record.as_deref_mut() {
+                        rec.inserts.push(list.len() - 1);
+                    }
+                }
+            }
+            let (name, value) = list.field(list.len() - 1);
+            listed += entry_size(name, value);
             if listed > self.max_header_list_size {
                 return Err(Error::HeaderListTooLarge);
             }
         }
-        Ok(headers)
+        Ok(())
     }
 
-    fn read_literal(&self, buf: &[u8], pos: &mut usize, name_idx: usize) -> Result<Header, Error> {
-        let name = if name_idx == 0 {
-            self.read_string(buf, pos)?
+    /// Append the literal field at `pos` to `list`: its name from the table
+    /// or the wire, then its value.
+    fn read_literal(
+        &self,
+        buf: &[u8],
+        pos: &mut usize,
+        name_idx: usize,
+        list: &mut HeaderList,
+    ) -> Result<(), Error> {
+        if name_idx == 0 {
+            read_string(buf, pos, &mut list.bytes)?;
         } else {
-            self.table.get(name_idx)?.name
-        };
-        let value = self.read_string(buf, pos)?;
-        Ok(Header { name, value })
-    }
-
-    fn read_string(&self, buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, Error> {
-        let huff = *buf.get(*pos).ok_or(Error::Truncated)? & 0x80 != 0;
-        let len = integer::decode(buf, pos, 7)? as usize;
-        let end = pos.checked_add(len).ok_or(Error::Truncated)?;
-        let raw = buf.get(*pos..end).ok_or(Error::Truncated)?;
-        *pos = end;
-        if huff {
-            huffman::decode(raw)
-        } else {
-            Ok(raw.to_vec())
+            list.bytes.extend_from_slice(self.table.get(name_idx)?.0);
         }
+        let name_end = list.bytes.len();
+        read_string(buf, pos, &mut list.bytes)?;
+        list.ends.push((name_end, list.bytes.len()));
+        Ok(())
+    }
+}
+
+/// Append the string literal at `pos` (§5.2) to `out`.
+fn read_string(buf: &[u8], pos: &mut usize, out: &mut Vec<u8>) -> Result<(), Error> {
+    let huff = *buf.get(*pos).ok_or(Error::Truncated)? & 0x80 != 0;
+    let len = integer::decode(buf, pos, 7)? as usize;
+    let end = pos.checked_add(len).ok_or(Error::Truncated)?;
+    let raw = buf.get(*pos..end).ok_or(Error::Truncated)?;
+    *pos = end;
+    if huff {
+        huffman::decode_into(raw, out)
+    } else {
+        out.extend_from_slice(raw);
+        Ok(())
     }
 }
 
@@ -614,6 +660,8 @@ impl Default for Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Header;
+    use proptest::prelude::*;
 
     fn h(n: &str, v: &str) -> Header {
         Header::new(n, v)
@@ -921,8 +969,8 @@ mod tests {
                 let wire = enc_a.encode(hs);
                 assert_eq!(wire, enc_b.encode(hs));
                 let a = live.decode(&wire).unwrap();
-                let b = memo.decode_shared(&wire).unwrap();
-                assert_eq!(a.as_slice(), &b[..], "cached decode differs from live decode");
+                let b = memo.decode_shared(&wire, &mut Arc::default()).unwrap();
+                assert_eq!(a, *b, "cached decode differs from live decode");
                 assert_eq!(live.fingerprint(), memo.fingerprint());
             }
         }
@@ -952,13 +1000,43 @@ mod tests {
             .map(|_| {
                 let mut d = Decoder::new();
                 d.set_decode_cache(cache.clone());
-                d.decode_shared(&wire).unwrap();
+                d.decode_shared(&wire, &mut Arc::default()).unwrap();
                 (d.table().len(), d.table().max_size())
             })
             .collect();
         assert_eq!(states[0], states[1]);
         assert_eq!(states[0].1, 256);
         assert_eq!(cache.stats(), (1, 1));
+    }
+
+    #[test]
+    fn decode_shared_reuses_the_spare_list_only_when_nobody_else_holds_it() {
+        let mut enc = Encoder::new();
+        let mut dec = Decoder::new();
+        let mut spare = Arc::new(HeaderList::new());
+        let first = dec.decode_shared(enc.encode_block(&[("x-a", "1")]), &mut spare).unwrap();
+        assert!(Arc::ptr_eq(&first, &spare), "a unique spare is decoded into in place");
+        // Still held: the next block must not be written over it.
+        let second = dec.decode_shared(enc.encode_block(&[("x-b", "2")]), &mut spare).unwrap();
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(*first, [("x-a", "1")]);
+        assert_eq!(*second, [("x-b", "2")]);
+        // Dropped: the same allocation carries the third block.
+        let (held, addr) = (Arc::clone(&spare), Arc::as_ptr(&spare));
+        drop((second, held));
+        let third = dec.decode_shared(enc.encode_block(&[("x-c", "3")]), &mut spare).unwrap();
+        assert_eq!(Arc::as_ptr(&third), addr);
+        assert_eq!(*third, [("x-c", "3")]);
+    }
+
+    #[test]
+    fn a_failed_decode_leaves_the_list_empty() {
+        let mut list = HeaderList::new();
+        list.push(b"stale", b"field");
+        // A good field, then a literal whose value is cut short.
+        let block = [0x82, 0x40, 0x01, b'n', 0x05, b'v'];
+        assert_eq!(Decoder::new().decode_into(&block, &mut list), Err(Error::Truncated));
+        assert_eq!(list, HeaderList::new());
     }
 
     #[test]
@@ -981,6 +1059,69 @@ mod tests {
         assert_eq!(first, second, "reset encoder must re-produce identical bytes");
         for (w, b) in second.iter().zip(&blocks) {
             assert_eq!(dec.decode(w).unwrap(), *b);
+        }
+    }
+
+    fn table_fold(t: &IndexTable) -> u64 {
+        let mut h = FNV_OFFSET;
+        t.fold_state(&mut h);
+        h
+    }
+
+    /// Names that repeat (within a block and across blocks) or are
+    /// arbitrary octets; values empty, arbitrary, or long enough to be
+    /// oversized for the smaller tables.
+    fn field() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+        let name = prop_oneof![
+            Just(b":path".to_vec()),
+            Just(b"set-cookie".to_vec()),
+            proptest::collection::vec(97u8..100, 1..3),
+            proptest::collection::vec(any::<u8>(), 0..24),
+        ];
+        let value = prop_oneof![
+            Just(Vec::new()),
+            proptest::collection::vec(any::<u8>(), 0..48),
+            proptest::collection::vec(32u8..127, 0..300),
+        ];
+        (name, value)
+    }
+
+    // What goes in as borrowed fields comes out of the flat list, and the
+    // two tables stay the same table, block after block — across table-size
+    // changes signalled mid-connection.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn blocks_round_trip_and_both_tables_stay_in_step(
+            policy in prop_oneof![
+                Just(HuffmanPolicy::Auto),
+                Just(HuffmanPolicy::Never),
+                Just(HuffmanPolicy::Always)
+            ],
+            blocks in proptest::collection::vec(
+                (
+                    prop_oneof![Just(None), Just(None), (0usize..4097).prop_map(Some)],
+                    proptest::collection::vec(field(), 0..10),
+                ),
+                1..10,
+            ),
+        ) {
+            let mut enc = Encoder::new().with_policy(policy);
+            let mut dec = Decoder::new();
+            let mut list = HeaderList::new();
+            for (resize, fields) in &blocks {
+                if let Some(size) = *resize {
+                    enc.set_table_size(size);
+                    dec.set_capacity_limit(size);
+                }
+                let fields: Vec<(&[u8], &[u8])> =
+                    fields.iter().map(|(n, v)| (&n[..], &v[..])).collect();
+                dec.decode_into(enc.encode_block(&fields), &mut list).unwrap();
+                prop_assert_eq!(&list, &fields);
+                prop_assert_eq!(enc.table().len(), dec.table().len());
+                prop_assert_eq!(table_fold(enc.table()), table_fold(dec.table()));
+            }
         }
     }
 

@@ -136,14 +136,23 @@ pub fn encode(data: &[u8], out: &mut Vec<u8>) {
     }
 }
 
-/// Decode a Huffman-encoded string.
+/// [`decode_into`] a `Vec` of its own.
+pub fn decode(data: &[u8]) -> Result<Vec<u8>, Error> {
+    let mut out = Vec::new();
+    decode_into(data, &mut out)?;
+    Ok(out)
+}
+
+/// Decode a Huffman-encoded string, appending to `out` (which may have
+/// grown by a partial result when this fails).
 ///
 /// Errors on the EOS symbol appearing in the stream and on padding longer
 /// than 7 bits or not matching the EOS prefix (both connection errors per
 /// §5.2).
-pub fn decode(data: &[u8]) -> Result<Vec<u8>, Error> {
+pub fn decode_into(data: &[u8], out: &mut Vec<u8>) -> Result<(), Error> {
     let t = tables();
-    let mut out = Vec::with_capacity(data.len() * 8 / 5);
+    // The shortest code is 5 bits.
+    out.reserve(data.len() * 8 / 5);
     let mut node = 0usize;
     let mut bits_since_symbol = 0u32;
     let mut all_ones_since_symbol = true;
@@ -174,7 +183,7 @@ pub fn decode(data: &[u8]) -> Result<Vec<u8>, Error> {
     if bits_since_symbol > 7 || !all_ones_since_symbol {
         return Err(Error::InvalidHuffman);
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

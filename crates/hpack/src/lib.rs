@@ -5,16 +5,40 @@
 //! integers, the canonical Huffman code of Appendix B, the static table of
 //! Appendix A, a size-bounded dynamic table, and an encoder/decoder pair
 //! validated against the RFC's Appendix C test vectors.
+//!
+//! **No owned field on the way through.** A header field is a
+//! [`HeaderField`] — a borrowed name and value — from the caller's strings
+//! to the wire and back:
+//!
+//! * the encoder takes `&[impl HeaderField]` (a stack array of
+//!   `(&str, &str)` pairs will do), writes the block into a buffer of its
+//!   own and returns a view of it ([`Encoder::encode_block`]);
+//! * the dynamic table ([`IndexTable`]) keeps its entries back to back in
+//!   one byte arena — append at the tail, evict at the head, compact when
+//!   the dead prefix outweighs the live bytes — and resolves an index to
+//!   borrowed slices;
+//! * the decoder fills a flat [`HeaderList`] (one byte arena, one span per
+//!   field) the caller hands in and gets to reuse
+//!   ([`Decoder::decode_into`]): indexed fields are copied out of the table
+//!   arena, literals decode straight into the list, table insertions copy
+//!   from the list.
+//!
+//! A warmed-up encoder/decoder pair therefore allocates nothing per block.
+//! [`Header`] is the owned convenience type for callers that want to keep
+//! a field; [`Encoder::encode`] and [`Decoder::decode`] are the same calls
+//! returning buffers of their own.
 
 pub mod codec;
+pub mod field;
 pub mod fx;
 pub mod huffman;
 pub mod integer;
 pub mod table;
 
 pub use codec::{BlockCache, DecodeCache, Decoder, Encoder, HuffmanPolicy};
+pub use field::{Header, HeaderField, HeaderList};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use table::{Header, IndexTable, Match, STATIC_TABLE};
+pub use table::{IndexTable, Match, STATIC_TABLE};
 
 /// HPACK processing error; all of these are connection errors of type
 /// COMPRESSION_ERROR at the HTTP/2 layer.

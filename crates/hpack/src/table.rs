@@ -1,27 +1,7 @@
 //! HPACK indexing tables (RFC 7541 §2.3, Appendix A).
 
+use crate::field::entry_size;
 use std::collections::VecDeque;
-
-/// A header field: name and value as byte strings.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Header {
-    /// Field name (lowercase for HTTP/2).
-    pub name: Vec<u8>,
-    /// Field value.
-    pub value: Vec<u8>,
-}
-
-impl Header {
-    /// Convenience constructor from string slices.
-    pub fn new(name: &str, value: &str) -> Self {
-        Header { name: name.as_bytes().to_vec(), value: value.as_bytes().to_vec() }
-    }
-
-    /// The size of an entry per §4.1: name length + value length + 32.
-    pub fn table_size(&self) -> usize {
-        self.name.len() + self.value.len() + 32
-    }
-}
 
 /// The 61-entry static table of Appendix A, 1-indexed.
 pub const STATIC_TABLE: [(&str, &str); 61] = [
@@ -103,21 +83,39 @@ pub enum Match {
 ///
 /// Indices are 1-based; 1..=61 address the static table, 62.. address the
 /// dynamic table newest-first (§2.3.3).
+///
+/// The dynamic entries live in one byte arena, name then value, oldest
+/// first: inserting appends at the tail, evicting advances `head` past the
+/// oldest entry, and the dead prefix is squeezed out once it outweighs the
+/// live bytes — so an insertion copies the field once and a steady-state
+/// table allocates nothing. The arena grows with what is inserted and is
+/// cleared, not freed, by [`IndexTable::reset`].
 #[derive(Debug, Clone)]
 pub struct IndexTable {
-    entries: VecDeque<Header>,
+    arena: Vec<u8>,
+    /// Octets at the front of `arena` that belonged to evicted entries.
+    head: usize,
+    /// The live entries, oldest first.
+    spans: VecDeque<Span>,
     size: usize,
     max_size: usize,
     /// The protocol ceiling for `max_size` (SETTINGS_HEADER_TABLE_SIZE on
     /// the decoder side).
     capacity_limit: usize,
-    /// Retired entries whose name/value buffers are reused by
-    /// [`IndexTable::insert_from`]. Invisible to every observable table
-    /// operation (lookups, folds, eviction accounting).
-    free: Vec<Header>,
-    /// Running fingerprint of `entries`, contents and order; see
+    /// Running fingerprint of the entries, contents and order; see
     /// [`Rolling`].
     rolling: Rolling,
+}
+
+/// Where one dynamic entry lies in the arena: its name starts at `start`,
+/// its value follows the name.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    name_len: usize,
+    value_len: usize,
+    /// The entry's [`entry_hash`], kept so eviction need not re-read it.
+    hash: u64,
 }
 
 /// A polynomial hash over the dynamic entries' own hashes, kept current in
@@ -170,21 +168,18 @@ impl Rolling {
 /// One entry's contribution to the table fingerprint: FNV-1a over the
 /// length-prefixed name and value, then a finalizer so that every input
 /// bit reaches every bit the polynomial multiplies.
-fn entry_hash(h: &Header) -> u64 {
+fn entry_hash(name: &[u8], value: &[u8]) -> u64 {
     use crate::codec::{fnv1a, fnv1a_usize, FNV_OFFSET};
     let mut x = FNV_OFFSET;
-    fnv1a_usize(&mut x, h.name.len());
-    fnv1a(&mut x, &h.name);
-    fnv1a_usize(&mut x, h.value.len());
-    fnv1a(&mut x, &h.value);
+    fnv1a_usize(&mut x, name.len());
+    fnv1a(&mut x, name);
+    fnv1a_usize(&mut x, value.len());
+    fnv1a(&mut x, value);
     // splitmix64's finalizer.
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
 }
-
-/// Retired entries kept for reuse; beyond this they are simply dropped.
-const FREE_LIST_CAP: usize = 64;
 
 impl IndexTable {
     /// Create a table with the HTTP/2 default size of 4096 octets.
@@ -195,32 +190,30 @@ impl IndexTable {
     /// Create a table whose size and ceiling are both `limit`.
     pub fn with_limit(limit: usize) -> Self {
         IndexTable {
-            entries: VecDeque::new(),
+            arena: Vec::new(),
+            head: 0,
+            spans: VecDeque::new(),
             size: 0,
             max_size: limit,
             capacity_limit: limit,
-            free: Vec::new(),
             rolling: Rolling::EMPTY,
         }
     }
 
     /// Restore the state of [`IndexTable::with_limit`]`(limit)` while
-    /// keeping every container allocation (entry ring, freelist, retired
-    /// name/value buffers) for the next use.
+    /// keeping the arena and the span ring for the next use.
     pub fn reset(&mut self, limit: usize) {
-        while let Some(h) = self.entries.pop_back() {
-            self.park(h);
-        }
-        self.rolling = Rolling::EMPTY;
-        self.size = 0;
+        self.clear_entries();
         self.max_size = limit;
         self.capacity_limit = limit;
     }
 
-    fn park(&mut self, h: Header) {
-        if self.free.len() < FREE_LIST_CAP {
-            self.free.push(h);
-        }
+    fn clear_entries(&mut self) {
+        self.arena.clear();
+        self.head = 0;
+        self.spans.clear();
+        self.size = 0;
+        self.rolling = Rolling::EMPTY;
     }
 
     /// Current dynamic table size in octets (§4.1 accounting).
@@ -235,12 +228,12 @@ impl IndexTable {
 
     /// Number of dynamic entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.spans.len()
     }
 
     /// True when the dynamic table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.spans.is_empty()
     }
 
     /// Change the maximum size (a "dynamic table size update"), evicting as
@@ -263,59 +256,70 @@ impl IndexTable {
         }
     }
 
-    /// Insert a header at the front of the dynamic table (§4.4). An entry
-    /// larger than the whole table empties it.
-    pub fn insert(&mut self, header: Header) {
-        let esize = header.table_size();
+    /// Insert a field as the newest dynamic entry (§4.4). An entry larger
+    /// than the whole table empties it.
+    pub fn insert(&mut self, name: &[u8], value: &[u8]) {
+        let esize = entry_size(name, value);
+        if esize > self.max_size {
+            // It would evict everything before it and then itself; its
+            // bytes never need to touch the arena.
+            self.clear_entries();
+            return;
+        }
+        let hash = entry_hash(name, value);
+        self.spans.push_back(Span {
+            start: self.arena.len(),
+            name_len: name.len(),
+            value_len: value.len(),
+            hash,
+        });
+        self.arena.extend_from_slice(name);
+        self.arena.extend_from_slice(value);
         self.size += esize;
-        self.rolling.push_newest(entry_hash(&header));
-        self.entries.push_front(header);
+        self.rolling.push_newest(hash);
         self.evict();
     }
 
-    /// [`IndexTable::insert`] from borrowed name/value bytes, reusing a
-    /// retired entry's buffers when one is available. Identical observable
-    /// behavior; zero allocations in steady state.
-    pub fn insert_from(&mut self, name: &[u8], value: &[u8]) {
-        match self.free.pop() {
-            Some(mut h) => {
-                h.name.clear();
-                h.name.extend_from_slice(name);
-                h.value.clear();
-                h.value.extend_from_slice(value);
-                self.insert(h);
-            }
-            None => self.insert(Header { name: name.to_vec(), value: value.to_vec() }),
-        }
-    }
-
+    /// Evict oldest-first down to `max_size`, then squeeze out the dead
+    /// prefix if it has come to outweigh the live bytes (so every octet is
+    /// moved at most once per octet evicted).
     fn evict(&mut self) {
         while self.size > self.max_size {
-            match self.entries.pop_back() {
-                Some(h) => {
-                    self.size -= h.table_size();
-                    self.rolling.pop_oldest(entry_hash(&h));
-                    self.park(h);
-                }
-                None => {
-                    // Inserting an oversized entry leaves an empty table.
-                    self.size = 0;
-                    break;
-                }
+            let Some(s) = self.spans.pop_front() else { break };
+            self.size -= s.name_len + s.value_len + 32;
+            self.rolling.pop_oldest(s.hash);
+            self.head = s.start + s.name_len + s.value_len;
+        }
+        let live = self.arena.len() - self.head;
+        if self.head > live {
+            self.arena.copy_within(self.head.., 0);
+            self.arena.truncate(live);
+            for s in &mut self.spans {
+                s.start -= self.head;
             }
+            self.head = 0;
         }
     }
 
-    /// Resolve a 1-based index in the combined space.
-    pub fn get(&self, index: usize) -> Result<Header, crate::Error> {
+    /// Resolve a 1-based index in the combined space to `(name, value)`.
+    pub fn get(&self, index: usize) -> Result<(&[u8], &[u8]), crate::Error> {
         if index == 0 {
             return Err(crate::Error::InvalidIndex);
         }
-        if index <= STATIC_TABLE.len() {
-            let (n, v) = STATIC_TABLE[index - 1];
-            return Ok(Header::new(n, v));
+        if let Some((n, v)) = STATIC_TABLE.get(index - 1) {
+            return Ok((n.as_bytes(), v.as_bytes()));
         }
-        self.entries.get(index - STATIC_TABLE.len() - 1).cloned().ok_or(crate::Error::InvalidIndex)
+        // Dynamic indices count newest-first; the ring is oldest-first.
+        let newest_first = index - STATIC_TABLE.len() - 1;
+        let s = (self.spans.len().checked_sub(newest_first + 1))
+            .and_then(|i| self.spans.get(i))
+            .ok_or(crate::Error::InvalidIndex)?;
+        Ok(self.entry(s))
+    }
+
+    fn entry(&self, s: &Span) -> (&[u8], &[u8]) {
+        let value_at = s.start + s.name_len;
+        (&self.arena[s.start..value_at], &self.arena[value_at..value_at + s.value_len])
     }
 
     /// Fold the complete observable table state — limits plus every dynamic
@@ -328,27 +332,28 @@ impl IndexTable {
         use crate::codec::{fnv1a, fnv1a_usize};
         fnv1a_usize(hash, self.max_size);
         fnv1a_usize(hash, self.capacity_limit);
-        fnv1a_usize(hash, self.entries.len());
+        fnv1a_usize(hash, self.spans.len());
         fnv1a(hash, &self.rolling.sum.to_le_bytes());
     }
 
-    /// Find the best index for `header`: an exact match if one exists,
+    /// Find the best index for a field: an exact match if one exists,
     /// otherwise a name match. Static entries win ties (smaller indices
     /// compress better).
-    pub fn find(&self, header: &Header) -> Match {
+    pub fn find(&self, name: &[u8], value: &[u8]) -> Match {
         let mut name_match: Option<usize> = None;
         for (i, (n, v)) in STATIC_TABLE.iter().enumerate() {
-            if n.as_bytes() == header.name.as_slice() {
-                if v.as_bytes() == header.value.as_slice() {
+            if n.as_bytes() == name {
+                if v.as_bytes() == value {
                     return Match::Full(i + 1);
                 }
                 name_match.get_or_insert(i + 1);
             }
         }
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.name == header.name {
+        for (i, s) in self.spans.iter().rev().enumerate() {
+            let (n, v) = self.entry(s);
+            if n == name {
                 let idx = STATIC_TABLE.len() + i + 1;
-                if e.value == header.value {
+                if v == value {
                     return Match::Full(idx);
                 }
                 name_match.get_or_insert(idx);
@@ -370,6 +375,21 @@ impl Default for IndexTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn f<'a>(n: &'a str, v: &'a str) -> (&'a [u8], &'a [u8]) {
+        (n.as_bytes(), v.as_bytes())
+    }
+
+    fn insert(t: &mut IndexTable, n: &str, v: &str) {
+        t.insert(n.as_bytes(), v.as_bytes());
+    }
+
+    fn fold(t: &IndexTable) -> u64 {
+        let mut h = crate::codec::FNV_OFFSET;
+        t.fold_state(&mut h);
+        h
+    }
 
     #[test]
     fn static_table_sanity() {
@@ -382,54 +402,54 @@ mod tests {
     #[test]
     fn get_static_and_dynamic() {
         let mut t = IndexTable::new();
-        assert_eq!(t.get(2).unwrap(), Header::new(":method", "GET"));
-        t.insert(Header::new("x-a", "1"));
-        t.insert(Header::new("x-b", "2"));
+        assert_eq!(t.get(2).unwrap(), f(":method", "GET"));
+        insert(&mut t, "x-a", "1");
+        insert(&mut t, "x-b", "2");
         // Newest entry is index 62.
-        assert_eq!(t.get(62).unwrap(), Header::new("x-b", "2"));
-        assert_eq!(t.get(63).unwrap(), Header::new("x-a", "1"));
+        assert_eq!(t.get(62).unwrap(), f("x-b", "2"));
+        assert_eq!(t.get(63).unwrap(), f("x-a", "1"));
         assert!(t.get(64).is_err());
         assert!(t.get(0).is_err());
+        assert!(t.get(usize::MAX).is_err());
     }
 
     #[test]
     fn entry_size_accounting() {
         // §4.1: size = len(name) + len(value) + 32.
-        let h = Header::new("custom-key", "custom-header");
-        assert_eq!(h.table_size(), 10 + 13 + 32);
         let mut t = IndexTable::new();
-        t.insert(h);
-        assert_eq!(t.size(), 55);
+        insert(&mut t, "custom-key", "custom-header");
+        assert_eq!(t.size(), 10 + 13 + 32);
     }
 
     #[test]
     fn eviction_on_overflow() {
         let mut t = IndexTable::with_limit(100);
-        t.insert(Header::new("aaaa", "bbbb")); // 40
-        t.insert(Header::new("cccc", "dddd")); // 40
+        insert(&mut t, "aaaa", "bbbb"); // 40
+        insert(&mut t, "cccc", "dddd"); // 40
         assert_eq!(t.len(), 2);
-        t.insert(Header::new("eeee", "ffff")); // 40 → evicts oldest
+        insert(&mut t, "eeee", "ffff"); // 40 → evicts oldest
         assert_eq!(t.len(), 2);
         assert_eq!(t.size(), 80);
-        assert_eq!(t.get(62).unwrap(), Header::new("eeee", "ffff"));
-        assert_eq!(t.get(63).unwrap(), Header::new("cccc", "dddd"));
+        assert_eq!(t.get(62).unwrap(), f("eeee", "ffff"));
+        assert_eq!(t.get(63).unwrap(), f("cccc", "dddd"));
     }
 
     #[test]
     fn oversized_entry_empties_table() {
         let mut t = IndexTable::with_limit(50);
-        t.insert(Header::new("a", "b"));
+        insert(&mut t, "a", "b");
         assert_eq!(t.len(), 1);
-        t.insert(Header::new("name", &"v".repeat(100)));
+        insert(&mut t, "name", &"v".repeat(100));
         assert_eq!(t.len(), 0);
         assert_eq!(t.size(), 0);
+        assert_eq!(fold(&t), fold(&IndexTable::with_limit(50)));
     }
 
     #[test]
     fn size_update_evicts() {
         let mut t = IndexTable::with_limit(4096);
         for i in 0..10 {
-            t.insert(Header::new(&format!("h{i}"), "v"));
+            insert(&mut t, &format!("h{i}"), "v");
         }
         t.set_max_size(70).unwrap();
         assert!(t.size() <= 70);
@@ -440,120 +460,253 @@ mod tests {
     #[test]
     fn find_prefers_full_match() {
         let mut t = IndexTable::new();
-        assert_eq!(t.find(&Header::new(":method", "GET")), Match::Full(2));
-        assert_eq!(t.find(&Header::new(":method", "PATCH")), Match::Name(2));
-        assert_eq!(t.find(&Header::new("x-new", "v")), Match::None);
-        t.insert(Header::new("x-new", "v"));
-        assert_eq!(t.find(&Header::new("x-new", "v")), Match::Full(62));
+        let find = |t: &IndexTable, n: &str, v: &str| t.find(n.as_bytes(), v.as_bytes());
+        assert_eq!(find(&t, ":method", "GET"), Match::Full(2));
+        assert_eq!(find(&t, ":method", "PATCH"), Match::Name(2));
+        assert_eq!(find(&t, "x-new", "v"), Match::None);
+        insert(&mut t, "x-new", "v");
+        assert_eq!(find(&t, "x-new", "v"), Match::Full(62));
         // Static name match beats dynamic full match? No — full match wins.
-        t.insert(Header::new(":method", "PATCH"));
-        assert_eq!(t.find(&Header::new(":method", "PATCH")), Match::Full(62));
-    }
-
-    fn fold(t: &IndexTable) -> u64 {
-        let mut h = crate::codec::FNV_OFFSET;
-        t.fold_state(&mut h);
-        h
-    }
-
-    /// The running fingerprint rebuilt from the entries as they stand.
-    fn rolling_from_scratch(t: &IndexTable) -> Rolling {
-        let mut r = Rolling::EMPTY;
-        for e in t.entries.iter().rev() {
-            r.push_newest(entry_hash(e));
-        }
-        r
-    }
-
-    #[test]
-    fn equal_tables_reached_by_different_histories_fingerprint_equal() {
-        let h = |i: usize| Header::new(&format!("x-header-{i}"), &"v".repeat(i % 7 + 1));
-        // The target: the last three of five insertions, limits 4096/4096.
-        let mut direct = IndexTable::new();
-        for i in 2..5 {
-            direct.insert(h(i));
-        }
-        // Inserted after two entries a shrink-and-restore evicted.
-        let mut resized = IndexTable::new();
-        resized.insert(h(0));
-        resized.insert(h(1));
-        resized.set_max_size(0).unwrap();
-        resized.set_max_size(4096).unwrap();
-        for i in 2..5 {
-            resized.insert(h(i));
-        }
-        // Overflowed: a table that only ever holds three such entries.
-        let mut evicted = IndexTable::with_limit(3 * h(2).table_size() + 10);
-        for i in 0..5 {
-            evicted.insert(h(i));
-        }
-        assert_eq!(evicted.len(), 3);
-        evicted.capacity_limit = 4096;
-        evicted.max_size = 4096;
-        // Recycled from an unrelated life, one oversized entry included.
-        let mut recycled = IndexTable::with_limit(64);
-        recycled.insert(h(9));
-        recycled.insert(Header::new("huge", &"z".repeat(100)));
-        recycled.reset(4096);
-        for i in 2..5 {
-            recycled.insert_from(&h(i).name, &h(i).value);
-        }
-        for other in [&resized, &evicted, &recycled] {
-            assert_eq!(other.entries, direct.entries);
-            assert_eq!(fold(other), fold(&direct));
-        }
-        // Contents, order and each limit all count.
-        let mut reordered = IndexTable::new();
-        for i in [3, 2, 4] {
-            reordered.insert(h(i));
-        }
-        assert_ne!(fold(&reordered), fold(&direct));
-        let mut shorter = direct.clone();
-        shorter.set_max_size(2 * h(2).table_size() + 40).unwrap();
-        assert_eq!(shorter.len(), 2);
-        assert_ne!(fold(&shorter), fold(&direct));
-        let mut limited = direct.clone();
-        limited.set_max_size(4000).unwrap();
-        assert_eq!(limited.entries, direct.entries);
-        assert_ne!(fold(&limited), fold(&direct));
-        let mut capped = direct.clone();
-        capped.set_capacity_limit(8192);
-        assert_ne!(fold(&capped), fold(&direct));
-    }
-
-    #[test]
-    fn running_fingerprint_tracks_the_entries_through_any_history() {
-        // A seeded walk over every mutation, sized so the table overflows,
-        // empties and refills many times.
-        let mut seed = 0x5eed_u64;
-        let mut next = move |n: u64| {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (seed >> 33) % n
-        };
-        let mut t = IndexTable::with_limit(600);
-        for step in 0..5_000 {
-            match next(20) {
-                0 => t.set_max_size(next(t.capacity_limit as u64 + 1) as usize).unwrap(),
-                1 => t.set_capacity_limit(300 + next(600) as usize),
-                2 => t.reset(600),
-                3 => t.insert(Header::new("oversized", &"x".repeat(700))),
-                _ => {
-                    let name = format!("n{}", next(40));
-                    t.insert_from(name.as_bytes(), "v".repeat(next(60) as usize).as_bytes());
-                }
-            }
-            assert_eq!(t.rolling, rolling_from_scratch(&t), "step {step}");
-        }
+        insert(&mut t, ":method", "PATCH");
+        assert_eq!(find(&t, ":method", "PATCH"), Match::Full(62));
     }
 
     #[test]
     fn capacity_limit_shrinks_max() {
         let mut t = IndexTable::with_limit(4096);
         for i in 0..20 {
-            t.insert(Header::new(&format!("header-{i}"), "value"));
+            insert(&mut t, &format!("header-{i}"), "value");
         }
         t.set_capacity_limit(100);
         assert!(t.size() <= 100);
         assert_eq!(t.max_size(), 100);
+    }
+
+    #[test]
+    fn a_long_lived_table_keeps_its_arena_near_its_content() {
+        // Thousands of insertions through a 4096-octet table: the dead
+        // prefix is squeezed out as it goes, so the arena stays within a
+        // small multiple of what the table may hold.
+        let mut t = IndexTable::new();
+        for i in 0..5_000 {
+            insert(&mut t, &format!("x-header-{}", i % 97), &"v".repeat(i % 61));
+            assert!(t.arena.len() <= 2 * 4096 + 128, "arena {} at step {i}", t.arena.len());
+        }
+        assert!(t.arena.capacity() <= 4 * 4096);
+    }
+
+    /// The table as RFC 7541 §4 words it — a deque of owned entries,
+    /// newest first, nothing cached — and the reference the arena table is
+    /// checked against.
+    struct Model {
+        entries: VecDeque<(Vec<u8>, Vec<u8>)>,
+        max_size: usize,
+        capacity_limit: usize,
+    }
+
+    impl Model {
+        fn size(&self) -> usize {
+            self.entries.iter().map(|(n, v)| n.len() + v.len() + 32).sum()
+        }
+        fn evict(&mut self) {
+            while self.size() > self.max_size {
+                self.entries.pop_back();
+            }
+        }
+        fn insert(&mut self, name: &[u8], value: &[u8]) {
+            self.entries.push_front((name.to_vec(), value.to_vec()));
+            self.evict();
+        }
+        fn get(&self, index: usize) -> Option<(&[u8], &[u8])> {
+            match index.checked_sub(1)? {
+                i if i < 61 => Some(f(STATIC_TABLE[i].0, STATIC_TABLE[i].1)),
+                i => self.entries.get(i - 61).map(|(n, v)| (&n[..], &v[..])),
+            }
+        }
+        /// The lowest index matching in full, else the lowest matching by name.
+        fn find(&self, name: &[u8], value: &[u8]) -> Match {
+            let hits = |full: bool| {
+                (1..=61 + self.entries.len()).find(|&i| {
+                    let (n, v) = self.get(i).unwrap();
+                    n == name && (!full || v == value)
+                })
+            };
+            hits(true).map(Match::Full).or(hits(false).map(Match::Name)).unwrap_or(Match::None)
+        }
+        /// `fold_state` recomputed from the entries as they stand.
+        fn fold(&self) -> u64 {
+            let mut r = Rolling::EMPTY;
+            for (n, v) in self.entries.iter().rev() {
+                r.push_newest(entry_hash(n, v));
+            }
+            let mut h = crate::codec::FNV_OFFSET;
+            crate::codec::fnv1a_usize(&mut h, self.max_size);
+            crate::codec::fnv1a_usize(&mut h, self.capacity_limit);
+            crate::codec::fnv1a_usize(&mut h, self.entries.len());
+            crate::codec::fnv1a(&mut h, &r.sum.to_le_bytes());
+            h
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Insert(Vec<u8>, Vec<u8>),
+        SetMaxSize(usize),
+        SetCapacityLimit(usize),
+        Reset(usize),
+    }
+
+    /// Few names, so lookups hit; values of every length around the limits
+    /// in play, so entries are evicted one, several and all at a time, some
+    /// are oversized, and the dead prefix takes every size.
+    fn field() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+        let name = prop_oneof![
+            Just(Vec::new()),
+            Just(b":path".to_vec()),
+            Just(b"cookie".to_vec()),
+            proptest::collection::vec(97u8..101, 1..4),
+            proptest::collection::vec(any::<u8>(), 0..40),
+        ];
+        let value = prop_oneof![
+            Just(Vec::new()),
+            proptest::collection::vec(any::<u8>(), 0..24),
+            proptest::collection::vec(120u8..122, 0..200),
+            proptest::collection::vec(Just(b'z'), 300..700),
+        ];
+        (name, value)
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let insert = || field().prop_map(|(n, v)| Op::Insert(n, v));
+        prop_oneof![
+            insert(),
+            insert(),
+            insert(),
+            insert(),
+            (0usize..700).prop_map(Op::SetMaxSize),
+            (0usize..700).prop_map(Op::SetCapacityLimit),
+            (0usize..700).prop_map(Op::Reset),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn arena_table_tracks_the_naive_model(
+            limit in 0usize..700,
+            ops in proptest::collection::vec(op(), 1..120),
+        ) {
+            let mut t = IndexTable::with_limit(limit);
+            let mut m = Model { entries: VecDeque::new(), max_size: limit, capacity_limit: limit };
+            for (step, op) in ops.iter().enumerate() {
+                match op {
+                    Op::Insert(n, v) => {
+                        t.insert(n, v);
+                        m.insert(n, v);
+                    }
+                    Op::SetMaxSize(s) => {
+                        let ok = *s <= m.capacity_limit;
+                        prop_assert_eq!(t.set_max_size(*s).is_ok(), ok);
+                        if ok {
+                            m.max_size = *s;
+                            m.evict();
+                        }
+                    }
+                    Op::SetCapacityLimit(l) => {
+                        t.set_capacity_limit(*l);
+                        m.capacity_limit = *l;
+                        m.max_size = m.max_size.min(*l);
+                        m.evict();
+                    }
+                    Op::Reset(l) => {
+                        t.reset(*l);
+                        m = Model { entries: VecDeque::new(), max_size: *l, capacity_limit: *l };
+                    }
+                }
+                prop_assert_eq!(t.len(), m.entries.len(), "len at step {}", step);
+                prop_assert_eq!(t.is_empty(), m.entries.is_empty());
+                prop_assert_eq!(t.size(), m.size(), "size at step {}", step);
+                prop_assert_eq!(t.max_size(), m.max_size);
+                for i in 0..=61 + t.len() + 1 {
+                    prop_assert_eq!(t.get(i).ok(), m.get(i), "get({}) at step {}", i, step);
+                }
+                // Every live entry, the same name under another value, and
+                // the field just handled (evicted or not).
+                let mut probes: Vec<(&[u8], &[u8])> =
+                    m.entries.iter().flat_map(|(n, v)| [(&n[..], &v[..]), (&n[..], &b"?"[..])]).collect();
+                if let Op::Insert(n, v) = op {
+                    probes.push((n, v));
+                }
+                for (n, v) in probes {
+                    prop_assert_eq!(t.find(n, v), m.find(n, v), "find at step {}", step);
+                }
+                prop_assert_eq!(fold(&t), m.fold(), "fingerprint at step {}", step);
+                // The arena holds the live entries and a dead prefix no
+                // larger than them.
+                prop_assert!(t.head <= t.arena.len() - t.head);
+            }
+        }
+    }
+
+    #[test]
+    fn equal_tables_reached_by_different_histories_fingerprint_equal() {
+        let h = |i: usize| (format!("x-header-{i}"), "v".repeat(i % 7 + 1));
+        let put = |t: &mut IndexTable, i: usize| insert(t, &h(i).0, &h(i).1);
+        fn entries(t: &IndexTable) -> Vec<(&[u8], &[u8])> {
+            (62..62 + t.len()).map(|i| t.get(i).unwrap()).collect()
+        }
+        // The target: the last three of five insertions, limits 4096/4096.
+        let mut direct = IndexTable::new();
+        for i in 2..5 {
+            put(&mut direct, i);
+        }
+        // Inserted after two entries a shrink-and-restore evicted.
+        let mut resized = IndexTable::new();
+        put(&mut resized, 0);
+        put(&mut resized, 1);
+        resized.set_max_size(0).unwrap();
+        resized.set_max_size(4096).unwrap();
+        for i in 2..5 {
+            put(&mut resized, i);
+        }
+        // Overflowed: a table that only ever holds three such entries.
+        let entry = |i: usize| h(i).0.len() + h(i).1.len() + 32;
+        let mut evicted = IndexTable::with_limit(3 * entry(2) + 10);
+        for i in 0..5 {
+            put(&mut evicted, i);
+        }
+        assert_eq!(evicted.len(), 3);
+        evicted.capacity_limit = 4096;
+        evicted.max_size = 4096;
+        // Recycled from an unrelated life, one oversized entry included.
+        let mut recycled = IndexTable::with_limit(64);
+        put(&mut recycled, 9);
+        insert(&mut recycled, "huge", &"z".repeat(100));
+        recycled.reset(4096);
+        for i in 2..5 {
+            put(&mut recycled, i);
+        }
+        for other in [&resized, &evicted, &recycled] {
+            assert_eq!(entries(other), entries(&direct));
+            assert_eq!(fold(other), fold(&direct));
+        }
+        // Contents, order and each limit all count.
+        let mut reordered = IndexTable::new();
+        for i in [3, 2, 4] {
+            put(&mut reordered, i);
+        }
+        assert_ne!(fold(&reordered), fold(&direct));
+        let mut shorter = direct.clone();
+        shorter.set_max_size(2 * entry(2) + 40).unwrap();
+        assert_eq!(shorter.len(), 2);
+        assert_ne!(fold(&shorter), fold(&direct));
+        let mut limited = direct.clone();
+        limited.set_max_size(4000).unwrap();
+        assert_eq!(entries(&limited), entries(&direct));
+        assert_ne!(fold(&limited), fold(&direct));
+        let mut capped = direct.clone();
+        capped.set_capacity_limit(8192);
+        assert_ne!(fold(&capped), fold(&direct));
     }
 }

@@ -220,9 +220,9 @@ impl RunPlan {
     }
 
     /// Precompute the page-level artifact ([`crate::PreparedPage`]) once
-    /// and share it across every rep: pre-scanned parser/reference
-    /// indices, pre-formatted header lists and a memoized HPACK block
-    /// cache. Outputs stay byte-identical to the unprepared plan.
+    /// and share it across every rep: pre-scanned parser, reference and
+    /// push-resolution indices and the memoized HPACK block and decode
+    /// caches. Outputs stay byte-identical to the unprepared plan.
     pub fn prepared(mut self) -> Self {
         self.inputs = self.inputs.prepared();
         self

@@ -1,18 +1,19 @@
 //! Page-level precomputation: the [`PreparedPage`] artifact.
 //!
-//! A replay spends a measurable slice of every repetition re-deriving
-//! facts that depend only on the page: the browser's parser stop points
-//! and preload-scanner reference index, the per-resource request and
-//! response header lists both endpoints format, and the HPACK blocks
-//! those lists encode to. A [`PreparedPage`] computes all of it once and
-//! shares it — across repetitions, configurations and worker threads —
-//! via `Arc` clones.
+//! A replay spends a slice of every repetition re-deriving facts that
+//! depend only on the page: the browser's parser stop points, its
+//! preload-scanner reference index and the index that resolves a push
+//! promise to a resource, the URLs a cache digest is asked about, and
+//! the HPACK blocks the page's header lists encode to and decode from.
+//! A [`PreparedPage`] computes all of it once and shares it — across
+//! repetitions, configurations and worker threads — via `Arc` clones.
+//! (Header *lists* are not among them: both endpoints format theirs per
+//! request as borrowed fields over the page's strings, prepared or not.)
 //!
-//! **Bit-identity is the contract.** Every prepared component either
-//! stores exactly the bytes the live path would produce (header lists are
-//! built by the same formatting code) or memoizes keyed on the full
-//! producer state (HPACK blocks are keyed by the encoder-state
-//! fingerprint and fall back to live encoding on any miss — see
+//! **Bit-identity is the contract.** Every prepared component is either
+//! a pure function of the page or memoizes keyed on the full producer
+//! state (HPACK blocks are keyed by the encoder-state fingerprint and
+//! fall back to live encoding on any miss — see
 //! `h2push_hpack::BlockCache`). A replay with a `PreparedPage` attached
 //! is therefore byte-identical to one without, which
 //! `tests/prepared.rs` asserts across strategies, tracing and fault
@@ -31,10 +32,10 @@ use std::sync::Arc;
 /// Everything about one page that replays can precompute and share.
 #[derive(Debug, Clone)]
 pub struct PreparedPage {
-    /// Browser-side scan: parser stops, HTML reference index, request
-    /// header lists.
+    /// Browser-side scan: parser stops, HTML reference index, push
+    /// resolution index.
     pub(crate) scan: Arc<PreparedScan>,
-    /// Server-side response/push-request header lists and push URLs.
+    /// Server-side push URLs.
     pub(crate) server: Arc<ServerPrepared>,
     /// Memoized HPACK header blocks, shared by the client and every
     /// server connection (keys carry the full encoder-state fingerprint,
@@ -44,8 +45,7 @@ pub struct PreparedPage {
     /// shared by the client and every server connection (keys carry the
     /// decoder-state fingerprint plus the block hash, so sharing across
     /// roles cannot alias). Decoded headers are identical with or without
-    /// it — the cache only skips redundant decoding work and the header
-    /// allocations that come with it.
+    /// it — the cache only skips redundant decoding work.
     pub(crate) hpack_decode: DecodeCache,
 }
 
@@ -66,7 +66,7 @@ impl PreparedPage {
         &self.scan
     }
 
-    /// Borrow the shared server-side header lists.
+    /// Borrow the shared server-side push URLs.
     pub fn server(&self) -> &Arc<ServerPrepared> {
         &self.server
     }

@@ -1,0 +1,199 @@
+//! What a replay allocates once its context is warm, as a plain test: the
+//! header plane owns no byte — fields are borrowed from the page to the
+//! wire and back — so an *unprepared* replay through a recycled
+//! [`ReplayCtx`] allocates about what a prepared one does, and a recycled
+//! connection pair exchanges header blocks without allocating at all.
+//!
+//! The counter is this binary's own `#[global_allocator]`, counting per
+//! thread, so the harness and the other test here cannot disturb a count.
+//!
+//! The second test pins the hit/miss sequence of both HPACK memos: their
+//! keys are fingerprints of table contents and header bytes, so any change
+//! to what is hashed, or to the order blocks are encoded and decoded in,
+//! moves these counts.
+
+use h2push_h2proto::{Connection, DefaultScheduler, PrioritySpec, Settings};
+use h2push_strategies::{paper_strategy, PaperStrategy, Strategy};
+use h2push_testbed::{ReplayCtx, ReplayInputs, RunPlan};
+use h2push_webmodel::{generate_set, realworld_site, CorpusKind, Page, ResourceId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Heap blocks this thread has asked for (`const`: no lazy
+    /// initialisation, so reading it inside the allocator allocates
+    /// nothing).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread that is tearing down still allocates.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`; the counter
+// is a thread-local `Cell` that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's contract is `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+/// Allocations of the third replay of `plan` through one context; the
+/// first two warm it (every machine the page needs is parked by then).
+fn steady_allocs(plan: &RunPlan) -> u64 {
+    let mut ctx = ReplayCtx::new();
+    for rep in 0..2 {
+        plan.run_rep_in(rep, &mut ctx).expect("warm-up replay");
+    }
+    let (n, out) = allocs_during(|| plan.run_rep_in(2, &mut ctx));
+    out.expect("measured replay");
+    n
+}
+
+fn get(host: &'static str, path: &'static str) -> [(&'static str, &'static str); 4] {
+    [(":method", "GET"), (":scheme", "https"), (":authority", host), (":path", path)]
+}
+
+#[test]
+fn a_warm_replay_allocates_next_to_nothing_for_headers() {
+    // The two `bulkpush` cells of the benchmark, unprepared as it runs
+    // them, and prepared for comparison.
+    for (site, which, bound) in
+        [(10, PaperStrategy::PushAll, 700), (1, PaperStrategy::PushAllOptimized, 300)]
+    {
+        let (page, strategy) = paper_strategy(&realworld_site(site), which);
+        let plan = RunPlan::new(&ReplayInputs::from(page)).strategy(strategy).seed(42).reps(3);
+        let unprepared = steady_allocs(&plan);
+        let prepared = steady_allocs(&plan.clone().prepared());
+        assert!(unprepared <= bound, "w{site}: {unprepared} allocations per warm replay");
+        assert!(
+            unprepared.abs_diff(prepared) <= 40,
+            "w{site}: {unprepared} unprepared against {prepared} prepared"
+        );
+    }
+
+    // One request answered with a push: four header blocks encoded, sent,
+    // received and decoded, lists handed out in events and dropped.
+    let mut client = Connection::client(Settings::default());
+    let mut server = Connection::server(Settings::default());
+    let (mut scheduler, mut wire) = (DefaultScheduler::new(), Vec::new());
+    let mut exchange = |client: &mut Connection, server: &mut Connection| {
+        let mut pump = |from: &mut Connection, to: &mut Connection| {
+            wire.clear();
+            from.produce_into(usize::MAX, &mut scheduler, &mut wire);
+            to.receive(&wire);
+            let mut events = 0;
+            while to.poll_event().is_some() {
+                events += 1;
+            }
+            events
+        };
+        let id = client.request(&get("steady.test", "/"), Some(PrioritySpec::default()));
+        assert!(pump(client, server) >= 1);
+        let ok = [(":status", "200"), ("content-type", "text/css"), ("content-length", "2000")];
+        let pushed = server.push_promise(id, &get("steady.test", "/app.css")).expect("push is on");
+        server.respond(pushed, &ok, false);
+        server.queue_body(pushed, 2_000, true);
+        server.respond(id, &ok, false);
+        server.queue_body(id, 2_000, true);
+        // PUSH_PROMISE, two HEADERS, two DATA.
+        assert!(pump(server, client) >= 5);
+        pump(client, server);
+    };
+    for _ in 0..2 {
+        exchange(&mut client, &mut server);
+        client.reset_client(Settings::default());
+        server.reset_server(Settings::default());
+    }
+    let (n, ()) = allocs_during(|| exchange(&mut client, &mut server));
+    assert_eq!(n, 0, "a recycled connection pair allocated during a push exchange");
+}
+
+/// The 45 serial cells of the parity check: w17, w10, w1 under the three
+/// paper strategies the benchmark runs them with, and the benchmark's
+/// twelve generated sites under its three grid strategies.
+fn parity_cells() -> Vec<(Page, Strategy)> {
+    let mut cells = Vec::new();
+    for site in [17, 10, 1] {
+        for which in
+            [PaperStrategy::NoPush, PaperStrategy::PushAll, PaperStrategy::PushAllOptimized]
+        {
+            cells.push(paper_strategy(&realworld_site(site), which));
+        }
+    }
+    let ids = |r: std::ops::RangeInclusive<usize>| r.map(ResourceId).collect::<Vec<_>>();
+    let mut sites = generate_set(CorpusKind::Random, 8, 42);
+    sites.extend(generate_set(CorpusKind::Top, 4, 42));
+    for page in sites {
+        for strategy in [
+            Strategy::NoPush,
+            Strategy::PushList { order: ids(1..=5) },
+            Strategy::Interleaved { offset: 4096, critical: ids(1..=1), after: ids(2..=3) },
+        ] {
+            cells.push((page.clone(), strategy));
+        }
+    }
+    cells
+}
+
+#[test]
+fn both_hpack_memos_see_the_hit_and_miss_sequence_of_the_parent_commit() {
+    // (block hits, block misses, decode hits, decode misses), summed over
+    // the cells, and an FNV-1a fold of the per-cell figures in order —
+    // both read off this same test at the commit before header fields
+    // became borrowed slices.
+    const TOTALS: [u64; 4] = [26_786, 5_444, 26_786, 5_444];
+    const FOLD: u64 = 6_237_309_135_183_429_805;
+    let mut ctx = ReplayCtx::new();
+    let (mut totals, mut fold, mut table) = ([0u64; 4], 0xcbf2_9ce4_8422_2325_u64, String::new());
+    for (page, strategy) in parity_cells() {
+        let plan = RunPlan::new(&page).strategy(strategy.clone()).seed(42).reps(5).prepared();
+        for rep in 0..5 {
+            plan.run_rep_in(rep, &mut ctx).expect("replay");
+        }
+        let prepared = plan.inputs().prepared_page().expect("prepared plan");
+        let ((bh, bm), (dh, dm)) =
+            (prepared.hpack_cache().stats(), prepared.hpack_decode_cache().stats());
+        for (total, n) in totals.iter_mut().zip([bh, bm, dh, dm]) {
+            *total += n;
+            for byte in n.to_le_bytes() {
+                fold = (fold ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        let label = match strategy {
+            Strategy::NoPush => "no-push",
+            Strategy::PushList { .. } => "push-list",
+            Strategy::Interleaved { .. } => "interleaved",
+        };
+        table += &format!("{}/{label}: {bh} {bm} {dh} {dm}\n", page.name);
+    }
+    assert_eq!((totals, fold), (TOTALS, FOLD), "per cell:\n{table}");
+}
