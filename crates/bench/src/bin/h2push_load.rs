@@ -98,7 +98,10 @@ fn main() {
         load.pushed_bytes,
         load.cancelled_pushes,
     );
-    println!("wire: {} conns, {} B in, {} B out", report.conns, report.bytes_in, report.bytes_out);
+    println!(
+        "wire: {} conns, {} B in, {} B out; {} poll, {} read, {} writev",
+        report.conns, report.bytes_in, report.bytes_out, report.polls, report.reads, report.writes,
+    );
     if load.finished() {
         println!("plt {:.1} ms, speed index {:.1} ms", load.plt(), load.speed_index());
     }

@@ -22,7 +22,9 @@
 //! picks a free port) and serves until the duration elapses (default:
 //! forever), then drains gracefully. On exit, prints the accumulated
 //! server stats; `--stats-json` additionally writes them — including the
-//! per-close-reason counters and every typed connection error — as JSON.
+//! per-close-reason counters, every typed connection error, how many
+//! connection machines were built and how many accepts reused a parked
+//! one, and the poll / read / writev calls made — as JSON.
 
 use h2push_h2proto::ConnLimits;
 use h2push_strategies::{push_all, push_first_n, Strategy};
@@ -87,7 +89,9 @@ fn stats_json(stats: &LiveServerStats) -> String {
     format!(
         "{{\n  \"accepted\": {},\n  \"shed\": {},\n  \"bytes_in\": {},\n  \"bytes_out\": {},\n  \
          \"requests\": {},\n  \"pushed_bytes\": {},\n  \"protocol_errors\": {},\n  \
-         \"max_queued_bytes\": {},\n  \"closed\": {{\"clean\": {}, \"protocol_error\": {}, \
+         \"max_queued_bytes\": {},\n  \"machines_built\": {},\n  \"machines_reused\": {},\n  \
+         \"polls\": {},\n  \"reads\": {},\n  \"writes\": {},\n  \
+         \"closed\": {{\"clean\": {}, \"protocol_error\": {}, \
          \"timeout\": {}, \"shed\": {}, \"write_stall\": {}, \"io_error\": {}, \
          \"drain_killed\": {}}},\n  \"close_reasons\": {},\n  \"conn_errors\": {}\n}}\n",
         stats.accepted,
@@ -98,6 +102,11 @@ fn stats_json(stats: &LiveServerStats) -> String {
         stats.pushed_bytes,
         stats.protocol_errors,
         stats.max_queued_bytes,
+        stats.machines_built,
+        stats.machines_reused,
+        stats.polls,
+        stats.reads,
+        stats.writes,
         c.clean,
         c.protocol_error,
         c.timeout,

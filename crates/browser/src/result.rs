@@ -28,7 +28,7 @@ pub struct PaintSample {
 }
 
 /// All measurements from a single page load.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadResult {
     /// Site name.
     pub site: String,

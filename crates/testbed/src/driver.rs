@@ -114,7 +114,7 @@ impl Endpoint for AnyServer {
 #[derive(Default)]
 pub struct ReplayCtx {
     net: Option<Network>,
-    browser: Option<Browser>,
+    pub(crate) browser: Option<Browser>,
     /// This run's connections, indexed by [`ConnId`]: netsim hands out
     /// dense ids in connect order.
     conns: Vec<ConnCtx>,
@@ -122,17 +122,24 @@ pub struct ReplayCtx {
     /// for a connection resolves by binary search, and the timer pump
     /// walks it instead of sorting.
     by_slot: Vec<ConnId>,
-    queue: VecDeque<BrowserAction>,
+    pub(crate) queue: VecDeque<BrowserAction>,
     /// Parked H2 replay servers from the previous run, reissued (via
-    /// `ReplayServer::reset`) by `open_connection`. The box is the
-    /// point: it is `AnyServer::H2`'s own allocation, parked and
-    /// reissued whole so recycling never re-boxes.
+    /// `ReplayServer::reset`) by `open_connection` — and, in a live
+    /// server's context, by `accept`. The box is the point: it is
+    /// `AnyServer::H2`'s own allocation, parked and reissued whole so
+    /// recycling never re-boxes.
     #[allow(clippy::vec_box)]
-    spare_h2: Vec<Box<ReplayServer>>,
+    pub(crate) spare_h2: Vec<Box<ReplayServer>>,
     /// Parked H1 replay servers, reissued via `H1ReplayServer::reset`.
     spare_h1: Vec<H1ReplayServer>,
-    /// Parked per-connection FIFO pairs (literal rings retained).
-    spare_fifos: Vec<(WireFifo, WireFifo)>,
+    /// Parked per-connection FIFO pairs (literal rings retained). The
+    /// live runtime queues one direction per socket: a server the
+    /// `down` half, the load client the `up` half.
+    pub(crate) spare_fifos: Vec<(WireFifo, WireFifo)>,
+    /// The live runtime's scratch: read buffer, `pollfd` array, and the
+    /// load client's timers and connection table.
+    #[cfg(unix)]
+    pub(crate) live: crate::live::LiveScratch,
 }
 
 impl ReplayCtx {
@@ -459,7 +466,8 @@ pub(crate) fn drive_in(
     ctx: &mut ReplayCtx,
 ) -> Result<ReplayOutcome, ReplayError> {
     ctx.begin_run(inputs, cfg, trace);
-    let ReplayCtx { net, browser, conns, by_slot, queue, spare_h2, spare_h1, spare_fifos } = ctx;
+    let ReplayCtx { net, browser, conns, by_slot, queue, spare_h2, spare_h1, spare_fifos, .. } =
+        ctx;
     SimDriver {
         inputs,
         cfg,
@@ -476,16 +484,22 @@ pub(crate) fn drive_in(
     .run()
 }
 
+/// Run `f` in the calling thread's [`ReplayCtx`]. Re-entrant calls (a
+/// replay started from inside a replay) get a fresh context rather than
+/// aliasing the borrowed one.
+pub(crate) fn with_thread_ctx<R>(f: impl FnOnce(&mut ReplayCtx) -> R) -> R {
+    THREAD_CTX.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut ctx) => f(&mut ctx),
+        Err(_) => f(&mut ReplayCtx::new()),
+    })
+}
+
 /// Run one replay of `inputs` under `cfg`, recycling the calling thread's
-/// [`ReplayCtx`]. Re-entrant calls (a replay started from inside a replay)
-/// fall back to a fresh context rather than aliasing the borrowed one.
+/// [`ReplayCtx`].
 pub(crate) fn drive(
     inputs: &ReplayInputs,
     cfg: &ReplayConfig,
     trace: &TraceHandle,
 ) -> Result<ReplayOutcome, ReplayError> {
-    THREAD_CTX.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut ctx) => drive_in(inputs, cfg, trace, &mut ctx),
-        Err(_) => drive_in(inputs, cfg, trace, &mut ReplayCtx::new()),
-    })
+    with_thread_ctx(|ctx| drive_in(inputs, cfg, trace, ctx))
 }

@@ -38,8 +38,8 @@ pub use driver::ReplayCtx;
 pub use harness::{compute_push_order, run_config, Mode, PAPER_RUNS};
 #[cfg(unix)]
 pub use live::{
-    load_page, CloseCounts, CloseReason, ConnClose, LiveLimits, LiveLoadReport, LiveServer,
-    LiveServerHandle, LiveServerStats, TimeoutKind,
+    load_page, load_page_in, CloseCounts, CloseReason, ConnClose, LiveLimits, LiveLoadReport,
+    LiveServer, LiveServerHandle, LiveServerStats, TimeoutKind,
 };
 pub use plan::{RunOutput, RunPlan, RunReport, TraceSpec};
 pub use pool::{parallel_indexed, set_worker_threads, worker_threads};

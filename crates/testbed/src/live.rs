@@ -22,6 +22,16 @@
 //! * [`load_page`] — the loopback load client: drives a real [`Browser`]
 //!   over TCP connections to one address and returns its [`LoadResult`].
 //!
+//! Both halves keep their machinery in a [`ReplayCtx`], under the rule the
+//! simulator's runs follow (see [`crate::driver`]): machines and queues
+//! are parked when a connection is done with them and reissued through
+//! `reset`, so the cold path is the first run through an empty context,
+//! not a second code path. [`load_page`] runs in the calling thread's
+//! context — the one its simulated replays recycle — and
+//! [`LiveServer::run`] in one of its own, where a connection parks only
+//! if it closed [`CloseReason::Clean`]. Neither poll loop allocates per
+//! tick: read buffer and `pollfd` array are the context's too.
+//!
 //! # Supervision
 //!
 //! Real networks contain peers the simulator never models: clients that
@@ -37,7 +47,8 @@
 //!     ▼               Timeout(Preface)  Timeout(Header)   Timeout(Idle)
 //!    Shed
 //!
-//!   any state ──peer EOF──► Clean        any state ──ConnError──► ProtocolError
+//!   any state ──peer EOF──► Clean ──► machine and queue parked for the next accept
+//!   any state ──ConnError──► ProtocolError
 //!   any state ──socket error──► IoError
 //!   out queued, no write progress for write_stall_timeout ──► WriteStall
 //!   still open at drain deadline after stop() ──► DrainKilled
@@ -60,15 +71,19 @@
 //! open at `drain_deadline` is flushed once and killed. `run()` then
 //! returns the complete [`LiveServerStats`].
 
+use crate::driver::{with_thread_ctx, ReplayCtx};
 use crate::wire_fifo::WireFifo;
-use h2push_browser::{Browser, BrowserAction, BrowserConfig, LoadResult, TransportMode};
+use h2push_browser::{
+    Browser, BrowserAction, BrowserConfig, LoadResult, PreparedScan, TransportMode,
+};
 use h2push_h2proto::sansio::{Endpoint, WireSink};
 use h2push_h2proto::{ConnError, ConnLimits};
 use h2push_netsim::SimTime;
 use h2push_server::ReplayServer;
 use h2push_strategies::Strategy;
-use h2push_webmodel::{Page, RecordDb};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use h2push_webmodel::{Page, RecordDb, ResourceId};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -88,6 +103,14 @@ struct PollFd {
     revents: i16,
 }
 
+impl PollFd {
+    /// Watch `stream` for input, and for room while `out` holds bytes.
+    fn of(stream: &TcpStream, out: &WireFifo) -> Self {
+        let room = if out.is_empty() { 0 } else { POLLOUT };
+        PollFd { fd: stream.as_raw_fd(), events: POLLIN | room, revents: 0 }
+    }
+}
+
 const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
 const POLLERR: i16 = 0x008;
@@ -101,8 +124,8 @@ extern "C" {
 /// Block until an fd is ready or `timeout` elapses. EINTR retries resume
 /// with the *remaining* fraction of the timeout, and sub-millisecond
 /// waits round up to 1 ms so a short timer never degenerates into a
-/// `poll(0)` busy-spin.
-fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+/// `poll(0)` busy-spin. Every call made counts into `polls`.
+fn poll_fds(fds: &mut [PollFd], timeout: Duration, polls: &mut u64) -> io::Result<usize> {
     let deadline = Instant::now() + timeout;
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -110,6 +133,7 @@ fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         if ms == 0 && !left.is_zero() {
             ms = 1;
         }
+        *polls += 1;
         let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, ms) };
         if n >= 0 {
             return Ok(n as usize);
@@ -139,8 +163,14 @@ const CLOSE_LOG_CAP: usize = 1024;
 /// remainder queued; `WouldBlock` leaves the queue intact; EINTR retries.
 /// Returns `(alive, progressed)`: `alive == false` means the connection
 /// is unusable (reset / broken pipe), `progressed` whether at least one
-/// byte left the queue (the write-stall supervision signal).
-fn flush_out(w: &mut impl Write, out: &mut WireFifo, sent: &mut u64) -> (bool, bool) {
+/// byte left the queue (the write-stall supervision signal). Every write
+/// issued counts into `writes`.
+fn flush_out(
+    w: &mut impl Write,
+    out: &mut WireFifo,
+    sent: &mut u64,
+    writes: &mut u64,
+) -> (bool, bool) {
     let mut progressed = false;
     while !out.is_empty() {
         let mut iov = [IoSlice::new(&[]); FLUSH_PIECES];
@@ -149,6 +179,7 @@ fn flush_out(w: &mut impl Write, out: &mut WireFifo, sent: &mut u64) -> (bool, b
             *slot = IoSlice::new(piece);
             pieces += 1;
         }
+        *writes += 1;
         match w.write_vectored(&iov[..pieces]) {
             Ok(0) => return (false, progressed),
             Ok(n) => {
@@ -162,6 +193,64 @@ fn flush_out(w: &mut impl Write, out: &mut WireFifo, sent: &mut u64) -> (bool, b
         }
     }
     (true, progressed)
+}
+
+/// How one wake-up's reading ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ReadEnd {
+    /// The socket holds nothing more for now: `WouldBlock`.
+    Drained,
+    /// The peer closed: `Ok(0)`.
+    Eof,
+    /// Hard socket error (reset).
+    Failed,
+}
+
+/// The read half of one socket's wake-up, from what poll reported for
+/// it: read `r` into `buf`, a chunk per `on_bytes`, until it would block
+/// or ends; EINTR retries. A short read does not end the wake-up: the
+/// peer's next bytes are often already on their way, and finding them
+/// with the next read is cheaper than finding them with another trip
+/// through poll (measured: DESIGN.md §14); a peer's hang-up is therefore
+/// read in the wake-up that reports it. A socket that is not readable is
+/// not read, and fails if an error or hang-up is all it shows. Every read
+/// issued counts into `reads`.
+fn drain_in<R: Read>(
+    revents: i16,
+    r: &mut R,
+    buf: &mut [u8],
+    reads: &mut u64,
+    mut on_bytes: impl FnMut(&[u8]),
+) -> ReadEnd {
+    if revents & POLLIN == 0 {
+        return if revents & (POLLERR | POLLHUP) != 0 { ReadEnd::Failed } else { ReadEnd::Drained };
+    }
+    loop {
+        *reads += 1;
+        match r.read(buf) {
+            Ok(0) => return ReadEnd::Eof,
+            Ok(n) => on_bytes(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadEnd::Drained,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => return ReadEnd::Failed,
+        }
+    }
+}
+
+/// What a [`ReplayCtx`] keeps for the live runtime between ticks and
+/// between loads, so that neither poll loop allocates per tick and a warm
+/// load allocates nothing to hold its connections.
+#[derive(Default)]
+pub(crate) struct LiveScratch {
+    /// Read buffer, [`READ_CHUNK`] long once either half has run.
+    buf: Vec<u8>,
+    /// The `pollfd` array, rebuilt in place every tick.
+    fds: Vec<PollFd>,
+    /// The load client's timers, (fire-at µs, token), soonest first.
+    timers: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The load client's connections, sorted by `(group, slot)`. Empty
+    /// between loads: sockets close before `load_page` returns.
+    conns: Vec<ClientConn>,
 }
 
 // ---- supervision policy --------------------------------------------------
@@ -351,6 +440,17 @@ pub struct LiveServerStats {
     pub max_queued_bytes: usize,
     /// Per-close-reason counters.
     pub closed: CloseCounts,
+    /// Connection machines constructed: accepts that found none parked.
+    pub machines_built: u64,
+    /// Accepts served by a parked machine (a cleanly closed connection's
+    /// [`ReplayServer`] and output queue, reset).
+    pub machines_reused: u64,
+    /// `poll(2)` calls made.
+    pub polls: u64,
+    /// `read(2)` calls made on connection sockets.
+    pub reads: u64,
+    /// `writev(2)` calls made on connection sockets.
+    pub writes: u64,
     /// The most recent retired connections (up to 1024; older ones leave
     /// only their `closed` count), oldest first, each with its reason and
     /// typed error.
@@ -396,7 +496,7 @@ impl LiveServerHandle {
 /// clock).
 struct ServerConn {
     stream: TcpStream,
-    machine: ReplayServer,
+    machine: Box<ReplayServer>,
     /// Wire bytes the machine produced and the socket has not taken.
     out: WireFifo,
     /// µs timestamps for the lifecycle deadlines.
@@ -412,11 +512,11 @@ struct ServerConn {
 }
 
 impl ServerConn {
-    fn new(stream: TcpStream, machine: ReplayServer, now: u64) -> Self {
+    fn new(stream: TcpStream, machine: Box<ReplayServer>, out: WireFifo, now: u64) -> Self {
         ServerConn {
             stream,
             machine,
-            out: WireFifo::default(),
+            out,
             accepted_at: now,
             preface_at: None,
             first_request_at: None,
@@ -523,12 +623,22 @@ impl LiveServer {
 
     /// Serve until stopped (handle or deadline), then drain gracefully.
     /// Consumes the server; returns the accumulated stats.
+    ///
+    /// The loop's machinery lives in a [`ReplayCtx`] of its own, under the
+    /// rule the simulator's contexts follow: a connection that closed
+    /// [`CloseReason::Clean`] parks its machine and output queue there, and
+    /// `accept` reissues them through `ReplayServer::reset` — the reset a
+    /// simulated run's connections go through. Any other close drops the
+    /// machine, so machines alive plus parked never exceed the peak number
+    /// served at once (at most `max_conns`).
     pub fn run(mut self) -> io::Result<LiveServerStats> {
         let epoch = Instant::now();
         let lim = self.limits;
+        let main_group = self.page.server_group_of(ResourceId(0));
         let mut stats = LiveServerStats::default();
         let mut conns: Vec<ServerConn> = Vec::new();
-        let mut buf = vec![0u8; READ_CHUNK];
+        let mut ctx = ReplayCtx::new();
+        ctx.live.buf.resize(READ_CHUNK, 0);
         let mut drain_started: Option<Duration> = None;
         loop {
             let elapsed = epoch.elapsed();
@@ -548,100 +658,45 @@ impl LiveServer {
                 if elapsed - started >= lim.drain_deadline {
                     // Deadline: one last flush each, then kill the rest.
                     for c in conns.iter_mut() {
-                        let _ = flush_out(&mut c.stream, &mut c.out, &mut stats.bytes_out);
+                        let _ = flush_out(
+                            &mut c.stream,
+                            &mut c.out,
+                            &mut stats.bytes_out,
+                            &mut stats.writes,
+                        );
                         c.close.get_or_insert(CloseReason::DrainKilled);
                     }
-                    harvest(&mut conns, &mut stats);
+                    harvest(&mut conns, &mut stats, &mut ctx);
                     break;
                 }
             }
 
-            let base = usize::from(self.listener.is_some());
-            let mut fds = Vec::with_capacity(conns.len() + base);
+            // The listener goes first: poll scans in order, so a wake-up
+            // that reports a client's next connection also reports the
+            // hang-up of its last (and the read loop runs into it).
+            let LiveScratch { buf, fds, .. } = &mut ctx.live;
+            fds.clear();
             if let Some(l) = &self.listener {
                 fds.push(PollFd { fd: l.as_raw_fd(), events: POLLIN, revents: 0 });
             }
-            for c in &conns {
-                let mut events = POLLIN;
-                if !c.out.is_empty() {
-                    events |= POLLOUT;
-                }
-                fds.push(PollFd { fd: c.stream.as_raw_fd(), events, revents: 0 });
-            }
-            poll_fds(&mut fds, TICK)?;
-
-            // New connections. `fds` covers only the pre-accept conns;
-            // ones accepted now are first served on the next tick.
-            let polled = fds.len() - base;
-            if base == 1 && fds[0].revents & POLLIN != 0 {
-                let listener = self.listener.as_ref().expect("listener polled");
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            let now = epoch.elapsed().as_micros() as u64;
-                            if conns.len() >= lim.max_conns {
-                                // Deterministic shed policy: the newcomer
-                                // is refused. Accepting then dropping (vs
-                                // leaving it in the backlog) hands the
-                                // client an immediate EOF and keeps the
-                                // listener from staying readable forever.
-                                stats.shed += 1;
-                                stats.log_close(CloseReason::Shed, None);
-                                drop(stream);
-                                continue;
-                            }
-                            if stream.set_nonblocking(true).is_err() {
-                                stats.log_close(CloseReason::IoError, None);
-                                continue;
-                            }
-                            let _ = stream.set_nodelay(true);
-                            stats.accepted += 1;
-                            self.accepted.fetch_add(1, Ordering::Relaxed);
-                            let mut machine = ReplayServer::live(
-                                Arc::clone(&self.page),
-                                Arc::clone(&self.db),
-                                &self.strategy,
-                            );
-                            machine.set_limits(lim.conn);
-                            conns.push(ServerConn::new(stream, machine, now));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
+            let base = fds.len();
+            fds.extend(conns.iter().map(|c| PollFd::of(&c.stream, &c.out)));
+            poll_fds(fds, TICK, &mut stats.polls)?;
 
             // Existing connections: feed readable bytes, pump machine
             // output under the queue bound, flush, supervise.
-            for (i, c) in conns.iter_mut().take(polled).enumerate() {
-                if c.close.is_some() {
-                    continue;
-                }
-                let re = fds[i + base].revents;
+            for (c, fd) in conns.iter_mut().zip(&fds[base..]) {
                 let now = epoch.elapsed().as_micros() as u64;
-                if re & POLLIN != 0 {
-                    loop {
-                        match c.stream.read(&mut buf) {
-                            Ok(0) => {
-                                c.close = Some(CloseReason::Clean);
-                                break;
-                            }
-                            Ok(n) => {
-                                stats.bytes_in += n as u64;
-                                c.last_progress_at = now;
-                                c.machine.feed_bytes(&buf[..n], now);
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                            Err(_) => {
-                                c.close = Some(CloseReason::IoError);
-                                break;
-                            }
-                        }
-                    }
-                } else if re & (POLLERR | POLLHUP) != 0 {
-                    c.close = Some(CloseReason::IoError);
+                let ServerConn { stream, machine, last_progress_at, .. } = c;
+                let end = drain_in(fd.revents, stream, buf, &mut stats.reads, |bytes| {
+                    stats.bytes_in += bytes.len() as u64;
+                    *last_progress_at = now;
+                    machine.feed_bytes(bytes, now);
+                });
+                match end {
+                    ReadEnd::Drained => {}
+                    ReadEnd::Eof => c.close = Some(CloseReason::Clean),
+                    ReadEnd::Failed => c.close = Some(CloseReason::IoError),
                 }
                 if c.preface_at.is_none() && c.machine.preface_received() {
                     c.preface_at = Some(now);
@@ -666,8 +721,12 @@ impl LiveServer {
                     stats.max_queued_bytes = stats.max_queued_bytes.max(c.out.len());
                 }
                 if c.close.is_none() && !c.out.is_empty() {
-                    let (alive, progressed) =
-                        flush_out(&mut c.stream, &mut c.out, &mut stats.bytes_out);
+                    let (alive, progressed) = flush_out(
+                        &mut c.stream,
+                        &mut c.out,
+                        &mut stats.bytes_out,
+                        &mut stats.writes,
+                    );
                     if progressed {
                         c.last_progress_at = now;
                     }
@@ -696,18 +755,69 @@ impl LiveServer {
                     }
                 }
             }
+            let accepting = base == 1 && fds[0].revents & POLLIN != 0;
+            harvest(&mut conns, &mut stats, &mut ctx);
 
-            harvest(&mut conns, &mut stats);
+            // New connections, after the harvest: a client that hung up
+            // and came straight back is issued the machine it just left.
+            // They are first served on the next tick.
+            let Some(listener) = self.listener.as_ref().filter(|_| accepting) else { continue };
+            loop {
+                match listener.accept() {
+                    Ok((stream, _peer)) => {
+                        let now = epoch.elapsed().as_micros() as u64;
+                        if conns.len() >= lim.max_conns {
+                            // Deterministic shed policy: the newcomer
+                            // is refused. Accepting then dropping (vs
+                            // leaving it in the backlog) hands the
+                            // client an immediate EOF and keeps the
+                            // listener from staying readable forever.
+                            stats.shed += 1;
+                            stats.log_close(CloseReason::Shed, None);
+                            drop(stream);
+                            continue;
+                        }
+                        if stream.set_nonblocking(true).is_err() {
+                            stats.log_close(CloseReason::IoError, None);
+                            continue;
+                        }
+                        let _ = stream.set_nodelay(true);
+                        stats.accepted += 1;
+                        self.accepted.fetch_add(1, Ordering::Relaxed);
+                        let (page, db) = (Arc::clone(&self.page), Arc::clone(&self.db));
+                        let mut machine = match ctx.spare_h2.pop() {
+                            Some(mut parked) => {
+                                stats.machines_reused += 1;
+                                parked.reset(page, db, main_group, &self.strategy);
+                                parked
+                            }
+                            None => {
+                                stats.machines_built += 1;
+                                Box::new(ReplayServer::live(page, db, &self.strategy))
+                            }
+                        };
+                        machine.set_limits(lim.conn);
+                        let (_, out) = ctx.spare_fifos.pop().unwrap_or_default();
+                        conns.push(ServerConn::new(stream, machine, out, now));
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(e),
+                }
+            }
         }
         Ok(stats)
     }
 }
 
 /// Retire every closed connection: fold its machine's counters into the
-/// stats and record the typed close exactly once.
-fn harvest(conns: &mut Vec<ServerConn>, stats: &mut LiveServerStats) {
-    conns.retain_mut(|c| {
-        let Some(mut reason) = c.close else { return true };
+/// stats, record the typed close exactly once, and park the machine and
+/// queue of a [`CloseReason::Clean`] one for the next accept. A machine
+/// that died or was abandoned by the transport goes: what is parked is
+/// what a well-behaved exchange grew.
+fn harvest(conns: &mut Vec<ServerConn>, stats: &mut LiveServerStats, ctx: &mut ReplayCtx) {
+    for mut c in conns.extract_if(.., |c| c.close.is_some()) {
+        let mut reason = c.close.expect("extracted because closed");
         let error = c.machine.fatal_error();
         // A machine that died of a protocol violation reports it as such
         // even when the transport saw the peer hang up first.
@@ -718,14 +828,18 @@ fn harvest(conns: &mut Vec<ServerConn>, stats: &mut LiveServerStats) {
         stats.pushed_bytes += c.machine.pushed_bytes();
         stats.protocol_errors += u64::from(c.machine.protocol_errors());
         stats.log_close(reason, error);
-        false
-    });
+        if reason == CloseReason::Clean {
+            c.out.clear();
+            ctx.spare_h2.push(c.machine);
+            ctx.spare_fifos.push((WireFifo::default(), c.out));
+        }
+    }
 }
 
 // ---- load client ---------------------------------------------------------
 
 /// What a live page load produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LiveLoadReport {
     /// The browser's measurements — same type, same semantics as a
     /// simulated replay's `ReplayOutcome::load`.
@@ -742,9 +856,28 @@ pub struct LiveLoadReport {
     /// Connections the server closed (EOF, reset) after traffic but
     /// before the load finished — the timeout / abuse-defense signature.
     pub closed_conns: u32,
+    /// `poll(2)` calls made.
+    pub polls: u64,
+    /// `read(2)` calls made.
+    pub reads: u64,
+    /// `writev(2)` calls made.
+    pub writes: u64,
 }
 
+/// Queue a batch of browser actions and return the emptied buffer to the
+/// engine, as the simulator's `intake` does (`Browser::recycle_actions`).
+fn queue_actions(
+    browser: &mut Browser,
+    queue: &mut VecDeque<BrowserAction>,
+    mut actions: Vec<BrowserAction>,
+) {
+    queue.extend(actions.drain(..));
+    browser.recycle_actions(actions);
+}
+
+/// One connection of a load, at the browser's `(group, slot)`.
 struct ClientConn {
+    key: (usize, usize),
     stream: TcpStream,
     out: WireFifo,
     bytes_in: u64,
@@ -752,14 +885,36 @@ struct ClientConn {
 }
 
 /// Load `page` from the live server at `addr` with a real [`Browser`]
-/// over real TCP, returning once `onload` fires or `timeout` elapses
-/// (the report's `load.partial` / `finished()` tell which).
+/// over real TCP, returning once `onload` fires, `timeout` elapses, or
+/// nothing is left that could move the load — every connection closed by
+/// the server, no action queued, no timer armed (the report's
+/// `load.partial` / `finished()` tell which).
 ///
 /// Every server group of the page maps to the same address — the
 /// loopback stand-in for the paper's per-origin server IPs; the browser
 /// still opens its per-group connections and addresses each origin by
 /// `:authority`, which is how the server routes.
+///
+/// Runs in the calling thread's [`ReplayCtx`], the one simulated replays
+/// recycle; see [`load_page_in`].
 pub fn load_page(
+    addr: SocketAddr,
+    page: Arc<Page>,
+    cfg: BrowserConfig,
+    timeout: Duration,
+) -> io::Result<LiveLoadReport> {
+    with_thread_ctx(|ctx| load_page_in(ctx, addr, page, cfg, timeout))
+}
+
+/// [`load_page`] inside `ctx`: the browser engine (and the client
+/// connection machines it parks), the action queue, the out-queues, the
+/// timer heap, the connection table, the read buffer and the `pollfd`
+/// array are the context's, reset in place, so the first load through a
+/// context is the cold one and every later load allocates little more
+/// than its page scan and its result. Sockets still close before this
+/// returns, whichever way it returns.
+pub fn load_page_in(
+    ctx: &mut ReplayCtx,
     addr: SocketAddr,
     page: Arc<Page>,
     mut cfg: BrowserConfig,
@@ -767,157 +922,149 @@ pub fn load_page(
 ) -> io::Result<LiveLoadReport> {
     cfg.transport = TransportMode::H2;
     let epoch = Instant::now();
-    let now_us = |e: &Instant| e.elapsed().as_micros() as u64;
-    let mut browser = Browser::new(page, cfg);
-    let mut conns: HashMap<(usize, usize), ClientConn> = HashMap::new();
-    // (fire-at µs, token), min-ordered via Reverse.
-    let mut timers: BinaryHeap<std::cmp::Reverse<(u64, u64)>> = BinaryHeap::new();
-    let mut queue: VecDeque<BrowserAction> = browser.start(SimTime(0)).into();
-    let mut bytes_in = 0u64;
-    let mut bytes_out = 0u64;
-    let mut opened = 0u32;
-    let mut shed_conns = 0u32;
-    let mut closed_conns = 0u32;
-    let mut buf = vec![0u8; READ_CHUNK];
+    let now = || SimTime(epoch.elapsed().as_micros() as u64);
+    let ReplayCtx { browser, queue, spare_fifos, live, .. } = ctx;
+    let LiveScratch { buf, fds, timers, conns } = live;
+    let scan = Arc::new(PreparedScan::build(&page));
+    let browser = match browser {
+        Some(b) => {
+            b.reset(page, cfg, scan);
+            b
+        }
+        None => browser.insert(Browser::with_scan(page, cfg, scan)),
+    };
+    // A context whose last load panicked mid-flight is healed here.
+    queue.clear();
+    timers.clear();
+    conns.clear();
+    buf.resize(READ_CHUNK, 0);
+    let mut report = LiveLoadReport::default();
 
     // Classify a peer-initiated close: before any response byte it is the
     // accept-gate shed signature, after traffic a mid-load close.
-    let classify = |c: &mut ClientConn, shed: &mut u32, closed: &mut u32| {
+    let classify = |c: &mut ClientConn, report: &mut LiveLoadReport| {
         if !c.dead {
             c.dead = true;
             if c.bytes_in == 0 {
-                *shed += 1;
+                report.shed_conns += 1;
             } else {
-                *closed += 1;
+                report.closed_conns += 1;
             }
         }
     };
+    let flush = |c: &mut ClientConn, report: &mut LiveLoadReport| {
+        let (bytes, writes) = (&mut report.bytes_out, &mut report.writes);
+        if !flush_out(&mut c.stream, &mut c.out, bytes, writes).0 {
+            classify(c, report);
+        }
+    };
 
-    while !browser.done() && epoch.elapsed() < timeout {
-        // Realize actions; opening a connection completes synchronously
-        // on loopback, so on_connected cascades more actions in place.
-        while let Some(a) = queue.pop_front() {
-            match a {
-                BrowserAction::OpenConnection { group, slot } => {
-                    let stream = TcpStream::connect(addr)?;
-                    let _ = stream.set_nodelay(true);
-                    stream.set_nonblocking(true)?;
-                    conns.insert(
-                        (group, slot),
-                        ClientConn { stream, out: WireFifo::default(), bytes_in: 0, dead: false },
-                    );
-                    opened += 1;
-                    let actions = browser.on_connected(group, slot, SimTime(now_us(&epoch)));
-                    queue.extend(actions);
-                }
-                BrowserAction::SendBytes { group, slot, bytes } => {
-                    if let Some(c) = conns.get_mut(&(group, slot)) {
-                        if !c.dead {
-                            c.out.put_slice(&bytes);
-                            let (alive, _) = flush_out(&mut c.stream, &mut c.out, &mut bytes_out);
-                            if !alive {
-                                classify(c, &mut shed_conns, &mut closed_conns);
+    let ran = (|| -> io::Result<()> {
+        let actions = browser.start(SimTime(0));
+        queue_actions(browser, queue, actions);
+        while !browser.done() && epoch.elapsed() < timeout {
+            // Realize actions; opening a connection completes synchronously
+            // on loopback, so on_connected cascades more actions in place.
+            while let Some(a) = queue.pop_front() {
+                match a {
+                    BrowserAction::OpenConnection { group, slot } => {
+                        let stream = TcpStream::connect(addr)?;
+                        let _ = stream.set_nodelay(true);
+                        stream.set_nonblocking(true)?;
+                        let key = (group, slot);
+                        let (out, _) = spare_fifos.pop().unwrap_or_default();
+                        let at = conns.partition_point(|c| c.key < key);
+                        conns.insert(at, ClientConn { key, stream, out, bytes_in: 0, dead: false });
+                        report.conns += 1;
+                        let actions = browser.on_connected(group, slot, now());
+                        queue_actions(browser, queue, actions);
+                    }
+                    BrowserAction::SendBytes { group, slot, bytes } => {
+                        if let Ok(i) = conns.binary_search_by_key(&(group, slot), |c| c.key) {
+                            if !conns[i].dead {
+                                conns[i].out.put_slice(&bytes);
+                                flush(&mut conns[i], &mut report);
                             }
                         }
                     }
-                }
-                BrowserAction::SetTimer { at, token } => {
-                    timers.push(std::cmp::Reverse((at.as_micros(), token)));
-                }
-            }
-        }
-        if browser.done() {
-            break;
-        }
-
-        // Fire due timers.
-        let now = now_us(&epoch);
-        let mut fired = false;
-        while let Some(&std::cmp::Reverse((at, token))) = timers.peek() {
-            if at > now {
-                break;
-            }
-            timers.pop();
-            let actions = browser.on_timer(token, SimTime(now));
-            queue.extend(actions);
-            fired = true;
-        }
-        if fired {
-            continue; // realize the new actions before blocking
-        }
-
-        // Wait for readiness, the next timer, or the tick.
-        let wait = match timers.peek() {
-            Some(&std::cmp::Reverse((at, _))) => {
-                Duration::from_micros(at.saturating_sub(now)).min(TICK)
-            }
-            None => TICK,
-        };
-        let mut keys: Vec<(usize, usize)> = Vec::with_capacity(conns.len());
-        let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len());
-        for (&key, c) in conns.iter() {
-            if c.dead {
-                continue;
-            }
-            let mut events = POLLIN;
-            if !c.out.is_empty() {
-                events |= POLLOUT;
-            }
-            keys.push(key);
-            fds.push(PollFd { fd: c.stream.as_raw_fd(), events, revents: 0 });
-        }
-        if fds.is_empty() {
-            std::thread::sleep(wait);
-            continue;
-        }
-        poll_fds(&mut fds, wait)?;
-
-        for (key, fd) in keys.iter().zip(&fds) {
-            let c = conns.get_mut(key).expect("conn exists");
-            if fd.revents & POLLIN != 0 {
-                loop {
-                    match c.stream.read(&mut buf) {
-                        Ok(0) => {
-                            classify(c, &mut shed_conns, &mut closed_conns);
-                            break;
-                        }
-                        Ok(n) => {
-                            bytes_in += n as u64;
-                            c.bytes_in += n as u64;
-                            let t = SimTime(now_us(&epoch));
-                            let actions = browser.on_bytes(key.0, key.1, &buf[..n], t);
-                            queue.extend(actions);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            classify(c, &mut shed_conns, &mut closed_conns);
-                            break;
-                        }
+                    BrowserAction::SetTimer { at, token } => {
+                        timers.push(Reverse((at.as_micros(), token)));
                     }
                 }
-            } else if fd.revents & (POLLERR | POLLHUP) != 0 {
-                classify(c, &mut shed_conns, &mut closed_conns);
             }
-            if !c.dead && fd.revents & POLLOUT != 0 {
-                let (alive, _) = flush_out(&mut c.stream, &mut c.out, &mut bytes_out);
-                if !alive {
-                    classify(c, &mut shed_conns, &mut closed_conns);
+            if browser.done() {
+                break;
+            }
+
+            // Fire due timers.
+            let due = now();
+            let mut fired = false;
+            while let Some(&Reverse((at, token))) = timers.peek() {
+                if at > due.as_micros() {
+                    break;
+                }
+                timers.pop();
+                let actions = browser.on_timer(token, due);
+                queue_actions(browser, queue, actions);
+                fired = true;
+            }
+            if fired {
+                continue; // realize the new actions before blocking
+            }
+
+            // Nothing queued, no timer armed and no connection left to
+            // hear from: waiting out the timeout would change nothing.
+            if timers.is_empty() && conns.iter().all(|c| c.dead) {
+                break;
+            }
+
+            // Wait for readiness, the next timer, or the tick. A dead
+            // connection keeps its place, with a descriptor poll ignores.
+            let wait = match timers.peek() {
+                Some(&Reverse((at, _))) => {
+                    Duration::from_micros(at.saturating_sub(due.as_micros())).min(TICK)
+                }
+                None => TICK,
+            };
+            fds.clear();
+            fds.extend(conns.iter().map(|c| PollFd {
+                fd: if c.dead { -1 } else { c.stream.as_raw_fd() },
+                ..PollFd::of(&c.stream, &c.out)
+            }));
+            poll_fds(fds, wait, &mut report.polls)?;
+
+            // Actions wait in the queue until the top of the loop, so the
+            // table is still the one polled.
+            for (c, fd) in conns.iter_mut().zip(fds.iter()) {
+                let ClientConn { key, stream, bytes_in, .. } = c;
+                let end = drain_in(fd.revents, stream, buf, &mut report.reads, |bytes| {
+                    report.bytes_in += bytes.len() as u64;
+                    *bytes_in += bytes.len() as u64;
+                    let actions = browser.on_bytes(key.0, key.1, bytes, now());
+                    queue_actions(browser, queue, actions);
+                });
+                if end != ReadEnd::Drained {
+                    classify(c, &mut report);
+                }
+                if !c.dead && fd.revents & POLLOUT != 0 {
+                    flush(c, &mut report);
                 }
             }
         }
-    }
+        Ok(())
+    })();
 
     // A connection the server closed after the load finished is not a
     // failure; the counters above only accumulate while loading.
-    Ok(LiveLoadReport {
-        load: browser.result(),
-        bytes_in,
-        bytes_out,
-        conns: opened,
-        shed_conns,
-        closed_conns,
-    })
+    report.load = browser.result();
+    // Close every socket and park this load's out-queues, and nothing
+    // older: what the context keeps is bounded by its last load.
+    spare_fifos.clear();
+    for mut c in conns.drain(..) {
+        c.out.clear();
+        spare_fifos.push((c.out, WireFifo::default()));
+    }
+    ran.map(|()| report)
 }
 
 /// [`flush_out`] against a writer that does what a non-blocking socket
@@ -941,11 +1088,13 @@ mod flush_tests {
     struct Scripted {
         script: VecDeque<Step>,
         accepted: Vec<u8>,
+        /// Write calls received.
+        calls: u64,
     }
 
     impl Scripted {
         fn new(script: &[Step]) -> Self {
-            Scripted { script: script.iter().copied().collect(), accepted: Vec::new() }
+            Scripted { script: script.iter().copied().collect(), accepted: Vec::new(), calls: 0 }
         }
     }
 
@@ -955,6 +1104,7 @@ mod flush_tests {
         }
 
         fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
             match self.script.pop_front().unwrap_or(Step::Fail(io::ErrorKind::WouldBlock)) {
                 Step::Accept(mut room) => {
                     let before = self.accepted.len();
@@ -1003,8 +1153,9 @@ mod flush_tests {
     fn run(script: &[Step]) -> (Vec<u8>, usize, u64, (bool, bool)) {
         let (mut fifo, _, _) = queue();
         let mut w = Scripted::new(script);
-        let mut sent = 0;
-        let verdict = flush_out(&mut w, &mut fifo, &mut sent);
+        let (mut sent, mut writes) = (0, 0);
+        let verdict = flush_out(&mut w, &mut fifo, &mut sent, &mut writes);
+        assert_eq!(writes, w.calls, "every write issued is counted");
         (w.accepted, fifo.len(), sent, verdict)
     }
 
@@ -1055,16 +1206,114 @@ mod flush_tests {
         for size in [1, 2, 8, 9, 10, 57, 4_096, 16_384, 16_385, usize::MAX] {
             let (mut fifo, _, _) = queue();
             let mut w = Scripted::new(&[]);
-            let mut sent = 0;
+            let (mut sent, mut writes) = (0, 0);
             while !fifo.is_empty() {
                 w.script.extend([Step::Accept(size), Step::Accept(size)]);
                 let before = fifo.len();
-                assert_eq!(flush_out(&mut w, &mut fifo, &mut sent), (true, true));
+                assert_eq!(flush_out(&mut w, &mut fifo, &mut sent, &mut writes), (true, true));
                 assert_eq!(before - fifo.len(), w.accepted.len() - (octets.len() - before));
             }
             assert!(w.accepted == octets, "write size {size}");
             assert_eq!(sent, octets.len() as u64);
+            assert_eq!(writes, w.calls);
         }
+    }
+}
+
+/// [`drain_in`] against a reader that does what a non-blocking socket
+/// may: full reads, short reads, `WouldBlock`, `EINTR`, end of stream, a
+/// hard error — each after every mix of the others.
+#[cfg(test)]
+mod drain_tests {
+    use super::*;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Step {
+        /// Hand over this many octets (at most the buffer); 0 is `Ok(0)`.
+        Give(usize),
+        Fail(io::ErrorKind),
+    }
+
+    /// Plays its script one step per read call and counts the calls; a
+    /// read past the script's end is a read `drain_in` had no reason to
+    /// issue.
+    struct Scripted {
+        script: VecDeque<Step>,
+        calls: u64,
+        /// Octets handed over so far; octet `i` of the stream is `i as u8`.
+        given: usize,
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            match self.script.pop_front().expect("a read past the end of the script") {
+                Step::Give(n) => {
+                    assert!(n <= buf.len());
+                    for slot in &mut buf[..n] {
+                        *slot = self.given as u8;
+                        self.given += 1;
+                    }
+                    Ok(n)
+                }
+                Step::Fail(kind) => Err(kind.into()),
+            }
+        }
+    }
+
+    const BUF: usize = 8;
+
+    /// Run `script` on a socket poll reported `revents` for; returns how
+    /// it ended, the octets delivered, and the script left unread.
+    fn run(revents: i16, script: &[Step]) -> (ReadEnd, Vec<u8>, usize) {
+        let mut r = Scripted { script: script.iter().copied().collect(), calls: 0, given: 0 };
+        let (mut reads, mut got) = (0, Vec::new());
+        let end = drain_in(revents, &mut r, &mut [0; BUF], &mut reads, |bytes| {
+            got.extend_from_slice(bytes)
+        });
+        assert_eq!(reads, r.calls, "every read issued is counted");
+        (end, got, r.script.len())
+    }
+
+    #[test]
+    fn every_ending_after_every_mix_of_full_short_and_interrupted_reads() {
+        let eintr = Step::Fail(io::ErrorKind::Interrupted);
+        let mixes: [&[Step]; 6] = [
+            &[],
+            &[Step::Give(BUF)],
+            &[Step::Give(3)],
+            &[eintr, Step::Give(BUF), eintr, Step::Give(1), Step::Give(BUF)],
+            &[Step::Give(BUF - 1), eintr, eintr, Step::Give(BUF)],
+            &[Step::Give(BUF), Step::Give(BUF), Step::Give(BUF), Step::Give(2), eintr],
+        ];
+        for before in mixes {
+            let given: usize =
+                before.iter().map(|s| if let Step::Give(n) = s { *n } else { 0 }).sum();
+            let octets: Vec<u8> = (0..given).map(|i| i as u8).collect();
+            // A short read ends nothing: the loop runs on to one of these,
+            // and issues no read after it (the tail stays unread).
+            for (last, ends) in [
+                (Step::Fail(io::ErrorKind::WouldBlock), ReadEnd::Drained),
+                (Step::Give(0), ReadEnd::Eof),
+                (Step::Fail(io::ErrorKind::ConnectionReset), ReadEnd::Failed),
+            ] {
+                let script = [before, &[last, Step::Give(BUF)]].concat();
+                let (end, got, unread) = run(POLLIN | POLLOUT, &script);
+                assert_eq!((end, unread), (ends, 1), "{before:?} then {last:?}");
+                assert_eq!(got, octets, "{before:?} then {last:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_socket_that_is_not_readable_is_not_read() {
+        assert_eq!(run(0, &[]), (ReadEnd::Drained, vec![], 0));
+        assert_eq!(run(POLLOUT, &[]), (ReadEnd::Drained, vec![], 0));
+        assert_eq!(run(POLLERR, &[]), (ReadEnd::Failed, vec![], 0));
+        assert_eq!(run(POLLHUP | POLLOUT, &[]), (ReadEnd::Failed, vec![], 0));
+        // Readable and hung up: what was sent before the hang-up is read.
+        let (end, got, _) = run(POLLIN | POLLHUP, &[Step::Give(2), Step::Give(0)]);
+        assert_eq!((end, got), (ReadEnd::Eof, vec![0, 1]));
     }
 }
 

@@ -25,9 +25,9 @@ use h2push_testbed::{
     attack_page, benign_request, load_page, run_suite, AttackKind, AttackOutcome, AttackScript,
     CloseReason, LiveLimits, LiveServer, LiveServerStats, Victim,
 };
-use h2push_webmodel::{PageBuilder, ResourceId};
+use h2push_webmodel::{Page, PageBuilder, ResourceId};
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -80,12 +80,16 @@ fn read_to_eof(s: &mut TcpStream, label: &str) {
 
 /// One server-victim attack over a real socket: fresh [`LiveServer`] on
 /// the canonical attack page with strict limits, benign splice then the
-/// compiled chunks, half-close, drain. Returns the run's stats.
-fn attack_live_server(script: &AttackScript) -> LiveServerStats {
+/// compiled chunks, half-close, drain; then `after`, against the same
+/// server. Returns the run's stats.
+fn attack_live_server_then(
+    script: &AttackScript,
+    after: impl FnOnce(SocketAddr, Arc<Page>),
+) -> LiveServerStats {
     let page = Arc::new(attack_page());
+    let strategy = Strategy::PushList { order: vec![ResourceId(1)] };
     let mut server =
-        LiveServer::bind("127.0.0.1:0", page, Strategy::PushList { order: vec![ResourceId(1)] })
-            .expect("bind loopback");
+        LiveServer::bind("127.0.0.1:0", Arc::clone(&page), strategy).expect("bind loopback");
     let mut limits = LiveLimits::new();
     limits.conn = ConnLimits::strict();
     limits.drain_deadline = Duration::from_secs(5);
@@ -107,9 +111,14 @@ fn attack_live_server(script: &AttackScript) -> LiveServerStats {
     let _ = s.shutdown(Shutdown::Write);
     read_to_eof(&mut s, script.kind.label());
     drop(s);
+    after(addr, page);
 
     handle.stop();
     server_thread.join().expect("server thread").expect("server run")
+}
+
+fn attack_live_server(script: &AttackScript) -> LiveServerStats {
+    attack_live_server_then(script, |_, _| {})
 }
 
 #[test]
@@ -154,6 +163,38 @@ fn server_victim_attacks_reach_same_typed_errors_over_tcp() {
             );
             assert_eq!(stats.closed.clean, 1);
         }
+    }
+}
+
+/// Parking is for machines a well-behaved exchange grew: one that died of
+/// a protocol error is dropped, so the next accept builds its own; one
+/// that absorbed its attack and closed clean is reissued, and serves a
+/// load with pushes as if new.
+#[test]
+fn only_a_cleanly_closed_machine_is_reissued_to_the_next_accept() {
+    for outcome in run_suite(42, ConnLimits::strict()) {
+        if outcome.victim != Victim::Server {
+            continue;
+        }
+        let script = AttackScript::new(outcome.kind, outcome.seed);
+        let stats = attack_live_server_then(&script, |addr, page| {
+            let report = load_page(addr, page, BrowserConfig::default(), Duration::from_secs(30))
+                .expect("live load after the attack");
+            assert!(report.load.finished() && !report.load.partial, "{:?}", report.load);
+            assert_eq!(report.load.pushed_count, 1, "{}", outcome.kind.label());
+        });
+        let died = u64::from(outcome.fatal.is_some());
+        assert_eq!(
+            (stats.machines_built, stats.machines_reused),
+            (1 + died, 1 - died),
+            "{}: {:?}",
+            outcome.kind.label(),
+            stats.close_log,
+        );
+        assert_eq!((stats.closed.protocol_error, stats.closed.clean), (died, 2 - died));
+        // The load's own connection closed clean, whatever it was issued.
+        let last = stats.close_log.back().expect("two closes");
+        assert_eq!((last.reason, last.error), (CloseReason::Clean, None));
     }
 }
 

@@ -9,32 +9,40 @@
 #![cfg(unix)]
 
 use h2push_browser::BrowserConfig;
-use h2push_h2proto::{Connection, DefaultScheduler, PrioritySpec, Settings};
+use h2push_h2proto::{Connection, DefaultScheduler, Frame, PrioritySpec, Settings};
 use h2push_strategies::{push_all, Strategy};
-use h2push_testbed::{load_page, CloseReason, LiveLimits, LiveServer, TimeoutKind};
-use h2push_webmodel::{generate_site, CorpusKind, PageBuilder, ResourceSpec};
+use h2push_testbed::{
+    load_page, CloseReason, LiveLimits, LiveLoadReport, LiveServer, LiveServerHandle,
+    LiveServerStats, TimeoutKind,
+};
+use h2push_webmodel::{generate_site, CorpusKind, Page, PageBuilder, ResourceSpec};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-fn serve_and_load(
-    page: Arc<h2push_webmodel::Page>,
+/// A server for `page` on its own thread. Belt and braces: the handle
+/// stops it, the deadline bounds a wedged test run.
+fn start(
+    page: &Arc<Page>,
     strategy: Strategy,
-) -> (h2push_testbed::LiveLoadReport, h2push_testbed::LiveServerStats) {
-    let mut server =
-        LiveServer::bind("127.0.0.1:0", Arc::clone(&page), strategy).expect("bind loopback");
-    // Belt and braces: the handle stops the server, the deadline bounds a
-    // wedged test run.
+    limits: LiveLimits,
+) -> (SocketAddr, LiveServerHandle, JoinHandle<std::io::Result<LiveServerStats>>) {
+    let mut server = LiveServer::bind("127.0.0.1:0", Arc::clone(page), strategy).expect("bind");
+    server.set_limits(limits);
     server.set_deadline(Duration::from_secs(60));
     let addr = server.local_addr().expect("local addr");
     let handle = server.handle();
-    let server_thread = std::thread::spawn(move || server.run());
+    (addr, handle, std::thread::spawn(move || server.run()))
+}
 
+fn serve_and_load(page: Arc<Page>, strategy: Strategy) -> (LiveLoadReport, LiveServerStats) {
+    let (addr, handle, server) = start(&page, strategy, LiveLimits::new());
     let report = load_page(addr, page, BrowserConfig::default(), Duration::from_secs(30))
         .expect("live load");
     handle.stop();
-    let stats = server_thread.join().expect("server thread").expect("server run");
+    let stats = server.join().expect("server thread").expect("server run");
     (report, stats)
 }
 
@@ -215,24 +223,7 @@ fn preface_header_and_idle_deadlines_close_silent_conns() {
 
     // 3. A full request, then silence: idle supervision retires it.
     let mut idle = TcpStream::connect(addr).expect("idle connect");
-    let mut cli = Connection::client(Settings::default());
-    let mut sched = DefaultScheduler::new();
-    cli.request(
-        &[
-            h2push_hpack::Header::new(":method", "GET"),
-            h2push_hpack::Header::new(":scheme", "https"),
-            h2push_hpack::Header::new(":authority", "live.test"),
-            h2push_hpack::Header::new(":path", "/"),
-        ],
-        Some(PrioritySpec::default()),
-    );
-    loop {
-        let out = cli.produce(usize::MAX, &mut sched);
-        if out.is_empty() {
-            break;
-        }
-        idle.write_all(&out).expect("write request");
-    }
+    idle.write_all(&request_bytes("live.test", Settings::default())).expect("write request");
     read_to_eof(&mut idle, "idle timeout");
 
     handle.stop();
@@ -249,4 +240,173 @@ fn preface_header_and_idle_deadlines_close_silent_conns() {
     assert!(timeouts.contains(&TimeoutKind::HeaderReceive), "no header timeout: {stats:?}");
     assert!(timeouts.contains(&TimeoutKind::Idle), "no idle timeout: {stats:?}");
     assert_eq!(stats.closed.timeout, 3);
+}
+
+/// A load with the browser's compute timers off.
+fn quick_load(addr: SocketAddr, page: &Arc<Page>) -> LiveLoadReport {
+    let cfg = BrowserConfig { cpu_scale: 0.0, ..BrowserConfig::default() };
+    load_page(addr, Arc::clone(page), cfg, Duration::from_secs(30)).expect("live load")
+}
+
+#[test]
+fn a_load_that_cannot_progress_returns_at_once() {
+    let page = single_origin_page(20_000);
+    let limits = LiveLimits { max_conns: 0, ..LiveLimits::new() };
+    let (addr, handle, server) = start(&page, Strategy::NoPush, limits);
+
+    // Shed at the gate: the one connection is dead, nothing is queued and
+    // no timer is armed, so the 30 s timeout has nothing to wait for.
+    let started = Instant::now();
+    let report = load_page(addr, page, BrowserConfig::default(), Duration::from_secs(30))
+        .expect("shed load");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "a shed load took {took:?} to return");
+    assert_eq!((report.conns, report.shed_conns, report.closed_conns), (1, 1, 0));
+    assert!(!report.load.finished());
+
+    handle.stop();
+    let stats = server.join().expect("server thread").expect("run");
+    assert_eq!((stats.accepted, stats.shed), (0, 1));
+    assert_eq!((stats.machines_built, stats.machines_reused), (0, 0));
+}
+
+/// Two server groups and nothing pushed: every load opens exactly two
+/// connections.
+fn two_group_page() -> Arc<Page> {
+    let mut b = PageBuilder::new("live-two", "live.test", 30_000, 2_000);
+    let third = b.origin("cdn.other.net", 1, false);
+    b.resource(ResourceSpec::css(0, 6_000, 200, 0.5));
+    b.resource(ResourceSpec::js_async(third, 8_000, 9_000, 1_000));
+    b.text_paint(4_000, 1.0);
+    Arc::new(b.build())
+}
+
+#[test]
+fn sequential_loads_are_served_by_the_machines_of_the_first() {
+    const LOADS: u64 = 5;
+    let page = two_group_page();
+    let (addr, handle, server) = start(&page, Strategy::NoPush, LiveLimits::new());
+    let mut received = 0;
+    for _ in 0..LOADS {
+        let report = quick_load(addr, &page);
+        assert!(report.load.finished() && !report.load.partial, "{:?}", report.load);
+        assert_eq!(report.conns, 2);
+        // Each connection was polled for, read from and written to.
+        assert!(report.polls >= 1 && report.reads >= 2 && report.writes >= 2, "{report:?}");
+        received += report.bytes_in;
+    }
+    handle.stop();
+    let stats = server.join().expect("server thread").expect("run");
+
+    // A client's hang-up is harvested before its next connection is
+    // accepted, so two machines serve all ten connections.
+    assert_eq!(stats.accepted, 2 * LOADS);
+    assert_eq!((stats.machines_built, stats.machines_reused), (2, 2 * (LOADS - 1)));
+    assert_eq!((stats.closed.clean, stats.closed.total()), (2 * LOADS, 2 * LOADS));
+    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(stats.bytes_out, received);
+    assert!(stats.polls >= LOADS && stats.reads >= 2 * LOADS && stats.writes >= 2 * LOADS);
+}
+
+/// Everything a client says to request `/` of `host`, with `settings`.
+fn request_bytes(host: &str, settings: Settings) -> Vec<u8> {
+    let mut cli = Connection::client(settings);
+    let mut sched = DefaultScheduler::new();
+    cli.request(
+        &[
+            h2push_hpack::Header::new(":method", "GET"),
+            h2push_hpack::Header::new(":scheme", "https"),
+            h2push_hpack::Header::new(":authority", host),
+            h2push_hpack::Header::new(":path", "/"),
+        ],
+        Some(PrioritySpec::default()),
+    );
+    let mut wire = Vec::new();
+    loop {
+        let out = cli.produce(usize::MAX, &mut sched);
+        if out.is_empty() {
+            return wire;
+        }
+        wire.extend_from_slice(&out);
+    }
+}
+
+/// Half-close, then read until the server hangs up: by then it has
+/// retired the connection. (Closing with its bytes unread would reset the
+/// socket instead.)
+fn hang_up(mut s: TcpStream) {
+    s.shutdown(Shutdown::Write).expect("half-close");
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut buf = vec![0u8; 64 * 1024];
+    while s.read(&mut buf).expect("server never hung up") > 0 {}
+}
+
+#[test]
+fn a_machine_parked_half_fed_serves_the_next_connection_clean() {
+    let page = single_origin_page(20_000);
+    let (addr, handle, server) = start(&page, push_all(&page, &[]), LiveLimits::new());
+
+    // Preface, SETTINGS and the first half of the HEADERS frame.
+    let wire = request_bytes("live.test", Settings::default());
+    let mut at = 24;
+    while wire[at + 3] != 0x1 {
+        at += 9 + u32::from_be_bytes([0, wire[at], wire[at + 1], wire[at + 2]]) as usize;
+    }
+    let len = u32::from_be_bytes([0, wire[at], wire[at + 1], wire[at + 2]]) as usize;
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.write_all(&wire[..at + 9 + len / 2]).expect("write half a request");
+    hang_up(s);
+
+    let report = quick_load(addr, &page);
+    assert!(report.load.finished() && !report.load.partial, "{:?}", report.load);
+    assert!(report.load.pushed_count > 0, "no resources arrived via push");
+
+    handle.stop();
+    let stats = server.join().expect("server thread").expect("run");
+    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!((stats.machines_built, stats.machines_reused), (1, 1));
+    assert_eq!((stats.closed.clean, stats.requests), (2, 1));
+    assert_eq!(stats.pushed_bytes, report.load.pushed_bytes);
+}
+
+#[test]
+fn a_machine_parked_mid_push_serves_the_next_connection_clean() {
+    // A pushed image no kernel buffer can swallow, under a queue bound
+    // that lets most of it be produced (bodies are queued as lengths).
+    const QUEUE: usize = 32 << 20;
+    let mut b = PageBuilder::new("live-midpush", "live.test", 20_000, 2_000);
+    b.resource(ResourceSpec::image(0, 40_000_000, 9_000, true, 1.0));
+    b.text_paint(4_000, 1.0);
+    let page = Arc::new(b.build());
+    let limits = LiveLimits { max_queued_bytes: QUEUE, ..LiveLimits::new() };
+    let (addr, handle, server) = start(&page, push_all(&page, &[]), limits);
+
+    // Ask for the document with flow control out of the way, wait for the
+    // answer to start, and half-close without reading on: the queue stays
+    // as full as the kernel's buffers left it. The server learns of the
+    // hang-up no later than of the load's connection, and harvests first.
+    let mut s = TcpStream::connect(addr).expect("connect");
+    let settings = Settings { initial_window_size: Some(0x7fff_ffff), ..Settings::default() };
+    let mut wire = request_bytes("live.test", settings);
+    Frame::WindowUpdate { stream: 0, increment: 0x7000_0000 }.encode(&mut wire);
+    s.write_all(&wire).expect("write request");
+    s.read_exact(&mut [0]).expect("first response byte");
+    s.shutdown(Shutdown::Write).expect("half-close");
+
+    let report = quick_load(addr, &page);
+    drop(s);
+    assert!(report.load.finished() && !report.load.partial, "{:?}", report.load);
+    assert_eq!(report.load.pushed_count, 1);
+
+    handle.stop();
+    let stats = server.join().expect("server thread").expect("run");
+    assert_eq!(stats.protocol_errors, 0);
+    assert_eq!((stats.machines_built, stats.machines_reused), (1, 1));
+    assert_eq!(stats.closed.clean, 2);
+    // The first connection filled its queue and the socket took less, so
+    // it was parked with output queued; the load then got an empty one.
+    let hung_up_on = stats.bytes_out - report.bytes_in;
+    assert!(stats.max_queued_bytes >= QUEUE, "queue peaked at {}", stats.max_queued_bytes);
+    assert!(hung_up_on < QUEUE as u64, "the socket took {hung_up_on} bytes");
+    assert_eq!(stats.pushed_bytes, 2 * 40_000_000);
 }

@@ -12,13 +12,22 @@
 //! many-connection page w17-cnn (81 server groups) × {NoPush, PushAll} ×
 //! {fault-free, 2% Gilbert-Elliott} × {prepared, unprepared}, plus that
 //! page alternating with a small one over {H2, H1}.
+//!
+//! The live server parks machines too, and in states no simulated run
+//! leaves one in — a peer can hang up at any byte, or kill the machine —
+//! so the last test resets a [`ReplayServer`] out of each of those and
+//! holds it to a cold one's answer, octet for octet.
 
+use h2push_h2proto::sansio::Endpoint;
+use h2push_h2proto::{ConnLimits, Connection, DefaultScheduler, PrioritySpec, Settings};
+use h2push_server::{ReplayServer, RequestObservation};
 use h2push_strategies::{paper_strategy, PaperStrategy, Strategy};
 use h2push_testbed::{
-    replay_in, replay_shared, FaultProfile, Mode, Protocol, ReplayConfig, ReplayCtx, ReplayInputs,
-    RunPlan,
+    attack_page, benign_request, replay_in, replay_shared, run_suite, AttackScript, FaultProfile,
+    Mode, Protocol, ReplayConfig, ReplayCtx, ReplayInputs, RunPlan, Victim,
 };
-use h2push_webmodel::{realworld_site, Page, PageBuilder, ResourceId, ResourceSpec};
+use h2push_webmodel::{realworld_site, Page, PageBuilder, RecordDb, ResourceId, ResourceSpec};
+use std::sync::Arc;
 
 const REPS: usize = 3;
 
@@ -221,5 +230,98 @@ fn recycled_ctx_does_not_leak_state_across_pages_or_protocols() {
                 "round {round}: context leaked state across pages/protocols"
             );
         }
+    }
+}
+
+/// Feed `script` chunk by chunk, polling the server dry after each:
+/// every octet it answered, what it observed and what it pushed.
+fn answer(
+    server: &mut ReplayServer,
+    script: &[Vec<u8>],
+) -> (Vec<u8>, Vec<RequestObservation>, u64) {
+    let mut wire = Vec::new();
+    for (i, chunk) in script.iter().enumerate() {
+        let now = 100 * i as u64;
+        server.feed_bytes(chunk, now);
+        while server.poll_output_into(usize::MAX, now, &mut wire) > 0 {}
+    }
+    (wire, server.observations().to_vec(), server.pushed_bytes())
+}
+
+/// What the live server does at `accept`: a machine parked in whatever
+/// state its last connection left it — fed half a frame, in the middle of
+/// a push with output unpolled, or dead of any of the badpeer catalogue's
+/// errors — goes through `reset` + `set_limits` and must answer the next
+/// client exactly as a machine built for it would.
+#[test]
+fn a_server_reset_out_of_any_state_answers_like_a_cold_one() {
+    let page = Arc::new(attack_page());
+    let db = Arc::new(RecordDb::record(&page));
+    let strategy = Arc::new(Strategy::PushList { order: vec![ResourceId(1)] });
+    let limits = ConnLimits::strict();
+    let cold = || {
+        let mut server = ReplayServer::live(Arc::clone(&page), Arc::clone(&db), &strategy);
+        server.set_limits(limits);
+        server
+    };
+
+    // The client byte script: a real client's side of a whole exchange
+    // with a cold server, recorded chunk by chunk.
+    let mut script: Vec<Vec<u8>> = Vec::new();
+    let (mut client, mut sched) =
+        (Connection::client(Settings::default()), DefaultScheduler::new());
+    client.request(&benign_request(), Some(PrioritySpec::default()));
+    let mut recorder = cold();
+    loop {
+        let up = client.produce(usize::MAX, &mut sched);
+        if up.is_empty() {
+            break;
+        }
+        script.push(up.to_vec());
+        recorder.feed_bytes(&up, 0);
+        let mut down = Vec::new();
+        while recorder.poll_output_into(usize::MAX, 0, &mut down) > 0 {}
+        client.receive(&down);
+        while client.poll_event().is_some() {}
+    }
+    let expected = answer(&mut cold(), &script);
+    assert_eq!(expected.1.len(), 1, "one request observed");
+    assert_eq!(expected.2, page.resource(ResourceId(1)).size as u64, "the stylesheet was pushed");
+
+    let main_group = page.server_group_of(ResourceId(0));
+    let reissue = |parked: &mut ReplayServer| {
+        parked.reset(Arc::clone(&page), Arc::clone(&db), main_group, &strategy);
+        parked.set_limits(limits);
+    };
+    let check = |label: &str, dirty: &mut ReplayServer| {
+        reissue(dirty);
+        assert!(answer(dirty, &script) == expected, "{label}: reset machine diverged from cold");
+    };
+
+    // Hung up on in the middle of the request's HEADERS frame.
+    let mut half_fed = cold();
+    half_fed.feed_bytes(&script[0][..script[0].len() - 5], 0);
+    assert!(half_fed.observations().is_empty(), "the request is still incomplete");
+    check("half-fed", &mut half_fed);
+
+    // Hung up on mid-push: promise and some DATA polled, the rest queued.
+    let mut mid_push = cold();
+    mid_push.feed_bytes(&script[0], 0);
+    assert!(mid_push.poll_output_into(2_000, 0, &mut Vec::new()) > 0);
+    assert!(mid_push.wants_output() && mid_push.pushed_bytes() > 0);
+    check("mid-push", &mut mid_push);
+
+    // Dead of each catalogue attack (two kinds are absorbed); one machine
+    // takes them all in turn, reissued before each as it would be.
+    let mut victim = cold();
+    for outcome in run_suite(42, limits).iter().filter(|o| o.victim == Victim::Server) {
+        reissue(&mut victim);
+        let attack = AttackScript::new(outcome.kind, outcome.seed).compile();
+        for chunk in std::iter::once(&script[0][..]).chain(attack.iter().map(|c| &c[..])) {
+            victim.feed_bytes(chunk, 0);
+            while victim.poll_output_into(usize::MAX, 0, &mut Vec::new()) > 0 {}
+        }
+        assert_eq!(victim.fatal_error(), outcome.fatal, "{}", outcome.kind.label());
+        check(outcome.kind.label(), &mut victim);
     }
 }
