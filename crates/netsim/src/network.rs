@@ -218,22 +218,33 @@ impl ServerSpec {
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Data { sent_at: SimTime },
-    Ack { acked: usize, sent_at: SimTime },
+    Ack { acked: u32, sent_at: SimTime },
     Handshake { left: u32 },
 }
 
+/// A queued event. Connection ids and segment sizes are stored as `u32`
+/// ([`Network::connect`] and [`seg`] check the narrowing) so that an event
+/// is half a cache line: the queue writes and reads one per packet hop.
 #[derive(Debug, Clone, Copy)]
 enum Ev {
     /// A packet finished crossing hop `hop` of its path.
-    Hop { conn: usize, dir: Dir, bytes: usize, hop: u8, kind: Kind },
+    Hop { conn: u32, dir: Dir, bytes: u32, hop: u8, kind: Kind },
     /// Server think time elapsed: surface request bytes to the app.
-    ThinkDone { conn: usize, bytes: usize },
+    ThinkDone { conn: u32, bytes: u32 },
     /// Retransmission timer.
-    Rto { conn: usize, dir: Dir, bytes: usize },
+    Rto { conn: u32, dir: Dir, bytes: u32 },
     /// Application timer.
     App { token: u64 },
     /// DNS resolution finished; start the TCP handshake.
-    StartConnect { conn: usize },
+    StartConnect { conn: u32 },
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
+
+/// The size of one segment, as events store it.
+fn seg(bytes: usize) -> u32 {
+    debug_assert!(bytes <= MSS, "an event carries at most one segment");
+    bytes as u32
 }
 
 /// Per-direction TCP sender/receiver state.
@@ -324,17 +335,6 @@ impl XorShift {
     }
 }
 
-thread_local! {
-    /// Recycled event-queue storage. A replay creates and drops one
-    /// [`Network`] per rep, and the event heap is the loop's largest
-    /// recurring allocation; dropped networks park their cleared queue
-    /// here and [`Network::new`] takes it back. A cleared queue is
-    /// indistinguishable from a fresh one (see [`EventQueue::clear`]), so
-    /// recycling cannot perturb determinism.
-    static QUEUE_POOL: std::cell::RefCell<Vec<EventQueue<Ev>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
 /// The deterministic network simulator.
 pub struct Network {
     spec: NetworkSpec,
@@ -358,27 +358,6 @@ pub struct Network {
     events_processed: u64,
 }
 
-impl Drop for Network {
-    fn drop(&mut self) {
-        let mut q = std::mem::take(&mut self.events);
-        if q.capacity() == 0 {
-            return;
-        }
-        q.clear();
-        // `try_with`: a Network can be dropped from another thread-local's
-        // destructor (the testbed parks a whole replay context per thread),
-        // at which point QUEUE_POOL may already be torn down — then the
-        // queue storage is simply freed instead of parked.
-        let _ = QUEUE_POOL.try_with(|p| {
-            let mut pool = p.borrow_mut();
-            // A small cap bounds memory held by idle worker threads.
-            if pool.len() < 8 {
-                pool.push(q);
-            }
-        });
-    }
-}
-
 impl Network {
     /// Create a network with the given client access profile.
     pub fn new(spec: NetworkSpec) -> Self {
@@ -390,7 +369,7 @@ impl Network {
         Network {
             spec,
             now: SimTime::ZERO,
-            events: QUEUE_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default(),
+            events: EventQueue::new(),
             client_up,
             client_down,
             servers: Vec::new(),
@@ -405,7 +384,7 @@ impl Network {
     }
 
     /// Recycle this network into a fresh one for `spec`: equivalent to
-    /// [`Network::new`] but retaining the event heap, the server table and
+    /// [`Network::new`] but retaining the event slab, the server table and
     /// the connection table capacity. Every piece of observable state —
     /// clock, RNG streams, fault processes, links, counters — is re-derived
     /// exactly as `new` derives it, so a recycled network replays
@@ -471,13 +450,14 @@ impl Network {
     pub fn connect(&mut self, server: ServerId) -> ConnId {
         assert!(server.0 < self.servers.len(), "unknown server");
         let id = self.conns.len();
+        let conn = u32::try_from(id).expect("connection ids fit u32");
         self.conns.push(Conn {
             server: server.0,
             established: false,
             dirs: [TcpDir::new(self.spec.recv_window), TcpDir::new(self.spec.recv_window)],
         });
         let at = self.now + self.spec.dns_delay;
-        self.events.push(at, Ev::StartConnect { conn: id });
+        self.events.push(at, Ev::StartConnect { conn });
         ConnId(id)
     }
 
@@ -551,10 +531,11 @@ impl Network {
                 // SYN leaves the client; total half-trips for TCP (1 RTT)
                 // plus TLS (`tls_rtts` RTTs).
                 let left = 2 * (1 + self.spec.tls_rtts) - 1;
-                self.transmit_path(conn, Dir::Up, SYN_SIZE, Kind::Handshake { left });
+                self.transmit_path(conn as usize, Dir::Up, SYN_SIZE, Kind::Handshake { left });
                 None
             }
             Ev::Rto { conn, dir, bytes } => {
+                let (conn, bytes) = (conn as usize, bytes as usize);
                 self.stats.retransmits += 1;
                 self.trace.emit_at(self.now.as_micros(), TraceEvent::Retransmit { conn });
                 let d = &mut self.conns[conn].dirs[dir.idx()];
@@ -564,10 +545,14 @@ impl Network {
                 self.try_transmit(conn, dir);
                 self.maybe_send_ready(conn, dir)
             }
-            Ev::Hop { conn, dir, bytes, hop, kind } => self.hop_done(conn, dir, bytes, hop, kind),
-            Ev::ThinkDone { conn, bytes } => {
-                Some(NetEvent::Delivered { conn: ConnId(conn), dir: Dir::Up, bytes })
+            Ev::Hop { conn, dir, bytes, hop, kind } => {
+                self.hop_done(conn as usize, dir, bytes as usize, hop, kind)
             }
+            Ev::ThinkDone { conn, bytes } => Some(NetEvent::Delivered {
+                conn: ConnId(conn as usize),
+                dir: Dir::Up,
+                bytes: bytes as usize,
+            }),
         }
     }
 
@@ -610,7 +595,7 @@ impl Network {
                     None => rtt,
                     Some(s) => SimDuration::from_micros((s.as_micros() * 7 + rtt.as_micros()) / 8),
                 });
-                d.on_ack(acked);
+                d.on_ack(acked as usize);
                 let data_dir = dir.reverse();
                 self.try_transmit(conn, data_dir);
                 self.maybe_send_ready(conn, data_dir)
@@ -623,7 +608,7 @@ impl Network {
                     conn,
                     dir.reverse(),
                     ACK_SIZE,
-                    Kind::Ack { acked: bytes, sent_at },
+                    Kind::Ack { acked: seg(bytes), sent_at },
                 );
                 // Server think time: the transport ACKs on arrival (above),
                 // but the application sees the request only after the
@@ -631,7 +616,8 @@ impl Network {
                 if dir == Dir::Up {
                     let think = self.servers[self.conns[conn].server].0.think;
                     if think.as_micros() > 0 {
-                        self.events.push(self.now + think, Ev::ThinkDone { conn, bytes });
+                        let ev = Ev::ThinkDone { conn: conn as u32, bytes: seg(bytes) };
+                        self.events.push(self.now + think, ev);
                         return None;
                     }
                 }
@@ -704,11 +690,13 @@ impl Network {
     fn drop_data(&mut self, conn: usize, dir: Dir, bytes: usize) {
         let delay = self.loss_recovery_delay(conn, dir);
         self.conns[conn].dirs[dir.idx()].on_loss();
-        self.events.push(self.now + delay, Ev::Rto { conn, dir, bytes });
+        self.events.push(self.now + delay, Ev::Rto { conn: conn as u32, dir, bytes: seg(bytes) });
     }
 
     fn transmit_hop(&mut self, conn: usize, dir: Dir, bytes: usize, hop: u8, kind: Kind) {
         let server = self.conns[conn].server;
+        // Fires when the packet has crossed this hop (or its hold ends).
+        let arrival = Ev::Hop { conn: conn as u32, dir, bytes: seg(bytes), hop, kind };
         // Faults apply on the client access links only — the "lossy" hops.
         let lossy = matches!((dir, hop), (Dir::Up, 0) | (Dir::Down, 1));
         let is_data = matches!(kind, Kind::Data { .. });
@@ -730,7 +718,7 @@ impl Network {
                     self.drop_data(conn, dir, bytes);
                 } else {
                     let at = (flap.end() + SimDuration::from_micros(1000)).max(self.now);
-                    self.events.push(at, Ev::Hop { conn, dir, bytes, hop, kind });
+                    self.events.push(at, arrival);
                 }
                 return;
             }
@@ -786,7 +774,7 @@ impl Network {
                         }
                     }
                 }
-                self.events.push(at, Ev::Hop { conn, dir, bytes, hop, kind });
+                self.events.push(at, arrival);
             }
             Transmit::Dropped => {
                 // Only data is subject to loss in this model; handshake and
@@ -809,7 +797,7 @@ impl Network {
                     // Fall back to delivering after the queue drains: treat
                     // as if accepted (control segments are tiny).
                     let at = self.now + SimDuration::from_micros(1000);
-                    self.events.push(at, Ev::Hop { conn, dir, bytes, hop, kind });
+                    self.events.push(at, arrival);
                 }
             }
         }

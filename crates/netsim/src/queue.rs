@@ -1,14 +1,13 @@
-//! Deterministic event queue: a hierarchical timing wheel with a
-//! binary-heap reference backend.
+//! Deterministic event queue: a hierarchical timing wheel over one slab.
 //!
 //! Ordering is total over `(SimTime, sequence)` — the sequence number
 //! breaks ties between events scheduled for the same instant in
 //! *insertion order*, which makes the simulation fully deterministic
 //! regardless of the backing structure.
 //!
-//! The default backend is a three-level timing wheel sized for the
-//! simulator's event mix (µs-scale packet hops, ms-scale think timers,
-//! second-scale RTOs and deadlines):
+//! The wheel has three levels sized for the simulator's event mix
+//! (µs-scale packet hops, ms-scale think timers, second-scale RTOs and
+//! deadlines):
 //!
 //! * level 0 — 1024 slots × 1 µs (≈ 1 ms window). One slot is one exact
 //!   microsecond, so FIFO order within a slot *is* `(time, seq)` order.
@@ -19,50 +18,25 @@
 //!   which schedules monotonically, but required for arbitrary
 //!   push/pop interleavings — the equivalence proptests exercise it).
 //!
+//! Every queued event is written once, into a node of one `Vec`, and
+//! stays there until it is popped: a slot is a `(head, tail)` pair of
+//! node indices, a node carries the index of the next one in its slot,
+//! and popped nodes go on a free list threaded through the same field.
 //! Pushes route by distance from the current window; pops find the next
-//! occupied slot through per-level occupancy bitmaps and cascade one
-//! higher-level slot down only when a window empties, so each event is
-//! touched at most three times. Every structure is recycled by
-//! [`EventQueue::clear`] with its allocations intact, which is what makes
-//! the thread-local queue pool in `network.rs` allocation-free at steady
-//! state.
+//! occupied slot through per-level occupancy bitmaps and, only when a
+//! window empties, relink one higher-level slot's nodes into the levels
+//! below — indices move, events do not. [`EventQueue::clear`] keeps the
+//! slab's capacity, so a recycled queue allocates nothing, and a cold one
+//! allocates only as its slab doubles.
 //!
-//! [`EventQueue::with_heap`] keeps the original binary-heap
-//! implementation alive as a reference: the proptest suite in
-//! `tests/queue_equiv.rs` pops both backends in lockstep over arbitrary
-//! interleavings and asserts identical sequences.
+//! The reference is a binary-heap model in `tests/queue_model`: the
+//! proptest suite in `tests/queue_equiv.rs` pops it and the wheel in
+//! lockstep over arbitrary interleavings and asserts identical sequences,
+//! and the unit tests below run against both.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-
-struct Entry<E> {
-    at: u64,
-    seq: u64,
-    event: E,
-}
-
-/// Min-heap adapter over [`Entry`] (used by the heap backend and the
-/// wheel's past-frontier spill).
-struct Rev<E>(Entry<E>);
-
-impl<E> PartialEq for Rev<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
-    }
-}
-impl<E> Eq for Rev<E> {}
-impl<E> PartialOrd for Rev<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Rev<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap, we want the earliest first.
-        (other.0.at, other.0.seq).cmp(&(self.0.at, self.0.seq))
-    }
-}
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 const L0_BITS: u32 = 10;
 const L1_BITS: u32 = 8;
@@ -75,310 +49,118 @@ const L1_SLOTS: usize = 1 << L1_BITS;
 const L2_SLOTS: usize = 1 << L2_BITS;
 const L1_SHIFT: u32 = L0_BITS;
 const L2_SHIFT: u32 = L0_BITS + L1_BITS;
-const L0_SPAN: u64 = 1 << L0_BITS;
 
-/// First set bit at or after `from`. `summary` holds one bit per word of
-/// `words` (bit w set iff `words[w] != 0`), so a scan over a sparse or
-/// empty bitmap is one masked summary lookup instead of a word-by-word
-/// walk — the common case on the pop path, where level-0 is empty most
-/// of the time between cascades.
-fn next_bit(summary: u64, words: &[u64], from: usize) -> Option<usize> {
-    let w0 = from >> 6;
-    if w0 >= words.len() {
-        return None;
-    }
-    let cur = words[w0] & (!0u64 << (from & 63));
-    if cur != 0 {
-        return Some((w0 << 6) + cur.trailing_zeros() as usize);
-    }
-    // Jump straight to the next nonempty word (words.len() ≤ 16 < 64, so
-    // the shift below cannot overflow).
-    let rest = summary & (!0u64 << (w0 + 1));
-    if rest == 0 {
-        return None;
-    }
-    let w = rest.trailing_zeros() as usize;
-    Some((w << 6) + words[w].trailing_zeros() as usize)
+/// All slots live in one array: level 0 first, then level 1, level 2 and
+/// the overflow list.
+const L1_BASE: usize = L0_SLOTS;
+const L2_BASE: usize = L1_BASE + L1_SLOTS;
+const OVERFLOW: usize = L2_BASE + L2_SLOTS;
+const N_SLOTS: usize = OVERFLOW + 1;
+
+/// "No node": ends a slot's list and the free list.
+const NIL: u32 = u32::MAX;
+
+struct Node<E> {
+    at: u64,
+    /// The next node of the same slot, or of the free list.
+    next: u32,
+    /// `None` exactly while the node is on the free list.
+    event: Option<E>,
 }
 
-#[inline]
-fn set_bit(words: &mut [u64], summary: &mut u64, s: usize) {
-    words[s >> 6] |= 1 << (s & 63);
-    *summary |= 1 << (s >> 6);
+/// A FIFO of nodes. Empty iff `head == NIL`; `tail` is meaningful only
+/// then.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
 
-#[inline]
-fn clear_bit(words: &mut [u64], summary: &mut u64, s: usize) {
-    let w = s >> 6;
-    words[w] &= !(1 << (s & 63));
-    if words[w] == 0 {
-        *summary &= !(1 << w);
-    }
+const EMPTY: Slot = Slot { head: NIL, tail: NIL };
+
+/// One level's occupancy bitmap (bit s set iff slot s is nonempty),
+/// cursor and window origin.
+struct Level<const WORDS: usize> {
+    bits: [u64; WORDS],
+    /// One bit per word of `bits` (bit w set iff `bits[w] != 0`), so a
+    /// scan over a sparse or empty bitmap is one masked lookup instead of
+    /// a word-by-word walk — the common case on the pop path, where
+    /// level 0 is empty most of the time between cascades.
+    summary: u64,
+    /// Slots below the cursor in the current window are drained.
+    cursor: usize,
+    /// Absolute time of slot 0 of the current window.
+    start: u64,
 }
 
-struct Wheel<E> {
-    /// Slot storage, allocated lazily on the first push so that the
-    /// `mem::take` placeholder in `Network::drop` stays allocation-free.
-    l0: Vec<VecDeque<Entry<E>>>,
-    l1: Vec<VecDeque<Entry<E>>>,
-    l2: Vec<VecDeque<Entry<E>>>,
-    bm0: [u64; L0_SLOTS / 64],
-    bm1: [u64; L1_SLOTS / 64],
-    bm2: [u64; L2_SLOTS / 64],
-    /// One-bit-per-word summaries of the bitmaps above.
-    sm0: u64,
-    sm1: u64,
-    sm2: u64,
-    /// Cursors: slots below the cursor in the current window are drained.
-    c0: usize,
-    c1: usize,
-    c2: usize,
-    /// Absolute time of slot 0 of each level's current window.
-    l0_start: u64,
-    l1_start: u64,
-    l2_start: u64,
-    /// Events pushed behind the pop frontier (earlier than anything the
-    /// wheel can still index). Empty under monotone scheduling.
-    past: BinaryHeap<Rev<E>>,
-    /// Events beyond the level-2 horizon, unsorted.
-    overflow: Vec<Entry<E>>,
-}
+impl<const WORDS: usize> Level<WORDS> {
+    const NEW: Self = Level { bits: [0; WORDS], summary: 0, cursor: 0, start: 0 };
 
-impl<E> Wheel<E> {
-    fn new() -> Self {
-        Wheel {
-            l0: Vec::new(),
-            l1: Vec::new(),
-            l2: Vec::new(),
-            bm0: [0; L0_SLOTS / 64],
-            bm1: [0; L1_SLOTS / 64],
-            bm2: [0; L2_SLOTS / 64],
-            sm0: 0,
-            sm1: 0,
-            sm2: 0,
-            c0: 0,
-            c1: 0,
-            c2: 0,
-            l0_start: 0,
-            l1_start: 0,
-            l2_start: 0,
-            past: BinaryHeap::new(),
-            overflow: Vec::new(),
+    #[inline]
+    fn set(&mut self, s: usize) {
+        self.bits[s >> 6] |= 1 << (s & 63);
+        self.summary |= 1 << (s >> 6);
+    }
+
+    #[inline]
+    fn unset(&mut self, s: usize) {
+        let w = s >> 6;
+        self.bits[w] &= !(1 << (s & 63));
+        if self.bits[w] == 0 {
+            self.summary &= !(1 << w);
         }
     }
 
-    fn push(&mut self, e: Entry<E>) {
-        if self.l0.is_empty() {
-            self.l0.resize_with(L0_SLOTS, VecDeque::new);
-            self.l1.resize_with(L1_SLOTS, VecDeque::new);
-            self.l2.resize_with(L2_SLOTS, VecDeque::new);
-        }
-        let t = e.at;
-        // A `None` frontier means the cursor ran past u64::MAX: every
-        // representable time is behind it.
-        let behind = match self.l0_start.checked_add(self.c0 as u64) {
-            Some(frontier) => t < frontier,
-            None => true,
-        };
-        if behind {
-            self.past.push(Rev(e));
-            return;
-        }
-        // All subtractions below are safe: t ≥ frontier ≥ l0_start ≥
-        // l1_start ≥ l2_start (each window opens inside its parent slot).
-        if t - self.l0_start < L0_SPAN {
-            let s = (t - self.l0_start) as usize;
-            set_bit(&mut self.bm0, &mut self.sm0, s);
-            self.l0[s].push_back(e);
-        } else if (t - self.l1_start) >> L1_SHIFT < L1_SLOTS as u64 {
-            let s = ((t - self.l1_start) >> L1_SHIFT) as usize;
-            set_bit(&mut self.bm1, &mut self.sm1, s);
-            self.l1[s].push_back(e);
-        } else if (t - self.l2_start) >> L2_SHIFT < L2_SLOTS as u64 {
-            let s = ((t - self.l2_start) >> L2_SHIFT) as usize;
-            set_bit(&mut self.bm2, &mut self.sm2, s);
-            self.l2[s].push_back(e);
-        } else {
-            self.overflow.push(e);
-        }
+    #[inline]
+    fn is_set(&self, s: usize) -> bool {
+        self.bits[s >> 6] & (1 << (s & 63)) != 0
     }
 
-    /// Advance the cursors to the earliest occupied level-0 slot,
-    /// cascading one higher-level slot down per iteration. Returns false
-    /// when everything outside `past` is empty.
-    ///
-    /// Cascades preserve `(time, seq)` order: a parent slot's entries are
-    /// re-distributed in insertion order, and direct pushes can only land
-    /// in a child window *after* it has been opened (and its parent slot
-    /// fully drained), so same-instant entries always append in seq order.
-    fn locate(&mut self) -> bool {
-        loop {
-            if let Some(s) = next_bit(self.sm0, &self.bm0, self.c0) {
-                self.c0 = s;
-                return true;
-            }
-            if let Some(s) = next_bit(self.sm1, &self.bm1, self.c1) {
-                // Open level-1 slot `s` as the new level-0 window.
-                self.l0_start = self.l1_start + ((s as u64) << L1_SHIFT);
-                self.c0 = 0;
-                self.c1 = s + 1;
-                clear_bit(&mut self.bm1, &mut self.sm1, s);
-                let mut buf = std::mem::take(&mut self.l1[s]);
-                for e in buf.drain(..) {
-                    let i = (e.at - self.l0_start) as usize;
-                    set_bit(&mut self.bm0, &mut self.sm0, i);
-                    self.l0[i].push_back(e);
-                }
-                self.l1[s] = buf; // hand the buffer back for reuse
-                continue;
-            }
-            if let Some(s) = next_bit(self.sm2, &self.bm2, self.c2) {
-                // Open level-2 slot `s` as the new level-1 window.
-                self.l1_start = self.l2_start + ((s as u64) << L2_SHIFT);
-                self.c1 = 0;
-                self.l0_start = self.l1_start;
-                self.c0 = 0;
-                self.c2 = s + 1;
-                clear_bit(&mut self.bm2, &mut self.sm2, s);
-                let mut buf = std::mem::take(&mut self.l2[s]);
-                for e in buf.drain(..) {
-                    let i = ((e.at - self.l1_start) >> L1_SHIFT) as usize;
-                    set_bit(&mut self.bm1, &mut self.sm1, i);
-                    self.l1[i].push_back(e);
-                }
-                self.l2[s] = buf;
-                continue;
-            }
-            if !self.overflow.is_empty() {
-                // Re-anchor the whole wheel at the earliest far event and
-                // pull everything inside the new level-2 horizon in,
-                // preserving insertion order.
-                let min = self.overflow.iter().map(|e| e.at).min().expect("nonempty");
-                self.l2_start = min;
-                self.l1_start = min;
-                self.l0_start = min;
-                self.c0 = 0;
-                self.c1 = 0;
-                self.c2 = 0;
-                let mut keep = Vec::new();
-                for e in self.overflow.drain(..) {
-                    let d = (e.at - self.l2_start) >> L2_SHIFT;
-                    if d < L2_SLOTS as u64 {
-                        let i = d as usize;
-                        set_bit(&mut self.bm2, &mut self.sm2, i);
-                        self.l2[i].push_back(e);
-                    } else {
-                        keep.push(e);
-                    }
-                }
-                self.overflow = keep;
-                continue;
-            }
-            return false;
-        }
+    /// True when the cursor rests on an occupied slot.
+    #[inline]
+    fn at_cursor(&self) -> bool {
+        self.cursor < WORDS * 64 && self.is_set(self.cursor)
     }
 
-    fn pop_slot(&mut self) -> Entry<E> {
-        let s = self.c0;
-        let e = self.l0[s].pop_front().expect("located slot is nonempty");
-        if self.l0[s].is_empty() {
-            clear_bit(&mut self.bm0, &mut self.sm0, s);
-            self.c0 = s + 1;
+    /// First occupied slot at or after the cursor.
+    fn next(&self) -> Option<usize> {
+        let w0 = self.cursor >> 6;
+        if w0 >= WORDS {
+            return None;
         }
-        e
+        let cur = self.bits[w0] & (!0u64 << (self.cursor & 63));
+        if cur != 0 {
+            return Some((w0 << 6) + cur.trailing_zeros() as usize);
+        }
+        // Jump straight to the next nonempty word (WORDS ≤ 16 < 64, so the
+        // shift below cannot overflow).
+        let rest = self.summary & (!0u64 << (w0 + 1));
+        if rest == 0 {
+            return None;
+        }
+        let w = rest.trailing_zeros() as usize;
+        Some((w << 6) + self.bits[w].trailing_zeros() as usize)
     }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        // Fast path for the simulator's steady state: nothing behind the
-        // frontier and the cursor already resting on an occupied slot
-        // (same-instant bursts, cascaded slots being drained).
-        if self.past.is_empty()
-            && self.c0 < L0_SLOTS
-            && self.bm0[self.c0 >> 6] & (1 << (self.c0 & 63)) != 0
-        {
-            return Some(self.pop_slot());
-        }
-        let in_wheel = self.locate();
-        match (in_wheel, self.past.peek()) {
-            (false, None) => None,
-            (true, None) => Some(self.pop_slot()),
-            (false, Some(_)) => self.past.pop().map(|r| r.0),
-            (true, Some(p)) => {
-                let front = self.l0[self.c0].front().expect("located slot is nonempty");
-                if (p.0.at, p.0.seq) < (front.at, front.seq) {
-                    self.past.pop().map(|r| r.0)
-                } else {
-                    Some(self.pop_slot())
-                }
-            }
-        }
-    }
-
-    /// Earliest `(at, seq)` without mutating the wheel (`peek_time` takes
-    /// `&self`). Falls back to scanning the first occupied higher-level
-    /// slot — all earlier slots are provably empty, so its minimum is the
-    /// wheel's minimum.
-    fn peek(&self) -> Option<(u64, u64)> {
-        let wheel = if let Some(s) = next_bit(self.sm0, &self.bm0, self.c0) {
-            self.l0[s].front().map(|e| (e.at, e.seq))
-        } else if let Some(s) = next_bit(self.sm1, &self.bm1, self.c1) {
-            self.l1[s].iter().map(|e| (e.at, e.seq)).min()
-        } else if let Some(s) = next_bit(self.sm2, &self.bm2, self.c2) {
-            self.l2[s].iter().map(|e| (e.at, e.seq)).min()
-        } else {
-            self.overflow.iter().map(|e| (e.at, e.seq)).min()
-        };
-        let past = self.past.peek().map(|r| (r.0.at, r.0.seq));
-        match (wheel, past) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn clear(&mut self) {
-        while let Some(s) = next_bit(self.sm0, &self.bm0, 0) {
-            self.l0[s].clear();
-            clear_bit(&mut self.bm0, &mut self.sm0, s);
-        }
-        while let Some(s) = next_bit(self.sm1, &self.bm1, 0) {
-            self.l1[s].clear();
-            clear_bit(&mut self.bm1, &mut self.sm1, s);
-        }
-        while let Some(s) = next_bit(self.sm2, &self.bm2, 0) {
-            self.l2[s].clear();
-            clear_bit(&mut self.bm2, &mut self.sm2, s);
-        }
-        self.past.clear();
-        self.overflow.clear();
-        self.c0 = 0;
-        self.c1 = 0;
-        self.c2 = 0;
-        self.l0_start = 0;
-        self.l1_start = 0;
-        self.l2_start = 0;
-    }
-}
-
-enum Backend<E> {
-    /// Boxed: the wheel's slot arrays are tens of kilobytes, and queues
-    /// move by value through the thread-local recycling pool.
-    Wheel(Box<Wheel<E>>),
-    Heap(BinaryHeap<Rev<E>>),
 }
 
 /// A time-ordered queue of simulation events.
 ///
 /// Events scheduled for the same instant pop in the order they were
-/// pushed. The default backend is the timing wheel; [`EventQueue::with_heap`]
-/// selects the binary-heap reference implementation (identical pop
-/// sequences, asserted by the equivalence proptests).
+/// pushed.
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    /// Every queued event, plus the nodes on the free list.
+    nodes: Vec<Node<E>>,
+    free: u32,
+    slots: Box<[Slot; N_SLOTS]>,
+    l0: Level<{ L0_SLOTS / 64 }>,
+    l1: Level<{ L1_SLOTS / 64 }>,
+    l2: Level<{ L2_SLOTS / 64 }>,
+    /// `(at, seq, node)` of events pushed behind the pop frontier (earlier
+    /// than anything the wheel can still index). Empty under monotone
+    /// scheduling.
+    past: BinaryHeap<Reverse<(u64, u64, u32)>>,
     next_seq: u64,
     len: usize,
-    /// High-water entry count — a cheap allocation proxy so the recycling
-    /// pool can tell a used queue from a fresh placeholder.
-    high_water: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -388,21 +170,19 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue (timing-wheel backend).
+    /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            backend: Backend::Wheel(Box::new(Wheel::new())),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: Box::new([EMPTY; N_SLOTS]),
+            l0: Level::NEW,
+            l1: Level::NEW,
+            l2: Level::NEW,
+            past: BinaryHeap::new(),
             next_seq: 0,
             len: 0,
-            high_water: 0,
         }
-    }
-
-    /// Create an empty queue backed by the original binary heap. The
-    /// reference implementation for lockstep equivalence tests; pop
-    /// sequences are identical to [`EventQueue::new`].
-    pub fn with_heap() -> Self {
-        EventQueue { backend: Backend::Heap(BinaryHeap::new()), next_seq: 0, len: 0, high_water: 0 }
     }
 
     /// Schedule `event` to fire at `at`.
@@ -410,57 +190,189 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        self.high_water = self.high_water.max(self.len);
-        let entry = Entry { at: at.as_micros(), seq, event };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.push(entry),
-            Backend::Heap(h) => h.push(Rev(entry)),
+        let at = at.as_micros();
+        let node = Node { at, next: NIL, event: Some(event) };
+        let i = if self.free != NIL {
+            let i = self.free;
+            self.free = std::mem::replace(&mut self.nodes[i as usize], node).next;
+            i
+        } else {
+            assert!(self.nodes.len() < NIL as usize, "node indices fit u32");
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        };
+        // A `None` frontier means the cursor ran past u64::MAX: every
+        // representable time is behind it.
+        let behind = match self.l0.start.checked_add(self.l0.cursor as u64) {
+            Some(frontier) => at < frontier,
+            None => true,
+        };
+        if behind {
+            self.past.push(Reverse((at, seq, i)));
+        } else {
+            self.link(i);
         }
+    }
+
+    /// Append node `i` (unlinked, `next == NIL`, not behind the frontier)
+    /// to the slot its time belongs in relative to the current windows.
+    fn link(&mut self, i: u32) {
+        let t = self.nodes[i as usize].at;
+        // All subtractions below are safe: t ≥ frontier ≥ l0.start ≥
+        // l1.start ≥ l2.start (each window opens inside its parent slot).
+        let slot = if t - self.l0.start < L0_SLOTS as u64 {
+            let s = (t - self.l0.start) as usize;
+            self.l0.set(s);
+            s
+        } else if (t - self.l1.start) >> L1_SHIFT < L1_SLOTS as u64 {
+            let s = ((t - self.l1.start) >> L1_SHIFT) as usize;
+            self.l1.set(s);
+            L1_BASE + s
+        } else if (t - self.l2.start) >> L2_SHIFT < L2_SLOTS as u64 {
+            let s = ((t - self.l2.start) >> L2_SHIFT) as usize;
+            self.l2.set(s);
+            L2_BASE + s
+        } else {
+            OVERFLOW
+        };
+        let slot = &mut self.slots[slot];
+        if slot.head == NIL {
+            slot.head = i;
+        } else {
+            self.nodes[slot.tail as usize].next = i;
+        }
+        slot.tail = i;
+    }
+
+    /// Empty `slot` and link its nodes again, in list order. Called with
+    /// every lower level empty and the windows already moved to where the
+    /// slot began, so nodes of one instant land in one slot in the order
+    /// they were pushed: a cascade preserves `(time, seq)` order, and
+    /// direct pushes can only reach a window after it has been opened.
+    fn relink(&mut self, slot: usize) {
+        let mut i = std::mem::replace(&mut self.slots[slot], EMPTY).head;
+        while i != NIL {
+            let next = std::mem::replace(&mut self.nodes[i as usize].next, NIL);
+            self.link(i);
+            i = next;
+        }
+    }
+
+    /// Times of the nodes queued in `slot`.
+    fn times(&self, slot: usize) -> impl Iterator<Item = u64> + '_ {
+        let at = |i: u32| (i != NIL).then(|| &self.nodes[i as usize]);
+        std::iter::successors(at(self.slots[slot].head), move |n| at(n.next)).map(|n| n.at)
+    }
+
+    /// Advance the cursors to the earliest occupied level-0 slot, opening
+    /// one higher-level slot per iteration. Returns false when the wheel
+    /// is empty.
+    fn locate(&mut self) -> bool {
+        loop {
+            if let Some(s) = self.l0.next() {
+                self.l0.cursor = s;
+                return true;
+            }
+            if let Some(s) = self.l1.next() {
+                // Open level-1 slot `s` as the new level-0 window.
+                self.l0.start = self.l1.start + ((s as u64) << L1_SHIFT);
+                self.l0.cursor = 0;
+                self.l1.cursor = s + 1;
+                self.l1.unset(s);
+                self.relink(L1_BASE + s);
+            } else if let Some(s) = self.l2.next() {
+                // Open level-2 slot `s` as the new level-1 window.
+                self.l1.start = self.l2.start + ((s as u64) << L2_SHIFT);
+                self.l1.cursor = 0;
+                self.l0.start = self.l1.start;
+                self.l0.cursor = 0;
+                self.l2.cursor = s + 1;
+                self.l2.unset(s);
+                self.relink(L2_BASE + s);
+            } else if let Some(min) = self.times(OVERFLOW).min() {
+                // Re-anchor the whole wheel at the earliest far event;
+                // what is still beyond the new horizon goes back on the
+                // overflow list. (Every bitmap is empty here.)
+                self.l0 = Level { start: min, ..Level::NEW };
+                self.l1 = Level { start: min, ..Level::NEW };
+                self.l2 = Level { start: min, ..Level::NEW };
+                self.relink(OVERFLOW);
+            } else {
+                return false;
+            }
+        }
+    }
+
+    /// Unlink the head of the slot under the level-0 cursor.
+    fn pop_slot(&mut self) -> (SimTime, E) {
+        let s = self.l0.cursor;
+        let i = self.slots[s].head;
+        let next = self.nodes[i as usize].next;
+        self.slots[s].head = next;
+        if next == NIL {
+            self.l0.unset(s);
+            self.l0.cursor = s + 1;
+        }
+        self.release(i)
+    }
+
+    /// Hand node `i`'s event out and put the node on the free list.
+    fn release(&mut self, i: u32) -> (SimTime, E) {
+        let node = &mut self.nodes[i as usize];
+        let event = node.event.take().expect("a queued node holds its event");
+        node.next = self.free;
+        self.free = i;
+        self.len -= 1;
+        (SimTime(node.at), event)
     }
 
     /// Remove and return the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = match &mut self.backend {
-            Backend::Wheel(w) => w.pop(),
-            Backend::Heap(h) => h.pop().map(|r| r.0),
-        }?;
-        self.len -= 1;
-        Some((SimTime(e.at), e.event))
+        // An event is in `past` because it was earlier than the frontier
+        // when pushed; the frontier never moves back and nothing in the
+        // wheel is earlier than it, so `past` drains first.
+        if let Some(Reverse((_, _, i))) = self.past.pop() {
+            return Some(self.release(i));
+        }
+        // Fast path for the simulator's steady state: the cursor already
+        // rests on an occupied slot (same-instant bursts, cascaded slots
+        // being drained).
+        (self.l0.at_cursor() || self.locate()).then(|| self.pop_slot())
     }
 
     /// Drop all pending events and reset the tie-break sequence, keeping
-    /// every allocation. A cleared queue behaves exactly like a fresh
+    /// the slab's capacity. A cleared queue behaves exactly like a fresh
     /// one — ordering is total over `(time, seq)`, so retained capacity
     /// cannot affect pop order — which makes recycling queues across
     /// simulation runs safe for determinism.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.clear(),
-            Backend::Heap(h) => h.clear(),
-        }
+        self.nodes.clear();
+        self.free = NIL;
+        self.slots.fill(EMPTY);
+        self.l0 = Level::NEW;
+        self.l1 = Level::NEW;
+        self.l2 = Level::NEW;
+        self.past.clear();
         self.next_seq = 0;
         self.len = 0;
     }
 
-    /// Allocation proxy: nonzero once the queue has ever held an event.
-    /// (For the heap backend this is the heap's real capacity; the wheel
-    /// reports its high-water entry count, which survives [`clear`]
-    /// exactly like retained capacity does.)
-    ///
-    /// [`clear`]: EventQueue::clear
-    pub fn capacity(&self) -> usize {
-        match &self.backend {
-            Backend::Wheel(_) => self.high_water,
-            Backend::Heap(h) => h.capacity(),
-        }
-    }
-
-    /// The firing time of the earliest pending event.
+    /// The firing time of the earliest pending event. Does not move the
+    /// cursors: when level 0 is empty it scans the first occupied
+    /// higher-level slot — all earlier slots are provably empty, so its
+    /// minimum is the wheel's minimum.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Wheel(w) => w.peek().map(|(at, _)| SimTime(at)),
-            Backend::Heap(h) => h.peek().map(|r| SimTime(r.0.at)),
-        }
+        let slot = if let Some(s) = self.l0.next() {
+            s
+        } else if let Some(s) = self.l1.next() {
+            L1_BASE + s
+        } else if let Some(s) = self.l2.next() {
+            L2_BASE + s
+        } else {
+            OVERFLOW
+        };
+        let past = self.past.peek().map(|&Reverse((at, _, _))| at);
+        self.times(slot).chain(past).min().map(SimTime)
     }
 
     /// Number of pending events.
@@ -475,16 +387,102 @@ impl<E> EventQueue<E> {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
+#[path = "../tests/queue_model/mod.rs"]
+mod queue_model;
 
-    fn both() -> [EventQueue<u64>; 2] {
-        [EventQueue::new(), EventQueue::with_heap()]
+#[cfg(test)]
+mod tests {
+    use super::queue_model::{op_strategy, steps, HeapModel, Step};
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Run a test body against the wheel and against the heap model, so a
+    /// hand-written expectation also pins the reference the proptests
+    /// compare the wheel with.
+    macro_rules! on_both {
+        (|$q:ident| $body:block) => {{
+            let mut $q = EventQueue::new();
+            $body
+            let mut $q = HeapModel::new();
+            $body
+        }};
+    }
+
+    impl<E> EventQueue<E> {
+        /// Every node is linked exactly once — in a slot, in `past` or on
+        /// the free list — and the linked ones are the `len()` queued
+        /// events; a slot's bit is set iff it has a head.
+        fn check_slab(&self) {
+            let mut linked = vec![false; self.nodes.len()];
+            let mut visit = |i: u32, queued: bool| {
+                let was = std::mem::replace(&mut linked[i as usize], true);
+                assert!(!was, "node {i} is linked twice");
+                assert_eq!(self.nodes[i as usize].event.is_some(), queued, "node {i}");
+            };
+            let mut queued = 0;
+            for (s, slot) in self.slots.iter().enumerate() {
+                let (mut i, mut last) = (slot.head, NIL);
+                while i != NIL {
+                    visit(i, true);
+                    queued += 1;
+                    last = i;
+                    i = self.nodes[i as usize].next;
+                }
+                assert!(
+                    slot.head == NIL || slot.tail == last,
+                    "slot {s}: tail is not the last node"
+                );
+                let occupied = match s {
+                    OVERFLOW => continue,
+                    s if s >= L2_BASE => self.l2.is_set(s - L2_BASE),
+                    s if s >= L1_BASE => self.l1.is_set(s - L1_BASE),
+                    s => self.l0.is_set(s),
+                };
+                assert_eq!(occupied, slot.head != NIL, "slot {s}: bitmap disagrees with its list");
+            }
+            for &Reverse((_, _, i)) in self.past.iter() {
+                visit(i, true);
+                queued += 1;
+            }
+            let mut i = self.free;
+            while i != NIL {
+                visit(i, false);
+                i = self.nodes[i as usize].next;
+            }
+            assert_eq!(queued, self.len(), "queued nodes vs len()");
+            assert!(linked.iter().all(|&l| l), "a node is neither queued nor free");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn slab_invariants_hold_after_every_op(
+            ops in proptest::collection::vec(op_strategy(), 0..200),
+        ) {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            for step in steps(&ops) {
+                match step {
+                    Step::Push(t, tag) => q.push(SimTime(t), tag),
+                    Step::Pop => {
+                        q.pop();
+                    }
+                    Step::Clear => {
+                        let capacity = q.nodes.capacity();
+                        q.clear();
+                        prop_assert!(q.is_empty() && q.nodes.is_empty());
+                        prop_assert_eq!(q.nodes.capacity(), capacity);
+                    }
+                }
+                q.check_slab();
+            }
+        }
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut q in [EventQueue::new(), EventQueue::with_heap()] {
+        on_both!(|q| {
             q.push(SimTime::from_millis(30), "c");
             q.push(SimTime::from_millis(10), "a");
             q.push(SimTime::from_millis(20), "b");
@@ -492,12 +490,12 @@ mod tests {
             assert_eq!(q.pop(), Some((SimTime::from_millis(20), "b")));
             assert_eq!(q.pop(), Some((SimTime::from_millis(30), "c")));
             assert_eq!(q.pop(), None);
-        }
+        });
     }
 
     #[test]
     fn ties_break_in_insertion_order() {
-        for mut q in both() {
+        on_both!(|q| {
             let t = SimTime::from_millis(5);
             for i in 0..100 {
                 q.push(t, i);
@@ -505,12 +503,12 @@ mod tests {
             for i in 0..100 {
                 assert_eq!(q.pop().unwrap().1, i);
             }
-        }
+        });
     }
 
     #[test]
     fn peek_time_matches_pop() {
-        for mut q in [EventQueue::new(), EventQueue::with_heap()] {
+        on_both!(|q| {
             assert_eq!(q.peek_time(), None);
             q.push(SimTime::from_millis(7), ());
             assert_eq!(q.peek_time(), Some(SimTime::from_millis(7)));
@@ -518,14 +516,14 @@ mod tests {
             assert!(!q.is_empty());
             q.pop();
             assert!(q.is_empty());
-        }
+        });
     }
 
     #[test]
     fn far_future_and_interleaved_pops() {
         // Times spanning every level: same-µs burst, level-1, level-2,
         // overflow, and a push behind the frontier after a pop.
-        for mut q in both() {
+        on_both!(|q| {
             q.push(SimTime(3), 3);
             q.push(SimTime(70_000_000), 70); // ≈ 70 s: beyond level 2
             q.push(SimTime(500_000), 500); // level 2
@@ -540,12 +538,12 @@ mod tests {
             assert_eq!(q.pop(), Some((SimTime(500_000), 500)));
             assert_eq!(q.pop(), Some((SimTime(70_000_000), 70)));
             assert_eq!(q.pop(), None);
-        }
+        });
     }
 
     #[test]
     fn cleared_queue_behaves_like_fresh() {
-        for mut q in both() {
+        on_both!(|q| {
             for i in 0..50 {
                 q.push(SimTime(i * 997 % 4000), i);
             }
@@ -558,24 +556,13 @@ mod tests {
             q.push(SimTime(9), 2);
             assert_eq!(q.pop(), Some((SimTime(9), 1)));
             assert_eq!(q.pop(), Some((SimTime(9), 2)));
-        }
-    }
-
-    #[test]
-    fn capacity_is_nonzero_after_use() {
-        for mut q in both() {
-            assert_eq!(q.capacity(), 0);
-            q.push(SimTime(1), 0);
-            q.pop();
-            q.clear();
-            assert!(q.capacity() > 0, "recycling pool needs a used-queue signal");
-        }
+        });
     }
 
     #[test]
     fn wheel_matches_heap_on_a_dense_schedule() {
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::with_heap();
+        let mut heap = HeapModel::new();
         // Deterministic pseudo-random mix of pushes and pops.
         let mut x: u64 = 0x2545F491;
         for i in 0..5_000u64 {

@@ -1,49 +1,15 @@
 //! Lockstep equivalence: the timing-wheel `EventQueue` and the
-//! binary-heap reference backend must produce identical pop sequences
-//! for arbitrary push/pop/clear interleavings — including same-instant
-//! bursts, far-future overflow times and pushes behind the pop frontier
-//! (which a monotone simulator never issues, but the wheel must still
-//! order correctly).
+//! binary-heap model must produce identical pop sequences for arbitrary
+//! push/pop/clear interleavings — including same-instant bursts,
+//! far-future overflow times and pushes behind the pop frontier (which a
+//! monotone simulator never issues, but the wheel must still order
+//! correctly).
 
 use h2push_netsim::{EventQueue, SimTime};
 use proptest::prelude::*;
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// Push one event at the given absolute microsecond.
-    Push(u64),
-    /// Push `n` events at the same instant (tie-break stress).
-    Burst(u64, u8),
-    /// Pop once and compare.
-    Pop,
-    /// Drain up to `n` events.
-    PopMany(u8),
-    /// Reset both queues (seq restarts; recycled state must be inert).
-    Clear,
-}
-
-/// Times spanning every wheel level: level-0 (µs), level-1 (ms),
-/// level-2 (sub-minute), the overflow list, and u64 extremes.
-fn time_strategy() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        Just(0u64),
-        0u64..1_024,
-        0u64..262_144,
-        0u64..67_000_000,
-        0u64..10_000_000_000,
-        (u64::MAX - 1_000)..=u64::MAX,
-    ]
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        time_strategy().prop_map(Op::Push),
-        (time_strategy(), 1u8..12).prop_map(|(t, n)| Op::Burst(t, n)),
-        Just(Op::Pop),
-        (1u8..20).prop_map(Op::PopMany),
-        Just(Op::Clear),
-    ]
-}
+mod queue_model;
+use queue_model::{op_strategy, steps, time_strategy, HeapModel, Step};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -51,31 +17,17 @@ proptest! {
     #[test]
     fn wheel_and_heap_pop_identically(ops in proptest::collection::vec(op_strategy(), 0..200)) {
         let mut wheel: EventQueue<u64> = EventQueue::new();
-        let mut heap: EventQueue<u64> = EventQueue::with_heap();
-        let mut tag = 0u64;
-        for op in &ops {
-            match *op {
-                Op::Push(t) => {
+        let mut heap: HeapModel<u64> = HeapModel::new();
+        for step in steps(&ops) {
+            match step {
+                Step::Push(t, tag) => {
                     wheel.push(SimTime(t), tag);
                     heap.push(SimTime(t), tag);
-                    tag += 1;
                 }
-                Op::Burst(t, n) => {
-                    for _ in 0..n {
-                        wheel.push(SimTime(t), tag);
-                        heap.push(SimTime(t), tag);
-                        tag += 1;
-                    }
-                }
-                Op::Pop => {
+                Step::Pop => {
                     prop_assert_eq!(wheel.pop(), heap.pop());
                 }
-                Op::PopMany(n) => {
-                    for _ in 0..n {
-                        prop_assert_eq!(wheel.pop(), heap.pop());
-                    }
-                }
-                Op::Clear => {
+                Step::Clear => {
                     wheel.clear();
                     heap.clear();
                 }
