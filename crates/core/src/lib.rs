@@ -52,7 +52,7 @@ pub struct Evaluation {
 /// [`evaluate_shared`].
 pub fn evaluate(page: &Page, strategy: Strategy) -> Result<Evaluation, ReplayError> {
     let run = RunPlan::new(page).config(ReplayConfig::testbed(strategy)).run_one()?;
-    summarize_outcome(run.outcome)
+    evaluation_of(run.outcome)
 }
 
 /// [`evaluate`] over pre-built shared inputs (no page clone, no re-record).
@@ -61,10 +61,10 @@ pub fn evaluate_shared(
     strategy: Strategy,
 ) -> Result<Evaluation, ReplayError> {
     let run = RunPlan::new(inputs).config(ReplayConfig::testbed(strategy)).run_one()?;
-    summarize_outcome(run.outcome)
+    evaluation_of(run.outcome)
 }
 
-fn summarize_outcome(out: h2push_testbed::ReplayOutcome) -> Result<Evaluation, ReplayError> {
+fn evaluation_of(out: h2push_testbed::ReplayOutcome) -> Result<Evaluation, ReplayError> {
     let l = &out.load;
     Ok(Evaluation {
         plt: l.plt(),

@@ -1126,8 +1126,7 @@ impl Connection {
         }
         self.lists_out = 0;
         let buf = std::mem::take(&mut self.recv_buf);
-        loop {
-            let Some(head) = FrameHead::parse(&buf[pos..]) else { break };
+        while let Some(head) = FrameHead::parse(&buf[pos..]) {
             let frame = if head.len > self.local_max_frame_size() {
                 Err(FrameError::TooLarge)
             } else if buf.len() - pos < FRAME_HEADER_LEN + head.len {

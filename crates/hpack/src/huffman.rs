@@ -284,7 +284,9 @@ mod tests {
         }
     }
 
+    // The literals below are grouped as code bits, then padding bits.
     #[test]
+    #[allow(clippy::unusual_byte_groupings)]
     fn bad_padding_rejected() {
         // 'a' = 00011 (5 bits); valid padding is 111. Zero padding is not.
         let ok = [0b00011_111u8];
@@ -294,6 +296,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::unusual_byte_groupings)]
     fn overlong_padding_rejected() {
         // A full byte of ones is a 8-bit padding ⇒ error per §5.2.
         let bad = [0b00011_111u8, 0xff];

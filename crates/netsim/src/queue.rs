@@ -569,7 +569,7 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            if x % 3 == 0 {
+            if x.is_multiple_of(3) {
                 assert_eq!(wheel.pop(), heap.pop());
             } else {
                 let t = match x % 7 {

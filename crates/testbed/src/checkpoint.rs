@@ -27,8 +27,8 @@
 //! Every record decodes to the byte-exact [`SweepCell`] the executor
 //! produced, so *interrupted-then-resumed ≡ uninterrupted*: the resumed
 //! [`crate::SweepReport`] is bit-identical to one from an undisturbed run
-//! (`tests/checkpoint.rs` proves this at every kill boundary, and the CI
-//! `resume-smoke` job does it with a real SIGKILL).
+//! (`tests/checkpoint.rs` proves this at every kill boundary, and
+//! `tests/resume_kill.rs` does it with a real SIGKILL).
 
 use crate::plan::{RunOutput, RunReport};
 use crate::replay::ReplayOutcome;

@@ -7,7 +7,7 @@
 //!   SpeedIndex per site, in the testbed; 49 % (PLT) / 35 % (SI) of sites
 //!   see no benefit.
 
-use super::{measure, parallel_map, Scale};
+use super::{cell, fan_out, median_deltas, record_all, summaries, Scale};
 use crate::harness::Mode;
 use h2push_strategies::{push_as_recorded, Strategy};
 use h2push_webmodel::{generate_set, CorpusKind};
@@ -30,19 +30,27 @@ pub struct VariabilityRow {
 /// Fig. 2a data: variability per site, with and without push conditions
 /// folded together as in the paper (the push configuration is used).
 pub fn fig2a_variability(scale: Scale) -> Vec<VariabilityRow> {
-    let sites = generate_set(CorpusKind::PushUsers, scale.sites, scale.seed);
-    parallel_map(sites, |page| {
-        let strategy = push_as_recorded(page);
-        let tb = measure(page, &strategy, Mode::Testbed, scale.runs, scale.seed);
-        let inet = measure(page, &strategy, Mode::Internet, scale.runs, scale.seed ^ 0xA5A5);
-        VariabilityRow {
-            site: page.name.clone(),
-            tb_plt_stderr: tb.plt.std_err,
-            tb_si_stderr: tb.speed_index.std_err,
-            inet_plt_stderr: inet.plt.std_err,
-            inet_si_stderr: inet.speed_index.std_err,
-        }
-    })
+    let sites = record_all(generate_set(CorpusKind::PushUsers, scale.sites, scale.seed));
+    fan_out(
+        &sites,
+        |site| {
+            let push = push_as_recorded(&site.page);
+            vec![
+                cell(site, push.clone(), scale, scale.seed),
+                cell(site, push, scale, scale.seed ^ 0xA5A5).mode(Mode::Internet),
+            ]
+        },
+        |site, m| {
+            let ((tb_plt, tb_si), (inet_plt, inet_si)) = (summaries(&m[0]), summaries(&m[1]));
+            VariabilityRow {
+                site: site.page.name.clone(),
+                tb_plt_stderr: tb_plt.std_err,
+                tb_si_stderr: tb_si.std_err,
+                inet_plt_stderr: inet_plt.std_err,
+                inet_si_stderr: inet_si.std_err,
+            }
+        },
+    )
 }
 
 /// One site's push-vs-no-push deltas (medians, ms; Δ < 0 is better).
@@ -58,17 +66,21 @@ pub struct DeltaRow {
 
 /// Fig. 2b data: push-as-recorded vs no-push in the testbed.
 pub fn fig2b_push_vs_nopush(scale: Scale) -> Vec<DeltaRow> {
-    let sites = generate_set(CorpusKind::PushUsers, scale.sites, scale.seed);
-    parallel_map(sites, |page| {
-        let base = measure(page, &Strategy::NoPush, Mode::Testbed, scale.runs, scale.seed);
-        let push =
-            measure(page, &push_as_recorded(page), Mode::Testbed, scale.runs, scale.seed ^ 0x77);
-        DeltaRow {
-            site: page.name.clone(),
-            d_plt: push.plt.median - base.plt.median,
-            d_si: push.speed_index.median - base.speed_index.median,
-        }
-    })
+    let sites = record_all(generate_set(CorpusKind::PushUsers, scale.sites, scale.seed));
+    fan_out(
+        &sites,
+        |site| {
+            let push = push_as_recorded(&site.page);
+            vec![
+                cell(site, Strategy::NoPush, scale, scale.seed),
+                cell(site, push, scale, scale.seed ^ 0x77),
+            ]
+        },
+        |site, m| {
+            let (d_plt, d_si) = median_deltas(&m[1], &m[0]);
+            DeltaRow { site: site.page.name.clone(), d_plt, d_si }
+        },
+    )
 }
 
 #[cfg(test)]

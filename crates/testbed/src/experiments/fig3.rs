@@ -8,10 +8,9 @@
 //!   on the random set: pushing less is less harmful but rarely much
 //!   better.
 
-use super::{measure, parallel_map, Scale};
-use crate::harness::{compute_push_order, Mode};
+use super::{cell, fan_out, median_deltas, push_orders, record_all, Scale};
 use h2push_strategies::{push_all, push_first_n, Strategy};
-use h2push_webmodel::{generate_set, CorpusKind, Page};
+use h2push_webmodel::{generate_set, CorpusKind};
 
 /// The §4.2 pushable-objects statistic for one corpus.
 #[derive(Debug, Clone)]
@@ -43,18 +42,22 @@ pub struct Fig3aRow {
 
 /// Fig. 3a: push-all in the computed order vs no push, for `kind`.
 pub fn fig3a_push_all(kind: CorpusKind, scale: Scale) -> Vec<Fig3aRow> {
-    let sites = generate_set(kind, scale.sites, scale.seed);
-    parallel_map(sites, |page| {
-        let order = compute_push_order(page, order_runs(scale), scale.seed);
-        let base = measure(page, &Strategy::NoPush, Mode::Testbed, scale.runs, scale.seed);
-        let push =
-            measure(page, &push_all(page, &order), Mode::Testbed, scale.runs, scale.seed ^ 0x33);
-        Fig3aRow {
-            site: page.name.clone(),
-            d_si: push.speed_index.median - base.speed_index.median,
-            d_plt: push.plt.median - base.plt.median,
-        }
-    })
+    let sites = record_all(generate_set(kind, scale.sites, scale.seed));
+    let orders = push_orders(&sites, order_runs(scale), scale.seed);
+    let ordered: Vec<_> = sites.iter().zip(&orders).collect();
+    fan_out(
+        &ordered,
+        |(site, order)| {
+            vec![
+                cell(site, Strategy::NoPush, scale, scale.seed),
+                cell(site, push_all(&site.page, order), scale, scale.seed ^ 0x33),
+            ]
+        },
+        |(site, _), m| {
+            let (d_plt, d_si) = median_deltas(&m[1], &m[0]);
+            Fig3aRow { site: site.page.name.clone(), d_si, d_plt }
+        },
+    )
 }
 
 /// Fig. 3b: one row per site per push limit.
@@ -75,29 +78,32 @@ pub const LIMITS: [Option<usize>; 5] = [Some(1), Some(5), Some(10), Some(15), No
 
 /// Fig. 3b: vary the number of pushed objects on the random set.
 pub fn fig3b_push_limit(scale: Scale) -> Vec<Fig3bRow> {
-    let sites = generate_set(CorpusKind::Random, scale.sites, scale.seed);
-    parallel_map(sites, |page| per_site_limits(page, scale)).into_iter().flatten().collect()
-}
-
-fn per_site_limits(page: &Page, scale: Scale) -> Vec<Fig3bRow> {
-    let order = compute_push_order(page, order_runs(scale), scale.seed);
-    let base = measure(page, &Strategy::NoPush, Mode::Testbed, scale.runs, scale.seed);
-    LIMITS
-        .iter()
-        .map(|&limit| {
-            let strategy = match limit {
-                Some(n) => push_first_n(page, &order, n),
-                None => push_all(page, &order),
+    let sites = record_all(generate_set(CorpusKind::Random, scale.sites, scale.seed));
+    let orders = push_orders(&sites, order_runs(scale), scale.seed);
+    let ordered: Vec<_> = sites.iter().zip(&orders).collect();
+    // Per site: the no-push baseline, then one cell per limit.
+    let rows = fan_out(
+        &ordered,
+        |(site, order)| {
+            let limited = LIMITS.iter().map(|&limit| {
+                let strategy = match limit {
+                    Some(n) => push_first_n(&site.page, order, n),
+                    None => push_all(&site.page, order),
+                };
+                cell(site, strategy, scale, scale.seed ^ 0x44)
+            });
+            let base = cell(site, Strategy::NoPush, scale, scale.seed);
+            std::iter::once(base).chain(limited).collect()
+        },
+        |(site, _), m| {
+            let row = |(&limit, limited)| {
+                let (d_plt, d_si) = median_deltas(limited, &m[0]);
+                Fig3bRow { site: site.page.name.clone(), limit, d_plt, d_si }
             };
-            let m = measure(page, &strategy, Mode::Testbed, scale.runs, scale.seed ^ 0x44);
-            Fig3bRow {
-                site: page.name.clone(),
-                limit,
-                d_plt: m.plt.median - base.plt.median,
-                d_si: m.speed_index.median - base.speed_index.median,
-            }
-        })
-        .collect()
+            LIMITS.iter().zip(&m[1..]).map(row).collect::<Vec<_>>()
+        },
+    );
+    rows.into_iter().flatten().collect()
 }
 
 /// Number of no-push replays used for the §4.2 order computation; scaled

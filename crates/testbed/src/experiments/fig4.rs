@@ -5,8 +5,8 @@
 //! and the custom strategy matching push-all while pushing far fewer
 //! bytes.
 
-use super::{measure, parallel_map, Scale, SiteMetrics};
-use crate::harness::Mode;
+use super::{cell, fan_out, mean_pushed_bytes, record_all, summaries, Scale};
+use crate::sweep::CellStats;
 use h2push_metrics::relative_change_pct;
 use h2push_strategies::{push_all, Strategy};
 use h2push_webmodel::{custom_strategy, synthetic_set};
@@ -17,11 +17,11 @@ pub struct Fig4Row {
     /// Site name (s1..s10).
     pub site: String,
     /// No-push baseline.
-    pub base: SiteMetrics,
+    pub base: CellStats,
     /// Push-all measurement.
-    pub push_all: SiteMetrics,
+    pub push_all: CellStats,
     /// Custom-strategy measurement.
-    pub custom: SiteMetrics,
+    pub custom: CellStats,
     /// Mean relative change of SpeedIndex, push-all vs no-push (%).
     pub push_all_si_pct: f64,
     /// Mean relative change of SpeedIndex, custom vs no-push (%).
@@ -38,25 +38,34 @@ pub struct Fig4Row {
 
 /// Run the Fig. 4 experiment.
 pub fn fig4_custom(scale: Scale) -> Vec<Fig4Row> {
-    let sites = synthetic_set();
-    parallel_map(sites, |page| {
-        let base = measure(page, &Strategy::NoPush, Mode::Testbed, scale.runs, scale.seed);
-        let pa = measure(page, &push_all(page, &[]), Mode::Testbed, scale.runs, scale.seed ^ 1);
-        let custom = Strategy::PushList { order: custom_strategy(page) };
-        let cu = measure(page, &custom, Mode::Testbed, scale.runs, scale.seed ^ 2);
-        Fig4Row {
-            site: page.name.clone(),
-            push_all_si_pct: relative_change_pct(pa.speed_index.mean, base.speed_index.mean),
-            custom_si_pct: relative_change_pct(cu.speed_index.mean, base.speed_index.mean),
-            push_all_plt_pct: relative_change_pct(pa.plt.mean, base.plt.mean),
-            custom_plt_pct: relative_change_pct(cu.plt.mean, base.plt.mean),
-            push_all_bytes: pa.pushed_bytes,
-            custom_bytes: cu.pushed_bytes,
-            base,
-            push_all: pa,
-            custom: cu,
-        }
-    })
+    fan_out(
+        &record_all(synthetic_set()),
+        |site| {
+            let page = &site.page;
+            let custom = Strategy::PushList { order: custom_strategy(page) };
+            vec![
+                cell(site, Strategy::NoPush, scale, scale.seed),
+                cell(site, push_all(page, &[]), scale, scale.seed ^ 1),
+                cell(site, custom, scale, scale.seed ^ 2),
+            ]
+        },
+        |site, m| {
+            let ((base_plt, base_si), (pa_plt, pa_si), (cu_plt, cu_si)) =
+                (summaries(&m[0]), summaries(&m[1]), summaries(&m[2]));
+            Fig4Row {
+                site: site.page.name.clone(),
+                push_all_si_pct: relative_change_pct(pa_si.mean, base_si.mean),
+                custom_si_pct: relative_change_pct(cu_si.mean, base_si.mean),
+                push_all_plt_pct: relative_change_pct(pa_plt.mean, base_plt.mean),
+                custom_plt_pct: relative_change_pct(cu_plt.mean, base_plt.mean),
+                push_all_bytes: mean_pushed_bytes(&m[1]),
+                custom_bytes: mean_pushed_bytes(&m[2]),
+                base: m[0].clone(),
+                push_all: m[1].clone(),
+                custom: m[2].clone(),
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -69,7 +78,7 @@ mod tests {
         assert_eq!(rows.len(), 10);
         for r in &rows {
             assert!(r.custom_bytes <= r.push_all_bytes, "{}: custom must push less", r.site);
-            assert!(r.base.plt.median > 0.0);
+            assert!(r.base.plt_stats().unwrap().median > 0.0);
         }
         // s1: the paper pushes ~309 KB custom vs ~1057 KB push-all.
         let s1 = rows.iter().find(|r| r.site.starts_with("s1-")).unwrap();

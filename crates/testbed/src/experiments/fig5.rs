@@ -7,8 +7,8 @@
 //! the document size. *Interleaving* hard-switches to the CSS after a
 //! fixed offset, yielding a near-constant SpeedIndex.
 
-use super::{measure, Scale, SiteMetrics};
-use crate::harness::Mode;
+use super::{cell, fan_out, Scale};
+use crate::sweep::CellStats;
 use h2push_strategies::Strategy;
 use h2push_webmodel::{Page, PageBuilder, ResourceId, ResourceSpec};
 
@@ -59,8 +59,8 @@ pub struct Fig5Point {
     pub html_size: usize,
     /// Strategy.
     pub strategy: Fig5Strategy,
-    /// SpeedIndex summary over the runs.
-    pub metrics: SiteMetrics,
+    /// The measured cell.
+    pub metrics: CellStats,
 }
 
 /// The paper's x-axis: 10 KB … 90 KB.
@@ -70,11 +70,13 @@ pub fn fig5_sizes() -> Vec<usize> {
 
 /// Run the Fig. 5b sweep.
 pub fn fig5b_interleaving(scale: Scale) -> Vec<Fig5Point> {
-    let mut out = Vec::new();
-    for size in fig5_sizes() {
-        let page = fig5_page(size);
-        let css = ResourceId(1);
-        for s in Fig5Strategy::ALL {
+    let css = ResourceId(1);
+    // Every (size, strategy) point is a one-cell site of its own.
+    let points: Vec<_> =
+        fig5_sizes().into_iter().flat_map(|size| Fig5Strategy::ALL.map(|s| (size, s))).collect();
+    fan_out(
+        &points,
+        |&(size, s)| {
             let strategy = match s {
                 Fig5Strategy::NoPush => Strategy::NoPush,
                 Fig5Strategy::Push => Strategy::PushList { order: vec![css] },
@@ -82,11 +84,10 @@ pub fn fig5b_interleaving(scale: Scale) -> Vec<Fig5Point> {
                     Strategy::Interleaved { offset: 4_096, critical: vec![css], after: Vec::new() }
                 }
             };
-            let metrics = measure(&page, &strategy, Mode::Testbed, scale.runs, scale.seed);
-            out.push(Fig5Point { html_size: size, strategy: s, metrics });
-        }
-    }
-    out
+            vec![cell(&fig5_page(size).into(), strategy, scale, scale.seed)]
+        },
+        |&(html_size, strategy), m| Fig5Point { html_size, strategy, metrics: m[0].clone() },
+    )
 }
 
 #[cfg(test)]
@@ -94,13 +95,8 @@ mod tests {
     use super::*;
 
     fn si(points: &[Fig5Point], s: Fig5Strategy, size: usize) -> f64 {
-        points
-            .iter()
-            .find(|p| p.strategy == s && p.html_size == size)
-            .unwrap()
-            .metrics
-            .speed_index
-            .mean
+        let point = points.iter().find(|p| p.strategy == s && p.html_size == size).unwrap();
+        point.metrics.speed_index_stats().unwrap().mean
     }
 
     #[test]

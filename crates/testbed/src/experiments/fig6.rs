@@ -6,8 +6,8 @@
 //! while sites dominated by blocking head scripts (w7/w8), inline JS
 //! (w10) or third-party sprawl (w17) see little or negative change.
 
-use super::{measure, parallel_map, Scale, SiteMetrics};
-use crate::harness::Mode;
+use super::{cell, fan_out, mean_pushed_bytes, summaries, Scale};
+use crate::sweep::CellStats;
 use h2push_metrics::relative_change_pct;
 use h2push_strategies::{paper_strategy, PaperStrategy};
 use h2push_webmodel::realworld_set;
@@ -18,7 +18,7 @@ pub struct Fig6Cell {
     /// Strategy.
     pub strategy: PaperStrategy,
     /// Measurements.
-    pub metrics: SiteMetrics,
+    pub metrics: CellStats,
     /// Mean relative SpeedIndex change vs the no-push baseline (%).
     pub si_pct: f64,
     /// Mean relative PLT change vs the no-push baseline (%).
@@ -45,27 +45,33 @@ impl Fig6Row {
 
 /// Run the Fig. 6 experiment over all twenty sites.
 pub fn fig6_realworld(scale: Scale) -> Vec<Fig6Row> {
-    let sites = realworld_set();
-    parallel_map(sites, |page| {
-        let mut base: Option<SiteMetrics> = None;
-        let mut cells = Vec::new();
-        for which in PaperStrategy::ALL {
-            let (variant, strategy) = paper_strategy(page, which);
-            let m = measure(&variant, &strategy, Mode::Testbed, scale.runs, scale.seed);
-            if which == PaperStrategy::NoPush {
-                base = Some(m.clone());
-            }
-            let b = base.as_ref().expect("NoPush runs first");
-            cells.push(Fig6Cell {
-                strategy: which,
-                si_pct: relative_change_pct(m.speed_index.mean, b.speed_index.mean),
-                plt_pct: relative_change_pct(m.plt.mean, b.plt.mean),
-                pushed_bytes: m.pushed_bytes,
-                metrics: m,
+    // Per site: the six strategies in `ALL` order (no push first), each
+    // on the page variant it ships with.
+    fan_out(
+        &realworld_set(),
+        |page| {
+            let cells = PaperStrategy::ALL.map(|which| {
+                let (variant, strategy) = paper_strategy(page, which);
+                cell(&variant.into(), strategy, scale, scale.seed)
             });
-        }
-        Fig6Row { site: page.name.clone(), cells }
-    })
+            cells.into()
+        },
+        |page, m| {
+            let (base_plt, base_si) = summaries(&m[0]);
+            let cell = |(&strategy, metrics): (_, &CellStats)| {
+                let (plt, si) = summaries(metrics);
+                Fig6Cell {
+                    strategy,
+                    si_pct: relative_change_pct(si.mean, base_si.mean),
+                    plt_pct: relative_change_pct(plt.mean, base_plt.mean),
+                    pushed_bytes: mean_pushed_bytes(metrics),
+                    metrics: metrics.clone(),
+                }
+            };
+            let cells = PaperStrategy::ALL.iter().zip(m).map(cell).collect();
+            Fig6Row { site: page.name.clone(), cells }
+        },
+    )
 }
 
 /// The paper's Fig. 6a winner criterion: ≥ 20 % SpeedIndex improvement

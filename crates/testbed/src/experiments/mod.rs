@@ -1,8 +1,16 @@
 //! Experiment drivers: one function per table/figure of the paper.
 //!
-//! Each driver returns plain data that the `h2push-bench` binaries print;
+//! Each driver returns plain data that `h2push experiment <id>` prints;
 //! integration tests run them at reduced scale. See `DESIGN.md` §3 for the
 //! experiment index.
+//!
+//! Every driver has the same shape, which `fan_out` spells out:
+//! *declare* each site's cells as [`RunPlan`]s — one per (page variant,
+//! strategy, mode, seed) — run all of them as one flat (cell × rep)
+//! fan-out, and fold the [`CellStats`] that come back into rows. Drivers
+//! that push in the §4.2 computed order run two such phases,
+//! `push_orders` first. Nothing nests, so a driver uses the cores
+//! exactly once however many sites and strategies it crosses.
 
 pub mod fig2;
 pub mod fig3;
@@ -11,12 +19,14 @@ pub mod fig5;
 pub mod fig6;
 pub mod types_study;
 
-use crate::harness::Mode;
 use crate::plan::RunPlan;
-use crate::replay::ReplayOutcome;
+use crate::replay::ReplayInputs;
+use crate::sweep::CellStats;
 use h2push_metrics::RunStats;
 use h2push_strategies::Strategy;
 use h2push_webmodel::Page;
+
+pub(crate) use crate::harness::push_orders;
 
 /// How big to run an experiment (the paper: 100 sites × 31 runs).
 #[derive(Debug, Clone, Copy)]
@@ -41,67 +51,63 @@ impl Scale {
     }
 }
 
-/// Per-configuration summary of a site: median PLT and SpeedIndex over the
-/// repetitions, plus dispersion (for Fig. 2a) and push accounting.
-#[derive(Debug, Clone)]
-pub struct SiteMetrics {
-    /// Site name.
-    pub site: String,
-    /// Summary of PLT (ms) over runs.
-    pub plt: RunStats,
-    /// Summary of SpeedIndex (ms) over runs.
-    pub speed_index: RunStats,
-    /// Mean bytes pushed per run.
-    pub pushed_bytes: f64,
-    /// Runs that completed.
-    pub completed: usize,
+/// Record every page once; all cells of a site share the result.
+pub(crate) fn record_all(pages: Vec<Page>) -> Vec<ReplayInputs> {
+    pages.into_iter().map(ReplayInputs::from).collect()
 }
 
-/// Run `page` × `strategy` × `mode` `runs` times and summarize.
-pub fn measure(
-    page: &Page,
-    strategy: &Strategy,
-    mode: Mode,
-    runs: usize,
-    seed: u64,
-) -> SiteMetrics {
-    let outcomes = RunPlan::new(page)
-        .strategy(strategy.clone())
-        .mode(mode)
-        .reps(runs)
-        .seed(seed)
-        .run()
-        .into_outcomes();
-    summarize(&page.name, &outcomes)
+/// Declare one testbed-mode cell: `site` × `strategy`, `scale.runs` reps
+/// from `seed`.
+pub(crate) fn cell(site: &ReplayInputs, strategy: Strategy, scale: Scale, seed: u64) -> RunPlan {
+    RunPlan::new(site).strategy(strategy).reps(scale.runs).seed(seed)
 }
 
-/// Summarize a set of outcomes of the same configuration.
-pub fn summarize(site: &str, outcomes: &[ReplayOutcome]) -> SiteMetrics {
-    let plts: Vec<f64> = outcomes.iter().map(|o| o.load.plt()).collect();
-    let sis: Vec<f64> = outcomes.iter().map(|o| o.load.speed_index()).collect();
-    let pushed: f64 = outcomes.iter().map(|o| o.server_pushed_bytes as f64).sum::<f64>()
-        / outcomes.len().max(1) as f64;
-    assert!(!plts.is_empty(), "site {site}: all runs failed");
-    SiteMetrics {
-        site: site.to_string(),
-        plt: RunStats::of(&plts),
-        speed_index: RunStats::of(&sis),
-        pushed_bytes: pushed,
-        completed: outcomes.len(),
-    }
+/// One measurement phase: `declare` each site's cells, run every
+/// (cell × rep) pair of all of them as one flat fan-out — each rep folded
+/// to its scalars on the worker that ran it — and fold each site's
+/// measured cells, in declaration order, into its row.
+pub(crate) fn fan_out<S, R>(
+    sites: &[S],
+    declare: impl Fn(&S) -> Vec<RunPlan>,
+    row: impl Fn(&S, &[CellStats]) -> R,
+) -> Vec<R> {
+    let cells: Vec<Vec<RunPlan>> = sites.iter().map(declare).collect();
+    let declared: Vec<usize> = cells.iter().map(Vec::len).collect();
+    let flat: Vec<RunPlan> = cells.into_iter().flatten().collect();
+    let mut measured = RunPlan::run_flat(&flat, |run| CellStats::of(std::slice::from_ref(&run)))
+        .into_iter()
+        .map(|reps| {
+            let mut stats = CellStats::default();
+            reps.into_iter().for_each(|rep| stats.absorb(rep));
+            stats
+        });
+    sites
+        .iter()
+        .zip(declared)
+        .map(|(site, declared)| {
+            let stats: Vec<CellStats> = measured.by_ref().take(declared).collect();
+            row(site, &stats)
+        })
+        .collect()
 }
 
-/// Map `f` over `items` on all available cores (replays are independent).
+/// The (PLT, SpeedIndex) summaries of a measured cell, in ms.
 ///
-/// Built on the global worker-token pool: results land in per-worker
-/// buffers and are merged in index order, with no lock around the output,
-/// and a `RunPlan::run` nested inside `f` shares the same core budget instead
-/// of oversubscribing.
-pub fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
-where
-    T: Send + Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    crate::pool::parallel_indexed(items.len(), |i| f(&items[i]))
+/// # Panics
+/// When no rep of the cell completed.
+pub(crate) fn summaries(cell: &CellStats) -> (RunStats, RunStats) {
+    let stats = cell.plt_stats().zip(cell.speed_index_stats());
+    stats.expect("every rep of an experiment cell failed")
+}
+
+/// Δ of the median (PLT, SpeedIndex) of `cell` against `base`, in ms
+/// (Δ < 0 is better).
+pub(crate) fn median_deltas(cell: &CellStats, base: &CellStats) -> (f64, f64) {
+    let ((plt, si), (base_plt, base_si)) = (summaries(cell), summaries(base));
+    (plt.median - base_plt.median, si.median - base_si.median)
+}
+
+/// Mean bytes pushed per completed rep of a measured cell.
+pub(crate) fn mean_pushed_bytes(cell: &CellStats) -> f64 {
+    cell.pushed_bytes as f64 / cell.n.max(1) as f64
 }

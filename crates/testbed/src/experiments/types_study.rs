@@ -6,8 +6,7 @@
 //! 24 % (SpeedIndex) / 20 % (PLT) of sites. Type combinations behave
 //! similarly.
 
-use super::{measure, parallel_map, Scale};
-use crate::harness::{compute_push_order, Mode};
+use super::{cell, fan_out, median_deltas, push_orders, record_all, Scale};
 use h2push_strategies::{push_by_type, Strategy};
 use h2push_webmodel::{generate_set, CorpusKind, ResourceType};
 
@@ -83,24 +82,29 @@ pub struct TypeStudy {
 
 /// Run the §4.2.1 type study on the random corpus.
 pub fn type_study(scale: Scale) -> TypeStudy {
-    let sites = generate_set(CorpusKind::Random, scale.sites, scale.seed);
-    let rows: Vec<TypeRow> = parallel_map(sites, |page| {
-        let order = compute_push_order(page, scale.runs.min(7), scale.seed);
-        let base = measure(page, &Strategy::NoPush, Mode::Testbed, scale.runs, scale.seed);
-        let deltas = TypeSelection::ALL
-            .iter()
-            .map(|&sel| {
-                let s = push_by_type(page, &order, sel.types());
-                let m = measure(page, &s, Mode::Testbed, scale.runs, scale.seed ^ 0x99);
-                (
-                    sel,
-                    m.speed_index.median - base.speed_index.median,
-                    m.plt.median - base.plt.median,
-                )
-            })
-            .collect();
-        TypeRow { site: page.name.clone(), deltas }
-    });
+    let sites = record_all(generate_set(CorpusKind::Random, scale.sites, scale.seed));
+    let orders = push_orders(&sites, scale.runs.min(7), scale.seed);
+    let ordered: Vec<_> = sites.iter().zip(&orders).collect();
+    // Per site: the no-push baseline, then one cell per type selection.
+    let rows: Vec<TypeRow> = fan_out(
+        &ordered,
+        |(site, order)| {
+            let by_type = TypeSelection::ALL.map(|sel| {
+                let strategy = push_by_type(&site.page, order, sel.types());
+                cell(site, strategy, scale, scale.seed ^ 0x99)
+            });
+            let base = cell(site, Strategy::NoPush, scale, scale.seed);
+            std::iter::once(base).chain(by_type).collect()
+        },
+        |(site, _), m| {
+            let delta = |(&sel, typed)| {
+                let (d_plt, d_si) = median_deltas(typed, &m[0]);
+                (sel, d_si, d_plt)
+            };
+            let deltas = TypeSelection::ALL.iter().zip(&m[1..]).map(delta).collect();
+            TypeRow { site: site.page.name.clone(), deltas }
+        },
+    );
 
     let img_worse = rows
         .iter()

@@ -11,11 +11,11 @@
 //!   recreating the wild-measurement variance the testbed removes.
 
 use crate::plan::RunPlan;
-use crate::replay::ReplayConfig;
 #[cfg(test)]
-use crate::replay::{ReplayInputs, ReplayOutcome};
+use crate::replay::ReplayOutcome;
+use crate::replay::{ReplayConfig, ReplayInputs};
 use h2push_netsim::SimDuration;
-use h2push_strategies::{majority_order, RunTrace, Strategy};
+use h2push_strategies::{majority_order, Strategy};
 use h2push_webmodel::{Page, ResourceId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -81,9 +81,20 @@ pub fn run_config(
 /// Returns only pushable resources (the order is computed on the initial
 /// connection to the origin server, so everything in it is pushable).
 pub fn compute_push_order(page: &Page, runs: usize, seed: u64) -> Vec<ResourceId> {
-    let outcomes = RunPlan::new(page).reps(runs).seed(seed).run().into_outcomes();
-    let traces: Vec<RunTrace> = outcomes.into_iter().map(|o| o.trace).collect();
-    majority_order(&traces).into_iter().filter(|&id| id != ResourceId(0)).collect()
+    push_orders(&[ReplayInputs::from(page)], runs, seed).pop().expect("one site")
+}
+
+/// [`compute_push_order`] for every site at once: all (site × run)
+/// no-push replays as one flat fan-out, one order per site.
+pub(crate) fn push_orders(sites: &[ReplayInputs], runs: usize, seed: u64) -> Vec<Vec<ResourceId>> {
+    let plans: Vec<RunPlan> =
+        sites.iter().map(|site| RunPlan::new(site).reps(runs).seed(seed)).collect();
+    RunPlan::run_flat(&plans, |run| run.outcome.trace)
+        .iter()
+        .map(|traces| {
+            majority_order(traces).into_iter().filter(|&id| id != ResourceId(0)).collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -270,7 +270,8 @@ impl RunPlan {
     /// recycling its machinery instead of reconstructing it. Outcomes are
     /// byte-identical to [`RunPlan::run`] / [`RunPlan::run_one`]; this
     /// entry point exists for callers that pin one context per thread for
-    /// a whole measurement (the allocation-gate bench, the equality suite).
+    /// a whole measurement (the benchmark, the allocation tests, the equality
+    /// suite).
     pub fn run_rep_in(&self, rep: usize, ctx: &mut ReplayCtx) -> Result<RunOutput, ReplayError> {
         self.rep_with(rep, |cfg, trace| crate::driver::drive_in(&self.inputs, cfg, trace, ctx))
     }
@@ -309,9 +310,35 @@ impl RunPlan {
         let runs = if self.serial {
             (0..self.reps).filter_map(|r| self.run_rep(r).ok()).collect()
         } else {
-            parallel_indexed(self.reps, |r| self.run_rep(r).ok()).into_iter().flatten().collect()
+            Self::run_flat(std::slice::from_ref(self), |out| out).pop().expect("one plan")
         };
         RunReport { runs }
+    }
+
+    /// Execute every (plan × rep) pair of `plans` as one flat fan-out on
+    /// the worker pool — the pool never drains at a plan boundary, and
+    /// nothing nests. Each completed rep is folded by `fold` on the worker
+    /// that ran it (so a caller that only needs scalars never holds the
+    /// waterfalls); the folded values come back per plan, in rep order,
+    /// failed reps dropped as in [`RunPlan::run`].
+    pub(crate) fn run_flat<T: Send>(
+        plans: &[RunPlan],
+        fold: impl Fn(RunOutput) -> T + Sync,
+    ) -> Vec<Vec<T>> {
+        let mut starts = Vec::with_capacity(plans.len());
+        let mut total = 0;
+        for plan in plans {
+            starts.push(total);
+            total += plan.reps;
+        }
+        let mut folded = parallel_indexed(total, |i| {
+            // The last plan starting at or before `i` (zero-rep plans
+            // share a start with their successor and are skipped).
+            let p = starts.partition_point(|&s| s <= i) - 1;
+            plans[p].run_rep(i - starts[p]).ok().map(&fold)
+        })
+        .into_iter();
+        plans.iter().map(|plan| folded.by_ref().take(plan.reps).flatten().collect()).collect()
     }
 }
 
@@ -333,7 +360,7 @@ mod tests {
 
     #[test]
     fn defaults_run_a_single_untraced_testbed_rep() {
-        let report = RunPlan::new(&page()).run();
+        let report = RunPlan::new(page()).run();
         assert_eq!(report.len(), 1);
         assert!(report.runs[0].timeline.is_none());
         assert!(report.runs[0].outcome.load.finished());
@@ -342,7 +369,7 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_execution_agree() {
-        let plan = RunPlan::new(&page())
+        let plan = RunPlan::new(page())
             .strategy(Strategy::PushList { order: vec![ResourceId(1)] })
             .reps(6)
             .seed(9);
@@ -357,9 +384,41 @@ mod tests {
     }
 
     #[test]
+    fn every_pool_width_reproduces_the_serial_outcomes() {
+        let _g = crate::pool::BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let plan = RunPlan::new(page())
+            .strategy(Strategy::PushList { order: vec![ResourceId(1)] })
+            .reps(7)
+            .seed(9);
+        let serial = plan.clone().serial().run();
+        assert_eq!(serial.len(), 7);
+        for threads in [1, 2, 4] {
+            crate::pool::set_worker_threads(Some(threads));
+            let pooled = plan.run();
+            crate::pool::set_worker_threads(None);
+            assert_eq!(pooled, serial, "{threads} worker threads");
+        }
+    }
+
+    #[test]
+    fn a_flat_fan_out_equals_each_plan_run_alone() {
+        let p = page();
+        let plans = [
+            RunPlan::new(&p).reps(3).seed(1),
+            RunPlan::new(&p).reps(0),
+            RunPlan::new(&p).strategy(Strategy::PushList { order: vec![ResourceId(2)] }).reps(2),
+        ];
+        let flat = RunPlan::run_flat(&plans, |out| out);
+        assert_eq!(flat.len(), 3);
+        for (plan, runs) in plans.iter().zip(flat) {
+            assert_eq!(RunReport { runs }, plan.clone().serial().run());
+        }
+    }
+
+    #[test]
     fn explicit_config_ignores_per_rep_jitter() {
         let cfg = ReplayConfig::testbed(Strategy::NoPush);
-        let report = RunPlan::new(&page()).config(cfg).reps(3).seed(5).run();
+        let report = RunPlan::new(page()).config(cfg).reps(3).seed(5).run();
         assert_eq!(report.len(), 3);
         let plts: Vec<f64> = report.outcomes().map(|o| o.load.plt()).collect();
         assert_eq!(plts[0], plts[1]);
@@ -368,7 +427,7 @@ mod tests {
 
     #[test]
     fn traced_reps_carry_timelines_and_identical_outcomes() {
-        let plan = RunPlan::new(&page()).reps(2).seed(3);
+        let plan = RunPlan::new(page()).reps(2).seed(3);
         let plain = plan.clone().run();
         let traced = plan.traced().run();
         assert_eq!(plain.len(), traced.len());

@@ -1,19 +1,15 @@
-//! A tiny scoped-thread worker pool with a *global* concurrency budget.
+//! A tiny scoped-thread indexed fan-out.
 //!
-//! Experiment drivers nest parallelism two deep: `parallel_map` fans out
-//! over sites while [`RunPlan`](crate::RunPlan) fans out over the 31
-//! repetitions of each site. A naive nested spawn would oversubscribe the
-//! machine quadratically;
-//! instead every `parallel_indexed` call claims worker tokens from one
-//! process-wide budget (`available_parallelism`), and a call that gets no
-//! tokens simply runs serially on its caller's thread. The effect is a
-//! flattened (site × run) schedule that saturates the cores exactly once.
+//! Fan-outs do not nest. Every caller flattens its work into one index
+//! space first — [`RunPlan::run`](crate::RunPlan::run) over reps, a
+//! [`SweepPlan`](crate::SweepPlan) over (cell × rep), an experiment driver
+//! over (cell × rep) per phase — and makes a single [`parallel_indexed`]
+//! call, so the thread count is simply `min(worker_threads(), n)` and no
+//! process-wide accounting is needed. A closure passed to
+//! `parallel_indexed` must not reach another `parallel_indexed`: it would
+//! still compute the right answer, on `worker_threads()²` threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Extra worker threads currently alive across all `parallel_indexed`
-/// calls (the calling threads themselves are not counted).
-static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Explicit worker budget (total threads, calling thread included);
 /// `0` means "derive from `available_parallelism`".
@@ -23,10 +19,10 @@ fn cores() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Pin the process-wide worker budget to exactly `threads` total threads
-/// (the calling thread counts as one, so `Some(1)` forces fully serial
-/// execution and `Some(4)` allows three extra workers — even above the
-/// physical core count, which the scaling bench uses to prove
+/// Pin the worker budget of every later fan-out to exactly `threads` total
+/// threads (the calling thread counts as one, so `Some(1)` forces fully
+/// serial execution and `Some(4)` allows three extra workers — even above
+/// the physical core count, which the equality tests use to prove
 /// byte-equality at any width). `None` restores the default
 /// `available_parallelism` budget.
 pub fn set_worker_threads(threads: Option<usize>) {
@@ -41,56 +37,23 @@ pub fn worker_threads() -> usize {
     }
 }
 
-/// A claim on `0..=want` worker slots; dropping it returns them.
-struct WorkerTokens(usize);
-
-impl Drop for WorkerTokens {
-    fn drop(&mut self) {
-        if self.0 > 0 {
-            ACTIVE_WORKERS.fetch_sub(self.0, Ordering::Relaxed);
-        }
-    }
-}
-
-fn claim(want: usize) -> WorkerTokens {
-    // Each claimant's own thread works too, so the extra-thread budget is
-    // one less than the total thread budget.
-    let cap = worker_threads().saturating_sub(1);
-    let mut cur = ACTIVE_WORKERS.load(Ordering::Relaxed);
-    loop {
-        let take = want.min(cap.saturating_sub(cur));
-        if take == 0 {
-            return WorkerTokens(0);
-        }
-        match ACTIVE_WORKERS.compare_exchange_weak(
-            cur,
-            cur + take,
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return WorkerTokens(take),
-            Err(c) => cur = c,
-        }
-    }
-}
-
-/// Run `f(0..n)` across the available cores and return the results in
-/// index order.
+/// Run `f(0..n)` on up to [`worker_threads`] threads and return the
+/// results in index order.
 ///
 /// Work items are handed out through an atomic counter; each worker
 /// (including the calling thread) accumulates `(index, result)` pairs in a
 /// private vector, and the pairs are merged into their final slots after
-/// the scope joins — no locks, no shared mutable buffer. When the global
-/// budget is already spent (nested call) the whole loop runs serially on
-/// the caller, which is exactly the flattening that prevents
-/// oversubscription.
+/// the scope joins — no locks, no shared mutable buffer. With a budget of
+/// one thread, or a single item, the loop runs on the caller.
 pub fn parallel_indexed<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    let tokens = if n > 1 { claim(n - 1) } else { WorkerTokens(0) };
-    if tokens.0 == 0 {
+    // The calling thread works too, so it spawns one thread fewer than
+    // the budget (and never more than there are items to hand out).
+    let extra = worker_threads().min(n).saturating_sub(1);
+    if extra == 0 {
         return (0..n).map(f).collect();
     }
     let next = AtomicUsize::new(0);
@@ -102,7 +65,7 @@ where
         local.push((i, f(i)));
     };
     let parts = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..tokens.0)
+        let handles: Vec<_> = (0..extra)
             .map(|_| {
                 s.spawn(|| {
                     let mut local = Vec::new();
@@ -119,7 +82,6 @@ where
         }
         parts
     });
-    drop(tokens);
     let mut slots: Vec<Option<U>> = (0..n).map(|_| None).collect();
     for part in parts {
         for (i, u) in part {
@@ -128,6 +90,10 @@ where
     }
     slots.into_iter().map(|o| o.expect("every index ran exactly once")).collect()
 }
+
+/// Serializes the unit tests that pin the (process-wide) thread budget.
+#[cfg(test)]
+pub(crate) static BUDGET_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
@@ -140,52 +106,32 @@ mod tests {
     }
 
     #[test]
-    fn nested_calls_degrade_to_serial_not_deadlock() {
-        let out = parallel_indexed(8, |i| {
-            let inner = parallel_indexed(8, move |j| i * 8 + j);
-            inner.iter().sum::<usize>()
-        });
-        let expect: Vec<usize> = (0..8).map(|i| (0..8).map(|j| i * 8 + j).sum()).collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
     fn empty_and_single_inputs() {
         assert_eq!(parallel_indexed(0, |i| i), Vec::<usize>::new());
         assert_eq!(parallel_indexed(1, |i| i + 7), vec![7]);
     }
 
-    /// Serializes the tests that read or write the global thread budget.
-    static BUDGET_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
-    fn claims_never_exceed_request_or_budget() {
-        let _g = BUDGET_LOCK.lock().unwrap();
-        let cap = worker_threads().saturating_sub(1);
-        let t = claim(1_000);
-        assert!(t.0 <= 1_000.min(cap));
-        // A second claim on top of the first stays within the budget too.
-        let t2 = claim(1_000);
-        assert!(t.0 + t2.0 <= cap);
-    }
-
-    #[test]
-    fn thread_override_pins_the_budget() {
-        let _g = BUDGET_LOCK.lock().unwrap();
+    fn thread_override_caps_the_threads_a_fan_out_uses() {
+        let _g = BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let threads_used = |n: usize| {
+            let ids = parallel_indexed(n, |_| {
+                // Long enough for every spawned worker to claim an item.
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                std::thread::current().id()
+            });
+            ids.into_iter().collect::<std::collections::HashSet<_>>().len()
+        };
         set_worker_threads(Some(1));
-        let t = claim(8);
-        assert_eq!(t.0, 0, "one total thread means no extra workers");
-        drop(t);
+        assert_eq!(threads_used(8), 1, "one total thread means no extra workers");
         set_worker_threads(Some(3));
-        let t = claim(8);
-        assert!(t.0 <= 2, "three total threads allow at most two extras");
-        drop(t);
-        set_worker_threads(None);
-        assert_eq!(worker_threads(), cores());
-        // The override may exceed the physical core count: the scaling
-        // bench uses that to prove byte-equality at any width.
+        assert!(threads_used(64) <= 3, "three total threads allow at most two extras");
+        // Never more threads than items, whatever the budget — and the
+        // override may exceed the physical core count.
         set_worker_threads(Some(64));
         assert_eq!(worker_threads(), 64);
+        assert!(threads_used(2) <= 2);
         set_worker_threads(None);
+        assert_eq!(worker_threads(), cores());
     }
 }

@@ -222,7 +222,7 @@ pub fn replay_shared(
 /// (asserted across strategies, faults and modes in `tests/recycle.rs`).
 /// [`replay_shared`] itself recycles through a thread-local context — this
 /// entry point exists for callers that want to own the context's lifetime,
-/// like the allocation-gate bench.
+/// like the benchmark.
 pub fn replay_in(
     inputs: &ReplayInputs,
     cfg: &ReplayConfig,

@@ -41,8 +41,14 @@
 //! them ([`RetryClass::NotRetried`]).
 //!
 //! Every cell is byte-identical to the same cell run through a plain
-//! [`RunPlan`] with the same strategy, site, seed and mode — the CI
-//! `sweep-smoke` job cross-checks one cell on every push.
+//! [`RunPlan`] with the same strategy, site, seed and mode:
+//! `cell_matches_plain_run_plan` below checks a fresh cell, and
+//! `tests/checkpoint.rs` every cell of a halted-and-resumed grid.
+//!
+//! The paper's own figures (`crate::experiments`) are grids too, but of
+//! heterogeneous cells — per-cell page variants, seeds and modes — so
+//! they fan out as flat [`RunPlan`] lists and borrow only [`CellStats`]
+//! from here; they are not journaled.
 
 use crate::chaos::{strategy_label, FaultProfile};
 use crate::checkpoint::{self, GridIdentity, ResumeError, SweepJournal};
@@ -188,6 +194,15 @@ impl CellStats {
             s.pushed_bytes += run.outcome.server_pushed_bytes;
         }
         s
+    }
+
+    /// Append the fold of this cell's later reps.
+    pub(crate) fn absorb(&mut self, later: CellStats) {
+        self.n += later.n;
+        self.partial += later.partial;
+        self.plt.extend(later.plt);
+        self.speed_index.extend(later.speed_index);
+        self.pushed_bytes += later.pushed_bytes;
     }
 
     /// Summary statistics of the cell's PLTs — `None` when every rep
@@ -451,8 +466,9 @@ impl SweepPlan {
     }
 
     /// Test support: SIGKILL the whole process immediately after the
-    /// `n`-th cell record reaches the journal — the CI `resume-smoke`
-    /// crash. Only meaningful with [`SweepPlan::checkpoint`]/`resume`.
+    /// `n`-th cell record reaches the journal — the crash
+    /// `tests/resume_kill.rs` resumes from. Only meaningful with
+    /// [`SweepPlan::checkpoint`]/`resume`.
     #[doc(hidden)]
     pub fn kill_after_journaled(mut self, n: usize) -> Self {
         self.kill_after = Some(n);

@@ -8,7 +8,7 @@
 //! converting corruption into re-executed cells, never into wrong data.
 
 use h2push_strategies::{push_all, Strategy};
-use h2push_testbed::{GridIdentity, ResumeError, SweepJournal, SweepPlan};
+use h2push_testbed::{GridIdentity, ResumeError, RunPlan, RunReport, SweepJournal, SweepPlan};
 use h2push_webmodel::{Page, PageBuilder, ResourceSpec};
 use std::fs;
 use std::path::PathBuf;
@@ -26,12 +26,16 @@ fn site_page(seed: u64) -> Page {
     b.build()
 }
 
+/// The axes of [`grid`]: 2 strategies × 2 sites.
+fn grid_axes() -> (Vec<Strategy>, [Page; 2]) {
+    let sites = [site_page(0), site_page(1)];
+    (vec![Strategy::NoPush, push_all(&sites[0], &[])], sites)
+}
+
 /// A 2 strategies × 2 sites × 2 reps grid (4 cells).
 fn grid(seed: u64) -> SweepPlan {
-    let p0 = site_page(0);
-    let p1 = site_page(1);
-    let push = push_all(&p0, &[]);
-    SweepPlan::new().strategies(vec![Strategy::NoPush, push]).sites([p0, p1]).reps(2).seed(seed)
+    let (strategies, sites) = grid_axes();
+    SweepPlan::new().strategies(strategies).sites(sites).reps(2).seed(seed)
 }
 
 /// Unique scratch path per test (no tempfile dependency in-tree).
@@ -47,6 +51,15 @@ fn interrupted_then_resumed_equals_uninterrupted_at_every_cell_boundary() {
     let baseline = plan.run();
     let baseline_bytes = baseline.canonical_bytes();
     assert!(baseline.is_complete());
+    // What each cell must also equal, whichever side of the halt it ran
+    // on: the same cell as a plain `RunPlan` (strategy-major, like the
+    // grid).
+    let (strategies, sites) = grid_axes();
+    let fresh: Vec<RunReport> = strategies
+        .iter()
+        .flat_map(|s| sites.iter().map(move |p| (s.clone(), p)))
+        .map(|(s, p)| RunPlan::new(p).strategy(s).reps(2).seed(11).run())
+        .collect();
 
     // Halt after 1, 2, 3 of the 4 cells (an in-process stand-in for a
     // kill at each cell boundary; tests/resume_kill.rs does it with a
@@ -68,6 +81,13 @@ fn interrupted_then_resumed_equals_uninterrupted_at_every_cell_boundary() {
             baseline_bytes,
             "resume after {halt} cells must be byte-identical to an uninterrupted run"
         );
+        for (cell, plain) in resumed.cells.iter().zip(&fresh) {
+            assert_eq!(
+                &cell.report, plain,
+                "{}/{} after a halt at {halt}: not what a fresh RunPlan reports",
+                cell.strategy, cell.site
+            );
+        }
         fs::remove_file(&path).ok();
     }
 }
@@ -258,10 +278,10 @@ fn streaming_checkpoint_resume_is_byte_identical_and_matches_retained_stats() {
 /// The acceptance-scale streaming sweep: ≥ 10_000 cells complete with
 /// per-rep outputs dropped, and the population percentiles match the
 /// retained-mode computation exactly. Too slow for the debug-mode tier-1
-/// suite on one core; CI's `resume-smoke` job runs it in release
+/// suite on one core; CI's `test` job runs it in release
 /// (`cargo test --release -- --ignored`).
 #[test]
-#[ignore = "population-scale; run in release via CI resume-smoke"]
+#[ignore = "population-scale; CI runs it in release"]
 fn ten_thousand_cell_streaming_sweep_is_bounded_and_exact() {
     let p0 = site_page(0);
     // 2500 distinct push-list strategies × 4 sites = 10_000 cells. The

@@ -7,12 +7,17 @@
 //! h2push order <site> [--runs N]           the §4.2 computed push order
 //! h2push har <site> [options] [-o f.har]   export a waterfall as HAR
 //! h2push dump <site> [-o page.json]        export the site model as JSON
+//! h2push experiment <id> [--quick|--paper] [--sites N] [--runs N] [--seed N]
+//!                                           regenerate a table or figure of
+//!                                           the paper (usage lists the ids)
 //!
 //! <site>:    w1..w20 | s1..s10 | random:<seed> | top:<seed> | push:<seed>
 //!            | file:<page.json>   (a serialized `webmodel::Page`)
 //! --strategy no-push | push-all | push-critical | as-recorded |
 //!            no-push-opt | push-all-opt | push-critical-opt   (default no-push)
 //! --runs N   repetitions (default 1; medians reported when N > 1)
+//! experiment scale: 40 sites × 11 runs by default, --quick 12 × 5,
+//!            --paper 100 × 31; --sites/--runs/--seed override either
 //! --mode     testbed | internet              (default testbed)
 //! --warm     warm cache: all pushable resources are already cached
 //! --json     machine-readable output
@@ -20,6 +25,7 @@
 
 use h2push::browser::to_har;
 use h2push::core::PushPlanner;
+use h2push::experiment::{self, Scale, EXPERIMENTS};
 use h2push::metrics::RunStats;
 use h2push::strategies::{paper_strategy, push_all, push_as_recorded, PaperStrategy, Strategy};
 use h2push::testbed::{compute_push_order, replay, run_config, Mode, Protocol, ReplayConfig};
@@ -29,8 +35,12 @@ fn usage() -> ! {
     eprintln!(
         "usage: h2push <sites|replay|plan|order|har|dump> [<site>] [--strategy S] [--runs N] \
          [--mode testbed|internet] [--h1] [--warm] [--seed N] [--json] [-o FILE]\n\
-         site: w1..w20 | s1..s10 | random:<seed> | top:<seed> | push:<seed> | file:<page.json>"
+         site: w1..w20 | s1..s10 | random:<seed> | top:<seed> | push:<seed> | file:<page.json>\n\
+         usage: h2push experiment <id> [--quick|--paper] [--sites N] [--runs N] [--seed N]"
     );
+    for (id, about, _) in EXPERIMENTS {
+        eprintln!("  {id:<19} {about}");
+    }
     std::process::exit(2);
 }
 
@@ -76,7 +86,12 @@ fn parse_site(spec: &str) -> Option<Page> {
 
 struct Opts {
     strategy: String,
-    runs: usize,
+    /// `--runs`; unset means 1 for a replay and the preset's for an
+    /// experiment.
+    runs: Option<usize>,
+    sites: Option<usize>,
+    /// Experiment scale before the `--sites/--runs/--seed` overrides.
+    preset: Scale,
     mode: Mode,
     protocol: Protocol,
     warm: bool,
@@ -85,10 +100,23 @@ struct Opts {
     out: Option<String>,
 }
 
+/// The value of a numeric flag; a missing or malformed one is a usage error.
+fn number<T: std::str::FromStr>(arg: Option<&String>) -> T {
+    arg.and_then(|a| a.parse().ok()).unwrap_or_else(|| usage())
+}
+
+/// A count of runs or sites: a number, and at least one (the statistics
+/// of nothing are undefined).
+fn count(arg: Option<&String>) -> Option<usize> {
+    Some(number(arg)).filter(|&n| n > 0).or_else(|| usage())
+}
+
 fn parse_opts(args: &[String]) -> Opts {
     let mut o = Opts {
         strategy: "no-push".into(),
-        runs: 1,
+        runs: None,
+        sites: None,
+        preset: Scale { sites: 40, runs: 11, seed: 42 },
         mode: Mode::Testbed,
         protocol: Protocol::H2,
         warm: false,
@@ -96,41 +124,46 @@ fn parse_opts(args: &[String]) -> Opts {
         json: false,
         out: None,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--strategy" => {
-                i += 1;
-                o.strategy = args.get(i).unwrap_or_else(|| usage()).clone();
-            }
-            "--runs" => {
-                i += 1;
-                o.runs = args.get(i).and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-            }
+    // A flag's value is the next argument: taking it from the iterator
+    // cannot index past the end, whatever the flag order.
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--strategy" => o.strategy = args.next().unwrap_or_else(|| usage()).clone(),
+            "--runs" => o.runs = count(args.next()),
+            "--sites" => o.sites = count(args.next()),
+            "--quick" => o.preset = Scale::quick(),
+            "--paper" => o.preset = Scale::paper(),
             "--mode" => {
-                i += 1;
-                o.mode = match args.get(i).map(|s| s.as_str()) {
+                o.mode = match args.next().map(|s| s.as_str()) {
                     Some("testbed") => Mode::Testbed,
                     Some("internet") => Mode::Internet,
                     _ => usage(),
                 };
             }
-            "--seed" => {
-                i += 1;
-                o.seed = args.get(i).and_then(|a| a.parse().ok()).unwrap_or_else(|| usage());
-            }
+            "--seed" => o.seed = number(args.next()),
             "--warm" => o.warm = true,
             "--h1" => o.protocol = Protocol::H1,
             "--json" => o.json = true,
-            "-o" => {
-                i += 1;
-                o.out = Some(args.get(i).unwrap_or_else(|| usage()).clone());
-            }
+            "-o" => o.out = Some(args.next().unwrap_or_else(|| usage()).clone()),
             _ => usage(),
         }
-        i += 1;
     }
     o
+}
+
+impl Opts {
+    fn runs(&self) -> usize {
+        self.runs.unwrap_or(1)
+    }
+
+    fn scale(&self) -> Scale {
+        Scale {
+            sites: self.sites.unwrap_or(self.preset.sites),
+            runs: self.runs.unwrap_or(self.preset.runs),
+            seed: self.seed,
+        }
+    }
 }
 
 /// Resolve a strategy name to the page variant + strategy to run.
@@ -173,7 +206,7 @@ fn cmd_replay(page: &Page, o: &Opts) {
     let mut sis = Vec::new();
     let mut pushed = 0u64;
     let mut cancelled = 0u32;
-    for r in 0..o.runs {
+    for r in 0..o.runs() {
         let mut cfg: ReplayConfig =
             run_config(&strategy, o.mode, o.seed.wrapping_add(r as u64), &variant);
         cfg.protocol = o.protocol;
@@ -200,7 +233,7 @@ fn cmd_replay(page: &Page, o: &Opts) {
             serde_json::json!({
                 "site": variant.name,
                 "strategy": o.strategy,
-                "runs": o.runs,
+                "runs": o.runs(),
                 "plt_ms": { "median": p.median, "mean": p.mean, "stderr": p.std_err },
                 "speed_index_ms": { "median": s.median, "mean": s.mean, "stderr": s.std_err },
                 "pushed_bytes": pushed,
@@ -210,7 +243,7 @@ fn cmd_replay(page: &Page, o: &Opts) {
     } else {
         println!("site      {}", variant.name);
         println!("strategy  {}", o.strategy);
-        println!("runs      {}", o.runs);
+        println!("runs      {}", o.runs());
         println!("PLT       {:.1} ms (median; ±{:.1} σx̄)", p.median, p.std_err);
         println!("SpeedIdx  {:.1} ms (median; ±{:.1} σx̄)", s.median, s.std_err);
         println!("pushed    {:.1} KB, {} cancelled", pushed as f64 / 1024.0, cancelled);
@@ -218,7 +251,7 @@ fn cmd_replay(page: &Page, o: &Opts) {
 }
 
 fn cmd_plan(page: &Page, o: &Opts) {
-    let planner = PushPlanner { runs: o.runs.max(3), seed: o.seed, ..Default::default() };
+    let planner = PushPlanner { runs: o.runs().max(3), seed: o.seed, ..Default::default() };
     let plan = planner.plan(page);
     if o.json {
         let candidates: Vec<_> = plan
@@ -263,7 +296,7 @@ fn cmd_plan(page: &Page, o: &Opts) {
 }
 
 fn cmd_order(page: &Page, o: &Opts) {
-    let order = compute_push_order(page, o.runs.max(5), o.seed);
+    let order = compute_push_order(page, o.runs().max(5), o.seed);
     println!("computed push order for {} ({} resources):", page.name, order.len());
     for (i, id) in order.iter().enumerate() {
         let r = page.resource(*id);
@@ -285,38 +318,48 @@ fn cmd_har(page: &Page, o: &Opts) {
         std::process::exit(1);
     });
     let har = serde_json::to_string_pretty(&to_har(&variant, &out.load)).expect("HAR serializes");
-    match &o.out {
-        Some(path) => {
-            std::fs::write(path, har).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path}");
-        }
-        None => println!("{har}"),
-    }
+    emit(har, &o.out);
 }
 
 fn cmd_dump(page: &Page, o: &Opts) {
-    let json = serde_json::to_string_pretty(page).expect("page serializes");
-    match &o.out {
+    emit(serde_json::to_string_pretty(page).expect("page serializes"), &o.out);
+}
+
+/// Write a document to `-o FILE`, or print it.
+fn emit(text: String, path: &Option<String>) {
+    match path {
         Some(path) => {
-            std::fs::write(path, json).unwrap_or_else(|e| {
+            std::fs::write(path, text).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");
                 std::process::exit(1);
             });
             eprintln!("wrote {path}");
         }
-        None => println!("{json}"),
+        None => println!("{text}"),
+    }
+}
+
+fn cmd_experiment(args: &[String]) {
+    let Some(render) = args.first().and_then(|id| experiment::find(id)) else {
+        if let Some(id) = args.first() {
+            eprintln!("unknown experiment '{id}'");
+        }
+        usage()
+    };
+    let scale = parse_opts(&args[1..]).scale();
+    if let Err(e) = render(scale, &mut std::io::stdout().lock()) {
+        eprintln!("cannot write the report: {e}");
+        std::process::exit(1);
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().map(|s| s.as_str()) else { usage() };
-    if cmd == "sites" {
-        cmd_sites();
-        return;
+    match cmd {
+        "sites" => return cmd_sites(),
+        "experiment" => return cmd_experiment(&args[1..]),
+        _ => {}
     }
     let Some(site_spec) = args.get(1) else { usage() };
     let Some(page) = parse_site(site_spec) else {

@@ -1,0 +1,804 @@
+//! `h2push experiment <id>` — regenerate every table and figure.
+//!
+//! One row of [`EXPERIMENTS`] per paper artifact, ablation and context
+//! experiment (`DESIGN.md` §3 is the index, `EXPERIMENTS.md` the
+//! paper-vs-measured record). The drivers that produce the data live in
+//! [`h2push_testbed::experiments`]; a row renders a driver's rows as the
+//! text table the paper's figure is redrawn from. Every renderer is a
+//! pure function of its [`Scale`], so `tests/experiments.rs` pins each
+//! one's output at a tiny scale against a text fixture.
+
+use h2push_h2proto::{
+    DefaultScheduler, FairScheduler, PrioritySpec, PriorityTree, Scheduler, StreamSnapshot,
+};
+use h2push_metrics::{percentile, share_below, RunStats};
+use h2push_netsim::{NetworkSpec, SimDuration};
+use h2push_strategies::{
+    critical_set, interleave_offset, paper_strategy, push_all, PaperStrategy, Strategy,
+};
+use h2push_testbed::adoption::AdoptionModel;
+use h2push_testbed::experiments::fig2::{fig2a_variability, fig2b_push_vs_nopush, VariabilityRow};
+use h2push_testbed::experiments::fig3::{fig3a_push_all, fig3b_push_limit, pushable_stats, LIMITS};
+use h2push_testbed::experiments::fig4::fig4_custom;
+use h2push_testbed::experiments::fig5::{fig5_sizes, fig5b_interleaving, Fig5Strategy};
+use h2push_testbed::experiments::fig6::{fig6_realworld, winners};
+use h2push_testbed::experiments::types_study::{type_study, TypeSelection};
+use h2push_testbed::{
+    compute_push_order, replay, run_fault_matrix, CellStats, FaultProfile, Mode, Protocol,
+    ReplayConfig, ReplayInputs, ReplayOutcome, RunPlan,
+};
+use h2push_webmodel::{
+    generate_set, generate_site, realworld_set, realworld_site, CorpusKind, Page, ResourceType,
+};
+use std::io::{self, Write};
+
+pub use h2push_testbed::experiments::Scale;
+
+/// Renders one experiment at a scale into a text sink.
+pub type Render = fn(Scale, &mut dyn Write) -> io::Result<()>;
+
+/// Every experiment: `(id, what it regenerates, renderer)`.
+pub const EXPERIMENTS: [(&str, &str, Render); 20] = [
+    ("fig1", "Fig. 1: H2 and Server Push adoption over 2017", fig1),
+    ("fig2a", "Fig. 2a: per-site std. error, testbed vs Internet", fig2a),
+    ("fig2b", "Fig. 2b: push as recorded vs no push", fig2b),
+    ("pushable", "§4.2: share of sites with <20% pushable objects", pushable),
+    ("fig3a", "Fig. 3a: push all in computed order vs no push", fig3a),
+    ("fig3b", "Fig. 3b: push 1/5/10/15/all on the random corpus", fig3b),
+    ("types", "§4.2.1: pushing specific object types", types),
+    ("fig4", "Fig. 4: custom strategies on s1-s10", fig4),
+    ("fig5b", "Fig. 5b: SpeedIndex vs HTML size, interleaving flat", fig5b),
+    ("fig6", "Fig. 6: the six §5 strategies on w1-w20", fig6),
+    ("table1", "Table 1: the w1-w20 site inventory", table1),
+    ("h1-vs-h2", "context: HTTP/1.1 vs HTTP/2 without push", h1_vs_h2),
+    ("ablation-cache", "push vs the client cache, with and without cache digests", ablation_cache),
+    ("ablation-network", "push benefit vs RTT and bandwidth", ablation_network),
+    ("ablation-offset", "the interleave switch offset", ablation_offset),
+    ("ablation-order", "computed vs reversed vs images-first push order", ablation_order),
+    ("ablation-profiles", "§6: strategies across access profiles", ablation_profiles),
+    ("ablation-scanner", "push-all with and without the preload scanner", ablation_scanner),
+    (
+        "ablation-scheduler",
+        "strict-priority vs weighted-fair sibling scheduling",
+        ablation_scheduler,
+    ),
+    ("loss-sweep", "push strategies under Gilbert-Elliott burst loss", loss_sweep),
+];
+
+/// Look an experiment's renderer up by id.
+pub fn find(id: &str) -> Option<Render> {
+    EXPERIMENTS.iter().find(|(i, _, _)| *i == id).map(|&(_, _, render)| render)
+}
+
+/// CDF summary line: the share of values below the given thresholds plus
+/// key percentiles — enough to redraw the paper's CDFs.
+fn cdf_summary(
+    out: &mut dyn Write,
+    label: &str,
+    values: &[f64],
+    thresholds: &[f64],
+) -> io::Result<()> {
+    write!(out, "{label:28}")?;
+    for &t in thresholds {
+        write!(out, "  P[x<{t:>6}]={:5.1}%", share_below(values, t) * 100.0)?;
+    }
+    for p in [10.0, 50.0, 90.0] {
+        write!(out, "  p{p:.0}={:8.1}", percentile(values, p))?;
+    }
+    writeln!(out)
+}
+
+/// SpeedIndex summary of a measured cell.
+fn si_stats(cell: &CellStats) -> RunStats {
+    cell.speed_index_stats().expect("every rep of an experiment cell failed")
+}
+
+fn mean_si(outcomes: &[ReplayOutcome]) -> f64 {
+    RunStats::of(&outcomes.iter().map(|o| o.load.speed_index()).collect::<Vec<_>>()).mean
+}
+
+fn mean_plt(outcomes: &[ReplayOutcome]) -> f64 {
+    RunStats::of(&outcomes.iter().map(|o| o.load.plt()).collect::<Vec<_>>()).mean
+}
+
+/// Fig. 1 — monthly H2 and Server Push adoption on a 1 M-domain
+/// population (§1).
+fn fig1(_: Scale, out: &mut dyn Write) -> io::Result<()> {
+    let year = AdoptionModel::new(1_000_000, 2017).year();
+    writeln!(
+        out,
+        "Fig. 1 — adoption of HTTP/2 and Server Push over 2017 (synthetic Alexa-1M scan)"
+    )?;
+    writeln!(out, "{:>5} {:>12} {:>12}", "month", "HTTP/2", "Server Push")?;
+    for scan in &year {
+        writeln!(out, "{:>5} {:>12} {:>12}", scan.month + 1, scan.h2_domains, scan.push_domains)?;
+    }
+    let (first, last) = (&year[0], &year[year.len() - 1]);
+    writeln!(
+        out,
+        "\nH2 grew {:.1}x; push grew {:.1}x; push is {:.0}x rarer than H2 in December.",
+        last.h2_domains as f64 / first.h2_domains as f64,
+        last.push_domains as f64 / first.push_domains.max(1) as f64,
+        last.h2_domains as f64 / last.push_domains.max(1) as f64
+    )
+}
+
+/// Fig. 2a — per-site standard error of PLT and SpeedIndex over repeated
+/// runs: testbed vs Internet (§4.1).
+fn fig2a(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "Fig. 2a — std. error σx̄ over {} runs, {} sites", scale.runs, scale.sites)?;
+    let rows = fig2a_variability(scale);
+    let col = |f: fn(&VariabilityRow) -> f64| rows.iter().map(f).collect::<Vec<f64>>();
+    let t = [50.0, 100.0, 250.0];
+    cdf_summary(out, "PLT σx̄ testbed [ms]", &col(|r| r.tb_plt_stderr), &t)?;
+    cdf_summary(out, "PLT σx̄ internet [ms]", &col(|r| r.inet_plt_stderr), &t)?;
+    cdf_summary(out, "SI σx̄ testbed [ms]", &col(|r| r.tb_si_stderr), &t)?;
+    cdf_summary(out, "SI σx̄ internet [ms]", &col(|r| r.inet_si_stderr), &t)?;
+    writeln!(out, "\npaper: testbed σx̄ < 100 ms for 95% of sites (PLT); Internet only 14%.")
+}
+
+/// Fig. 2b — Δ(PLT/SpeedIndex) of push-as-deployed vs no push in the
+/// testbed (§4.1).
+fn fig2b(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "Fig. 2b — push (as recorded) vs no push, {} sites × {} runs",
+        scale.sites, scale.runs
+    )?;
+    let rows = fig2b_push_vs_nopush(scale);
+    let d_plt: Vec<f64> = rows.iter().map(|r| r.d_plt).collect();
+    let d_si: Vec<f64> = rows.iter().map(|r| r.d_si).collect();
+    cdf_summary(out, "ΔPLT [ms]", &d_plt, &[-100.0, 0.0, 100.0])?;
+    cdf_summary(out, "ΔSpeedIndex [ms]", &d_si, &[-100.0, 0.0, 100.0])?;
+    writeln!(
+        out,
+        "\nno benefit (Δ ≥ 0): PLT {:.0}%  SI {:.0}%   (paper: 49% / 35%)",
+        (1.0 - share_below(&d_plt, 0.0)) * 100.0,
+        (1.0 - share_below(&d_si, 0.0)) * 100.0
+    )
+}
+
+/// §4.2 "Pushable Objects" — share of sites with < 20 % pushable objects.
+fn pushable(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "Pushable objects per site ({} sites per corpus)", scale.sites)?;
+    for (kind, label, paper) in
+        [(CorpusKind::Top, "top-100", 52.0), (CorpusKind::Random, "random-100", 24.0)]
+    {
+        let stats = pushable_stats(kind, scale);
+        cdf_summary(out, &format!("{label} pushable fraction"), &stats.fractions, &[0.2, 0.5])?;
+        writeln!(
+            out,
+            "  → {:.0}% of {label} sites have <20% pushable (paper: {paper:.0}%)",
+            stats.share_below_20pct * 100.0
+        )?;
+    }
+    Ok(())
+}
+
+/// Fig. 3a — push all (computed order) vs no push on both corpora (§4.2.1).
+fn fig3a(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    for (kind, label, paper_benefit) in
+        [(CorpusKind::Top, "top-100", 58.0), (CorpusKind::Random, "random-100", 45.0)]
+    {
+        writeln!(out, "Fig. 3a [{label}] — push all in computed order vs no push")?;
+        let rows = fig3a_push_all(kind, scale);
+        let d_si: Vec<f64> = rows.iter().map(|r| r.d_si).collect();
+        let d_plt: Vec<f64> = rows.iter().map(|r| r.d_plt).collect();
+        cdf_summary(out, "ΔSpeedIndex [ms]", &d_si, &[-100.0, 0.0, 100.0])?;
+        cdf_summary(out, "ΔPLT [ms]", &d_plt, &[-100.0, 0.0, 100.0])?;
+        writeln!(
+            out,
+            "  → sites benefiting (ΔSI<0): {:.0}%   (paper: {paper_benefit:.0}%)\n",
+            share_below(&d_si, 0.0) * 100.0
+        )?;
+    }
+    Ok(())
+}
+
+/// Fig. 3b — push 1/5/10/15/all on the random corpus (§4.2.1).
+fn fig3b(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "Fig. 3b — limited push amounts, random-100, {} sites × {} runs",
+        scale.sites, scale.runs
+    )?;
+    let rows = fig3b_push_limit(scale);
+    for &limit in &LIMITS {
+        let label = match limit {
+            Some(n) => format!("push {n}"),
+            None => "push all".to_string(),
+        };
+        let d_plt: Vec<f64> = rows.iter().filter(|r| r.limit == limit).map(|r| r.d_plt).collect();
+        let d_si: Vec<f64> = rows.iter().filter(|r| r.limit == limit).map(|r| r.d_si).collect();
+        cdf_summary(out, &format!("{label}: ΔPLT [ms]"), &d_plt, &[0.0])?;
+        cdf_summary(out, &format!("{label}: ΔSI  [ms]"), &d_si, &[0.0])?;
+    }
+    Ok(())
+}
+
+/// §4.2.1 — pushing specific object types on the random corpus.
+fn types(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "Type study — random-100, {} sites × {} runs", scale.sites, scale.runs)?;
+    let study = type_study(scale);
+    writeln!(
+        out,
+        "{:>12} {:>14} {:>14} {:>18}",
+        "type", "mean ΔSI [ms]", "median ΔSI", "sites worse (SI)"
+    )?;
+    for sel in TypeSelection::ALL {
+        let d: Vec<f64> = study
+            .rows
+            .iter()
+            .filter_map(|r| r.deltas.iter().find(|(s, _, _)| *s == sel).map(|&(_, dsi, _)| dsi))
+            .collect();
+        let s = RunStats::of(&d);
+        let worse = d.iter().filter(|&&x| x > 0.0).count() as f64 / d.len() as f64 * 100.0;
+        writeln!(out, "{:>12} {:>14.1} {:>14.1} {:>17.0}%", sel.label(), s.mean, s.median, worse)?;
+    }
+    writeln!(
+        out,
+        "\nimages worsen SI for {:.0}% of sites (paper: 74%); best-type improves SI for {:.0}% (paper: 24%), PLT for {:.0}% (paper: 20%)",
+        study.images_worse_share * 100.0,
+        study.best_type_improves_si * 100.0,
+        study.best_type_improves_plt * 100.0
+    )
+}
+
+/// Fig. 4 — custom strategies on the synthetic sites s1–s10 (§4.3).
+fn fig4(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "Fig. 4 — s1..s10, {} runs each (avg relative change vs no push; Δ<0 better)",
+        scale.runs
+    )?;
+    writeln!(
+        out,
+        "{:22} {:>9} {:>9} | {:>9} {:>9} | {:>10} {:>10} | {:>8}",
+        "site", "all ΔPLT%", "all ΔSI%", "cust ΔPLT%", "cust ΔSI%", "cust KB", "all KB", "±CI95 SI"
+    )?;
+    for r in fig4_custom(scale) {
+        writeln!(
+            out,
+            "{:22} {:>9.1} {:>9.1} | {:>10.1} {:>9.1} | {:>10.0} {:>10.0} | {:>8.1}",
+            r.site,
+            r.push_all_plt_pct,
+            r.push_all_si_pct,
+            r.custom_plt_pct,
+            r.custom_si_pct,
+            r.custom_bytes / 1024.0,
+            r.push_all_bytes / 1024.0,
+            si_stats(&r.custom).ci_half_width(0.95)
+        )?;
+    }
+    Ok(())
+}
+
+/// Fig. 5b — the Interleaving Push motivating example (§5).
+fn fig5b(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "Fig. 5b — SpeedIndex [ms] vs HTML size; mean ± std over {} runs", scale.runs)?;
+    writeln!(out, "{:>9} {:>18} {:>18} {:>18}", "HTML", "no push", "push", "interleaving")?;
+    let points = fig5b_interleaving(scale);
+    for size in fig5_sizes() {
+        let cell = |s: Fig5Strategy| {
+            let p = points.iter().find(|p| p.html_size == size && p.strategy == s).unwrap();
+            let si = si_stats(&p.metrics);
+            format!("{:8.1} ±{:5.1}", si.mean, si.std_dev)
+        };
+        writeln!(
+            out,
+            "{:>6} KB {:>18} {:>18} {:>18}",
+            size / 1024,
+            cell(Fig5Strategy::NoPush),
+            cell(Fig5Strategy::Push),
+            cell(Fig5Strategy::Interleaving)
+        )?;
+    }
+    writeln!(out, "\npaper: no push and push grow with the document; interleaving stays flat.")
+}
+
+/// Fig. 6 — the six §5 strategies on the Table-1 sites w1–w20.
+fn fig6(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "Fig. 6 — avg relative ΔSpeedIndex vs no push [%], ±99.5% CI half-width, {} runs",
+        scale.runs
+    )?;
+    writeln!(
+        out,
+        "{:18} {:>8} | {:>8} {:>8} {:>8} {:>8} {:>8} | {:>9} {:>7}",
+        "site", "base SI", "np-opt", "push all", "pa-opt", "push crit", "pc-opt", "pushed KB", "CI"
+    )?;
+    let rows = fig6_realworld(scale);
+    for r in &rows {
+        let c = |s: PaperStrategy| r.cell(s).si_pct;
+        let pco = r.cell(PaperStrategy::PushCriticalOptimized);
+        writeln!(
+            out,
+            "{:18} {:>8.0} | {:>8.1} {:>8.1} {:>8.1} {:>9.1} {:>8.1} | {:>9.0} {:>7.1}",
+            r.site,
+            si_stats(&r.cell(PaperStrategy::NoPush).metrics).mean,
+            c(PaperStrategy::NoPushOptimized),
+            c(PaperStrategy::PushAll),
+            c(PaperStrategy::PushAllOptimized),
+            c(PaperStrategy::PushCritical),
+            c(PaperStrategy::PushCriticalOptimized),
+            pco.pushed_bytes / 1024.0,
+            si_stats(&pco.metrics).ci_half_width(0.995)
+        )?;
+    }
+    let w: Vec<&str> = winners(&rows).iter().map(|r| r.site.as_str()).collect();
+    writeln!(out, "\nFig. 6a winners (≥20% SI improvement under push critical optimized): {w:?}")?;
+    writeln!(out, "paper: five winners, led by w1-wikipedia (−68.9%), w2-apple (−29.7%), w16-twitter (−19.7%).")
+}
+
+/// Table 1 — the w1–w20 site inventory (structural view of our specs).
+fn table1(_: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(out, "Table 1 — modelled structure of the interleaving-push site set")?;
+    writeln!(
+        out,
+        "{:18} {:>8} {:>9} {:>8} {:>10} {:>10} {:>9}",
+        "site", "HTML KB", "requests", "servers", "pushable", "push KB", "inline ms"
+    )?;
+    for p in realworld_set() {
+        let inline_ms: u64 = p.inline_scripts.iter().map(|s| s.exec_us).sum::<u64>() / 1000;
+        writeln!(
+            out,
+            "{:18} {:>8} {:>9} {:>8} {:>9.0}% {:>10.0} {:>9}",
+            p.name,
+            p.html_size() / 1024,
+            p.resources.len(),
+            p.server_group_count(),
+            p.pushable_fraction() * 100.0,
+            p.pushable_bytes() as f64 / 1024.0,
+            inline_ms
+        )?;
+    }
+    Ok(())
+}
+
+/// Context experiment: HTTP/1.1 vs HTTP/2 (no push).
+///
+/// The paper's §1–§3 stand on prior findings — Varvello et al. ("Is the Web
+/// HTTP/2 Yet?": ~80 % of sites load faster over H2), de Saxcé et al. (H2
+/// is less sensitive to latency), Wang et al. (benefits grow with RTT,
+/// few/small objects can favour H1). This reproduces that context in the
+/// replay testbed: the same corpus loaded over the H1 six-connection
+/// baseline and over H2.
+fn h1_vs_h2(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    let sites = generate_set(CorpusKind::Random, scale.sites, scale.seed);
+
+    // Part 1: corpus-wide H2 benefit at the paper's DSL profile.
+    let mut deltas = Vec::new();
+    for page in &sites {
+        let mut h1 = ReplayConfig::testbed(Strategy::NoPush);
+        h1.protocol = Protocol::H1;
+        let h2 = ReplayConfig::testbed(Strategy::NoPush);
+        let (Ok(a), Ok(b)) = (replay(page, &h1), replay(page, &h2)) else { continue };
+        deltas.push((b.load.plt() - a.load.plt()) / a.load.plt() * 100.0);
+    }
+    let s = RunStats::of(&deltas);
+    writeln!(
+        out,
+        "PLT over {} random sites: H2 faster on {:.0}% (paper context [35]: ~80%); \
+         mean change {:+.1}%, median {:+.1}%",
+        deltas.len(),
+        share_below(&deltas, 0.0) * 100.0,
+        s.mean,
+        s.median
+    )?;
+
+    // Part 2: RTT sensitivity on one many-object page (de Saxcé/Wang).
+    let page = &sites[0];
+    writeln!(out, "\nRTT sweep on {} ({} requests):", page.name, page.resources.len())?;
+    writeln!(out, "{:>8} {:>12} {:>12} {:>9}", "RTT", "H1 PLT", "H2 PLT", "H2 gain")?;
+    for rtt_ms in [10u64, 25, 50, 100, 200] {
+        let mut plts = [0.0f64; 2];
+        for (i, proto) in [Protocol::H1, Protocol::H2].iter().enumerate() {
+            let mut cfg = ReplayConfig::testbed(Strategy::NoPush);
+            cfg.protocol = *proto;
+            cfg.network.client_down.delay = SimDuration::from_micros(rtt_ms * 500);
+            cfg.network.client_up.delay = SimDuration::from_micros(rtt_ms * 500);
+            plts[i] = replay(page, &cfg).expect("replay completes").load.plt();
+        }
+        writeln!(
+            out,
+            "{:>6}ms {:>10.0}ms {:>10.0}ms {:>8.1}%",
+            rtt_ms,
+            plts[0],
+            plts[1],
+            (plts[1] - plts[0]) / plts[0] * 100.0
+        )?;
+    }
+    writeln!(out, "\nH2 wins through header compression and multiplexed request waves; H1")?;
+    writeln!(out, "fights back with six parallel slow-starts (aggregate IW ≈ 60 segments),")?;
+    writeln!(out, "which pays off on bandwidth-bound pages — the same ambivalence Wang et")?;
+    writeln!(out, "al. [37] documented for SPDY, and why most-but-not-all sites gain.")
+}
+
+/// Ablation: Server Push vs the client cache (§2.1, §4.3).
+///
+/// "Pushing everything can be wasteful in terms of bandwidth, e.g., if the
+/// resource is already cached" — and the standard offers no cache
+/// signaling, only post-hoc RST_STREAM cancellation; the cache-digest
+/// draft \[29\] is the proposed fix. This measures all three worlds on a
+/// warm revisit.
+fn ablation_cache(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "{:34} {:>10} {:>10} {:>10} {:>10}",
+        "scenario", "SI [ms]", "PLT [ms]", "pushed KB", "cancelled"
+    )?;
+    let pages: Vec<Page> = (0..scale.sites.min(10) as u64)
+        .map(|s| generate_site(CorpusKind::Random, 4000 + s))
+        .collect();
+    for (label, warm, honor) in [
+        ("cold + push all", false, true),
+        ("warm + digest-aware push", true, true),
+        ("warm + digest-oblivious push", true, false),
+    ] {
+        let runs: Vec<ReplayOutcome> = pages
+            .iter()
+            .map(|page| {
+                let mut cfg = ReplayConfig::testbed(push_all(page, &[]));
+                if warm {
+                    // Everything pushable is cached (a same-day revisit).
+                    cfg.warm_cache = page.pushable();
+                }
+                cfg.server_honors_digest = honor;
+                replay(page, &cfg).expect("replay completes")
+            })
+            .collect();
+        let per_site =
+            |f: fn(&ReplayOutcome) -> f64| runs.iter().map(f).sum::<f64>() / runs.len() as f64;
+        writeln!(
+            out,
+            "{:34} {:>10.0} {:>10.0} {:>10.0} {:>10.1}",
+            label,
+            mean_si(&runs),
+            mean_plt(&runs),
+            per_site(|run| run.server_pushed_bytes as f64 / 1024.0),
+            per_site(|run| run.load.cancelled_pushes as f64)
+        )?;
+    }
+    writeln!(out, "\nA digest-aware server pushes ~nothing on a warm revisit; a digest-")?;
+    writeln!(out, "oblivious one ships the full push budget only for the client to cancel.")
+}
+
+/// Ablation: network conditions vs push benefit.
+///
+/// The paper's related work (Wang et al. \[37\], Rosen et al. \[31\], de Saxcé
+/// et al. \[15\]) finds that network characteristics decide whether push
+/// helps — in particular that push gains grow with the RTT (more round
+/// trips to save). This varies the access RTT and bandwidth on a fixed
+/// interleaving-friendly page.
+fn ablation_network(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    let page = realworld_site(1); // wikipedia: large document, late-arriving CSS
+    let interleaved = Strategy::Interleaved {
+        offset: interleave_offset(&page),
+        critical: critical_set(&page),
+        after: Vec::new(),
+    };
+    writeln!(out, "Push benefit vs network conditions on {} ({} runs/pt)", page.name, scale.runs)?;
+    writeln!(
+        out,
+        "{:>8} {:>10} | {:>12} {:>12} {:>9} {:>8}",
+        "RTT", "downlink", "no-push SI", "interleave", "Δ [ms]", "Δ [%]"
+    )?;
+    for (rtt_ms, down_mbit) in
+        [(10u64, 16u64), (25, 16), (50, 16), (100, 16), (200, 16), (50, 4), (50, 50)]
+    {
+        let link = |cfg: &mut ReplayConfig| {
+            cfg.network.client_down.delay = SimDuration::from_micros(rtt_ms * 500);
+            cfg.network.client_up.delay = SimDuration::from_micros(rtt_ms * 500);
+            cfg.network.client_down.rate_bps = Some(down_mbit * 1_000_000);
+        };
+        let mean_si_of = |strategy: &Strategy| {
+            let reps = 0..scale.runs as u64;
+            let sis: Vec<f64> =
+                reps.map(|r| si_under(&page, strategy, scale.seed + r, link)).collect();
+            RunStats::of(&sis).mean
+        };
+        let (a, b) = (mean_si_of(&Strategy::NoPush), mean_si_of(&interleaved));
+        writeln!(
+            out,
+            "{:>6}ms {:>8}Mb | {:>10.0}ms {:>10.0}ms {:>9.0} {:>7.1}%",
+            rtt_ms,
+            down_mbit,
+            a,
+            b,
+            b - a,
+            (b - a) / a * 100.0
+        )?;
+    }
+    writeln!(out, "\nabsolute savings grow with RTT (round trips saved) and explode on slow")?;
+    writeln!(out, "links (serialization saved); the *relative* share shrinks as the baseline")?;
+    writeln!(out, "grows — consistent with [31, 37]: network characteristics decide the win.")
+}
+
+/// SpeedIndex of one testbed replay of `strategy` under `tweak`ed
+/// conditions and network seed `net_seed`.
+fn si_under(
+    page: &Page,
+    strategy: &Strategy,
+    net_seed: u64,
+    tweak: impl Fn(&mut ReplayConfig),
+) -> f64 {
+    let mut cfg = ReplayConfig::testbed(strategy.clone());
+    tweak(&mut cfg);
+    cfg.network.seed = net_seed;
+    replay(page, &cfg).expect("replay completes").load.speed_index()
+}
+
+/// All reps of `strategy` on `inputs` in the testbed.
+fn testbed_runs(inputs: &ReplayInputs, strategy: Strategy, scale: Scale) -> Vec<ReplayOutcome> {
+    RunPlan::new(inputs)
+        .strategy(strategy)
+        .mode(Mode::Testbed)
+        .reps(scale.runs)
+        .seed(scale.seed)
+        .run()
+        .into_outcomes()
+}
+
+/// Ablation: the interleave switch offset (§5).
+///
+/// The paper switches "after `</head>` and first bytes of `<body>`" (4 KB on
+/// w1, 12 KB on w16). This shows why: switching too early starves the
+/// preload scanner of the head; switching too late re-creates the no-push
+/// behaviour (the whole document before the CSS).
+fn ablation_offset(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    let page = realworld_site(1); // w1: 236 KB document
+    let critical = critical_set(&page);
+    writeln!(
+        out,
+        "Interleave-offset ablation on {} (critical set: {} resources), {} runs",
+        page.name,
+        critical.len(),
+        scale.runs
+    )?;
+    writeln!(out, "{:>10} {:>14} {:>14}", "offset", "SpeedIndex", "PLT")?;
+    let inputs = ReplayInputs::from(&page);
+    let base_si = mean_si(&testbed_runs(&inputs, Strategy::NoPush, scale));
+    for offset in [1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, page.html_size()] {
+        let strategy =
+            Strategy::Interleaved { offset, critical: critical.clone(), after: Vec::new() };
+        let runs = testbed_runs(&inputs, strategy, scale);
+        writeln!(
+            out,
+            "{:>8}KB {:>10.0} ms {:>10.0} ms",
+            offset / 1024,
+            mean_si(&runs),
+            mean_plt(&runs)
+        )?;
+    }
+    writeln!(out, "{:>10} {:>10.0} ms   (no push baseline)", "—", base_si)
+}
+
+/// Ablation: the order of pushed objects (§4.2.1).
+///
+/// "Suboptimal orders can have negative impacts, e.g., delay critical
+/// resources": compare the computed (request) order against its reverse
+/// and an images-first order on random-corpus sites.
+fn ablation_order(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "Push-order ablation — Δ mean SpeedIndex vs no push [ms] over {} sites × {} runs",
+        scale.sites.min(12),
+        scale.runs
+    )?;
+    writeln!(out, "{:24} {:>12} {:>12} {:>12}", "site", "computed", "reversed", "images-first")?;
+    for i in 0..scale.sites.min(12) as u64 {
+        let page = generate_site(CorpusKind::Random, 7000 + i);
+        let order = compute_push_order(&page, scale.runs.min(5), scale.seed);
+        let mut reversed = order.clone();
+        reversed.reverse();
+        let mut images_first = order.clone();
+        images_first.sort_by_key(|&id| (page.resource(id).rtype != ResourceType::Image, id));
+        let inputs = ReplayInputs::from(&page);
+        let si = |strategy: Strategy| mean_si(&testbed_runs(&inputs, strategy, scale));
+        let base = si(Strategy::NoPush);
+        writeln!(
+            out,
+            "{:24} {:>12.1} {:>12.1} {:>12.1}",
+            page.name,
+            si(push_all(&page, &order)) - base,
+            si(push_all(&page, &reversed)) - base,
+            si(push_all(&page, &images_first)) - base
+        )?;
+    }
+    writeln!(out, "\npaper: the computed (request) order avoids delaying critical resources;")?;
+    writeln!(out, "suboptimal orders prefer uncritical resources and hurt visual progress.")
+}
+
+/// The §6 deployment matrix: strategy performance across access profiles.
+///
+/// "Several (interleaving) push strategies for different versions of a
+/// website and network settings, e.g., mobile, desktop, cable or cellular,
+/// could be analyzed in our testbed" — this is that analysis for one site.
+fn ablation_profiles(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    let page = realworld_site(2); // apple
+    writeln!(
+        out,
+        "Push strategies across access profiles on {} ({} runs; SpeedIndex ms)",
+        page.name, scale.runs
+    )?;
+    writeln!(
+        out,
+        "{:>10} {:>10} {:>12} {:>12} {:>10}",
+        "profile", "no push", "np-optimized", "pc-optimized", "pco gain"
+    )?;
+    // A mobile device is also CPU-slower (the §6 matrix crosses device and
+    // network); pair cellular with a 3× CPU factor.
+    let profiles: [(&str, NetworkSpec, f64); 4] = [
+        ("fibre", NetworkSpec::fibre(), 1.0),
+        ("cable", NetworkSpec::cable(), 1.0),
+        ("dsl", NetworkSpec::dsl_testbed(), 1.0),
+        ("cellular", NetworkSpec::cellular(), 3.0),
+    ];
+    for (name, net, cpu) in profiles {
+        let sis = [
+            PaperStrategy::NoPush,
+            PaperStrategy::NoPushOptimized,
+            PaperStrategy::PushCriticalOptimized,
+        ]
+        .map(|which| {
+            let (variant, strategy) = paper_strategy(&page, which);
+            let device = |cfg: &mut ReplayConfig| {
+                cfg.network = net.clone();
+                cfg.browser.cpu_scale = cpu;
+            };
+            let reps = 0..scale.runs as u64;
+            let runs: Vec<f64> =
+                reps.map(|r| si_under(&variant, &strategy, scale.seed + r, device)).collect();
+            RunStats::of(&runs).mean
+        });
+        writeln!(
+            out,
+            "{:>10} {:>10.0} {:>12.0} {:>12.0} {:>9.1}%",
+            name,
+            sis[0],
+            sis[1],
+            sis[2],
+            (sis[2] - sis[0]) / sis[0] * 100.0
+        )?;
+    }
+    writeln!(out, "\nThe right strategy is profile-specific: a CDN would pick per class (§6).")
+}
+
+/// Ablation: the preload scanner vs Server Push.
+///
+/// Push's original promise was "save the discovery round trips". Modern
+/// browsers already claw most of that back with the preload scanner, which
+/// requests references straight out of the byte stream while the parser is
+/// blocked — one reason the paper finds push-all barely helps. Turning the
+/// scanner off shows the world the push guidelines implicitly assumed.
+fn ablation_scanner(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "Push-all benefit with and without the preload scanner ({} sites × {} runs)",
+        scale.sites.min(10),
+        scale.runs
+    )?;
+    writeln!(out, "{:24} {:>16} {:>16}", "site", "scanner ΔSI", "no-scanner ΔSI")?;
+    let mut with = Vec::new();
+    let mut without = Vec::new();
+    for i in 0..scale.sites.min(10) as u64 {
+        let page = generate_site(CorpusKind::Random, 6200 + i);
+        let cells = [true, false].map(|scanner| {
+            let set = |cfg: &mut ReplayConfig| cfg.browser.preload_scanner = scanner;
+            let si = |strategy: &Strategy, r| si_under(&page, strategy, scale.seed + r, set);
+            let push = push_all(&page, &[]);
+            let reps = 0..scale.runs as u64;
+            let deltas: Vec<f64> = reps.map(|r| si(&push, r) - si(&Strategy::NoPush, r)).collect();
+            RunStats::of(&deltas).mean
+        });
+        writeln!(out, "{:24} {:>14.1}ms {:>14.1}ms", page.name, cells[0], cells[1])?;
+        with.push(cells[0]);
+        without.push(cells[1]);
+    }
+    writeln!(
+        out,
+        "\nmean ΔSI: {:+.1} ms with scanner vs {:+.1} ms without — push mostly\n\
+         re-delivers what the scanner already finds; without one, push shines.",
+        RunStats::of(&with).mean,
+        RunStats::of(&without).mean
+    )
+}
+
+/// Ablation: strict-priority vs weighted-fair sibling scheduling.
+///
+/// h2o's scheduler serves sibling weight classes by byte-level weighted
+/// fair queuing; our default models the strict ordering the Chromium
+/// exclusive chain effectively produces. This quantifies the gap on a
+/// scenario where they differ most: many weight-16 pushed streams
+/// coexisting with the request chain.
+fn ablation_scheduler(_: Scale, out: &mut dyn Write) -> io::Result<()> {
+    // A chain head (weight 220) vs N pushed streams (weight 16 each), all
+    // root siblings (the post-document state): measure the share of the
+    // first 100 chunks each scheduler gives the chain head.
+    writeln!(out, "share of first 100 chunks given to the weight-220 chain head:")?;
+    writeln!(out, "{:>10} {:>10} {:>10}", "N pushes", "strict", "fair")?;
+    for n in [1usize, 4, 8, 16, 32] {
+        let mut tree = PriorityTree::new();
+        tree.insert(1, PrioritySpec { depends_on: 0, weight: 220, exclusive: false });
+        let mut snaps = vec![StreamSnapshot { id: 1, sendable: 1 << 20, sent: 0, is_push: false }];
+        for i in 0..n {
+            let id = 2 + 2 * i as u32;
+            tree.insert(id, PrioritySpec { depends_on: 0, weight: 16, exclusive: false });
+            snaps.push(StreamSnapshot { id, sendable: 1 << 20, sent: 0, is_push: true });
+        }
+        let run = |mut s: Box<dyn Scheduler>| -> usize {
+            let mut head = 0;
+            for _ in 0..100 {
+                let pick = s.pick(&snaps, &tree).unwrap();
+                s.charge(pick, 16_384, &tree);
+                if pick == 1 {
+                    head += 1;
+                }
+            }
+            head
+        };
+        let strict = run(Box::new(DefaultScheduler::new()));
+        let fair = run(Box::new(FairScheduler::new()));
+        writeln!(out, "{:>10} {:>9}% {:>9}%", n, strict, fair)?;
+    }
+    writeln!(out, "\nUnder strict scheduling the chain is never preempted; under fair")?;
+    writeln!(out, "scheduling a pile of weight-16 pushes claims 16N/(16N+220) of the")?;
+    writeln!(out, "link — §4.2.1's bandwidth-contention pitfall when pushing images.")
+}
+
+/// Chaos sweep: push strategies under bursty loss.
+///
+/// The paper evaluates push over a clean emulated DSL link; related work
+/// (the lossy-cellular domain-sharding line) argues that loss is where
+/// HTTP/2's single connection — and therefore push — is most exposed.
+/// This injects Gilbert–Elliott burst loss at increasing rates and reruns
+/// the strategy matrix on one realworld page, reporting median PLT
+/// alongside the observed loss/recovery counters.
+fn loss_sweep(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+    let page = realworld_site(1); // wikipedia: large document, late CSS
+    let strategies = vec![
+        Strategy::NoPush,
+        push_all(&page, &[]),
+        Strategy::Interleaved {
+            offset: interleave_offset(&page),
+            critical: critical_set(&page),
+            after: Vec::new(),
+        },
+    ];
+    let profiles: Vec<FaultProfile> = std::iter::once(FaultProfile::none())
+        .chain([0.005, 0.01, 0.02, 0.05].into_iter().map(FaultProfile::gilbert_elliott))
+        .collect();
+    let inputs = ReplayInputs::from(page);
+
+    writeln!(
+        out,
+        "Gilbert–Elliott loss sweep on {} ({} runs/cell, seed {})",
+        inputs.page.name, scale.runs, scale.seed
+    )?;
+    writeln!(
+        out,
+        "{:>14} {:>12} | {:>10} {:>9} {:>9} {:>8} {:>8}",
+        "profile", "strategy", "PLT [ms]", "loss", "rexmit", "retries", "partial"
+    )?;
+    let cells = run_fault_matrix(&inputs, &strategies, &profiles, scale.runs, scale.seed);
+    let mut current = "";
+    for cell in &cells {
+        if cell.profile != current {
+            current = &cell.profile;
+            writeln!(out, "{:-<78}", "")?;
+        }
+        writeln!(
+            out,
+            "{:>14} {:>12} | {:>10.0} {:>8.2}% {:>8.2}% {:>8.2} {:>7.0}%",
+            cell.profile,
+            cell.strategy,
+            cell.median_plt,
+            cell.recovery.loss_rate() * 100.0,
+            cell.recovery.retransmit_rate() * 100.0,
+            cell.recovery.mean_retries(),
+            cell.recovery.partial_share() * 100.0,
+        )?;
+    }
+    Ok(())
+}

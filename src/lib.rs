@@ -24,6 +24,8 @@
 //! println!("SpeedIndex {:.0} → {:.0} ms", baseline.speed_index, plan.speed_index);
 //! ```
 
+pub mod experiment;
+
 // The blessed top-level surface: everything a typical experiment touches,
 // importable without naming a subsystem crate. Anything deeper is reachable
 // through the module aliases below, but is not part of the stable surface.

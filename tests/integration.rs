@@ -5,8 +5,10 @@ use h2push::core::{evaluate, PushPlanner};
 use h2push::strategies::{
     critical_set, interleave_offset, paper_strategy, push_all, PaperStrategy, Strategy,
 };
-use h2push::testbed::{compute_push_order, replay, Mode, ReplayConfig, RunPlan};
+use h2push::testbed::{compute_push_order, replay, strategy_label, Mode, ReplayConfig, RunPlan};
+use h2push::trace::WaterfallMeta;
 use h2push::webmodel::{generate_site, realworld_site, synthetic_site, CorpusKind, RecordDb};
+use serde_json::Value;
 
 #[test]
 fn paper_strategy_suite_runs_on_w16() {
@@ -178,4 +180,96 @@ fn six_strategies_all_finish_on_every_synthetic_site() {
             assert!(out.load.finished());
         }
     }
+}
+
+/// Check `value` against a draft-07 subset schema node (`type`, `required`,
+/// `properties`, `items`; `type` may be a name or a list of names),
+/// collecting violations with a JSON-pointer-ish path.
+fn schema_violations(value: &Value, schema: &Value, path: &str, errs: &mut Vec<String>) {
+    let type_name = match value {
+        Value::Null => "null",
+        Value::Bool(_) => "boolean",
+        Value::U64(_) | Value::I64(_) => "integer",
+        Value::F64(f) if f.fract() == 0.0 => "integer",
+        Value::F64(_) => "number",
+        Value::Str(_) => "string",
+        Value::Array(_) => "array",
+        Value::Object(_) => "object",
+    };
+    let allows = |t: &Value| t == type_name || (t == "number" && type_name == "integer");
+    let type_ok = match schema.get("type") {
+        None => true,
+        Some(Value::Array(options)) => options.iter().any(allows),
+        Some(t) => allows(t),
+    };
+    if !type_ok {
+        errs.push(format!("{path}: expected {:?}, got {type_name}", schema.get("type")));
+        return;
+    }
+    for key in schema.get("required").and_then(Value::as_array).into_iter().flatten() {
+        let key = key.as_str().expect("required keys are strings");
+        if value.get(key).is_none() {
+            errs.push(format!("{path}: missing required key \"{key}\""));
+        }
+    }
+    if let Some(Value::Object(props)) = schema.get("properties") {
+        for (key, sub) in props {
+            if let Some(v) = value.get(key) {
+                schema_violations(v, sub, &format!("{path}/{key}"), errs);
+            }
+        }
+    }
+    if let (Some(items), Value::Array(elems)) = (schema.get("items"), value) {
+        for (i, v) in elems.iter().enumerate() {
+            schema_violations(v, items, &format!("{path}/{i}"), errs);
+        }
+    }
+}
+
+#[test]
+fn waterfall_json_matches_the_checked_in_schema_and_same_seed_traces_agree() {
+    let results = concat!(env!("CARGO_MANIFEST_DIR"), "/results");
+    let read =
+        |path: String| std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let schema: Value =
+        serde_json::from_str(&read(format!("{results}/waterfall.schema.json"))).expect("schema");
+    let check = |what: &str, json: &str| {
+        let doc: Value = serde_json::from_str(json).unwrap_or_else(|e| panic!("{what}: {e:?}"));
+        let mut errs = Vec::new();
+        schema_violations(&doc, &schema, "", &mut errs);
+        assert!(errs.is_empty(), "{what}: schema violations:\n{}", errs.join("\n"));
+    };
+
+    // The validator itself rejects a wrong type and missing keys.
+    let mut errs = Vec::new();
+    schema_violations(&serde_json::json!({ "site": 7, "seed": 1 }), &schema, "", &mut errs);
+    assert!(errs.iter().any(|e| e.starts_with("/site: expected")), "{errs:?}");
+    assert!(errs.iter().any(|e| e.contains("missing required key \"faults\"")), "{errs:?}");
+
+    // Fresh renders: s7 without push and under the planner's interleaved
+    // recommendation, each traced twice.
+    let page = synthetic_site(7);
+    for strategy in [Strategy::NoPush, PushPlanner::static_recommendation(&page)] {
+        let label = strategy_label(&strategy);
+        let traced = || {
+            let plan = RunPlan::new(&page).strategy(strategy.clone()).seed(42).traced();
+            plan.run_one().expect("traced replay completes").timeline.expect("timeline")
+        };
+        let (timeline, again) = (traced(), traced());
+        assert_eq!(timeline, again, "same-seed timelines diverged for {label}");
+        let meta = WaterfallMeta { site: &page.name, strategy: label, seed: 42 };
+        let names = |id: usize| page.resources.get(id).map(|r| r.path.clone());
+        check(label, &timeline.waterfall_json(&meta, &names));
+    }
+
+    // And every export committed under results/.
+    let mut committed = 0;
+    for entry in std::fs::read_dir(results).expect("results/") {
+        let name = entry.expect("directory entry").file_name().into_string().unwrap();
+        if name.starts_with("waterfall_") && name.ends_with(".json") {
+            check(&name, &read(format!("{results}/{name}")));
+            committed += 1;
+        }
+    }
+    assert!(committed >= 4, "results/ lost its waterfall exports");
 }
