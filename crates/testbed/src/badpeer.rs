@@ -388,13 +388,6 @@ pub struct AttackOutcome {
     pub completed: bool,
 }
 
-impl AttackOutcome {
-    /// The victim neither panicked (we returned at all) nor livelocked.
-    pub fn survived_bounded(&self) -> bool {
-        self.completed
-    }
-}
-
 /// Pump-round ceiling: every scripted attack finishes orders of magnitude
 /// below this; hitting it means the victim livelocked.
 const ROUND_BUDGET: u32 = 10_000;

@@ -11,10 +11,10 @@
 //! exactly.
 
 #[cfg(test)]
-use crate::harness::run_config;
-use crate::harness::Mode;
+use crate::harness::{run_config, Mode};
 use crate::plan::RunPlan;
 use crate::replay::{ReplayConfig, ReplayInputs, ReplayOutcome};
+use crate::sweep::run_cells;
 use h2push_metrics::{percentile, FaultObservation, LossRecovery};
 use h2push_netsim::{FaultSpec, SimDuration, SimTime};
 use h2push_strategies::Strategy;
@@ -153,54 +153,61 @@ pub fn strategy_label(s: &Strategy) -> &'static str {
     }
 }
 
-/// Run the full `strategies × profiles` matrix, `runs` repetitions each.
+/// Run the full `strategies × profiles` matrix, `runs` repetitions each,
+/// as one fan-out on the executor ([`run_cells`]): every rep is folded
+/// to its fault counters and PLT on the worker that ran it, and a cell
+/// that loses a rep outright (stall, replay deadline, watchdog) is
+/// reported in `lost`.
 ///
 /// Run `r` of every cell uses seed `seed + r` regardless of profile or
 /// strategy, so the control column is directly comparable to the plain
-/// harness and cells differ only in what the profile injects. Repetitions
-/// run on the worker pool; cell order (and every number inside a cell) is
-/// deterministic.
+/// harness and cells differ only in what the profile injects. Cell order
+/// (and every number inside a cell) is deterministic.
 pub fn run_fault_matrix(
     inputs: &ReplayInputs,
     strategies: &[Strategy],
     profiles: &[FaultProfile],
     runs: usize,
     seed: u64,
+    lost: &mut Vec<String>,
 ) -> Vec<ChaosCell> {
-    let mut cells = Vec::with_capacity(strategies.len() * profiles.len());
-    for profile in profiles {
-        for strategy in strategies {
-            let outcomes: Vec<ReplayOutcome> = RunPlan::new(inputs)
+    let matrix: Vec<(&FaultProfile, &Strategy)> =
+        profiles.iter().flat_map(|p| strategies.iter().map(move |s| (p, s))).collect();
+    let cells: Vec<RunPlan> = matrix
+        .iter()
+        .map(|&(profile, strategy)| {
+            RunPlan::new(inputs)
                 .strategy(strategy.clone())
-                .mode(Mode::Testbed)
                 .reps(runs)
                 .seed(seed)
                 .faults(profile.clone())
-                .run()
-                .into_outcomes();
+        })
+        .collect();
+    let measured = run_cells(&cells, |run| (observe(&run.outcome), run.outcome.load.plt()), lost);
+    matrix
+        .iter()
+        .zip(measured)
+        .map(|(&(profile, strategy), reps)| {
             let mut recovery = LossRecovery::new();
-            for out in &outcomes {
-                recovery.record(observe(out));
-            }
-            let plts: Vec<f64> = outcomes.iter().map(|o| o.load.plt()).collect();
-            cells.push(ChaosCell {
+            reps.iter().for_each(|&(seen, _)| recovery.record(seen));
+            let plts: Vec<f64> = reps.iter().map(|&(_, plt)| plt).collect();
+            ChaosCell {
                 profile: profile.name.clone(),
                 strategy: strategy_label(strategy),
                 runs,
-                completed: outcomes.len(),
+                completed: reps.len(),
                 median_plt: if plts.is_empty() { 0.0 } else { percentile(&plts, 50.0) },
-                partial_loads: outcomes.iter().filter(|o| o.load.partial).count(),
+                partial_loads: reps.iter().filter(|(seen, _)| seen.partial).count(),
                 recovery,
-            });
-        }
-    }
-    cells
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::replay_shared;
+    use crate::replay::replay;
     use h2push_webmodel::{PageBuilder, ResourceId, ResourceSpec};
 
     fn with_profile(
@@ -246,8 +253,8 @@ mod tests {
             for seed in [0u64, 7, 42] {
                 let plain = run_config(strategy, Mode::Testbed, seed, &inputs.page);
                 let faulted = with_profile(strategy, Mode::Testbed, seed, &inputs.page, &profile);
-                let a = replay_shared(&inputs, &plain).unwrap();
-                let b = replay_shared(&inputs, &faulted).unwrap();
+                let a = replay(&inputs, &plain).unwrap();
+                let b = replay(&inputs, &faulted).unwrap();
                 assert_eq!(a.load, b.load, "strategy {strategy:?} seed {seed}");
                 assert_eq!(a.trace.order, b.trace.order);
                 assert_eq!(a.server_pushed_bytes, b.server_pushed_bytes);
@@ -276,7 +283,7 @@ mod tests {
                 .flat_map(|s| {
                     seeds.iter().map(|&seed| {
                         let cfg = with_profile(s, Mode::Testbed, seed, &inputs.page, &profile);
-                        replay_shared(&inputs, &cfg).expect("faulty replay completes")
+                        replay(&inputs, &cfg).expect("faulty replay completes")
                     })
                 })
                 .collect()
@@ -299,7 +306,9 @@ mod tests {
         let inputs = ReplayInputs::from(page());
         let profiles = vec![FaultProfile::none(), FaultProfile::gilbert_elliott(0.02)];
         let strategies = vec![Strategy::NoPush];
-        let cells = run_fault_matrix(&inputs, &strategies, &profiles, 3, 1);
+        let mut lost = Vec::new();
+        let cells = run_fault_matrix(&inputs, &strategies, &profiles, 3, 1, &mut lost);
+        assert!(lost.is_empty(), "{lost:?}");
         assert_eq!(cells.len(), 2);
         let control = &cells[0];
         assert_eq!(control.profile, "none");
@@ -324,7 +333,7 @@ mod tests {
             &inputs.page,
             &FaultProfile::bernoulli(0.05),
         );
-        let out = replay_shared(&inputs, &cfg).unwrap();
+        let out = replay(&inputs, &cfg).unwrap();
         let obs = observe(&out);
         assert_eq!(obs.data_packets, out.net.data_packets);
         assert_eq!(obs.drops, out.net.drops_total());

@@ -23,8 +23,8 @@
 //! (clear-don't-drop, keeping its buffers) through the same code path a
 //! cold construction takes, so a recycled run is byte-identical to a
 //! fresh one (asserted across strategies, faults, modes and tracing in
-//! `tests/recycle.rs`). [`drive`] recycles a thread-local context
-//! automatically; [`drive_in`] lets callers own the context's lifetime.
+//! `tests/recycle.rs`). [`drive_in`] runs in the context it is handed:
+//! the caller's own, or the thread-local one [`with_thread_ctx`] lends.
 //!
 //! The live TCP runtime (`crate::live`) is the same adapter shape over
 //! real sockets; the equality suite in `tests/sansio_golden.rs` pins this
@@ -212,7 +212,7 @@ impl ReplayCtx {
 }
 
 thread_local! {
-    /// The context [`drive`] recycles: one per thread, living as long as
+    /// The context [`with_thread_ctx`] lends: one per thread, living as long as
     /// the thread. Worker-pool threads span one fan-out call, so a
     /// worker's whole chunk of reps shares one context; a caller thread
     /// running serial measurements keeps recycling across calls.
@@ -492,14 +492,4 @@ pub(crate) fn with_thread_ctx<R>(f: impl FnOnce(&mut ReplayCtx) -> R) -> R {
         Ok(mut ctx) => f(&mut ctx),
         Err(_) => f(&mut ReplayCtx::new()),
     })
-}
-
-/// Run one replay of `inputs` under `cfg`, recycling the calling thread's
-/// [`ReplayCtx`].
-pub(crate) fn drive(
-    inputs: &ReplayInputs,
-    cfg: &ReplayConfig,
-    trace: &TraceHandle,
-) -> Result<ReplayOutcome, ReplayError> {
-    with_thread_ctx(|ctx| drive_in(inputs, cfg, trace, ctx))
 }

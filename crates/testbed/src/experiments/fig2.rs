@@ -29,7 +29,7 @@ pub struct VariabilityRow {
 
 /// Fig. 2a data: variability per site, with and without push conditions
 /// folded together as in the paper (the push configuration is used).
-pub fn fig2a_variability(scale: Scale) -> Vec<VariabilityRow> {
+pub fn fig2a_variability(scale: Scale, lost: &mut Vec<String>) -> Vec<VariabilityRow> {
     let sites = record_all(generate_set(CorpusKind::PushUsers, scale.sites, scale.seed));
     fan_out(
         &sites,
@@ -50,6 +50,7 @@ pub fn fig2a_variability(scale: Scale) -> Vec<VariabilityRow> {
                 inet_si_stderr: inet_si.std_err,
             }
         },
+        lost,
     )
 }
 
@@ -65,7 +66,7 @@ pub struct DeltaRow {
 }
 
 /// Fig. 2b data: push-as-recorded vs no-push in the testbed.
-pub fn fig2b_push_vs_nopush(scale: Scale) -> Vec<DeltaRow> {
+pub fn fig2b_push_vs_nopush(scale: Scale, lost: &mut Vec<String>) -> Vec<DeltaRow> {
     let sites = record_all(generate_set(CorpusKind::PushUsers, scale.sites, scale.seed));
     fan_out(
         &sites,
@@ -80,17 +81,19 @@ pub fn fig2b_push_vs_nopush(scale: Scale) -> Vec<DeltaRow> {
             let (d_plt, d_si) = median_deltas(&m[1], &m[0]);
             DeltaRow { site: site.page.name.clone(), d_plt, d_si }
         },
+        lost,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::clean;
     use h2push_metrics::share_below;
 
     #[test]
     fn testbed_removes_variability() {
-        let rows = fig2a_variability(Scale { sites: 8, runs: 7, seed: 11 });
+        let rows = clean(|lost| fig2a_variability(Scale { sites: 8, runs: 7, seed: 11 }, lost));
         assert_eq!(rows.len(), 8);
         let tb: Vec<f64> = rows.iter().map(|r| r.tb_plt_stderr).collect();
         let inet: Vec<f64> = rows.iter().map(|r| r.inet_plt_stderr).collect();
@@ -105,7 +108,7 @@ mod tests {
 
     #[test]
     fn push_vs_nopush_has_both_signs() {
-        let rows = fig2b_push_vs_nopush(Scale { sites: 10, runs: 5, seed: 3 });
+        let rows = clean(|lost| fig2b_push_vs_nopush(Scale { sites: 10, runs: 5, seed: 3 }, lost));
         assert_eq!(rows.len(), 10);
         let improved = rows.iter().filter(|r| r.d_si < 0.0).count();
         let hurt = rows.iter().filter(|r| r.d_si > 0.0).count();

@@ -41,9 +41,9 @@ pub struct Fig3aRow {
 }
 
 /// Fig. 3a: push-all in the computed order vs no push, for `kind`.
-pub fn fig3a_push_all(kind: CorpusKind, scale: Scale) -> Vec<Fig3aRow> {
+pub fn fig3a_push_all(kind: CorpusKind, scale: Scale, lost: &mut Vec<String>) -> Vec<Fig3aRow> {
     let sites = record_all(generate_set(kind, scale.sites, scale.seed));
-    let orders = push_orders(&sites, order_runs(scale), scale.seed);
+    let orders = push_orders(&sites, order_runs(scale), scale.seed, lost);
     let ordered: Vec<_> = sites.iter().zip(&orders).collect();
     fan_out(
         &ordered,
@@ -57,6 +57,7 @@ pub fn fig3a_push_all(kind: CorpusKind, scale: Scale) -> Vec<Fig3aRow> {
             let (d_plt, d_si) = median_deltas(&m[1], &m[0]);
             Fig3aRow { site: site.page.name.clone(), d_si, d_plt }
         },
+        lost,
     )
 }
 
@@ -77,9 +78,9 @@ pub struct Fig3bRow {
 pub const LIMITS: [Option<usize>; 5] = [Some(1), Some(5), Some(10), Some(15), None];
 
 /// Fig. 3b: vary the number of pushed objects on the random set.
-pub fn fig3b_push_limit(scale: Scale) -> Vec<Fig3bRow> {
+pub fn fig3b_push_limit(scale: Scale, lost: &mut Vec<String>) -> Vec<Fig3bRow> {
     let sites = record_all(generate_set(CorpusKind::Random, scale.sites, scale.seed));
-    let orders = push_orders(&sites, order_runs(scale), scale.seed);
+    let orders = push_orders(&sites, order_runs(scale), scale.seed, lost);
     let ordered: Vec<_> = sites.iter().zip(&orders).collect();
     // Per site: the no-push baseline, then one cell per limit.
     let rows = fan_out(
@@ -102,6 +103,7 @@ pub fn fig3b_push_limit(scale: Scale) -> Vec<Fig3bRow> {
             };
             LIMITS.iter().zip(&m[1..]).map(row).collect::<Vec<_>>()
         },
+        lost,
     );
     rows.into_iter().flatten().collect()
 }
@@ -115,6 +117,7 @@ fn order_runs(scale: Scale) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::clean;
 
     #[test]
     fn pushable_shares_match_paper() {
@@ -135,7 +138,8 @@ mod tests {
 
     #[test]
     fn fig3a_shows_mixed_outcomes() {
-        let rows = fig3a_push_all(CorpusKind::Random, Scale { sites: 8, runs: 3, seed: 2 });
+        let scale = Scale { sites: 8, runs: 3, seed: 2 };
+        let rows = clean(|lost| fig3a_push_all(CorpusKind::Random, scale, lost));
         assert_eq!(rows.len(), 8);
         // The headline: push-all is NOT a universal win.
         let hurt = rows.iter().filter(|r| r.d_si > 0.0).count();
@@ -144,7 +148,7 @@ mod tests {
 
     #[test]
     fn fig3b_produces_all_limits() {
-        let rows = fig3b_push_limit(Scale { sites: 3, runs: 3, seed: 4 });
+        let rows = clean(|lost| fig3b_push_limit(Scale { sites: 3, runs: 3, seed: 4 }, lost));
         assert_eq!(rows.len(), 3 * LIMITS.len());
         for &limit in &LIMITS {
             assert_eq!(rows.iter().filter(|r| r.limit == limit).count(), 3);

@@ -37,7 +37,7 @@ pub struct Fig4Row {
 }
 
 /// Run the Fig. 4 experiment.
-pub fn fig4_custom(scale: Scale) -> Vec<Fig4Row> {
+pub fn fig4_custom(scale: Scale, lost: &mut Vec<String>) -> Vec<Fig4Row> {
     fan_out(
         &record_all(synthetic_set()),
         |site| {
@@ -65,16 +65,18 @@ pub fn fig4_custom(scale: Scale) -> Vec<Fig4Row> {
                 custom: m[2].clone(),
             }
         },
+        lost,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::clean;
 
     #[test]
     fn covers_all_ten_sites_and_custom_pushes_less() {
-        let rows = fig4_custom(Scale { sites: 10, runs: 3, seed: 6 });
+        let rows = clean(|lost| fig4_custom(Scale { sites: 10, runs: 3, seed: 6 }, lost));
         assert_eq!(rows.len(), 10);
         for r in &rows {
             assert!(r.custom_bytes <= r.push_all_bytes, "{}: custom must push less", r.site);
@@ -90,7 +92,7 @@ mod tests {
         // §4.3's conclusions for s1–s10: push-all can reduce PLT, "we do
         // not observe significant detrimental effects", and the custom
         // strategy performs like push-all while pushing fewer bytes.
-        let rows = fig4_custom(Scale { sites: 10, runs: 3, seed: 9 });
+        let rows = clean(|lost| fig4_custom(Scale { sites: 10, runs: 3, seed: 9 }, lost));
         let improved = rows.iter().filter(|r| r.push_all_plt_pct < -1.0).count();
         assert!(improved >= 2, "push-all PLT never helps: {improved}/10");
         for r in &rows {

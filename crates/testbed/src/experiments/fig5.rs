@@ -69,7 +69,7 @@ pub fn fig5_sizes() -> Vec<usize> {
 }
 
 /// Run the Fig. 5b sweep.
-pub fn fig5b_interleaving(scale: Scale) -> Vec<Fig5Point> {
+pub fn fig5b_interleaving(scale: Scale, lost: &mut Vec<String>) -> Vec<Fig5Point> {
     let css = ResourceId(1);
     // Every (size, strategy) point is a one-cell site of its own.
     let points: Vec<_> =
@@ -87,12 +87,14 @@ pub fn fig5b_interleaving(scale: Scale) -> Vec<Fig5Point> {
             vec![cell(&fig5_page(size).into(), strategy, scale, scale.seed)]
         },
         |&(html_size, strategy), m| Fig5Point { html_size, strategy, metrics: m[0].clone() },
+        lost,
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::clean;
 
     fn si(points: &[Fig5Point], s: Fig5Strategy, size: usize) -> f64 {
         let point = points.iter().find(|p| p.strategy == s && p.html_size == size).unwrap();
@@ -101,7 +103,7 @@ mod tests {
 
     #[test]
     fn interleaving_is_flat_while_others_grow() {
-        let points = fig5b_interleaving(Scale { sites: 0, runs: 3, seed: 1 });
+        let points = clean(|lost| fig5b_interleaving(Scale { sites: 0, runs: 3, seed: 1 }, lost));
         assert_eq!(points.len(), 9 * 3);
         let small = 10 * 1024;
         let large = 90 * 1024;
@@ -130,7 +132,7 @@ mod tests {
     fn push_matches_no_push_without_parent_blocking() {
         // Fig. 5b: "no push and push perform similar, as the parent does
         // not block".
-        let points = fig5b_interleaving(Scale { sites: 0, runs: 3, seed: 2 });
+        let points = clean(|lost| fig5b_interleaving(Scale { sites: 0, runs: 3, seed: 2 }, lost));
         for size in [30 * 1024, 70 * 1024] {
             let np = si(&points, Fig5Strategy::NoPush, size);
             let pu = si(&points, Fig5Strategy::Push, size);

@@ -44,7 +44,7 @@ impl Fig6Row {
 }
 
 /// Run the Fig. 6 experiment over all twenty sites.
-pub fn fig6_realworld(scale: Scale) -> Vec<Fig6Row> {
+pub fn fig6_realworld(scale: Scale, lost: &mut Vec<String>) -> Vec<Fig6Row> {
     // Per site: the six strategies in `ALL` order (no push first), each
     // on the page variant it ships with.
     fan_out(
@@ -71,6 +71,7 @@ pub fn fig6_realworld(scale: Scale) -> Vec<Fig6Row> {
             let cells = PaperStrategy::ALL.iter().zip(m).map(cell).collect();
             Fig6Row { site: page.name.clone(), cells }
         },
+        lost,
     )
 }
 
@@ -83,10 +84,11 @@ pub fn winners(rows: &[Fig6Row]) -> Vec<&Fig6Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::clean;
 
     #[test]
     fn full_grid_runs_and_w1_wins_big() {
-        let rows = fig6_realworld(Scale { sites: 20, runs: 3, seed: 10 });
+        let rows = clean(|lost| fig6_realworld(Scale { sites: 20, runs: 3, seed: 10 }, lost));
         assert_eq!(rows.len(), 20);
         for r in &rows {
             assert_eq!(r.cells.len(), 6);

@@ -6,11 +6,17 @@
 //!
 //! Every driver has the same shape, which `fan_out` spells out:
 //! *declare* each site's cells as [`RunPlan`]s — one per (page variant,
-//! strategy, mode, seed) — run all of them as one flat (cell × rep)
-//! fan-out, and fold the [`CellStats`] that come back into rows. Drivers
-//! that push in the §4.2 computed order run two such phases,
-//! `push_orders` first. Nothing nests, so a driver uses the cores
-//! exactly once however many sites and strategies it crosses.
+//! strategy, mode, seed) — run all of them on the testbed's one executor
+//! ([`run_cells`]: every (cell × rep) pair as one fan-out, each rep
+//! isolated and folded to its [`CellStats`] scalars on its worker), and
+//! fold the stats that come back into rows. Drivers that push in the
+//! §4.2 computed order run two such phases, `push_orders` first. Nothing
+//! nests, so a driver uses the cores exactly once however many sites and
+//! strategies it crosses.
+//!
+//! Every driver takes a `lost: &mut Vec<String>`: the executor appends
+//! one status line per cell that lost a repetition, so a failure neither
+//! unwinds the experiment nor silently thins a median.
 
 pub mod fig2;
 pub mod fig3;
@@ -21,7 +27,7 @@ pub mod types_study;
 
 use crate::plan::RunPlan;
 use crate::replay::ReplayInputs;
-use crate::sweep::CellStats;
+use crate::sweep::{run_cells, CellStats, RepStats};
 use h2push_metrics::RunStats;
 use h2push_strategies::Strategy;
 use h2push_webmodel::Page;
@@ -63,30 +69,30 @@ pub(crate) fn cell(site: &ReplayInputs, strategy: Strategy, scale: Scale, seed: 
 }
 
 /// One measurement phase: `declare` each site's cells, run every
-/// (cell × rep) pair of all of them as one flat fan-out — each rep folded
-/// to its scalars on the worker that ran it — and fold each site's
-/// measured cells, in declaration order, into its row.
+/// (cell × rep) pair of all of them as one fan-out on the executor — each
+/// rep folded to its scalars on the worker that ran it — and fold each
+/// site's measured cells, in declaration order, into its row.
+///
+/// A cell that lost a rep is reported in `lost` ([`run_cells`]); its
+/// row is computed from the reps that completed. A site with a cell no
+/// rep of which completed has nothing to summarise and gets no row.
 pub(crate) fn fan_out<S, R>(
     sites: &[S],
     declare: impl Fn(&S) -> Vec<RunPlan>,
     row: impl Fn(&S, &[CellStats]) -> R,
+    lost: &mut Vec<String>,
 ) -> Vec<R> {
     let cells: Vec<Vec<RunPlan>> = sites.iter().map(declare).collect();
     let declared: Vec<usize> = cells.iter().map(Vec::len).collect();
     let flat: Vec<RunPlan> = cells.into_iter().flatten().collect();
-    let mut measured = RunPlan::run_flat(&flat, |run| CellStats::of(std::slice::from_ref(&run)))
-        .into_iter()
-        .map(|reps| {
-            let mut stats = CellStats::default();
-            reps.into_iter().for_each(|rep| stats.absorb(rep));
-            stats
-        });
+    let mut measured =
+        run_cells(&flat, |run| RepStats::of(&run), lost).into_iter().map(CellStats::from_reps);
     sites
         .iter()
         .zip(declared)
-        .map(|(site, declared)| {
+        .filter_map(|(site, declared)| {
             let stats: Vec<CellStats> = measured.by_ref().take(declared).collect();
-            row(site, &stats)
+            stats.iter().all(|cell| cell.n > 0).then(|| row(site, &stats))
         })
         .collect()
 }
@@ -94,10 +100,11 @@ pub(crate) fn fan_out<S, R>(
 /// The (PLT, SpeedIndex) summaries of a measured cell, in ms.
 ///
 /// # Panics
-/// When no rep of the cell completed.
+/// When no rep of the cell reached onload ([`fan_out`] never rows a cell
+/// without a completed rep).
 pub(crate) fn summaries(cell: &CellStats) -> (RunStats, RunStats) {
     let stats = cell.plt_stats().zip(cell.speed_index_stats());
-    stats.expect("every rep of an experiment cell failed")
+    stats.expect("every rep of an experiment cell was a partial load")
 }
 
 /// Δ of the median (PLT, SpeedIndex) of `cell` against `base`, in ms
@@ -110,4 +117,50 @@ pub(crate) fn median_deltas(cell: &CellStats, base: &CellStats) -> (f64, f64) {
 /// Mean bytes pushed per completed rep of a measured cell.
 pub(crate) fn mean_pushed_bytes(cell: &CellStats) -> f64 {
     cell.pushed_bytes as f64 / cell.n.max(1) as f64
+}
+
+/// Run a driver and assert that no cell of it lost a rep.
+#[cfg(test)]
+pub(crate) fn clean<R>(driver: impl FnOnce(&mut Vec<String>) -> R) -> R {
+    let mut lost = Vec::new();
+    let rows = driver(&mut lost);
+    assert!(lost.is_empty(), "lost cells: {lost:#?}");
+    rows
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use h2push_webmodel::{PageBuilder, ResourceSpec};
+
+    fn site(name: &str) -> ReplayInputs {
+        let mut b = PageBuilder::new(name, "fan.test", 30_000, 3_000);
+        b.resource(ResourceSpec::css(0, 10_000, 300, 0.4));
+        b.text_paint(8_000, 1.0);
+        b.build().into()
+    }
+
+    #[test]
+    fn a_failed_cell_is_reported_and_its_siblings_row_intact() {
+        let sites = [site("healthy"), site("starved")];
+        let scale = Scale { sites: 2, runs: 3, seed: 5 };
+        let declare = |site: &ReplayInputs| {
+            let cell = cell(site, Strategy::NoPush, scale, scale.seed);
+            // No page loads within one simulation event.
+            vec![if site.page.name == "starved" { cell.watchdog_events(1) } else { cell }]
+        };
+        let row = |site: &ReplayInputs, m: &[CellStats]| (site.page.name.clone(), m[0].clone());
+        let mut lost = Vec::new();
+        let rows = fan_out(&sites, declare, row, &mut lost);
+        // The healthy site's row is what it is when measured alone …
+        let alone = clean(|lost| fan_out(&sites[..1], declare, row, lost));
+        assert_eq!(rows, alone);
+        assert_eq!(rows[0].1.n, 3);
+        // … and the starved cell is a report line, not an unwind and not
+        // a silently thinner median.
+        assert_eq!(lost.len(), 1, "{lost:?}");
+        assert!(lost[0].starts_with("no-push"), "{lost:?}");
+        assert!(lost[0].contains("starved"), "{lost:?}");
+        assert!(lost[0].ends_with("3/3 failed (watchdog\u{d7}3)"), "{lost:?}");
+    }
 }

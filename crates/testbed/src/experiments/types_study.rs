@@ -81,9 +81,9 @@ pub struct TypeStudy {
 }
 
 /// Run the §4.2.1 type study on the random corpus.
-pub fn type_study(scale: Scale) -> TypeStudy {
+pub fn type_study(scale: Scale, lost: &mut Vec<String>) -> TypeStudy {
     let sites = record_all(generate_set(CorpusKind::Random, scale.sites, scale.seed));
-    let orders = push_orders(&sites, scale.runs.min(7), scale.seed);
+    let orders = push_orders(&sites, scale.runs.min(7), scale.seed, lost);
     let ordered: Vec<_> = sites.iter().zip(&orders).collect();
     // Per site: the no-push baseline, then one cell per type selection.
     let rows: Vec<TypeRow> = fan_out(
@@ -104,6 +104,7 @@ pub fn type_study(scale: Scale) -> TypeStudy {
             let deltas = TypeSelection::ALL.iter().zip(&m[1..]).map(delta).collect();
             TypeRow { site: site.page.name.clone(), deltas }
         },
+        lost,
     );
 
     let img_worse = rows
@@ -146,10 +147,11 @@ pub fn type_study(scale: Scale) -> TypeStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::clean;
 
     #[test]
     fn study_reports_all_selections() {
-        let s = type_study(Scale { sites: 6, runs: 3, seed: 8 });
+        let s = clean(|lost| type_study(Scale { sites: 6, runs: 3, seed: 8 }, lost));
         assert_eq!(s.rows.len(), 6);
         for r in &s.rows {
             assert_eq!(r.deltas.len(), TypeSelection::ALL.len());

@@ -14,6 +14,7 @@ use crate::plan::RunPlan;
 #[cfg(test)]
 use crate::replay::ReplayOutcome;
 use crate::replay::{ReplayConfig, ReplayInputs};
+use crate::sweep::run_cells;
 use h2push_netsim::SimDuration;
 use h2push_strategies::{majority_order, Strategy};
 use h2push_webmodel::{Page, ResourceId};
@@ -79,17 +80,24 @@ pub fn run_config(
 /// §4.2 "Computing the Push Order": replay without push `runs` times,
 /// trace the requests the main server sees, majority-vote the order.
 /// Returns only pushable resources (the order is computed on the initial
-/// connection to the origin server, so everything in it is pushable).
+/// connection to the origin server, so everything in it is pushable). A
+/// replay that fails casts no vote.
 pub fn compute_push_order(page: &Page, runs: usize, seed: u64) -> Vec<ResourceId> {
-    push_orders(&[ReplayInputs::from(page)], runs, seed).pop().expect("one site")
+    push_orders(&[ReplayInputs::from(page)], runs, seed, &mut Vec::new()).pop().expect("one site")
 }
 
 /// [`compute_push_order`] for every site at once: all (site × run)
-/// no-push replays as one flat fan-out, one order per site.
-pub(crate) fn push_orders(sites: &[ReplayInputs], runs: usize, seed: u64) -> Vec<Vec<ResourceId>> {
-    let plans: Vec<RunPlan> =
+/// no-push replays as one fan-out on the executor, one order per site.
+/// Cells that lose a rep are reported in `lost` ([`run_cells`]).
+pub fn push_orders(
+    sites: &[ReplayInputs],
+    runs: usize,
+    seed: u64,
+    lost: &mut Vec<String>,
+) -> Vec<Vec<ResourceId>> {
+    let cells: Vec<RunPlan> =
         sites.iter().map(|site| RunPlan::new(site).reps(runs).seed(seed)).collect();
-    RunPlan::run_flat(&plans, |run| run.outcome.trace)
+    run_cells(&cells, |run| run.outcome.trace, lost)
         .iter()
         .map(|traces| {
             majority_order(traces).into_iter().filter(|&id| id != ResourceId(0)).collect()

@@ -35,7 +35,7 @@ pub use chaos::{
 };
 pub use checkpoint::{GridIdentity, JournalScan, ResumeError, SweepJournal};
 pub use driver::ReplayCtx;
-pub use harness::{compute_push_order, run_config, Mode, PAPER_RUNS};
+pub use harness::{compute_push_order, push_orders, run_config, Mode, PAPER_RUNS};
 #[cfg(unix)]
 pub use live::{
     load_page, load_page_in, CloseCounts, CloseReason, ConnClose, LiveLimits, LiveLoadReport,
@@ -45,11 +45,10 @@ pub use plan::{RunOutput, RunPlan, RunReport, TraceSpec};
 pub use pool::{parallel_indexed, set_worker_threads, worker_threads};
 pub use prepared::PreparedPage;
 pub use replay::{
-    replay, replay_in, replay_shared, Protocol, ReplayConfig, ReplayError, ReplayInputs,
-    ReplayOutcome,
+    replay, replay_in, Protocol, ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome,
 };
 pub use sweep::{
-    CellFailure, CellStats, FailureKind, PopulationStats, RecoveredRep, RetryClass, SweepCell,
-    SweepPlan, SweepReport,
+    run_cells, CellFailure, CellStats, FailureKind, PopulationStats, RecoveredRep, RetryClass,
+    SweepCell, SweepPlan, SweepReport,
 };
 pub use waterfall::write_waterfall;

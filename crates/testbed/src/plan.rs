@@ -1,10 +1,6 @@
-//! The one blessed entry point: a [`RunPlan`] builder over the replay
-//! engine.
-//!
-//! PR 1 (perf) and PR 2 (chaos) grew six near-duplicate free functions
-//! (`replay`, `replay_shared`, a `run_many` family, plus
-//! `run_config_with_faults`); adding tracing would have doubled them
-//! again. Those shims are gone; a `RunPlan` names every knob once:
+//! A [`RunPlan`] describes one cell of a measurement — page, strategy,
+//! conditions, repetitions, faults and observability — and names every
+//! knob once:
 //!
 //! ```
 //! use h2push_testbed::{Mode, RunPlan};
@@ -23,27 +19,30 @@
 //! assert_eq!(report.len(), 3);
 //! ```
 //!
-//! Two execution modes:
+//! Two ways to configure a rep:
 //!
 //! * **Derived configs** (the default): rep `r` replays under
 //!   [`run_config`]`(strategy, mode, seed + r, page)`, optionally with a
-//!   [`FaultProfile`] layered on — byte-identical to the retired
-//!   `run_many_shared` / `run_config_with_faults` entry points this
-//!   replaced.
+//!   [`FaultProfile`] layered on.
 //! * **Explicit config** ([`RunPlan::config`]): every rep replays under
-//!   the given [`ReplayConfig`] verbatim (no per-rep jitter) — the old
-//!   `replay`/`run_once` behaviour.
+//!   the given [`ReplayConfig`] verbatim (no per-rep jitter).
+//!
+//! Either way a rep is a pure function of `(inputs, config_for(rep))`,
+//! which is what lets one executor run any mix of plans: [`RunPlan::run`]
+//! is a one-cell call of [`crate::run_cells`], which fans every
+//! (cell × rep) pair of a whole list out at once, and
+//! [`RunPlan::serial`] is the same reps in a loop on the calling thread.
 //!
 //! Attaching a trace ([`RunPlan::traced`]) records a per-rep
 //! [`Timeline`]; the trace handle is pure observation, so traced and
 //! untraced runs of the same plan produce byte-identical
 //! [`ReplayOutcome`]s (equality-tested in `tests/trace.rs`).
 
-use crate::chaos::{apply_profile, FaultProfile};
-use crate::driver::ReplayCtx;
+use crate::chaos::{apply_profile, strategy_label, FaultProfile};
+use crate::driver::{drive_in, with_thread_ctx, ReplayCtx};
 use crate::harness::{run_config, Mode};
-use crate::pool::parallel_indexed;
-use crate::replay::{replay_with_trace, ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome};
+use crate::replay::{ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome};
+use crate::sweep::fan_out_reps;
 use h2push_strategies::Strategy;
 use h2push_trace::{recording, Timeline, TraceHandle};
 use std::sync::Arc;
@@ -259,11 +258,11 @@ impl RunPlan {
         cfg
     }
 
+    /// Execute rep `rep` in the calling thread's recycled [`ReplayCtx`]:
+    /// a pool worker's whole share of a fan-out, or a caller's serial
+    /// loop, runs allocation-free after its first rep.
     pub(crate) fn run_rep(&self, rep: usize) -> Result<RunOutput, ReplayError> {
-        // The engine recycles a thread-local context under the hood, so
-        // every worker's chunk of reps already runs allocation-free after
-        // its first rep.
-        self.rep_with(rep, |cfg, trace| replay_with_trace(&self.inputs, cfg, trace))
+        with_thread_ctx(|ctx| self.run_rep_in(rep, ctx))
     }
 
     /// Execute rep `rep` inside an explicit, caller-owned [`ReplayCtx`],
@@ -273,22 +272,13 @@ impl RunPlan {
     /// a whole measurement (the benchmark, the allocation tests, the equality
     /// suite).
     pub fn run_rep_in(&self, rep: usize, ctx: &mut ReplayCtx) -> Result<RunOutput, ReplayError> {
-        self.rep_with(rep, |cfg, trace| crate::driver::drive_in(&self.inputs, cfg, trace, ctx))
-    }
-
-    fn rep_with(
-        &self,
-        rep: usize,
-        mut run: impl FnMut(&ReplayConfig, &TraceHandle) -> Result<ReplayOutcome, ReplayError>,
-    ) -> Result<RunOutput, ReplayError> {
         let cfg = self.config_for(rep);
         match self.trace {
-            TraceSpec::Off => {
-                run(&cfg, &TraceHandle::off()).map(|outcome| RunOutput { outcome, timeline: None })
-            }
+            TraceSpec::Off => drive_in(&self.inputs, &cfg, &TraceHandle::off(), ctx)
+                .map(|outcome| RunOutput { outcome, timeline: None }),
             TraceSpec::Timeline => {
                 let (handle, shared) = recording();
-                let outcome = run(&cfg, &handle)?;
+                let outcome = drive_in(&self.inputs, &cfg, &handle, ctx)?;
                 drop(handle); // last sink reference; the timeline is now unique
                 let timeline = std::rc::Rc::try_unwrap(shared)
                     .map(|cell| cell.into_inner())
@@ -303,42 +293,40 @@ impl RunPlan {
         self.run_rep(0)
     }
 
-    /// Execute all reps (on the worker pool unless [`RunPlan::serial`])
-    /// and collect the completed runs in rep order. Timelines are per-rep,
-    /// so traced plans parallelise exactly like untraced ones.
+    /// Execute all reps and collect the completed runs in rep order: on
+    /// the worker pool, as a one-cell call of the executor
+    /// ([`crate::run_cells`] runs many cells as one fan-out), unless
+    /// [`RunPlan::serial`]. Timelines are per-rep, so traced plans
+    /// parallelise exactly like untraced ones.
+    ///
+    /// # Panics
+    /// When a rep panics (on the pool: twice, the executor retries it
+    /// once) — a report has no place to record that, and a bug must not
+    /// pass for a shorter report.
     pub fn run(&self) -> RunReport {
-        let runs = if self.serial {
-            (0..self.reps).filter_map(|r| self.run_rep(r).ok()).collect()
-        } else {
-            Self::run_flat(std::slice::from_ref(self), |out| out).pop().expect("one plan")
-        };
-        RunReport { runs }
+        if self.serial {
+            return RunReport {
+                runs: (0..self.reps).filter_map(|r| self.run_rep(r).ok()).collect(),
+            };
+        }
+        let cell = fan_out_reps([self.reps], |_, rep| self.run_rep(rep), |out| out).pop();
+        RunReport { runs: cell.expect("one cell in, one cell out").completed_or_unwind() }
     }
 
-    /// Execute every (plan × rep) pair of `plans` as one flat fan-out on
-    /// the worker pool — the pool never drains at a plan boundary, and
-    /// nothing nests. Each completed rep is folded by `fold` on the worker
-    /// that ran it (so a caller that only needs scalars never holds the
-    /// waterfalls); the folded values come back per plan, in rep order,
-    /// failed reps dropped as in [`RunPlan::run`].
-    pub(crate) fn run_flat<T: Send>(
-        plans: &[RunPlan],
-        fold: impl Fn(RunOutput) -> T + Sync,
-    ) -> Vec<Vec<T>> {
-        let mut starts = Vec::with_capacity(plans.len());
-        let mut total = 0;
-        for plan in plans {
-            starts.push(total);
-            total += plan.reps;
-        }
-        let mut folded = parallel_indexed(total, |i| {
-            // The last plan starting at or before `i` (zero-rep plans
-            // share a start with their successor and are skipped).
-            let p = starts.partition_point(|&s| s <= i) - 1;
-            plans[p].run_rep(i - starts[p]).ok().map(&fold)
-        })
-        .into_iter();
-        plans.iter().map(|plan| folded.by_ref().take(plan.reps).flatten().collect()).collect()
+    pub(crate) fn rep_count(&self) -> usize {
+        self.reps
+    }
+
+    /// The `(strategy, site)` columns of this cell's status line; a fault
+    /// profile is named with the site.
+    pub(crate) fn label(&self) -> (&'static str, String) {
+        let strategy = self.explicit.as_ref().map_or(&self.strategy, |cfg| &cfg.strategy);
+        let site = &self.inputs.page.name;
+        let site = match &self.faults {
+            Some(profile) => format!("{site} under {}", profile.name),
+            None => site.clone(),
+        };
+        (strategy_label(strategy), site)
     }
 }
 
@@ -401,18 +389,48 @@ mod tests {
     }
 
     #[test]
-    fn a_flat_fan_out_equals_each_plan_run_alone() {
-        let p = page();
-        let plans = [
+    fn the_executor_equals_each_plan_run_alone_at_every_pool_width() {
+        let _g = crate::pool::BUDGET_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let (p, q) = (page(), {
+            let mut b = PageBuilder::new("plan-2", "plan2.test", 20_000, 2_000);
+            b.resource(ResourceSpec::css(0, 9_000, 200, 0.5));
+            b.text_paint(5_000, 1.0);
+            b.build()
+        });
+        let mut slow_link =
+            ReplayConfig::testbed(Strategy::PushList { order: vec![ResourceId(1)] });
+        slow_link.network.client_down.rate_bps = Some(2_000_000);
+        let cells = [
             RunPlan::new(&p).reps(3).seed(1),
+            RunPlan::new(&q).mode(Mode::Internet).reps(4).seed(8),
             RunPlan::new(&p).reps(0),
-            RunPlan::new(&p).strategy(Strategy::PushList { order: vec![ResourceId(2)] }).reps(2),
+            RunPlan::new(&p)
+                .strategy(Strategy::PushList { order: vec![ResourceId(2)] })
+                .faults(FaultProfile::gilbert_elliott(0.02))
+                .reps(3)
+                .seed(106),
+            RunPlan::new(&q).config(slow_link),
         ];
-        let flat = RunPlan::run_flat(&plans, |out| out);
-        assert_eq!(flat.len(), 3);
-        for (plan, runs) in plans.iter().zip(flat) {
-            assert_eq!(RunReport { runs }, plan.clone().serial().run());
+        let alone: Vec<RunReport> = cells.iter().map(|c| c.clone().serial().run()).collect();
+        assert_eq!(alone.iter().map(RunReport::len).collect::<Vec<_>>(), [3, 4, 0, 3, 1]);
+        for threads in [1, 2, 4] {
+            crate::pool::set_worker_threads(Some(threads));
+            let mut lost = Vec::new();
+            let together = crate::sweep::run_cells(&cells, |out| out, &mut lost);
+            crate::pool::set_worker_threads(None);
+            assert!(lost.is_empty(), "{threads} worker threads: {lost:?}");
+            let together: Vec<RunReport> =
+                together.into_iter().map(|runs| RunReport { runs }).collect();
+            assert_eq!(together, alone, "{threads} worker threads");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "rep 1 panicked: boom")]
+    fn a_panicking_rep_unwinds_a_pooled_run() {
+        let plan = RunPlan::new(page()).reps(2);
+        let attempt = |_, rep| if rep == 1 { panic!("boom") } else { plan.run_rep(rep) };
+        fan_out_reps([2], attempt, |out| out).pop().expect("one cell").completed_or_unwind();
     }
 
     #[test]

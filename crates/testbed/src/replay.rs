@@ -160,12 +160,6 @@ impl ReplayInputs {
         self
     }
 
-    /// Attach an existing (shared) [`PreparedPage`].
-    pub fn with_prepared(mut self, prepared: Arc<PreparedPage>) -> Self {
-        self.prepared = Some(prepared);
-        self
-    }
-
     /// The attached precomputation, if any.
     pub fn prepared_page(&self) -> Option<&Arc<PreparedPage>> {
         self.prepared.as_ref()
@@ -197,50 +191,35 @@ impl From<&ReplayInputs> for ReplayInputs {
     }
 }
 
-/// Replay `page` once under `cfg`.
+/// Replay `inputs` once under `cfg`, recycling the calling thread's
+/// [`ReplayCtx`](crate::ReplayCtx).
 ///
-/// Convenience wrapper that records the page on every call; repeated runs
-/// of the same page should build [`ReplayInputs`] once and use
-/// [`replay_shared`].
-pub fn replay(page: &Page, cfg: &ReplayConfig) -> Result<ReplayOutcome, ReplayError> {
-    replay_shared(&ReplayInputs::from(page), cfg)
-}
-
-/// Replay `inputs` once under `cfg`, sharing (not cloning) the page and
-/// response database with the browser and every server connection.
-pub fn replay_shared(
-    inputs: &ReplayInputs,
+/// `inputs` is anything that converts into [`ReplayInputs`]. A `&Page`
+/// is recorded on the call, so repeated runs of one page should build
+/// [`ReplayInputs`] once and pass `&inputs`, which shares (never clones)
+/// the page and response database with the browser and every server
+/// connection.
+pub fn replay(
+    inputs: impl Into<ReplayInputs>,
     cfg: &ReplayConfig,
 ) -> Result<ReplayOutcome, ReplayError> {
-    replay_with_trace(inputs, cfg, &TraceHandle::off())
+    let inputs = inputs.into();
+    crate::driver::with_thread_ctx(|ctx| replay_in(&inputs, cfg, ctx))
 }
 
 /// Replay `inputs` once under `cfg` inside an explicit, caller-owned
 /// [`ReplayCtx`](crate::ReplayCtx). The context's machinery (browser,
 /// network, servers, byte FIFOs) is recycled from its previous run instead
-/// of reconstructed; outcomes are byte-identical to [`replay_shared`]
-/// (asserted across strategies, faults and modes in `tests/recycle.rs`).
-/// [`replay_shared`] itself recycles through a thread-local context — this
-/// entry point exists for callers that want to own the context's lifetime,
-/// like the benchmark.
+/// of reconstructed; outcomes are byte-identical to [`replay`] (asserted
+/// across strategies, faults and modes in `tests/recycle.rs`), which is
+/// this call in the thread's own context — this entry point exists for
+/// callers that want to own the context's lifetime, like the benchmark.
 pub fn replay_in(
     inputs: &ReplayInputs,
     cfg: &ReplayConfig,
     ctx: &mut crate::driver::ReplayCtx,
 ) -> Result<ReplayOutcome, ReplayError> {
     crate::driver::drive_in(inputs, cfg, &TraceHandle::off(), ctx)
-}
-
-/// The replay engine proper — the sans-IO netsim adapter
-/// ([`crate::driver`]). `trace` is injected into every subsystem; when it
-/// is off (the [`replay_shared`] path) each emission site costs a single
-/// branch, so traced and untraced runs take identical decisions.
-pub(crate) fn replay_with_trace(
-    inputs: &ReplayInputs,
-    cfg: &ReplayConfig,
-    trace: &TraceHandle,
-) -> Result<ReplayOutcome, ReplayError> {
-    crate::driver::drive(inputs, cfg, trace)
 }
 
 #[cfg(test)]
@@ -262,7 +241,7 @@ mod tests {
 
     #[test]
     fn no_push_replay_completes() {
-        let out = replay(&page(), &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
+        let out = replay(page(), &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
         assert!(out.load.finished());
         // connectEnd ≈ 3 RTT (DNS local, TCP+TLS1.2) = ~150 ms.
         let ce = out.load.connect_end.as_millis_f64();
@@ -279,22 +258,22 @@ mod tests {
     #[test]
     fn replay_is_deterministic() {
         let cfg = ReplayConfig::testbed(Strategy::NoPush);
-        let a = replay(&page(), &cfg).unwrap();
-        let b = replay(&page(), &cfg).unwrap();
+        let a = replay(page(), &cfg).unwrap();
+        let b = replay(page(), &cfg).unwrap();
         assert_eq!(a.load.plt(), b.load.plt());
         assert_eq!(a.load.speed_index(), b.load.speed_index());
         assert_eq!(a.trace.order, b.trace.order);
     }
 
     #[test]
-    fn replay_shared_matches_cold_replay() {
+    fn replay_of_shared_inputs_matches_cold_replay() {
         // Sharing the page/DB through Arc must not change a single output.
         let p = page();
         let cfg = ReplayConfig::testbed(Strategy::NoPush);
         let cold = replay(&p, &cfg).unwrap();
         let inputs = ReplayInputs::from(p);
-        let a = replay_shared(&inputs, &cfg).unwrap();
-        let b = replay_shared(&inputs, &cfg).unwrap();
+        let a = replay(&inputs, &cfg).unwrap();
+        let b = replay(&inputs, &cfg).unwrap();
         assert_eq!(cold.load.plt(), a.load.plt());
         assert_eq!(cold.load.speed_index(), a.load.speed_index());
         assert_eq!(cold.trace.order, a.trace.order);
@@ -306,7 +285,7 @@ mod tests {
     fn watchdog_aborts_runaway_replays() {
         let mut cfg = ReplayConfig::testbed(Strategy::NoPush);
         cfg.watchdog_events = 10; // no page loads in 10 simulation events
-        match replay(&page(), &cfg) {
+        match replay(page(), &cfg) {
             Err(ReplayError::Watchdog { events }) => assert!(events > 10),
             other => panic!("expected watchdog, got {other:?}"),
         }
@@ -473,7 +452,7 @@ mod h1_tests {
 
     #[test]
     fn h1_replay_completes() {
-        let out = replay(&page(), &h1_config()).unwrap();
+        let out = replay(page(), &h1_config()).unwrap();
         assert!(out.load.finished());
         assert_eq!(out.load.pushed_count, 0, "no push over HTTP/1.1");
         assert_eq!(out.server_pushed_bytes, 0);
@@ -483,8 +462,8 @@ mod h1_tests {
 
     #[test]
     fn h1_is_deterministic() {
-        let a = replay(&page(), &h1_config()).unwrap();
-        let b = replay(&page(), &h1_config()).unwrap();
+        let a = replay(page(), &h1_config()).unwrap();
+        let b = replay(page(), &h1_config()).unwrap();
         assert_eq!(a.load.plt(), b.load.plt());
         assert_eq!(a.load.speed_index(), b.load.speed_index());
     }

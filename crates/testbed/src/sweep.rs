@@ -1,37 +1,43 @@
-//! Grid-level sweeps: strategies × sites × reps in one scheduling unit,
-//! crash-safe and memory-bounded.
+//! The executor every replay fan-out runs on, and the journaled grid
+//! built on it.
 //!
-//! The paper's evaluation is a grid — every push strategy against every
-//! recorded site, 31 repetitions each. Running that grid as independent
-//! [`RunPlan`]s wastes work twice over: each plan re-derives the
-//! page-level artifact its siblings already built, and each plan's
-//! parallel fan-out drains before the next plan starts, so the worker
-//! pool idles at every cell boundary. A [`SweepPlan`] fixes both: each
-//! site's [`PreparedPage`] is built exactly once and shared (an `Arc`
-//! clone) across every configuration touching that site, and the
-//! flattened `strategies × sites × reps` grid is scheduled as a single
-//! run of [`parallel_indexed`], merged back into per-cell reports in
-//! deterministic (strategy-major, site, rep) order.
+//! The paper's evaluation has one shape — cells of (page variant,
+//! strategy, conditions), 31 repetitions each — so the (cell × rep)
+//! fan-out exists once, in [`fan_out_reps`]: every pair of every cell is
+//! one item of a single [`parallel_indexed`] call (the pool never drains
+//! at a cell boundary, nothing nests), each rep runs behind
+//! `catch_unwind` and the retry policy below, and each completed rep is
+//! folded on the worker that ran it, so a caller that reports scalars
+//! never holds a waterfall. Callers *declare cells* and call it:
 //!
-//! Population-scale grids (10^5–10^6 cells, ROADMAP) add two demands the
-//! flat fan-out cannot meet:
+//! * [`run_cells`] takes any list of [`RunPlan`]s — heterogeneous pages,
+//!   seeds, modes, fault profiles, explicit configs — and is what the
+//!   figure drivers (`crate::experiments`), the push-order phase, the
+//!   fault matrix and the ablations run on; [`RunPlan::run`] is its
+//!   one-cell case.
+//! * A [`SweepPlan`] declares the homogeneous `strategies × sites` grid,
+//!   each site's [`PreparedPage`](crate::PreparedPage) built once and
+//!   shared, and merges the results into per-cell reports in
+//!   deterministic (strategy-major, site, rep) order. It adds the two
+//!   things population-scale grids (10^5–10^6 cells, ROADMAP) need:
+//!   * **Crash safety** — [`SweepPlan::checkpoint`] journals every
+//!     completed cell to an append-only, checksummed file
+//!     ([`crate::checkpoint::SweepJournal`]); [`SweepPlan::resume`]
+//!     replays it, refuses a journal from a different grid, and
+//!     reschedules only the remainder. Interrupted-then-resumed is
+//!     byte-identical to uninterrupted (same [`SweepReport`], same cell
+//!     order) because every rep is a pure function of `(inputs, strategy,
+//!     mode, seed + rep)` and the journal encoding is lossless. Only a
+//!     journaled run executes in chunks (a chunk is what a kill can
+//!     lose).
+//!   * **Bounded memory** — [`SweepPlan::streaming`] keeps each rep's
+//!     [`CellStats`] scalars and drops its [`RunOutput`] on the worker;
+//!     population percentiles come from the mergeable fixed-bin
+//!     [`StreamingHist`] ([`SweepReport::population`]), whose integer
+//!     bins make the streaming-mode percentiles match the retained-mode
+//!     computation exactly.
 //!
-//! * **Crash safety** — [`SweepPlan::checkpoint`] journals every
-//!   completed cell to an append-only, checksummed file
-//!   ([`crate::checkpoint::SweepJournal`]); [`SweepPlan::resume`] replays
-//!   it, refuses a journal from a different grid, and reschedules only
-//!   the remainder. Interrupted-then-resumed is byte-identical to
-//!   uninterrupted (same [`SweepReport`], same cell order) because every
-//!   rep is a pure function of `(inputs, strategy, mode, seed + rep)`
-//!   and the journal encoding is lossless.
-//! * **Bounded memory** — [`SweepPlan::streaming`] folds each cell's
-//!   per-rep outputs into compact [`CellStats`] scalars and drops the
-//!   [`RunOutput`]s; population percentiles come from the mergeable
-//!   fixed-bin [`StreamingHist`] ([`SweepReport::population`]), whose
-//!   integer bins make the streaming-mode percentiles match the
-//!   retained-mode computation exactly.
-//!
-//! Failed reps never abort the grid. A panic is caught at the rep
+//! Failed reps never abort a fan-out. A panic is caught at the rep
 //! boundary and — because the simulator is deterministic — retried
 //! exactly once to classify it: failing again proves the panic is
 //! deterministic ([`RetryClass::Deterministic`]); succeeding means it was
@@ -41,21 +47,16 @@
 //! them ([`RetryClass::NotRetried`]).
 //!
 //! Every cell is byte-identical to the same cell run through a plain
-//! [`RunPlan`] with the same strategy, site, seed and mode:
-//! `cell_matches_plain_run_plan` below checks a fresh cell, and
-//! `tests/checkpoint.rs` every cell of a halted-and-resumed grid.
-//!
-//! The paper's own figures (`crate::experiments`) are grids too, but of
-//! heterogeneous cells — per-cell page variants, seeds and modes — so
-//! they fan out as flat [`RunPlan`] lists and borrow only [`CellStats`]
-//! from here; they are not journaled.
+//! serial [`RunPlan`]: `plan::tests` checks a heterogeneous cell list at
+//! every pool width, `cell_matches_plain_run_plan` below a fresh grid
+//! cell, and `tests/checkpoint.rs` every cell of a halted-and-resumed
+//! grid.
 
 use crate::chaos::{strategy_label, FaultProfile};
 use crate::checkpoint::{self, GridIdentity, ResumeError, SweepJournal};
 use crate::harness::Mode;
 use crate::plan::{RunOutput, RunPlan, RunReport};
 use crate::pool::{parallel_indexed, worker_threads};
-use crate::prepared::PreparedPage;
 use crate::replay::{ReplayError, ReplayInputs};
 use h2push_metrics::{RunStats, StreamingHist};
 use h2push_strategies::Strategy;
@@ -160,6 +161,173 @@ pub struct RecoveredRep {
     pub retries: u32,
 }
 
+/// One cell's share of a fan-out: its folded completed reps, in rep
+/// order, plus what the retry policy recorded.
+pub(crate) struct CellRun<T> {
+    pub(crate) reps: Vec<T>,
+    pub(crate) failures: Vec<CellFailure>,
+    pub(crate) recovered: Vec<RecoveredRep>,
+}
+
+impl<T> CellRun<T> {
+    /// The completed reps, for a caller with no place to record a
+    /// failure ([`RunPlan::run`]): a rep the simulation failed is
+    /// dropped, but a rep that panicked resumes unwinding — a bug must
+    /// not pass for a shorter report.
+    pub(crate) fn completed_or_unwind(self) -> Vec<T> {
+        for failure in &self.failures {
+            if let FailureKind::Panic(message) = &failure.kind {
+                panic!("rep {} panicked: {message}", failure.rep);
+            }
+        }
+        self.reps
+    }
+}
+
+/// The one (cell × rep) fan-out: cell `c` has `reps[c]` repetitions, and
+/// every (cell, rep) pair of all of them is one item of a single
+/// [`parallel_indexed`] call, so the pool never drains at a cell boundary
+/// and nothing nests.
+///
+/// Each `attempt(cell, rep)` runs behind `catch_unwind` (the pool joins
+/// its workers with a panic check, so an escaped panic would abort every
+/// cell). A panic gets exactly one retry, which tells a deterministic bug
+/// from an environmental failure; a simulation failure gets none. A
+/// completed rep is folded by `fold` on the worker that ran it, so a
+/// caller that wants scalars never holds a waterfall.
+pub(crate) fn fan_out_reps<T: Send>(
+    reps: impl IntoIterator<Item = usize>,
+    attempt: impl Fn(usize, usize) -> Result<RunOutput, ReplayError> + Sync,
+    fold: impl Fn(RunOutput) -> T + Sync,
+) -> Vec<CellRun<T>> {
+    // Cell `c` owns the items `bounds[c]..bounds[c + 1]`.
+    let mut bounds = vec![0];
+    bounds.extend(reps.into_iter().scan(0, |total, n| {
+        *total += n;
+        Some(*total)
+    }));
+    let isolated = |cell, rep| match catch_unwind(AssertUnwindSafe(|| attempt(cell, rep))) {
+        Ok(Ok(out)) => Ok(out),
+        Ok(Err(e)) => Err(FailureKind::from(e)),
+        Err(payload) => Err(FailureKind::Panic(panic_message(payload.as_ref()))),
+    };
+    let total = bounds[bounds.len() - 1];
+    let mut results = parallel_indexed(total, |i| {
+        // The last cell starting at or before `i` (a zero-rep cell shares
+        // its start with its successor and is skipped).
+        let cell = bounds.partition_point(|&start| start <= i) - 1;
+        let rep = i - bounds[cell];
+        let (result, retries) = match isolated(cell, rep) {
+            Err(kind) if kind.retryable() => (isolated(cell, rep), 1),
+            first => (first, 0),
+        };
+        (result.map(&fold), retries)
+    })
+    .into_iter();
+    bounds
+        .windows(2)
+        .map(|cell| {
+            let mut run = CellRun { reps: Vec::new(), failures: Vec::new(), recovered: Vec::new() };
+            for (rep, (result, retries)) in results.by_ref().take(cell[1] - cell[0]).enumerate() {
+                match result {
+                    Ok(folded) => {
+                        run.reps.push(folded);
+                        if retries > 0 {
+                            run.recovered.push(RecoveredRep { rep, retries });
+                        }
+                    }
+                    Err(kind) => {
+                        let class = if retries > 0 {
+                            RetryClass::Deterministic
+                        } else {
+                            RetryClass::NotRetried
+                        };
+                        run.failures.push(CellFailure { rep, kind, retries, class });
+                    }
+                }
+            }
+            run
+        })
+        .collect()
+}
+
+/// The executor every replay fan-out runs on: all (cell × rep) pairs of
+/// `cells` as one flat fan-out on the worker pool ([`fan_out_reps`]: each
+/// rep isolated and retried as in a [`SweepPlan`], each completed rep
+/// folded by `fold` on the worker that ran it). Returns every cell's
+/// folded reps, in rep order — what `cell.clone().serial().run()` would
+/// complete — and appends one `strategy site status` line
+/// ([`SweepReport::render_status`]'s) to `lost` for every cell that
+/// lost a rep, so a caller can neither miss a failure nor be unwound by
+/// one.
+pub fn run_cells<T: Send>(
+    cells: &[RunPlan],
+    fold: impl Fn(RunOutput) -> T + Sync,
+    lost: &mut Vec<String>,
+) -> Vec<Vec<T>> {
+    let runs =
+        fan_out_reps(cells.iter().map(RunPlan::rep_count), |c, rep| cells[c].run_rep(rep), fold);
+    cells
+        .iter()
+        .zip(runs)
+        .map(|(cell, run)| {
+            if !run.failures.is_empty() {
+                let (strategy, site) = cell.label();
+                let status = status_text(run.reps.len(), &run.failures, run.recovered.len());
+                lost.push(status_line(strategy, &site, &status));
+            }
+            run.reps
+        })
+        .collect()
+}
+
+/// `"ok (31 reps)"`, `"ok (31 reps, 1 recovered)"` or `"2/31 failed
+/// (panic\u{d7}1, watchdog\u{d7}1)"`.
+fn status_text(completed: usize, failures: &[CellFailure], recovered: usize) -> String {
+    if failures.is_empty() {
+        return if recovered == 0 {
+            format!("ok ({completed} reps)")
+        } else {
+            format!("ok ({completed} reps, {recovered} recovered)")
+        };
+    }
+    let mut counts: Vec<(&'static str, usize)> = Vec::new();
+    for f in failures {
+        let label = f.kind.label();
+        match counts.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, n)) => *n += 1,
+            None => counts.push((label, 1)),
+        }
+    }
+    let detail: Vec<String> = counts.iter().map(|(l, n)| format!("{l}\u{d7}{n}")).collect();
+    format!("{}/{} failed ({})", failures.len(), completed + failures.len(), detail.join(", "))
+}
+
+/// One cell's line of a status report, columns aligned across cells.
+fn status_line(strategy: &str, site: &str, status: &str) -> String {
+    format!("{strategy:<14} {site:<16} {status}")
+}
+
+/// What one completed rep adds to its cell's [`CellStats`]: the fold a
+/// caller that reports only scalars hands the executor, so no waterfall
+/// outlives the worker that replayed it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct RepStats {
+    /// (PLT, SpeedIndex) in ms when the load reached onload.
+    finished: Option<(f64, f64)>,
+    pushed_bytes: u64,
+}
+
+impl RepStats {
+    pub(crate) fn of(run: &RunOutput) -> RepStats {
+        let load = &run.outcome.load;
+        RepStats {
+            finished: load.finished().then(|| (load.plt(), load.speed_index())),
+            pushed_bytes: run.outcome.server_pushed_bytes,
+        }
+    }
+}
+
 /// Compact per-cell aggregates, computed for every cell in both retained
 /// and streaming mode. In streaming mode this is all that survives a
 /// cell: per-rep metric scalars (16 bytes per rep) instead of full
@@ -180,29 +348,21 @@ pub struct CellStats {
 }
 
 impl CellStats {
-    /// Fold the completed runs of one cell.
-    pub fn of(runs: &[RunOutput]) -> CellStats {
-        let mut s = CellStats { n: runs.len() as u32, ..CellStats::default() };
-        for run in runs {
-            let load = &run.outcome.load;
-            if load.finished() {
-                s.plt.push(load.plt());
-                s.speed_index.push(load.speed_index());
-            } else {
-                s.partial += 1;
+    /// Gather a cell's completed reps, in rep order.
+    pub(crate) fn from_reps(reps: impl IntoIterator<Item = RepStats>) -> CellStats {
+        let mut s = CellStats::default();
+        for rep in reps {
+            s.n += 1;
+            match rep.finished {
+                Some((plt, speed_index)) => {
+                    s.plt.push(plt);
+                    s.speed_index.push(speed_index);
+                }
+                None => s.partial += 1,
             }
-            s.pushed_bytes += run.outcome.server_pushed_bytes;
+            s.pushed_bytes += rep.pushed_bytes;
         }
         s
-    }
-
-    /// Append the fold of this cell's later reps.
-    pub(crate) fn absorb(&mut self, later: CellStats) {
-        self.n += later.n;
-        self.partial += later.partial;
-        self.plt.extend(later.plt);
-        self.speed_index.extend(later.speed_index);
-        self.pushed_bytes += later.pushed_bytes;
     }
 
     /// Summary statistics of the cell's PLTs — `None` when every rep
@@ -249,24 +409,7 @@ impl SweepCell {
     /// Human-readable status: `"ok (31 reps)"`, `"ok (31 reps, 1
     /// recovered)"` or `"2/31 failed (panic\u{d7}1, watchdog\u{d7}1)"`.
     pub fn status(&self) -> String {
-        if self.failures.is_empty() {
-            return if self.recovered.is_empty() {
-                format!("ok ({} reps)", self.stats.n)
-            } else {
-                format!("ok ({} reps, {} recovered)", self.stats.n, self.recovered.len())
-            };
-        }
-        let total = self.stats.n as usize + self.failures.len();
-        let mut counts: Vec<(&'static str, usize)> = Vec::new();
-        for f in &self.failures {
-            let label = f.kind.label();
-            match counts.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, n)) => *n += 1,
-                None => counts.push((label, 1)),
-            }
-        }
-        let detail: Vec<String> = counts.iter().map(|(l, n)| format!("{l}\u{d7}{n}")).collect();
-        format!("{}/{} failed ({})", self.failures.len(), total, detail.join(", "))
+        status_text(self.stats.n as usize, &self.failures, self.recovered.len())
     }
 }
 
@@ -359,24 +502,11 @@ impl SweepReport {
     pub fn render_status(&self) -> String {
         let mut out = String::new();
         for c in &self.cells {
-            out.push_str(&format!("{:<14} {:<16} {}\n", c.strategy, c.site, c.status()));
+            out.push_str(&status_line(&c.strategy, &c.site, &c.status()));
+            out.push('\n');
         }
         out
     }
-}
-
-/// One cell's raw execution outcome before it becomes a [`SweepCell`].
-#[derive(Default)]
-struct CellOutcome {
-    runs: Vec<RunOutput>,
-    failures: Vec<CellFailure>,
-    recovered: Vec<RecoveredRep>,
-}
-
-/// One rep's outcome after the retry policy ran.
-enum RepResult {
-    Done { out: Box<RunOutput>, retries: u32 },
-    Failed { kind: FailureKind, retries: u32, class: RetryClass },
 }
 
 /// A whole measurement grid, built once and executed with
@@ -409,7 +539,6 @@ pub struct SweepPlan {
     mode: Mode,
     faults: Option<FaultProfile>,
     streaming: bool,
-    chunk: Option<usize>,
     watchdog: Option<u64>,
     panic_cell: Option<usize>,
     flaky_cell: Option<usize>,
@@ -436,7 +565,6 @@ impl SweepPlan {
             mode: Mode::Testbed,
             faults: None,
             streaming: false,
-            chunk: None,
             watchdog: None,
             panic_cell: None,
             flaky_cell: None,
@@ -497,8 +625,9 @@ impl SweepPlan {
         self
     }
 
-    /// Add one site row. The page is recorded and its [`PreparedPage`]
-    /// built here, exactly once — every cell of this row shares it.
+    /// Add one site row. The page is recorded and its
+    /// [`PreparedPage`](crate::PreparedPage) built here, exactly once —
+    /// every cell of this row shares it.
     pub fn site(mut self, page: impl Into<ReplayInputs>) -> Self {
         self.sites.push(page.into().prepared());
         self
@@ -547,9 +676,10 @@ impl SweepPlan {
 
     /// Drop per-rep outputs after folding them into [`CellStats`] and
     /// the population histograms: cells keep 16 bytes per rep instead of
-    /// full waterfalls, so a 10^5-cell grid runs in bounded memory. The
-    /// grid executes in bounded chunks, and [`SweepReport::population`]
-    /// reports percentiles identical to the retained-mode computation.
+    /// full waterfalls, so a 10^5-cell grid runs in bounded memory: each
+    /// output is folded and dropped on the worker that replayed it.
+    /// [`SweepReport::population`] reports percentiles identical to the
+    /// retained-mode computation.
     pub fn streaming(mut self) -> Self {
         self.streaming = true;
         self
@@ -561,20 +691,6 @@ impl SweepPlan {
     pub fn watchdog_events(mut self, events: u64) -> Self {
         self.watchdog = Some(events);
         self
-    }
-
-    /// Cells per execution chunk in journaled/streaming runs (defaults
-    /// to `max(2 × worker threads, 4)`). Smaller chunks journal more
-    /// often (less work lost to a kill) but drain the pool more often.
-    pub fn chunk_cells(mut self, cells: usize) -> Self {
-        self.chunk = Some(cells.max(1));
-        self
-    }
-
-    /// The shared [`PreparedPage`] of site row `i` (for diagnostics, e.g.
-    /// HPACK cache hit rates after a run).
-    pub fn prepared_for(&self, i: usize) -> Option<&std::sync::Arc<PreparedPage>> {
-        self.sites.get(i).and_then(|s| s.prepared_page())
     }
 
     /// The identity a journal of this grid carries: an FNV-1a fingerprint
@@ -671,108 +787,41 @@ impl SweepPlan {
             .collect()
     }
 
-    /// One rep attempt, isolated behind `catch_unwind` (the pool joins
-    /// its workers with a panic check, so an escaped panic would abort
-    /// the whole grid).
-    fn attempt(
+    /// Execute the cells at `batch` on the executor. The test hooks
+    /// panic inside the attempt, where the executor's isolation catches
+    /// them; in streaming mode the fold drops each rep's output on its
+    /// worker and keeps the scalars.
+    fn exec_cells(
         &self,
         plans: &[(String, String, RunPlan)],
-        cell: usize,
-        rep: usize,
-    ) -> Result<RunOutput, FailureKind> {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            if self.panic_cell == Some(cell) {
-                panic!("injected sweep-cell panic (cell {cell})");
-            }
-            if self.flaky_cell == Some(cell)
-                && self.flaky_seen.lock().expect("flaky set").insert((cell, rep))
-            {
-                panic!("injected flaky panic (cell {cell} rep {rep})");
-            }
-            plans[cell].2.run_rep(rep)
-        }));
-        match caught {
-            Ok(Ok(out)) => Ok(out),
-            Ok(Err(e)) => Err(FailureKind::from(e)),
-            Err(payload) => Err(FailureKind::Panic(panic_message(payload.as_ref()))),
-        }
-    }
-
-    /// The retry policy: panics get exactly one retry to classify
-    /// deterministic-vs-environmental; simulation failures get none.
-    fn run_rep_with_retry(
-        &self,
-        plans: &[(String, String, RunPlan)],
-        cell: usize,
-        rep: usize,
-    ) -> RepResult {
-        match self.attempt(plans, cell, rep) {
-            Ok(out) => RepResult::Done { out: Box::new(out), retries: 0 },
-            Err(kind) if !kind.retryable() => {
-                RepResult::Failed { kind, retries: 0, class: RetryClass::NotRetried }
-            }
-            Err(_) => match self.attempt(plans, cell, rep) {
-                Ok(out) => RepResult::Done { out: Box::new(out), retries: 1 },
-                Err(kind) => {
-                    RepResult::Failed { kind, retries: 1, class: RetryClass::Deterministic }
+        batch: &[usize],
+    ) -> Vec<CellRun<(RepStats, Option<Box<RunOutput>>)>> {
+        fan_out_reps(
+            batch.iter().map(|_| self.reps),
+            |i, rep| {
+                let cell = batch[i];
+                if self.panic_cell == Some(cell) {
+                    panic!("injected sweep-cell panic (cell {cell})");
                 }
+                if self.flaky_cell == Some(cell)
+                    && self.flaky_seen.lock().expect("flaky set").insert((cell, rep))
+                {
+                    panic!("injected flaky panic (cell {cell} rep {rep})");
+                }
+                plans[cell].2.run_rep(rep)
             },
-        }
-    }
-
-    /// Execute the cells at `idxs` as one flat (cell × rep) fan-out and
-    /// fold the results back per cell.
-    fn exec_cells(&self, plans: &[(String, String, RunPlan)], idxs: &[usize]) -> Vec<CellOutcome> {
-        if self.reps == 0 {
-            return idxs.iter().map(|_| CellOutcome::default()).collect();
-        }
-        let reps = self.reps;
-        let results: Vec<RepResult> = parallel_indexed(idxs.len() * reps, |i| {
-            self.run_rep_with_retry(plans, idxs[i / reps], i % reps)
-        });
-        let mut results = results.into_iter();
-        idxs.iter()
-            .map(|_| {
-                let mut cell = CellOutcome::default();
-                for rep in 0..reps {
-                    match results.next().expect("one result per rep") {
-                        RepResult::Done { out, retries } => {
-                            if retries > 0 {
-                                cell.recovered.push(RecoveredRep { rep, retries });
-                            }
-                            cell.runs.push(*out);
-                        }
-                        RepResult::Failed { kind, retries, class } => {
-                            cell.failures.push(CellFailure { rep, kind, retries, class });
-                        }
-                    }
-                }
-                cell
-            })
-            .collect()
-    }
-
-    fn make_cell(&self, strategy: &str, site: &str, outcome: CellOutcome) -> SweepCell {
-        let stats = CellStats::of(&outcome.runs);
-        let runs = if self.streaming { Vec::new() } else { outcome.runs };
-        SweepCell {
-            strategy: strategy.to_string(),
-            site: site.to_string(),
-            report: RunReport { runs },
-            stats,
-            failures: outcome.failures,
-            recovered: outcome.recovered,
-        }
+            |out| (RepStats::of(&out), (!self.streaming).then(|| Box::new(out))),
+        )
     }
 
     /// The executor behind `run`/`checkpoint`/`resume`. `journal` carries
     /// the open journal plus the cells already replayed from it.
     ///
-    /// Without a journal and without streaming, the whole grid is one
-    /// flat fan-out (the pool never drains between cells). Journaled or
-    /// streaming runs execute in bounded chunks: each chunk's cells are
-    /// journaled/folded as soon as the chunk completes, which bounds both
-    /// the work a kill can lose and the outputs held in memory. Chunking
+    /// Without a journal the whole grid is one fan-out (the pool never
+    /// drains between cells; in streaming mode the fold-on-worker already
+    /// bounds the outputs held). A journaled run executes in chunks of
+    /// `max(2 × worker threads, 4)` cells, each journaled as soon as its
+    /// chunk completes, which bounds the work a kill can lose. Chunking
     /// cannot change results — every rep is a pure function of its cell
     /// and rep index.
     fn execute(
@@ -794,17 +843,29 @@ impl SweepPlan {
             }
         }
         let missing: Vec<usize> = (0..n).filter(|&i| cells[i].is_none()).collect();
-        let chunk = if self.streaming || journal.is_some() {
-            self.chunk.unwrap_or_else(|| (worker_threads() * 2).max(4))
-        } else {
-            missing.len().max(1)
+        let chunk = match journal {
+            Some(_) => (worker_threads() * 2).max(4),
+            None => missing.len().max(1),
         };
         let mut journaled = 0usize;
         'grid: for batch in missing.chunks(chunk) {
-            let outcomes = self.exec_cells(&plans, batch);
-            for (&idx, outcome) in batch.iter().zip(outcomes) {
+            for (&idx, run) in batch.iter().zip(self.exec_cells(&plans, batch)) {
                 let (strategy, site, _) = &plans[idx];
-                let cell = self.make_cell(strategy, site, outcome);
+                let cell = SweepCell {
+                    strategy: strategy.clone(),
+                    site: site.clone(),
+                    stats: CellStats::from_reps(run.reps.iter().map(|rep| rep.0)),
+                    report: RunReport {
+                        runs: run
+                            .reps
+                            .into_iter()
+                            .filter_map(|rep| rep.1)
+                            .map(|out| *out)
+                            .collect(),
+                    },
+                    failures: run.failures,
+                    recovered: run.recovered,
+                };
                 if let Some(j) = journal.as_mut() {
                     j.append(&checkpoint::encode_cell(idx as u32, &cell))?;
                     journaled += 1;
@@ -914,7 +975,7 @@ mod tests {
             .site(p)
             .reps(2)
             .seed(5);
-        let prepared = plan.prepared_for(0).expect("site is prepared").clone();
+        let prepared = plan.sites[0].prepared_page().expect("site is prepared").clone();
         let report = plan.run();
         assert_eq!(report.completed(), 4);
         let (hits, misses) = prepared.hpack_cache().stats();

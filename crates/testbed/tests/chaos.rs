@@ -7,7 +7,7 @@
 
 use h2push_strategies::{push_all, Strategy};
 use h2push_testbed::{
-    apply_profile, default_matrix, replay_shared, run_config, run_fault_matrix, FaultProfile, Mode,
+    apply_profile, default_matrix, replay, run_config, run_fault_matrix, FaultProfile, Mode,
     ReplayInputs, RunPlan,
 };
 use h2push_webmodel::{generate_site, CorpusKind};
@@ -21,8 +21,10 @@ fn default_matrix_completes_on_synthetic_sites_and_reruns_bit_identically() {
     let inputs = site(11);
     let strategies = vec![Strategy::NoPush, push_all(&inputs.page, &[])];
     let profiles = default_matrix();
-    let cells_a = run_fault_matrix(&inputs, &strategies, &profiles, 2, 500);
-    let cells_b = run_fault_matrix(&inputs, &strategies, &profiles, 2, 500);
+    let mut lost = Vec::new();
+    let cells_a = run_fault_matrix(&inputs, &strategies, &profiles, 2, 500, &mut lost);
+    let cells_b = run_fault_matrix(&inputs, &strategies, &profiles, 2, 500, &mut lost);
+    assert!(lost.is_empty(), "{lost:?}");
     assert_eq!(cells_a.len(), profiles.len() * strategies.len());
     for (a, b) in cells_a.iter().zip(&cells_b) {
         // Bit-identical rerun: every aggregate agrees exactly.
@@ -55,8 +57,8 @@ fn zero_fault_profile_reproduces_the_plain_harness_on_a_synthetic_site() {
             let plain = run_config(&strategy, Mode::Testbed, seed, &inputs.page);
             let mut faulted = run_config(&strategy, Mode::Testbed, seed, &inputs.page);
             apply_profile(&mut faulted, &control);
-            let a = replay_shared(&inputs, &plain).unwrap();
-            let b = replay_shared(&inputs, &faulted).unwrap();
+            let a = replay(&inputs, &plain).unwrap();
+            let b = replay(&inputs, &faulted).unwrap();
             assert_eq!(a.load, b.load);
             assert_eq!(a.trace.order, b.trace.order);
             assert_eq!(a.server_pushed_bytes, b.server_pushed_bytes);

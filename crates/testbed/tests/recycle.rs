@@ -23,8 +23,8 @@ use h2push_h2proto::{ConnLimits, Connection, DefaultScheduler, PrioritySpec, Set
 use h2push_server::{ReplayServer, RequestObservation};
 use h2push_strategies::{paper_strategy, PaperStrategy, Strategy};
 use h2push_testbed::{
-    attack_page, benign_request, replay_in, replay_shared, run_suite, AttackScript, FaultProfile,
-    Mode, Protocol, ReplayConfig, ReplayCtx, ReplayInputs, RunPlan, Victim,
+    attack_page, benign_request, replay, replay_in, run_suite, AttackScript, FaultProfile, Mode,
+    Protocol, ReplayConfig, ReplayCtx, ReplayInputs, RunPlan, Victim,
 };
 use h2push_webmodel::{realworld_site, Page, PageBuilder, RecordDb, ResourceId, ResourceSpec};
 use std::sync::Arc;
@@ -170,7 +170,7 @@ fn recycled_ctx_matches_cold_over_h1() {
     cfg.protocol = Protocol::H1;
     let mut warm = ReplayCtx::new();
     for rep in 0..REPS {
-        let cold = replay_shared(&inputs, &cfg).expect("cold h1");
+        let cold = replay(&inputs, &cfg).expect("cold h1");
         let recycled = replay_in(&inputs, &cfg, &mut warm).expect("recycled h1");
         assert_eq!(cold, recycled, "h1 rep {rep} diverged under recycling");
     }

@@ -2,7 +2,7 @@
 //!
 //! 1. `RunPlan` with no trace sink reproduces the PR-1/PR-2 entry points
 //!    byte-identically (asserted against the raw `run_config` +
-//!    `replay_shared` loop).
+//!    `replay` loop).
 //! 2. Attaching a trace sink never perturbs the simulation: traced and
 //!    untraced runs of the same seed agree on every output, with and
 //!    without injected faults.
@@ -12,8 +12,7 @@
 
 use h2push_strategies::{push_all, Strategy};
 use h2push_testbed::{
-    replay_shared, run_config, strategy_label, FaultProfile, Mode, ReplayInputs, ReplayOutcome,
-    RunPlan,
+    replay, run_config, strategy_label, FaultProfile, Mode, ReplayInputs, ReplayOutcome, RunPlan,
 };
 use h2push_trace::{Timeline, WaterfallMeta};
 use h2push_webmodel::{generate_site, CorpusKind};
@@ -35,12 +34,12 @@ fn untraced_runplan_reproduces_the_old_entry_points_byte_identically() {
     let strategy = std::sync::Arc::new(push_all(&inputs.page, &[]));
     let (reps, seed) = (4usize, 17u64);
 
-    // The raw PR-1 loop: run_config + replay_shared per rep.
+    // The raw PR-1 loop: run_config + replay per rep.
     let raw: Vec<ReplayOutcome> = (0..reps)
         .filter_map(|r| {
             let cfg =
                 run_config(&strategy, Mode::Testbed, seed.wrapping_add(r as u64), &inputs.page);
-            replay_shared(&inputs, &cfg).ok()
+            replay(&inputs, &cfg).ok()
         })
         .collect();
 

@@ -1,4 +1,4 @@
-//! The handle every subsystem holds, and the sinks it feeds.
+//! The handle every subsystem holds, and the timeline it feeds.
 //!
 //! Design constraints, in order:
 //!
@@ -6,7 +6,7 @@
 //!    branch. Components embed a handle unconditionally so no constructor
 //!    signatures change.
 //! 2. **Determinism.** A handle never supplies entropy or timing to the
-//!    simulation — it only *observes*. The sink sees events in emission
+//!    simulation — it only *observes*. The timeline sees events in emission
 //!    order with caller-provided timestamps.
 //! 3. **One clock, many emitters.** netsim and the browser know the
 //!    simulated `now` at every emission site and use [`TraceHandle::emit_at`].
@@ -24,43 +24,12 @@ use crate::timeline::Timeline;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-/// Receives stamped events in emission order.
-pub trait TraceSink {
-    fn record(&mut self, at: Micros, ev: TraceEvent);
-}
-
-/// A sink that appends into a shared [`Timeline`], which the caller keeps
-/// a second `Rc` to and inspects after the run.
-pub struct SharedTimeline(pub Rc<RefCell<Timeline>>);
-
-impl TraceSink for SharedTimeline {
-    fn record(&mut self, at: Micros, ev: TraceEvent) {
-        self.0.borrow_mut().push(at, ev);
-    }
-}
-
-/// Where a handle delivers events. The timeline variant is the hot path:
+/// The clock endpoints stamp with and the timeline a handle appends to:
 /// an emission is one `RefCell` borrow and a `Vec` push of a `Copy` pair —
-/// no box, no virtual dispatch, no serialization. Arbitrary sinks keep the
-/// `dyn` route for extensibility (file writers, assertion probes).
-enum Sink {
-    Timeline(Rc<RefCell<Timeline>>),
-    Dyn(RefCell<Box<dyn TraceSink>>),
-}
-
-impl Sink {
-    #[inline]
-    fn record(&self, at: Micros, ev: TraceEvent) {
-        match self {
-            Sink::Timeline(tl) => tl.borrow_mut().push(at, ev),
-            Sink::Dyn(sink) => sink.borrow_mut().record(at, ev),
-        }
-    }
-}
-
+/// no box, no virtual dispatch, no serialization.
 struct Ctl {
     now: Cell<Micros>,
-    sink: Sink,
+    timeline: Rc<RefCell<Timeline>>,
 }
 
 /// A cheap, cloneable capability to emit trace events.
@@ -82,19 +51,7 @@ impl TraceHandle {
         Self(None)
     }
 
-    /// A handle feeding `sink` through dynamic dispatch. For timeline
-    /// recording prefer [`recording`], which takes the devirtualized path.
-    pub fn with_sink(sink: Box<dyn TraceSink>) -> Self {
-        Self(Some(Rc::new(Ctl { now: Cell::new(0), sink: Sink::Dyn(RefCell::new(sink)) })))
-    }
-
-    /// A handle appending straight into `timeline` — no boxed sink in
-    /// between, so each event is a branch, a borrow and a `Vec` push.
-    pub fn with_timeline(timeline: Rc<RefCell<Timeline>>) -> Self {
-        Self(Some(Rc::new(Ctl { now: Cell::new(0), sink: Sink::Timeline(timeline) })))
-    }
-
-    /// Is a sink attached?
+    /// Is a timeline attached?
     pub fn is_on(&self) -> bool {
         self.0.is_some()
     }
@@ -109,14 +66,14 @@ impl TraceHandle {
     /// Emit stamped with the published clock (see [`TraceHandle::set_now`]).
     pub fn emit(&self, ev: TraceEvent) {
         if let Some(ctl) = &self.0 {
-            ctl.sink.record(ctl.now.get(), ev);
+            ctl.timeline.borrow_mut().push(ctl.now.get(), ev);
         }
     }
 
     /// Emit stamped with an explicit simulated time.
     pub fn emit_at(&self, micros: Micros, ev: TraceEvent) {
         if let Some(ctl) = &self.0 {
-            ctl.sink.record(micros, ev);
+            ctl.timeline.borrow_mut().push(micros, ev);
         }
     }
 }
@@ -129,8 +86,8 @@ pub fn recording() -> (TraceHandle, Rc<RefCell<Timeline>>) {
     // Pre-size for a typical traced page replay (a few thousand frame,
     // timer and paint events) so recording never reallocates mid-run.
     let timeline = Rc::new(RefCell::new(Timeline::with_capacity(4096)));
-    let handle = TraceHandle::with_timeline(Rc::clone(&timeline));
-    (handle, timeline)
+    let ctl = Ctl { now: Cell::new(0), timeline: Rc::clone(&timeline) };
+    (TraceHandle(Some(Rc::new(ctl))), timeline)
 }
 
 #[cfg(test)]

@@ -24,6 +24,6 @@ mod timeline;
 mod waterfall;
 
 pub use event::{conn_label, DropCause, FrameKind, Micros, Role, TraceEvent};
-pub use handle::{recording, SharedTimeline, TraceHandle, TraceSink};
+pub use handle::{recording, TraceHandle};
 pub use timeline::{ResourceSpan, StreamBytes, Timeline};
 pub use waterfall::{NameResolver, WaterfallMeta};

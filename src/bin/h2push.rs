@@ -28,7 +28,9 @@ use h2push::core::PushPlanner;
 use h2push::experiment::{self, Scale, EXPERIMENTS};
 use h2push::metrics::RunStats;
 use h2push::strategies::{paper_strategy, push_all, push_as_recorded, PaperStrategy, Strategy};
-use h2push::testbed::{compute_push_order, replay, run_config, Mode, Protocol, ReplayConfig};
+use h2push::testbed::{
+    compute_push_order, replay, run_config, worker_threads, Mode, Protocol, ReplayConfig,
+};
 use h2push::webmodel::{generate_site, realworld_site, synthetic_site, CorpusKind, Page};
 
 fn usage() -> ! {
@@ -340,15 +342,25 @@ fn emit(text: String, path: &Option<String>) {
 }
 
 fn cmd_experiment(args: &[String]) {
-    let Some(render) = args.first().and_then(|id| experiment::find(id)) else {
+    let Some((id, render)) = args.first().and_then(|id| Some((id, experiment::find(id)?))) else {
         if let Some(id) = args.first() {
             eprintln!("unknown experiment '{id}'");
         }
         usage()
     };
-    let scale = parse_opts(&args[1..]).scale();
-    if let Err(e) = render(scale, &mut std::io::stdout().lock()) {
+    let scale @ Scale { sites, runs, seed } = parse_opts(&args[1..]).scale();
+    let started = std::time::Instant::now();
+    let mut lost = Vec::new();
+    if let Err(e) = render(scale, &mut std::io::stdout().lock(), &mut lost) {
         eprintln!("cannot write the report: {e}");
+        std::process::exit(1);
+    }
+    let (wall, workers) = (started.elapsed().as_secs_f64(), worker_threads());
+    eprintln!("# {id}: {wall:.2} s on {workers} workers, scale {sites}\u{d7}{runs}, seed {seed}");
+    // Cells that lost a repetition: their numbers above rest on fewer
+    // runs than the header says.
+    lost.iter().for_each(|line| eprintln!("{line}"));
+    if !lost.is_empty() {
         std::process::exit(1);
     }
 }

@@ -7,6 +7,13 @@
 //! text table the paper's figure is redrawn from. Every renderer is a
 //! pure function of its [`Scale`], so `tests/experiments.rs` pins each
 //! one's output at a tiny scale against a text fixture.
+//!
+//! Every replay of every experiment runs on the testbed's one executor
+//! ([`run_cells`]): a renderer declares its cells — figure drivers through
+//! `experiments::fan_out`, the ablations here as explicit-config
+//! [`RunPlan`]s over one [`ReplayInputs`] per page — and a cell that lost
+//! a repetition comes back as a status line in the renderer's `lost`
+//! list, which `h2push experiment` prints on stderr before exiting 1.
 
 use h2push_h2proto::{
     DefaultScheduler, FairScheduler, PrioritySpec, PriorityTree, Scheduler, StreamSnapshot,
@@ -24,18 +31,20 @@ use h2push_testbed::experiments::fig5::{fig5_sizes, fig5b_interleaving, Fig5Stra
 use h2push_testbed::experiments::fig6::{fig6_realworld, winners};
 use h2push_testbed::experiments::types_study::{type_study, TypeSelection};
 use h2push_testbed::{
-    compute_push_order, replay, run_fault_matrix, CellStats, FaultProfile, Mode, Protocol,
-    ReplayConfig, ReplayInputs, ReplayOutcome, RunPlan,
+    push_orders, run_cells, run_fault_matrix, CellStats, FaultProfile, Protocol, ReplayConfig,
+    ReplayInputs, ReplayOutcome, RunOutput, RunPlan,
 };
 use h2push_webmodel::{
-    generate_set, generate_site, realworld_set, realworld_site, CorpusKind, Page, ResourceType,
+    generate_set, generate_site, realworld_set, realworld_site, CorpusKind, ResourceType,
 };
 use std::io::{self, Write};
+use std::sync::Arc;
 
 pub use h2push_testbed::experiments::Scale;
 
-/// Renders one experiment at a scale into a text sink.
-pub type Render = fn(Scale, &mut dyn Write) -> io::Result<()>;
+/// Renders one experiment at a scale into a text sink, appending one
+/// status line per cell that lost a repetition to the list.
+pub type Render = fn(Scale, &mut dyn Write, &mut Vec<String>) -> io::Result<()>;
 
 /// Every experiment: `(id, what it regenerates, renderer)`.
 pub const EXPERIMENTS: [(&str, &str, Render); 20] = [
@@ -90,20 +99,65 @@ fn cdf_summary(
 
 /// SpeedIndex summary of a measured cell.
 fn si_stats(cell: &CellStats) -> RunStats {
-    cell.speed_index_stats().expect("every rep of an experiment cell failed")
+    cell.speed_index_stats().expect("a rowed cell has a rep that reached onload")
 }
 
-fn mean_si(outcomes: &[ReplayOutcome]) -> f64 {
-    RunStats::of(&outcomes.iter().map(|o| o.load.speed_index()).collect::<Vec<_>>()).mean
+/// Mean of `values`: NaN when there are none or a replay behind one
+/// failed (the failure is reported on stderr).
+fn mean(values: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = values.len();
+    values.sum::<f64>() / n as f64
 }
 
-fn mean_plt(outcomes: &[ReplayOutcome]) -> f64 {
-    RunStats::of(&outcomes.iter().map(|o| o.load.plt()).collect::<Vec<_>>()).mean
+/// All testbed reps of `strategy` on `site`, as a cell.
+fn testbed_cell(site: &ReplayInputs, strategy: Strategy, scale: Scale) -> RunPlan {
+    RunPlan::new(site).strategy(strategy).reps(scale.runs).seed(scale.seed)
+}
+
+/// Mean (SpeedIndex, PLT) over each cell's completed reps, every rep of
+/// every cell as one fan-out.
+fn mean_si_plt(cells: &[RunPlan], lost: &mut Vec<String>) -> Vec<(f64, f64)> {
+    let load = |run: RunOutput| (run.outcome.load.speed_index(), run.outcome.load.plt());
+    run_cells(cells, load, lost)
+        .iter()
+        .map(|reps| (mean(reps.iter().map(|rep| rep.0)), mean(reps.iter().map(|rep| rep.1))))
+        .collect()
+}
+
+/// `metrics` of one replay per `(site, config)` condition, all of them as
+/// one fan-out of one-rep cells. A failed replay reads NaN.
+fn replay_each<'a, const N: usize>(
+    conditions: impl IntoIterator<Item = (&'a ReplayInputs, ReplayConfig)>,
+    metrics: impl Fn(&ReplayOutcome) -> [f64; N] + Sync,
+    lost: &mut Vec<String>,
+) -> Vec<[f64; N]> {
+    let cells: Vec<RunPlan> =
+        conditions.into_iter().map(|(site, cfg)| RunPlan::new(site).config(cfg)).collect();
+    let replays = run_cells(&cells, |run| metrics(&run.outcome), lost);
+    replays.iter().map(|rep| rep.first().copied().unwrap_or([f64::NAN; N])).collect()
+}
+
+/// SpeedIndex of `scale.runs` replays under each `(site, config)`
+/// condition, rep `r` with network seed `scale.seed + r`.
+fn speed_indexes(
+    conditions: &[(&ReplayInputs, ReplayConfig)],
+    scale: Scale,
+    lost: &mut Vec<String>,
+) -> Vec<Vec<f64>> {
+    let reps = conditions.iter().flat_map(|(site, cfg)| {
+        (0..scale.runs as u64).map(move |r| {
+            let mut cfg = cfg.clone();
+            cfg.network.seed = scale.seed + r;
+            (*site, cfg)
+        })
+    });
+    let sis = replay_each(reps, |replay| [replay.load.speed_index()], lost);
+    sis.chunks(scale.runs.max(1)).map(|reps| reps.iter().map(|si| si[0]).collect()).collect()
 }
 
 /// Fig. 1 — monthly H2 and Server Push adoption on a 1 M-domain
 /// population (§1).
-fn fig1(_: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn fig1(_: Scale, out: &mut dyn Write, _: &mut Vec<String>) -> io::Result<()> {
     let year = AdoptionModel::new(1_000_000, 2017).year();
     writeln!(
         out,
@@ -125,9 +179,9 @@ fn fig1(_: Scale, out: &mut dyn Write) -> io::Result<()> {
 
 /// Fig. 2a — per-site standard error of PLT and SpeedIndex over repeated
 /// runs: testbed vs Internet (§4.1).
-fn fig2a(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn fig2a(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(out, "Fig. 2a — std. error σx̄ over {} runs, {} sites", scale.runs, scale.sites)?;
-    let rows = fig2a_variability(scale);
+    let rows = fig2a_variability(scale, lost);
     let col = |f: fn(&VariabilityRow) -> f64| rows.iter().map(f).collect::<Vec<f64>>();
     let t = [50.0, 100.0, 250.0];
     cdf_summary(out, "PLT σx̄ testbed [ms]", &col(|r| r.tb_plt_stderr), &t)?;
@@ -139,13 +193,13 @@ fn fig2a(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 
 /// Fig. 2b — Δ(PLT/SpeedIndex) of push-as-deployed vs no push in the
 /// testbed (§4.1).
-fn fig2b(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn fig2b(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(
         out,
         "Fig. 2b — push (as recorded) vs no push, {} sites × {} runs",
         scale.sites, scale.runs
     )?;
-    let rows = fig2b_push_vs_nopush(scale);
+    let rows = fig2b_push_vs_nopush(scale, lost);
     let d_plt: Vec<f64> = rows.iter().map(|r| r.d_plt).collect();
     let d_si: Vec<f64> = rows.iter().map(|r| r.d_si).collect();
     cdf_summary(out, "ΔPLT [ms]", &d_plt, &[-100.0, 0.0, 100.0])?;
@@ -159,7 +213,7 @@ fn fig2b(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// §4.2 "Pushable Objects" — share of sites with < 20 % pushable objects.
-fn pushable(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn pushable(scale: Scale, out: &mut dyn Write, _: &mut Vec<String>) -> io::Result<()> {
     writeln!(out, "Pushable objects per site ({} sites per corpus)", scale.sites)?;
     for (kind, label, paper) in
         [(CorpusKind::Top, "top-100", 52.0), (CorpusKind::Random, "random-100", 24.0)]
@@ -176,12 +230,12 @@ fn pushable(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Fig. 3a — push all (computed order) vs no push on both corpora (§4.2.1).
-fn fig3a(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn fig3a(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     for (kind, label, paper_benefit) in
         [(CorpusKind::Top, "top-100", 58.0), (CorpusKind::Random, "random-100", 45.0)]
     {
         writeln!(out, "Fig. 3a [{label}] — push all in computed order vs no push")?;
-        let rows = fig3a_push_all(kind, scale);
+        let rows = fig3a_push_all(kind, scale, lost);
         let d_si: Vec<f64> = rows.iter().map(|r| r.d_si).collect();
         let d_plt: Vec<f64> = rows.iter().map(|r| r.d_plt).collect();
         cdf_summary(out, "ΔSpeedIndex [ms]", &d_si, &[-100.0, 0.0, 100.0])?;
@@ -196,13 +250,13 @@ fn fig3a(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Fig. 3b — push 1/5/10/15/all on the random corpus (§4.2.1).
-fn fig3b(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn fig3b(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(
         out,
         "Fig. 3b — limited push amounts, random-100, {} sites × {} runs",
         scale.sites, scale.runs
     )?;
-    let rows = fig3b_push_limit(scale);
+    let rows = fig3b_push_limit(scale, lost);
     for &limit in &LIMITS {
         let label = match limit {
             Some(n) => format!("push {n}"),
@@ -217,9 +271,9 @@ fn fig3b(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// §4.2.1 — pushing specific object types on the random corpus.
-fn types(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn types(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(out, "Type study — random-100, {} sites × {} runs", scale.sites, scale.runs)?;
-    let study = type_study(scale);
+    let study = type_study(scale, lost);
     writeln!(
         out,
         "{:>12} {:>14} {:>14} {:>18}",
@@ -245,7 +299,7 @@ fn types(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Fig. 4 — custom strategies on the synthetic sites s1–s10 (§4.3).
-fn fig4(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn fig4(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(
         out,
         "Fig. 4 — s1..s10, {} runs each (avg relative change vs no push; Δ<0 better)",
@@ -256,7 +310,7 @@ fn fig4(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         "{:22} {:>9} {:>9} | {:>9} {:>9} | {:>10} {:>10} | {:>8}",
         "site", "all ΔPLT%", "all ΔSI%", "cust ΔPLT%", "cust ΔSI%", "cust KB", "all KB", "±CI95 SI"
     )?;
-    for r in fig4_custom(scale) {
+    for r in fig4_custom(scale, lost) {
         writeln!(
             out,
             "{:22} {:>9.1} {:>9.1} | {:>10.1} {:>9.1} | {:>10.0} {:>10.0} | {:>8.1}",
@@ -274,15 +328,17 @@ fn fig4(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Fig. 5b — the Interleaving Push motivating example (§5).
-fn fig5b(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn fig5b(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(out, "Fig. 5b — SpeedIndex [ms] vs HTML size; mean ± std over {} runs", scale.runs)?;
     writeln!(out, "{:>9} {:>18} {:>18} {:>18}", "HTML", "no push", "push", "interleaving")?;
-    let points = fig5b_interleaving(scale);
+    let points = fig5b_interleaving(scale, lost);
     for size in fig5_sizes() {
         let cell = |s: Fig5Strategy| {
-            let p = points.iter().find(|p| p.html_size == size && p.strategy == s).unwrap();
-            let si = si_stats(&p.metrics);
-            format!("{:8.1} ±{:5.1}", si.mean, si.std_dev)
+            let point = points.iter().find(|p| p.html_size == size && p.strategy == s);
+            point.map_or("n/a".to_string(), |p| {
+                let si = si_stats(&p.metrics);
+                format!("{:8.1} ±{:5.1}", si.mean, si.std_dev)
+            })
         };
         writeln!(
             out,
@@ -297,7 +353,7 @@ fn fig5b(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Fig. 6 — the six §5 strategies on the Table-1 sites w1–w20.
-fn fig6(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn fig6(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(
         out,
         "Fig. 6 — avg relative ΔSpeedIndex vs no push [%], ±99.5% CI half-width, {} runs",
@@ -308,7 +364,7 @@ fn fig6(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         "{:18} {:>8} | {:>8} {:>8} {:>8} {:>8} {:>8} | {:>9} {:>7}",
         "site", "base SI", "np-opt", "push all", "pa-opt", "push crit", "pc-opt", "pushed KB", "CI"
     )?;
-    let rows = fig6_realworld(scale);
+    let rows = fig6_realworld(scale, lost);
     for r in &rows {
         let c = |s: PaperStrategy| r.cell(s).si_pct;
         let pco = r.cell(PaperStrategy::PushCriticalOptimized);
@@ -332,7 +388,7 @@ fn fig6(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 }
 
 /// Table 1 — the w1–w20 site inventory (structural view of our specs).
-fn table1(_: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn table1(_: Scale, out: &mut dyn Write, _: &mut Vec<String>) -> io::Result<()> {
     writeln!(out, "Table 1 — modelled structure of the interleaving-push site set")?;
     writeln!(
         out,
@@ -364,18 +420,39 @@ fn table1(_: Scale, out: &mut dyn Write) -> io::Result<()> {
 /// few/small objects can favour H1). This reproduces that context in the
 /// replay testbed: the same corpus loaded over the H1 six-connection
 /// baseline and over H2.
-fn h1_vs_h2(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
-    let sites = generate_set(CorpusKind::Random, scale.sites, scale.seed);
+fn h1_vs_h2(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
+    let sites: Vec<ReplayInputs> = generate_set(CorpusKind::Random, scale.sites, scale.seed)
+        .into_iter()
+        .map(ReplayInputs::from)
+        .collect();
+    const RTTS_MS: [u64; 5] = [10, 25, 50, 100, 200];
+    // An (H1, H2) pair of replays per site at the paper's DSL profile,
+    // then one pair per RTT on the first site.
+    let pairs = sites
+        .iter()
+        .map(|site| (site, None))
+        .chain(RTTS_MS.iter().map(|&rtt_ms| (&sites[0], Some(rtt_ms))));
+    let conditions = pairs.flat_map(|(site, rtt_ms)| {
+        [Protocol::H1, Protocol::H2].map(|protocol| {
+            let mut cfg = ReplayConfig::testbed(Strategy::NoPush);
+            cfg.protocol = protocol;
+            if let Some(rtt_ms) = rtt_ms {
+                cfg.network.client_down.delay = SimDuration::from_micros(rtt_ms * 500);
+                cfg.network.client_up.delay = SimDuration::from_micros(rtt_ms * 500);
+            }
+            (site, cfg)
+        })
+    });
+    let plts = replay_each(conditions, |replay| [replay.load.plt()], lost);
+    let (corpus, rtt_sweep) = plts.split_at(2 * sites.len());
 
-    // Part 1: corpus-wide H2 benefit at the paper's DSL profile.
-    let mut deltas = Vec::new();
-    for page in &sites {
-        let mut h1 = ReplayConfig::testbed(Strategy::NoPush);
-        h1.protocol = Protocol::H1;
-        let h2 = ReplayConfig::testbed(Strategy::NoPush);
-        let (Ok(a), Ok(b)) = (replay(page, &h1), replay(page, &h2)) else { continue };
-        deltas.push((b.load.plt() - a.load.plt()) / a.load.plt() * 100.0);
-    }
+    // Part 1: corpus-wide H2 benefit at the paper's DSL profile (sites
+    // with a failed replay are left out).
+    let deltas: Vec<f64> = corpus
+        .chunks(2)
+        .map(|pair| (pair[1][0] - pair[0][0]) / pair[0][0] * 100.0)
+        .filter(|delta| !delta.is_nan())
+        .collect();
     let s = RunStats::of(&deltas);
     writeln!(
         out,
@@ -388,25 +465,18 @@ fn h1_vs_h2(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
     )?;
 
     // Part 2: RTT sensitivity on one many-object page (de Saxcé/Wang).
-    let page = &sites[0];
+    let page = &sites[0].page;
     writeln!(out, "\nRTT sweep on {} ({} requests):", page.name, page.resources.len())?;
     writeln!(out, "{:>8} {:>12} {:>12} {:>9}", "RTT", "H1 PLT", "H2 PLT", "H2 gain")?;
-    for rtt_ms in [10u64, 25, 50, 100, 200] {
-        let mut plts = [0.0f64; 2];
-        for (i, proto) in [Protocol::H1, Protocol::H2].iter().enumerate() {
-            let mut cfg = ReplayConfig::testbed(Strategy::NoPush);
-            cfg.protocol = *proto;
-            cfg.network.client_down.delay = SimDuration::from_micros(rtt_ms * 500);
-            cfg.network.client_up.delay = SimDuration::from_micros(rtt_ms * 500);
-            plts[i] = replay(page, &cfg).expect("replay completes").load.plt();
-        }
+    for (rtt_ms, pair) in RTTS_MS.iter().zip(rtt_sweep.chunks(2)) {
+        let (h1, h2) = (pair[0][0], pair[1][0]);
         writeln!(
             out,
             "{:>6}ms {:>10.0}ms {:>10.0}ms {:>8.1}%",
             rtt_ms,
-            plts[0],
-            plts[1],
-            (plts[1] - plts[0]) / plts[0] * 100.0
+            h1,
+            h2,
+            (h2 - h1) / h1 * 100.0
         )?;
     }
     writeln!(out, "\nH2 wins through header compression and multiplexed request waves; H1")?;
@@ -422,43 +492,40 @@ fn h1_vs_h2(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 /// signaling, only post-hoc RST_STREAM cancellation; the cache-digest
 /// draft \[29\] is the proposed fix. This measures all three worlds on a
 /// warm revisit.
-fn ablation_cache(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn ablation_cache(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(
         out,
         "{:34} {:>10} {:>10} {:>10} {:>10}",
         "scenario", "SI [ms]", "PLT [ms]", "pushed KB", "cancelled"
     )?;
-    let pages: Vec<Page> = (0..scale.sites.min(10) as u64)
-        .map(|s| generate_site(CorpusKind::Random, 4000 + s))
+    let sites: Vec<ReplayInputs> = (0..scale.sites.min(10) as u64)
+        .map(|s| generate_site(CorpusKind::Random, 4000 + s).into())
         .collect();
-    for (label, warm, honor) in [
+    const SCENARIOS: [(&str, bool, bool); 3] = [
         ("cold + push all", false, true),
         ("warm + digest-aware push", true, true),
         ("warm + digest-oblivious push", true, false),
-    ] {
-        let runs: Vec<ReplayOutcome> = pages
-            .iter()
-            .map(|page| {
-                let mut cfg = ReplayConfig::testbed(push_all(page, &[]));
-                if warm {
-                    // Everything pushable is cached (a same-day revisit).
-                    cfg.warm_cache = page.pushable();
-                }
-                cfg.server_honors_digest = honor;
-                replay(page, &cfg).expect("replay completes")
-            })
-            .collect();
-        let per_site =
-            |f: fn(&ReplayOutcome) -> f64| runs.iter().map(f).sum::<f64>() / runs.len() as f64;
-        writeln!(
-            out,
-            "{:34} {:>10.0} {:>10.0} {:>10.0} {:>10.1}",
-            label,
-            mean_si(&runs),
-            mean_plt(&runs),
-            per_site(|run| run.server_pushed_bytes as f64 / 1024.0),
-            per_site(|run| run.load.cancelled_pushes as f64)
-        )?;
+    ];
+    let conditions = SCENARIOS.iter().flat_map(|&(_, warm, honor)| {
+        sites.iter().map(move |site| {
+            let mut cfg = ReplayConfig::testbed(push_all(&site.page, &[]));
+            if warm {
+                // Everything pushable is cached (a same-day revisit).
+                cfg.warm_cache = site.page.pushable();
+            }
+            cfg.server_honors_digest = honor;
+            (site, cfg)
+        })
+    });
+    // SI, PLT, pushed KB and cancelled pushes of every replay.
+    let metrics = |replay: &ReplayOutcome| {
+        let (load, pushed) = (&replay.load, replay.server_pushed_bytes);
+        [load.speed_index(), load.plt(), pushed as f64 / 1024.0, load.cancelled_pushes as f64]
+    };
+    let replays = replay_each(conditions, metrics, lost);
+    for ((label, _, _), per_site) in SCENARIOS.iter().zip(replays.chunks(sites.len().max(1))) {
+        let m = [0, 1, 2, 3].map(|i| mean(per_site.iter().map(|metrics| metrics[i])));
+        writeln!(out, "{:34} {:>10.0} {:>10.0} {:>10.0} {:>10.1}", label, m[0], m[1], m[2], m[3])?;
     }
     writeln!(out, "\nA digest-aware server pushes ~nothing on a warm revisit; a digest-")?;
     writeln!(out, "oblivious one ships the full push budget only for the client to cancel.")
@@ -471,11 +538,12 @@ fn ablation_cache(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 /// helps — in particular that push gains grow with the RTT (more round
 /// trips to save). This varies the access RTT and bandwidth on a fixed
 /// interleaving-friendly page.
-fn ablation_network(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
-    let page = realworld_site(1); // wikipedia: large document, late-arriving CSS
+fn ablation_network(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
+    let site = ReplayInputs::from(realworld_site(1)); // wikipedia: large document, late-arriving CSS
+    let page = &site.page;
     let interleaved = Strategy::Interleaved {
-        offset: interleave_offset(&page),
-        critical: critical_set(&page),
+        offset: interleave_offset(page),
+        critical: critical_set(page),
         after: Vec::new(),
     };
     writeln!(out, "Push benefit vs network conditions on {} ({} runs/pt)", page.name, scale.runs)?;
@@ -484,21 +552,22 @@ fn ablation_network(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         "{:>8} {:>10} | {:>12} {:>12} {:>9} {:>8}",
         "RTT", "downlink", "no-push SI", "interleave", "Δ [ms]", "Δ [%]"
     )?;
-    for (rtt_ms, down_mbit) in
-        [(10u64, 16u64), (25, 16), (50, 16), (100, 16), (200, 16), (50, 4), (50, 50)]
-    {
-        let link = |cfg: &mut ReplayConfig| {
+    const LINKS: [(u64, u64); 7] =
+        [(10, 16), (25, 16), (50, 16), (100, 16), (200, 16), (50, 4), (50, 50)];
+    let strategies = [Arc::new(Strategy::NoPush), Arc::new(interleaved)];
+    let mut conditions = Vec::new();
+    for (rtt_ms, down_mbit) in LINKS {
+        for strategy in &strategies {
+            let mut cfg = ReplayConfig::testbed(Arc::clone(strategy));
             cfg.network.client_down.delay = SimDuration::from_micros(rtt_ms * 500);
             cfg.network.client_up.delay = SimDuration::from_micros(rtt_ms * 500);
             cfg.network.client_down.rate_bps = Some(down_mbit * 1_000_000);
-        };
-        let mean_si_of = |strategy: &Strategy| {
-            let reps = 0..scale.runs as u64;
-            let sis: Vec<f64> =
-                reps.map(|r| si_under(&page, strategy, scale.seed + r, link)).collect();
-            RunStats::of(&sis).mean
-        };
-        let (a, b) = (mean_si_of(&Strategy::NoPush), mean_si_of(&interleaved));
+            conditions.push((&site, cfg));
+        }
+    }
+    let sis = speed_indexes(&conditions, scale, lost);
+    for ((rtt_ms, down_mbit), pair) in LINKS.iter().zip(sis.chunks(2)) {
+        let [a, b] = [0, 1].map(|i| mean(pair[i].iter().copied()));
         writeln!(
             out,
             "{:>6}ms {:>8}Mb | {:>10.0}ms {:>10.0}ms {:>9.0} {:>7.1}%",
@@ -515,38 +584,13 @@ fn ablation_network(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "grows — consistent with [31, 37]: network characteristics decide the win.")
 }
 
-/// SpeedIndex of one testbed replay of `strategy` under `tweak`ed
-/// conditions and network seed `net_seed`.
-fn si_under(
-    page: &Page,
-    strategy: &Strategy,
-    net_seed: u64,
-    tweak: impl Fn(&mut ReplayConfig),
-) -> f64 {
-    let mut cfg = ReplayConfig::testbed(strategy.clone());
-    tweak(&mut cfg);
-    cfg.network.seed = net_seed;
-    replay(page, &cfg).expect("replay completes").load.speed_index()
-}
-
-/// All reps of `strategy` on `inputs` in the testbed.
-fn testbed_runs(inputs: &ReplayInputs, strategy: Strategy, scale: Scale) -> Vec<ReplayOutcome> {
-    RunPlan::new(inputs)
-        .strategy(strategy)
-        .mode(Mode::Testbed)
-        .reps(scale.runs)
-        .seed(scale.seed)
-        .run()
-        .into_outcomes()
-}
-
 /// Ablation: the interleave switch offset (§5).
 ///
 /// The paper switches "after `</head>` and first bytes of `<body>`" (4 KB on
 /// w1, 12 KB on w16). This shows why: switching too early starves the
 /// preload scanner of the head; switching too late re-creates the no-push
 /// behaviour (the whole document before the CSS).
-fn ablation_offset(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn ablation_offset(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     let page = realworld_site(1); // w1: 236 KB document
     let critical = critical_set(&page);
     writeln!(
@@ -557,21 +601,22 @@ fn ablation_offset(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         scale.runs
     )?;
     writeln!(out, "{:>10} {:>14} {:>14}", "offset", "SpeedIndex", "PLT")?;
-    let inputs = ReplayInputs::from(&page);
-    let base_si = mean_si(&testbed_runs(&inputs, Strategy::NoPush, scale));
-    for offset in [1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, page.html_size()] {
-        let strategy =
-            Strategy::Interleaved { offset, critical: critical.clone(), after: Vec::new() };
-        let runs = testbed_runs(&inputs, strategy, scale);
-        writeln!(
-            out,
-            "{:>8}KB {:>10.0} ms {:>10.0} ms",
-            offset / 1024,
-            mean_si(&runs),
-            mean_plt(&runs)
-        )?;
+    let site = ReplayInputs::from(&page);
+    let offsets = [1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, page.html_size()];
+    // The no-push baseline, then one cell per offset.
+    let cells: Vec<RunPlan> = std::iter::once(Strategy::NoPush)
+        .chain(offsets.iter().map(|&offset| Strategy::Interleaved {
+            offset,
+            critical: critical.clone(),
+            after: Vec::new(),
+        }))
+        .map(|strategy| testbed_cell(&site, strategy, scale))
+        .collect();
+    let means = mean_si_plt(&cells, lost);
+    for (offset, (si, plt)) in offsets.iter().zip(&means[1..]) {
+        writeln!(out, "{:>8}KB {:>10.0} ms {:>10.0} ms", offset / 1024, si, plt)?;
     }
-    writeln!(out, "{:>10} {:>10.0} ms   (no push baseline)", "—", base_si)
+    writeln!(out, "{:>10} {:>10.0} ms   (no push baseline)", "—", means[0].0)
 }
 
 /// Ablation: the order of pushed objects (§4.2.1).
@@ -579,7 +624,7 @@ fn ablation_offset(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 /// "Suboptimal orders can have negative impacts, e.g., delay critical
 /// resources": compare the computed (request) order against its reverse
 /// and an images-first order on random-corpus sites.
-fn ablation_order(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn ablation_order(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(
         out,
         "Push-order ablation — Δ mean SpeedIndex vs no push [ms] over {} sites × {} runs",
@@ -587,23 +632,38 @@ fn ablation_order(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         scale.runs
     )?;
     writeln!(out, "{:24} {:>12} {:>12} {:>12}", "site", "computed", "reversed", "images-first")?;
-    for i in 0..scale.sites.min(12) as u64 {
-        let page = generate_site(CorpusKind::Random, 7000 + i);
-        let order = compute_push_order(&page, scale.runs.min(5), scale.seed);
-        let mut reversed = order.clone();
-        reversed.reverse();
-        let mut images_first = order.clone();
-        images_first.sort_by_key(|&id| (page.resource(id).rtype != ResourceType::Image, id));
-        let inputs = ReplayInputs::from(&page);
-        let si = |strategy: Strategy| mean_si(&testbed_runs(&inputs, strategy, scale));
-        let base = si(Strategy::NoPush);
+    let sites: Vec<ReplayInputs> = (0..scale.sites.min(12) as u64)
+        .map(|i| generate_site(CorpusKind::Random, 7000 + i).into())
+        .collect();
+    let orders = push_orders(&sites, scale.runs.min(5), scale.seed, lost);
+    // Per site: no push, then the computed, reversed and images-first orders.
+    let cells: Vec<RunPlan> = sites
+        .iter()
+        .zip(&orders)
+        .flat_map(|(site, order)| {
+            let page = &site.page;
+            let mut reversed = order.clone();
+            reversed.reverse();
+            let mut images_first = order.clone();
+            images_first.sort_by_key(|&id| (page.resource(id).rtype != ResourceType::Image, id));
+            [
+                Strategy::NoPush,
+                push_all(page, order),
+                push_all(page, &reversed),
+                push_all(page, &images_first),
+            ]
+            .map(|strategy| testbed_cell(site, strategy, scale))
+        })
+        .collect();
+    for (site, m) in sites.iter().zip(mean_si_plt(&cells, lost).chunks(4)) {
+        let base = m[0].0;
         writeln!(
             out,
             "{:24} {:>12.1} {:>12.1} {:>12.1}",
-            page.name,
-            si(push_all(&page, &order)) - base,
-            si(push_all(&page, &reversed)) - base,
-            si(push_all(&page, &images_first)) - base
+            site.page.name,
+            m[1].0 - base,
+            m[2].0 - base,
+            m[3].0 - base
         )?;
     }
     writeln!(out, "\npaper: the computed (request) order avoids delaying critical resources;")?;
@@ -615,7 +675,7 @@ fn ablation_order(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 /// "Several (interleaving) push strategies for different versions of a
 /// website and network settings, e.g., mobile, desktop, cable or cellular,
 /// could be analyzed in our testbed" — this is that analysis for one site.
-fn ablation_profiles(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn ablation_profiles(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     let page = realworld_site(2); // apple
     writeln!(
         out,
@@ -635,23 +695,28 @@ fn ablation_profiles(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         ("dsl", NetworkSpec::dsl_testbed(), 1.0),
         ("cellular", NetworkSpec::cellular(), 3.0),
     ];
-    for (name, net, cpu) in profiles {
-        let sis = [
-            PaperStrategy::NoPush,
-            PaperStrategy::NoPushOptimized,
-            PaperStrategy::PushCriticalOptimized,
-        ]
-        .map(|which| {
-            let (variant, strategy) = paper_strategy(&page, which);
-            let device = |cfg: &mut ReplayConfig| {
-                cfg.network = net.clone();
-                cfg.browser.cpu_scale = cpu;
-            };
-            let reps = 0..scale.runs as u64;
-            let runs: Vec<f64> =
-                reps.map(|r| si_under(&variant, &strategy, scale.seed + r, device)).collect();
-            RunStats::of(&runs).mean
-        });
+    // Each strategy ships with its own page variant, recorded once.
+    let variants = [
+        PaperStrategy::NoPush,
+        PaperStrategy::NoPushOptimized,
+        PaperStrategy::PushCriticalOptimized,
+    ]
+    .map(|which| {
+        let (variant, strategy) = paper_strategy(&page, which);
+        (ReplayInputs::from(variant), Arc::new(strategy))
+    });
+    let mut conditions = Vec::new();
+    for (_, net, cpu) in &profiles {
+        for (variant, strategy) in &variants {
+            let mut cfg = ReplayConfig::testbed(Arc::clone(strategy));
+            cfg.network = net.clone();
+            cfg.browser.cpu_scale = *cpu;
+            conditions.push((variant, cfg));
+        }
+    }
+    let sis = speed_indexes(&conditions, scale, lost);
+    for ((name, _, _), per_strategy) in profiles.iter().zip(sis.chunks(3)) {
+        let sis = [0, 1, 2].map(|i| mean(per_strategy[i].iter().copied()));
         writeln!(
             out,
             "{:>10} {:>10.0} {:>12.0} {:>12.0} {:>9.1}%",
@@ -672,7 +737,7 @@ fn ablation_profiles(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 /// requests references straight out of the byte stream while the parser is
 /// blocked — one reason the paper finds push-all barely helps. Turning the
 /// scanner off shows the world the push guidelines implicitly assumed.
-fn ablation_scanner(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn ablation_scanner(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(
         out,
         "Push-all benefit with and without the preload scanner ({} sites × {} runs)",
@@ -680,19 +745,34 @@ fn ablation_scanner(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         scale.runs
     )?;
     writeln!(out, "{:24} {:>16} {:>16}", "site", "scanner ΔSI", "no-scanner ΔSI")?;
+    let sites: Vec<(ReplayInputs, Arc<Strategy>)> = (0..scale.sites.min(10) as u64)
+        .map(|i| {
+            let page = generate_site(CorpusKind::Random, 6200 + i);
+            let push = Arc::new(push_all(&page, &[]));
+            (page.into(), push)
+        })
+        .collect();
+    let no_push = Arc::new(Strategy::NoPush);
+    // Per site: (push all, no push) with the scanner, then without it.
+    let mut conditions = Vec::new();
+    for (site, push) in &sites {
+        for scanner in [true, false] {
+            for strategy in [push, &no_push] {
+                let mut cfg = ReplayConfig::testbed(Arc::clone(strategy));
+                cfg.browser.preload_scanner = scanner;
+                conditions.push((site, cfg));
+            }
+        }
+    }
+    let sis = speed_indexes(&conditions, scale, lost);
     let mut with = Vec::new();
     let mut without = Vec::new();
-    for i in 0..scale.sites.min(10) as u64 {
-        let page = generate_site(CorpusKind::Random, 6200 + i);
-        let cells = [true, false].map(|scanner| {
-            let set = |cfg: &mut ReplayConfig| cfg.browser.preload_scanner = scanner;
-            let si = |strategy: &Strategy, r| si_under(&page, strategy, scale.seed + r, set);
-            let push = push_all(&page, &[]);
-            let reps = 0..scale.runs as u64;
-            let deltas: Vec<f64> = reps.map(|r| si(&push, r) - si(&Strategy::NoPush, r)).collect();
-            RunStats::of(&deltas).mean
-        });
-        writeln!(out, "{:24} {:>14.1}ms {:>14.1}ms", page.name, cells[0], cells[1])?;
+    for ((site, _), m) in sites.iter().zip(sis.chunks(4)) {
+        // Mean per-rep ΔSI of push all against no push.
+        let mean_delta =
+            |push: &[f64], base: &[f64]| mean(push.iter().zip(base).map(|(p, b)| p - b));
+        let cells = [mean_delta(&m[0], &m[1]), mean_delta(&m[2], &m[3])];
+        writeln!(out, "{:24} {:>14.1}ms {:>14.1}ms", site.page.name, cells[0], cells[1])?;
         with.push(cells[0]);
         without.push(cells[1]);
     }
@@ -700,8 +780,8 @@ fn ablation_scanner(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         out,
         "\nmean ΔSI: {:+.1} ms with scanner vs {:+.1} ms without — push mostly\n\
          re-delivers what the scanner already finds; without one, push shines.",
-        RunStats::of(&with).mean,
-        RunStats::of(&without).mean
+        mean(with.iter().copied()),
+        mean(without.iter().copied())
     )
 }
 
@@ -712,7 +792,7 @@ fn ablation_scanner(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
 /// exclusive chain effectively produces. This quantifies the gap on a
 /// scenario where they differ most: many weight-16 pushed streams
 /// coexisting with the request chain.
-fn ablation_scheduler(_: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn ablation_scheduler(_: Scale, out: &mut dyn Write, _: &mut Vec<String>) -> io::Result<()> {
     // A chain head (weight 220) vs N pushed streams (weight 16 each), all
     // root siblings (the post-document state): measure the share of the
     // first 100 chunks each scheduler gives the chain head.
@@ -755,7 +835,7 @@ fn ablation_scheduler(_: Scale, out: &mut dyn Write) -> io::Result<()> {
 /// This injects Gilbert–Elliott burst loss at increasing rates and reruns
 /// the strategy matrix on one realworld page, reporting median PLT
 /// alongside the observed loss/recovery counters.
-fn loss_sweep(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
+fn loss_sweep(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     let page = realworld_site(1); // wikipedia: large document, late CSS
     let strategies = vec![
         Strategy::NoPush,
@@ -781,7 +861,7 @@ fn loss_sweep(scale: Scale, out: &mut dyn Write) -> io::Result<()> {
         "{:>14} {:>12} | {:>10} {:>9} {:>9} {:>8} {:>8}",
         "profile", "strategy", "PLT [ms]", "loss", "rexmit", "retries", "partial"
     )?;
-    let cells = run_fault_matrix(&inputs, &strategies, &profiles, scale.runs, scale.seed);
+    let cells = run_fault_matrix(&inputs, &strategies, &profiles, scale.runs, scale.seed, lost);
     let mut current = "";
     for cell in &cells {
         if cell.profile != current {

@@ -37,4 +37,10 @@ fn a_good_invocation_prints_the_report_on_stdout() {
         .expect("spawn");
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("Table 1"));
+    // The provenance line — wall time, pool width, scale — goes to stderr,
+    // and a run in which no cell lost a repetition reports nothing else.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let (line, rest) = stderr.split_once('\n').expect("one stderr line");
+    assert!(line.starts_with("# table1: ") && line.contains(" workers, scale 12\u{d7}5, seed 42"));
+    assert_eq!(rest, "", "{stderr}");
 }

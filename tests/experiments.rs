@@ -13,8 +13,9 @@ fn every_experiment_prints_its_fixture() {
     for (id, _, render) in EXPERIMENTS {
         let path = format!("{}/tests/fixtures/experiments/{id}.txt", env!("CARGO_MANIFEST_DIR"));
         let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-        let mut printed = Vec::new();
-        render(scale, &mut printed).expect("writing to a Vec cannot fail");
+        let (mut printed, mut lost) = (Vec::new(), Vec::new());
+        render(scale, &mut printed, &mut lost).expect("writing to a Vec cannot fail");
+        assert!(lost.is_empty(), "experiment {id} lost repetitions: {lost:#?}");
         let printed = String::from_utf8(printed).expect("reports are UTF-8");
         assert_eq!(printed, expected, "experiment {id} no longer prints {path}");
     }
