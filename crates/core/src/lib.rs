@@ -28,7 +28,6 @@ pub use planner::{Candidate, Plan, PushPlanner};
 
 use h2push_strategies::Strategy;
 use h2push_testbed::{ReplayConfig, ReplayError, ReplayInputs, RunPlan};
-use h2push_webmodel::Page;
 
 /// Headline metrics of one deterministic replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,26 +44,17 @@ pub struct Evaluation {
     pub cancelled_pushes: u32,
 }
 
-/// Replay `page` once under `strategy` in the paper's testbed conditions.
+/// Replay `inputs` once under `strategy` in the paper's testbed conditions.
 ///
-/// Builds the replay inputs on every call; to evaluate several strategies
-/// on the same page, build [`ReplayInputs`] once and use
-/// [`evaluate_shared`].
-pub fn evaluate(page: &Page, strategy: Strategy) -> Result<Evaluation, ReplayError> {
-    let run = RunPlan::new(page).config(ReplayConfig::testbed(strategy)).run_one()?;
-    evaluation_of(run.outcome)
-}
-
-/// [`evaluate`] over pre-built shared inputs (no page clone, no re-record).
-pub fn evaluate_shared(
-    inputs: &ReplayInputs,
+/// `inputs` is anything that converts into [`ReplayInputs`]. A `&Page` is
+/// recorded on the call, so evaluating several strategies on one page
+/// should build [`ReplayInputs`] once and pass `&inputs` (no page clone, no
+/// re-record).
+pub fn evaluate(
+    inputs: impl Into<ReplayInputs>,
     strategy: Strategy,
 ) -> Result<Evaluation, ReplayError> {
-    let run = RunPlan::new(inputs).config(ReplayConfig::testbed(strategy)).run_one()?;
-    evaluation_of(run.outcome)
-}
-
-fn evaluation_of(out: h2push_testbed::ReplayOutcome) -> Result<Evaluation, ReplayError> {
+    let out = RunPlan::new(inputs).config(ReplayConfig::testbed(strategy)).run_one()?.outcome;
     let l = &out.load;
     Ok(Evaluation {
         plt: l.plt(),
@@ -96,11 +86,11 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_shared_matches_evaluate() {
+    fn shared_inputs_evaluate_like_a_page() {
         let page = synthetic_site(7);
         let cold = evaluate(&page, Strategy::NoPush).unwrap();
         let inputs = ReplayInputs::from(page);
-        let shared = evaluate_shared(&inputs, Strategy::NoPush).unwrap();
+        let shared = evaluate(&inputs, Strategy::NoPush).unwrap();
         assert_eq!(cold, shared);
     }
 }

@@ -7,7 +7,7 @@
 //! loop on top of the replay testbed.
 
 use h2push_strategies::{critical_set, interleave_offset, paper_strategy, PaperStrategy, Strategy};
-use h2push_testbed::{Mode, RunPlan};
+use h2push_testbed::{run_cells, Mode, RunPlan};
 use h2push_webmodel::Page;
 
 /// A candidate strategy with its measured performance.
@@ -76,26 +76,44 @@ impl Default for PushPlanner {
 }
 
 impl PushPlanner {
-    /// Evaluate all six paper strategies on `page` and choose.
+    /// Evaluate all six paper strategies on `page` and choose. The six
+    /// candidates are the cells of one executor call ([`run_cells`]), so
+    /// their validation runs share one fan-out.
+    ///
+    /// # Panics
+    /// When a validation run fails (naming every candidate that lost
+    /// one): a candidate's median must rest on all the runs it asked for.
     pub fn plan(&self, page: &Page) -> Plan {
-        let candidates: Vec<Candidate> = PaperStrategy::ALL
+        let variants = PaperStrategy::ALL.map(|which| (which, paper_strategy(page, which)));
+        let cells: Vec<RunPlan> = variants
             .iter()
-            .map(|&which| {
-                let (variant, strategy) = paper_strategy(page, which);
-                let outcomes = RunPlan::new(&variant)
+            .map(|(_, (variant, strategy))| {
+                RunPlan::new(variant)
                     .strategy(strategy.clone())
                     .mode(Mode::Testbed)
                     .reps(self.runs)
                     .seed(self.seed)
-                    .run()
-                    .into_outcomes();
-                assert!(!outcomes.is_empty(), "all validation runs failed for {}", which.label());
-                let mut sis: Vec<f64> = outcomes.iter().map(|o| o.load.speed_index()).collect();
-                let mut plts: Vec<f64> = outcomes.iter().map(|o| o.load.plt()).collect();
+            })
+            .collect();
+        let mut lost = Vec::new();
+        let runs = run_cells(
+            &cells,
+            |run| {
+                let o = run.outcome;
+                (o.load.speed_index(), o.load.plt(), o.server_pushed_bytes)
+            },
+            &mut lost,
+        );
+        assert!(lost.is_empty(), "validation runs failed:\n{}", lost.join("\n"));
+        let candidates: Vec<Candidate> = variants
+            .into_iter()
+            .zip(runs)
+            .map(|((which, (variant, strategy)), reps)| {
+                let mut sis: Vec<f64> = reps.iter().map(|r| r.0).collect();
+                let mut plts: Vec<f64> = reps.iter().map(|r| r.1).collect();
                 sis.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 plts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                let pushed = outcomes.iter().map(|o| o.server_pushed_bytes as f64).sum::<f64>()
-                    / outcomes.len() as f64;
+                let pushed = reps.iter().map(|r| r.2 as f64).sum::<f64>() / reps.len() as f64;
                 Candidate {
                     which,
                     page: variant,

@@ -68,7 +68,7 @@ struct DecodeRecord {
 ///
 /// Cloning is shallow: clones share one map, which is how a page-level
 /// [`BlockCache`] is shared across every connection and repetition touching
-/// that page. The map is split into [`SHARDS`] independently-locked
+/// that page. The map is split into `SHARDS` independently-locked
 /// shards selected by key hash, so parallel repetitions encoding
 /// different blocks never serialize on one mutex; keys are already
 /// FNV-mixed fingerprints, making the shard index and the in-shard

@@ -4,11 +4,11 @@
 //! this module re-runs the same strategy matrix while the netsim injects
 //! loss, jitter, reordering and outages ([`FaultSpec`]) and the hardened
 //! browser recovers (timeouts, retries, partial loads). Everything stays
-//! deterministic: a [`FaultProfile`] layered onto [`run_config`] yields a
-//! replay that is a pure function of `(inputs, strategy, mode, run_seed,
-//! profile)` — rerunning the same seed reproduces every byte, and the
-//! [`FaultProfile::none`] profile reproduces the fault-free harness
-//! exactly.
+//! deterministic: a [`FaultProfile`] layered onto [`crate::run_config`]
+//! yields a replay that is a pure function of `(inputs, strategy, mode,
+//! run_seed, profile)` — rerunning the same seed reproduces every byte,
+//! and the [`FaultProfile::none`] profile reproduces the fault-free
+//! harness exactly.
 
 #[cfg(test)]
 use crate::harness::{run_config, Mode};
@@ -43,7 +43,8 @@ pub struct FaultProfile {
 
 impl FaultProfile {
     /// The control profile: injects nothing and leaves every browser
-    /// default in place, so its runs are byte-identical to [`run_config`].
+    /// default in place, so its runs are byte-identical to
+    /// [`crate::run_config`].
     pub fn none() -> Self {
         FaultProfile {
             name: "none".into(),

@@ -8,7 +8,7 @@
 //! directly on `poll(2)` and non-blocking `std::net` sockets (the
 //! container has no mio; the FFI below is the whole "event library").
 //!
-//! Layering mirrors [`crate::driver`]: the runtime owns sockets, buffers
+//! Layering mirrors `driver.rs`: the runtime owns sockets, buffers
 //! and the clock; the machines own every protocol decision. Time is
 //! injected as microseconds since the runtime's start instant, so the
 //! machines cannot tell the difference between the wall clock and
@@ -23,7 +23,7 @@
 //!   over TCP connections to one address and returns its [`LoadResult`].
 //!
 //! Both halves keep their machinery in a [`ReplayCtx`], under the rule the
-//! simulator's runs follow (see [`crate::driver`]): machines and queues
+//! simulator's runs follow (see `driver.rs`): machines and queues
 //! are parked when a connection is done with them and reissued through
 //! `reset`, so the cold path is the first run through an empty context,
 //! not a second code path. [`load_page`] runs in the calling thread's

@@ -7,7 +7,7 @@
 //!
 //! This module holds the replay's *vocabulary* — configuration, inputs,
 //! outcome and error types; the event loop itself is the sans-IO netsim
-//! adapter in [`crate::driver`].
+//! adapter in `driver.rs`.
 
 use crate::prepared::PreparedPage;
 use h2push_browser::{BrowserConfig, LoadResult};

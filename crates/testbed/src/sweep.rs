@@ -3,7 +3,7 @@
 //!
 //! The paper's evaluation has one shape — cells of (page variant,
 //! strategy, conditions), 31 repetitions each — so the (cell × rep)
-//! fan-out exists once, in [`fan_out_reps`]: every pair of every cell is
+//! fan-out exists once, in `fan_out_reps`: every pair of every cell is
 //! one item of a single [`parallel_indexed`] call (the pool never drains
 //! at a cell boundary, nothing nests), each rep runs behind
 //! `catch_unwind` and the retry policy below, and each completed rep is
@@ -60,10 +60,8 @@ use crate::pool::{parallel_indexed, worker_threads};
 use crate::replay::{ReplayError, ReplayInputs};
 use h2push_metrics::{RunStats, StreamingHist};
 use h2push_strategies::Strategy;
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
 /// Why one rep of one cell failed (classification of
 /// [`CellFailure::kind`]).
@@ -252,7 +250,7 @@ pub(crate) fn fan_out_reps<T: Send>(
 }
 
 /// The executor every replay fan-out runs on: all (cell × rep) pairs of
-/// `cells` as one flat fan-out on the worker pool ([`fan_out_reps`]: each
+/// `cells` as one flat fan-out on the worker pool (`fan_out_reps`: each
 /// rep isolated and retried as in a [`SweepPlan`], each completed rep
 /// folded by `fold` on the worker that ran it). Returns every cell's
 /// folded reps, in rep order — what `cell.clone().serial().run()` would
@@ -540,9 +538,6 @@ pub struct SweepPlan {
     faults: Option<FaultProfile>,
     streaming: bool,
     watchdog: Option<u64>,
-    panic_cell: Option<usize>,
-    flaky_cell: Option<usize>,
-    flaky_seen: Arc<Mutex<HashSet<(usize, usize)>>>,
     kill_after: Option<usize>,
     halt_after: Option<usize>,
 }
@@ -566,31 +561,9 @@ impl SweepPlan {
             faults: None,
             streaming: false,
             watchdog: None,
-            panic_cell: None,
-            flaky_cell: None,
-            flaky_seen: Arc::new(Mutex::new(HashSet::new())),
             kill_after: None,
             halt_after: None,
         }
-    }
-
-    /// Test support: make every attempt of every rep of flat cell index
-    /// `cell` (strategy-major) panic deliberately, to prove the isolation
-    /// and retry-classification layers contain it. Not for measurement
-    /// runs.
-    #[doc(hidden)]
-    pub fn inject_panic_in_cell(mut self, cell: usize) -> Self {
-        self.panic_cell = Some(cell);
-        self
-    }
-
-    /// Test support: make the *first* attempt of each rep of cell `cell`
-    /// panic and every retry succeed — the environmental-failure shape
-    /// the retry policy exists to recover.
-    #[doc(hidden)]
-    pub fn inject_flaky_in_cell(mut self, cell: usize) -> Self {
-        self.flaky_cell = Some(cell);
-        self
     }
 
     /// Test support: SIGKILL the whole process immediately after the
@@ -787,10 +760,8 @@ impl SweepPlan {
             .collect()
     }
 
-    /// Execute the cells at `batch` on the executor. The test hooks
-    /// panic inside the attempt, where the executor's isolation catches
-    /// them; in streaming mode the fold drops each rep's output on its
-    /// worker and keeps the scalars.
+    /// Execute the cells at `batch` on the executor; in streaming mode the
+    /// fold drops each rep's output on its worker and keeps the scalars.
     fn exec_cells(
         &self,
         plans: &[(String, String, RunPlan)],
@@ -798,18 +769,7 @@ impl SweepPlan {
     ) -> Vec<CellRun<(RepStats, Option<Box<RunOutput>>)>> {
         fan_out_reps(
             batch.iter().map(|_| self.reps),
-            |i, rep| {
-                let cell = batch[i];
-                if self.panic_cell == Some(cell) {
-                    panic!("injected sweep-cell panic (cell {cell})");
-                }
-                if self.flaky_cell == Some(cell)
-                    && self.flaky_seen.lock().expect("flaky set").insert((cell, rep))
-                {
-                    panic!("injected flaky panic (cell {cell} rep {rep})");
-                }
-                plans[cell].2.run_rep(rep)
-            },
+            |i, rep| plans[batch[i]].2.run_rep(rep),
             |out| (RepStats::of(&out), (!self.streaming).then(|| Box::new(out))),
         )
     }
@@ -990,80 +950,67 @@ mod tests {
         assert_eq!(report.completed(), 0);
     }
 
-    #[test]
-    fn a_panicking_cell_is_isolated_and_classified_deterministic() {
-        let p0 = site_page(5);
-        let p1 = site_page(6);
-        // Silence the default panic hook for the injected panics; restore
-        // it afterwards so other tests report normally.
+    /// `fan_out_reps` over two two-rep cells with the panic hook silenced
+    /// (restored afterwards so other tests report normally).
+    fn fan_out_quietly(
+        attempt: impl Fn(usize, usize) -> Result<RunOutput, ReplayError> + Sync,
+    ) -> Vec<CellRun<RunOutput>> {
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let report = SweepPlan::new()
-            .strategy(Strategy::NoPush)
-            .sites([p0, p1])
-            .reps(2)
-            .seed(3)
-            .inject_panic_in_cell(0)
-            .run();
+        let runs = fan_out_reps([2, 2], attempt, |out| out);
         std::panic::set_hook(hook);
+        runs
+    }
 
-        assert_eq!(report.cells.len(), 2);
-        let bad = &report.cells[0];
-        let good = &report.cells[1];
+    #[test]
+    fn a_panicking_cell_is_isolated_and_classified_deterministic() {
+        let sibling = RunPlan::new(site_page(6)).reps(2).seed(3);
+        let runs = fan_out_quietly(|cell, rep| match cell {
+            0 => panic!("injected panic (rep {rep})"),
+            _ => sibling.run_rep(rep),
+        });
+        let (bad, good) = (&runs[0], &runs[1]);
         // The poisoned cell reports every rep as a classified panic that
         // was retried once and reproduced — deterministic.
-        assert_eq!(bad.report.len(), 0);
+        assert!(bad.reps.is_empty());
         assert_eq!(bad.failures.len(), 2);
         assert_eq!(bad.failures[0].rep, 0);
         assert!(matches!(&bad.failures[0].kind, FailureKind::Panic(m) if m.contains("injected")));
         assert_eq!(bad.failures[0].retries, 1);
         assert_eq!(bad.failures[0].class, RetryClass::Deterministic);
         assert!(bad.recovered.is_empty());
-        assert!(!bad.is_clean());
-        assert!(bad.status().contains("2/2 failed"));
-        assert!(bad.status().contains("panic"));
+        let status = status_text(bad.reps.len(), &bad.failures, bad.recovered.len());
+        assert!(status.contains("2/2 failed") && status.contains("panic"), "{status}");
         // …while its sibling completes untouched.
-        assert!(good.is_clean());
-        assert_eq!(good.report.len(), 2);
-        assert_eq!(report.completed(), 2);
-        assert_eq!(report.failed(), 2);
-        assert!(!report.is_complete());
-        assert_eq!(report.failed_cells().count(), 1);
-        assert!(report.render_status().contains("ok (2 reps)"));
+        assert!(good.failures.is_empty());
+        assert_eq!(status_text(good.reps.len(), &good.failures, 0), "ok (2 reps)");
     }
 
     #[test]
     fn a_flaky_cell_recovers_on_retry() {
-        let p0 = site_page(8);
-        let p1 = site_page(9);
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let flaky = SweepPlan::new()
-            .strategy(Strategy::NoPush)
-            .sites([p0.clone(), p1.clone()])
-            .reps(2)
-            .seed(3)
-            .inject_flaky_in_cell(0)
-            .run();
-        std::panic::set_hook(hook);
-
-        // Every rep completed — the first attempts' panics were
-        // environmental and the retries brought them back.
-        assert!(flaky.is_complete());
-        assert_eq!(flaky.completed(), 4);
-        assert_eq!(flaky.recovered(), 2);
-        let cell = &flaky.cells[0];
+        let plans = [site_page(8), site_page(9)].map(|p| RunPlan::new(p).reps(2).seed(3));
+        let attempted = std::sync::Mutex::new(std::collections::HashSet::new());
+        // The first attempt of each rep of cell 0 panics, every retry
+        // succeeds: the environmental-failure shape the retry recovers.
+        let runs = fan_out_quietly(|cell, rep| {
+            if cell == 0 && attempted.lock().unwrap().insert(rep) {
+                panic!("injected flaky panic (rep {rep})");
+            }
+            plans[cell].run_rep(rep)
+        });
+        assert!(runs.iter().all(|run| run.failures.is_empty() && run.reps.len() == 2));
+        let cell = &runs[0];
         assert_eq!(
             cell.recovered,
             vec![RecoveredRep { rep: 0, retries: 1 }, RecoveredRep { rep: 1, retries: 1 },]
         );
-        assert!(cell.status().contains("2 recovered"));
+        assert!(runs[1].recovered.is_empty());
+        assert!(status_text(2, &cell.failures, cell.recovered.len()).contains("2 recovered"));
         // Recovered outputs are byte-identical to an undisturbed run.
-        let clean =
-            SweepPlan::new().strategy(Strategy::NoPush).sites([p0, p1]).reps(2).seed(3).run();
-        for (a, b) in cell.report.outcomes().zip(clean.cells[0].report.outcomes()) {
-            assert_eq!(a.load, b.load);
-            assert_eq!(a.net, b.net);
+        let clean = plans[0].clone().serial().run();
+        for (a, b) in cell.reps.iter().zip(clean.outcomes()) {
+            assert_eq!(a.outcome.load, b.load);
+            assert_eq!(a.outcome.net, b.net);
         }
     }
 
@@ -1077,6 +1024,9 @@ mod tests {
             .watchdog_events(10)
             .run();
         assert_eq!(report.failed(), 2);
+        assert!(!report.is_complete());
+        assert_eq!(report.failed_cells().count(), 1);
+        assert!(report.render_status().contains("2/2 failed (watchdog\u{d7}2)"));
         let cell = &report.cells[0];
         for f in &cell.failures {
             assert!(matches!(f.kind, FailureKind::Watchdog { .. }));

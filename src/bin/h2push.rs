@@ -7,6 +7,11 @@
 //! h2push order <site> [--runs N]           the §4.2 computed push order
 //! h2push har <site> [options] [-o f.har]   export a waterfall as HAR
 //! h2push dump <site> [-o page.json]        export the site model as JSON
+//! h2push serve <site> [--addr A] [--strategy S] [--duration SECS]
+//!              [--max-conns N] [-o stats.json]
+//!                                           serve the site over real TCP
+//! h2push load <site> --addr A [--strategy S] [--duration SECS] [--expect-push]
+//!                                           load it from a running `serve`
 //! h2push experiment <id> [--quick|--paper] [--sites N] [--runs N] [--seed N]
 //!                                           regenerate a table or figure of
 //!                                           the paper (usage lists the ids)
@@ -21,7 +26,28 @@
 //! --mode     testbed | internet              (default testbed)
 //! --warm     warm cache: all pushable resources are already cached
 //! --json     machine-readable output
+//! --addr     serve: listen address (default 127.0.0.1:0, a free port);
+//!            load: the server's address
+//! --duration serve: seconds until it drains and exits (default never);
+//!            load: seconds to wait for onload (default 30)
+//! --max-conns N   serve: connections served at once before newcomers are
+//!            shed (default 1024)
+//! --expect-push   load: fail unless something arrived by push
 //! ```
+//!
+//! Live mode is the paper's serving half (§4.1) on real sockets: the same
+//! `ReplayServer` machine a simulated replay runs answers TCP, under the
+//! live supervision layer (`LiveLimits::new()`: accept gate, lifecycle
+//! deadlines, bounded output queues). `serve` prints `listening <addr>`
+//! once bound and, when it exits, its stats as JSON (to `-o`, else
+//! stdout). `load` drives the real browser engine over TCP; give it the
+//! site and strategy the server got — both sides build the same page
+//! variant instead of transferring one. `load` exits 0 when the load
+//! finished (and pushed, with `--expect-push`), 1 when it did not finish
+//! in time or nothing was pushed, 2 on a usage or I/O error, 3 when the
+//! server shed a connection (closed before a response byte: the accept
+//! gate) and 4 when the server closed one mid-load (a supervision timeout
+//! or abuse defense).
 
 use h2push::browser::to_har;
 use h2push::core::PushPlanner;
@@ -32,12 +58,22 @@ use h2push::testbed::{
     compute_push_order, replay, run_config, worker_threads, Mode, Protocol, ReplayConfig,
 };
 use h2push::webmodel::{generate_site, realworld_site, synthetic_site, CorpusKind, Page};
+#[cfg(unix)]
+use h2push::{load_page, BrowserConfig, LiveLimits, LiveServer, LiveServerStats};
+use std::sync::Arc;
+#[cfg(unix)]
+use std::{net::ToSocketAddrs, time::Duration};
 
 fn usage() -> ! {
     eprintln!(
         "usage: h2push <sites|replay|plan|order|har|dump> [<site>] [--strategy S] [--runs N] \
          [--mode testbed|internet] [--h1] [--warm] [--seed N] [--json] [-o FILE]\n\
+         usage: h2push serve <site> [--addr A] [--strategy S] [--duration SECS] \
+         [--max-conns N] [-o stats.json]\n\
+         usage: h2push load <site> --addr A [--strategy S] [--duration SECS] [--expect-push]\n\
          site: w1..w20 | s1..s10 | random:<seed> | top:<seed> | push:<seed> | file:<page.json>\n\
+         strategy: no-push | push-all | push-critical | as-recorded | no-push-opt | \
+         push-all-opt | push-critical-opt\n\
          usage: h2push experiment <id> [--quick|--paper] [--sites N] [--runs N] [--seed N]"
     );
     for (id, about, _) in EXPERIMENTS {
@@ -100,6 +136,18 @@ struct Opts {
     seed: u64,
     json: bool,
     out: Option<String>,
+    /// Live mode: `serve`'s listen address, `load`'s server.
+    addr: Option<String>,
+    /// Live mode, seconds: how long `serve` serves, how long `load` waits.
+    duration: Option<u64>,
+    max_conns: Option<usize>,
+    expect_push: bool,
+}
+
+/// Print `msg` on stderr and exit with `code`.
+fn fail(code: i32, msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code)
 }
 
 /// The value of a numeric flag; a missing or malformed one is a usage error.
@@ -125,6 +173,10 @@ fn parse_opts(args: &[String]) -> Opts {
         seed: 42,
         json: false,
         out: None,
+        addr: None,
+        duration: None,
+        max_conns: None,
+        expect_push: false,
     };
     // A flag's value is the next argument: taking it from the iterator
     // cannot index past the end, whatever the flag order.
@@ -148,6 +200,10 @@ fn parse_opts(args: &[String]) -> Opts {
             "--h1" => o.protocol = Protocol::H1,
             "--json" => o.json = true,
             "-o" => o.out = Some(args.next().unwrap_or_else(|| usage()).clone()),
+            "--addr" => o.addr = Some(args.next().unwrap_or_else(|| usage()).clone()),
+            "--duration" => o.duration = Some(number(args.next())),
+            "--max-conns" => o.max_conns = Some(number(args.next())),
+            "--expect-push" => o.expect_push = true,
             _ => usage(),
         }
     }
@@ -203,7 +259,7 @@ fn cmd_sites() {
 
 fn cmd_replay(page: &Page, o: &Opts) {
     let (variant, strategy) = resolve_strategy(page, &o.strategy);
-    let strategy = std::sync::Arc::new(strategy);
+    let strategy = Arc::new(strategy);
     let mut plts = Vec::new();
     let mut sis = Vec::new();
     let mut pushed = 0u64;
@@ -222,10 +278,7 @@ fn cmd_replay(page: &Page, o: &Opts) {
                 pushed = out.server_pushed_bytes;
                 cancelled = out.load.cancelled_pushes;
             }
-            Err(e) => {
-                eprintln!("run {r} failed: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(1, &format!("run {r} failed: {e}")),
         }
     }
     let (p, s) = (RunStats::of(&plts), RunStats::of(&sis));
@@ -315,10 +368,7 @@ fn cmd_order(page: &Page, o: &Opts) {
 fn cmd_har(page: &Page, o: &Opts) {
     let (variant, strategy) = resolve_strategy(page, &o.strategy);
     let cfg = ReplayConfig::testbed(strategy);
-    let out = replay(&variant, &cfg).unwrap_or_else(|e| {
-        eprintln!("replay failed: {e}");
-        std::process::exit(1);
-    });
+    let out = replay(&variant, &cfg).unwrap_or_else(|e| fail(1, &format!("replay failed: {e}")));
     let har = serde_json::to_string_pretty(&to_har(&variant, &out.load)).expect("HAR serializes");
     emit(har, &o.out);
 }
@@ -331,13 +381,148 @@ fn cmd_dump(page: &Page, o: &Opts) {
 fn emit(text: String, path: &Option<String>) {
     match path {
         Some(path) => {
-            std::fs::write(path, text).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            std::fs::write(path, text)
+                .unwrap_or_else(|e| fail(1, &format!("cannot write {path}: {e}")));
             eprintln!("wrote {path}");
         }
         None => println!("{text}"),
+    }
+}
+
+/// `serve`: answer TCP connections with the site under the strategy until
+/// `--duration` passes, then drain and emit the stats.
+#[cfg(unix)]
+fn cmd_serve(page: &Page, o: &Opts) {
+    let (variant, strategy) = resolve_strategy(page, &o.strategy);
+    let pushing = strategy.pushed_resources().len();
+    let page = Arc::new(variant);
+    let addr = o.addr.as_deref().unwrap_or("127.0.0.1:0");
+    let mut server = LiveServer::bind(addr, Arc::clone(&page), strategy)
+        .unwrap_or_else(|e| fail(2, &format!("bind {addr}: {e}")));
+    let mut limits = LiveLimits::new();
+    if let Some(n) = o.max_conns {
+        limits.max_conns = n;
+    }
+    server.set_limits(limits);
+    if let Some(secs) = o.duration {
+        server.set_deadline(Duration::from_secs(secs));
+    }
+    println!("listening {}", server.local_addr().expect("local addr"));
+    println!(
+        "site {} ({} resources, {} origins), strategy {} ({pushing} pushed)",
+        page.name,
+        page.resources.len(),
+        page.server_group_count(),
+        o.strategy,
+    );
+    let stats = server.run().unwrap_or_else(|e| fail(2, &format!("serve loop: {e}")));
+    emit(stats_json(&stats), &o.out);
+}
+
+/// The server stats as JSON: the counters, the per-outcome close counts,
+/// and how often each close reason and each typed connection error
+/// occurred.
+#[cfg(unix)]
+fn stats_json(stats: &LiveServerStats) -> String {
+    use serde_json::{json, Value};
+    use std::collections::BTreeMap;
+    let mut reasons: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut errors: BTreeMap<&'static str, u64> = BTreeMap::new();
+    for close in &stats.close_log {
+        *reasons.entry(close.reason.label()).or_insert(0) += 1;
+        if let Some(e) = close.error {
+            *errors.entry(e.reason()).or_insert(0) += 1;
+        }
+    }
+    let counts = |m: BTreeMap<&'static str, u64>| {
+        Value::Object(m.into_iter().map(|(k, n)| (k.to_string(), json!(n))).collect())
+    };
+    let c = &stats.closed;
+    let doc = json!({
+        "accepted": stats.accepted,
+        "shed": stats.shed,
+        "bytes_in": stats.bytes_in,
+        "bytes_out": stats.bytes_out,
+        "requests": stats.requests,
+        "pushed_bytes": stats.pushed_bytes,
+        "protocol_errors": stats.protocol_errors,
+        "max_queued_bytes": stats.max_queued_bytes,
+        "machines_built": stats.machines_built,
+        "machines_reused": stats.machines_reused,
+        "polls": stats.polls,
+        "reads": stats.reads,
+        "writes": stats.writes,
+        "closed": {
+            "clean": c.clean,
+            "protocol_error": c.protocol_error,
+            "timeout": c.timeout,
+            "shed": c.shed,
+            "write_stall": c.write_stall,
+            "io_error": c.io_error,
+            "drain_killed": c.drain_killed,
+        },
+        "close_reasons": counts(reasons),
+        "conn_errors": counts(errors),
+    });
+    serde_json::to_string_pretty(&doc).expect("stats serialize")
+}
+
+/// `load`: one page load from a running `serve` over real TCP, its
+/// outcome in the exit code (see the module docs).
+#[cfg(unix)]
+fn cmd_load(page: &Page, o: &Opts) {
+    let Some(addr) = &o.addr else { usage() };
+    let (variant, strategy) = resolve_strategy(page, &o.strategy);
+    let sockaddr = addr
+        .to_socket_addrs()
+        .ok()
+        .and_then(|mut a| a.next())
+        .unwrap_or_else(|| fail(2, &format!("cannot resolve {addr}")));
+    // A client advertises push unless the strategy is no push: the rule a
+    // simulated run applies.
+    let cfg = BrowserConfig { enable_push: strategy != Strategy::NoPush, ..Default::default() };
+    let timeout = o.duration.unwrap_or(30);
+    let report = load_page(sockaddr, Arc::new(variant), cfg, Duration::from_secs(timeout))
+        .unwrap_or_else(|e| match e.kind() {
+            std::io::ErrorKind::ConnectionRefused => {
+                fail(2, &format!("connect {addr}: refused (server gone or draining)"))
+            }
+            _ => fail(2, &format!("load {addr}: {e}")),
+        });
+    let load = &report.load;
+    println!(
+        "site {}: finished={} partial={} requests={} pushed={} ({} B, {} cancelled)",
+        load.site,
+        load.finished(),
+        load.partial,
+        load.requests,
+        load.pushed_count,
+        load.pushed_bytes,
+        load.cancelled_pushes,
+    );
+    println!(
+        "wire: {} conns, {} B in, {} B out; {} poll, {} read, {} writev",
+        report.conns, report.bytes_in, report.bytes_out, report.polls, report.reads, report.writes,
+    );
+    // One exit code and one line per supervision outcome, so a script can
+    // tell *why* a load failed, not just that it did.
+    if !load.finished() {
+        if report.shed_conns > 0 {
+            let n = report.shed_conns;
+            fail(3, &format!("server shed {n} connection(s) (closed before any response byte)"));
+        }
+        if report.closed_conns > 0 {
+            let n = report.closed_conns;
+            fail(
+                4,
+                &format!("server closed {n} connection(s) mid-load (timeout or abuse defense)"),
+            );
+        }
+        fail(1, &format!("load did not finish within {timeout}s"));
+    }
+    println!("plt {:.1} ms, speed index {:.1} ms", load.plt(), load.speed_index());
+    if o.expect_push && load.pushed_count == 0 {
+        fail(1, "expected pushed resources, got none");
     }
 }
 
@@ -352,8 +537,7 @@ fn cmd_experiment(args: &[String]) {
     let started = std::time::Instant::now();
     let mut lost = Vec::new();
     if let Err(e) = render(scale, &mut std::io::stdout().lock(), &mut lost) {
-        eprintln!("cannot write the report: {e}");
-        std::process::exit(1);
+        fail(1, &format!("cannot write the report: {e}"));
     }
     let (wall, workers) = (started.elapsed().as_secs_f64(), worker_threads());
     eprintln!("# {id}: {wall:.2} s on {workers} workers, scale {sites}\u{d7}{runs}, seed {seed}");
@@ -385,6 +569,10 @@ fn main() {
         "order" => cmd_order(&page, &opts),
         "har" => cmd_har(&page, &opts),
         "dump" => cmd_dump(&page, &opts),
+        #[cfg(unix)]
+        "serve" => cmd_serve(&page, &opts),
+        #[cfg(unix)]
+        "load" => cmd_load(&page, &opts),
         _ => usage(),
     }
 }
