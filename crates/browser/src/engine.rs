@@ -396,10 +396,6 @@ pub struct Browser {
     /// An input of `after_state_change` — the parse position, a resource
     /// state, `parser_done` or `dcl` — changed since it last ran.
     progress_dirty: bool,
-    /// Reference mode for the flush-equivalence test: flush every
-    /// connection, as if all were dirty.
-    #[cfg(test)]
-    pub(crate) flush_all: bool,
     trace: TraceHandle,
     /// Retired HTTP/2 connection machines (from [`Browser::reset`] or a
     /// failed connection), recycled by `ensure_conn` instead of building a
@@ -478,8 +474,6 @@ impl Browser {
             actions: Vec::new(),
             dirty: Vec::new(),
             progress_dirty: true,
-            #[cfg(test)]
-            flush_all: false,
             trace: TraceHandle::off(),
             spare_conns: Vec::new(),
             h2_opened: 0,
@@ -1031,11 +1025,6 @@ impl Browser {
     /// ascending group order — the order a walk over all of `conns` would
     /// emit their actions in.
     fn flush_conns(&mut self) {
-        #[cfg(test)]
-        if self.flush_all {
-            self.dirty.clear();
-            self.dirty.extend((0..self.conns.len()).filter(|&g| self.conns[g].is_some()));
-        }
         let mut sched = FifoScheduler;
         let mut dirty = std::mem::take(&mut self.dirty);
         dirty.sort_unstable();

@@ -12,17 +12,15 @@
 //! position) give O(1) array lookups and a single allocation that a
 //! recycled connection keeps across resets. The send path never walks
 //! the slab: the connection keeps the ids of streams with unsent body in
-//! its ready set and only looks those up. Ascending-id iteration (a
-//! two-pointer merge of the parity lanes) survives for tests, as the
-//! full-scan reference that ready set is checked against.
+//! its ready set and only looks those up. The one walk left is
+//! `values_mut`, in no particular order, for a SETTINGS window delta.
 //!
 //! A hostile peer is not bound by "next id": PUSH_PROMISE and request
 //! HEADERS carry peer-chosen ids up to 2^31-1, and the badpeer suite
 //! exercises exactly that. Ids whose sequence position exceeds
 //! [`MAX_DENSE_SLOTS`] therefore fall back to a sorted spill map, so an
 //! adversarial id costs one BTreeMap node instead of a gigabyte-sized
-//! vector. Spill ids are by construction larger than every dense id, so
-//! the merge stays a strict ascending walk.
+//! vector.
 
 use std::collections::BTreeMap;
 
@@ -129,12 +127,6 @@ impl<T> StreamSlab<T> {
         }
     }
 
-    /// All stored values, iteration order unspecified.
-    #[cfg(test)]
-    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
-        self.odd.iter().flatten().chain(self.even.iter().flatten()).chain(self.spill.values())
-    }
-
     /// All stored values mutably, iteration order unspecified.
     pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.odd
@@ -142,12 +134,6 @@ impl<T> StreamSlab<T> {
             .flatten()
             .chain(self.even.iter_mut().flatten())
             .chain(self.spill.values_mut())
-    }
-
-    /// `(id, value)` pairs in strictly ascending id order.
-    #[cfg(test)]
-    pub(crate) fn iter(&self) -> AscendingIter<'_, T> {
-        AscendingIter { slab: self, oi: 0, ei: 0, spill: self.spill.iter() }
     }
 
     /// Drop every entry but keep the dense lanes' capacity, so a
@@ -160,51 +146,6 @@ impl<T> StreamSlab<T> {
             *s = None;
         }
         self.spill.clear();
-    }
-}
-
-/// Ascending-id merge over the odd lane, the even lane and the spill.
-#[cfg(test)]
-pub(crate) struct AscendingIter<'a, T> {
-    slab: &'a StreamSlab<T>,
-    /// Next odd-lane slot to inspect.
-    oi: usize,
-    /// Next even-lane slot to inspect.
-    ei: usize,
-    spill: std::collections::btree_map::Iter<'a, u32, T>,
-}
-
-#[cfg(test)]
-impl<'a, T> Iterator for AscendingIter<'a, T> {
-    type Item = (u32, &'a T);
-
-    fn next(&mut self) -> Option<(u32, &'a T)> {
-        // Cursors only ever advance, so skipped empty slots are paid for
-        // once per full iteration, not once per call.
-        while self.oi < self.slab.odd.len() && self.slab.odd[self.oi].is_none() {
-            self.oi += 1;
-        }
-        while self.ei < self.slab.even.len() && self.slab.even[self.ei].is_none() {
-            self.ei += 1;
-        }
-        let odd_id = (self.oi < self.slab.odd.len()).then(|| 2 * self.oi as u32 + 1);
-        let even_id = (self.ei < self.slab.even.len()).then(|| 2 * self.ei as u32 + 2);
-        match (odd_id, even_id) {
-            (Some(o), Some(e)) if o < e => {
-                self.oi += 1;
-                Some((o, self.slab.odd[self.oi - 1].as_ref().unwrap()))
-            }
-            (_, Some(e)) => {
-                self.ei += 1;
-                Some((e, self.slab.even[self.ei - 1].as_ref().unwrap()))
-            }
-            (Some(o), None) => {
-                self.oi += 1;
-                Some((o, self.slab.odd[self.oi - 1].as_ref().unwrap()))
-            }
-            // Spill ids always exceed dense ids, so the spill drains last.
-            (None, None) => self.spill.next().map(|(&id, v)| (id, v)),
-        }
     }
 }
 
@@ -230,20 +171,21 @@ mod tests {
     }
 
     #[test]
-    fn iteration_is_ascending_across_lanes_and_spill() {
+    fn values_mut_reaches_both_lanes_and_the_spill() {
         let mut slab: StreamSlab<u32> = StreamSlab::default();
         // Deliberately interleaved insertion order, including two
         // adversarially large ids that land in the spill.
-        for id in [7u32, 2, 1, 10, 0x7fff_fffe, 3, 0x7000_0001, 8] {
+        let ids = [7u32, 2, 1, 10, 0x7fff_fffe, 3, 0x7000_0001, 8];
+        for id in ids {
             slab.insert(id, id);
         }
-        let ids: Vec<u32> = slab.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![1, 2, 3, 7, 8, 10, 0x7000_0001, 0x7fff_fffe]);
-        assert_eq!(slab.values().count(), 8);
+        assert_eq!(slab.values_mut().count(), ids.len());
         for v in slab.values_mut() {
             *v += 1;
         }
-        assert_eq!(slab.get(0x7fff_fffe), Some(&0x7fff_ffff));
+        for id in ids {
+            assert_eq!(slab.get(id), Some(&(id + 1)));
+        }
     }
 
     #[test]
@@ -269,8 +211,7 @@ mod tests {
         let before = cap(&slab);
         assert!(before >= 40);
         slab.reset();
-        assert_eq!(slab.values().count(), 0);
-        assert_eq!(slab.iter().count(), 0);
+        assert_eq!(slab.values_mut().count(), 0);
         for id in 1..=40u32 {
             assert_eq!(slab.get(id), None, "stale entry for id {id} after reset");
         }
@@ -279,6 +220,6 @@ mod tests {
         // Refilled after reset, ids resolve to the new values only.
         slab.insert(3, 1234);
         assert_eq!(slab.get(3), Some(&1234));
-        assert_eq!(slab.iter().map(|(id, _)| id).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(slab.values_mut().count(), 1);
     }
 }

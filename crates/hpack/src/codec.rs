@@ -258,7 +258,7 @@ pub enum HuffmanPolicy {
 /// // The second occurrence compresses to two indexed bytes.
 /// assert!(enc.encode_block(&headers).len() <= 2);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Encoder {
     table: IndexTable,
     policy: HuffmanPolicy,
@@ -426,7 +426,7 @@ impl Default for Encoder {
 }
 
 /// Stateful header block decoder.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Decoder {
     table: IndexTable,
     /// Guard against header bombs: maximum decoded size of one block

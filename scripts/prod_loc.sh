@@ -25,14 +25,15 @@ FNR == 1 { skipping = 0; depth = 0; in_block = 0 }
     if (line == "" || line ~ /^\/\//) next
     if (!skipping && line ~ /^#\[cfg\(test\)\]/) { skipping = 1; depth = 0; opened = 0; next }
     if (skipping) {
-        # The item the attribute guards: up to its `;`, or to the brace
+        # The item the attribute guards: up to its `;` (or the `,` that ends
+        # a field or a struct-literal entry), or to the brace
         # that closes the first one it opens.
         if (!opened && line ~ /^#\[/) next
         code = line; sub(/\/\/.*$/, "", code)
         opens = gsub(/\{/, "{", code); closes = gsub(/\}/, "}", code)
         if (opens > 0) opened = 1
         depth += opens - closes
-        if ((opened && depth <= 0) || (!opened && code ~ /;[ \t]*$/)) skipping = 0
+        if ((opened && depth <= 0) || (!opened && code ~ /[;,][ \t]*$/)) skipping = 0
         next
     }
     count++
