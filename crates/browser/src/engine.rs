@@ -1531,19 +1531,15 @@ impl Browser {
         let page = Arc::clone(&self.page);
         let r = page.resource(rid);
         // Children discovered by this resource.
-        let children: Vec<ResourceId> = self
-            .page
-            .resources
-            .iter()
-            .filter(|c| match c.discovery {
+        for c in &page.resources {
+            let found = match c.discovery {
                 Discovery::Css { parent } => parent == rid && r.rtype == ResourceType::Css,
                 Discovery::Script { parent } => parent == rid,
                 _ => false,
-            })
-            .map(|c| c.id)
-            .collect();
-        for c in children {
-            self.discover(c, now);
+            };
+            if found {
+                self.discover(c.id, now);
+            }
         }
         // Unblock the parser.
         match self.blocked {

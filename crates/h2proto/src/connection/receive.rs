@@ -894,4 +894,24 @@ mod edge_tests {
         }
         assert!(got_error);
     }
+
+    #[test]
+    fn priority_on_stream_zero_leaves_the_tree_a_tree() {
+        // The root must not become its own child: the schedulers' walk
+        // would recurse until the stack overflowed.
+        let mut s = Connection::server(Settings::default());
+        let mut c = Connection::client(Settings::default());
+        let id = c.request(&request_headers(), None);
+        exchange(&mut c, &mut s);
+        while s.poll_event().is_some() {}
+        let mut buf = Vec::new();
+        let spec = PrioritySpec { depends_on: id, weight: 8, exclusive: true };
+        Frame::Priority { stream: 0, spec }.encode(&mut buf);
+        s.receive(&buf);
+        assert_eq!(s.tree().children(0).collect::<Vec<_>>(), [id]);
+        s.respond(id, &[h(":status", "200")], false);
+        s.queue_body(id, 100, true);
+        let out = s.produce(usize::MAX, &mut crate::scheduler::DefaultScheduler);
+        assert!(out.len() > 100 && !s.is_dead());
+    }
 }

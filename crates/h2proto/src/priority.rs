@@ -14,11 +14,29 @@ use h2push_hpack::FxHashMap;
 /// The root pseudo-stream id.
 pub const ROOT: u32 = 0;
 
-#[derive(Debug, Clone)]
-struct Node {
+/// The root's slot: it is always the slab's first node.
+pub(crate) const ROOT_SLOT: u32 = 0;
+
+/// No slot: the end of a sibling list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One stream in the slab. Every link is a slot index.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node {
+    pub(crate) id: u32,
+    pub(crate) weight: u16,
     parent: u32,
-    weight: u16,
-    children: Vec<u32>,
+    first: u32,
+    last: u32,
+    prev: u32,
+    /// Next sibling; in a free slot, the next free slot.
+    next: u32,
+}
+
+impl Node {
+    fn new(id: u32, weight: u16) -> Self {
+        Node { id, weight, parent: NIL, first: NIL, last: NIL, prev: NIL, next: NIL }
+    }
 }
 
 /// A priority dependency tree over stream ids.
@@ -33,78 +51,51 @@ struct Node {
 /// tree.remove(1); // document finished: the push is promoted
 /// assert_eq!(tree.parent(2), Some(0));
 /// ```
+///
+/// The nodes live in one slab, each child list threaded through sibling
+/// links, and removed nodes' slots are reused; a tree that has been
+/// [`reset`](PriorityTree::reset) rebuilds a run's streams without
+/// touching the allocator.
 #[derive(Debug, Clone)]
 pub struct PriorityTree {
-    nodes: FxHashMap<u32, Node>,
-    /// Child-list buffers salvaged from removed nodes; [`insert`] reuses
-    /// them so a recycled tree builds each run's streams without touching
-    /// the allocator.
-    ///
-    /// [`insert`]: PriorityTree::insert
-    spare: Vec<Vec<u32>>,
+    /// Slot 0 is the root.
+    nodes: Vec<Node>,
+    /// Stream id → slot, the root excluded.
+    slots: FxHashMap<u32, u32>,
+    /// Head of the free-slot list.
+    free: u32,
 }
-
-/// Child-list buffers kept for reuse — enough for every concurrent stream
-/// of a page load.
-const SPARE_CHILD_VECS: usize = 32;
 
 impl PriorityTree {
     /// Tree containing only the root.
     pub fn new() -> Self {
-        let mut nodes = FxHashMap::default();
-        nodes.insert(ROOT, Node { parent: ROOT, weight: 256, children: Vec::new() });
-        PriorityTree { nodes, spare: Vec::new() }
+        PriorityTree { nodes: vec![Node::new(ROOT, 256)], slots: FxHashMap::default(), free: NIL }
     }
 
     /// Restore the state of [`PriorityTree::new`] — only the root — while
-    /// keeping the node map's capacity, the root's child-list buffer, and
-    /// the removed nodes' child-list buffers (parked for reuse).
+    /// keeping the slab's and the id map's capacity.
     pub fn reset(&mut self) {
-        let spare = &mut self.spare;
-        self.nodes.retain(|&id, n| {
-            if id == ROOT {
-                return true;
-            }
-            if spare.len() < SPARE_CHILD_VECS && n.children.capacity() > 0 {
-                let mut v = std::mem::take(&mut n.children);
-                v.clear();
-                spare.push(v);
-            }
-            false
-        });
-        match self.nodes.get_mut(&ROOT) {
-            Some(root) => {
-                root.parent = ROOT;
-                root.weight = 256;
-                root.children.clear();
-            }
-            None => {
-                self.nodes.insert(ROOT, Node { parent: ROOT, weight: 256, children: Vec::new() });
-            }
-        }
+        self.nodes.truncate(1);
+        self.nodes[0] = Node::new(ROOT, 256);
+        self.slots.clear();
+        self.free = NIL;
     }
 
-    /// A child-list buffer: parked capacity when available, fresh otherwise.
-    fn take_spare(&mut self) -> Vec<u32> {
-        self.spare.pop().unwrap_or_default()
-    }
-
-    /// Park a child-list buffer for the next [`insert`](PriorityTree::insert).
-    fn give_spare(&mut self, mut v: Vec<u32>) {
-        if v.capacity() > 0 && self.spare.len() < SPARE_CHILD_VECS {
-            v.clear();
-            self.spare.push(v);
+    fn slot(&self, id: u32) -> Option<u32> {
+        if id == ROOT {
+            return Some(ROOT_SLOT);
         }
+        self.slots.get(&id).copied()
     }
 
     /// Whether `id` is in the tree.
     pub fn contains(&self, id: u32) -> bool {
-        self.nodes.contains_key(&id)
+        self.slot(id).is_some()
     }
 
     /// Number of streams (excluding the root).
     pub fn len(&self) -> usize {
-        self.nodes.len() - 1
+        self.slots.len()
     }
 
     /// True if only the root exists.
@@ -117,17 +108,24 @@ impl PriorityTree {
         if id == ROOT {
             return None;
         }
-        self.nodes.get(&id).map(|n| n.parent)
+        self.slot(id).map(|s| self.nodes[self.nodes[s as usize].parent as usize].id)
     }
 
     /// Weight of `id`.
     pub fn weight(&self, id: u32) -> Option<u16> {
-        self.nodes.get(&id).map(|n| n.weight)
+        self.slot(id).map(|s| self.nodes[s as usize].weight)
     }
 
-    /// Children of `id` in insertion order.
-    pub fn children(&self, id: u32) -> &[u32] {
-        self.nodes.get(&id).map(|n| n.children.as_slice()).unwrap_or(&[])
+    /// Children of `id` in sibling order (none for an unknown id).
+    pub fn children(&self, id: u32) -> impl Iterator<Item = u32> + '_ {
+        let first = self.slot(id).map_or(NIL, |s| self.nodes[s as usize].first);
+        Siblings { nodes: &self.nodes, cur: first }.map(|(_, n)| n.id)
+    }
+
+    /// The children of the node in `slot`, in sibling order, each with its
+    /// own slot: the schedulers' walk, one slab read per child.
+    pub(crate) fn child_nodes(&self, slot: u32) -> impl Iterator<Item = (u32, &Node)> + '_ {
+        Siblings { nodes: &self.nodes, cur: self.nodes[slot as usize].first }
     }
 
     /// Insert stream `id` with the given priority (§5.3.1).
@@ -135,75 +133,53 @@ impl PriorityTree {
     /// A dependency on an unknown stream falls back to the root with default
     /// weight, as §5.3.1 prescribes for streams absent from the tree.
     pub fn insert(&mut self, id: u32, spec: PrioritySpec) {
-        if self.nodes.contains_key(&id) {
+        if self.contains(id) {
             self.reprioritize(id, spec);
             return;
         }
-        let spec = self.sanitize(id, spec);
+        let (parent, weight) = self.sanitize(id, spec);
+        let s = match self.free {
+            NIL => {
+                self.nodes.push(Node::new(id, weight));
+                (self.nodes.len() - 1) as u32
+            }
+            s => {
+                self.free = self.nodes[s as usize].next;
+                self.nodes[s as usize] = Node::new(id, weight);
+                s
+            }
+        };
+        self.slots.insert(id, s);
         if spec.exclusive {
             // All children of the new parent become children of `id`.
-            // (`sanitize` guarantees the parent exists; stay panic-free
-            // regardless — adversarial inputs reach this path.)
-            let repl = self.take_spare();
-            let moved = self
-                .nodes
-                .get_mut(&spec.depends_on)
-                .map(|p| std::mem::replace(&mut p.children, repl))
-                .unwrap_or_default();
-            for c in &moved {
-                if let Some(n) = self.nodes.get_mut(c) {
-                    n.parent = id;
-                }
-            }
-            self.nodes
-                .insert(id, Node { parent: spec.depends_on, weight: spec.weight, children: moved });
-        } else {
-            let children = self.take_spare();
-            self.nodes.insert(id, Node { parent: spec.depends_on, weight: spec.weight, children });
+            self.adopt_children(parent, s);
         }
-        if let Some(p) = self.nodes.get_mut(&spec.depends_on) {
-            p.children.push(id);
-        }
+        self.append(s, parent);
     }
 
-    /// Change the priority of an existing stream (§5.3.3).
+    /// Change the priority of an existing stream (§5.3.3). The root has
+    /// no priority to change: a PRIORITY frame naming stream 0 leaves the
+    /// tree as it is.
     pub fn reprioritize(&mut self, id: u32, spec: PrioritySpec) {
-        if !self.nodes.contains_key(&id) {
-            self.insert(id, spec);
+        let Some(s) = self.slot(id) else { return self.insert(id, spec) };
+        if s == ROOT_SLOT {
             return;
         }
-        let mut spec = self.sanitize(id, spec);
+        let (parent, weight) = self.sanitize(id, spec);
         // §5.3.3: if the new parent is a descendant of `id`, first move that
         // descendant to `id`'s current parent (non-exclusively), keeping its
         // weight.
-        if self.is_descendant(spec.depends_on, id) {
-            let old_parent = self.nodes.get(&id).map(|n| n.parent).unwrap_or(ROOT);
-            self.detach(spec.depends_on);
-            self.attach(spec.depends_on, old_parent);
-            spec = self.sanitize(id, spec); // parent may have been clamped
+        if self.is_below(parent, s) {
+            let old_parent = self.nodes[s as usize].parent;
+            self.unlink(parent);
+            self.append(parent, old_parent);
         }
-        self.detach(id);
-        if let Some(n) = self.nodes.get_mut(&id) {
-            n.weight = spec.weight;
-        }
+        self.unlink(s);
+        self.nodes[s as usize].weight = weight;
         if spec.exclusive {
-            let repl = self.take_spare();
-            let moved = self
-                .nodes
-                .get_mut(&spec.depends_on)
-                .map(|p| std::mem::replace(&mut p.children, repl))
-                .unwrap_or_default();
-            for c in &moved {
-                if let Some(n) = self.nodes.get_mut(c) {
-                    n.parent = id;
-                }
-            }
-            if let Some(n) = self.nodes.get_mut(&id) {
-                n.children.extend(moved.iter().copied());
-            }
-            self.give_spare(moved);
+            self.adopt_children(parent, s);
         }
-        self.attach(id, spec.depends_on);
+        self.append(s, parent);
     }
 
     /// Remove a closed stream (§5.3.4): its children move to its parent,
@@ -211,36 +187,26 @@ impl PriorityTree {
     /// proportional redistribution of the RFC is advisory and h2o keeps it
     /// simple the same way).
     pub fn remove(&mut self, id: u32) {
-        if id == ROOT || !self.nodes.contains_key(&id) {
+        if id == ROOT {
             return;
         }
-        let Some(node) = self.nodes.remove(&id) else { return };
-        let parent = node.parent;
-        // Replace `id` in the parent's child list with `id`'s children,
-        // preserving position (keeps sibling order deterministic). If the
-        // parent is somehow gone the orphans reattach to the root.
-        let parent = if self.nodes.contains_key(&parent) { parent } else { ROOT };
-        if let Some(p) = self.nodes.get_mut(&parent) {
-            let pc = &mut p.children;
-            match pc.iter().position(|&c| c == id) {
-                Some(pos) => {
-                    pc.splice(pos..=pos, node.children.iter().copied());
-                }
-                None => pc.extend(node.children.iter().copied()),
-            }
+        let Some(s) = self.slots.remove(&id) else { return };
+        // `id`'s children take its place in the parent's child list,
+        // keeping their order (sibling order stays deterministic).
+        let Node { parent, first, last, .. } = self.nodes[s as usize];
+        let mut c = first;
+        while c != NIL {
+            self.nodes[c as usize].parent = parent;
+            c = self.nodes[c as usize].next;
         }
-        for c in &node.children {
-            if let Some(n) = self.nodes.get_mut(c) {
-                n.parent = parent;
-            }
-        }
-        self.give_spare(node.children);
+        self.splice(s, first, last);
+        self.nodes[s as usize].next = self.free;
+        self.free = s;
     }
 
     /// Depth-first order of all streams, parents before children, siblings
-    /// by descending weight then insertion order. This is the traversal the
-    /// testbed uses to linearize a page's dependency tree into a push order
-    /// (§4.2).
+    /// by descending weight then sibling order: the walk the tests use to
+    /// check the tree is one tree (every stream once, no cycle).
     pub fn traversal(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.len());
         let mut stack = vec![ROOT];
@@ -248,66 +214,131 @@ impl PriorityTree {
             if n != ROOT {
                 out.push(n);
             }
-            // Sort children by weight descending (stable on insertion order),
+            // Sort children by weight descending (stable on sibling order),
             // pushed reversed so the heaviest pops first.
-            let mut kids: Vec<u32> = self.children(n).to_vec();
+            let mut kids: Vec<u32> = self.children(n).collect();
             kids.sort_by_key(|&c| std::cmp::Reverse(self.weight(c).unwrap_or(16)));
-            for &k in kids.iter().rev() {
-                stack.push(k);
-            }
+            stack.extend(kids.iter().rev());
         }
         out
     }
 
     /// Is `a` a descendant of `b`?
     pub fn is_descendant(&self, a: u32, b: u32) -> bool {
-        let mut cur = a;
-        while cur != ROOT {
-            match self.nodes.get(&cur) {
-                Some(n) => {
-                    if n.parent == b {
-                        return true;
-                    }
-                    cur = n.parent;
-                }
-                None => return false,
+        match (self.slot(a), self.slot(b)) {
+            (Some(a), Some(b)) => self.is_below(a, b),
+            _ => false,
+        }
+    }
+
+    /// Is the node in slot `a` a descendant of the one in slot `b`?
+    fn is_below(&self, mut a: u32, b: u32) -> bool {
+        while a != ROOT_SLOT {
+            a = self.nodes[a as usize].parent;
+            if a == b {
+                return true;
             }
         }
         false
     }
 
-    /// Unlink `id` from its parent's child list (the node itself stays).
-    fn detach(&mut self, id: u32) {
-        let Some(parent) = self.nodes.get(&id).map(|n| n.parent) else { return };
-        if let Some(p) = self.nodes.get_mut(&parent) {
-            p.children.retain(|&c| c != id);
-        }
+    /// Unlink slot `s` from its parent's child list (the node stays).
+    fn unlink(&mut self, s: u32) {
+        self.splice(s, NIL, NIL);
     }
 
-    /// Link `id` under `parent` (appended to the child list).
-    fn attach(&mut self, id: u32, parent: u32) {
-        let parent = if self.nodes.contains_key(&parent) { parent } else { ROOT };
-        if let Some(n) = self.nodes.get_mut(&id) {
-            n.parent = parent;
+    /// Put the sibling run `first..=last` (chained, parents already set)
+    /// where slot `s` is in its parent's child list, unlinking `s`; an
+    /// empty run (`first == NIL`) just unlinks it.
+    fn splice(&mut self, s: u32, first: u32, last: u32) {
+        let Node { parent, prev, next, .. } = self.nodes[s as usize];
+        let (head, tail) = if first == NIL {
+            (next, prev)
+        } else {
+            self.nodes[first as usize].prev = prev;
+            self.nodes[last as usize].next = next;
+            (first, last)
+        };
+        match prev {
+            NIL => self.nodes[parent as usize].first = head,
+            p => self.nodes[p as usize].next = head,
         }
-        if let Some(p) = self.nodes.get_mut(&parent) {
-            p.children.push(id);
+        match next {
+            NIL => self.nodes[parent as usize].last = tail,
+            n => self.nodes[n as usize].prev = tail,
         }
+        let n = &mut self.nodes[s as usize];
+        (n.prev, n.next) = (NIL, NIL);
     }
 
-    fn sanitize(&self, id: u32, mut spec: PrioritySpec) -> PrioritySpec {
+    /// Link slot `s` under slot `parent`, last in its child list.
+    fn append(&mut self, s: u32, parent: u32) {
+        let last = self.nodes[parent as usize].last;
+        let n = &mut self.nodes[s as usize];
+        (n.parent, n.prev, n.next) = (parent, last, NIL);
+        match last {
+            NIL => self.nodes[parent as usize].first = s,
+            l => self.nodes[l as usize].next = s,
+        }
+        self.nodes[parent as usize].last = s;
+    }
+
+    /// Move the whole child list of slot `from`, in order, to the end of
+    /// slot `to`'s.
+    fn adopt_children(&mut self, from: u32, to: u32) {
+        let Node { first, last, .. } = self.nodes[from as usize];
+        if first == NIL {
+            return;
+        }
+        let mut c = first;
+        while c != NIL {
+            self.nodes[c as usize].parent = to;
+            c = self.nodes[c as usize].next;
+        }
+        let from = &mut self.nodes[from as usize];
+        (from.first, from.last) = (NIL, NIL);
+        let tail = self.nodes[to as usize].last;
+        match tail {
+            NIL => self.nodes[to as usize].first = first,
+            t => {
+                self.nodes[t as usize].next = first;
+                self.nodes[first as usize].prev = t;
+            }
+        }
+        self.nodes[to as usize].last = last;
+    }
+
+    /// The parent slot and clamped weight `spec` gives `id`.
+    fn sanitize(&self, id: u32, spec: PrioritySpec) -> (u32, u16) {
         // §5.3.1: a stream cannot depend on itself; treat like default.
-        if spec.depends_on == id || !self.nodes.contains_key(&spec.depends_on) {
-            spec.depends_on = ROOT;
-        }
-        spec.weight = spec.weight.clamp(1, 256);
-        spec
+        let parent = match spec.depends_on {
+            d if d == id => ROOT_SLOT,
+            d => self.slot(d).unwrap_or(ROOT_SLOT),
+        };
+        (parent, spec.weight.clamp(1, 256))
     }
 }
 
 impl Default for PriorityTree {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// A sibling list, walked by slot.
+struct Siblings<'a> {
+    nodes: &'a [Node],
+    cur: u32,
+}
+
+impl<'a> Iterator for Siblings<'a> {
+    type Item = (u32, &'a Node);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let s = self.cur;
+        let n = self.nodes.get(s as usize)?;
+        self.cur = n.next;
+        Some((s, n))
     }
 }
 
@@ -341,7 +372,7 @@ mod tests {
         assert_eq!(t.parent(5), Some(0));
         assert_eq!(t.parent(1), Some(5));
         assert_eq!(t.parent(3), Some(5));
-        assert_eq!(t.children(0), &[5]);
+        assert_eq!(t.children(0).collect::<Vec<_>>(), [5]);
     }
 
     #[test]
@@ -366,7 +397,7 @@ mod tests {
         t.insert(5, spec(1, 16, false));
         t.insert(7, spec(1, 16, false));
         t.remove(1);
-        assert_eq!(t.children(0), &[5, 7, 3]);
+        assert_eq!(t.children(0).collect::<Vec<_>>(), [5, 7, 3]);
         assert_eq!(t.parent(5), Some(0));
         assert!(!t.contains(1));
     }
@@ -409,7 +440,7 @@ mod tests {
         t.insert(3, spec(0, 16, false));
         t.insert(5, spec(0, 16, false));
         t.reprioritize(5, spec(0, 16, true));
-        assert_eq!(t.children(0), &[5]);
+        assert_eq!(t.children(0).collect::<Vec<_>>(), [5]);
         assert_eq!(t.parent(1), Some(5));
         assert_eq!(t.parent(3), Some(5));
     }
@@ -445,5 +476,20 @@ mod tests {
         assert_eq!(t.weight(1), Some(1));
         t.insert(3, spec(0, 300, false));
         assert_eq!(t.weight(3), Some(256));
+    }
+
+    #[test]
+    fn the_root_cannot_be_reprioritized() {
+        // A PRIORITY frame on stream 0 reaches `insert(0, ..)`: the root
+        // must not become its own child (the walks would never end).
+        let mut t = PriorityTree::new();
+        t.insert(1, spec(0, 16, false));
+        for excl in [false, true] {
+            t.insert(ROOT, spec(1, 8, excl));
+            t.reprioritize(ROOT, spec(0, 8, excl));
+        }
+        assert_eq!(t.children(ROOT).collect::<Vec<_>>(), [1]);
+        assert_eq!((t.parent(ROOT), t.weight(ROOT), t.len()), (None, Some(256), 1));
+        assert_eq!(t.traversal(), [1]);
     }
 }

@@ -10,7 +10,7 @@
 //! The paper's Interleaving Push scheduler lives in the `h2push-server`
 //! crate.
 
-use crate::priority::{PriorityTree, ROOT};
+use crate::priority::{PriorityTree, ROOT, ROOT_SLOT};
 use std::collections::HashMap;
 
 /// Per-stream view handed to schedulers.
@@ -45,10 +45,11 @@ fn is_ready(streams: &[StreamSnapshot], id: u32) -> bool {
     streams.binary_search_by_key(&id, |s| s.id).is_ok_and(|i| streams[i].sendable > 0)
 }
 
-/// Whether `node` or any of its descendants has sendable bytes.
-fn subtree_sendable(node: u32, tree: &PriorityTree, streams: &[StreamSnapshot]) -> bool {
-    (node != ROOT && is_ready(streams, node))
-        || tree.children(node).iter().any(|&c| subtree_sendable(c, tree, streams))
+/// Whether stream `id`, in tree slot `slot`, or any of its descendants
+/// has sendable bytes.
+fn subtree_sendable(slot: u32, id: u32, tree: &PriorityTree, streams: &[StreamSnapshot]) -> bool {
+    (id != ROOT && is_ready(streams, id))
+        || tree.child_nodes(slot).any(|(c, n)| subtree_sendable(c, n.id, tree, streams))
 }
 
 /// The ready stream with the lowest id. The tree schedulers fall back to
@@ -85,34 +86,33 @@ impl DefaultScheduler {
         DefaultScheduler
     }
 
-    fn pick_rec(node: u32, tree: &PriorityTree, streams: &[StreamSnapshot]) -> Option<u32> {
+    fn pick_rec(
+        slot: u32,
+        id: u32,
+        tree: &PriorityTree,
+        streams: &[StreamSnapshot],
+    ) -> Option<u32> {
         // Strict dependency order: a sendable stream outranks its whole
         // subtree.
-        if node != ROOT && is_ready(streams, node) {
-            return Some(node);
+        if id != ROOT && is_ready(streams, id) {
+            return Some(id);
         }
         // Among children with sendable descendants: strictly higher weight
         // first; equal weights serve in stream-id order — i.e. pushes
         // drain sequentially in the order they were promised, like h2o's
         // per-class FIFO queues.
-        let best = tree
-            .children(node)
-            .iter()
-            .copied()
-            .filter(|&c| subtree_sendable(c, tree, streams))
-            .min_by(|&a, &b| {
-                let wa = tree.weight(a).unwrap_or(16);
-                let wb = tree.weight(b).unwrap_or(16);
-                wb.cmp(&wa).then(a.cmp(&b))
-            })?;
-        Self::pick_rec(best, tree, streams)
+        let (best, n) = tree
+            .child_nodes(slot)
+            .filter(|&(c, n)| subtree_sendable(c, n.id, tree, streams))
+            .min_by(|(_, a), (_, b)| b.weight.cmp(&a.weight).then(a.id.cmp(&b.id)))?;
+        Self::pick_rec(best, n.id, tree, streams)
     }
 }
 
 impl Scheduler for DefaultScheduler {
     fn pick(&mut self, streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32> {
         debug_assert!(streams.windows(2).all(|w| w[0].id < w[1].id), "snapshot not id-sorted");
-        Self::pick_rec(ROOT, tree, streams).or_else(|| lowest_ready(streams))
+        Self::pick_rec(ROOT_SLOT, ROOT, tree, streams).or_else(|| lowest_ready(streams))
     }
 }
 
@@ -133,15 +133,21 @@ impl FairScheduler {
         Self::default()
     }
 
-    fn pick_rec(&self, node: u32, tree: &PriorityTree, streams: &[StreamSnapshot]) -> Option<u32> {
-        if node != ROOT && is_ready(streams, node) {
-            return Some(node);
+    fn pick_rec(
+        &self,
+        slot: u32,
+        id: u32,
+        tree: &PriorityTree,
+        streams: &[StreamSnapshot],
+    ) -> Option<u32> {
+        if id != ROOT && is_ready(streams, id) {
+            return Some(id);
         }
-        let eligible: Vec<u32> = tree
-            .children(node)
-            .iter()
-            .copied()
-            .filter(|&c| subtree_sendable(c, tree, streams))
+        // (slot, id, weight) of each child with sendable descendants.
+        let eligible: Vec<(u32, u32, u16)> = tree
+            .child_nodes(slot)
+            .filter(|&(c, n)| subtree_sendable(c, n.id, tree, streams))
+            .map(|(c, n)| (c, n.id, n.weight))
             .collect();
         if eligible.is_empty() {
             return None;
@@ -149,8 +155,7 @@ impl FairScheduler {
         // Weighted fair queuing across classes: the class with the least
         // virtual time (bytes per unit of aggregate weight) goes next.
         let mut classes: Vec<(u16, usize)> = Vec::new();
-        for &c in &eligible {
-            let w = tree.weight(c).unwrap_or(16);
+        for &(_, _, w) in &eligible {
             match classes.iter_mut().find(|(cw, _)| *cw == w) {
                 Some((_, n)) => *n += 1,
                 None => classes.push((w, 1)),
@@ -159,25 +164,25 @@ impl FairScheduler {
         let best_class = classes
             .iter()
             .min_by(|&&(wa, na), &&(wb, nb)| {
-                let va = *self.class_charged.get(&(node, wa)).unwrap_or(&0) as f64
+                let va = *self.class_charged.get(&(id, wa)).unwrap_or(&0) as f64
                     / (wa as u64 * na as u64) as f64;
-                let vb = *self.class_charged.get(&(node, wb)).unwrap_or(&0) as f64
+                let vb = *self.class_charged.get(&(id, wb)).unwrap_or(&0) as f64
                     / (wb as u64 * nb as u64) as f64;
                 // `total_cmp` keeps this panic-free even if a hostile
                 // weight combination produced a NaN ratio.
                 va.total_cmp(&vb).then(wb.cmp(&wa))
             })
             .map(|&(w, _)| w)?;
-        let best =
-            eligible.into_iter().filter(|&c| tree.weight(c).unwrap_or(16) == best_class).min()?;
-        self.pick_rec(best, tree, streams)
+        let (best, best_id, _) =
+            eligible.into_iter().filter(|&(_, _, w)| w == best_class).min_by_key(|&(_, c, _)| c)?;
+        self.pick_rec(best, best_id, tree, streams)
     }
 }
 
 impl Scheduler for FairScheduler {
     fn pick(&mut self, streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32> {
         debug_assert!(streams.windows(2).all(|w| w[0].id < w[1].id), "snapshot not id-sorted");
-        self.pick_rec(ROOT, tree, streams).or_else(|| lowest_ready(streams))
+        self.pick_rec(ROOT_SLOT, ROOT, tree, streams).or_else(|| lowest_ready(streams))
     }
 
     fn charge(&mut self, stream: u32, bytes: usize, tree: &PriorityTree) {
@@ -321,22 +326,19 @@ mod tests {
         type Ready = HashMap<u32, usize>;
         fn subtree_sendable(node: u32, tree: &PriorityTree, ready: &Ready) -> bool {
             (node != ROOT && ready.contains_key(&node))
-                || tree.children(node).iter().any(|&c| subtree_sendable(c, tree, ready))
+                || tree.children(node).any(|c| subtree_sendable(c, tree, ready))
         }
         fn pick_rec(node: u32, tree: &PriorityTree, ready: &Ready) -> Option<u32> {
             if node != ROOT && ready.contains_key(&node) {
                 return Some(node);
             }
-            let best = tree
-                .children(node)
-                .iter()
-                .copied()
-                .filter(|&c| subtree_sendable(c, tree, ready))
-                .min_by(|&a, &b| {
+            let best = tree.children(node).filter(|&c| subtree_sendable(c, tree, ready)).min_by(
+                |&a, &b| {
                     let wa = tree.weight(a).unwrap_or(16);
                     let wb = tree.weight(b).unwrap_or(16);
                     wb.cmp(&wa).then(a.cmp(&b))
-                })?;
+                },
+            )?;
             pick_rec(best, tree, ready)
         }
         let ready: Ready =

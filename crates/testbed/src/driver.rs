@@ -339,9 +339,15 @@ impl SimDriver<'_> {
                 Some(window) => {
                     let now = self.net.now().as_micros();
                     let n = c.server.poll_output_into(window, now, &mut c.down);
+                    // A server that wants output always writes into a
+                    // usable window: its control queue emits the first
+                    // frame whole, a ready stream has bytes queued, and
+                    // every shipped scheduler picks from a non-empty
+                    // snapshot.
+                    debug_assert!(n > 0, "a server wanted output but wrote nothing");
                     if n == 0 {
-                        // Flow-control (H2-level) blocked: wait for
-                        // client window updates.
+                        // A release build stops pulling rather than spin;
+                        // the next event fed to this server pumps it again.
                         self.net.set_hungry(conn, Dir::Down, false);
                         break;
                     }
@@ -422,17 +428,15 @@ impl SimDriver<'_> {
                 NetEvent::App { token } => {
                     let actions = self.browser.on_timer(token, t);
                     self.intake(actions);
-                    // Timers can trigger new requests on any connection;
-                    // make sure all servers with pending output are
-                    // pulling, in (group, slot) order (pumping sends, and
-                    // the order of sends at one instant is simulation
-                    // input).
-                    for i in 0..self.by_slot.len() {
-                        let conn = self.by_slot[i];
-                        if self.conns[conn.0].server.wants_output() {
-                            self.pump_server(conn);
-                        }
-                    }
+                    // No server needs pumping here. A server changes state
+                    // only when fed bytes or polled, and every event that
+                    // feeds one pumps that same server at once; a timer's
+                    // requests reach their server as a later `Delivered`.
+                    // A pump stops only when the server wants nothing, when
+                    // a usable window drew no bytes — which never happens
+                    // (see `pump_server`) — or when the TCP window is full.
+                    // So a server that still wants output here is hungry
+                    // behind a full window, and its `SendReady` is due.
                 }
             }
         }

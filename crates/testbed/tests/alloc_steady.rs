@@ -107,9 +107,10 @@ fn get(host: &'static str, path: &'static str) -> [(&'static str, &'static str);
 #[test]
 fn a_warm_replay_allocates_next_to_nothing_for_headers() {
     // The two `bulkpush` cells of the benchmark, unprepared as it runs
-    // them, and prepared for comparison.
+    // them, and prepared for comparison. Measured here: 15 and 13
+    // unprepared, 5 and 5 prepared.
     for (site, which, bound) in
-        [(10, PaperStrategy::PushAll, 700), (1, PaperStrategy::PushAllOptimized, 300)]
+        [(10, PaperStrategy::PushAll, 40), (1, PaperStrategy::PushAllOptimized, 40)]
     {
         let (page, strategy) = paper_strategy(&realworld_site(site), which);
         let plan = RunPlan::new(page).strategy(strategy).seed(42).reps(3);
@@ -162,13 +163,15 @@ fn a_warm_replay_allocates_next_to_nothing_for_headers() {
 #[test]
 fn a_recycled_context_allocates_many_times_less_than_a_fresh_one() {
     // Recycling must stay a structural win: at least 10x on a generated
-    // site (a handful of connections), at least 4x on w17-cnn — 81 server
-    // groups, where a cap on what a context parks rebuilds dozens of
-    // machines per replay and pulls the ratio towards 1. Measured here:
-    // 256 against 8 and 269 against 6; 6 065 against 274 and 6 090
-    // against 324.
+    // site (a handful of connections), at least 100x on w17-cnn — 81
+    // server groups, where a cap on what a context parks rebuilds dozens
+    // of machines per replay and pulls the ratio towards 1. A warm
+    // replay of w17 (the benchmark's `fanout` page) also allocates at
+    // most 40 times: the priority trees and the browser's discovery walk
+    // reuse what the first replays left. Measured here: 259 against 4 and
+    // 265 against 4; 5 563 against 24 and 5 568 against 31.
     let generated = generate_site(CorpusKind::Random, 42);
-    for (page, floor) in [(generated, 10), (realworld_site(17), 4)] {
+    for (page, floor, bound) in [(generated, 10, 40), (realworld_site(17), 100, 40)] {
         for strategy in [Strategy::NoPush, push_all(&page, &[])] {
             let label = strategy_label(&strategy);
             let plan = RunPlan::new(&page).strategy(strategy).seed(42).reps(3).prepared();
@@ -176,6 +179,11 @@ fn a_recycled_context_allocates_many_times_less_than_a_fresh_one() {
             assert!(
                 steady * floor <= cold,
                 "{} [{label}]: {steady} allocations recycled, {cold} fresh: under {floor}x",
+                page.name
+            );
+            assert!(
+                steady <= bound,
+                "{} [{label}]: {steady} allocations per warm replay",
                 page.name
             );
         }
@@ -279,10 +287,8 @@ fn a_warm_live_load_allocates_next_to_nothing_on_either_thread() {
     // Four loads warm the thread's context, not two as for a replay: the
     // browser parks its connection machines in group order and reissues
     // them last-first, so a machine meets the document's connection every
-    // other load, and which stream gets which of its recycled child lists
-    // follows how the socket cut the bytes. Measured here, load by load:
-    // 363, 270, 32, 29, 23, 23, 22, 22, 20, ... towards the benchmark's 15
-    // (a page scan and a `LoadResult`).
+    // other load. Measured here, load by load: 327, 235, 12, 12, ..., the
+    // figure the benchmark's `live` workload reads.
     let (fifth, five_loads) = live_allocs(5);
     assert!(fifth <= 30, "{fifth} allocations in a warm load_page");
     let (_, ten_loads) = live_allocs(10);
