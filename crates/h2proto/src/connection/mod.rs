@@ -76,15 +76,17 @@ pub struct Connection {
     hpack_enc: HpackEncoder,
     hpack_dec: HpackDecoder,
     streams: StreamSlab<Stream>,
-    /// Ids of the streams with unsent body ([`Stream::has_unsent_body`]),
-    /// ascending: what `wants_send` and `produce` look at instead of every
-    /// stream the connection ever opened. Exact at all times — every
-    /// change to a stream's state, headers flag or queue goes through
+    /// One entry per stream with unsent body ([`Stream::has_unsent_body`]),
+    /// ascending by id, with `sendable` = min(queued, the stream's own send
+    /// window): what `wants_send` reads and what `produce_into` hands the
+    /// scheduler as is, instead of walking every stream the connection
+    /// ever opened. Exact at all times — every change to a stream's
+    /// state, headers flag, queue, sent count or window goes through
     /// [`Connection::update_stream`] or [`Connection::insert_stream`],
-    /// which re-derive membership. Send windows are not part of it
-    /// (WINDOW_UPDATE and SETTINGS move them without touching the set);
-    /// the two readers check them per ready stream.
-    ready: Vec<u32>,
+    /// which re-derive its entry, and a SETTINGS initial-window delta
+    /// re-derives every entry. The connection window is not in it: the
+    /// two readers check that once.
+    ready: Vec<StreamSnapshot>,
     /// Streams not in [`StreamState::Closed`] (the §5.1.2 concurrency
     /// count), maintained by the same two functions.
     active_streams: usize,
@@ -129,8 +131,6 @@ pub struct Connection {
     trace: TraceHandle,
     /// Replay connection label stamped into trace events.
     trace_conn: u32,
-    /// Reused snapshot vector for the scheduler loop in `produce_into`.
-    snap_scratch: Vec<StreamSnapshot>,
     /// A header block mid-assembly across CONTINUATION frames whose tail
     /// has not arrived yet. Carried across [`Connection::receive`] calls:
     /// chunk boundaries are transport artifacts the sans-IO contract says
@@ -248,7 +248,6 @@ impl Connection {
         self.last_promised_id = 0;
         self.trace = TraceHandle::off();
         self.trace_conn = 0;
-        self.snap_scratch.clear();
         self.pending_headers = None;
         self.header_frag.clear();
         self.lists_out = 0;
@@ -301,7 +300,6 @@ impl Connection {
             last_promised_id: 0,
             trace: TraceHandle::off(),
             trace_conn: 0,
-            snap_scratch: Vec::new(),
             pending_headers: None,
             header_frag: Vec::new(),
             lists: Vec::new(),

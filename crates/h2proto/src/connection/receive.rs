@@ -205,9 +205,7 @@ impl Connection {
                     }
                     let delta = iw as i64 - self.peer_initial_window;
                     self.peer_initial_window = iw as i64;
-                    for s in self.streams.values_mut() {
-                        s.send_window += delta;
-                    }
+                    self.shift_send_windows(delta);
                 }
                 if let Some(hts) = settings.header_table_size {
                     self.hpack_enc.set_table_size((hts as usize).min(4096));
@@ -231,8 +229,8 @@ impl Connection {
                         stream: 0,
                         increment,
                     });
-                } else if let Some(s) = self.streams.get_mut(stream) {
-                    if s.send_window + increment as i64 > MAX_WINDOW {
+                } else if let Some(window) = self.streams.get(stream).map(|s| s.send_window) {
+                    if window + increment as i64 > MAX_WINDOW {
                         self.close_stream(stream);
                         self.trace_limit_violation(stream, false);
                         self.queue_frame(FrameOf::RstStream {
@@ -245,7 +243,7 @@ impl Connection {
                         });
                         return Ok(());
                     }
-                    s.send_window += increment as i64;
+                    self.update_stream(stream, |s| s.send_window += increment as i64);
                     self.trace.emit(TraceEvent::WindowUpdate {
                         conn: self.trace_conn,
                         role: self.trace_role(),

@@ -6,7 +6,7 @@ use super::{Connection, Event, Role, StreamState};
 use crate::error::{ConnError, StreamError};
 use crate::frame::{ErrorCode, FrameOf, FrameRef, PrioritySpec, FRAME_HEADER_LEN};
 use crate::sansio::WireSink;
-use crate::scheduler::{Scheduler, StreamSnapshot};
+use crate::scheduler::Scheduler;
 use bytes::{Bytes, BytesMut};
 use h2push_hpack::HeaderField;
 use h2push_trace::{FrameKind as TraceFrameKind, TraceEvent, TraceHandle};
@@ -335,12 +335,12 @@ impl Connection {
     /// Independent of how many streams the connection has carried; only
     /// when every ready stream is window-blocked does it look at them all.
     pub fn wants_send(&self) -> bool {
-        !self.control.is_empty()
-            || (self.conn_send_window > 0
-                && self
-                    .ready
-                    .iter()
-                    .any(|&id| self.streams.get(id).is_some_and(|s| s.send_window > 0)))
+        !self.control.is_empty() || self.data_sendable()
+    }
+
+    /// The connection window is open and some ready entry's own window is.
+    fn data_sendable(&self) -> bool {
+        self.conn_send_window > 0 && self.ready.iter().any(|s| s.sendable > 0)
     }
 
     /// [`Connection::produce_into`] an owned buffer, DATA payloads
@@ -363,26 +363,13 @@ impl Connection {
         scheduler: &mut dyn Scheduler,
         sink: &mut dyn WireSink,
     ) -> usize {
+        debug_assert!(self.ready_matches_slab(), "ready set out of step with the streams");
         let mut written = self.control.drain_into(max, sink);
-        let mut snapshots = std::mem::take(&mut self.snap_scratch);
-        while written < max {
-            // Ascending because `ready` is: the order the deterministic
-            // schedulers depend on.
-            snapshots.clear();
-            snapshots.extend(self.ready.iter().filter_map(|&id| {
-                let s = self.streams.get(id)?;
-                let sendable = s.sendable(self.conn_send_window);
-                (sendable > 0).then_some(StreamSnapshot {
-                    id,
-                    sendable,
-                    sent: s.out.sent,
-                    is_push: id.is_multiple_of(2),
-                })
-            }));
-            if snapshots.is_empty() {
-                break;
-            }
-            let Some(id) = scheduler.pick(&snapshots, &self.tree) else { break };
+        while written < max && self.data_sendable() {
+            // The ready set is the snapshot: ascending, the order the
+            // deterministic schedulers depend on, and kept current by
+            // every write to a stream.
+            let Some(id) = scheduler.pick(&self.ready, &self.tree) else { break };
             let conn_window = self.conn_send_window;
             let room = self.peer_max_frame_size.min(max - written);
             let sent = self.update_stream(id, |s| {
@@ -435,7 +422,6 @@ impl Connection {
                 scheduler.stream_closed(id);
             }
         }
-        self.snap_scratch = snapshots;
         written
     }
 }

@@ -1,9 +1,12 @@
 //! Per-stream state, and the two caches the connection keeps of it: the
 //! ready set and the active-stream count. Every write to a stream goes
 //! through [`Connection::update_stream`] or [`Connection::insert_stream`],
-//! which re-derive both.
+//! which re-derive both; a SETTINGS window delta, which moves every
+//! stream at once, re-derives the ready set through
+//! [`Connection::shift_send_windows`].
 
 use super::Connection;
+use crate::scheduler::StreamSnapshot;
 
 /// Stream lifecycle states (RFC 7540 §5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +68,17 @@ impl Stream {
         self.out.headers_sent && self.state != StreamState::Closed && self.out.queued > 0
     }
 
+    /// The stream's ready-set entry, if it has unsent body: `sendable` is
+    /// what its own window lets out, the connection window left aside.
+    fn ready_entry(&self, id: u32) -> Option<StreamSnapshot> {
+        self.has_unsent_body().then(|| StreamSnapshot {
+            id,
+            sendable: self.sendable(i64::MAX),
+            sent: self.out.sent,
+            is_push: id.is_multiple_of(2),
+        })
+    }
+
     /// Body bytes both flow-control windows let out now (`conn_window` is
     /// the connection's; either may be negative after a SETTINGS shrink).
     pub(super) fn sendable(&self, conn_window: i64) -> usize {
@@ -83,9 +97,9 @@ impl Stream {
 
 impl Connection {
     /// Mutate `stream` through `f`, then re-derive what the connection
-    /// caches about it — the active-stream count and the ready-set
-    /// membership — so no call site can leave either stale. `None` when
-    /// the stream is unknown.
+    /// caches about it — the active-stream count and its ready-set entry
+    /// — so no call site can leave either stale. `None` when the stream
+    /// is unknown.
     pub(super) fn update_stream<R>(
         &mut self,
         stream: u32,
@@ -98,8 +112,8 @@ impl Connection {
         if was_active && s.state == StreamState::Closed {
             self.active_streams -= 1;
         }
-        let ready = s.has_unsent_body();
-        self.set_ready(stream, ready);
+        let entry = s.ready_entry(stream);
+        self.set_ready(stream, entry);
         Some(out)
     }
 
@@ -111,7 +125,7 @@ impl Connection {
         if !displaced.is_some_and(|old| old.state != StreamState::Closed) {
             self.active_streams += 1;
         }
-        self.set_ready(stream, false);
+        self.set_ready(stream, None);
     }
 
     /// Close `stream` in both directions, dropping its queued body.
@@ -123,14 +137,39 @@ impl Connection {
         self.tree.remove(stream);
     }
 
-    fn set_ready(&mut self, stream: u32, ready: bool) {
-        match (self.ready.binary_search(&stream), ready) {
-            (Err(pos), true) => self.ready.insert(pos, stream),
-            (Ok(pos), false) => {
+    /// Move every stream's send window by `delta` (a SETTINGS change of
+    /// the initial window), then re-derive each ready entry once.
+    pub(super) fn shift_send_windows(&mut self, delta: i64) {
+        for s in self.streams.values_mut() {
+            s.send_window += delta;
+        }
+        for entry in &mut self.ready {
+            if let Some(s) = self.streams.get(entry.id) {
+                entry.sendable = s.sendable(i64::MAX);
+            }
+        }
+    }
+
+    fn set_ready(&mut self, stream: u32, entry: Option<StreamSnapshot>) {
+        match (self.ready.binary_search_by_key(&stream, |e| e.id), entry) {
+            (Ok(pos), Some(entry)) => self.ready[pos] = entry,
+            (Err(pos), Some(entry)) => self.ready.insert(pos, entry),
+            (Ok(pos), None) => {
                 self.ready.remove(pos);
             }
-            _ => {}
+            (Err(_), None) => {}
         }
+    }
+
+    /// Whether `ready` is what a rebuild from the slab would make:
+    /// ascending, one entry per stream with unsent body, each equal to the
+    /// stream's own. Counts instead of collecting, so a debug build
+    /// allocates no more than a release one.
+    pub(super) fn ready_matches_slab(&self) -> bool {
+        let entry_of = |id| self.streams.get(id).and_then(|s: &Stream| s.ready_entry(id));
+        self.ready.windows(2).all(|w| w[0].id < w[1].id)
+            && self.ready.iter().all(|e| entry_of(e.id) == Some(*e))
+            && self.streams.values().filter(|s| s.has_unsent_body()).count() == self.ready.len()
     }
 }
 

@@ -18,7 +18,9 @@ use std::collections::HashMap;
 pub struct StreamSnapshot {
     /// Stream id.
     pub id: u32,
-    /// Body bytes queued and currently sendable (flow-control permitting).
+    /// Body bytes queued that the stream's own send window lets out: 0
+    /// when that window is shut. The connection window is not applied —
+    /// the connection asks for a pick only while it is open.
     pub sendable: usize,
     /// Body bytes already sent on this stream.
     pub sent: u64,
@@ -29,8 +31,10 @@ pub struct StreamSnapshot {
 /// A stream scheduling policy.
 pub trait Scheduler {
     /// Choose the stream to send the next DATA chunk on. `streams` lists
-    /// only streams that can make progress right now, in ascending id
-    /// order (the tree schedulers binary-search it).
+    /// every stream with unsent body, in ascending id order (the tree
+    /// schedulers binary-search it). An entry with `sendable == 0` has its
+    /// own window shut and must not be picked; at least one entry has
+    /// `sendable > 0`, and the connection window is open.
     fn pick(&mut self, streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32>;
 
     /// Account `bytes` sent on `stream` (used by weighted round-robin).

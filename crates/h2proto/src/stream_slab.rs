@@ -11,9 +11,10 @@
 //! (one per parity, indexed by `id / 2` rounded down to the sequence
 //! position) give O(1) array lookups and a single allocation that a
 //! recycled connection keeps across resets. The send path never walks
-//! the slab: the connection keeps the ids of streams with unsent body in
-//! its ready set and only looks those up. The one walk left is
-//! `values_mut`, in no particular order, for a SETTINGS window delta.
+//! the slab: the connection keeps an entry per stream with unsent body in
+//! its ready set and only looks those streams up. The walks left, in no
+//! particular order, are `values_mut` for a SETTINGS window delta and
+//! `values` for the debug-build check of the ready set.
 //!
 //! A hostile peer is not bound by "next id": PUSH_PROMISE and request
 //! HEADERS carry peer-chosen ids up to 2^31-1, and the badpeer suite
@@ -125,6 +126,11 @@ impl<T> StreamSlab<T> {
             }
             _ => self.spill.insert(id, value),
         }
+    }
+
+    /// All stored values, iteration order unspecified.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
+        self.odd.iter().flatten().chain(self.even.iter().flatten()).chain(self.spill.values())
     }
 
     /// All stored values mutably, iteration order unspecified.

@@ -6,10 +6,11 @@
 //! return value of every `produce_into`, written into a sink that records
 //! which call wrote each octet.
 //!
-//! Scripts come from two places: fourteen hand-written receive-path
-//! scenarios, each run whole, one byte at a time and cut at every offset;
-//! and one generator for both roles that mixes local calls, benign peer
-//! frames and the hostile shapes of the badpeer suite.
+//! Scripts come from two places: sixteen hand-written scenarios (fourteen
+//! on the receive path, two moving the send windows of ready streams),
+//! each run whole, one byte at a time and cut at every offset; and one
+//! generator for both roles that mixes local calls, benign peer frames
+//! and the hostile shapes of the badpeer suite.
 
 mod model;
 
@@ -422,7 +423,8 @@ fn response_block(enc: &mut Encoder) -> Bytes {
 /// A named script and the role of the endpoint it is fed to.
 type Scenario = (&'static str, Role, Script);
 
-/// The scenarios the counting decoder could get wrong, one script each.
+/// The scenarios the counting decoder or the ready set's window tracking
+/// could get wrong, one script each.
 fn scenarios() -> Vec<Scenario> {
     let mut out: Vec<Scenario> = Vec::new();
     // Each script starts from a fresh peer encoder, as its endpoint
@@ -539,6 +541,51 @@ fn scenarios() -> Vec<Scenario> {
         s.wire.extend_from_slice(b"PRI * HTTP/2.0\r\n\r\nSM\r\n\rX");
         s.data(1, 10, 0, None);
     });
+    // Two requests, each answered with a body, behind an open connection
+    // window: what is left to move is the streams' own windows.
+    fn two_responses(s: &mut Script, enc: &mut Encoder, initial_window: Option<u32>, len: usize) {
+        s.wire.extend_from_slice(PREFACE);
+        let settings = Settings { initial_window_size: initial_window, ..Default::default() };
+        s.frame(Frame::Settings { ack: false, settings });
+        s.frame(Frame::WindowUpdate { stream: 0, increment: 1 << 20 });
+        for stream in [1, 3] {
+            s.frame(Frame::Headers {
+                stream,
+                block: enc.encode(&REQUEST).into(),
+                end_stream: true,
+                end_headers: true,
+                priority: None,
+            });
+            s.local(Local::Respond { stream, end_stream: false, big: false });
+            s.local(Local::QueueBody { stream, len, fin: true });
+        }
+    }
+    add(
+        "server: a ready stream's window shut by DATA, reopened by WINDOW_UPDATE",
+        Role::Server,
+        |s, enc| {
+            two_responses(s, enc, Some(1_000), 5_000);
+            s.local(Local::Produce { max: usize::MAX, fifo: false });
+            s.frame(Frame::WindowUpdate { stream: 1, increment: 1_500 });
+            s.local(Local::Produce { max: usize::MAX, fifo: true });
+            s.frame(Frame::WindowUpdate { stream: 3, increment: 10_000 });
+            s.local(Local::Produce { max: 2_000, fifo: false });
+            s.frame(Frame::WindowUpdate { stream: 1, increment: 10_000 });
+        },
+    );
+    add(
+        "server: SETTINGS_INITIAL_WINDOW_SIZE drives ready streams negative and back",
+        Role::Server,
+        |s, enc| {
+            two_responses(s, enc, None, 100_000);
+            s.local(Local::Produce { max: 40_000, fifo: false });
+            for window in [1_000, 0, 70_000] {
+                let settings = Settings { initial_window_size: Some(window), ..Default::default() };
+                s.frame(Frame::Settings { ack: false, settings });
+                s.local(Local::Produce { max: 30_000, fifo: false });
+            }
+        },
+    );
     out
 }
 
@@ -547,7 +594,7 @@ fn every_scenario_whole_byte_at_a_time_and_cut_at_every_offset() {
     let client = scenario_client();
     let server = Origin::new(Role::Server, Settings::default(), ConnLimits::new(), 0);
     let scenarios = scenarios();
-    assert_eq!(scenarios.len(), 14);
+    assert_eq!(scenarios.len(), 16);
     for (name, role, script) in &scenarios {
         let origin = if *role == Role::Client { &client } else { &server };
         run(origin, script, name, || usize::MAX);

@@ -84,7 +84,12 @@ impl InterleavingScheduler {
 
 impl Scheduler for InterleavingScheduler {
     fn pick(&mut self, streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32> {
-        let find = |id: u32| streams.iter().find(|s| s.id == id && s.sendable > 0);
+        // `streams` is id-sorted; an entry whose window is shut counts as
+        // absent.
+        let find = |id: u32| {
+            let i = streams.binary_search_by_key(&id, |s| s.id).ok()?;
+            Some(&streams[i]).filter(|s| s.sendable > 0)
+        };
         loop {
             match self.phase {
                 Phase::Head => {
@@ -92,30 +97,15 @@ impl Scheduler for InterleavingScheduler {
                         // No parent yet: nothing special to do.
                         return self.inner.pick(streams, tree);
                     };
-                    match find(parent) {
-                        Some(p) if p.sent < self.offset => return Some(parent),
-                        Some(_) | None => {
-                            // Offset reached (or parent already done):
-                            // switch. `sent` only advances when we pick the
-                            // parent, so reaching here means the offset is
-                            // covered or the parent has nothing sendable
-                            // while criticals wait — either way, switch.
-                            let parent_sent =
-                                streams.iter().find(|s| s.id == parent).map(|s| s.sent);
-                            if parent_sent.map(|s| s >= self.offset).unwrap_or(true) {
-                                self.phase = Phase::Critical;
-                                self.trace.emit(TraceEvent::InterleaveSuspend {
-                                    parent,
-                                    offset: self.offset,
-                                });
-                                continue;
-                            }
-                            // Parent exists but is flow-blocked below the
-                            // offset: let the default scheduler fill the
-                            // pipe meanwhile.
-                            return self.inner.pick(streams, tree);
-                        }
+                    if find(parent).is_some_and(|p| p.sent < self.offset) {
+                        return Some(parent);
                     }
+                    // Offset reached, or the parent has nothing sendable
+                    // (done, or its window shut) while criticals wait:
+                    // either way, switch. `sent` only advances when we
+                    // pick the parent.
+                    self.phase = Phase::Critical;
+                    self.trace.emit(TraceEvent::InterleaveSuspend { parent, offset: self.offset });
                 }
                 Phase::Critical => {
                     for &c in &self.critical {
@@ -130,7 +120,6 @@ impl Scheduler for InterleavingScheduler {
                     if let Some(parent) = self.parent {
                         self.trace.emit(TraceEvent::InterleaveResume { parent });
                     }
-                    continue;
                 }
                 Phase::Resume => return self.inner.pick(streams, tree),
             }
@@ -200,6 +189,60 @@ mod tests {
         s.add_critical(2);
         // Parent has no sendable data left (finished small document).
         assert_eq!(s.pick(&[snap(2, 500, 0)], &tree), Some(2));
+    }
+
+    #[test]
+    fn parent_window_blocked_below_the_offset_switches_to_the_criticals() {
+        let tree = tree_with_push();
+        let mut s = InterleavingScheduler::new(4096);
+        s.set_parent(1);
+        s.add_critical(2);
+        // The parent has body left and is below the offset, but its own
+        // window is shut; the critical push may send.
+        assert_eq!(s.pick(&[snap(1, 0, 1000), snap(2, 500, 0)], &tree), Some(2));
+        assert!(s.in_critical_phase());
+    }
+
+    #[test]
+    fn nothing_is_picked_while_every_stream_is_window_blocked() {
+        use h2push_h2proto::{Connection, Frame, Settings};
+        use h2push_hpack::Header;
+
+        // A client whose streams open with no send window at all.
+        let mut client =
+            Connection::client(Settings { initial_window_size: Some(0), ..Default::default() });
+        let mut server = Connection::server(Settings::default());
+        let request =
+            [(":method", "GET"), (":scheme", "https"), (":authority", "a"), (":path", "/")]
+                .map(|(n, v)| Header::new(n, v));
+        client.request(&request, None);
+        let mut sched = InterleavingScheduler::new(4096);
+        let (trace, timeline) = h2push_trace::recording();
+        sched.set_trace(trace);
+        server.receive(&client.produce(usize::MAX, &mut sched));
+        while server.poll_event().is_some() {}
+        let pushed = server.push_promise(1, &request).expect("push allowed");
+        sched.set_parent(1);
+        sched.add_critical(pushed);
+        for id in [1, pushed] {
+            server.respond(id, &[Header::new(":status", "200")], false);
+            server.queue_body(id, 10_000, true);
+        }
+        // The control frames go out; no DATA, and the scheduler is never
+        // asked, so it does not suspend a parent that never ran.
+        assert!(!server.produce(usize::MAX, &mut sched).is_empty());
+        assert!(!server.wants_send());
+        assert!(server.produce(usize::MAX, &mut sched).is_empty());
+        let suspends =
+            || timeline.borrow().count(|e| matches!(e, TraceEvent::InterleaveSuspend { .. }));
+        assert_eq!(suspends(), 0);
+        // The parent's window opens: it is sent, still in the head phase.
+        let mut update = Vec::new();
+        Frame::WindowUpdate { stream: 1, increment: 1_000 }.encode(&mut update);
+        server.receive(&update);
+        assert_eq!(server.produce(usize::MAX, &mut sched).len(), 9 + 1_000);
+        assert_eq!(server.bytes_sent(1), 1_000);
+        assert_eq!(suspends(), 0);
     }
 
     #[test]
