@@ -173,9 +173,9 @@ enum StopKind {
 /// scanner's HTML reference index, the visual-weight total, and the index
 /// that resolves a push promise to its resource — everything
 /// [`Browser::new`] derives from the [`Page`] alone. A pure function of the
-/// page, so a sweep builds it once per site and shares it across every
-/// configuration and rep touching that page; [`Browser::new`] builds one
-/// lazily otherwise.
+/// page, so it is built once per page and shared across every
+/// configuration and rep touching that page ([`Browser::with_scan`]);
+/// [`Browser::new`] builds one on the spot.
 #[derive(Debug)]
 pub struct PreparedScan {
     /// Parser stop points (external blocking scripts + inline scripts),
@@ -564,6 +564,14 @@ impl Browser {
     fn park_conn(&mut self, mut cs: ConnState) {
         cs.chain.clear();
         self.spare_conns.push(cs);
+    }
+
+    /// This browser's scan, if `page` is the very page it holds: what a
+    /// repeat load of that page hands [`Browser::reset`]. Identity, not
+    /// equality — the browser keeps its page alive, so no other page can
+    /// have the same address.
+    pub fn scan_for(&self, page: &Arc<Page>) -> Option<Arc<PreparedScan>> {
+        Arc::ptr_eq(&self.page, page).then(|| Arc::clone(&self.scan))
     }
 
     /// Attach a trace handle before [`Browser::start`]. Forwarded to every

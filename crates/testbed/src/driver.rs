@@ -32,7 +32,7 @@
 
 use crate::replay::{Protocol, ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome};
 use crate::wire_fifo::WireFifo;
-use h2push_browser::{Browser, BrowserAction, PreparedScan};
+use h2push_browser::{Browser, BrowserAction};
 use h2push_h2proto::sansio::{Endpoint, WireSink};
 use h2push_netsim::{ConnId, Dir, NetEvent, Network, ServerId, ServerSpec, SimTime};
 use h2push_server::{H1ReplayServer, ReplayServer};
@@ -190,12 +190,7 @@ impl ReplayCtx {
             Protocol::H1 => h2push_browser::TransportMode::H1,
         };
         browser_cfg.limits = cfg.limits;
-        // `Browser::new` is exactly `with_scan` over a freshly built scan,
-        // so cold and recycled paths share one construction route.
-        let scan = match &inputs.prepared {
-            Some(p) => Arc::clone(&p.scan),
-            None => Arc::new(PreparedScan::build(&inputs.page)),
-        };
+        let scan = Arc::clone(&inputs.scan);
         match &mut self.browser {
             Some(b) => b.reset(Arc::clone(&inputs.page), browser_cfg, scan),
             None => {
@@ -301,8 +296,8 @@ impl SimDriver<'_> {
                 };
                 s.set_honor_cache_digest(cfg.server_honors_digest);
                 s.set_limits(cfg.limits);
+                s.set_prepared(Arc::clone(&self.inputs.server));
                 if let Some(p) = &self.inputs.prepared {
-                    s.set_prepared(Arc::clone(&p.server));
                     s.set_hpack_block_cache(p.hpack.clone());
                     s.set_hpack_decode_cache(p.hpack_decode.clone());
                 }

@@ -16,7 +16,7 @@
 //! can be served to a real client byte-for-byte.
 //!
 //! * [`LiveServer`] — binds a listener and answers every accepted
-//!   connection from a page's [`RecordDb`] with the configured push
+//!   connection from a page's [`ReplayInputs`] with the configured push
 //!   strategy (push fires on whichever connection requests the base
 //!   document, exactly as in the sim).
 //! * [`load_page`] — the loopback load client: drives a real [`Browser`]
@@ -72,6 +72,7 @@
 //! returns the complete [`LiveServerStats`].
 
 use crate::driver::{with_thread_ctx, ReplayCtx};
+use crate::replay::ReplayInputs;
 use crate::wire_fifo::WireFifo;
 use h2push_browser::{
     Browser, BrowserAction, BrowserConfig, LoadResult, PreparedScan, TransportMode,
@@ -81,7 +82,7 @@ use h2push_h2proto::{ConnError, ConnLimits};
 use h2push_netsim::SimTime;
 use h2push_server::ReplayServer;
 use h2push_strategies::Strategy;
-use h2push_webmodel::{Page, RecordDb, ResourceId};
+use h2push_webmodel::{Page, ResourceId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -561,8 +562,7 @@ impl ServerConn {
 pub struct LiveServer {
     listener: Option<TcpListener>,
     addr: SocketAddr,
-    page: Arc<Page>,
-    db: Arc<RecordDb>,
+    inputs: ReplayInputs,
     strategy: Arc<Strategy>,
     stop: Arc<AtomicBool>,
     accepted: Arc<AtomicU64>,
@@ -572,8 +572,8 @@ pub struct LiveServer {
 
 impl LiveServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and prepare to serve `page`
-    /// under `strategy`. The record database is built once here and
-    /// shared by every connection.
+    /// under `strategy`. The page's [`ReplayInputs`] — record database and
+    /// push URLs — are built once here and shared by every connection.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         page: Arc<Page>,
@@ -582,12 +582,10 @@ impl LiveServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let db = Arc::new(RecordDb::record(&page));
         Ok(LiveServer {
             listener: Some(listener),
             addr,
-            page,
-            db,
+            inputs: ReplayInputs::from(page),
             strategy: strategy.into(),
             stop: Arc::new(AtomicBool::new(false)),
             accepted: Arc::new(AtomicU64::new(0)),
@@ -634,7 +632,7 @@ impl LiveServer {
     pub fn run(mut self) -> io::Result<LiveServerStats> {
         let epoch = Instant::now();
         let lim = self.limits;
-        let main_group = self.page.server_group_of(ResourceId(0));
+        let main_group = self.inputs.page.server_group_of(ResourceId(0));
         let mut stats = LiveServerStats::default();
         let mut conns: Vec<ServerConn> = Vec::new();
         let mut ctx = ReplayCtx::new();
@@ -784,7 +782,8 @@ impl LiveServer {
                         let _ = stream.set_nodelay(true);
                         stats.accepted += 1;
                         self.accepted.fetch_add(1, Ordering::Relaxed);
-                        let (page, db) = (Arc::clone(&self.page), Arc::clone(&self.db));
+                        let page = Arc::clone(&self.inputs.page);
+                        let db = Arc::clone(&self.inputs.db);
                         let mut machine = match ctx.spare_h2.pop() {
                             Some(mut parked) => {
                                 stats.machines_reused += 1;
@@ -797,6 +796,7 @@ impl LiveServer {
                             }
                         };
                         machine.set_limits(lim.conn);
+                        machine.set_prepared(Arc::clone(&self.inputs.server));
                         let (_, out) = ctx.spare_fifos.pop().unwrap_or_default();
                         conns.push(ServerConn::new(stream, machine, out, now));
                     }
@@ -911,8 +911,9 @@ pub fn load_page(
 /// timer heap, the connection table, the read buffer and the `pollfd`
 /// array are the context's, reset in place, so the first load through a
 /// context is the cold one and every later load allocates little more
-/// than its page scan and its result. Sockets still close before this
-/// returns, whichever way it returns.
+/// than its result. The page scan is the browser's own when `page` is the
+/// `Arc` its last load or replay held, and built afresh otherwise.
+/// Sockets still close before this returns, whichever way it returns.
 pub fn load_page_in(
     ctx: &mut ReplayCtx,
     addr: SocketAddr,
@@ -925,7 +926,10 @@ pub fn load_page_in(
     let now = || SimTime(epoch.elapsed().as_micros() as u64);
     let ReplayCtx { browser, queue, spare_fifos, live, .. } = ctx;
     let LiveScratch { buf, fds, timers, conns } = live;
-    let scan = Arc::new(PreparedScan::build(&page));
+    let scan = browser
+        .as_ref()
+        .and_then(|b| b.scan_for(&page))
+        .unwrap_or_else(|| Arc::new(PreparedScan::build(&page)));
     let browser = match browser {
         Some(b) => {
             b.reset(page, cfg, scan);

@@ -1,27 +1,20 @@
-//! Page-level precomputation: the [`PreparedPage`] artifact.
+//! Page-level memos: the [`PreparedPage`] artifact.
 //!
-//! A replay spends a slice of every repetition re-deriving facts that
-//! depend only on the page: the browser's parser stop points, its
-//! preload-scanner reference index and the index that resolves a push
-//! promise to a resource, the URLs a cache digest is asked about, and
-//! the HPACK blocks the page's header lists encode to and decode from.
-//! A [`PreparedPage`] computes all of it once and shares it — across
-//! repetitions, configurations and worker threads — via `Arc` clones.
-//! (Header *lists* are not among them: both endpoints format theirs per
-//! request as borrowed fields over the page's strings, prepared or not.)
+//! Every [`ReplayInputs`](crate::ReplayInputs) already carries what
+//! derives from the page alone — the browser's page scan and the server's
+//! push URLs — built once with the inputs. A [`PreparedPage`] adds the
+//! two HPACK memos: the header blocks the page's header lists encode to
+//! and decode from, remembered across repetitions, configurations and
+//! worker threads and shared via `Arc` clones. Its scan and push URLs are
+//! the inputs' own `Arc`s, exposed through accessors.
 //!
-//! **Bit-identity is the contract.** Every prepared component is either
-//! a pure function of the page or memoizes keyed on the full producer
+//! **Bit-identity is the contract.** The memos key on the full producer
 //! state (HPACK blocks are keyed by the encoder-state fingerprint and
 //! fall back to live encoding on any miss — see
 //! `h2push_hpack::BlockCache`). A replay with a `PreparedPage` attached
 //! is therefore byte-identical to one without, which
 //! `tests/prepared.rs` asserts across strategies, tracing and fault
 //! profiles.
-//!
-//! Amortization (see DESIGN.md §8): per-page work happens here, once;
-//! per-config work is an `Arc` clone; the per-rep hot path reads shared
-//! immutable data and allocates almost nothing.
 
 use h2push_browser::PreparedScan;
 use h2push_hpack::{BlockCache, DecodeCache};
@@ -29,14 +22,14 @@ use h2push_server::Prepared as ServerPrepared;
 use h2push_webmodel::Page;
 use std::sync::Arc;
 
-/// Everything about one page that replays can precompute and share.
+/// The HPACK memos of one page, next to its shared scan and push URLs.
 #[derive(Debug, Clone)]
 pub struct PreparedPage {
     /// Browser-side scan: parser stops, HTML reference index, push
     /// resolution index.
-    pub(crate) scan: Arc<PreparedScan>,
+    scan: Arc<PreparedScan>,
     /// Server-side push URLs.
-    pub(crate) server: Arc<ServerPrepared>,
+    server: Arc<ServerPrepared>,
     /// Memoized HPACK header blocks, shared by the client and every
     /// server connection (keys carry the full encoder-state fingerprint,
     /// so sharing across roles cannot alias).
@@ -53,12 +46,12 @@ impl PreparedPage {
     /// Precompute everything for `page`. Deterministic: a pure function
     /// of the page (the HPACK cache starts empty and fills as reps run).
     pub fn build(page: &Arc<Page>) -> Self {
-        PreparedPage {
-            scan: Arc::new(PreparedScan::build(page)),
-            server: Arc::new(ServerPrepared::build(page)),
-            hpack: BlockCache::new(),
-            hpack_decode: DecodeCache::new(),
-        }
+        Self::from_parts(Arc::new(PreparedScan::build(page)), Arc::new(ServerPrepared::build(page)))
+    }
+
+    /// Empty memos over an already built scan and push URLs of one page.
+    pub(crate) fn from_parts(scan: Arc<PreparedScan>, server: Arc<ServerPrepared>) -> Self {
+        PreparedPage { scan, server, hpack: BlockCache::new(), hpack_decode: DecodeCache::new() }
     }
 
     /// Borrow the shared browser scan.

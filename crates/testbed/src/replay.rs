@@ -10,8 +10,9 @@
 //! adapter in `driver.rs`.
 
 use crate::prepared::PreparedPage;
-use h2push_browser::{BrowserConfig, LoadResult};
+use h2push_browser::{BrowserConfig, LoadResult, PreparedScan};
 use h2push_netsim::{NetStats, NetworkSpec, SimDuration, SimTime};
+use h2push_server::Prepared as ServerPrepared;
 use h2push_strategies::{RunTrace, Strategy};
 use h2push_trace::TraceHandle;
 use h2push_webmodel::{Page, RecordDb, ResourceId};
@@ -133,29 +134,36 @@ impl std::fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-/// The immutable inputs of a replay: the page model and the record-and-
-/// replay response database derived from it. Built once per page (the DB
-/// walk is the expensive part) and shared by reference across every
-/// repetition, connection and thread — `Arc` clones are pointer bumps.
+/// The immutable inputs of a replay: the page model and everything derived
+/// from the page alone — the record-and-replay response database, the
+/// browser's page scan and the server's push URLs. Built once per page
+/// (the DB walk is the expensive part) and shared by reference across
+/// every repetition, connection and thread — `Arc` clones are pointer
+/// bumps.
 #[derive(Debug, Clone)]
 pub struct ReplayInputs {
     /// The page under replay.
     pub page: Arc<Page>,
     /// Recorded responses for every resource of `page`.
     pub db: Arc<RecordDb>,
-    /// Page-level precomputation ([`PreparedPage`]); `None` runs the live
-    /// path. Attached with [`ReplayInputs::prepared`]; outputs are
+    /// The browser's scan of `page`, handed to every load of it.
+    pub(crate) scan: Arc<PreparedScan>,
+    /// The push URLs of `page`, attached to every H2 server of a replay.
+    pub(crate) server: Arc<ServerPrepared>,
+    /// The HPACK memos ([`PreparedPage`]); `None` encodes and decodes every
+    /// header block. Attached with [`ReplayInputs::prepared`]; outputs are
     /// byte-identical either way.
     pub(crate) prepared: Option<Arc<PreparedPage>>,
 }
 
 impl ReplayInputs {
-    /// Attach a freshly built [`PreparedPage`] (build once, share across
-    /// every rep and config touching this page). No observable output
-    /// changes — only per-rep work is skipped.
+    /// Attach a [`PreparedPage`] over these inputs' own scan and push URLs
+    /// (build once, share across every rep and config touching this page).
+    /// No observable output changes — only per-rep work is skipped.
     pub fn prepared(mut self) -> Self {
         if self.prepared.is_none() {
-            self.prepared = Some(Arc::new(PreparedPage::build(&self.page)));
+            let (scan, server) = (Arc::clone(&self.scan), Arc::clone(&self.server));
+            self.prepared = Some(Arc::new(PreparedPage::from_parts(scan, server)));
         }
         self
     }
@@ -169,7 +177,9 @@ impl ReplayInputs {
 impl From<Arc<Page>> for ReplayInputs {
     fn from(page: Arc<Page>) -> Self {
         let db = Arc::new(RecordDb::record(&page));
-        ReplayInputs { page, db, prepared: None }
+        let scan = Arc::new(PreparedScan::build(&page));
+        let server = Arc::new(ServerPrepared::build(&page));
+        ReplayInputs { page, db, scan, server, prepared: None }
     }
 }
 
@@ -279,6 +289,19 @@ mod tests {
         assert_eq!(cold.trace.order, a.trace.order);
         assert_eq!(a.load.plt(), b.load.plt());
         assert_eq!(a.trace.order, b.trace.order);
+    }
+
+    #[test]
+    fn preparing_and_cloning_share_the_inputs_scan_and_push_urls() {
+        let inputs = ReplayInputs::from(page());
+        let (clone, prepared) = (inputs.clone(), inputs.clone().prepared());
+        let memos = prepared.prepared_page().expect("prepared inputs");
+        for other in [&clone, &prepared] {
+            assert!(Arc::ptr_eq(&inputs.scan, &other.scan));
+            assert!(Arc::ptr_eq(&inputs.server, &other.server));
+        }
+        assert!(Arc::ptr_eq(&inputs.scan, memos.scan()), "preparing built a second scan");
+        assert!(Arc::ptr_eq(&inputs.server, memos.server()), "preparing built second push URLs");
     }
 
     #[test]

@@ -10,12 +10,12 @@
 
 use h2push_browser::BrowserConfig;
 use h2push_h2proto::{Connection, DefaultScheduler, Frame, PrioritySpec, Settings};
-use h2push_strategies::{push_all, Strategy};
+use h2push_strategies::{paper_strategy, push_all, PaperStrategy, Strategy};
 use h2push_testbed::{
     load_page, CloseReason, LiveLimits, LiveLoadReport, LiveServer, LiveServerHandle,
     LiveServerStats, TimeoutKind,
 };
-use h2push_webmodel::{generate_site, CorpusKind, Page, PageBuilder, ResourceSpec};
+use h2push_webmodel::{generate_site, realworld_site, CorpusKind, Page, PageBuilder, ResourceSpec};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -306,6 +306,44 @@ fn sequential_loads_are_served_by_the_machines_of_the_first() {
     assert_eq!(stats.protocol_errors, 0);
     assert_eq!(stats.bytes_out, received);
     assert!(stats.polls >= LOADS && stats.reads >= 2 * LOADS && stats.writes >= 2 * LOADS);
+}
+
+#[test]
+fn alternating_pages_through_one_context_each_load_their_own_page() {
+    // A repeat load of the page the thread's browser holds reuses its page
+    // scan; a load of another page must not. Alternate two pages, each
+    // behind its own server, through the calling thread's one context:
+    // every load must account for exactly its own page's resources and
+    // pushes, which a scan left over from the other page cannot.
+    let (w1, w1_strategy) = paper_strategy(&realworld_site(1), PaperStrategy::PushAllOptimized);
+    let generated = generate_site(CorpusKind::Random, 7);
+    let generated_strategy = push_all(&generated, &[]);
+    let sites = [(Arc::new(w1), w1_strategy), (Arc::new(generated), generated_strategy)];
+    let servers: Vec<_> = sites
+        .iter()
+        .map(|(page, strategy)| {
+            let pushes = strategy.pushed_resources().len() as u32;
+            let (addr, handle, server) = start(page, strategy.clone(), LiveLimits::new());
+            (page, pushes, addr, handle, server)
+        })
+        .collect();
+    for round in 0..3 {
+        for (page, pushes, addr, ..) in &servers {
+            let load = quick_load(*addr, page).load;
+            let what = format!("round {round}, {}", page.name);
+            assert!(load.finished() && !load.partial, "{what}: onload {:?}", load.onload);
+            assert_eq!(load.site, page.name, "{what}");
+            assert_eq!(load.waterfall.len(), page.resources.len(), "{what}");
+            assert_eq!(load.failed_resources, 0, "{what}");
+            assert_eq!((load.pushed_count, load.cancelled_pushes), (*pushes, 0), "{what}");
+            assert_eq!(load.requests + load.pushed_count, page.resources.len() as u32, "{what}");
+        }
+    }
+    for (.., handle, server) in servers {
+        handle.stop();
+        let stats = server.join().expect("server thread").expect("run");
+        assert_eq!(stats.protocol_errors, 0);
+    }
 }
 
 /// Everything a client says to request `/` of `host`, with `settings`.

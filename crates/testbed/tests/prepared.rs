@@ -1,9 +1,9 @@
 //! The PreparedPage determinism contract, end to end through the public
-//! API: a replay backed by the page-level artifact (pre-scanned parser
-//! index, pre-formatted header lists, memoized HPACK blocks, pre-chunked
-//! bodies) is **byte-identical** to the live path, for every strategy,
-//! traced and untraced, with and without injected faults. The artifact
-//! may only change how fast a rep runs — never a single output bit.
+//! API: a replay backed by the page's HPACK memos (memoized header blocks
+//! and decode results) is **byte-identical** to one that encodes and
+//! decodes every block, for every strategy, traced and untraced, with and
+//! without injected faults. The memos may only change how fast a rep runs
+//! — never a single output bit.
 
 use h2push_strategies::Strategy;
 use h2push_testbed::{FaultProfile, Mode, ReplayInputs, RunPlan, SweepPlan};
