@@ -25,7 +25,7 @@
 //!   contend for it (`main_free_at`), reproducing the computation-bound
 //!   pages where push cannot help (s5, w5).
 
-use crate::result::{LoadResult, PaintSample, ResourceTiming};
+use crate::result::{LoadResult, PaintSample};
 use bytes::Bytes;
 use h2push_h2proto::{
     CacheDigest, Connection, ErrorCode, Event, FifoScheduler, PrioritySpec, Settings,
@@ -158,7 +158,6 @@ struct ResInfo {
     eval_scheduled: bool,
     /// Fetch attempts so far (0 until the first timeout/error).
     attempts: u32,
-    timing: ResourceTiming,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -366,7 +365,6 @@ pub struct Browser {
     defer_queue: Vec<ResourceId>,
     // Timeline.
     connect_end: Option<SimTime>,
-    first_paint: Option<SimTime>,
     dcl: Option<SimTime>,
     onload: Option<SimTime>,
     paints: Vec<PaintSample>,
@@ -433,7 +431,6 @@ impl Browser {
                     received: 0,
                     eval_scheduled: false,
                     attempts: 0,
-                    timing: ResourceTiming::default(),
                 })
                 .collect(),
             conns: (0..page.server_group_count()).map(|_| None).collect(),
@@ -455,7 +452,6 @@ impl Browser {
             next_token: 1,
             defer_queue: Vec::new(),
             connect_end: None,
-            first_paint: None,
             dcl: None,
             onload: None,
             paints: Vec::new(),
@@ -498,7 +494,6 @@ impl Browser {
             received: 0,
             eval_scheduled: false,
             attempts: 0,
-            timing: ResourceTiming::default(),
         }));
         // Park every connection machine the last load opened, and nothing
         // older: the bound on what a browser keeps is that load's own
@@ -539,7 +534,6 @@ impl Browser {
         self.next_token = 1;
         self.defer_queue.clear();
         self.connect_end = None;
-        self.first_paint = None;
         self.dcl = None;
         self.onload = None;
         self.paints.clear();
@@ -726,9 +720,7 @@ impl Browser {
     pub fn result(&self) -> LoadResult {
         let failed = self.res.iter().filter(|i| i.state == ResState::Failed).count() as u32;
         LoadResult {
-            site: self.page.name.clone(),
             connect_end: self.connect_end.unwrap_or(SimTime::ZERO),
-            first_paint: self.first_paint,
             dom_content_loaded: self.dcl,
             onload: self.onload,
             paints: self.paints.clone(),
@@ -741,7 +733,6 @@ impl Browser {
             retries: self.retries,
             timeouts: self.timeouts,
             conn_errors: self.conn_errors,
-            waterfall: self.res.iter().map(|i| i.timing).collect(),
         }
     }
 
@@ -812,7 +803,6 @@ impl Browser {
             return;
         }
         self.res[rid.0].discovered = true;
-        self.res[rid.0].timing.discovered.get_or_insert(now);
         self.trace.emit_at(now.as_micros(), TraceEvent::ResourceDiscovered { resource: rid.0 });
         if self.res[rid.0].state != ResState::Undiscovered {
             // Already being pushed.
@@ -824,7 +814,7 @@ impl Browser {
             let info = &mut self.res[rid.0];
             info.state = ResState::Loaded;
             info.received = self.page.resource(rid).size;
-            info.timing.loaded.get_or_insert(now);
+            self.trace.emit_at(now.as_micros(), TraceEvent::ResourceLoaded { resource: rid.0 });
             self.try_schedule_eval(rid, now);
             return;
         }
@@ -1312,8 +1302,6 @@ impl Browser {
         if info.state == ResState::Fetching {
             self.progress_dirty = true;
             info.state = ResState::Loaded;
-            info.timing.loaded.get_or_insert(now);
-            info.timing.pushed = info.pushed;
             self.trace.emit_at(now.as_micros(), TraceEvent::ResourceLoaded { resource: rid.0 });
         }
         if info.pushed {
@@ -1534,7 +1522,6 @@ impl Browser {
 
     fn finish_eval(&mut self, rid: ResourceId, now: SimTime) {
         self.set_state(rid, ResState::Evaluated);
-        self.res[rid.0].timing.evaluated.get_or_insert(now);
         self.trace.emit_at(now.as_micros(), TraceEvent::ResourceEvaluated { resource: rid.0 });
         let page = Arc::clone(&self.page);
         let r = page.resource(rid);
@@ -1671,10 +1658,9 @@ impl Browser {
         }
         if let Some(c) = self.paint_due() {
             self.last_completeness = c;
-            if self.first_paint.is_none() {
+            if self.paints.is_empty() {
                 self.trace.emit_at(now.as_micros(), TraceEvent::FirstPaint);
             }
-            self.first_paint.get_or_insert(now);
             self.paints.push(PaintSample { time: now, completeness: c });
         }
         if self.onload_due() {
@@ -1687,10 +1673,9 @@ impl Browser {
             let any_failed = self.res.iter().any(|i| i.state == ResState::Failed);
             if !any_failed && self.last_completeness < 1.0 {
                 self.last_completeness = 1.0;
-                if self.first_paint.is_none() {
+                if self.paints.is_empty() {
                     self.trace.emit_at(now.as_micros(), TraceEvent::FirstPaint);
                 }
-                self.first_paint.get_or_insert(now);
                 self.paints.push(PaintSample { time: now, completeness: 1.0 });
             }
         }

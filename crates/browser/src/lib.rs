@@ -9,12 +9,10 @@
 //! the visual-progress curve that PLT and SpeedIndex are computed from.
 
 pub mod engine;
-pub mod har;
 pub mod result;
 
 pub use engine::{Browser, BrowserAction, BrowserConfig, PreparedScan, TransportMode};
-pub use har::to_har;
-pub use result::{LoadResult, PaintSample, ResourceTiming};
+pub use result::{LoadResult, PaintSample};
 
 #[cfg(test)]
 mod tests {
@@ -213,7 +211,7 @@ mod tests {
         let mut bed = MiniBed::new(page, vec![]);
         let r = bed.run(BrowserConfig::default());
         assert!(r.finished());
-        let fp = r.first_paint.unwrap();
+        let fp = r.first_paint().unwrap();
         let dcl = r.dom_content_loaded.unwrap();
         let onload = r.onload.unwrap();
         assert!(r.connect_end <= fp);
@@ -391,7 +389,7 @@ mod tests {
         assert_eq!(r.failed_resources, 1);
         assert_eq!(r.timeouts, 2, "original attempt + one retry both timed out");
         assert_eq!(r.retries, 1);
-        assert!(r.first_paint.is_some(), "render proceeded without the failed sheet");
+        assert!(r.first_paint().is_some(), "render proceeded without the failed sheet");
         assert!(r.plt() > 0.0);
     }
 
@@ -500,7 +498,7 @@ mod tests {
         assert_eq!(r.timeouts, 1);
         assert_eq!(r.retries, 0);
         assert_eq!(r.failed_resources, 1);
-        assert!(r.first_paint.is_none(), "nothing ever rendered");
+        assert!(r.first_paint().is_none(), "nothing ever rendered");
     }
 
     // ------------------------------------------------------------------

@@ -4,19 +4,6 @@
 
 use h2push_netsim::SimTime;
 
-/// Per-resource load timing (a waterfall row).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ResourceTiming {
-    /// When the browser learned about the resource.
-    pub discovered: Option<SimTime>,
-    /// When the last body byte arrived.
-    pub loaded: Option<SimTime>,
-    /// When evaluation (exec/parse/decode) finished.
-    pub evaluated: Option<SimTime>,
-    /// Delivered by Server Push.
-    pub pushed: bool,
-}
-
 /// A visual progress sample: at `time`, the above-the-fold viewport was
 /// `completeness` (0..=1) identical to its final state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,16 +14,14 @@ pub struct PaintSample {
     pub completeness: f64,
 }
 
-/// All measurements from a single page load.
+/// All measurements from a single page load. Per-resource milestones
+/// are not kept here: a traced run's `Timeline::resource_spans` is the
+/// one per-resource record.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadResult {
-    /// Site name.
-    pub site: String,
     /// `connectEnd` of the connection carrying the base document — the
     /// paper's PLT zero point.
     pub connect_end: SimTime,
-    /// Time of the first visual change.
-    pub first_paint: Option<SimTime>,
     /// DOMContentLoaded.
     pub dom_content_loaded: Option<SimTime>,
     /// `onload` — everything discovered has loaded.
@@ -69,11 +54,15 @@ pub struct LoadResult {
     /// Transport connections lost to protocol errors (HTTP/2 GOAWAY-level
     /// failures and dead HTTP/1.1 connections).
     pub conn_errors: u32,
-    /// Per-resource waterfall (indexed like `Page::resources`).
-    pub waterfall: Vec<ResourceTiming>,
 }
 
 impl LoadResult {
+    /// Time of the first visual change: the first sample of the paint
+    /// curve.
+    pub fn first_paint(&self) -> Option<SimTime> {
+        self.paints.first().map(|p| p.time)
+    }
+
     /// Page Load Time as the paper defines it: `onload − connectEnd`.
     /// Panics if the load never finished (callers should check
     /// [`LoadResult::finished`] first).
@@ -123,9 +112,7 @@ mod tests {
 
     fn result(paints: Vec<PaintSample>) -> LoadResult {
         LoadResult {
-            site: "t".into(),
             connect_end: t(100),
-            first_paint: paints.first().map(|p| p.time),
             dom_content_loaded: Some(t(400)),
             onload: Some(t(1100)),
             paints,
@@ -138,7 +125,6 @@ mod tests {
             retries: 0,
             timeouts: 0,
             conn_errors: 0,
-            waterfall: Vec::new(),
         }
     }
 

@@ -60,7 +60,7 @@ pub fn evaluate(
         plt: l.plt(),
         speed_index: l.speed_index(),
         first_paint: l
-            .first_paint
+            .first_paint()
             .map(|t| t.since(l.connect_end).as_millis_f64())
             .unwrap_or(f64::NAN),
         pushed_bytes: out.server_pushed_bytes,

@@ -6,7 +6,6 @@
 //! database is shared across the pool through an `Arc`.
 
 use h2push_h1::H1ServerConn;
-use h2push_netsim::SimTime;
 use h2push_webmodel::RecordDb;
 use std::sync::Arc;
 
@@ -35,9 +34,14 @@ impl H1ReplayServer {
     pub fn served(&self) -> u32 {
         self.served
     }
+}
 
+/// Sans-IO transport surface — see `h2push_h2proto::sansio`. The H1
+/// server ignores time entirely; the impl exists so the runtimes can
+/// drive both protocols through one trait object.
+impl h2push_h2proto::sansio::Endpoint for H1ReplayServer {
     /// Feed wire bytes; answers any completed requests immediately.
-    pub fn on_bytes(&mut self, bytes: &[u8], _now: SimTime) {
+    fn feed_bytes(&mut self, bytes: &[u8], _now: h2push_h2proto::sansio::Micros) {
         self.conn.receive(bytes);
         while let Some(req) = self.conn.poll_request() {
             match self.db.lookup(&req.host, &req.path) {
@@ -50,22 +54,8 @@ impl H1ReplayServer {
         }
     }
 
-    /// Whether there are bytes to transmit.
-    pub fn wants_send(&self) -> bool {
-        self.conn.wants_send()
-    }
-}
-
-/// Sans-IO transport surface — see `h2push_h2proto::sansio`. The H1
-/// server ignores time entirely; the impl exists so the runtimes can
-/// drive both protocols through one trait object.
-impl h2push_h2proto::sansio::Endpoint for H1ReplayServer {
-    fn feed_bytes(&mut self, bytes: &[u8], now: h2push_h2proto::sansio::Micros) {
-        self.on_bytes(bytes, SimTime(now));
-    }
-
     fn wants_output(&self) -> bool {
-        self.wants_send()
+        self.conn.wants_send()
     }
 
     fn poll_output_into(
@@ -92,15 +82,15 @@ mod tests {
         let page = b.build();
         let db = Arc::new(RecordDb::record(&page));
         let mut srv = H1ReplayServer::new(db.clone());
-        srv.on_bytes(&encode_request("h1.test", "/", &[]), SimTime::ZERO);
-        assert!(srv.wants_send());
+        srv.feed_bytes(&encode_request("h1.test", "/", &[]), 0);
+        assert!(srv.wants_output());
         let out = srv.poll_output(usize::MAX, 0);
         // Head + 10 000 filler bytes.
         assert!(out.len() > 10_000);
         assert_eq!(srv.served(), 1);
         // Unknown path → 404, still answered.
         let mut srv2 = H1ReplayServer::new(db);
-        srv2.on_bytes(&encode_request("h1.test", "/nope", &[]), SimTime::ZERO);
+        srv2.feed_bytes(&encode_request("h1.test", "/nope", &[]), 0);
         let out = srv2.poll_output(usize::MAX, 0);
         assert!(String::from_utf8_lossy(&out).starts_with("HTTP/1.1 404"));
         assert_eq!(srv2.served(), 0);

@@ -8,7 +8,6 @@
 //! scheduler or with the paper's interleaving scheduler.
 
 use crate::interleave::InterleavingScheduler;
-use bytes::Bytes;
 use h2push_h2proto::{
     CacheDigest, ConnError, Connection, DefaultScheduler, Event, Scheduler, Settings,
 };
@@ -305,57 +304,6 @@ impl ReplayServer {
         self.pushed_bytes
     }
 
-    /// Feed wire bytes from the client; handles any completed requests.
-    pub fn on_bytes(&mut self, bytes: &[u8], now: SimTime) {
-        self.conn.receive(bytes);
-        while let Some(ev) = self.conn.poll_event() {
-            match ev {
-                Event::Headers { stream, headers, .. } => {
-                    self.handle_request(stream, &headers, now);
-                }
-                Event::Reset { .. }
-                | Event::Settings(_)
-                | Event::SettingsAck
-                | Event::Priority { .. }
-                | Event::GoAway { .. } => {}
-                Event::Data { .. } | Event::PushPromise { .. } => {
-                    // Clients send neither bodies nor pushes in the replay.
-                }
-                Event::StreamError { .. } => {
-                    // One stream failed; the connection (and every other
-                    // stream on it) carries on.
-                    self.protocol_errors += 1;
-                }
-                Event::ConnectionError { error } => {
-                    // The connection has queued its GOAWAY and is dead;
-                    // record the cause and let the client's recovery
-                    // (reopen / retry) drive what happens next.
-                    self.protocol_errors += 1;
-                    self.fatal_error.get_or_insert(error);
-                }
-            }
-        }
-    }
-
-    /// True when the connection has bytes to transmit.
-    pub fn wants_send(&self) -> bool {
-        self.conn.wants_send()
-    }
-
-    /// Produce up to `max` wire bytes under the configured scheduler.
-    pub fn produce(&mut self, max: usize) -> Bytes {
-        self.conn.produce(max, self.sched.as_dyn())
-    }
-
-    /// Build a live-mode server for `page`: the strategy is armed
-    /// unconditionally (every live connection may receive the document
-    /// request, and only the one that does triggers pushes), so the same
-    /// instance answers any origin of the page by host+path lookup.
-    pub fn live(page: Arc<Page>, db: Arc<RecordDb>, strategy: &Arc<Strategy>) -> Self {
-        let main_group = page.server_group_of(ResourceId(0));
-        Self::new(page, db, main_group, strategy)
-    }
-
     fn handle_request(&mut self, stream: u32, headers: &HeaderList, now: SimTime) {
         // A recorded host or path is UTF-8; a value that is not matches
         // nothing, like a missing one.
@@ -452,17 +400,46 @@ impl ReplayServer {
     }
 }
 
-/// The sans-IO transport surface (`h2push_h2proto::sansio`): both the
-/// netsim adapter and the live TCP runtime drive a replay server through
-/// exactly these three calls, so the wire behaviour cannot diverge
-/// between the simulated and the real transport.
+/// The sans-IO transport surface (`h2push_h2proto::sansio`), and a
+/// replay server's only one: the netsim adapter, the live TCP runtime and
+/// the adversarial harness all drive it through these three calls, so
+/// the wire behaviour cannot diverge between transports.
 impl h2push_h2proto::sansio::Endpoint for ReplayServer {
+    /// Feed wire bytes from the client; handles any completed requests.
     fn feed_bytes(&mut self, bytes: &[u8], now: h2push_h2proto::sansio::Micros) {
-        self.on_bytes(bytes, SimTime(now));
+        let now = SimTime(now);
+        self.conn.receive(bytes);
+        while let Some(ev) = self.conn.poll_event() {
+            match ev {
+                Event::Headers { stream, headers, .. } => {
+                    self.handle_request(stream, &headers, now);
+                }
+                Event::Reset { .. }
+                | Event::Settings(_)
+                | Event::SettingsAck
+                | Event::Priority { .. }
+                | Event::GoAway { .. } => {}
+                Event::Data { .. } | Event::PushPromise { .. } => {
+                    // Clients send neither bodies nor pushes in the replay.
+                }
+                Event::StreamError { .. } => {
+                    // One stream failed; the connection (and every other
+                    // stream on it) carries on.
+                    self.protocol_errors += 1;
+                }
+                Event::ConnectionError { error } => {
+                    // The connection has queued its GOAWAY and is dead;
+                    // record the cause and let the client's recovery
+                    // (reopen / retry) drive what happens next.
+                    self.protocol_errors += 1;
+                    self.fatal_error.get_or_insert(error);
+                }
+            }
+        }
     }
 
     fn wants_output(&self) -> bool {
-        self.wants_send()
+        self.conn.wants_send()
     }
 
     fn poll_output_into(
@@ -478,6 +455,7 @@ impl h2push_h2proto::sansio::Endpoint for ReplayServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h2push_h2proto::sansio::Endpoint;
     use h2push_h2proto::{Connection, FifoScheduler, Settings, StreamState};
     use h2push_hpack::Header;
     use h2push_webmodel::{PageBuilder, ResourceSpec};
@@ -508,11 +486,11 @@ mod tests {
         for _ in 0..rounds {
             let up = client.produce(usize::MAX, &mut sched);
             if !up.is_empty() {
-                server.on_bytes(&up, SimTime::ZERO);
+                server.feed_bytes(&up, 0);
             }
             let mut moved = false;
-            while server.wants_send() {
-                let down = server.produce(usize::MAX);
+            while server.wants_output() {
+                let down = server.poll_output(usize::MAX, 0);
                 if down.is_empty() {
                     break;
                 }
@@ -615,7 +593,7 @@ mod tests {
             ]
         ));
         assert_eq!(client.stream_state(s), Some(StreamState::Closed));
-        assert!(!server.wants_send(), "an ended response leaves nothing to send");
+        assert!(!server.wants_output(), "an ended response leaves nothing to send");
     }
 
     #[test]
@@ -722,14 +700,14 @@ mod tests {
         let p = page();
         let mut server = server_for(&p, 0, Strategy::NoPush);
         assert_eq!(server.protocol_errors(), 0);
-        server.on_bytes(b"GARBAGE / HTTP/1.1\r\n\r\nxxxxxxxx", SimTime::ZERO);
+        server.feed_bytes(b"GARBAGE / HTTP/1.1\r\n\r\nxxxxxxxx", 0);
         assert_eq!(server.protocol_errors(), 1);
         assert_eq!(server.fatal_error(), Some(ConnError::BadPreface));
-        assert!(server.wants_send(), "the GOAWAY still drains");
-        let bytes = server.produce(usize::MAX);
+        assert!(server.wants_output(), "the GOAWAY still drains");
+        let bytes = server.poll_output(usize::MAX, 0);
         assert!(!bytes.is_empty());
         // Further input on the dead connection stays harmless.
-        server.on_bytes(b"more garbage", SimTime::ZERO);
+        server.feed_bytes(b"more garbage", 0);
         assert_eq!(server.fatal_error(), Some(ConnError::BadPreface));
     }
 }

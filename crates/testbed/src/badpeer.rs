@@ -21,6 +21,7 @@
 //! [`ConnError`] (GOAWAY) or stream reset.
 
 use bytes::Bytes;
+use h2push_h2proto::sansio::Endpoint;
 use h2push_h2proto::{
     ConnError, ConnLimits, Connection, DefaultScheduler, ErrorCode, Event, Frame, PrioritySpec,
     Settings,
@@ -469,7 +470,7 @@ pub fn attack_server_in(
             break;
         }
         fp.update(b"c>", &out);
-        srv.on_bytes(&out, now);
+        srv.feed_bytes(&out, now.as_micros());
     }
     drain_server(srv, &mut fp, &mut rounds, &mut now);
 
@@ -477,7 +478,7 @@ pub fn attack_server_in(
     for chunk in script.compile() {
         fp.update(b"a>", &chunk);
         now += h2push_netsim::SimDuration::from_micros(100);
-        srv.on_bytes(&chunk, now);
+        srv.feed_bytes(&chunk, now.as_micros());
         drain_server(srv, &mut fp, &mut rounds, &mut now);
         if rounds >= ROUND_BUDGET {
             break;
@@ -614,7 +615,7 @@ pub fn run_suite_in(seed: u64, limits: ConnLimits, ctx: &mut AttackCtx) -> Vec<A
 fn drain_server(srv: &mut ReplayServer, fp: &mut Fnv, rounds: &mut u32, now: &mut SimTime) {
     loop {
         *rounds += 1;
-        let out = srv.produce(usize::MAX);
+        let out = srv.poll_output(usize::MAX, now.as_micros());
         if out.is_empty() || *rounds >= ROUND_BUDGET {
             break;
         }

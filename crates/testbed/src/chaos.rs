@@ -4,11 +4,11 @@
 //! this module re-runs the same strategy matrix while the netsim injects
 //! loss, jitter, reordering and outages ([`FaultSpec`]) and the hardened
 //! browser recovers (timeouts, retries, partial loads). Everything stays
-//! deterministic: a [`FaultProfile`] layered onto [`crate::run_config`]
-//! yields a replay that is a pure function of `(inputs, strategy, mode,
-//! run_seed, profile)` — rerunning the same seed reproduces every byte,
-//! and the [`FaultProfile::none`] profile reproduces the fault-free
-//! harness exactly.
+//! deterministic: a [`FaultProfile`] layered onto a rep's derived config
+//! ([`RunPlan::config_for`]) yields a replay that is a pure function of
+//! `(inputs, strategy, mode, run_seed, profile)` — rerunning the same
+//! seed reproduces every byte, and the [`FaultProfile::none`] profile
+//! reproduces the fault-free harness exactly.
 
 #[cfg(test)]
 use crate::harness::{run_config, Mode};
@@ -43,8 +43,8 @@ pub struct FaultProfile {
 
 impl FaultProfile {
     /// The control profile: injects nothing and leaves every browser
-    /// default in place, so its runs are byte-identical to
-    /// [`crate::run_config`].
+    /// default in place, so its runs are byte-identical to the plain
+    /// derived configs ([`RunPlan::config_for`]).
     pub fn none() -> Self {
         FaultProfile {
             name: "none".into(),
@@ -208,7 +208,7 @@ pub fn run_fault_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::replay;
+    use crate::replay::run_once;
     use h2push_webmodel::{PageBuilder, ResourceId, ResourceSpec};
 
     fn with_profile(
@@ -254,8 +254,8 @@ mod tests {
             for seed in [0u64, 7, 42] {
                 let plain = run_config(strategy, Mode::Testbed, seed, &inputs.page);
                 let faulted = with_profile(strategy, Mode::Testbed, seed, &inputs.page, &profile);
-                let a = replay(&inputs, &plain).unwrap();
-                let b = replay(&inputs, &faulted).unwrap();
+                let a = run_once(&inputs, &plain).unwrap();
+                let b = run_once(&inputs, &faulted).unwrap();
                 assert_eq!(a.load, b.load, "strategy {strategy:?} seed {seed}");
                 assert_eq!(a.trace.order, b.trace.order);
                 assert_eq!(a.server_pushed_bytes, b.server_pushed_bytes);
@@ -284,7 +284,7 @@ mod tests {
                 .flat_map(|s| {
                     seeds.iter().map(|&seed| {
                         let cfg = with_profile(s, Mode::Testbed, seed, &inputs.page, &profile);
-                        replay(&inputs, &cfg).expect("faulty replay completes")
+                        run_once(&inputs, &cfg).expect("faulty replay completes")
                     })
                 })
                 .collect()
@@ -334,7 +334,7 @@ mod tests {
             &inputs.page,
             &FaultProfile::bernoulli(0.05),
         );
-        let out = replay(&inputs, &cfg).unwrap();
+        let out = run_once(&inputs, &cfg).unwrap();
         let obs = observe(&out);
         assert_eq!(obs.data_packets, out.net.data_packets);
         assert_eq!(obs.drops, out.net.drops_total());

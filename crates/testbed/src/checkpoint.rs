@@ -33,7 +33,7 @@
 use crate::plan::{RunOutput, RunReport};
 use crate::replay::ReplayOutcome;
 use crate::sweep::{CellFailure, CellStats, FailureKind, RecoveredRep, RetryClass, SweepCell};
-use h2push_browser::{LoadResult, PaintSample, ResourceTiming};
+use h2push_browser::{LoadResult, PaintSample};
 use h2push_netsim::{NetStats, SimTime};
 use h2push_strategies::RunTrace;
 use h2push_webmodel::ResourceId;
@@ -44,7 +44,7 @@ use std::path::{Path, PathBuf};
 /// File magic: identifies a sweep journal (and its framing generation).
 const MAGIC: &[u8; 8] = b"H2PSWEEP";
 /// Bump on any incompatible change to the header or record encoding.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// Records longer than this are treated as framing corruption, not data.
 const MAX_RECORD: u32 = 1 << 30;
 
@@ -358,9 +358,7 @@ pub fn decode_cell(payload: &[u8]) -> Option<(u32, SweepCell)> {
 fn encode_outcome(b: &mut Vec<u8>, o: &ReplayOutcome) {
     // LoadResult
     let l = &o.load;
-    put_str(b, &l.site);
     put_u64(b, l.connect_end.0);
-    put_opt_time(b, l.first_paint);
     put_opt_time(b, l.dom_content_loaded);
     put_opt_time(b, l.onload);
     put_u32(b, l.paints.len() as u32);
@@ -377,13 +375,6 @@ fn encode_outcome(b: &mut Vec<u8>, o: &ReplayOutcome) {
     put_u32(b, l.retries);
     put_u32(b, l.timeouts);
     put_u32(b, l.conn_errors);
-    put_u32(b, l.waterfall.len() as u32);
-    for w in &l.waterfall {
-        put_opt_time(b, w.discovered);
-        put_opt_time(b, w.loaded);
-        put_opt_time(b, w.evaluated);
-        put_u8(b, w.pushed as u8);
-    }
     // RunTrace
     put_u32(b, o.trace.order.len() as u32);
     for r in &o.trace.order {
@@ -401,9 +392,7 @@ fn encode_outcome(b: &mut Vec<u8>, o: &ReplayOutcome) {
 }
 
 fn decode_outcome(b: &[u8], pos: &mut usize) -> Option<ReplayOutcome> {
-    let site = take_str(b, pos)?;
     let connect_end = SimTime(take_u64(b, pos)?);
-    let first_paint = take_opt_time(b, pos)?;
     let dom_content_loaded = take_opt_time(b, pos)?;
     let onload = take_opt_time(b, pos)?;
     let n_paints = take_u32(b, pos)? as usize;
@@ -422,15 +411,6 @@ fn decode_outcome(b: &[u8], pos: &mut usize) -> Option<ReplayOutcome> {
     let retries = take_u32(b, pos)?;
     let timeouts = take_u32(b, pos)?;
     let conn_errors = take_u32(b, pos)?;
-    let n_wf = take_u32(b, pos)? as usize;
-    let mut waterfall = Vec::with_capacity(n_wf.min(4096));
-    for _ in 0..n_wf {
-        let discovered = take_opt_time(b, pos)?;
-        let loaded = take_opt_time(b, pos)?;
-        let evaluated = take_opt_time(b, pos)?;
-        let pushed = take_u8(b, pos)? != 0;
-        waterfall.push(ResourceTiming { discovered, loaded, evaluated, pushed });
-    }
     let n_order = take_u32(b, pos)? as usize;
     let mut order = Vec::with_capacity(n_order.min(4096));
     for _ in 0..n_order {
@@ -448,9 +428,7 @@ fn decode_outcome(b: &[u8], pos: &mut usize) -> Option<ReplayOutcome> {
     };
     Some(ReplayOutcome {
         load: LoadResult {
-            site,
             connect_end,
-            first_paint,
             dom_content_loaded,
             onload,
             paints,
@@ -463,7 +441,6 @@ fn decode_outcome(b: &[u8], pos: &mut usize) -> Option<ReplayOutcome> {
             retries,
             timeouts,
             conn_errors,
-            waterfall,
         },
         trace: RunTrace { order },
         server_pushed_bytes,

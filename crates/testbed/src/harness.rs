@@ -34,10 +34,11 @@ pub enum Mode {
 /// The paper repeats every configuration 31 times.
 pub const PAPER_RUNS: usize = 31;
 
-/// Build the per-run replay configuration for `(mode, run_seed)`.
-/// The strategy is shared by reference count — deriving a config never
-/// deep-clones the order vectors, however many reps a plan fans out.
-pub fn run_config(
+/// Build the per-run replay configuration for `(mode, run_seed)`: what
+/// [`RunPlan::config_for`] derives for a rep. The strategy is shared by
+/// reference count — deriving a config never deep-clones the order
+/// vectors, however many reps a plan fans out.
+pub(crate) fn run_config(
     strategy: &Arc<Strategy>,
     mode: Mode,
     run_seed: u64,
@@ -77,18 +78,14 @@ pub fn run_config(
     cfg
 }
 
-/// §4.2 "Computing the Push Order": replay without push `runs` times,
-/// trace the requests the main server sees, majority-vote the order.
-/// Returns only pushable resources (the order is computed on the initial
-/// connection to the origin server, so everything in it is pushable). A
-/// replay that fails casts no vote.
-pub fn compute_push_order(page: &Page, runs: usize, seed: u64) -> Vec<ResourceId> {
-    push_orders(&[ReplayInputs::from(page)], runs, seed, &mut Vec::new()).pop().expect("one site")
-}
-
-/// [`compute_push_order`] for every site at once: all (site × run)
-/// no-push replays as one fan-out on the executor, one order per site.
-/// Cells that lose a rep are reported in `lost` ([`run_cells`]).
+/// §4.2 "Computing the Push Order", for every site at once: replay each
+/// without push `runs` times, trace the requests its main server sees,
+/// majority-vote the order — all (site × run) no-push replays as one
+/// fan-out on the executor, one order per site. An order holds only
+/// pushable resources (it is computed on the initial connection to the
+/// origin server, so everything in it is pushable). A replay that fails
+/// casts no vote; cells that lose a rep are reported in `lost`
+/// ([`run_cells`]).
 pub fn push_orders(
     sites: &[ReplayInputs],
     runs: usize,

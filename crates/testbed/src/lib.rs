@@ -35,7 +35,7 @@ pub use chaos::{
 };
 pub use checkpoint::{GridIdentity, JournalScan, ResumeError, SweepJournal};
 pub use driver::ReplayCtx;
-pub use harness::{compute_push_order, push_orders, run_config, Mode, PAPER_RUNS};
+pub use harness::{push_orders, Mode, PAPER_RUNS};
 #[cfg(unix)]
 pub use live::{
     load_page, load_page_in, CloseCounts, CloseReason, ConnClose, LiveLimits, LiveLoadReport,
@@ -44,9 +44,7 @@ pub use live::{
 pub use plan::{RunOutput, RunPlan, RunReport, TraceSpec};
 pub use pool::{parallel_indexed, set_worker_threads, worker_threads};
 pub use prepared::PreparedPage;
-pub use replay::{
-    replay, replay_in, Protocol, ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome,
-};
+pub use replay::{Protocol, ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome};
 pub use sweep::{
     run_cells, CellFailure, CellStats, FailureKind, PopulationStats, RecoveredRep, RetryClass,
     SweepCell, SweepPlan, SweepReport,

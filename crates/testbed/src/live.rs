@@ -792,7 +792,7 @@ impl LiveServer {
                             }
                             None => {
                                 stats.machines_built += 1;
-                                Box::new(ReplayServer::live(page, db, &self.strategy))
+                                Box::new(ReplayServer::new(page, db, main_group, &self.strategy))
                             }
                         };
                         machine.set_limits(lim.conn);

@@ -21,9 +21,10 @@
 //!
 //! Two ways to configure a rep:
 //!
-//! * **Derived configs** (the default): rep `r` replays under
-//!   [`run_config`]`(strategy, mode, seed + r, page)`, optionally with a
-//!   [`FaultProfile`] layered on.
+//! * **Derived configs** (the default): rep `r` replays under the
+//!   testbed or Internet conditions of [`Mode`] drawn from seed `seed + r`
+//!   ([`RunPlan::config_for`]), optionally with a [`FaultProfile`]
+//!   layered on.
 //! * **Explicit config** ([`RunPlan::config`]): every rep replays under
 //!   the given [`ReplayConfig`] verbatim (no per-rep jitter).
 //!
@@ -185,8 +186,8 @@ impl RunPlan {
     }
 
     /// Replay every rep under this exact config instead of deriving one
-    /// per rep — the old `replay`/`run_once` behaviour (no per-rep
-    /// jitter). Overrides `strategy`/`mode`/`seed`/`faults`.
+    /// per rep (no per-rep jitter): `.config(cfg).run_one()` is a single
+    /// replay under `cfg`. Overrides `strategy`/`mode`/`seed`/`faults`.
     pub fn config(mut self, cfg: ReplayConfig) -> Self {
         self.explicit = Some(cfg);
         self

@@ -14,7 +14,6 @@ use h2push_browser::{BrowserConfig, LoadResult, PreparedScan};
 use h2push_netsim::{NetStats, NetworkSpec, SimDuration, SimTime};
 use h2push_server::Prepared as ServerPrepared;
 use h2push_strategies::{RunTrace, Strategy};
-use h2push_trace::TraceHandle;
 use h2push_webmodel::{Page, RecordDb, ResourceId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -201,35 +200,14 @@ impl From<&ReplayInputs> for ReplayInputs {
     }
 }
 
-/// Replay `inputs` once under `cfg`, recycling the calling thread's
-/// [`ReplayCtx`](crate::ReplayCtx).
-///
-/// `inputs` is anything that converts into [`ReplayInputs`]. A `&Page`
-/// is recorded on the call, so repeated runs of one page should build
-/// [`ReplayInputs`] once and pass `&inputs`, which shares (never clones)
-/// the page and response database with the browser and every server
-/// connection.
-pub fn replay(
+/// One replay of `inputs` under `cfg` through [`crate::RunPlan`], the
+/// one way to run a replay; the crate's unit tests share it.
+#[cfg(test)]
+pub(crate) fn run_once(
     inputs: impl Into<ReplayInputs>,
     cfg: &ReplayConfig,
 ) -> Result<ReplayOutcome, ReplayError> {
-    let inputs = inputs.into();
-    crate::driver::with_thread_ctx(|ctx| replay_in(&inputs, cfg, ctx))
-}
-
-/// Replay `inputs` once under `cfg` inside an explicit, caller-owned
-/// [`ReplayCtx`](crate::ReplayCtx). The context's machinery (browser,
-/// network, servers, byte FIFOs) is recycled from its previous run instead
-/// of reconstructed; outcomes are byte-identical to [`replay`] (asserted
-/// across strategies, faults and modes in `tests/recycle.rs`), which is
-/// this call in the thread's own context — this entry point exists for
-/// callers that want to own the context's lifetime, like the benchmark.
-pub fn replay_in(
-    inputs: &ReplayInputs,
-    cfg: &ReplayConfig,
-    ctx: &mut crate::driver::ReplayCtx,
-) -> Result<ReplayOutcome, ReplayError> {
-    crate::driver::drive_in(inputs, cfg, &TraceHandle::off(), ctx)
+    crate::RunPlan::new(inputs).config(cfg.clone()).run_one().map(|run| run.outcome)
 }
 
 #[cfg(test)]
@@ -251,7 +229,7 @@ mod tests {
 
     #[test]
     fn no_push_replay_completes() {
-        let out = replay(page(), &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
+        let out = run_once(page(), &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
         assert!(out.load.finished());
         // connectEnd ≈ 3 RTT (DNS local, TCP+TLS1.2) = ~150 ms.
         let ce = out.load.connect_end.as_millis_f64();
@@ -268,8 +246,8 @@ mod tests {
     #[test]
     fn replay_is_deterministic() {
         let cfg = ReplayConfig::testbed(Strategy::NoPush);
-        let a = replay(page(), &cfg).unwrap();
-        let b = replay(page(), &cfg).unwrap();
+        let a = run_once(page(), &cfg).unwrap();
+        let b = run_once(page(), &cfg).unwrap();
         assert_eq!(a.load.plt(), b.load.plt());
         assert_eq!(a.load.speed_index(), b.load.speed_index());
         assert_eq!(a.trace.order, b.trace.order);
@@ -280,10 +258,10 @@ mod tests {
         // Sharing the page/DB through Arc must not change a single output.
         let p = page();
         let cfg = ReplayConfig::testbed(Strategy::NoPush);
-        let cold = replay(&p, &cfg).unwrap();
+        let cold = run_once(&p, &cfg).unwrap();
         let inputs = ReplayInputs::from(p);
-        let a = replay(&inputs, &cfg).unwrap();
-        let b = replay(&inputs, &cfg).unwrap();
+        let a = run_once(&inputs, &cfg).unwrap();
+        let b = run_once(&inputs, &cfg).unwrap();
         assert_eq!(cold.load.plt(), a.load.plt());
         assert_eq!(cold.load.speed_index(), a.load.speed_index());
         assert_eq!(cold.trace.order, a.trace.order);
@@ -308,7 +286,7 @@ mod tests {
     fn watchdog_aborts_runaway_replays() {
         let mut cfg = ReplayConfig::testbed(Strategy::NoPush);
         cfg.watchdog_events = 10; // no page loads in 10 simulation events
-        match replay(page(), &cfg) {
+        match run_once(page(), &cfg) {
             Err(ReplayError::Watchdog { events }) => assert!(events > 10),
             other => panic!("expected watchdog, got {other:?}"),
         }
@@ -320,10 +298,10 @@ mod tests {
         // outputs are identical to a watchdog-free notion of the run.
         let p = page();
         let cfg = ReplayConfig::testbed(Strategy::NoPush);
-        let a = replay(&p, &cfg).unwrap();
+        let a = run_once(&p, &cfg).unwrap();
         let mut huge = ReplayConfig::testbed(Strategy::NoPush);
         huge.watchdog_events = u64::MAX;
-        let b = replay(&p, &huge).unwrap();
+        let b = run_once(&p, &huge).unwrap();
         assert_eq!(a.load, b.load);
         assert_eq!(a.trace.order, b.trace.order);
     }
@@ -332,7 +310,7 @@ mod tests {
     fn push_list_transfers_push_bytes() {
         let p = page();
         let strategy = Strategy::PushList { order: vec![ResourceId(1), ResourceId(2)] };
-        let out = replay(&p, &ReplayConfig::testbed(strategy)).unwrap();
+        let out = run_once(&p, &ReplayConfig::testbed(strategy)).unwrap();
         assert!(out.load.finished());
         assert_eq!(out.server_pushed_bytes, 45_000);
         assert_eq!(out.load.pushed_count, 2);
@@ -348,7 +326,7 @@ mod tests {
             critical: vec![ResourceId(1)],
             after: vec![ResourceId(3)],
         };
-        let out = replay(&p, &ReplayConfig::testbed(strategy)).unwrap();
+        let out = run_once(&p, &ReplayConfig::testbed(strategy)).unwrap();
         assert!(out.load.finished());
         assert_eq!(out.load.pushed_count, 2);
     }
@@ -361,8 +339,8 @@ mod tests {
         b.resource(ResourceSpec::css(0, 30_000, 2_000, 0.3));
         b.text_paint(10_000, 1.0);
         let p = b.build();
-        let no_push = replay(&p, &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
-        let push = replay(
+        let no_push = run_once(&p, &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
+        let push = run_once(
             &p,
             &ReplayConfig::testbed(Strategy::Interleaved {
                 offset: 4_096,
@@ -371,8 +349,8 @@ mod tests {
             }),
         )
         .unwrap();
-        let fp_no = no_push.load.first_paint.unwrap().since(no_push.load.connect_end);
-        let fp_push = push.load.first_paint.unwrap().since(push.load.connect_end);
+        let fp_no = no_push.load.first_paint().unwrap().since(no_push.load.connect_end);
+        let fp_push = push.load.first_paint().unwrap().since(push.load.connect_end);
         assert!(
             fp_push.as_millis_f64() < fp_no.as_millis_f64() * 0.8,
             "interleaving must speed first paint: {fp_push} vs {fp_no}"
@@ -398,10 +376,10 @@ mod cache_tests {
     #[test]
     fn warm_cache_speeds_up_the_load() {
         let p = page();
-        let cold = replay(&p, &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
+        let cold = run_once(&p, &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
         let mut cfg = ReplayConfig::testbed(Strategy::NoPush);
         cfg.warm_cache = vec![ResourceId(1), ResourceId(2), ResourceId(3)];
-        let warm = replay(&p, &cfg).unwrap();
+        let warm = run_once(&p, &cfg).unwrap();
         assert!(
             warm.load.plt() < cold.load.plt() * 0.8,
             "warm {} vs cold {}",
@@ -417,7 +395,7 @@ mod cache_tests {
         let p = page();
         let mut cfg = ReplayConfig::testbed(push_all(&p, &[]));
         cfg.warm_cache = vec![ResourceId(1), ResourceId(2)];
-        let out = replay(&p, &cfg).unwrap();
+        let out = run_once(&p, &cfg).unwrap();
         // Only the (uncached) image is pushed.
         assert_eq!(out.server_pushed_bytes, 25_000);
         assert_eq!(out.load.cancelled_pushes, 0, "nothing to cancel — never promised");
@@ -429,7 +407,7 @@ mod cache_tests {
         let mut cfg = ReplayConfig::testbed(push_all(&p, &[]));
         cfg.warm_cache = vec![ResourceId(1), ResourceId(2)];
         cfg.server_honors_digest = false;
-        let out = replay(&p, &cfg).unwrap();
+        let out = run_once(&p, &cfg).unwrap();
         // The server queues everything; the client cancels the cached two
         // (bytes may already be in flight — the §2.1 waste).
         assert_eq!(out.server_pushed_bytes, 75_000);
@@ -440,10 +418,10 @@ mod cache_tests {
     #[test]
     fn warm_cache_with_digest_is_not_slower_than_cold_push() {
         let p = page();
-        let cold = replay(&p, &ReplayConfig::testbed(push_all(&p, &[]))).unwrap();
+        let cold = run_once(&p, &ReplayConfig::testbed(push_all(&p, &[]))).unwrap();
         let mut cfg = ReplayConfig::testbed(push_all(&p, &[]));
         cfg.warm_cache = vec![ResourceId(1), ResourceId(2), ResourceId(3)];
-        let warm = replay(&p, &cfg).unwrap();
+        let warm = run_once(&p, &cfg).unwrap();
         assert!(warm.load.speed_index() <= cold.load.speed_index() + 1.0);
     }
 }
@@ -475,7 +453,7 @@ mod h1_tests {
 
     #[test]
     fn h1_replay_completes() {
-        let out = replay(page(), &h1_config()).unwrap();
+        let out = run_once(page(), &h1_config()).unwrap();
         assert!(out.load.finished());
         assert_eq!(out.load.pushed_count, 0, "no push over HTTP/1.1");
         assert_eq!(out.server_pushed_bytes, 0);
@@ -485,8 +463,8 @@ mod h1_tests {
 
     #[test]
     fn h1_is_deterministic() {
-        let a = replay(page(), &h1_config()).unwrap();
-        let b = replay(page(), &h1_config()).unwrap();
+        let a = run_once(page(), &h1_config()).unwrap();
+        let b = run_once(page(), &h1_config()).unwrap();
         assert_eq!(a.load.plt(), b.load.plt());
         assert_eq!(a.load.speed_index(), b.load.speed_index());
     }
@@ -497,8 +475,8 @@ mod h1_tests {
         // multiplexing beats H1's six-connection pool on pages with many
         // small objects at a non-trivial RTT.
         let p = page();
-        let h1 = replay(&p, &h1_config()).unwrap();
-        let h2 = replay(&p, &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
+        let h1 = run_once(&p, &h1_config()).unwrap();
+        let h2 = run_once(&p, &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
         assert!(
             h2.load.plt() < h1.load.plt(),
             "H2 {} ms should beat H1 {} ms",
@@ -512,7 +490,7 @@ mod h1_tests {
         let p = page();
         let mut cfg = h1_config();
         cfg.strategy = h2push_strategies::push_all(&p, &[]).into();
-        let out = replay(&p, &cfg).unwrap();
+        let out = run_once(&p, &cfg).unwrap();
         assert!(out.load.finished());
         assert_eq!(out.load.pushed_count, 0);
     }
@@ -533,13 +511,13 @@ mod warm_h1_tests {
         let mut cfg = ReplayConfig::testbed(Strategy::NoPush);
         cfg.protocol = Protocol::H1;
         cfg.warm_cache = vec![ResourceId(1), ResourceId(2)];
-        let warm = replay(&p, &cfg).unwrap();
+        let warm = run_once(&p, &cfg).unwrap();
         assert!(warm.load.finished());
         // Only the document goes over the wire.
         assert_eq!(warm.load.requests, 1);
         let mut cold_cfg = ReplayConfig::testbed(Strategy::NoPush);
         cold_cfg.protocol = Protocol::H1;
-        let cold = replay(&p, &cold_cfg).unwrap();
+        let cold = run_once(&p, &cold_cfg).unwrap();
         assert!(warm.load.plt() < cold.load.plt());
     }
 }

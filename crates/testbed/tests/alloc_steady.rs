@@ -110,13 +110,14 @@ fn a_warm_replay_allocates_next_to_nothing_for_headers() {
     // The two `bulkpush` cells of the benchmark, unprepared as it runs
     // them, and prepared for comparison. The page scan and push URLs are
     // the inputs', built once, so preparing adds only the HPACK memos.
-    // Measured here: 6 and 5 unprepared, 5 and 5 prepared.
+    // What escapes a replay is its paint curve; the rest is recycled.
+    // Measured here: 4 and 3 unprepared, 3 and 3 prepared.
     for (site, which) in [(10, PaperStrategy::PushAll), (1, PaperStrategy::PushAllOptimized)] {
         let (page, strategy) = paper_strategy(&realworld_site(site), which);
         let plan = RunPlan::new(page).strategy(strategy).seed(42).reps(3);
         let unprepared = steady_allocs(&plan);
         let prepared = steady_allocs(&plan.clone().prepared());
-        assert!(unprepared <= 10, "w{site}: {unprepared} allocations per warm replay");
+        assert!(unprepared <= 4, "w{site}: {unprepared} allocations per warm replay");
         assert!(
             unprepared.abs_diff(prepared) <= 1,
             "w{site}: {unprepared} unprepared against {prepared} prepared"
@@ -168,8 +169,8 @@ fn a_recycled_context_allocates_many_times_less_than_a_fresh_one() {
     // of machines per replay and pulls the ratio towards 1. A warm
     // replay of w17 (the benchmark's `fanout` page) also allocates at
     // most 40 times: the priority trees and the browser's discovery walk
-    // reuse what the first replays left. Measured here: 259 against 4 and
-    // 265 against 4; 5 563 against 24 and 5 568 against 31.
+    // reuse what the first replays left. Measured here: 253 against 2 and
+    // 259 against 2; 5 475 against 22 and 5 480 against 29.
     let generated = generate_site(CorpusKind::Random, 42);
     for (page, floor, bound) in [(generated, 10, 40), (realworld_site(17), 100, 40)] {
         for strategy in [Strategy::NoPush, push_all(&page, &[])] {
@@ -252,11 +253,11 @@ fn both_hpack_memos_see_the_hit_and_miss_sequence_of_the_parent_commit() {
 }
 
 /// `loads` loads of the benchmark's `live` cell (w1-wikipedia,
-/// PushAllOptimized, compute timers off) against one server: what the
-/// last load allocated on this thread, and what the server thread
-/// allocated over its whole run.
+/// PushAllOptimized, compute timers off) against one server: what each
+/// load allocated on this thread, and what the server thread allocated
+/// over its whole run.
 #[cfg(unix)]
-fn live_allocs(loads: usize) -> (u64, u64) {
+fn live_allocs(loads: usize) -> (Vec<u64>, u64) {
     use h2push_testbed::{load_page, LiveServer};
     let (page, strategy) = paper_strategy(&realworld_site(1), PaperStrategy::PushAllOptimized);
     let page = Arc::new(page);
@@ -265,20 +266,20 @@ fn live_allocs(loads: usize) -> (u64, u64) {
     let addr = server.local_addr().expect("local addr");
     let handle = server.handle();
     let server = std::thread::spawn(move || allocs_during(|| server.run()));
-    let mut last = 0;
+    let mut per_load = Vec::new();
     for _ in 0..loads {
         let cfg = BrowserConfig { cpu_scale: 0.0, ..BrowserConfig::default() };
         let (n, report) =
             allocs_during(|| load_page(addr, Arc::clone(&page), cfg, Duration::from_secs(30)));
         let report = report.expect("live load");
         assert!(report.load.finished() && report.load.pushed_count > 0, "{:?}", report.load);
-        last = n;
+        per_load.push(n);
     }
     handle.stop();
     let (on_server, stats) = server.join().expect("server thread");
     let stats = stats.expect("server run");
     assert_eq!(stats.closed.total(), stats.closed.clean, "{:?}", stats.closed);
-    (last, on_server)
+    (per_load, on_server)
 }
 
 #[cfg(unix)]
@@ -288,12 +289,19 @@ fn a_warm_live_load_allocates_next_to_nothing_on_either_thread() {
     // browser parks its connection machines in group order and reissues
     // them last-first, so a machine meets the document's connection every
     // other load. A repeat load of the same page reuses the browser's page
-    // scan; the first warm load of another page builds one (12). Measured
-    // here, load by load: 336, 227, 5, 4, 4, ..., the figure the
-    // benchmark's `live` workload reads.
-    let (fifth, five_loads) = live_allocs(5);
-    assert!(fifth <= 10, "{fifth} allocations in a warm load_page");
-    let (_, ten_loads) = live_allocs(10);
+    // scan; the first warm load of another page builds one (10). Measured
+    // here, load by load: 324, 227, 2, 2, 2, ..., the figure the
+    // benchmark's `live` workload reads. How the kernel cuts the reads
+    // varies with the load on the machine, and a load that meets a bigger
+    // batch than any before it grows a buffer once (4 to 6 in about one
+    // load in fifteen, with two copies of this suite sharing two cores):
+    // the fifth load keeps the bound that leaves room for that, and the
+    // leanest warm load is the steady state.
+    let (five, five_loads) = live_allocs(5);
+    assert!(five[4] <= 10, "{} allocations in the fifth load_page", five[4]);
+    let (ten, ten_loads) = live_allocs(10);
+    let leanest = five[4..].iter().chain(&ten[4..]).min().expect("warm loads");
+    assert!(leanest <= &3, "{leanest} allocations in the leanest warm load_page: {five:?} {ten:?}");
     let per_load = ten_loads.saturating_sub(five_loads) / 5;
     assert!(
         per_load <= 10,

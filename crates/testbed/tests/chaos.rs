@@ -7,8 +7,7 @@
 
 use h2push_strategies::{push_all, Strategy};
 use h2push_testbed::{
-    apply_profile, default_matrix, replay, run_config, run_fault_matrix, FaultProfile, Mode,
-    ReplayInputs, RunPlan,
+    apply_profile, default_matrix, run_fault_matrix, FaultProfile, Mode, ReplayInputs, RunPlan,
 };
 use h2push_webmodel::{generate_site, CorpusKind};
 
@@ -54,11 +53,13 @@ fn zero_fault_profile_reproduces_the_plain_harness_on_a_synthetic_site() {
     let control = FaultProfile::none();
     for strategy in [Strategy::NoPush, push_all(&inputs.page, &[])].map(std::sync::Arc::new) {
         for seed in [0u64, 13] {
-            let plain = run_config(&strategy, Mode::Testbed, seed, &inputs.page);
-            let mut faulted = run_config(&strategy, Mode::Testbed, seed, &inputs.page);
+            let derived =
+                RunPlan::new(&inputs).strategy(strategy.clone()).mode(Mode::Testbed).seed(seed);
+            let plain = derived.config_for(0);
+            let mut faulted = derived.config_for(0);
             apply_profile(&mut faulted, &control);
-            let a = replay(&inputs, &plain).unwrap();
-            let b = replay(&inputs, &faulted).unwrap();
+            let run = |cfg| RunPlan::new(&inputs).config(cfg).run_one().unwrap().outcome;
+            let (a, b) = (run(plain), run(faulted));
             assert_eq!(a.load, b.load);
             assert_eq!(a.trace.order, b.trace.order);
             assert_eq!(a.server_pushed_bytes, b.server_pushed_bytes);

@@ -319,6 +319,9 @@ fn alternating_pages_through_one_context_each_load_their_own_page() {
     let generated = generate_site(CorpusKind::Random, 7);
     let generated_strategy = push_all(&generated, &[]);
     let sites = [(Arc::new(w1), w1_strategy), (Arc::new(generated), generated_strategy)];
+    // The resource counts differ, so a load that accounts for the other
+    // page's resources fails the requests + pushes check below.
+    assert_ne!(sites[0].0.resources.len(), sites[1].0.resources.len());
     let servers: Vec<_> = sites
         .iter()
         .map(|(page, strategy)| {
@@ -332,8 +335,6 @@ fn alternating_pages_through_one_context_each_load_their_own_page() {
             let load = quick_load(*addr, page).load;
             let what = format!("round {round}, {}", page.name);
             assert!(load.finished() && !load.partial, "{what}: onload {:?}", load.onload);
-            assert_eq!(load.site, page.name, "{what}");
-            assert_eq!(load.waterfall.len(), page.resources.len(), "{what}");
             assert_eq!(load.failed_resources, 0, "{what}");
             assert_eq!((load.pushed_count, load.cancelled_pushes), (*pushes, 0), "{what}");
             assert_eq!(load.requests + load.pushed_count, page.resources.len() as u32, "{what}");

@@ -23,8 +23,8 @@ use h2push_h2proto::{ConnLimits, Connection, DefaultScheduler, PrioritySpec, Set
 use h2push_server::{ReplayServer, RequestObservation};
 use h2push_strategies::{paper_strategy, PaperStrategy, Strategy};
 use h2push_testbed::{
-    attack_page, benign_request, replay, replay_in, run_suite, AttackScript, FaultProfile, Mode,
-    Protocol, ReplayConfig, ReplayCtx, ReplayInputs, RunPlan, Victim,
+    attack_page, benign_request, run_suite, AttackScript, FaultProfile, Mode, Protocol,
+    ReplayConfig, ReplayCtx, ReplayInputs, RunPlan, Victim,
 };
 use h2push_webmodel::{realworld_site, Page, PageBuilder, RecordDb, ResourceId, ResourceSpec};
 use std::sync::Arc;
@@ -168,10 +168,11 @@ fn recycled_ctx_matches_cold_over_h1() {
     let inputs = ReplayInputs::from(&p);
     let mut cfg = ReplayConfig::testbed(Strategy::NoPush);
     cfg.protocol = Protocol::H1;
+    let plan = RunPlan::new(&inputs).config(cfg);
     let mut warm = ReplayCtx::new();
     for rep in 0..REPS {
-        let cold = replay(&inputs, &cfg).expect("cold h1");
-        let recycled = replay_in(&inputs, &cfg, &mut warm).expect("recycled h1");
+        let cold = plan.run_one().expect("cold h1");
+        let recycled = plan.run_rep_in(0, &mut warm).expect("recycled h1");
         assert_eq!(cold, recycled, "h1 rep {rep} diverged under recycling");
     }
 }
@@ -203,8 +204,9 @@ fn recycled_ctx_matches_cold_as_the_connection_count_swings() {
             ("small h1", &small, &cfg_h1),
             ("w17 h2 again", &big, &cfg_h2),
         ] {
-            let cold = replay_in(inputs, cfg, &mut ReplayCtx::new()).expect("cold");
-            let recycled = replay_in(inputs, cfg, &mut warm).expect("recycled");
+            let plan = RunPlan::new(inputs).config(cfg.clone());
+            let cold = plan.run_rep_in(0, &mut ReplayCtx::new()).expect("cold");
+            let recycled = plan.run_rep_in(0, &mut warm).expect("recycled");
             assert_eq!(cold, recycled, "round {round}, {name}: recycled ctx diverged");
         }
     }
@@ -223,8 +225,9 @@ fn recycled_ctx_does_not_leak_state_across_pages_or_protocols() {
     let mut warm = ReplayCtx::new();
     for round in 0..REPS {
         for (inputs, cfg) in [(&a, &cfg_h2), (&b, &cfg_h2), (&a, &cfg_h1), (&b, &cfg_h1)] {
-            let cold = replay_in(inputs, cfg, &mut ReplayCtx::new()).expect("cold");
-            let recycled = replay_in(inputs, cfg, &mut warm).expect("recycled");
+            let plan = RunPlan::new(inputs).config(cfg.clone());
+            let cold = plan.run_rep_in(0, &mut ReplayCtx::new()).expect("cold");
+            let recycled = plan.run_rep_in(0, &mut warm).expect("recycled");
             assert_eq!(
                 cold, recycled,
                 "round {round}: context leaked state across pages/protocols"
@@ -260,7 +263,9 @@ fn a_server_reset_out_of_any_state_answers_like_a_cold_one() {
     let strategy = Arc::new(Strategy::PushList { order: vec![ResourceId(1)] });
     let limits = ConnLimits::strict();
     let cold = || {
-        let mut server = ReplayServer::live(Arc::clone(&page), Arc::clone(&db), &strategy);
+        let main_group = page.server_group_of(ResourceId(0));
+        let mut server =
+            ReplayServer::new(Arc::clone(&page), Arc::clone(&db), main_group, &strategy);
         server.set_limits(limits);
         server
     };

@@ -1,20 +1,22 @@
 //! The PR's acceptance gates, end to end through the public API:
 //!
-//! 1. `RunPlan` with no trace sink reproduces the PR-1/PR-2 entry points
-//!    byte-identically (asserted against the raw `run_config` +
-//!    `replay` loop).
+//! 1. `RunPlan` with no trace sink reproduces its reps byte-identically
+//!    when each runs alone (asserted against a loop of one-rep plans under
+//!    the derived configs, `config_for(r)`).
 //! 2. Attaching a trace sink never perturbs the simulation: traced and
 //!    untraced runs of the same seed agree on every output, with and
 //!    without injected faults.
 //! 3. Traces are deterministic: two traced runs of the same seed produce
 //!    bit-identical `Timeline`s and waterfall JSON, including under a
 //!    seeded Gilbert–Elliott fault profile.
+//! 4. The timeline's resource spans are the per-resource record: a traced
+//!    load's first paint, and a warm load's cache hits, appear in them.
 
 use h2push_strategies::{push_all, Strategy};
 use h2push_testbed::{
-    replay, run_config, strategy_label, FaultProfile, Mode, ReplayInputs, ReplayOutcome, RunPlan,
+    strategy_label, FaultProfile, Mode, ReplayConfig, ReplayInputs, ReplayOutcome, RunPlan,
 };
-use h2push_trace::{Timeline, WaterfallMeta};
+use h2push_trace::{Timeline, TraceEvent, WaterfallMeta};
 use h2push_webmodel::{generate_site, CorpusKind};
 
 fn site(seed: u64) -> ReplayInputs {
@@ -34,17 +36,13 @@ fn untraced_runplan_reproduces_the_old_entry_points_byte_identically() {
     let strategy = std::sync::Arc::new(push_all(&inputs.page, &[]));
     let (reps, seed) = (4usize, 17u64);
 
-    // The raw PR-1 loop: run_config + replay per rep.
-    let raw: Vec<ReplayOutcome> = (0..reps)
-        .filter_map(|r| {
-            let cfg =
-                run_config(&strategy, Mode::Testbed, seed.wrapping_add(r as u64), &inputs.page);
-            replay(&inputs, &cfg).ok()
-        })
-        .collect();
-
     let plan =
         RunPlan::new(&inputs).strategy(strategy.clone()).mode(Mode::Testbed).reps(reps).seed(seed);
+    // Each rep alone: one single-replay plan per derived config.
+    let raw: Vec<ReplayOutcome> = (0..reps)
+        .filter_map(|r| RunPlan::new(&inputs).config(plan.config_for(r)).run_one().ok())
+        .map(|run| run.outcome)
+        .collect();
     let via_plan = plan.clone().run().into_outcomes();
     assert_eq!(raw.len(), via_plan.len());
     for (a, b) in raw.iter().zip(&via_plan) {
@@ -78,7 +76,7 @@ fn tracing_never_perturbs_the_simulation_under_faults() {
     let tl = traced.timeline.unwrap();
     // The profile injected real loss and the trace saw it.
     assert_eq!(
-        tl.count(|e| matches!(e, h2push_trace::TraceEvent::FaultDrop { .. })) as u64,
+        tl.count(|e| matches!(e, TraceEvent::FaultDrop { .. })) as u64,
         plain.outcome.net.drops_total(),
         "trace drop count disagrees with net stats",
     );
@@ -132,4 +130,39 @@ fn traced_multi_rep_report_collects_one_timeline_per_rep() {
     for (p, s) in report.timelines().zip(serial.timelines()) {
         assert_eq!(p, s, "parallel vs serial traced timelines diverged");
     }
+}
+
+#[test]
+fn the_first_paint_of_a_load_is_the_timelines_first_paint() {
+    let inputs = site(40);
+    for strategy in [Strategy::NoPush, push_all(&inputs.page, &[])] {
+        let run = RunPlan::new(&inputs).strategy(strategy.clone()).seed(3).traced().run_one();
+        let run = run.expect("traced replay completes");
+        let tl = run.timeline.expect("traced run records a timeline");
+        let painted = tl.first_at(|e| matches!(e, TraceEvent::FirstPaint));
+        let label = strategy_label(&strategy);
+        assert!(painted.is_some(), "{label}: nothing painted");
+        assert_eq!(run.outcome.load.first_paint().map(|t| t.as_micros()), painted, "{label}");
+        assert_eq!(tl.count(|e| matches!(e, TraceEvent::FirstPaint)), 1, "{label}");
+    }
+}
+
+#[test]
+fn a_warm_cache_hit_loads_when_it_is_discovered() {
+    let inputs = site(41);
+    let cached = inputs.page.pushable();
+    assert!(!cached.is_empty(), "nothing to warm");
+    let mut cfg = ReplayConfig::testbed(Strategy::NoPush);
+    cfg.warm_cache = cached.clone();
+    let run = RunPlan::new(&inputs).config(cfg).traced().run_one().expect("warm load completes");
+    let spans = run.timeline.expect("traced run records a timeline").resource_spans();
+    let mut hits = 0;
+    for span in spans.iter().filter(|span| cached.iter().any(|id| id.0 == span.resource)) {
+        if span.discovered.is_some() {
+            hits += 1;
+            assert_eq!(span.loaded, span.discovered, "resource {}", span.resource);
+            assert_eq!(span.requested, None, "resource {} went to the network", span.resource);
+        }
+    }
+    assert!(hits > 0, "no cached resource was discovered");
 }

@@ -26,7 +26,10 @@ pub struct StreamBytes {
     pub closed_at: Option<Micros>,
 }
 
-/// Per-resource lifecycle extracted from browser events.
+/// Per-resource lifecycle extracted from browser events: the one
+/// per-resource record of a load (a `LoadResult` keeps page-level
+/// measurements only). The waterfall text and JSON exports and the HAR
+/// export render it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceSpan {
     pub resource: usize,
@@ -114,8 +117,8 @@ impl Timeline {
 
     /// Per-resource lifecycle rows, sorted by resource id.
     ///
-    /// First-write-wins per field, mirroring the browser's own
-    /// `ResourceTiming` semantics (retries never rewind a milestone).
+    /// First-write-wins per field: retries never rewind a milestone. A
+    /// warm-cache hit loads the instant it is discovered.
     pub fn resource_spans(&self) -> Vec<ResourceSpan> {
         let mut rows: Vec<ResourceSpan> = Vec::new();
         let row = |rows: &mut Vec<ResourceSpan>, id: usize| -> usize {

@@ -8,7 +8,7 @@
 
 use h2push::core::PushPlanner;
 use h2push::strategies::Strategy;
-use h2push::testbed::{replay, Protocol, ReplayConfig};
+use h2push::testbed::{Protocol, ReplayConfig, ReplayInputs, RunPlan};
 use h2push::webmodel::realworld_site;
 
 fn main() {
@@ -22,6 +22,7 @@ fn main() {
         page.server_group_count()
     );
 
+    let inputs = ReplayInputs::from(&page);
     let configs = [
         ("HTTP/1.1 (6 connections)", Protocol::H1, Strategy::NoPush),
         ("HTTP/2, no push", Protocol::H2, Strategy::NoPush),
@@ -34,14 +35,14 @@ fn main() {
     for (label, protocol, strategy) in configs {
         let mut cfg = ReplayConfig::testbed(strategy);
         cfg.protocol = protocol;
-        let out = replay(&page, &cfg).expect("replay completes");
-        let l = &out.load;
+        let run = RunPlan::new(&inputs).config(cfg).run_one().expect("replay completes");
+        let l = &run.outcome.load;
         println!(
             "{:30} {:>10.0} {:>12.0} {:>12.0}",
             label,
             l.plt(),
             l.speed_index(),
-            l.first_paint.unwrap().since(l.connect_end).as_millis_f64()
+            l.first_paint().unwrap().since(l.connect_end).as_millis_f64()
         );
     }
     println!("\nThe 2015 protocol jump (H1 → H2) and the paper's 2018 question");

@@ -6,7 +6,7 @@
 //! ```
 
 use h2push::strategies::Strategy;
-use h2push::testbed::{replay, ReplayConfig};
+use h2push::testbed::{ReplayConfig, RunPlan};
 use h2push::webmodel::{generate_site, CorpusKind, RecordDb};
 
 fn main() {
@@ -26,9 +26,9 @@ fn main() {
     println!("replayed lookup: / → {} ({} bytes)", root.content_type, root.body_len);
 
     // Replay the recorded site twice; determinism is the whole point.
-    let cfg = ReplayConfig::testbed(Strategy::NoPush);
-    let a = replay(&page, &cfg).unwrap();
-    let b = replay(&page, &cfg).unwrap();
+    let plan = RunPlan::new(&page).config(ReplayConfig::testbed(Strategy::NoPush));
+    let a = plan.run_one().unwrap().outcome;
+    let b = plan.run_one().unwrap().outcome;
     println!(
         "replay #1: PLT {:.1} ms, SpeedIndex {:.1} ms\nreplay #2: PLT {:.1} ms, SpeedIndex {:.1} ms",
         a.load.plt(),

@@ -26,7 +26,7 @@ fn main() {
             "\n=== {} — {} === first paint {:.0} ms, SI {:.0} ms, PLT {:.0} ms",
             variant.name,
             which.label(),
-            l.first_paint.unwrap().since(l.connect_end).as_millis_f64(),
+            l.first_paint().unwrap().since(l.connect_end).as_millis_f64(),
             l.speed_index(),
             l.plt()
         );

@@ -49,13 +49,13 @@
 //! gate) and 4 when the server closed one mid-load (a supervision timeout
 //! or abuse defense).
 
-use h2push::browser::to_har;
 use h2push::core::PushPlanner;
 use h2push::experiment::{self, Scale, EXPERIMENTS};
+use h2push::har::to_har;
 use h2push::metrics::RunStats;
 use h2push::strategies::{paper_strategy, push_all, push_as_recorded, PaperStrategy, Strategy};
 use h2push::testbed::{
-    compute_push_order, replay, run_config, worker_threads, Mode, Protocol, ReplayConfig,
+    push_orders, run_cells, worker_threads, Mode, Protocol, ReplayConfig, ReplayInputs, RunPlan,
 };
 use h2push::webmodel::{generate_site, realworld_site, synthetic_site, CorpusKind, Page};
 #[cfg(unix)]
@@ -259,28 +259,31 @@ fn cmd_sites() {
 
 fn cmd_replay(page: &Page, o: &Opts) {
     let (variant, strategy) = resolve_strategy(page, &o.strategy);
-    let strategy = Arc::new(strategy);
-    let mut plts = Vec::new();
-    let mut sis = Vec::new();
-    let mut pushed = 0u64;
-    let mut cancelled = 0u32;
-    for r in 0..o.runs() {
-        let mut cfg: ReplayConfig =
-            run_config(&strategy, o.mode, o.seed.wrapping_add(r as u64), &variant);
-        cfg.protocol = o.protocol;
-        if o.warm {
-            cfg.warm_cache = variant.pushable();
-        }
-        match replay(&variant, &cfg) {
-            Ok(out) => {
-                plts.push(out.load.plt());
-                sis.push(out.load.speed_index());
-                pushed = out.server_pushed_bytes;
-                cancelled = out.load.cancelled_pushes;
+    let inputs = ReplayInputs::from(variant);
+    let derived = RunPlan::new(&inputs).strategy(strategy).mode(o.mode).seed(o.seed);
+    // One explicit-config cell per rep: the derived config plus the
+    // protocol and the cache, all reps as one fan-out.
+    let cells: Vec<RunPlan> = (0..o.runs())
+        .map(|r| {
+            let mut cfg = derived.config_for(r);
+            cfg.protocol = o.protocol;
+            if o.warm {
+                cfg.warm_cache = inputs.page.pushable();
             }
-            Err(e) => fail(1, &format!("run {r} failed: {e}")),
-        }
+            RunPlan::new(&inputs).config(cfg)
+        })
+        .collect();
+    let mut lost = Vec::new();
+    let runs = run_cells(&cells, |run| run.outcome, &mut lost);
+    if let Some(r) = runs.iter().position(Vec::is_empty) {
+        fail(1, &format!("run {r} failed: {}", lost.join("; ")));
     }
+    let outs: Vec<_> = runs.into_iter().flatten().collect();
+    let plts: Vec<f64> = outs.iter().map(|out| out.load.plt()).collect();
+    let sis: Vec<f64> = outs.iter().map(|out| out.load.speed_index()).collect();
+    let last = outs.last().expect("at least one run");
+    let (pushed, cancelled) = (last.server_pushed_bytes, last.load.cancelled_pushes);
+    let variant = &inputs.page;
     let (p, s) = (RunStats::of(&plts), RunStats::of(&sis));
     if o.json {
         println!(
@@ -351,7 +354,10 @@ fn cmd_plan(page: &Page, o: &Opts) {
 }
 
 fn cmd_order(page: &Page, o: &Opts) {
-    let order = compute_push_order(page, o.runs().max(5), o.seed);
+    let mut lost = Vec::new();
+    let site = [ReplayInputs::from(page)];
+    let order = push_orders(&site, o.runs().max(5), o.seed, &mut lost).pop().expect("one site");
+    lost.iter().for_each(|line| eprintln!("{line}"));
     println!("computed push order for {} ({} resources):", page.name, order.len());
     for (i, id) in order.iter().enumerate() {
         let r = page.resource(*id);
@@ -367,9 +373,14 @@ fn cmd_order(page: &Page, o: &Opts) {
 
 fn cmd_har(page: &Page, o: &Opts) {
     let (variant, strategy) = resolve_strategy(page, &o.strategy);
-    let cfg = ReplayConfig::testbed(strategy);
-    let out = replay(&variant, &cfg).unwrap_or_else(|e| fail(1, &format!("replay failed: {e}")));
-    let har = serde_json::to_string_pretty(&to_har(&variant, &out.load)).expect("HAR serializes");
+    let run = RunPlan::new(&variant)
+        .config(ReplayConfig::testbed(strategy))
+        .traced()
+        .run_one()
+        .unwrap_or_else(|e| fail(1, &format!("replay failed: {e}")));
+    let spans = run.timeline.expect("a traced run records a timeline").resource_spans();
+    let har = to_har(&variant, &run.outcome.load, &spans);
+    let har = serde_json::to_string_pretty(&har).expect("HAR serializes");
     emit(har, &o.out);
 }
 
@@ -482,7 +493,8 @@ fn cmd_load(page: &Page, o: &Opts) {
     // simulated run applies.
     let cfg = BrowserConfig { enable_push: strategy != Strategy::NoPush, ..Default::default() };
     let timeout = o.duration.unwrap_or(30);
-    let report = load_page(sockaddr, Arc::new(variant), cfg, Duration::from_secs(timeout))
+    let page = Arc::new(variant);
+    let report = load_page(sockaddr, Arc::clone(&page), cfg, Duration::from_secs(timeout))
         .unwrap_or_else(|e| match e.kind() {
             std::io::ErrorKind::ConnectionRefused => {
                 fail(2, &format!("connect {addr}: refused (server gone or draining)"))
@@ -492,7 +504,7 @@ fn cmd_load(page: &Page, o: &Opts) {
     let load = &report.load;
     println!(
         "site {}: finished={} partial={} requests={} pushed={} ({} B, {} cancelled)",
-        load.site,
+        page.name,
         load.finished(),
         load.partial,
         load.requests,

@@ -1,13 +1,17 @@
 //! HAR 1.2 export of a replayed page load.
 //!
-//! Turns a [`LoadResult`] plus its [`Page`] into an HTTP-Archive document
-//! that standard waterfall viewers (browser devtools, HAR analyzers) can
-//! open — the replay-testbed equivalent of saving a devtools capture, and
-//! a convenient way to eyeball what a push strategy did to the load.
+//! Turns a traced load — its [`LoadResult`], its [`Page`] and the
+//! timeline's [`ResourceSpan`]s — into an HTTP-Archive document that
+//! standard waterfall viewers (browser devtools, HAR analyzers) can open:
+//! the replay-testbed equivalent of saving a devtools capture, and a
+//! convenient way to eyeball what a push strategy did to the load. The
+//! spans are the one per-resource record; this is their third renderer,
+//! beside the trace crate's text and JSON waterfalls.
 
-use crate::result::LoadResult;
+use h2push_browser::LoadResult;
 use h2push_netsim::SimTime;
-use h2push_webmodel::Page;
+use h2push_trace::ResourceSpan;
+use h2push_webmodel::{Page, ResourceId};
 use serde_json::{json, Value};
 
 fn iso(t: SimTime) -> String {
@@ -19,31 +23,31 @@ fn iso(t: SimTime) -> String {
     format!("2018-12-04T00:{m:02}:{s:02}.{ms:03}Z")
 }
 
-/// Build the HAR document.
-pub fn to_har(page: &Page, load: &LoadResult) -> Value {
-    let t0 = SimTime::ZERO;
+/// Build the HAR document: one entry per discovered resource, in resource
+/// order (`spans` as [`h2push_trace::Timeline::resource_spans`] returns
+/// them).
+pub fn to_har(page: &Page, load: &LoadResult, spans: &[ResourceSpan]) -> Value {
     let rel = |t: Option<SimTime>| -> Value {
         match t {
-            Some(t) => json!(t.since(t0).as_millis_f64()),
+            Some(t) => json!(t.since(SimTime::ZERO).as_millis_f64()),
             None => json!(-1),
         }
     };
-    let entries: Vec<Value> = page
-        .resources
+    let entries: Vec<Value> = spans
         .iter()
-        .enumerate()
-        .filter_map(|(i, r)| {
-            let w = load.waterfall.get(i)?;
-            let started = w.discovered?;
-            let loaded = w.loaded;
+        .filter_map(|span| {
+            let started = SimTime(span.discovered?);
+            let loaded = span.loaded.map(SimTime);
             let time = loaded.map(|l| l.since(started).as_millis_f64()).unwrap_or(-1.0);
+            let id = ResourceId(span.resource);
+            let r = page.resource(id);
             Some(json!({
                 "pageref": "page_1",
                 "startedDateTime": iso(started),
                 "time": time,
                 "request": {
                     "method": "GET",
-                    "url": r.url(page.host_of(r.id)),
+                    "url": r.url(page.host_of(id)),
                     "httpVersion": "HTTP/2",
                     "headers": [],
                     "queryString": [],
@@ -73,8 +77,8 @@ pub fn to_har(page: &Page, load: &LoadResult) -> Value {
                 },
                 // Custom fields (underscore-prefixed per the HAR spec).
                 "_resourceType": r.rtype.label(),
-                "_pushed": w.pushed,
-                "_evaluatedAt": rel(w.evaluated),
+                "_pushed": span.pushed,
+                "_evaluatedAt": rel(span.evaluated.map(SimTime)),
             }))
         })
         .collect();
@@ -89,7 +93,7 @@ pub fn to_har(page: &Page, load: &LoadResult) -> Value {
                 "pageTimings": {
                     "onContentLoad": rel(load.dom_content_loaded),
                     "onLoad": rel(load.onload),
-                    "_firstPaint": rel(load.first_paint),
+                    "_firstPaint": rel(load.first_paint()),
                     "_connectEnd": json!(load.connect_end.as_millis_f64()),
                     "_speedIndex": json!(load.speed_index()),
                 }
@@ -102,81 +106,81 @@ pub fn to_har(page: &Page, load: &LoadResult) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::result::{PaintSample, ResourceTiming};
+    use h2push_browser::PaintSample;
+    use h2push_trace::{Timeline, TraceEvent};
     use h2push_webmodel::{PageBuilder, ResourceSpec};
 
-    fn fixture() -> (Page, LoadResult) {
+    fn fixture() -> (Page, LoadResult, Vec<ResourceSpan>) {
         let mut b = PageBuilder::new("har-test", "har.test", 10_000, 1_000);
         b.resource(ResourceSpec::css(0, 4_000, 100, 0.5));
         let page = b.build();
         let t = SimTime::from_millis;
         let load = LoadResult {
-            site: page.name.clone(),
             connect_end: t(150),
-            first_paint: Some(t(300)),
             dom_content_loaded: Some(t(350)),
             onload: Some(t(400)),
             paints: vec![PaintSample { time: t(300), completeness: 1.0 }],
             pushed_bytes: 4_000,
             pushed_count: 1,
-            cancelled_pushes: 0,
             requests: 1,
-            partial: false,
-            failed_resources: 0,
-            retries: 0,
-            timeouts: 0,
-            conn_errors: 0,
-            waterfall: vec![
-                ResourceTiming {
-                    discovered: Some(t(0)),
-                    loaded: Some(t(280)),
-                    evaluated: None,
-                    pushed: false,
-                },
-                ResourceTiming {
-                    discovered: Some(t(200)),
-                    loaded: Some(t(290)),
-                    evaluated: Some(t(295)),
-                    pushed: true,
-                },
-            ],
+            ..Default::default()
         };
-        (page, load)
+        let mut tl = Timeline::default();
+        let ms = |ms: u64| ms * 1000;
+        tl.push(ms(0), TraceEvent::ResourceDiscovered { resource: 0 });
+        tl.push(ms(150), TraceEvent::RequestSent { resource: 0, group: 0, stream: 1 });
+        tl.push(ms(180), TraceEvent::PushAccepted { resource: 1, group: 0, stream: 2 });
+        tl.push(ms(200), TraceEvent::ResourceDiscovered { resource: 1 });
+        tl.push(ms(280), TraceEvent::ResourceLoaded { resource: 0 });
+        tl.push(ms(290), TraceEvent::ResourceLoaded { resource: 1 });
+        tl.push(ms(295), TraceEvent::ResourceEvaluated { resource: 1 });
+        (page, load, tl.resource_spans())
     }
 
     #[test]
     fn har_has_pages_and_entries() {
-        let (page, load) = fixture();
-        let har = to_har(&page, &load);
+        let (page, load, spans) = fixture();
+        let har = to_har(&page, &load, &spans);
         assert_eq!(har["log"]["version"], "1.2");
         assert_eq!(har["log"]["entries"].as_array().unwrap().len(), 2);
         assert_eq!(har["log"]["pages"][0]["title"], "har-test");
         assert_eq!(har["log"]["pages"][0]["pageTimings"]["onLoad"], 400.0);
+        assert_eq!(har["log"]["pages"][0]["pageTimings"]["_firstPaint"], 300.0);
     }
 
     #[test]
     fn pushed_entries_are_marked() {
-        let (page, load) = fixture();
-        let har = to_har(&page, &load);
+        let (page, load, spans) = fixture();
+        let har = to_har(&page, &load, &spans);
         let entries = har["log"]["entries"].as_array().unwrap();
         assert_eq!(entries[0]["_pushed"], false);
+        assert_eq!(entries[0]["_evaluatedAt"], -1);
         assert_eq!(entries[1]["_pushed"], true);
+        assert_eq!(entries[1]["time"], 90.0);
+        assert_eq!(entries[1]["_evaluatedAt"], 295.0);
         assert_eq!(entries[1]["response"]["content"]["mimeType"], "text/css");
     }
 
     #[test]
+    fn undiscovered_resources_have_no_entry() {
+        let (page, load, mut spans) = fixture();
+        spans[1].discovered = None; // promised, never referenced
+        let har = to_har(&page, &load, &spans);
+        assert_eq!(har["log"]["entries"].as_array().unwrap().len(), 1);
+    }
+
+    #[test]
     fn timestamps_are_iso_like() {
-        let (page, load) = fixture();
-        let har = to_har(&page, &load);
+        let (page, load, spans) = fixture();
+        let har = to_har(&page, &load, &spans);
         let s = har["log"]["entries"][1]["startedDateTime"].as_str().unwrap();
-        assert!(s.starts_with("2018-12-04T00:"), "got {s}");
-        assert!(s.ends_with('Z'));
+        assert_eq!(s, "2018-12-04T00:00:00.200Z");
     }
 
     #[test]
     fn serializes_to_valid_json_string() {
-        let (page, load) = fixture();
-        let text = serde_json::to_string_pretty(&to_har(&page, &load)).unwrap();
+        let (page, load, spans) = fixture();
+        let text = serde_json::to_string_pretty(&to_har(&page, &load, &spans)).unwrap();
         let _: Value = serde_json::from_str(&text).unwrap();
     }
 }

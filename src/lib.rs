@@ -25,6 +25,7 @@
 //! ```
 
 pub mod experiment;
+pub mod har;
 
 // The blessed top-level surface: everything a typical experiment touches,
 // importable without naming a subsystem crate. Anything deeper is reachable

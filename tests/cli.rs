@@ -49,6 +49,43 @@ fn a_good_invocation_prints_the_report_on_stdout() {
 }
 
 #[test]
+fn har_exports_one_entry_per_discovered_resource_and_marks_the_accepted_pushes() {
+    use h2push::strategies::{paper_strategy, PaperStrategy};
+    use h2push::testbed::{ReplayConfig, RunPlan};
+    let out = h2push(&["har", "w16", "--strategy", "push-critical-opt"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let har: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("HAR is JSON");
+    let log = &har["log"];
+    assert_eq!(log["version"], "1.2");
+    assert_eq!(log["creator"]["name"], "h2push");
+    assert_eq!(log["pages"].as_array().map(Vec::len), Some(1));
+    assert_eq!(log["pages"][0]["title"], "w16-twitter-crit");
+    let entries = log["entries"].as_array().expect("entries");
+    for entry in entries {
+        assert_eq!(entry["pageref"], "page_1");
+        assert!(entry["startedDateTime"].as_str().is_some_and(|t| t.starts_with("2018-12-04T")));
+        assert!(entry["time"].as_f64().is_some_and(|t| t >= 0.0), "{entry}");
+        assert!(entry["request"]["url"].as_str().is_some_and(|u| u.starts_with("https://")));
+        assert_eq!(entry["response"]["status"], 200);
+        assert!(entry["timings"]["receive"].as_f64().is_some(), "{entry}");
+    }
+
+    // The same load in-process: one entry per resource the browser
+    // discovered, and exactly its accepted pushes are marked pushed.
+    let (variant, strategy) =
+        paper_strategy(&h2push::webmodel::realworld_site(16), PaperStrategy::PushCriticalOptimized);
+    let run = RunPlan::new(&variant).config(ReplayConfig::testbed(strategy)).traced().run_one();
+    let run = run.expect("replay completes");
+    let spans = run.timeline.expect("traced").resource_spans();
+    let discovered = spans.iter().filter(|span| span.discovered.is_some()).count();
+    assert_eq!(entries.len(), discovered);
+    let pushed = entries.iter().filter(|entry| entry["_pushed"] == true).count();
+    assert!(pushed > 0, "push-critical-opt pushed nothing");
+    assert_eq!(pushed, run.outcome.load.pushed_count as usize);
+}
+
+#[test]
 fn bad_serve_and_load_invocations_print_usage_and_exit_2() {
     for args in [
         &["load", "w1"][..],                                        // no --addr

@@ -5,10 +5,28 @@ use h2push::core::{evaluate, PushPlanner};
 use h2push::strategies::{
     critical_set, interleave_offset, paper_strategy, push_all, PaperStrategy, Strategy,
 };
-use h2push::testbed::{compute_push_order, replay, strategy_label, Mode, ReplayConfig, RunPlan};
+use h2push::testbed::{
+    push_orders, strategy_label, write_waterfall, Mode, ReplayConfig, ReplayError, ReplayInputs,
+    ReplayOutcome, RunPlan,
+};
 use h2push::trace::WaterfallMeta;
-use h2push::webmodel::{generate_site, realworld_site, synthetic_site, CorpusKind, RecordDb};
+use h2push::webmodel::{
+    generate_site, realworld_site, synthetic_site, CorpusKind, Page, RecordDb, ResourceId,
+};
 use serde_json::Value;
+
+/// One replay of `page` under `strategy` in the paper's testbed profile.
+fn replay(page: &Page, strategy: Strategy) -> Result<ReplayOutcome, ReplayError> {
+    RunPlan::new(page).config(ReplayConfig::testbed(strategy)).run_one().map(|run| run.outcome)
+}
+
+/// The §4.2 computed push order of one page.
+fn computed_push_order(page: &Page, runs: usize, seed: u64) -> Vec<ResourceId> {
+    let mut lost = Vec::new();
+    let order = push_orders(&[ReplayInputs::from(page)], runs, seed, &mut lost).pop();
+    assert!(lost.is_empty(), "{lost:?}");
+    order.expect("one site in, one order out")
+}
 
 #[test]
 fn paper_strategy_suite_runs_on_w16() {
@@ -17,7 +35,7 @@ fn paper_strategy_suite_runs_on_w16() {
     let mut results = Vec::new();
     for which in PaperStrategy::ALL {
         let (variant, strategy) = paper_strategy(&page, which);
-        let out = replay(&variant, &ReplayConfig::testbed(strategy)).unwrap();
+        let out = replay(&variant, strategy).unwrap();
         assert!(out.load.finished(), "{} did not finish", which.label());
         results.push((which, out));
     }
@@ -51,8 +69,8 @@ fn paper_strategy_suite_runs_on_w16() {
 #[test]
 fn computed_push_order_is_stable_and_pushable() {
     let page = generate_site(CorpusKind::Random, 99);
-    let a = compute_push_order(&page, 5, 7);
-    let b = compute_push_order(&page, 5, 7);
+    let a = computed_push_order(&page, 5, 7);
+    let b = computed_push_order(&page, 5, 7);
     assert_eq!(a, b, "order computation must be deterministic");
     let pushable = page.pushable();
     // The order is computed from the origin connection: everything the
@@ -67,9 +85,9 @@ fn computed_push_order_is_stable_and_pushable() {
 #[test]
 fn push_all_uses_computed_order() {
     let page = generate_site(CorpusKind::Random, 17);
-    let order = compute_push_order(&page, 3, 1);
+    let order = computed_push_order(&page, 3, 1);
     let strategy = push_all(&page, &order);
-    let out = replay(&page, &ReplayConfig::testbed(strategy.clone())).unwrap();
+    let out = replay(&page, strategy.clone()).unwrap();
     assert!(out.load.finished());
     assert_eq!(
         out.server_pushed_bytes as usize,
@@ -85,7 +103,7 @@ fn record_db_round_trip_preserves_replay() {
     let db2 = RecordDb::from_json(&db.to_json()).unwrap();
     assert_eq!(db.len(), db2.len());
     // Same replay regardless of which DB instance a server would load.
-    let out = replay(&page, &ReplayConfig::testbed(Strategy::NoPush)).unwrap();
+    let out = replay(&page, Strategy::NoPush).unwrap();
     assert!(out.load.finished());
 }
 
@@ -163,7 +181,7 @@ fn cancelled_pushes_count_and_load_still_finishes() {
     // *subresource* request race and get cancelled.
     let page = generate_site(CorpusKind::Random, 55);
     let strategy = push_all(&page, &[]);
-    let out = replay(&page, &ReplayConfig::testbed(strategy)).unwrap();
+    let out = replay(&page, strategy).unwrap();
     assert!(out.load.finished());
     // All pushes accepted (the promise precedes the HTML bytes).
     assert_eq!(out.load.cancelled_pushes, 0);
@@ -175,7 +193,7 @@ fn six_strategies_all_finish_on_every_synthetic_site() {
         let page = synthetic_site(n);
         for which in PaperStrategy::ALL {
             let (variant, strategy) = paper_strategy(&page, which);
-            let out = replay(&variant, &ReplayConfig::testbed(strategy))
+            let out = replay(&variant, strategy)
                 .unwrap_or_else(|e| panic!("s{n} × {}: {e}", which.label()));
             assert!(out.load.finished());
         }
@@ -246,21 +264,40 @@ fn waterfall_json_matches_the_checked_in_schema_and_same_seed_traces_agree() {
     assert!(errs.iter().any(|e| e.starts_with("/site: expected")), "{errs:?}");
     assert!(errs.iter().any(|e| e.contains("missing required key \"faults\"")), "{errs:?}");
 
-    // Fresh renders: s7 without push and under the planner's interleaved
-    // recommendation, each traced twice.
-    let page = synthetic_site(7);
-    for strategy in [Strategy::NoPush, PushPlanner::static_recommendation(&page)] {
+    // Fresh renders, each traced twice and written through
+    // `write_waterfall`: s7 without push and under the planner's
+    // interleaved recommendation, and `examples/waterfall.rs`'s w16 pair.
+    // Every one of them reproduces its committed export byte for byte.
+    let out_dir = std::env::temp_dir().join(format!("h2push-wf-pin-{}", std::process::id()));
+    let s7 = synthetic_site(7);
+    let w16 = realworld_site(16);
+    let mut renders =
+        vec![(s7.clone(), Strategy::NoPush), (s7.clone(), PushPlanner::static_recommendation(&s7))];
+    for which in [PaperStrategy::NoPush, PaperStrategy::PushCriticalOptimized] {
+        renders.push(paper_strategy(&w16, which));
+    }
+    for (page, strategy) in renders {
         let label = strategy_label(&strategy);
         let traced = || {
             let plan = RunPlan::new(&page).strategy(strategy.clone()).seed(42).traced();
             plan.run_one().expect("traced replay completes").timeline.expect("timeline")
         };
         let (timeline, again) = (traced(), traced());
-        assert_eq!(timeline, again, "same-seed timelines diverged for {label}");
+        assert_eq!(timeline, again, "same-seed timelines diverged for {} {label}", page.name);
         let meta = WaterfallMeta { site: &page.name, strategy: label, seed: 42 };
         let names = |id: usize| page.resources.get(id).map(|r| r.path.clone());
         check(label, &timeline.waterfall_json(&meta, &names));
+        let (txt, json) =
+            write_waterfall(&out_dir, &page, &strategy, 42, &timeline).expect("waterfall written");
+        for fresh in [txt, json] {
+            let name = fresh.file_name().unwrap().to_str().unwrap().to_string();
+            assert!(
+                read(fresh.display().to_string()) == read(format!("{results}/{name}")),
+                "results/{name} no longer matches a fresh render"
+            );
+        }
     }
+    let _ = std::fs::remove_dir_all(&out_dir);
 
     // And every export committed under results/.
     let mut committed = 0;

@@ -55,14 +55,19 @@ fn conditions(
 #[test]
 fn a_cold_load_takes_at_least_its_handshake_and_its_bytes() {
     let sites = sites();
-    let (labels, cells): (Vec<_>, Vec<_>) = conditions(&sites, |_, _| {}).into_iter().unzip();
+    let (labels, cells): (Vec<_>, Vec<_>) =
+        conditions(&sites, |_, _| {}).into_iter().map(|(what, cell)| (what, cell.traced())).unzip();
     let mut lost = Vec::new();
-    let loads = run_cells(&cells, |run| run.outcome.load, &mut lost);
+    let loads = run_cells(
+        &cells,
+        |run| (run.outcome.load, run.timeline.expect("traced cell").resource_spans()),
+        &mut lost,
+    );
     assert!(lost.is_empty(), "{lost:#?}");
-    let pushes: u32 = loads.iter().map(|load| load[0].pushed_count).sum();
+    let pushes: u32 = loads.iter().map(|load| load[0].0.pushed_count).sum();
     assert!(pushes > 0, "no condition pushed anything: the push-all half is vacuous");
     for ((what, cell), load) in labels.iter().zip(&cells).zip(loads) {
-        let load = &load[0];
+        let (load, spans) = &load[0];
         let page = &cell.inputs().page;
         let network = &cell.config_for(0).network;
         let onload = load.onload.unwrap_or_else(|| panic!("{what}: no onload"));
@@ -73,12 +78,10 @@ fn a_cold_load_takes_at_least_its_handshake_and_its_bytes() {
         assert!(load.plt() >= connect_ms, "{what}: PLT {} < connectEnd {connect_ms}", load.plt());
         // Every body byte that was there by onload crossed the client's
         // downlink after connectEnd, at no more than the link rate.
-        let loaded_bytes: usize = page
-            .resources
+        let loaded_bytes: usize = spans
             .iter()
-            .zip(&load.waterfall)
-            .filter(|(_, timing)| timing.loaded.is_some_and(|at| at <= onload))
-            .map(|(resource, _)| resource.size)
+            .filter(|span| span.loaded.is_some_and(|at| at <= onload.as_micros()))
+            .map(|span| page.resources[span.resource].size)
             .sum();
         let rate_bps = network.client_down.rate_bps.expect("every access profile is rated");
         let serialization_ms = loaded_bytes as f64 * 8.0 / rate_bps as f64 * 1_000.0;
