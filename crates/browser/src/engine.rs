@@ -44,6 +44,19 @@ const CLASS_WEIGHTS: [u16; 5] = [256, 220, 183, 147, 110];
 /// limit the paper's §1 motivation assumes).
 const H1_POOL_SIZE: usize = 6;
 
+/// Per-stream receive window advertised on every HTTP/2 connection
+/// (Chromium uses ~6 MB).
+const INITIAL_WINDOW: u32 = 6 * 1024 * 1024;
+
+/// How many times a failed or timed-out fetch is re-issued before the
+/// resource is given up on. Only reachable under faults — fault-free
+/// loads never time out or see transport errors.
+pub const MAX_RETRIES: u32 = 2;
+
+/// Delay before the first retry of a fetch; it doubles per attempt
+/// (exponential backoff).
+pub const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(500);
+
 /// Which protocol the browser speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportMode {
@@ -61,8 +74,6 @@ pub enum TransportMode {
 pub struct BrowserConfig {
     /// Advertise SETTINGS_ENABLE_PUSH (false ⇒ the paper's "no push").
     pub enable_push: bool,
-    /// Per-stream receive window (Chromium uses ~6 MB).
-    pub initial_window: u32,
     /// Multiplies all CPU times; models per-run client-side processing
     /// variance (the residual noise the paper's testbed still observes).
     pub cpu_scale: f64,
@@ -83,15 +94,8 @@ pub struct BrowserConfig {
     /// Per-resource fetch timeout. `None` (the default) schedules no
     /// timers at all, keeping fault-free loads byte-identical; under fault
     /// injection a stalled transfer is cancelled and retried after this
-    /// long.
+    /// long (up to [`MAX_RETRIES`] times, [`RETRY_BACKOFF`] apart).
     pub resource_timeout: Option<SimDuration>,
-    /// How many times a failed or timed-out fetch is re-issued before the
-    /// resource is given up on. Only reachable under faults — fault-free
-    /// loads never time out or see transport errors.
-    pub max_retries: u32,
-    /// Base delay before a retry; doubles per attempt (exponential
-    /// backoff).
-    pub retry_backoff: SimDuration,
     /// Hard deadline for the whole load. `None` (the default) schedules
     /// nothing; when set, a load still unfinished at the deadline is
     /// closed out as a *partial* result — PLT and SpeedIndex over what
@@ -107,14 +111,11 @@ impl Default for BrowserConfig {
     fn default() -> Self {
         BrowserConfig {
             enable_push: true,
-            initial_window: 6 * 1024 * 1024,
             cpu_scale: 1.0,
             transport: TransportMode::H2,
             preload_scanner: true,
             warm_cache: Vec::new(),
             resource_timeout: None,
-            max_retries: 2,
-            retry_backoff: SimDuration::from_millis(500),
             load_deadline: None,
             limits: h2push_h2proto::ConnLimits::new(),
         }
@@ -762,7 +763,7 @@ impl Browser {
         let slot = self.next_h2_slot.get(&group).copied().unwrap_or(0);
         let settings = Settings {
             enable_push: Some(self.cfg.enable_push),
-            initial_window_size: Some(self.cfg.initial_window),
+            initial_window_size: Some(INITIAL_WINDOW),
             ..Default::default()
         };
         // A parked machine reset into the client role is byte-identical to
@@ -1121,13 +1122,13 @@ impl Browser {
     /// fail the resource once the retry budget is spent.
     fn retry_or_fail(&mut self, rid: ResourceId, now: SimTime) {
         self.res[rid.0].attempts += 1;
-        if self.res[rid.0].attempts > self.cfg.max_retries {
+        if self.res[rid.0].attempts > MAX_RETRIES {
             self.fail_resource(rid, now);
             return;
         }
         self.retries += 1;
         let shift = (self.res[rid.0].attempts - 1).min(16);
-        let delay = SimDuration::from_micros(self.cfg.retry_backoff.as_micros() << shift);
+        let delay = SimDuration::from_micros(RETRY_BACKOFF.as_micros() << shift);
         self.set_timer(now + delay, TimerKind::RetryFetch(rid));
     }
 

@@ -11,7 +11,9 @@
 pub mod engine;
 pub mod result;
 
-pub use engine::{Browser, BrowserAction, BrowserConfig, PreparedScan, TransportMode};
+pub use engine::{
+    Browser, BrowserAction, BrowserConfig, PreparedScan, TransportMode, MAX_RETRIES, RETRY_BACKOFF,
+};
 pub use result::{LoadResult, PaintSample};
 
 #[cfg(test)]
@@ -353,13 +355,13 @@ mod tests {
 
     #[test]
     fn fault_free_loads_are_unaffected_by_retry_config() {
-        // Timeout/retry/deadline knobs must be inert on a clean load: no
-        // extra timers, no behaviour change (the byte-identity guarantee
+        // The timeout and deadline knobs must be inert on a clean load: no
+        // timer fires, no behaviour change (the byte-identity guarantee
         // the testbed's zero-fault acceptance check relies on).
         let r1 = MiniBed::new(simple_page(), vec![]).run(BrowserConfig::default());
         let r2 = MiniBed::new(simple_page(), vec![]).run(BrowserConfig {
-            max_retries: 99,
-            retry_backoff: SimDuration::from_millis(1),
+            resource_timeout: Some(SimDuration::from_millis(60_000)),
+            load_deadline: Some(SimDuration::from_millis(600_000)),
             ..Default::default()
         });
         assert_eq!(r1, r2);
@@ -370,8 +372,9 @@ mod tests {
     #[test]
     fn stalled_resource_times_out_retries_then_fails_partial() {
         // A render-blocking stylesheet whose origin never answers: the
-        // fetch times out, is retried once, fails — and the load completes
-        // *around* the hole instead of hanging, flagged partial.
+        // fetch times out, is retried `MAX_RETRIES` times, fails — and the
+        // load completes *around* the hole instead of hanging, flagged
+        // partial.
         let mut b = PageBuilder::new("stall", "stall.test", 20_000, 2_000);
         let css = b.resource(ResourceSpec::css(0, 8_000, 200, 0.5));
         b.text_paint(10_000, 1.0);
@@ -380,15 +383,13 @@ mod tests {
         bed.blackhole.push(css);
         let r = bed.run(BrowserConfig {
             resource_timeout: Some(SimDuration::from_millis(200)),
-            max_retries: 1,
-            retry_backoff: SimDuration::from_millis(100),
             ..Default::default()
         });
         assert!(r.finished());
         assert!(r.partial);
         assert_eq!(r.failed_resources, 1);
-        assert_eq!(r.timeouts, 2, "original attempt + one retry both timed out");
-        assert_eq!(r.retries, 1);
+        assert_eq!(r.timeouts, MAX_RETRIES + 1, "the first attempt and every retry timed out");
+        assert_eq!(r.retries, MAX_RETRIES);
         assert!(r.first_paint().is_some(), "render proceeded without the failed sheet");
         assert!(r.plt() > 0.0);
     }
@@ -455,30 +456,38 @@ mod tests {
         let mut b = PageBuilder::new("h1err", "h1err.test", 10_000, 1_000);
         b.text_paint(5_000, 1.0);
         let page = Arc::new(b.build());
-        let cfg =
-            BrowserConfig { transport: TransportMode::H1, max_retries: 1, ..Default::default() };
+        let cfg = BrowserConfig { transport: TransportMode::H1, ..Default::default() };
         let mut browser = Browser::new(page, cfg);
         let acts = browser.start(SimTime::ZERO);
         assert!(acts
             .iter()
             .any(|a| matches!(a, BrowserAction::OpenConnection { group: 0, slot: 0 })));
-        // A garbage status line kills the connection, not the load.
-        let acts = browser.on_bytes(0, 0, b"BOGUS/9.9 garbage\r\n\r\n", SimTime::from_millis(10));
-        let (at, token) = acts
-            .iter()
-            .find_map(|a| match a {
+        // A garbage status line kills the connection, not the load: every
+        // slot it arrives on is retired and the document retried on the
+        // next, until the retry budget is spent.
+        let mut now = SimTime::from_millis(10);
+        for slot in 0..=MAX_RETRIES as usize {
+            let acts = browser.on_bytes(0, slot, b"BOGUS/9.9 garbage\r\n\r\n", now);
+            let timer = acts.iter().find_map(|a| match a {
                 BrowserAction::SetTimer { at, token } => Some((*at, *token)),
                 _ => None,
-            })
-            .expect("a retry timer is scheduled");
-        let acts = browser.on_timer(token, at);
-        assert!(
-            acts.iter().any(|a| matches!(a, BrowserAction::OpenConnection { group: 0, slot: 1 })),
-            "the dead slot keeps its index; the retry opens the next one"
-        );
+            });
+            if slot == MAX_RETRIES as usize {
+                assert!(timer.is_none(), "no retry past the budget");
+                break;
+            }
+            let (at, token) = timer.expect("a retry timer is scheduled");
+            let opened = browser.on_timer(token, at).into_iter().find_map(|a| match a {
+                BrowserAction::OpenConnection { group: 0, slot } => Some(slot),
+                _ => None,
+            });
+            assert_eq!(opened, Some(slot + 1), "the dead slot keeps its index; the next opens");
+            now = at;
+        }
         let r = browser.result();
-        assert_eq!(r.conn_errors, 1);
-        assert_eq!(r.retries, 1);
+        assert_eq!(r.conn_errors, MAX_RETRIES + 1);
+        assert_eq!(r.retries, MAX_RETRIES);
+        assert_eq!(r.failed_resources, 1);
     }
 
     #[test]
@@ -490,13 +499,12 @@ mod tests {
         bed.blackhole.push(ResourceId(0));
         let r = bed.run(BrowserConfig {
             resource_timeout: Some(SimDuration::from_millis(100)),
-            max_retries: 0,
             ..Default::default()
         });
         assert!(r.finished());
         assert!(r.partial);
-        assert_eq!(r.timeouts, 1);
-        assert_eq!(r.retries, 0);
+        assert_eq!(r.timeouts, MAX_RETRIES + 1);
+        assert_eq!(r.retries, MAX_RETRIES);
         assert_eq!(r.failed_resources, 1);
         assert!(r.first_paint().is_none(), "nothing ever rendered");
     }
@@ -663,7 +671,6 @@ mod tests {
         };
         let cfg = BrowserConfig {
             resource_timeout: Some(SimDuration::from_millis(1_500)),
-            max_retries: 2,
             load_deadline: Some(SimDuration::from_millis(120_000)),
             ..Default::default()
         };

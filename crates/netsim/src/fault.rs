@@ -100,7 +100,7 @@ pub struct FaultSpec {
     /// get through is kept).
     pub loss: LossModel,
     /// Maximum uniform *extra* per-packet jitter, on top of
-    /// `NetworkSpec::jitter`.
+    /// the network's base jitter (120 µs).
     pub extra_jitter: SimDuration,
     /// Probability that a data packet is held back (reordered).
     pub reorder: f64,

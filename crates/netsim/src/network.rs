@@ -13,7 +13,7 @@
 //!
 //! * slow start from an initial window of 10 segments, with byte-counting
 //!   growth, switching to congestion avoidance above `ssthresh`;
-//! * a receive window (default 1 MB — large relative to the DSL
+//! * a receive window (1 MB — large relative to the DSL
 //!   bandwidth-delay product, like the Linux autotuned windows the paper's
 //!   testbed would see);
 //! * an ACK per data packet (40 bytes on the reverse path, so ACK traffic
@@ -48,6 +48,15 @@ pub const HEADER_OVERHEAD: usize = 40;
 const ACK_SIZE: usize = 40;
 /// Size of a handshake segment on the wire.
 const SYN_SIZE: usize = 60;
+/// Extra round trips for TLS: the TLS 1.2 stacks of the paper's testbed.
+const TLS_RTTS: u32 = 2;
+/// Per-direction receive window.
+const RECV_WINDOW: usize = 1024 * 1024;
+/// Maximum uniform per-packet timing jitter. Models the OS scheduling
+/// noise any real testbed has; without it, deterministic lock-step lets
+/// one flow phase-capture a shared drop-tail queue. Seeded, so runs are
+/// still exactly reproducible.
+const JITTER: SimDuration = SimDuration::from_micros(120);
 
 /// Identifies a server node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -108,19 +117,6 @@ pub struct NetworkSpec {
     pub client_down: LinkSpec,
     /// Random per-packet loss probability applied on the rated access links.
     pub loss: f64,
-    /// Number of extra round trips for TLS (2 for the TLS 1.2 stacks of the
-    /// paper's era; 1 for TLS 1.3; 0 to model pre-established connections).
-    pub tls_rtts: u32,
-    /// Time to resolve a name before connecting (zero in the testbed, where
-    /// Mahimahi answers DNS locally).
-    pub dns_delay: SimDuration,
-    /// Per-direction receive window.
-    pub recv_window: usize,
-    /// Maximum uniform per-packet timing jitter. Models the OS scheduling
-    /// noise any real testbed has; without it, deterministic lock-step lets
-    /// one flow phase-capture a shared drop-tail queue. Seeded, so runs are
-    /// still exactly reproducible.
-    pub jitter: SimDuration,
     /// Seed for the loss and jitter processes.
     pub seed: u64,
     /// Injected faults on the access links (loss models, extra jitter,
@@ -139,10 +135,6 @@ impl NetworkSpec {
             client_up: LinkSpec::dsl_uplink(),
             client_down: LinkSpec::dsl_downlink(),
             loss: 0.0,
-            tls_rtts: 2,
-            dns_delay: SimDuration::ZERO,
-            recv_window: 1024 * 1024,
-            jitter: SimDuration::from_micros(120),
             seed: 0,
             fault: FaultSpec::default(),
         }
@@ -235,7 +227,8 @@ enum Ev {
     Rto { conn: u32, dir: Dir, bytes: u32 },
     /// Application timer.
     App { token: u64 },
-    /// DNS resolution finished; start the TCP handshake.
+    /// A connection was opened: start its TCP handshake. Names resolve
+    /// locally, as in the testbed, so this fires at the `connect` instant.
     StartConnect { conn: u32 },
 }
 
@@ -444,8 +437,8 @@ impl Network {
         ServerId(self.servers.len() - 1)
     }
 
-    /// Open a connection from the client to `server`. The handshake (DNS +
-    /// TCP + TLS) runs asynchronously; a [`NetEvent::Connected`] is emitted
+    /// Open a connection from the client to `server`. The handshake (TCP +
+    /// TLS) runs asynchronously; a [`NetEvent::Connected`] is emitted
     /// when the client may transmit.
     pub fn connect(&mut self, server: ServerId) -> ConnId {
         assert!(server.0 < self.servers.len(), "unknown server");
@@ -454,10 +447,9 @@ impl Network {
         self.conns.push(Conn {
             server: server.0,
             established: false,
-            dirs: [TcpDir::new(self.spec.recv_window), TcpDir::new(self.spec.recv_window)],
+            dirs: [TcpDir::new(RECV_WINDOW), TcpDir::new(RECV_WINDOW)],
         });
-        let at = self.now + self.spec.dns_delay;
-        self.events.push(at, Ev::StartConnect { conn });
+        self.events.push(self.now, Ev::StartConnect { conn });
         ConnId(id)
     }
 
@@ -529,8 +521,8 @@ impl Network {
             Ev::App { token } => Some(NetEvent::App { token }),
             Ev::StartConnect { conn } => {
                 // SYN leaves the client; total half-trips for TCP (1 RTT)
-                // plus TLS (`tls_rtts` RTTs).
-                let left = 2 * (1 + self.spec.tls_rtts) - 1;
+                // plus TLS (`TLS_RTTS` RTTs).
+                let left = 2 * (1 + TLS_RTTS) - 1;
                 self.transmit_path(conn as usize, Dir::Up, SYN_SIZE, Kind::Handshake { left });
                 None
             }
@@ -746,13 +738,10 @@ impl Network {
         };
         match outcome {
             Transmit::Delivered(at) => {
-                let mut at = if self.spec.jitter.as_micros() > 0 {
-                    at + SimDuration::from_micros(
-                        (self.rng.next_f64() * self.spec.jitter.as_micros() as f64) as u64,
-                    )
-                } else {
-                    at
-                };
+                let mut at = at
+                    + SimDuration::from_micros(
+                        (self.rng.next_f64() * JITTER.as_micros() as f64) as u64,
+                    );
                 if lossy && !self.spec.fault.is_noop() {
                     at += self.fault_states[dir.idx()].jitter(&self.spec.fault);
                     if is_data {

@@ -393,66 +393,15 @@ pub struct AttackOutcome {
 /// below this; hitting it means the victim livelocked.
 const ROUND_BUDGET: u32 = 10_000;
 
-/// A recyclable set of attack victims: the attack page, its record DB, a
-/// full [`ReplayServer`], the benign splice-in client and a client-victim
-/// [`Connection`]. The badpeer twin of the replay engine's
-/// [`crate::ReplayCtx`] — every machine resets in place between runs
-/// (clear-don't-drop), so a recycled attack run allocates almost nothing
-/// and is bit-identical to a cold one (asserted in this module's tests).
-pub struct AttackCtx {
-    page: Arc<Page>,
-    db: Arc<RecordDb>,
-    strategy: Arc<Strategy>,
-    srv: Box<ReplayServer>,
-    splice: Connection,
-    splice_sched: DefaultScheduler,
-    cli: Connection,
-    cli_sched: DefaultScheduler,
-}
-
-impl Default for AttackCtx {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AttackCtx {
-    /// Fresh victims; the first run through them behaves exactly like the
-    /// standalone entry points.
-    pub fn new() -> Self {
-        let page = Arc::new(attack_page());
-        let db = Arc::new(RecordDb::record(&page));
-        let strategy = Arc::new(Strategy::PushList { order: vec![ResourceId(1)] });
-        let srv = Box::new(ReplayServer::new(Arc::clone(&page), Arc::clone(&db), 0, &strategy));
-        AttackCtx {
-            page,
-            db,
-            strategy,
-            srv,
-            splice: Connection::client(Settings::default()),
-            splice_sched: DefaultScheduler::new(),
-            cli: Connection::client(Settings::default()),
-            cli_sched: DefaultScheduler::new(),
-        }
-    }
-}
-
 /// Run a script against a full [`ReplayServer`] victim (the replay
-/// datapath: HPACK, scheduler, record DB, response generation). A benign
-/// request is exchanged first; the attack is spliced into the same byte
-/// stream.
-pub fn attack_server(script: &AttackScript, limits: ConnLimits) -> AttackOutcome {
-    attack_server_in(script, limits, &mut AttackCtx::new())
-}
-
-/// [`attack_server`] against `ctx`'s recycled victim server.
-pub fn attack_server_in(
-    script: &AttackScript,
-    limits: ConnLimits,
-    ctx: &mut AttackCtx,
-) -> AttackOutcome {
-    ctx.srv.reset(Arc::clone(&ctx.page), Arc::clone(&ctx.db), 0, &ctx.strategy);
-    let srv = &mut ctx.srv;
+/// datapath: HPACK, scheduler, record DB, response generation) serving
+/// [`attack_page`]. A benign request is exchanged first; the attack is
+/// spliced into the same byte stream.
+fn attack_server(script: &AttackScript, limits: ConnLimits) -> AttackOutcome {
+    let page = Arc::new(attack_page());
+    let db = Arc::new(RecordDb::record(&page));
+    let strategy = Arc::new(Strategy::PushList { order: vec![ResourceId(1)] });
+    let srv = &mut ReplayServer::new(page, db, 0, &strategy);
     srv.set_limits(limits);
 
     let mut fp = Fnv::new();
@@ -461,11 +410,11 @@ pub fn attack_server_in(
 
     // Benign splice-in: a real client issues a real request, so the
     // victim's HPACK and stream state are mid-flight when the attack hits.
-    ctx.splice.reset_client(Settings::default());
-    let cli = &mut ctx.splice;
+    let mut cli = Connection::client(Settings::default());
+    let mut sched = DefaultScheduler::new();
     cli.request(&benign_request(), Some(PrioritySpec::default()));
     loop {
-        let out = cli.produce(usize::MAX, &mut ctx.splice_sched);
+        let out = cli.produce(usize::MAX, &mut sched);
         if out.is_empty() {
             break;
         }
@@ -502,20 +451,10 @@ pub fn attack_server_in(
 
 /// Run a script against a client [`Connection`] victim, after it has
 /// issued its first (benign) request.
-pub fn attack_client(script: &AttackScript, limits: ConnLimits) -> AttackOutcome {
-    attack_client_in(script, limits, &mut AttackCtx::new())
-}
-
-/// [`attack_client`] against `ctx`'s recycled victim connection.
-pub fn attack_client_in(
-    script: &AttackScript,
-    limits: ConnLimits,
-    ctx: &mut AttackCtx,
-) -> AttackOutcome {
-    ctx.cli.reset_client(Settings::default());
-    let cli = &mut ctx.cli;
+fn attack_client(script: &AttackScript, limits: ConnLimits) -> AttackOutcome {
+    let cli = &mut Connection::client(Settings::default());
     cli.set_limits(limits);
-    let sched = &mut ctx.cli_sched;
+    let sched = &mut DefaultScheduler::new();
     let mut fp = Fnv::new();
     let mut rounds = 0u32;
     let mut stream_errors = 0u32;
@@ -570,23 +509,11 @@ pub fn attack_client_in(
     }
 }
 
-/// Run one script against its canonical victim.
+/// Run one script against its canonical victim, built fresh for it.
 pub fn run_attack(script: &AttackScript, limits: ConnLimits) -> AttackOutcome {
     match script.kind.victim() {
         Victim::Server => attack_server(script, limits),
         Victim::Client => attack_client(script, limits),
-    }
-}
-
-/// [`run_attack`] against `ctx`'s recycled victims.
-pub fn run_attack_in(
-    script: &AttackScript,
-    limits: ConnLimits,
-    ctx: &mut AttackCtx,
-) -> AttackOutcome {
-    match script.kind.victim() {
-        Victim::Server => attack_server_in(script, limits, ctx),
-        Victim::Client => attack_client_in(script, limits, ctx),
     }
 }
 
@@ -603,13 +530,6 @@ pub fn suite(seed: u64) -> Vec<AttackScript> {
 /// Run the whole suite under `limits`; one outcome per kind.
 pub fn run_suite(seed: u64, limits: ConnLimits) -> Vec<AttackOutcome> {
     suite(seed).iter().map(|s| run_attack(s, limits)).collect()
-}
-
-/// [`run_suite`] through one recycled [`AttackCtx`]: every attack reuses
-/// the same victim machines, reset between scripts. Outcomes are
-/// bit-identical to the cold suite.
-pub fn run_suite_in(seed: u64, limits: ConnLimits, ctx: &mut AttackCtx) -> Vec<AttackOutcome> {
-    suite(seed).iter().map(|s| run_attack_in(s, limits, ctx)).collect()
 }
 
 fn drain_server(srv: &mut ReplayServer, fp: &mut Fnv, rounds: &mut u32, now: &mut SimTime) {
@@ -722,49 +642,29 @@ mod tests {
     }
 
     #[test]
-    fn recycled_victims_reproduce_every_fingerprint_and_typed_error() {
-        // All 11 catalogue attacks, twice, through ONE recycled context:
-        // the second pass must reach the same typed errors and FNV
-        // fingerprints as the first, and both must equal the cold suite
-        // (fresh victims per attack).
-        let limits = ConnLimits::strict();
-        let cold = run_suite(42, limits);
-        let mut ctx = AttackCtx::new();
-        let first = run_suite_in(42, limits, &mut ctx);
-        let second = run_suite_in(42, limits, &mut ctx);
-        assert_eq!(first.len(), AttackKind::ALL.len());
-        for ((a, b), c) in first.iter().zip(&second).zip(&cold) {
-            assert_eq!(a, b, "{} differs on the recycled second pass", a.kind.label());
-            assert_eq!(a, c, "{} recycled differs from cold", a.kind.label());
-            assert_eq!(a.fatal, c.fatal, "{} typed error drifted", a.kind.label());
-            assert_eq!(a.fingerprint, c.fingerprint);
-        }
-    }
-
-    #[test]
     fn flood_attacks_trip_typed_errors_under_strict_limits() {
         let limits = ConnLimits::strict();
-        let rr = attack_server(&AttackScript::new(AttackKind::RapidReset, 1), limits);
+        let rr = run_attack(&AttackScript::new(AttackKind::RapidReset, 1), limits);
         assert_eq!(rr.fatal, Some(ConnError::ResetFlood));
         assert_eq!(rr.goaway, Some(ErrorCode::EnhanceYourCalm));
 
-        let sc = attack_server(&AttackScript::new(AttackKind::SettingsChurn, 1), limits);
+        let sc = run_attack(&AttackScript::new(AttackKind::SettingsChurn, 1), limits);
         assert_eq!(sc.fatal, Some(ConnError::SettingsFlood));
 
-        let pf = attack_server(&AttackScript::new(AttackKind::PingFlood, 1), limits);
+        let pf = run_attack(&AttackScript::new(AttackKind::PingFlood, 1), limits);
         assert_eq!(pf.fatal, Some(ConnError::PingFlood));
 
-        let hb = attack_server(&AttackScript::new(AttackKind::HpackBomb, 1), limits);
+        let hb = run_attack(&AttackScript::new(AttackKind::HpackBomb, 1), limits);
         assert_eq!(hb.fatal, Some(ConnError::HeaderListTooLarge));
 
-        let cf = attack_server(&AttackScript::new(AttackKind::ContinuationFlood, 1), limits);
+        let cf = run_attack(&AttackScript::new(AttackKind::ContinuationFlood, 1), limits);
         assert_eq!(cf.fatal, Some(ConnError::HeaderListTooLarge));
     }
 
     #[test]
     fn window_overflow_kills_the_connection_with_flow_control_error() {
         let out =
-            attack_server(&AttackScript::new(AttackKind::WindowOverflow, 1), ConnLimits::strict());
+            run_attack(&AttackScript::new(AttackKind::WindowOverflow, 1), ConnLimits::strict());
         assert_eq!(out.fatal, Some(ConnError::FlowControlOverflow));
         assert_eq!(out.goaway, Some(ErrorCode::FlowControlError));
         // The stream-level overflow fired first, as a non-fatal reset.
@@ -773,10 +673,8 @@ mod tests {
 
     #[test]
     fn stream_exhaustion_escalates_past_refusals() {
-        let out = attack_server(
-            &AttackScript::new(AttackKind::StreamIdExhaustion, 1),
-            ConnLimits::strict(),
-        );
+        let out =
+            run_attack(&AttackScript::new(AttackKind::StreamIdExhaustion, 1), ConnLimits::strict());
         assert_eq!(out.fatal, Some(ConnError::ConcurrentStreamsExceeded));
         assert!(out.stream_errors >= 1, "expected REFUSED_STREAM resets before escalation");
     }
@@ -784,14 +682,14 @@ mod tests {
     #[test]
     fn malformed_and_unknown_frames_never_panic() {
         let limits = ConnLimits::strict();
-        let tr = attack_server(&AttackScript::new(AttackKind::TruncatedFrame, 3), limits);
+        let tr = run_attack(&AttackScript::new(AttackKind::TruncatedFrame, 3), limits);
         assert!(tr.completed);
         assert!(tr.fatal.is_none(), "truncation alone must not kill: {:?}", tr.fatal);
 
-        let ov = attack_server(&AttackScript::new(AttackKind::OversizedFrame, 3), limits);
+        let ov = run_attack(&AttackScript::new(AttackKind::OversizedFrame, 3), limits);
         assert_eq!(ov.fatal, Some(ConnError::FrameTooLarge));
 
-        let un = attack_server(&AttackScript::new(AttackKind::UnknownFrames, 3), limits);
+        let un = run_attack(&AttackScript::new(AttackKind::UnknownFrames, 3), limits);
         assert!(un.completed);
         assert!(un.fatal.is_none(), "unknown frame types are ignored: {:?}", un.fatal);
     }
@@ -799,7 +697,7 @@ mod tests {
     #[test]
     fn push_after_goaway_is_absorbed_by_the_client() {
         let out =
-            attack_client(&AttackScript::new(AttackKind::PushAfterGoaway, 5), ConnLimits::strict());
+            run_attack(&AttackScript::new(AttackKind::PushAfterGoaway, 5), ConnLimits::strict());
         assert!(out.completed);
         assert!(
             out.fatal.is_none() || out.fatal.map(|e| e.code()).is_some(),

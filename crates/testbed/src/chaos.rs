@@ -33,10 +33,9 @@ pub struct FaultProfile {
     pub name: String,
     /// What the network injects.
     pub fault: FaultSpec,
-    /// Per-resource fetch timeout handed to the browser.
+    /// Per-resource fetch timeout handed to the browser (which retries a
+    /// timed-out fetch up to [`h2push_browser::MAX_RETRIES`] times).
     pub resource_timeout: Option<SimDuration>,
-    /// Retry budget per resource.
-    pub max_retries: u32,
     /// Page-load deadline after which the browser reports a partial load.
     pub load_deadline: Option<SimDuration>,
 }
@@ -50,19 +49,17 @@ impl FaultProfile {
             name: "none".into(),
             fault: FaultSpec::default(),
             resource_timeout: None,
-            max_retries: 2,
             load_deadline: None,
         }
     }
 
     /// A faulty profile with the standard hardening: 15 s per-resource
-    /// timeout, 2 retries, 120 s page deadline.
+    /// timeout, 120 s page deadline.
     fn hardened(name: impl Into<String>, fault: FaultSpec) -> Self {
         FaultProfile {
             name: name.into(),
             fault,
             resource_timeout: Some(SimDuration::from_millis(15_000)),
-            max_retries: 2,
             load_deadline: Some(SimDuration::from_millis(120_000)),
         }
     }
@@ -106,7 +103,6 @@ pub fn default_matrix() -> Vec<FaultProfile> {
 pub fn apply_profile(cfg: &mut ReplayConfig, profile: &FaultProfile) {
     cfg.network.fault = profile.fault.clone();
     cfg.browser.resource_timeout = profile.resource_timeout;
-    cfg.browser.max_retries = profile.max_retries;
     cfg.browser.load_deadline = profile.load_deadline;
 }
 

@@ -25,9 +25,8 @@ pub mod waterfall;
 pub(crate) mod wire_fifo;
 
 pub use badpeer::{
-    attack_client, attack_client_in, attack_page, attack_server, attack_server_in, benign_request,
-    run_attack, run_attack_in, run_suite, run_suite_in, AttackCtx, AttackKind, AttackOutcome,
-    AttackScript, Victim,
+    attack_page, benign_request, run_attack, run_suite, AttackKind, AttackOutcome, AttackScript,
+    Victim,
 };
 pub use chaos::{
     apply_profile, default_matrix, observe, run_fault_matrix, strategy_label, ChaosCell,
@@ -39,7 +38,8 @@ pub use harness::{push_orders, Mode, PAPER_RUNS};
 #[cfg(unix)]
 pub use live::{
     load_page, load_page_in, CloseCounts, CloseReason, ConnClose, LiveLimits, LiveLoadReport,
-    LiveServer, LiveServerHandle, LiveServerStats, TimeoutKind,
+    LiveServer, LiveServerHandle, LiveServerStats, TimeoutKind, DRAIN_DEADLINE, HEADER_TIMEOUT,
+    IDLE_TIMEOUT, MAX_QUEUED_BYTES, PREFACE_TIMEOUT, WRITE_STALL_TIMEOUT,
 };
 pub use plan::{RunOutput, RunPlan, RunReport, TraceSpec};
 pub use pool::{parallel_indexed, set_worker_threads, worker_threads};

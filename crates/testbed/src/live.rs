@@ -37,12 +37,12 @@
 //! Real networks contain peers the simulator never models: clients that
 //! connect and say nothing, that stop reading mid-response, that flood or
 //! reset or vanish. Every accepted connection therefore lives under a
-//! supervisor ([`LiveLimits`]) with a typed lifecycle:
+//! supervisor with a typed lifecycle, its deadlines the constants below:
 //!
 //! ```text
 //!            accept            preface           first request
 //!   (gate) ────────► Preface ─────────► Handshake ─────────► Active
-//!     │ over            │ preface_timeout   │ header_timeout   │ idle_timeout
+//!     │ over            │ PREFACE_TIMEOUT   │ HEADER_TIMEOUT   │ IDLE_TIMEOUT
 //!     │ max_conns       ▼                   ▼                  ▼
 //!     ▼               Timeout(Preface)  Timeout(Header)   Timeout(Idle)
 //!    Shed
@@ -50,8 +50,8 @@
 //!   any state ──peer EOF──► Clean ──► machine and queue parked for the next accept
 //!   any state ──ConnError──► ProtocolError
 //!   any state ──socket error──► IoError
-//!   out queued, no write progress for write_stall_timeout ──► WriteStall
-//!   still open at drain deadline after stop() ──► DrainKilled
+//!   out queued, no progress for WRITE_STALL_TIMEOUT ──► WriteStall
+//!   still open at DRAIN_DEADLINE after stop() ──► DrainKilled
 //! ```
 //!
 //! Each close is recorded once, with its [`CloseReason`] and the
@@ -59,16 +59,21 @@
 //! [`LiveServerStats::close_log`] — so the badpeer attack catalogue can
 //! assert the *same* typed errors over real TCP as over in-memory
 //! `feed_bytes`. Per-connection output is bounded by
-//! `max_queued_bytes`: the runtime polls the machine only while there is
+//! [`MAX_QUEUED_BYTES`]: the runtime polls the machine only while there is
 //! room, so a slow reader (the classic slow-read attack: grant a huge
 //! flow-control window, never drain the socket) costs a bounded queue and
 //! is closed for [`CloseReason::WriteStall`] when the socket makes no
-//! progress for `write_stall_timeout`.
+//! progress for [`WRITE_STALL_TIMEOUT`].
+//!
+//! One connection's wake-up — read, stamp, pump, flush, supervise — is a
+//! step over any `Read + Write` stream with the time passed in, so the
+//! tests below run every deadline on an injected clock, to the
+//! microsecond, without a socket or a sleep.
 //!
 //! [`LiveServerHandle::stop`] triggers a *graceful drain*: the listener
 //! closes immediately (no new work), in-flight connections keep being
 //! served until their peers finish and hang up, and whatever is still
-//! open at `drain_deadline` is flushed once and killed. `run()` then
+//! open at [`DRAIN_DEADLINE`] is flushed once and killed. `run()` then
 //! returns the complete [`LiveServerStats`].
 
 use crate::driver::{with_thread_ctx, ReplayCtx};
@@ -281,7 +286,7 @@ pub enum CloseReason {
     /// being served (the newcomer is shed, deterministically).
     Shed,
     /// Output queued but the socket made no progress for
-    /// `write_stall_timeout` — the slow-read / slowloris defense.
+    /// [`WRITE_STALL_TIMEOUT`] — the slow-read / slowloris defense.
     WriteStall,
     /// Hard socket error (reset, broken pipe).
     IoError,
@@ -306,10 +311,34 @@ impl CloseReason {
     }
 }
 
-/// Supervision policy for a [`LiveServer`]: the protocol-level
-/// [`ConnLimits`] armed on every accepted machine, plus the
-/// transport-level bounds the sans-IO machines cannot enforce themselves
-/// (they own no socket and no clock).
+// The transport-level bounds the sans-IO machines cannot enforce
+// themselves (they own no socket and no clock): generous enough that a
+// well-behaved loopback load never trips one, tight enough that every
+// abuse class is bounded.
+
+/// Accept-to-preface deadline.
+pub const PREFACE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Preface-to-first-request deadline.
+pub const HEADER_TIMEOUT: Duration = Duration::from_secs(10);
+/// No-traffic deadline once the first request was served and nothing is
+/// left to send.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+/// Queued output with no progress for this long closes the connection
+/// ([`CloseReason::WriteStall`]).
+pub const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(10);
+/// Per-connection output-queue bound (bytes): the machine is polled for
+/// more output only while the queue is below this, so one slow reader
+/// costs at most this much buffered memory (plus at most one frame of
+/// overshoot — frames are atomic on the wire).
+pub const MAX_QUEUED_BYTES: usize = 1 << 20;
+/// Grace period after `stop()` for in-flight connections to finish
+/// before they are flushed once and killed.
+pub const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+
+/// What a [`LiveServer`]'s caller may set of its supervision: the
+/// protocol-level [`ConnLimits`] armed on every accepted machine and the
+/// accept gate. The transport deadlines and the queue bound are the
+/// constants above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiveLimits {
     /// RFC 7540 resource limits armed on each connection's machine.
@@ -318,39 +347,12 @@ pub struct LiveLimits {
     /// shed (accepted then immediately closed, so the client sees EOF
     /// instead of hanging in the backlog).
     pub max_conns: usize,
-    /// Accept-to-preface deadline.
-    pub preface_timeout: Duration,
-    /// Preface-to-first-request deadline.
-    pub header_timeout: Duration,
-    /// No-traffic deadline after the first request was served.
-    pub idle_timeout: Duration,
-    /// Queued output with no write progress for this long closes the
-    /// connection ([`CloseReason::WriteStall`]).
-    pub write_stall_timeout: Duration,
-    /// Per-connection output-queue bound (bytes): the machine is polled
-    /// for more output only while the queue is below this, so one slow
-    /// reader costs at most this much buffered memory (plus at most one
-    /// frame of overshoot — frames are atomic on the wire).
-    pub max_queued_bytes: usize,
-    /// Grace period after `stop()` for in-flight connections to finish
-    /// before they are flushed once and killed.
-    pub drain_deadline: Duration,
 }
 
 impl LiveLimits {
-    /// Defaults: generous enough that a well-behaved loopback load never
-    /// trips anything, tight enough that every abuse class is bounded.
+    /// Default protocol limits and a gate of 1024 connections.
     pub fn new() -> Self {
-        LiveLimits {
-            conn: ConnLimits::new(),
-            max_conns: 1024,
-            preface_timeout: Duration::from_secs(5),
-            header_timeout: Duration::from_secs(10),
-            idle_timeout: Duration::from_secs(60),
-            write_stall_timeout: Duration::from_secs(10),
-            max_queued_bytes: 1 << 20,
-            drain_deadline: Duration::from_secs(5),
-        }
+        LiveLimits { conn: ConnLimits::new(), max_conns: 1024 }
     }
 }
 
@@ -436,8 +438,8 @@ pub struct LiveServerStats {
     /// Protocol violations observed (0 with a well-behaved client).
     pub protocol_errors: u64,
     /// Peak per-connection output-queue depth (bytes) seen across the
-    /// run — never exceeds [`LiveLimits::max_queued_bytes`] by more than
-    /// one wire frame.
+    /// run — never exceeds [`MAX_QUEUED_BYTES`] by more than one wire
+    /// frame.
     pub max_queued_bytes: usize,
     /// Per-close-reason counters.
     pub closed: CloseCounts,
@@ -492,28 +494,26 @@ impl LiveServerHandle {
     }
 }
 
-/// One accepted connection: a socket, its sans-IO replay server, and the
+/// One accepted connection: its stream (the socket in [`LiveServer::run`],
+/// a scripted peer in the tests), its sans-IO replay server, and the
 /// supervision state the machine cannot own (it has no socket and no
 /// clock).
-struct ServerConn {
-    stream: TcpStream,
+struct ServerConn<S> {
+    stream: S,
     machine: Box<ReplayServer>,
-    /// Wire bytes the machine produced and the socket has not taken.
+    /// Wire bytes the machine produced and the stream has not taken.
     out: WireFifo,
     /// µs timestamps for the lifecycle deadlines.
     accepted_at: u64,
     preface_at: Option<u64>,
     first_request_at: Option<u64>,
-    /// Last read or write progress (idle supervision).
+    /// Last read or write progress (idle and write-stall supervision).
     last_progress_at: u64,
-    /// Since when queued output has made no progress (write-stall
-    /// supervision); `None` while the queue is empty or moving.
-    stalled_since: Option<u64>,
     close: Option<CloseReason>,
 }
 
-impl ServerConn {
-    fn new(stream: TcpStream, machine: Box<ReplayServer>, out: WireFifo, now: u64) -> Self {
+impl<S: Read + Write> ServerConn<S> {
+    fn new(stream: S, machine: Box<ReplayServer>, out: WireFifo, now: u64) -> Self {
         ServerConn {
             stream,
             machine,
@@ -522,30 +522,89 @@ impl ServerConn {
             preface_at: None,
             first_request_at: None,
             last_progress_at: now,
-            stalled_since: None,
             close: None,
         }
     }
 
-    /// First expired supervision deadline, if any.
-    fn expired(&self, now: u64, lim: &LiveLimits) -> Option<CloseReason> {
-        let over = |since: u64, d: Duration| now.saturating_sub(since) >= d.as_micros() as u64;
-        if let Some(since) = self.stalled_since {
-            if over(since, lim.write_stall_timeout) {
-                return Some(CloseReason::WriteStall);
+    /// One wake-up at `now` µs, given what poll reported for the stream:
+    /// feed what it reads to the machine, stamp the lifecycle transitions,
+    /// pull machine output while the queue is under [`MAX_QUEUED_BYTES`],
+    /// flush, and set `close` when the peer left, the machine died or a
+    /// deadline passed. Counts into `stats`; reads through `buf`.
+    fn serve(&mut self, revents: i16, now: u64, buf: &mut [u8], stats: &mut LiveServerStats) {
+        let ServerConn { stream, machine, last_progress_at, .. } = self;
+        let end = drain_in(revents, stream, buf, &mut stats.reads, |bytes| {
+            stats.bytes_in += bytes.len() as u64;
+            *last_progress_at = now;
+            machine.feed_bytes(bytes, now);
+        });
+        match end {
+            ReadEnd::Drained => {}
+            ReadEnd::Eof => self.close = Some(CloseReason::Clean),
+            ReadEnd::Failed => self.close = Some(CloseReason::IoError),
+        }
+        if self.preface_at.is_none() && self.machine.preface_received() {
+            self.preface_at = Some(now);
+        }
+        if self.first_request_at.is_none() && !self.machine.observations().is_empty() {
+            self.first_request_at = Some(now);
+        }
+
+        // Pull transmit bytes from the machine only while the queue has
+        // room — the per-connection memory bound.
+        while self.close.is_none() && self.machine.wants_output() {
+            // Saturating: frames are atomic, so a poll can land a few
+            // bytes past the cap — the next iteration must see zero room,
+            // not a wrapped-around "infinite" budget.
+            let room = MAX_QUEUED_BYTES.saturating_sub(self.out.len());
+            if room == 0 {
+                break;
+            }
+            if self.machine.poll_output_into(room.min(READ_CHUNK), now, &mut self.out) == 0 {
+                break; // flow-control blocked on the H2 level
+            }
+            stats.max_queued_bytes = stats.max_queued_bytes.max(self.out.len());
+        }
+        if self.close.is_none() && !self.out.is_empty() {
+            let (alive, progressed) =
+                flush_out(&mut self.stream, &mut self.out, &mut stats.bytes_out, &mut stats.writes);
+            if progressed {
+                self.last_progress_at = now;
+            }
+            if !alive {
+                self.close = Some(CloseReason::IoError);
             }
         }
+        // A dead machine whose GOAWAY is fully flushed is done.
+        if self.close.is_none()
+            && self.machine.is_dead()
+            && self.out.is_empty()
+            && !self.machine.wants_output()
+        {
+            self.close = Some(CloseReason::ProtocolError);
+        }
+        if self.close.is_none() {
+            self.close = self.expired(now);
+        }
+    }
+
+    /// First expired supervision deadline at `now`, if any.
+    fn expired(&self, now: u64) -> Option<CloseReason> {
+        let over = |since: u64, d: Duration| now.saturating_sub(since) >= d.as_micros() as u64;
+        if !self.out.is_empty() && over(self.last_progress_at, WRITE_STALL_TIMEOUT) {
+            return Some(CloseReason::WriteStall);
+        }
         match (self.preface_at, self.first_request_at) {
-            (None, _) if over(self.accepted_at, lim.preface_timeout) => {
+            (None, _) if over(self.accepted_at, PREFACE_TIMEOUT) => {
                 Some(CloseReason::Timeout(TimeoutKind::Preface))
             }
-            (Some(p), None) if over(p, lim.header_timeout) => {
+            (Some(p), None) if over(p, HEADER_TIMEOUT) => {
                 Some(CloseReason::Timeout(TimeoutKind::HeaderReceive))
             }
             (Some(_), Some(_))
                 if self.out.is_empty()
                     && !self.machine.wants_output()
-                    && over(self.last_progress_at, lim.idle_timeout) =>
+                    && over(self.last_progress_at, IDLE_TIMEOUT) =>
             {
                 Some(CloseReason::Timeout(TimeoutKind::Idle))
             }
@@ -558,7 +617,8 @@ impl ServerConn {
 /// full [`ReplayServer`] answering any of the page's origins by
 /// host+path, with the push strategy armed (it fires only on the
 /// connection that requests the base document — same rule as the sim)
-/// and the [`LiveLimits`] supervisor watching the transport.
+/// and the supervisor ([`LiveLimits`] and the deadline constants)
+/// watching the transport.
 pub struct LiveServer {
     listener: Option<TcpListener>,
     addr: SocketAddr,
@@ -614,11 +674,6 @@ impl LiveServer {
         self.limits = limits;
     }
 
-    /// The supervision policy in effect.
-    pub fn limits(&self) -> &LiveLimits {
-        &self.limits
-    }
-
     /// Serve until stopped (handle or deadline), then drain gracefully.
     /// Consumes the server; returns the accumulated stats.
     ///
@@ -634,7 +689,7 @@ impl LiveServer {
         let lim = self.limits;
         let main_group = self.inputs.page.server_group_of(ResourceId(0));
         let mut stats = LiveServerStats::default();
-        let mut conns: Vec<ServerConn> = Vec::new();
+        let mut conns: Vec<ServerConn<TcpStream>> = Vec::new();
         let mut ctx = ReplayCtx::new();
         ctx.live.buf.resize(READ_CHUNK, 0);
         let mut drain_started: Option<Duration> = None;
@@ -653,7 +708,7 @@ impl LiveServer {
                 if conns.is_empty() {
                     break;
                 }
-                if elapsed - started >= lim.drain_deadline {
+                if elapsed - started >= DRAIN_DEADLINE {
                     // Deadline: one last flush each, then kill the rest.
                     for c in conns.iter_mut() {
                         let _ = flush_out(
@@ -681,77 +736,9 @@ impl LiveServer {
             fds.extend(conns.iter().map(|c| PollFd::of(&c.stream, &c.out)));
             poll_fds(fds, TICK, &mut stats.polls)?;
 
-            // Existing connections: feed readable bytes, pump machine
-            // output under the queue bound, flush, supervise.
+            // Existing connections: one step each.
             for (c, fd) in conns.iter_mut().zip(&fds[base..]) {
-                let now = epoch.elapsed().as_micros() as u64;
-                let ServerConn { stream, machine, last_progress_at, .. } = c;
-                let end = drain_in(fd.revents, stream, buf, &mut stats.reads, |bytes| {
-                    stats.bytes_in += bytes.len() as u64;
-                    *last_progress_at = now;
-                    machine.feed_bytes(bytes, now);
-                });
-                match end {
-                    ReadEnd::Drained => {}
-                    ReadEnd::Eof => c.close = Some(CloseReason::Clean),
-                    ReadEnd::Failed => c.close = Some(CloseReason::IoError),
-                }
-                if c.preface_at.is_none() && c.machine.preface_received() {
-                    c.preface_at = Some(now);
-                }
-                if c.first_request_at.is_none() && !c.machine.observations().is_empty() {
-                    c.first_request_at = Some(now);
-                }
-
-                // Pull transmit bytes from the machine only while the
-                // queue has room — the per-connection memory bound.
-                while c.close.is_none() && c.machine.wants_output() {
-                    // Saturating: frames are atomic, so a poll can land a
-                    // few bytes past the cap — the next iteration must see
-                    // zero room, not a wrapped-around "infinite" budget.
-                    let room = lim.max_queued_bytes.saturating_sub(c.out.len());
-                    if room == 0 {
-                        break;
-                    }
-                    if c.machine.poll_output_into(room.min(READ_CHUNK), now, &mut c.out) == 0 {
-                        break; // flow-control blocked on the H2 level
-                    }
-                    stats.max_queued_bytes = stats.max_queued_bytes.max(c.out.len());
-                }
-                if c.close.is_none() && !c.out.is_empty() {
-                    let (alive, progressed) = flush_out(
-                        &mut c.stream,
-                        &mut c.out,
-                        &mut stats.bytes_out,
-                        &mut stats.writes,
-                    );
-                    if progressed {
-                        c.last_progress_at = now;
-                    }
-                    if !alive {
-                        c.close = Some(CloseReason::IoError);
-                    }
-                }
-                // Write-stall tracking: armed while bytes sit unqueued,
-                // cleared by any progress (or an emptied queue).
-                if c.out.is_empty() || c.last_progress_at == now {
-                    c.stalled_since = None;
-                } else if c.stalled_since.is_none() {
-                    c.stalled_since = Some(now);
-                }
-                // A dead machine whose GOAWAY is fully flushed is done.
-                if c.close.is_none()
-                    && c.machine.is_dead()
-                    && c.out.is_empty()
-                    && !c.machine.wants_output()
-                {
-                    c.close = Some(CloseReason::ProtocolError);
-                }
-                if c.close.is_none() {
-                    if let Some(reason) = c.expired(now, &lim) {
-                        c.close = Some(reason);
-                    }
-                }
+                c.serve(fd.revents, epoch.elapsed().as_micros() as u64, buf, &mut stats);
             }
             let accepting = base == 1 && fds[0].revents & POLLIN != 0;
             harvest(&mut conns, &mut stats, &mut ctx);
@@ -815,7 +802,11 @@ impl LiveServer {
 /// queue of a [`CloseReason::Clean`] one for the next accept. A machine
 /// that died or was abandoned by the transport goes: what is parked is
 /// what a well-behaved exchange grew.
-fn harvest(conns: &mut Vec<ServerConn>, stats: &mut LiveServerStats, ctx: &mut ReplayCtx) {
+fn harvest(
+    conns: &mut Vec<ServerConn<TcpStream>>,
+    stats: &mut LiveServerStats,
+    ctx: &mut ReplayCtx,
+) {
     for mut c in conns.extract_if(.., |c| c.close.is_some()) {
         let mut reason = c.close.expect("extracted because closed");
         let error = c.machine.fatal_error();
@@ -1080,7 +1071,7 @@ mod flush_tests {
     use super::*;
 
     #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Step {
+    pub(super) enum Step {
         /// Take this many bytes, over as many calls as offer them.
         Accept(usize),
         Fail(io::ErrorKind),
@@ -1089,7 +1080,7 @@ mod flush_tests {
     }
 
     /// Plays its script one step per write call, then blocks for good.
-    struct Scripted {
+    pub(super) struct Scripted {
         script: VecDeque<Step>,
         accepted: Vec<u8>,
         /// Write calls received.
@@ -1097,7 +1088,7 @@ mod flush_tests {
     }
 
     impl Scripted {
-        fn new(script: &[Step]) -> Self {
+        pub(super) fn new(script: &[Step]) -> Self {
             Scripted { script: script.iter().copied().collect(), accepted: Vec::new(), calls: 0 }
         }
     }
@@ -1318,6 +1309,202 @@ mod drain_tests {
         // Readable and hung up: what was sent before the hang-up is read.
         let (end, got, _) = run(POLLIN | POLLHUP, &[Step::Give(2), Step::Give(0)]);
         assert_eq!((end, got), (ReadEnd::Eof, vec![0, 1]));
+    }
+}
+
+/// [`ServerConn::serve`] on an injected clock: a real [`ReplayServer`]
+/// behind a scripted peer, every supervision deadline driven to the
+/// microsecond it fires at and the one before.
+#[cfg(test)]
+mod serve_tests {
+    use super::flush_tests::{Scripted, Step};
+    use super::*;
+    use h2push_h2proto::{Connection, DefaultScheduler, Frame, PrioritySpec, Settings};
+    use h2push_hpack::Header;
+    use h2push_webmodel::{PageBuilder, RecordDb};
+
+    /// The client side of one connection as the step sees it: reads take
+    /// what the test put in `inbox`, then would block; writes go to
+    /// `flush_tests`' scripted writer.
+    struct Peer {
+        inbox: VecDeque<u8>,
+        writer: Scripted,
+    }
+
+    impl Read for Peer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.inbox.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            self.inbox.read(buf)
+        }
+    }
+
+    impl Write for Peer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writer.write(buf)
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.writer.write_vectored(bufs)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const HOST: &str = "serve.test";
+    /// When the connection was accepted.
+    const T0: u64 = 1_000;
+
+    fn us(d: Duration) -> u64 {
+        d.as_micros() as u64
+    }
+
+    /// A connection accepted at [`T0`] to a no-push server for a page
+    /// whose document is `html` bytes, its peer writing per `writes`.
+    fn accept(html: usize, writes: &[Step]) -> ServerConn<Peer> {
+        let mut b = PageBuilder::new("serve", HOST, html, 2_000);
+        b.text_paint(1_000, 1.0);
+        let page = Arc::new(b.build());
+        let db = Arc::new(RecordDb::record(&page));
+        let machine = Box::new(ReplayServer::new(page, db, 0, &Arc::new(Strategy::NoPush)));
+        let peer = Peer { inbox: VecDeque::new(), writer: Scripted::new(writes) };
+        ServerConn::new(peer, machine, WireFifo::default(), T0)
+    }
+
+    /// Everything `client` has to send.
+    fn wire(client: &mut Connection) -> Vec<u8> {
+        let mut sched = DefaultScheduler::new();
+        let mut wire = Vec::new();
+        loop {
+            let out = client.produce(usize::MAX, &mut sched);
+            if out.is_empty() {
+                return wire;
+            }
+            wire.extend_from_slice(&out);
+        }
+    }
+
+    fn request(client: &mut Connection) -> Vec<u8> {
+        let headers = [
+            Header::new(":method", "GET"),
+            Header::new(":scheme", "https"),
+            Header::new(":authority", HOST),
+            Header::new(":path", "/"),
+        ];
+        client.request(&headers, Some(PrioritySpec::default()));
+        wire(client)
+    }
+
+    /// One wake-up at `now`: readable with `input` if there is any.
+    fn serve(c: &mut ServerConn<Peer>, input: &[u8], now: u64, stats: &mut LiveServerStats) {
+        c.stream.inbox.extend(input);
+        let revents = if input.is_empty() { POLLOUT } else { POLLIN | POLLOUT };
+        c.serve(revents, now, &mut [0; 4096], stats);
+    }
+
+    /// A connection that was sent a whole request at `at` and answered it
+    /// in full (the peer takes everything).
+    fn served(at: u64, stats: &mut LiveServerStats) -> (ServerConn<Peer>, Connection) {
+        let mut c = accept(20_000, &[Step::Accept(usize::MAX)]);
+        let mut client = Connection::client(Settings::default());
+        serve(&mut c, &request(&mut client), at, stats);
+        assert_eq!((c.preface_at, c.first_request_at), (Some(at), Some(at)));
+        assert!(c.out.is_empty() && !c.machine.wants_output(), "the answer went out whole");
+        (c, client)
+    }
+
+    #[test]
+    fn each_lifecycle_deadline_fires_at_its_constant_and_not_a_microsecond_before() {
+        let stats = &mut LiveServerStats::default();
+
+        // Silent peer: the preface deadline runs from the accept.
+        let mut c = accept(20_000, &[]);
+        serve(&mut c, &[], T0 + us(PREFACE_TIMEOUT) - 1, stats);
+        assert_eq!(c.close, None);
+        serve(&mut c, &[], T0 + us(PREFACE_TIMEOUT), stats);
+        assert_eq!(c.close, Some(CloseReason::Timeout(TimeoutKind::Preface)));
+
+        // Preface but no request: the header deadline runs from the
+        // preface, and the preface deadline no longer applies.
+        let at = T0 + 7;
+        let mut c = accept(20_000, &[Step::Accept(usize::MAX)]);
+        serve(&mut c, &wire(&mut Connection::client(Settings::default())), at, stats);
+        assert_eq!((c.preface_at, c.first_request_at), (Some(at), None));
+        serve(&mut c, &[], at + us(HEADER_TIMEOUT) - 1, stats);
+        assert_eq!(c.close, None);
+        serve(&mut c, &[], at + us(HEADER_TIMEOUT), stats);
+        assert_eq!(c.close, Some(CloseReason::Timeout(TimeoutKind::HeaderReceive)));
+
+        // A request answered in full, then silence: idle runs from the
+        // last progress.
+        let at = T0 + 11;
+        let (mut c, _) = served(at, stats);
+        serve(&mut c, &[], at + us(IDLE_TIMEOUT) - 1, stats);
+        assert_eq!(c.close, None);
+        serve(&mut c, &[], at + us(IDLE_TIMEOUT), stats);
+        assert_eq!(c.close, Some(CloseReason::Timeout(TimeoutKind::Idle)));
+    }
+
+    #[test]
+    fn idle_does_not_fire_while_output_is_queued_or_wanted() {
+        let stats = &mut LiveServerStats::default();
+        let at = T0 + 3;
+        let idle_at = at + us(IDLE_TIMEOUT);
+
+        // The machine has an answer to give that was never polled.
+        let (mut c, mut client) = served(at, stats);
+        c.machine.feed_bytes(&request(&mut client), at);
+        assert!(c.out.is_empty() && c.machine.wants_output());
+        assert_eq!(c.expired(idle_at), None);
+
+        // Bytes queued that the peer never took: the stall deadline,
+        // which is shorter, retires it instead.
+        let (mut c, _) = served(at, stats);
+        assert_eq!(c.expired(idle_at), Some(CloseReason::Timeout(TimeoutKind::Idle)));
+        c.out.put_slice(b"unsent");
+        assert_eq!(c.expired(idle_at), Some(CloseReason::WriteStall));
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_is_closed_for_write_stall_under_the_queue_bound() {
+        // A document far larger than the queue bound, and the flow-control
+        // windows thrown open so only the transport can hold it back.
+        let bound = MAX_QUEUED_BYTES + 9 + h2push_h2proto::DEFAULT_MAX_FRAME_SIZE;
+        let stats = &mut LiveServerStats::default();
+        // The peer blocks at once, takes 100 000 bytes on the next write,
+        // and blocks from then on.
+        let writes = [Step::Fail(io::ErrorKind::WouldBlock), Step::Accept(100_000)];
+        let mut c = accept(8 * MAX_QUEUED_BYTES, &writes);
+        let settings = Settings { initial_window_size: Some(0x7fff_ffff), ..Settings::default() };
+        let mut input = request(&mut Connection::client(settings));
+        Frame::WindowUpdate { stream: 0, increment: 0x7000_0000 }.encode(&mut input);
+
+        // Read at `at`; the queue fills, the peer takes nothing.
+        let at = T0 + 5;
+        serve(&mut c, &input, at, stats);
+        let first = c.out.len();
+        assert!(first >= MAX_QUEUED_BYTES && first <= bound, "queued {first} B");
+        assert_eq!((stats.max_queued_bytes, stats.bytes_out), (first, 0));
+
+        // The last progress: the peer takes 100 000 bytes at `at + 1`.
+        serve(&mut c, &[], at + 1, stats);
+        assert_eq!(stats.bytes_out, 100_000);
+        assert_eq!(c.last_progress_at, at + 1);
+
+        // Refilled, then nothing moves until the stall deadline.
+        serve(&mut c, &[], at + 2, stats);
+        let second = c.out.len();
+        assert!(second >= MAX_QUEUED_BYTES && second <= bound, "queued {second} B");
+        serve(&mut c, &[], at + 1 + us(WRITE_STALL_TIMEOUT) - 1, stats);
+        assert_eq!(c.close, None);
+        serve(&mut c, &[], at + 1 + us(WRITE_STALL_TIMEOUT), stats);
+        assert_eq!(c.close, Some(CloseReason::WriteStall));
+        assert_eq!(stats.max_queued_bytes, first.max(second), "the peak is recorded");
+        assert_eq!(stats.bytes_out, 100_000);
+        assert!(c.machine.wants_output(), "the document was never sent whole");
     }
 }
 

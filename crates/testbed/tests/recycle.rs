@@ -15,11 +15,13 @@
 //!
 //! The live server parks machines too, and in states no simulated run
 //! leaves one in — a peer can hang up at any byte, or kill the machine —
-//! so the last test resets a [`ReplayServer`] out of each of those and
-//! holds it to a cold one's answer, octet for octet.
+//! so a test resets a [`ReplayServer`] out of each of those and holds it
+//! to a cold one's answer, octet for octet. The browser reuses a client
+//! machine that failed, so the last test does the same for a client
+//! `Connection` reset out of an attack.
 
 use h2push_h2proto::sansio::Endpoint;
-use h2push_h2proto::{ConnLimits, Connection, DefaultScheduler, PrioritySpec, Settings};
+use h2push_h2proto::{ConnLimits, Connection, DefaultScheduler, Event, PrioritySpec, Settings};
 use h2push_server::{ReplayServer, RequestObservation};
 use h2push_strategies::{paper_strategy, PaperStrategy, Strategy};
 use h2push_testbed::{
@@ -251,6 +253,28 @@ fn answer(
     (wire, server.observations().to_vec(), server.pushed_bytes())
 }
 
+/// A real client's whole benign exchange with `server`, chunk by chunk:
+/// what the client sent each round and what the server answered.
+fn record_exchange(server: &mut ReplayServer) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let (mut ups, mut downs) = (Vec::new(), Vec::new());
+    let (mut client, mut sched) =
+        (Connection::client(Settings::default()), DefaultScheduler::new());
+    client.request(&benign_request(), Some(PrioritySpec::default()));
+    loop {
+        let up = client.produce(usize::MAX, &mut sched);
+        if up.is_empty() {
+            return (ups, downs);
+        }
+        ups.push(up.to_vec());
+        server.feed_bytes(&up, 0);
+        let mut down = Vec::new();
+        while server.poll_output_into(usize::MAX, 0, &mut down) > 0 {}
+        client.receive(&down);
+        while client.poll_event().is_some() {}
+        downs.push(down);
+    }
+}
+
 /// What the live server does at `accept`: a machine parked in whatever
 /// state its last connection left it — fed half a frame, in the middle of
 /// a push with output unpolled, or dead of any of the badpeer catalogue's
@@ -272,23 +296,7 @@ fn a_server_reset_out_of_any_state_answers_like_a_cold_one() {
 
     // The client byte script: a real client's side of a whole exchange
     // with a cold server, recorded chunk by chunk.
-    let mut script: Vec<Vec<u8>> = Vec::new();
-    let (mut client, mut sched) =
-        (Connection::client(Settings::default()), DefaultScheduler::new());
-    client.request(&benign_request(), Some(PrioritySpec::default()));
-    let mut recorder = cold();
-    loop {
-        let up = client.produce(usize::MAX, &mut sched);
-        if up.is_empty() {
-            break;
-        }
-        script.push(up.to_vec());
-        recorder.feed_bytes(&up, 0);
-        let mut down = Vec::new();
-        while recorder.poll_output_into(usize::MAX, 0, &mut down) > 0 {}
-        client.receive(&down);
-        while client.poll_event().is_some() {}
-    }
+    let (script, _) = record_exchange(&mut cold());
     let expected = answer(&mut cold(), &script);
     assert_eq!(expected.1.len(), 1, "one request observed");
     assert_eq!(expected.2, page.resource(ResourceId(1)).size as u64, "the stylesheet was pushed");
@@ -329,4 +337,69 @@ fn a_server_reset_out_of_any_state_answers_like_a_cold_one() {
         assert_eq!(victim.fatal_error(), outcome.fatal, "{}", outcome.kind.label());
         check(outcome.kind.label(), &mut victim);
     }
+}
+
+/// The browser reuses a failed connection's machine: `reset_client` then
+/// `set_limits`, as in `Browser::ensure_conn`. A client that took the
+/// catalogue's client-victim attack — a GOAWAY, then promises and data
+/// as if none had been sent — and was reset so must send the same bytes
+/// and raise the same events against a recorded server as a client
+/// `Connection::client` built.
+#[test]
+fn a_client_reset_out_of_an_attack_exchanges_like_a_cold_one() {
+    let page = Arc::new(attack_page());
+    let db = Arc::new(RecordDb::record(&page));
+    let strategy = Arc::new(Strategy::PushList { order: vec![ResourceId(1)] });
+    let limits = ConnLimits::strict();
+    let main_group = page.server_group_of(ResourceId(0));
+    let mut server = ReplayServer::new(Arc::clone(&page), db, main_group, &strategy);
+    server.set_limits(limits);
+    let (_, answers) = record_exchange(&mut server);
+
+    // Every byte the client sends and every event it raises, answered
+    // round by round from the recording.
+    let exchange = |client: &mut Connection| {
+        let mut sched = DefaultScheduler::new();
+        let (mut wire, mut events) = (Vec::new(), Vec::new());
+        client.request(&benign_request(), Some(PrioritySpec::default()));
+        for down in std::iter::once(&[][..]).chain(answers.iter().map(|a| &a[..])) {
+            client.receive(down);
+            events.extend(std::iter::from_fn(|| client.poll_event()));
+            loop {
+                let up = client.produce(usize::MAX, &mut sched);
+                if up.is_empty() {
+                    break;
+                }
+                wire.extend_from_slice(&up);
+            }
+        }
+        (wire, events)
+    };
+    let mut cold = Connection::client(Settings::default());
+    cold.set_limits(limits);
+    let expected = exchange(&mut cold);
+    assert!(expected.1.iter().any(|e| matches!(e, Event::Data { .. })), "{:?}", expected.1);
+
+    let outcome = run_suite(42, limits)
+        .into_iter()
+        .find(|o| o.victim == Victim::Client)
+        .expect("a client-victim kind in the catalogue");
+    let mut victim = Connection::client(Settings::default());
+    victim.set_limits(limits);
+    let mut sched = DefaultScheduler::new();
+    victim.request(&benign_request(), Some(PrioritySpec::default()));
+    while !victim.produce(usize::MAX, &mut sched).is_empty() {}
+    let mut saw_goaway = false;
+    for chunk in AttackScript::new(outcome.kind, outcome.seed).compile() {
+        victim.receive(&chunk);
+        while let Some(ev) = victim.poll_event() {
+            saw_goaway |= matches!(ev, Event::GoAway { .. });
+        }
+        while !victim.produce(usize::MAX, &mut sched).is_empty() {}
+    }
+    assert!(saw_goaway, "{}: the victim was never told to go away", outcome.kind.label());
+
+    victim.reset_client(Settings::default());
+    victim.set_limits(limits);
+    assert!(exchange(&mut victim) == expected, "{}: reset client diverged", outcome.kind.label());
 }

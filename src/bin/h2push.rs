@@ -37,8 +37,8 @@
 //!
 //! Live mode is the paper's serving half (§4.1) on real sockets: the same
 //! `ReplayServer` machine a simulated replay runs answers TCP, under the
-//! live supervision layer (`LiveLimits::new()`: accept gate, lifecycle
-//! deadlines, bounded output queues). `serve` prints `listening <addr>`
+//! live supervision layer (an accept gate, `--max-conns`; fixed lifecycle
+//! deadlines and output-queue bound). `serve` prints `listening <addr>`
 //! once bound and, when it exits, its stats as JSON (to `-o`, else
 //! stdout). `load` drives the real browser engine over TCP; give it the
 //! site and strategy the server got — both sides build the same page
