@@ -183,6 +183,9 @@ pub struct PreparedScan {
     stops: Vec<(usize, StopKind)>,
     /// HTML references sorted by offset, for the preload scanner.
     html_refs: Vec<(usize, ResourceId)>,
+    /// Deferred scripts referenced from the HTML, sorted by `(offset, id)`:
+    /// their execution order once parsing ends.
+    defers: Vec<ResourceId>,
     inline_count: usize,
     total_weight: f64,
     /// Resources sorted by `(host, path)`, for resolving a promised
@@ -219,6 +222,14 @@ impl PreparedScan {
             })
             .collect();
         html_refs.sort_by_key(|&(off, id)| (off, id));
+        let defers = html_refs
+            .iter()
+            .map(|&(_, id)| id)
+            .filter(|&id| {
+                let r = page.resource(id);
+                r.rtype == ResourceType::Js && r.script_mode == ScriptMode::Defer
+            })
+            .collect();
         let url = |id: ResourceId| (page.host_of(id), page.resource(id).path.as_str());
         let mut by_url: Vec<ResourceId> = page.resources.iter().map(|r| r.id).collect();
         by_url.sort_by_key(|&id| (url(id), id));
@@ -226,6 +237,7 @@ impl PreparedScan {
         PreparedScan {
             stops,
             html_refs,
+            defers,
             inline_count: page.inline_scripts.len(),
             total_weight: page.total_visual_weight(),
             by_url,
@@ -328,12 +340,6 @@ fn conn_for_output<'a>(
     Some(cs)
 }
 
-/// Cut a stack of parked machines down to its newest `keep`.
-fn drop_stale<T>(spares: &mut Vec<T>, keep: usize) {
-    let stale = spares.len().saturating_sub(keep);
-    spares.drain(..stale);
-}
-
 /// The browser: drive it with `on_connected` / `on_bytes` / `on_timer`,
 /// collect [`BrowserAction`]s, read the [`LoadResult`] when done.
 pub struct Browser {
@@ -400,9 +406,8 @@ pub struct Browser {
     /// failed connection), recycled by `ensure_conn` instead of building a
     /// fresh [`Connection`] per open.
     spare_conns: Vec<ConnState>,
-    /// HTTP/2 connections this load has opened, failed ones included: how
-    /// many parked machines the next [`Browser::reset`] keeps.
-    h2_opened: usize,
+    /// The groups of the HTTP/2 connections this load opened, in order.
+    opened: Vec<usize>,
     /// Retired HTTP/1.1 connection machines, recycled by `h1_dispatch`.
     spare_h1: Vec<h2push_h1::H1ClientConn>,
     /// Retired (emptied) HTTP/1.1 pools, recycled per group.
@@ -473,7 +478,7 @@ impl Browser {
             progress_dirty: true,
             trace: TraceHandle::off(),
             spare_conns: Vec::new(),
-            h2_opened: 0,
+            opened: Vec::new(),
             spare_h1: Vec::new(),
             spare_h1_pools: Vec::new(),
         }
@@ -496,11 +501,13 @@ impl Browser {
             eval_scheduled: false,
             attempts: 0,
         }));
-        // Park every connection machine the last load opened, and nothing
-        // older: the bound on what a browser keeps is that load's own
-        // connection count. Spares it left unused lie at the bottom of the
-        // stacks (reissue pops from the top) and go.
-        for group in 0..self.conns.len() {
+        // Park every connection machine the last load opened on top of the
+        // spares it left unused. A load builds a machine only when its
+        // stack is empty, so what a browser keeps is the most machines any
+        // one of its loads had in use at once. Last-opened first, so the
+        // next load's connection i is issued what this load's connection i
+        // grew, whichever page either load was of.
+        while let Some(group) = self.opened.pop() {
             if let Some(cs) = self.conns[group].take() {
                 self.park_conn(cs);
             }
@@ -508,17 +515,11 @@ impl Browser {
         self.conns.resize_with(page.server_group_count(), || None);
         self.page = page;
         self.cfg = cfg;
-        drop_stale(&mut self.spare_conns, self.h2_opened);
-        self.h2_opened = 0;
-        let (pools, mut slots) = (self.h1.len(), 0);
         for (_, mut pool) in self.h1.drain() {
             pool.queue.clear();
-            slots += pool.slots.len();
             self.spare_h1.extend(pool.slots.drain(..).map(|slot| slot.conn));
             self.spare_h1_pools.push(pool);
         }
-        drop_stale(&mut self.spare_h1, slots);
-        drop_stale(&mut self.spare_h1_pools, pools);
         self.h1_seq = 0;
         self.stream_map.clear();
         self.scan = scan;
@@ -782,7 +783,6 @@ impl Browser {
             },
         };
         cs.slot = slot;
-        self.h2_opened += 1;
         cs.conn.set_limits(self.cfg.limits);
         if self.trace.is_on() {
             cs.conn.set_trace(self.trace.clone(), conn_label(group, slot));
@@ -794,6 +794,7 @@ impl Browser {
             cs.conn.set_hpack_decode_cache(cache.clone());
         }
         self.conns[group] = Some(cs);
+        self.opened.push(group);
         // The new connection has its preface queued.
         self.dirty.push(group);
         self.actions.push(BrowserAction::OpenConnection { group, slot });
@@ -1415,22 +1416,9 @@ impl Browser {
     }
 
     fn build_defer_queue(&mut self) {
-        let mut q: Vec<(usize, ResourceId)> = self
-            .page
-            .resources
-            .iter()
-            .filter(|r| {
-                r.rtype == ResourceType::Js
-                    && r.script_mode == ScriptMode::Defer
-                    && self.res[r.id.0].discovered
-            })
-            .filter_map(|r| match r.discovery {
-                Discovery::Html { offset } => Some((offset, r.id)),
-                _ => None,
-            })
-            .collect();
-        q.sort();
-        self.defer_queue = q.into_iter().map(|(_, id)| id).collect();
+        self.defer_queue.clear();
+        let discovered = self.scan.defers.iter().filter(|id| self.res[id.0].discovered);
+        self.defer_queue.extend(discovered);
     }
 
     fn process_defers(&mut self, now: SimTime) {

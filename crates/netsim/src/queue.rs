@@ -14,9 +14,11 @@
 //! * level 1 — 256 slots × 1.024 ms (≈ 262 ms window).
 //! * level 2 — 256 slots × ≈ 262 ms (≈ 67 s window).
 //! * an unsorted overflow list beyond that, plus a small "past" heap for
-//!   events pushed behind the pop frontier (never hit by the simulator,
-//!   which schedules monotonically, but required for arbitrary
-//!   push/pop interleavings — the equivalence proptests exercise it).
+//!   events pushed behind the pop frontier. Monotone scheduling never
+//!   hits it — a pop leaves the level-0 cursor on the slot it emptied, so
+//!   a push at the instant just popped lands in that slot — but arbitrary
+//!   push/pop interleavings need it, and the equivalence proptests
+//!   exercise it.
 //!
 //! Every queued event is written once, into a node of one `Vec`, and
 //! stays there until it is popped: a slot is a `(head, tail)` pair of
@@ -201,13 +203,10 @@ impl<E> EventQueue<E> {
             self.nodes.push(node);
             (self.nodes.len() - 1) as u32
         };
-        // A `None` frontier means the cursor ran past u64::MAX: every
-        // representable time is behind it.
-        let behind = match self.l0.start.checked_add(self.l0.cursor as u64) {
-            Some(frontier) => at < frontier,
-            None => true,
-        };
-        if behind {
+        // The frontier is the instant under the level-0 cursor. The sum
+        // cannot overflow: a window opens only where an event lies, and
+        // the cursor moves only onto a slot holding one.
+        if at < self.l0.start + self.l0.cursor as u64 {
             self.past.push(Reverse((at, seq, i)));
         } else {
             self.link(i);
@@ -303,7 +302,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Unlink the head of the slot under the level-0 cursor.
+    /// Unlink the head of the slot under the level-0 cursor. The cursor
+    /// stays on the slot even when it empties: the instant just popped is
+    /// still the frontier, so an event pushed for it lands in the wheel,
+    /// not in `past`.
     fn pop_slot(&mut self) -> (SimTime, E) {
         let s = self.l0.cursor;
         let i = self.slots[s].head;
@@ -311,7 +313,6 @@ impl<E> EventQueue<E> {
         self.slots[s].head = next;
         if next == NIL {
             self.l0.unset(s);
-            self.l0.cursor = s + 1;
         }
         self.release(i)
     }
@@ -539,6 +540,42 @@ mod tests {
             assert_eq!(q.pop(), Some((SimTime(70_000_000), 70)));
             assert_eq!(q.pop(), None);
         });
+    }
+
+    #[test]
+    fn monotone_schedule_never_reaches_past() {
+        // The simulator's pattern: every push is at or after the instant
+        // last popped, often at that very instant. Includes the last slot
+        // of a level-0 window, and windows opened from levels 1 and 2.
+        let (mut q, mut now) = (EventQueue::new(), 0);
+        for t in [5, 1_023, 5_000, 900_000] {
+            q.push(SimTime(t), 0);
+            assert_eq!(q.pop(), Some((SimTime(t), 0)));
+            q.push(SimTime(t), 1);
+            assert!(q.past.is_empty(), "a push at {t} went behind the frontier");
+            assert_eq!(q.pop(), Some((SimTime(t), 1)));
+            now = t;
+        }
+        let mut x = 0x9E37_79B9_u64;
+        for i in 0..20_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(3) {
+                if let Some((t, _)) = q.pop() {
+                    now = t.as_micros();
+                }
+            } else {
+                let ahead = match x % 4 {
+                    0 => 0,
+                    1 => x % 7,
+                    2 => x % 5_000,
+                    _ => x % 2_000_000,
+                };
+                q.push(SimTime(now + ahead), i);
+            }
+            assert!(q.past.is_empty(), "push {i} went behind the frontier at {now}");
+        }
     }
 
     #[test]

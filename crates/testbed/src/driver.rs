@@ -101,7 +101,7 @@ impl Endpoint for AnyServer {
 ///
 /// A context owns the browser engine, the simulated network (with its
 /// pooled event queue), the per-connection replay servers and byte FIFOs
-/// of its last run, plus the driver's scratch buffers. Starting a run
+/// its runs parked, plus the driver's scratch buffers. Starting a run
 /// resets each component in place — clear-don't-drop, retaining every
 /// container allocation — through the same setup path a cold construction
 /// takes, which is what makes the steady state allocation-free *and*
@@ -123,7 +123,7 @@ pub struct ReplayCtx {
     /// walks it instead of sorting.
     by_slot: Vec<ConnId>,
     pub(crate) queue: VecDeque<BrowserAction>,
-    /// Parked H2 replay servers from the previous run, reissued (via
+    /// Parked H2 replay servers from earlier runs, reissued (via
     /// `ReplayServer::reset`) by `open_connection` — and, in a live
     /// server's context, by `accept`. The box is the point: it is
     /// `AnyServer::H2`'s own allocation, parked and reissued whole so
@@ -152,16 +152,14 @@ impl ReplayCtx {
     /// Park last run's per-connection state and reset the long-lived
     /// machines for a new `(inputs, cfg, trace)` run.
     fn begin_run(&mut self, inputs: &ReplayInputs, cfg: &ReplayConfig, trace: &TraceHandle) {
-        // Park every connection the last run opened, and nothing older:
-        // spares that run left unused go, so what a context holds is
-        // bounded by its last run's own connection count (81 on w17-cnn),
-        // not by a constant some page outgrows or by the largest page the
-        // thread ever saw. Last-opened first, so the next run's connection
-        // i is issued what this run's connection i grew (the document's
-        // connection, the largest, is opened first).
-        self.spare_h2.clear();
-        self.spare_h1.clear();
-        self.spare_fifos.clear();
+        // Park every connection the last run opened on top of the spares
+        // it left unused. A run builds a machine only when the stack is
+        // empty, so what a context holds is the most machines any one of
+        // its runs had in use at once (81 on w17-cnn): a page switch
+        // reissues machines instead of rebuilding them, and no cap or
+        // setting is needed. Last-opened first, so the next run's
+        // connection i is issued what this run's connection i grew (the
+        // document's connection, the largest, is opened first).
         while let Some(mut c) = self.conns.pop() {
             match c.server {
                 AnyServer::H2(s) => self.spare_h2.push(s),

@@ -64,7 +64,9 @@ pub(crate) fn run_config(
             cfg.network.client_down.rate_bps =
                 cfg.network.client_down.rate_bps.map(|r| (r as f64 * bw_factor) as u64);
             cfg.network.loss = rng.gen_range(0.0..0.004);
-            // Third parties are scattered across the planet.
+            // Third parties are scattered across the planet: every group
+            // but the main one, the map sized for them up front.
+            cfg.server_extra_delay.reserve(page.server_group_count().saturating_sub(1));
             for g in 0..page.server_group_count() {
                 if g != page.server_group_of(ResourceId(0)) {
                     cfg.server_extra_delay

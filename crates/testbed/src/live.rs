@@ -1052,9 +1052,9 @@ pub fn load_page_in(
     // A connection the server closed after the load finished is not a
     // failure; the counters above only accumulate while loading.
     report.load = browser.result();
-    // Close every socket and park this load's out-queues, and nothing
-    // older: what the context keeps is bounded by its last load.
-    spare_fifos.clear();
+    // Close every socket and park this load's out-queues on top of the
+    // spares it left unused: what the context keeps is the most queues any
+    // one of its loads or runs had in use at once.
     for mut c in conns.drain(..) {
         c.out.clear();
         spare_fifos.push((c.out, WireFifo::default()));

@@ -184,7 +184,7 @@ fn recycled_ctx_matches_cold_over_h1() {
 /// (81 groups, up to six HTTP/1.1 connections each) alternates with a
 /// two-origin page over both protocols, so every run is issued machines
 /// parked by a run of another size — more than it needs after the big
-/// page, fewer after the small one, the surplus dropped in between.
+/// page, fewer after the small one, the surplus kept parked in between.
 #[test]
 fn recycled_ctx_matches_cold_as_the_connection_count_swings() {
     let w17 = realworld_site(17);
