@@ -576,6 +576,16 @@ impl Browser {
         self.trace = trace;
     }
 
+    /// Detach the trace handle from the browser and from every HTTP/2
+    /// connection machine it holds, open or parked, so a finished traced
+    /// load keeps no clone of it.
+    pub fn clear_trace(&mut self) {
+        self.trace = TraceHandle::off();
+        for cs in self.conns.iter_mut().flatten().chain(&mut self.spare_conns) {
+            cs.conn.set_trace(TraceHandle::off(), 0);
+        }
+    }
+
     /// Share a memoized HPACK block cache across loads of the same page.
     /// Must be set before [`Browser::start`]; forwarded to every HTTP/2
     /// client connection the browser opens. Encoded output is unchanged —

@@ -233,8 +233,9 @@ mod tests {
         assert!(!server.produce(usize::MAX, &mut sched).is_empty());
         assert!(!server.wants_send());
         assert!(server.produce(usize::MAX, &mut sched).is_empty());
-        let suspends =
-            || timeline.borrow().count(|e| matches!(e, TraceEvent::InterleaveSuspend { .. }));
+        let suspends = || {
+            timeline.lock().unwrap().count(|e| matches!(e, TraceEvent::InterleaveSuspend { .. }))
+        };
         assert_eq!(suspends(), 0);
         // The parent's window opens: it is sent, still in the head phase.
         let mut update = Vec::new();

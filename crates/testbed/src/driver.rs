@@ -41,7 +41,7 @@ use h2push_trace::{conn_label, TraceHandle};
 use h2push_webmodel::ResourceId;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Per-connection adapter state: which browser (group, slot) the netsim
 /// connection belongs to, the replay server behind it, plus the bytes
@@ -202,14 +202,72 @@ impl ReplayCtx {
         }
         browser.set_trace(trace.clone());
     }
+
+    /// Take back every clone of a traced run's handle that `begin_run` and
+    /// the run handed out: the network's, the browser's and its
+    /// connections', and the servers'. The caller can then unwrap the
+    /// run's timeline, and a parked context pins none.
+    fn release_trace(&mut self) {
+        if let Some(net) = &mut self.net {
+            net.set_trace(TraceHandle::off());
+        }
+        if let Some(browser) = &mut self.browser {
+            browser.clear_trace();
+        }
+        for c in &mut self.conns {
+            if let AnyServer::H2(s) = &mut c.server {
+                s.set_trace(TraceHandle::off(), 0);
+            }
+        }
+    }
 }
+
+/// A context moves between threads: a pool helper parks its context when
+/// it ends, and the next fan-out's helper adopts it.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<ReplayCtx>();
+};
 
 thread_local! {
     /// The context [`with_thread_ctx`] lends: one per thread, living as long as
-    /// the thread. Worker-pool threads span one fan-out call, so a
-    /// worker's whole chunk of reps shares one context; a caller thread
-    /// running serial measurements keeps recycling across calls.
+    /// the thread. A caller thread keeps recycling its own across calls. A
+    /// worker-pool helper lives for one fan-out, so it holds a
+    /// [`HelperCtx`] for its whole life: it starts on a context an
+    /// earlier helper parked and parks it again when it ends.
     static THREAD_CTX: RefCell<ReplayCtx> = RefCell::new(ReplayCtx::new());
+}
+
+/// Contexts parked by pool helpers that have ended. The parking rule of
+/// [`ReplayCtx::begin_run`], one level up: a helper takes a context only
+/// when one is parked, so the process keeps at most as many as it ever
+/// had helpers alive at once.
+static PARKED: Mutex<Vec<ReplayCtx>> = Mutex::new(Vec::new());
+
+fn parked() -> MutexGuard<'static, Vec<ReplayCtx>> {
+    // The lock guards one push or pop, which leaves the list whole.
+    PARKED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Held by a pool helper thread for its whole life: on creation it moves
+/// a parked context, if there is one, into the thread's [`THREAD_CTX`];
+/// its `Drop` (which also runs on unwind) parks that context again.
+pub(crate) struct HelperCtx(());
+
+impl HelperCtx {
+    pub(crate) fn adopt() -> Self {
+        if let Some(ctx) = parked().pop() {
+            THREAD_CTX.with(|cell| *cell.borrow_mut() = ctx);
+        }
+        HelperCtx(())
+    }
+}
+
+impl Drop for HelperCtx {
+    fn drop(&mut self) {
+        let ctx = THREAD_CTX.with(|cell| std::mem::take(&mut *cell.borrow_mut()));
+        parked().push(ctx);
+    }
 }
 
 /// The adapter proper: simulated network on one side, sans-IO machines on
@@ -464,8 +522,8 @@ pub(crate) fn drive_in(
 ) -> Result<ReplayOutcome, ReplayError> {
     ctx.begin_run(inputs, cfg, trace);
     let ReplayCtx { net, browser, conns, by_slot, queue, spare_h2, spare_h1, spare_fifos, .. } =
-        ctx;
-    SimDriver {
+        &mut *ctx;
+    let out = SimDriver {
         inputs,
         cfg,
         trace,
@@ -478,7 +536,11 @@ pub(crate) fn drive_in(
         spare_h1,
         spare_fifos,
     }
-    .run()
+    .run();
+    if trace.is_on() {
+        ctx.release_trace();
+    }
+    out
 }
 
 /// Run `f` in the calling thread's [`ReplayCtx`]. Re-entrant calls (a

@@ -46,7 +46,7 @@ use crate::replay::{ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome};
 use crate::sweep::fan_out_reps;
 use h2push_strategies::Strategy;
 use h2push_trace::{recording, Timeline, TraceHandle};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 /// What a [`RunPlan`] records while it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -280,10 +280,11 @@ impl RunPlan {
             TraceSpec::Timeline => {
                 let (handle, shared) = recording();
                 let outcome = drive_in(&self.inputs, &cfg, &handle, ctx)?;
-                drop(handle); // last sink reference; the timeline is now unique
-                let timeline = std::rc::Rc::try_unwrap(shared)
-                    .map(|cell| cell.into_inner())
-                    .unwrap_or_else(|rc| rc.borrow().clone());
+                drop(handle); // `drive_in` took back every clone it handed out
+                let timeline = Arc::try_unwrap(shared)
+                    .unwrap_or_else(|_| panic!("a run releases every trace handle it hands out"))
+                    .into_inner()
+                    .unwrap_or_else(PoisonError::into_inner);
                 Ok(RunOutput { outcome, timeline: Some(timeline) })
             }
         }

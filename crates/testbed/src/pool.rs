@@ -8,7 +8,14 @@
 //! process-wide accounting is needed. A closure passed to
 //! `parallel_indexed` must not reach another `parallel_indexed`: it would
 //! still compute the right answer, on `worker_threads()²` threads.
+//!
+//! A fan-out's helper threads live for that one call, but their replay
+//! contexts do not: each helper holds a `driver::HelperCtx` for its
+//! whole life, so it starts on a context an earlier fan-out's helper
+//! parked and parks it again at the join. A later fan-out's helpers
+//! start warm; the calling thread keeps its own context as always.
 
+use crate::driver::HelperCtx;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Explicit worker budget (total threads, calling thread included);
@@ -68,6 +75,7 @@ where
         let handles: Vec<_> = (0..extra)
             .map(|_| {
                 s.spawn(|| {
+                    let _ctx = HelperCtx::adopt();
                     let mut local = Vec::new();
                     run(&mut local);
                     local

@@ -15,21 +15,31 @@
 //!    with [`TraceHandle::set_now`] and endpoints stamp with
 //!    [`TraceHandle::emit`].
 //!
-//! Handles are `Rc`-shared and deliberately `!Send`: a traced replay is a
-//! single-threaded affair. Untraced replays (handle off) remain freely
-//! parallelizable.
+//! Handles are `Arc`-shared and `Send`: the machines of a replay context
+//! hold them, and a context parked by one thread may be adopted by
+//! another (a worker-pool helper). A traced replay still runs on one
+//! thread, so the timeline's lock is never contended; a traced emission
+//! pays for taking it, an untraced one still costs one branch.
 
 use crate::event::{Micros, TraceEvent};
 use crate::timeline::Timeline;
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The clock endpoints stamp with and the timeline a handle appends to:
-/// an emission is one `RefCell` borrow and a `Vec` push of a `Copy` pair —
+/// an emission is one uncontended lock and a `Vec` push of a `Copy` pair —
 /// no box, no virtual dispatch, no serialization.
 struct Ctl {
-    now: Cell<Micros>,
-    timeline: Rc<RefCell<Timeline>>,
+    now: AtomicU64,
+    timeline: Arc<Mutex<Timeline>>,
+}
+
+impl Ctl {
+    fn timeline(&self) -> MutexGuard<'_, Timeline> {
+        // An emission cannot panic while holding the lock, so a poisoned
+        // timeline is still whole.
+        self.timeline.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A cheap, cloneable capability to emit trace events.
@@ -37,7 +47,7 @@ struct Ctl {
 /// `TraceHandle::default()` (or [`TraceHandle::off`]) is the disabled
 /// handle: every operation is a no-op.
 #[derive(Clone, Default)]
-pub struct TraceHandle(Option<Rc<Ctl>>);
+pub struct TraceHandle(Option<Arc<Ctl>>);
 
 impl std::fmt::Debug for TraceHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -59,21 +69,21 @@ impl TraceHandle {
     /// Publish the simulation clock for emitters without a time parameter.
     pub fn set_now(&self, micros: Micros) {
         if let Some(ctl) = &self.0 {
-            ctl.now.set(micros);
+            ctl.now.store(micros, Ordering::Relaxed);
         }
     }
 
     /// Emit stamped with the published clock (see [`TraceHandle::set_now`]).
     pub fn emit(&self, ev: TraceEvent) {
         if let Some(ctl) = &self.0 {
-            ctl.timeline.borrow_mut().push(ctl.now.get(), ev);
+            ctl.timeline().push(ctl.now.load(Ordering::Relaxed), ev);
         }
     }
 
     /// Emit stamped with an explicit simulated time.
     pub fn emit_at(&self, micros: Micros, ev: TraceEvent) {
         if let Some(ctl) = &self.0 {
-            ctl.timeline.borrow_mut().push(micros, ev);
+            ctl.timeline().push(micros, ev);
         }
     }
 }
@@ -81,13 +91,13 @@ impl TraceHandle {
 /// A recording handle plus the shared [`Timeline`] it fills.
 ///
 /// The returned handle is cloned into the simulation; the caller keeps the
-/// `Rc` and reads (or `take`s) the timeline once the run finishes.
-pub fn recording() -> (TraceHandle, Rc<RefCell<Timeline>>) {
+/// `Arc` and reads (or unwraps) the timeline once the run finishes.
+pub fn recording() -> (TraceHandle, Arc<Mutex<Timeline>>) {
     // Pre-size for a typical traced page replay (a few thousand frame,
     // timer and paint events) so recording never reallocates mid-run.
-    let timeline = Rc::new(RefCell::new(Timeline::with_capacity(4096)));
-    let ctl = Ctl { now: Cell::new(0), timeline: Rc::clone(&timeline) };
-    (TraceHandle(Some(Rc::new(ctl))), timeline)
+    let timeline = Arc::new(Mutex::new(Timeline::with_capacity(4096)));
+    let ctl = Ctl { now: AtomicU64::new(0), timeline: Arc::clone(&timeline) };
+    (TraceHandle(Some(Arc::new(ctl))), timeline)
 }
 
 #[cfg(test)]
@@ -116,7 +126,7 @@ mod tests {
         h.set_now(250);
         h.emit(TraceEvent::Onload);
         h.emit_at(175, TraceEvent::DomContentLoaded);
-        let tl = tl.borrow();
+        let tl = tl.lock().unwrap();
         assert_eq!(
             tl.events(),
             &[
@@ -134,7 +144,8 @@ mod tests {
         h.set_now(1);
         h.emit(TraceEvent::FirstPaint);
         h2.emit(TraceEvent::Onload); // clock shared too
-        assert_eq!(tl.borrow().len(), 2);
-        assert_eq!(tl.borrow().events()[1], (1, TraceEvent::Onload));
+        let tl = tl.lock().unwrap();
+        assert_eq!(tl.len(), 2);
+        assert_eq!(tl.events()[1], (1, TraceEvent::Onload));
     }
 }

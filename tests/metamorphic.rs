@@ -10,7 +10,7 @@
 
 use h2push::netsim::NetworkSpec;
 use h2push::strategies::{push_all, Strategy};
-use h2push::testbed::{run_cells, ReplayConfig, ReplayInputs, RunPlan};
+use h2push::testbed::{run_cells, Mode, ReplayConfig, ReplayInputs, RunPlan};
 use h2push::webmodel::{generate_site, CorpusKind};
 
 fn sites() -> Vec<ReplayInputs> {
@@ -108,5 +108,34 @@ fn a_digest_aware_server_pushes_nothing_on_a_fully_warm_revisit() {
     assert!(lost.is_empty(), "{lost:#?}");
     for (what, pushed) in labels.iter().zip(pushed) {
         assert_eq!(pushed, [0], "{what}: pushed into a warm cache");
+    }
+}
+
+#[test]
+fn an_empty_push_list_is_no_push() {
+    // Pushing nothing is not pushing, in the testbed and on the noisy
+    // Internet link alike: an empty push list gives `NoPush`'s outcomes on
+    // the same seed, rep for rep, although its browser advertises push and
+    // its server runs the push path.
+    let sites = sites();
+    for mode in [Mode::Testbed, Mode::Internet] {
+        let cells: Vec<RunPlan> = sites
+            .iter()
+            .flat_map(|site| {
+                [Strategy::NoPush, Strategy::PushList { order: Vec::new() }].map(|strategy| {
+                    RunPlan::new(site).strategy(strategy).mode(mode).seed(42).reps(4)
+                })
+            })
+            .collect();
+        let mut lost = Vec::new();
+        let outcomes = run_cells(&cells, |run| run.outcome, &mut lost);
+        assert!(lost.is_empty(), "{mode:?}: {lost:#?}");
+        for (site, pair) in sites.iter().zip(outcomes.chunks(2)) {
+            let what = format!("{mode:?} / {}", site.page.name);
+            assert_eq!((pair[0].len(), pair[1].len()), (4, 4), "{what}");
+            for (rep, (none, empty)) in pair[0].iter().zip(&pair[1]).enumerate() {
+                assert!(none == empty, "{what}, rep {rep}: an empty push list changed the load");
+            }
+        }
     }
 }
