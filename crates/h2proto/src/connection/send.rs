@@ -416,7 +416,6 @@ impl Connection {
                     end_stream,
                 });
             }
-            scheduler.charge(id, chunk, &self.tree);
             if end_stream {
                 self.tree.remove(id);
                 scheduler.stream_closed(id);

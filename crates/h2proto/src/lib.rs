@@ -34,4 +34,4 @@ pub use frame::{
 pub use h2push_hpack::BlockCache;
 pub use limits::ConnLimits;
 pub use priority::{PriorityTree, ROOT};
-pub use scheduler::{DefaultScheduler, FairScheduler, FifoScheduler, Scheduler, StreamSnapshot};
+pub use scheduler::{DefaultScheduler, FifoScheduler, Scheduler, StreamSnapshot};

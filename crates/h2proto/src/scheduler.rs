@@ -6,12 +6,10 @@
 //! tree, weight-ordered siblings with FIFO per class), under which a
 //! pushed response — a *child* of the stream that triggered it — is only
 //! sent when the parent is idle or finished (Fig. 5a of the paper).
-//! [`FairScheduler`] is a byte-level weighted-fair variant for ablations.
 //! The paper's Interleaving Push scheduler lives in the `h2push-server`
 //! crate.
 
 use crate::priority::{PriorityTree, ROOT, ROOT_SLOT};
-use std::collections::HashMap;
 
 /// Per-stream view handed to schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +34,6 @@ pub trait Scheduler {
     /// own window shut and must not be picked; at least one entry has
     /// `sendable > 0`, and the connection window is open.
     fn pick(&mut self, streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32>;
-
-    /// Account `bytes` sent on `stream` (used by weighted round-robin).
-    fn charge(&mut self, _stream: u32, _bytes: usize, _tree: &PriorityTree) {}
 
     /// A stream finished or was reset.
     fn stream_closed(&mut self, _stream: u32) {}
@@ -74,13 +69,6 @@ fn lowest_ready(streams: &[StreamSnapshot]) -> Option<u32> {
 ///
 /// The policy is a pure function of the snapshot and the tree, so the
 /// scheduler carries no state.
-///
-/// A weighted-fair variant ([`FairScheduler`]) that shares bandwidth
-/// *proportionally* across sibling weight classes (closer to h2o's
-/// byte-level weighted fair queuing) is provided for ablation; with the
-/// Chromium-style exclusive request chains the browser builds, the two
-/// mostly coincide — they differ when low-weight pushed streams coexist
-/// with the chain as siblings.
 #[derive(Debug, Default)]
 pub struct DefaultScheduler;
 
@@ -120,87 +108,6 @@ impl Scheduler for DefaultScheduler {
     }
 }
 
-/// Weighted-fair variant of the default scheduler: among sibling weight
-/// classes, bandwidth is shared *proportionally* to aggregate class weight
-/// (byte-level weighted fair queuing, h2o's documented long-run behaviour)
-/// instead of strictly by weight; FIFO by stream id within a class. Used
-/// by the scheduler ablation bench.
-#[derive(Debug, Default)]
-pub struct FairScheduler {
-    /// Bytes charged per (parent node, child weight class).
-    class_charged: HashMap<(u32, u16), u64>,
-}
-
-impl FairScheduler {
-    /// New scheduler with empty accounting.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn pick_rec(
-        &self,
-        slot: u32,
-        id: u32,
-        tree: &PriorityTree,
-        streams: &[StreamSnapshot],
-    ) -> Option<u32> {
-        if id != ROOT && is_ready(streams, id) {
-            return Some(id);
-        }
-        // (slot, id, weight) of each child with sendable descendants.
-        let eligible: Vec<(u32, u32, u16)> = tree
-            .child_nodes(slot)
-            .filter(|&(c, n)| subtree_sendable(c, n.id, tree, streams))
-            .map(|(c, n)| (c, n.id, n.weight))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        // Weighted fair queuing across classes: the class with the least
-        // virtual time (bytes per unit of aggregate weight) goes next.
-        let mut classes: Vec<(u16, usize)> = Vec::new();
-        for &(_, _, w) in &eligible {
-            match classes.iter_mut().find(|(cw, _)| *cw == w) {
-                Some((_, n)) => *n += 1,
-                None => classes.push((w, 1)),
-            }
-        }
-        let best_class = classes
-            .iter()
-            .min_by(|&&(wa, na), &&(wb, nb)| {
-                let va = *self.class_charged.get(&(id, wa)).unwrap_or(&0) as f64
-                    / (wa as u64 * na as u64) as f64;
-                let vb = *self.class_charged.get(&(id, wb)).unwrap_or(&0) as f64
-                    / (wb as u64 * nb as u64) as f64;
-                // `total_cmp` keeps this panic-free even if a hostile
-                // weight combination produced a NaN ratio.
-                va.total_cmp(&vb).then(wb.cmp(&wa))
-            })
-            .map(|&(w, _)| w)?;
-        let (best, best_id, _) =
-            eligible.into_iter().filter(|&(_, _, w)| w == best_class).min_by_key(|&(_, c, _)| c)?;
-        self.pick_rec(best, best_id, tree, streams)
-    }
-}
-
-impl Scheduler for FairScheduler {
-    fn pick(&mut self, streams: &[StreamSnapshot], tree: &PriorityTree) -> Option<u32> {
-        debug_assert!(streams.windows(2).all(|w| w[0].id < w[1].id), "snapshot not id-sorted");
-        self.pick_rec(ROOT_SLOT, ROOT, tree, streams).or_else(|| lowest_ready(streams))
-    }
-
-    fn charge(&mut self, stream: u32, bytes: usize, tree: &PriorityTree) {
-        // Charge every ancestor link so sibling WFQ is fair at each level
-        // of the tree.
-        let mut cur = stream;
-        while let Some(p) = tree.parent(cur) {
-            let w = tree.weight(cur).unwrap_or(16);
-            *self.class_charged.entry((p, w)).or_insert(0) += bytes as u64;
-            cur = p;
-        }
-    }
-}
-
 /// A trivial FIFO scheduler: always the lowest stream id. Useful as a
 /// baseline and in tests.
 #[derive(Debug, Default)]
@@ -216,6 +123,7 @@ impl Scheduler for FifoScheduler {
 mod tests {
     use super::*;
     use crate::frame::PrioritySpec;
+    use std::collections::HashMap;
 
     fn snap(id: u32, sendable: usize) -> StreamSnapshot {
         StreamSnapshot { id, sendable, sent: 0, is_push: id.is_multiple_of(2) }
@@ -245,27 +153,8 @@ mod tests {
         let mut s = DefaultScheduler::new();
         // The heavier stream drains completely before the lighter one.
         assert_eq!(s.pick(&[snap(1, 1000), snap(3, 1000)], &tree), Some(3));
-        s.charge(3, 1000, &tree);
         assert_eq!(s.pick(&[snap(1, 1000), snap(3, 1000)], &tree), Some(3));
         assert_eq!(s.pick(&[snap(1, 1000)], &tree), Some(1));
-    }
-
-    #[test]
-    fn fair_scheduler_shares_bandwidth_by_weight() {
-        // The WFQ ablation variant: 200-weight and 100-weight siblings
-        // share the link 2:1 over time.
-        let mut tree = PriorityTree::new();
-        tree.insert(1, spec(0, 200, false));
-        tree.insert(3, spec(0, 100, false));
-        let mut s = FairScheduler::new();
-        let mut sent = HashMap::new();
-        for _ in 0..300 {
-            let pick = s.pick(&[snap(1, 1000), snap(3, 1000)], &tree).unwrap();
-            s.charge(pick, 1000, &tree);
-            *sent.entry(pick).or_insert(0u64) += 1000;
-        }
-        let ratio = sent[&1] as f64 / sent[&3] as f64;
-        assert!((1.8..2.2).contains(&ratio), "weight ratio violated: {ratio}");
     }
 
     #[test]
@@ -280,7 +169,6 @@ mod tests {
         let mut s = DefaultScheduler::new();
         let all = [snap(2, 100), snap(4, 100), snap(6, 100)];
         assert_eq!(s.pick(&all, &tree), Some(2));
-        s.charge(2, 100, &tree);
         // Still stream 2 while it has data; then 4; then 6.
         assert_eq!(s.pick(&all, &tree), Some(2));
         assert_eq!(s.pick(&all[1..], &tree), Some(4));

@@ -330,7 +330,6 @@ impl Model {
             self.conn_window -= chunk as i64;
             self.conn_sent += chunk as u64;
             Frame::Data { stream: id, len: chunk, end_stream }.encode(&mut out);
-            scheduler.charge(id, chunk, &self.tree);
             if end_stream {
                 self.tree.remove(id);
                 scheduler.stream_closed(id);

@@ -120,23 +120,6 @@ mod tests {
     use crate::experiments::clean;
 
     #[test]
-    fn pushable_shares_match_paper() {
-        let top = pushable_stats(CorpusKind::Top, Scale { sites: 120, runs: 1, seed: 5 });
-        let random = pushable_stats(CorpusKind::Random, Scale { sites: 120, runs: 1, seed: 5 });
-        assert!(
-            (0.38..0.66).contains(&top.share_below_20pct),
-            "top-100 share {}",
-            top.share_below_20pct
-        );
-        assert!(
-            (0.12..0.38).contains(&random.share_below_20pct),
-            "random-100 share {}",
-            random.share_below_20pct
-        );
-        assert!(top.share_below_20pct > random.share_below_20pct);
-    }
-
-    #[test]
     fn fig3a_shows_mixed_outcomes() {
         let scale = Scale { sites: 8, runs: 3, seed: 2 };
         let rows = clean(|lost| fig3a_push_all(CorpusKind::Random, scale, lost));

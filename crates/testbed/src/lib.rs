@@ -7,7 +7,6 @@
 //! distributions between strategies and against stochastic "Internet"
 //! conditions.
 
-pub mod adoption;
 pub mod badpeer;
 pub mod chaos;
 pub mod checkpoint;

@@ -1,4 +1,5 @@
-//! `h2push experiment <id>` — regenerate every table and figure.
+//! `h2push experiment <id>` — regenerate every table and figure but
+//! Fig. 1, which measures the 2017 web.
 //!
 //! One row of [`EXPERIMENTS`] per paper artifact, ablation and context
 //! experiment (`DESIGN.md` §3 is the index, `EXPERIMENTS.md` the
@@ -15,15 +16,11 @@
 //! a repetition comes back as a status line in the renderer's `lost`
 //! list, which `h2push experiment` prints on stderr before exiting 1.
 
-use h2push_h2proto::{
-    DefaultScheduler, FairScheduler, PrioritySpec, PriorityTree, Scheduler, StreamSnapshot,
-};
 use h2push_metrics::{percentile, share_below, RunStats};
 use h2push_netsim::{NetworkSpec, SimDuration};
 use h2push_strategies::{
     critical_set, interleave_offset, paper_strategy, push_all, PaperStrategy, Strategy,
 };
-use h2push_testbed::adoption::AdoptionModel;
 use h2push_testbed::experiments::fig2::{fig2a_variability, fig2b_push_vs_nopush, VariabilityRow};
 use h2push_testbed::experiments::fig3::{fig3a_push_all, fig3b_push_limit, pushable_stats, LIMITS};
 use h2push_testbed::experiments::fig4::fig4_custom;
@@ -47,8 +44,7 @@ pub use h2push_testbed::experiments::Scale;
 pub type Render = fn(Scale, &mut dyn Write, &mut Vec<String>) -> io::Result<()>;
 
 /// Every experiment: `(id, what it regenerates, renderer)`.
-pub const EXPERIMENTS: [(&str, &str, Render); 20] = [
-    ("fig1", "Fig. 1: H2 and Server Push adoption over 2017", fig1),
+pub const EXPERIMENTS: [(&str, &str, Render); 18] = [
     ("fig2a", "Fig. 2a: per-site std. error, testbed vs Internet", fig2a),
     ("fig2b", "Fig. 2b: push as recorded vs no push", fig2b),
     ("pushable", "§4.2: share of sites with <20% pushable objects", pushable),
@@ -66,11 +62,6 @@ pub const EXPERIMENTS: [(&str, &str, Render); 20] = [
     ("ablation-order", "computed vs reversed vs images-first push order", ablation_order),
     ("ablation-profiles", "§6: strategies across access profiles", ablation_profiles),
     ("ablation-scanner", "push-all with and without the preload scanner", ablation_scanner),
-    (
-        "ablation-scheduler",
-        "strict-priority vs weighted-fair sibling scheduling",
-        ablation_scheduler,
-    ),
     ("loss-sweep", "push strategies under Gilbert-Elliott burst loss", loss_sweep),
 ];
 
@@ -153,28 +144,6 @@ fn speed_indexes(
     });
     let sis = replay_each(reps, |replay| [replay.load.speed_index()], lost);
     sis.chunks(scale.runs.max(1)).map(|reps| reps.iter().map(|si| si[0]).collect()).collect()
-}
-
-/// Fig. 1 — monthly H2 and Server Push adoption on a 1 M-domain
-/// population (§1).
-fn fig1(_: Scale, out: &mut dyn Write, _: &mut Vec<String>) -> io::Result<()> {
-    let year = AdoptionModel::new(1_000_000, 2017).year();
-    writeln!(
-        out,
-        "Fig. 1 — adoption of HTTP/2 and Server Push over 2017 (synthetic Alexa-1M scan)"
-    )?;
-    writeln!(out, "{:>5} {:>12} {:>12}", "month", "HTTP/2", "Server Push")?;
-    for scan in &year {
-        writeln!(out, "{:>5} {:>12} {:>12}", scan.month + 1, scan.h2_domains, scan.push_domains)?;
-    }
-    let (first, last) = (&year[0], &year[year.len() - 1]);
-    writeln!(
-        out,
-        "\nH2 grew {:.1}x; push grew {:.1}x; push is {:.0}x rarer than H2 in December.",
-        last.h2_domains as f64 / first.h2_domains as f64,
-        last.push_domains as f64 / first.push_domains.max(1) as f64,
-        last.h2_domains as f64 / last.push_domains.max(1) as f64
-    )
 }
 
 /// Fig. 2a — per-site standard error of PLT and SpeedIndex over repeated
@@ -783,48 +752,6 @@ fn ablation_scanner(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -
         mean(with.iter().copied()),
         mean(without.iter().copied())
     )
-}
-
-/// Ablation: strict-priority vs weighted-fair sibling scheduling.
-///
-/// h2o's scheduler serves sibling weight classes by byte-level weighted
-/// fair queuing; our default models the strict ordering the Chromium
-/// exclusive chain effectively produces. This quantifies the gap on a
-/// scenario where they differ most: many weight-16 pushed streams
-/// coexisting with the request chain.
-fn ablation_scheduler(_: Scale, out: &mut dyn Write, _: &mut Vec<String>) -> io::Result<()> {
-    // A chain head (weight 220) vs N pushed streams (weight 16 each), all
-    // root siblings (the post-document state): measure the share of the
-    // first 100 chunks each scheduler gives the chain head.
-    writeln!(out, "share of first 100 chunks given to the weight-220 chain head:")?;
-    writeln!(out, "{:>10} {:>10} {:>10}", "N pushes", "strict", "fair")?;
-    for n in [1usize, 4, 8, 16, 32] {
-        let mut tree = PriorityTree::new();
-        tree.insert(1, PrioritySpec { depends_on: 0, weight: 220, exclusive: false });
-        let mut snaps = vec![StreamSnapshot { id: 1, sendable: 1 << 20, sent: 0, is_push: false }];
-        for i in 0..n {
-            let id = 2 + 2 * i as u32;
-            tree.insert(id, PrioritySpec { depends_on: 0, weight: 16, exclusive: false });
-            snaps.push(StreamSnapshot { id, sendable: 1 << 20, sent: 0, is_push: true });
-        }
-        let run = |mut s: Box<dyn Scheduler>| -> usize {
-            let mut head = 0;
-            for _ in 0..100 {
-                let pick = s.pick(&snaps, &tree).unwrap();
-                s.charge(pick, 16_384, &tree);
-                if pick == 1 {
-                    head += 1;
-                }
-            }
-            head
-        };
-        let strict = run(Box::new(DefaultScheduler::new()));
-        let fair = run(Box::new(FairScheduler::new()));
-        writeln!(out, "{:>10} {:>9}% {:>9}%", n, strict, fair)?;
-    }
-    writeln!(out, "\nUnder strict scheduling the chain is never preempted; under fair")?;
-    writeln!(out, "scheduling a pile of weight-16 pushes claims 16N/(16N+220) of the")?;
-    writeln!(out, "link — §4.2.1's bandwidth-contention pitfall when pushing images.")
 }
 
 /// Chaos sweep: push strategies under bursty loss.
