@@ -3,13 +3,14 @@
 //! * Fig. 2a: per-site standard error σx̄ of PLT and SpeedIndex over 31
 //!   runs, testbed vs Internet. The paper finds σx̄ < 100 ms for 95 % of
 //!   sites in the testbed but only 14 % in the Internet.
-//! * Fig. 2b: Δ (push-as-recorded − no-push) of the median PLT and
-//!   SpeedIndex per site, in the testbed; 49 % (PLT) / 35 % (SI) of sites
-//!   see no benefit.
+//! * Fig. 2b: Δ (push-as-recorded − no-push) of PLT and SpeedIndex per
+//!   site, in the testbed ([`FIG2B`], a [`Paired`] row); 49 % (PLT) /
+//!   35 % (SI) of sites see no benefit.
 
-use super::{cell, fan_out, median_deltas, record_all, summaries, Scale};
+use super::paired::{Corpus, Paired};
+use super::{cell, fan_out, record_all, summaries, Scale};
 use crate::harness::Mode;
-use h2push_strategies::{push_as_recorded, Strategy};
+use h2push_strategies::push_as_recorded;
 use h2push_webmodel::{generate_set, CorpusKind};
 
 /// One site's variability numbers.
@@ -54,41 +55,20 @@ pub fn fig2a_variability(scale: Scale, lost: &mut Vec<String>) -> Vec<Variabilit
     )
 }
 
-/// One site's push-vs-no-push deltas (medians, ms; Δ < 0 is better).
-#[derive(Debug, Clone)]
-pub struct DeltaRow {
-    /// Site name.
-    pub site: String,
-    /// Δ median PLT.
-    pub d_plt: f64,
-    /// Δ median SpeedIndex.
-    pub d_si: f64,
-}
-
-/// Fig. 2b data: push-as-recorded vs no-push in the testbed.
-pub fn fig2b_push_vs_nopush(scale: Scale, lost: &mut Vec<String>) -> Vec<DeltaRow> {
-    let sites = record_all(generate_set(CorpusKind::PushUsers, scale.sites, scale.seed));
-    fan_out(
-        &sites,
-        |site| {
-            let push = push_as_recorded(&site.page);
-            vec![
-                cell(site, Strategy::NoPush, scale, scale.seed),
-                cell(site, push, scale, scale.seed ^ 0x77),
-            ]
-        },
-        |site, m| {
-            let (d_plt, d_si) = median_deltas(&m[1], &m[0]);
-            DeltaRow { site: site.page.name.clone(), d_plt, d_si }
-        },
-        lost,
-    )
-}
+/// Fig. 2b: push as recorded against no push in the testbed.
+pub const FIG2B: Paired = Paired {
+    title: "Fig. 2b — push (as recorded) vs no push",
+    corpus: Corpus::Generated(CorpusKind::PushUsers),
+    ordered: false,
+    treatments: &[("push as recorded", |page, _| push_as_recorded(page))],
+    paper: "paper: no benefit (Δ ≥ 0) for 49% (PLT) / 35% (SI) of sites",
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiments::clean;
+    use crate::experiments::paired::PairedSite;
     use h2push_metrics::share_below;
 
     #[test]
@@ -108,10 +88,11 @@ mod tests {
 
     #[test]
     fn push_vs_nopush_has_both_signs() {
-        let rows = clean(|lost| fig2b_push_vs_nopush(Scale { sites: 10, runs: 5, seed: 3 }, lost));
+        let rows = clean(|lost| FIG2B.run(Scale { sites: 10, runs: 5, seed: 3 }, lost));
         assert_eq!(rows.len(), 10);
-        let improved = rows.iter().filter(|r| r.d_si < 0.0).count();
-        let hurt = rows.iter().filter(|r| r.d_si > 0.0).count();
+        let d_si = |r: &&PairedSite| r.treatments[0].median[1];
+        let improved = rows.iter().filter(|r| d_si(r) < 0.0).count();
+        let hurt = rows.iter().filter(|r| d_si(r) > 0.0).count();
         // The paper's point: real-world push lists help some sites and
         // hurt others.
         assert!(improved > 0, "no site improved: {rows:?}");

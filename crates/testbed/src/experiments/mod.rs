@@ -1,8 +1,18 @@
-//! Experiment drivers: one function per table/figure of the paper.
+//! Experiment drivers: one per table/figure of the paper.
 //!
 //! Each driver returns plain data that `h2push experiment <id>` prints;
 //! integration tests run them at reduced scale. See `DESIGN.md` §3 for the
 //! experiment index.
+//!
+//! The experiments that compare push strategies with no push (Fig. 2b,
+//! 3a, 3b, 4 and the type study) are not functions but [`paired::Paired`]
+//! rows — corpus, treatments, computed order or not, the paper's number —
+//! run by one paired driver. Every arm of a row replays the same seeds,
+//! so rep `r` of a treatment and of the no-push baseline differ only by
+//! the strategy; each (site, treatment) keeps the median of its per-rep
+//! differences and an exact sign test's class (better, indistinguishable
+//! or worse at the paper's 99.5 % level), and an A/A arm (no push on
+//! disjoint seeds) gives each row its noise floor.
 //!
 //! Every driver has the same shape, which `fan_out` spells out:
 //! *declare* each site's cells as [`RunPlan`]s — one per (page variant,
@@ -23,6 +33,7 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
+pub mod paired;
 pub mod types_study;
 
 use crate::plan::RunPlan;
@@ -107,13 +118,6 @@ pub(crate) fn summaries(cell: &CellStats) -> (RunStats, RunStats) {
     stats.expect("every rep of an experiment cell was a partial load")
 }
 
-/// Δ of the median (PLT, SpeedIndex) of `cell` against `base`, in ms
-/// (Δ < 0 is better).
-pub(crate) fn median_deltas(cell: &CellStats, base: &CellStats) -> (f64, f64) {
-    let ((plt, si), (base_plt, base_si)) = (summaries(cell), summaries(base));
-    (plt.median - base_plt.median, si.median - base_si.median)
-}
-
 /// Mean bytes pushed per completed rep of a measured cell.
 pub(crate) fn mean_pushed_bytes(cell: &CellStats) -> f64 {
     cell.pushed_bytes as f64 / cell.n.max(1) as f64
@@ -131,7 +135,7 @@ pub(crate) fn clean<R>(driver: impl FnOnce(&mut Vec<String>) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use h2push_webmodel::{PageBuilder, ResourceSpec};
+    use h2push_webmodel::{PageBuilder, ResourceId, ResourceSpec};
 
     fn site(name: &str) -> ReplayInputs {
         let mut b = PageBuilder::new(name, "fan.test", 30_000, 3_000);
@@ -162,5 +166,22 @@ mod tests {
         assert!(lost[0].starts_with("no-push"), "{lost:?}");
         assert!(lost[0].contains("starved"), "{lost:?}");
         assert!(lost[0].ends_with("3/3 failed (watchdog\u{d7}3)"), "{lost:?}");
+
+        // A paired row whose treatment arm starves: the site loses its row
+        // (no pairs without every rep), and the healthy one keeps its pairs.
+        let arms = |site: &ReplayInputs, order: &[ResourceId]| {
+            let mut arms = fig4::FIG4.arms(site, order, scale);
+            if site.page.name == "starved" {
+                arms[2] = arms[2].clone().watchdog_events(1);
+            }
+            arms
+        };
+        let pairs: Vec<_> = sites.iter().map(|site| (site, &[][..])).collect();
+        let mut lost = Vec::new();
+        let rows = paired::measure(&pairs, arms, scale, &mut lost);
+        let alone = clean(|lost| paired::measure(&pairs[..1], arms, scale, lost));
+        assert_eq!((rows.len(), &rows), (1, &alone));
+        assert_eq!(lost.len(), 1, "{lost:?}");
+        assert!(lost[0].starts_with("push-list") && lost[0].contains("starved"), "{lost:?}");
     }
 }

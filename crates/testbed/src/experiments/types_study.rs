@@ -4,167 +4,81 @@
 //! ways; pushing images worsens SpeedIndex for ~74 % of sites (they feed
 //! neither DOM nor CSSOM); even the per-site *best type* improves only
 //! 24 % (SpeedIndex) / 20 % (PLT) of sites. Type combinations behave
-//! similarly.
+//! similarly. [`TYPES`] is a [`Paired`] row; a site's best single type
+//! improves when the sign test classes one of the first three arms
+//! better.
 
-use super::{cell, fan_out, median_deltas, push_orders, record_all, Scale};
-use h2push_strategies::{push_by_type, Strategy};
-use h2push_webmodel::{generate_set, CorpusKind, ResourceType};
+use super::paired::{Corpus, Paired};
+use h2push_strategies::push_by_type;
+use h2push_webmodel::{CorpusKind, ResourceType::*};
 
-/// The type selections the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TypeSelection {
-    /// Push only stylesheets.
-    Css,
-    /// Push only scripts.
-    Js,
-    /// Push only images.
-    Images,
-    /// CSS + JS.
-    CssJs,
-    /// CSS + images.
-    CssImages,
-}
-
-impl TypeSelection {
-    /// All selections in report order.
-    pub const ALL: [TypeSelection; 5] = [
-        TypeSelection::Css,
-        TypeSelection::Js,
-        TypeSelection::Images,
-        TypeSelection::CssJs,
-        TypeSelection::CssImages,
-    ];
-
-    /// Label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            TypeSelection::Css => "css",
-            TypeSelection::Js => "js",
-            TypeSelection::Images => "images",
-            TypeSelection::CssJs => "css+js",
-            TypeSelection::CssImages => "css+images",
-        }
-    }
-
-    /// The resource types included.
-    pub fn types(self) -> &'static [ResourceType] {
-        match self {
-            TypeSelection::Css => &[ResourceType::Css],
-            TypeSelection::Js => &[ResourceType::Js],
-            TypeSelection::Images => &[ResourceType::Image],
-            TypeSelection::CssJs => &[ResourceType::Css, ResourceType::Js],
-            TypeSelection::CssImages => &[ResourceType::Css, ResourceType::Image],
-        }
-    }
-}
-
-/// Per-site deltas for every type selection.
-#[derive(Debug, Clone)]
-pub struct TypeRow {
-    /// Site name.
-    pub site: String,
-    /// (selection, Δ median SI, Δ median PLT).
-    pub deltas: Vec<(TypeSelection, f64, f64)>,
-}
-
-/// Aggregate outcome of the study.
-#[derive(Debug, Clone)]
-pub struct TypeStudy {
-    /// Per-site rows.
-    pub rows: Vec<TypeRow>,
-    /// Share of sites whose SpeedIndex worsens when pushing images.
-    pub images_worse_share: f64,
-    /// Share of sites improving (SI) under their per-site best type.
-    pub best_type_improves_si: f64,
-    /// Share of sites improving (PLT) under their per-site best type.
-    pub best_type_improves_plt: f64,
-}
-
-/// Run the §4.2.1 type study on the random corpus.
-pub fn type_study(scale: Scale, lost: &mut Vec<String>) -> TypeStudy {
-    let sites = record_all(generate_set(CorpusKind::Random, scale.sites, scale.seed));
-    let orders = push_orders(&sites, scale.runs.min(7), scale.seed, lost);
-    let ordered: Vec<_> = sites.iter().zip(&orders).collect();
-    // Per site: the no-push baseline, then one cell per type selection.
-    let rows: Vec<TypeRow> = fan_out(
-        &ordered,
-        |(site, order)| {
-            let by_type = TypeSelection::ALL.map(|sel| {
-                let strategy = push_by_type(&site.page, order, sel.types());
-                cell(site, strategy, scale, scale.seed ^ 0x99)
-            });
-            let base = cell(site, Strategy::NoPush, scale, scale.seed);
-            std::iter::once(base).chain(by_type).collect()
-        },
-        |(site, _), m| {
-            let delta = |(&sel, typed)| {
-                let (d_plt, d_si) = median_deltas(typed, &m[0]);
-                (sel, d_si, d_plt)
-            };
-            let deltas = TypeSelection::ALL.iter().zip(&m[1..]).map(delta).collect();
-            TypeRow { site: site.page.name.clone(), deltas }
-        },
-        lost,
-    );
-
-    let img_worse = rows
-        .iter()
-        .filter(|r| {
-            r.deltas
-                .iter()
-                .find(|(s, _, _)| *s == TypeSelection::Images)
-                .map(|&(_, dsi, _)| dsi > 0.0)
-                .unwrap_or(false)
-        })
-        .count() as f64
-        / rows.len().max(1) as f64;
-
-    // Per-site best single type (by SI), then ask whether it *meaningfully*
-    // improves (the paper counts improvements, i.e. Δ < 0 beyond noise; we
-    // use a 5 ms guard band).
-    let singles = [TypeSelection::Css, TypeSelection::Js, TypeSelection::Images];
-    let best_improves = |metric: fn(&(TypeSelection, f64, f64)) -> f64| {
-        rows.iter()
-            .filter(|r| {
-                r.deltas
-                    .iter()
-                    .filter(|d| singles.contains(&d.0))
-                    .map(metric)
-                    .fold(f64::INFINITY, f64::min)
-                    < -5.0
-            })
-            .count() as f64
-            / rows.len().max(1) as f64
-    };
-    TypeStudy {
-        images_worse_share: img_worse,
-        best_type_improves_si: best_improves(|d| d.1),
-        best_type_improves_plt: best_improves(|d| d.2),
-        rows,
-    }
-}
+/// The §4.2.1 type selections, single types first.
+pub const TYPES: Paired = Paired {
+    title: "Type study — pushing specific object types vs no push, random-100",
+    corpus: Corpus::Generated(CorpusKind::Random),
+    ordered: true,
+    treatments: &[
+        ("css", |page, order| push_by_type(page, order, &[Css])),
+        ("js", |page, order| push_by_type(page, order, &[Js])),
+        ("images", |page, order| push_by_type(page, order, &[Image])),
+        ("css+js", |page, order| push_by_type(page, order, &[Css, Js])),
+        ("css+images", |page, order| push_by_type(page, order, &[Css, Image])),
+    ],
+    paper: "paper: images worsen SI for 74% of sites; the best single type improves SI for 24%, PLT for 20%",
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::clean;
+    use crate::experiments::paired::{measure, shares, Class};
+    use crate::experiments::{clean, fan_out, Scale};
+    use crate::replay::ReplayInputs;
+    use h2push_strategies::Strategy;
+    use h2push_webmodel::{PageBuilder, ResourceId, ResourceSpec};
 
     #[test]
     fn study_reports_all_selections() {
-        let s = clean(|lost| type_study(Scale { sites: 6, runs: 3, seed: 8 }, lost));
-        assert_eq!(s.rows.len(), 6);
-        for r in &s.rows {
-            assert_eq!(r.deltas.len(), TypeSelection::ALL.len());
+        let rows = clean(|lost| TYPES.run(Scale { sites: 6, runs: 3, seed: 8 }, lost));
+        assert_eq!(rows.len(), 6);
+        for r in &rows {
+            assert_eq!(r.treatments.len(), TYPES.treatments.len());
         }
-        assert!((0.0..=1.0).contains(&s.images_worse_share));
-        assert!((0.0..=1.0).contains(&s.best_type_improves_si));
+        let images = shares(&rows, |r| &r.treatments[2]);
+        for metric in images {
+            assert!(metric.iter().all(|share| (0.0..=1.0).contains(share)), "{images:?}");
+            assert!((metric.iter().sum::<f64>() - 1.0).abs() < 1e-9, "{images:?}");
+        }
     }
 
     #[test]
     fn labels_unique() {
-        let mut labels: Vec<_> = TypeSelection::ALL.iter().map(|s| s.label()).collect();
+        let mut labels: Vec<_> = TYPES.treatments.iter().map(|(label, _)| label).collect();
         labels.sort();
         labels.dedup();
         assert_eq!(labels.len(), 5);
+    }
+
+    #[test]
+    fn a_site_without_images_pairs_its_images_arm_to_zero() {
+        let mut b = PageBuilder::new("no-images", "types.test", 30_000, 3_000);
+        b.resource(ResourceSpec::css(0, 10_000, 300, 0.4));
+        b.text_paint(8_000, 1.0);
+        let site = ReplayInputs::from(b.build());
+        let (images, scale) = (TYPES.treatments[2], Scale { sites: 1, runs: 3, seed: 5 });
+        // The images arm pushes an empty list, which is no push …
+        assert_eq!(images.0, "images");
+        assert!(
+            matches!(images.1(&site.page, &[]), Strategy::PushList { order } if order.is_empty())
+        );
+        let declare = |site: &ReplayInputs, order: &[ResourceId]| TYPES.arms(site, order, scale);
+        let m = clean(|lost| fan_out(&[&site], |s| declare(s, &[]), |_, m| m.to_vec(), lost));
+        // … so every pair's Δ is zero …
+        let (base, images) = (&m[0][0], &m[0][4]);
+        assert_eq!(base.plt.len(), 3);
+        assert_eq!((&images.plt, &images.speed_index), (&base.plt, &base.speed_index));
+        // … and the sign test has no untied pair to count.
+        let rows = clean(|lost| measure(&[(&site, &[])], declare, scale, lost));
+        assert_eq!(rows[0].treatments[2].median, [0.0; 2]);
+        assert_eq!(rows[0].treatments[2].class, [Class::Indistinguishable; 2]);
     }
 }

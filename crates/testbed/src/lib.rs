@@ -45,7 +45,7 @@ pub use pool::{parallel_indexed, set_worker_threads, worker_threads};
 pub use prepared::PreparedPage;
 pub use replay::{Protocol, ReplayConfig, ReplayError, ReplayInputs, ReplayOutcome};
 pub use sweep::{
-    run_cells, CellFailure, CellStats, FailureKind, PopulationStats, RecoveredRep, RetryClass,
-    SweepCell, SweepPlan, SweepReport,
+    replays_declared, run_cells, CellFailure, CellStats, FailureKind, PopulationStats,
+    RecoveredRep, RetryClass, SweepCell, SweepPlan, SweepReport,
 };
 pub use waterfall::write_waterfall;

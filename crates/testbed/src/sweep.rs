@@ -62,6 +62,7 @@ use h2push_metrics::{RunStats, StreamingHist};
 use h2push_strategies::Strategy;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why one rep of one cell failed (classification of
 /// [`CellFailure::kind`]).
@@ -263,6 +264,8 @@ pub fn run_cells<T: Send>(
     fold: impl Fn(RunOutput) -> T + Sync,
     lost: &mut Vec<String>,
 ) -> Vec<Vec<T>> {
+    let reps: usize = cells.iter().map(RunPlan::rep_count).sum();
+    REPLAYS.fetch_add(reps as u64, Ordering::Relaxed);
     let runs =
         fan_out_reps(cells.iter().map(RunPlan::rep_count), |c, rep| cells[c].run_rep(rep), fold);
     cells
@@ -277,6 +280,16 @@ pub fn run_cells<T: Send>(
             run.reps
         })
         .collect()
+}
+
+/// The reps every [`run_cells`] call of this process declared.
+static REPLAYS: AtomicU64 = AtomicU64::new(0);
+
+/// How many replays [`run_cells`] was asked for since the process
+/// started: each call adds its cells' declared rep counts (a retried rep
+/// counts once).
+pub fn replays_declared() -> u64 {
+    REPLAYS.load(Ordering::Relaxed)
 }
 
 /// `"ok (31 reps)"`, `"ok (31 reps, 1 recovered)"` or `"2/31 failed

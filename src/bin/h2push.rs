@@ -55,7 +55,8 @@ use h2push::har::to_har;
 use h2push::metrics::RunStats;
 use h2push::strategies::{paper_strategy, push_all, push_as_recorded, PaperStrategy, Strategy};
 use h2push::testbed::{
-    push_orders, run_cells, worker_threads, Mode, Protocol, ReplayConfig, ReplayInputs, RunPlan,
+    push_orders, replays_declared, run_cells, worker_threads, Mode, Protocol, ReplayConfig,
+    ReplayInputs, RunPlan,
 };
 use h2push::webmodel::{generate_site, realworld_site, synthetic_site, CorpusKind, Page};
 #[cfg(unix)]
@@ -551,8 +552,11 @@ fn cmd_experiment(args: &[String]) {
     if let Err(e) = render(scale, &mut std::io::stdout().lock(), &mut lost) {
         fail(1, &format!("cannot write the report: {e}"));
     }
-    let (wall, workers) = (started.elapsed().as_secs_f64(), worker_threads());
-    eprintln!("# {id}: {wall:.2} s on {workers} workers, scale {sites}\u{d7}{runs}, seed {seed}");
+    let (wall, workers, replays) =
+        (started.elapsed().as_secs_f64(), worker_threads(), replays_declared());
+    eprintln!(
+        "# {id}: {wall:.2} s on {workers} workers, scale {sites}\u{d7}{runs}, seed {seed}, {replays} replays"
+    );
     // Cells that lost a repetition: their numbers above rest on fewer
     // runs than the header says.
     lost.iter().for_each(|line| eprintln!("{line}"));

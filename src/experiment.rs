@@ -21,12 +21,13 @@ use h2push_netsim::{NetworkSpec, SimDuration};
 use h2push_strategies::{
     critical_set, interleave_offset, paper_strategy, push_all, PaperStrategy, Strategy,
 };
-use h2push_testbed::experiments::fig2::{fig2a_variability, fig2b_push_vs_nopush, VariabilityRow};
-use h2push_testbed::experiments::fig3::{fig3a_push_all, fig3b_push_limit, pushable_stats, LIMITS};
-use h2push_testbed::experiments::fig4::fig4_custom;
+use h2push_testbed::experiments::fig2::{fig2a_variability, VariabilityRow, FIG2B};
+use h2push_testbed::experiments::fig3::{pushable_stats, FIG3A_RANDOM, FIG3A_TOP, FIG3B};
+use h2push_testbed::experiments::fig4::FIG4;
 use h2push_testbed::experiments::fig5::{fig5_sizes, fig5b_interleaving, Fig5Strategy};
 use h2push_testbed::experiments::fig6::{fig6_realworld, winners};
-use h2push_testbed::experiments::types_study::{type_study, TypeSelection};
+use h2push_testbed::experiments::paired::{shares, Class, Delta, Paired, PairedSite};
+use h2push_testbed::experiments::types_study::TYPES;
 use h2push_testbed::{
     push_orders, run_cells, run_fault_matrix, CellStats, FaultProfile, Protocol, ReplayConfig,
     ReplayInputs, ReplayOutcome, RunOutput, RunPlan,
@@ -160,25 +161,70 @@ fn fig2a(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Resul
     writeln!(out, "\npaper: testbed σx̄ < 100 ms for 95% of sites (PLT); Internet only 14%.")
 }
 
+/// A paired row's report: per treatment, the CDF of the per-site median
+/// paired Δ and the shares of sites the sign test classes better, n.s.
+/// (indistinguishable) and worse; then the A/A line. Returns the rows.
+fn paired(
+    row: &Paired,
+    scale: Scale,
+    out: &mut dyn Write,
+    lost: &mut Vec<String>,
+) -> io::Result<Vec<PairedSite>> {
+    writeln!(
+        out,
+        "{}, {} sites × {} runs; per site the median Δ over same-seed pairs, sign test at 99.5%",
+        row.title, scale.sites, scale.runs
+    )?;
+    let rows = row.run(scale, lost);
+    let aa = shares(&rows, |r| &r.aa);
+    for (t, (label, _)) in row.treatments.iter().enumerate() {
+        for (m, metric) in ["ΔPLT", "ΔSI"].into_iter().enumerate() {
+            let medians: Vec<f64> = rows.iter().map(|r| r.treatments[t].median[m]).collect();
+            cdf_summary(out, &format!("{label}: {metric} [ms]"), &medians, &[-100.0, 0.0, 100.0])?;
+        }
+        shares_line(out, &format!("{label}: sites"), shares(&rows, |r| &r.treatments[t]), aa)?;
+    }
+    shares_line(out, "A/A: no push, disjoint seeds", aa, [[f64::NEG_INFINITY; 3]; 2])?;
+    Ok(rows)
+}
+
+/// `share` in %, or `unresolved` unless it exceeds `floor` (the A/A
+/// arm's share of the same class).
+fn resolved(share: f64, floor: f64) -> String {
+    match share > floor {
+        true => format!("{:.0}%", share * 100.0),
+        false => "unresolved".to_string(),
+    }
+}
+
+/// One arm's better / n.s. / worse shares of sites, PLT then SpeedIndex;
+/// a better or worse share that does not exceed `floor`'s prints
+/// `unresolved`.
+fn shares_line(
+    out: &mut dyn Write,
+    label: &str,
+    arm: [[f64; 3]; 2],
+    floor: [[f64; 3]; 2],
+) -> io::Result<()> {
+    write!(out, "{label:28}")?;
+    for (m, metric) in ["PLT", "SI"].into_iter().enumerate() {
+        let [better, same, worse] = arm[m];
+        write!(
+            out,
+            "  {metric:>3} better {:>10}  n.s. {:>4.0}%  worse {:>10}",
+            resolved(better, floor[m][0]),
+            same * 100.0,
+            resolved(worse, floor[m][2])
+        )?;
+    }
+    writeln!(out)
+}
+
 /// Fig. 2b — Δ(PLT/SpeedIndex) of push-as-deployed vs no push in the
 /// testbed (§4.1).
 fn fig2b(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
-    writeln!(
-        out,
-        "Fig. 2b — push (as recorded) vs no push, {} sites × {} runs",
-        scale.sites, scale.runs
-    )?;
-    let rows = fig2b_push_vs_nopush(scale, lost);
-    let d_plt: Vec<f64> = rows.iter().map(|r| r.d_plt).collect();
-    let d_si: Vec<f64> = rows.iter().map(|r| r.d_si).collect();
-    cdf_summary(out, "ΔPLT [ms]", &d_plt, &[-100.0, 0.0, 100.0])?;
-    cdf_summary(out, "ΔSpeedIndex [ms]", &d_si, &[-100.0, 0.0, 100.0])?;
-    writeln!(
-        out,
-        "\nno benefit (Δ ≥ 0): PLT {:.0}%  SI {:.0}%   (paper: 49% / 35%)",
-        (1.0 - share_below(&d_plt, 0.0)) * 100.0,
-        (1.0 - share_below(&d_si, 0.0)) * 100.0
-    )
+    paired(&FIG2B, scale, out, lost)?;
+    writeln!(out, "{}", FIG2B.paper)
 }
 
 /// §4.2 "Pushable Objects" — share of sites with < 20 % pushable objects.
@@ -200,100 +246,91 @@ fn pushable(scale: Scale, out: &mut dyn Write, _: &mut Vec<String>) -> io::Resul
 
 /// Fig. 3a — push all (computed order) vs no push on both corpora (§4.2.1).
 fn fig3a(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
-    for (kind, label, paper_benefit) in
-        [(CorpusKind::Top, "top-100", 58.0), (CorpusKind::Random, "random-100", 45.0)]
-    {
-        writeln!(out, "Fig. 3a [{label}] — push all in computed order vs no push")?;
-        let rows = fig3a_push_all(kind, scale, lost);
-        let d_si: Vec<f64> = rows.iter().map(|r| r.d_si).collect();
-        let d_plt: Vec<f64> = rows.iter().map(|r| r.d_plt).collect();
-        cdf_summary(out, "ΔSpeedIndex [ms]", &d_si, &[-100.0, 0.0, 100.0])?;
-        cdf_summary(out, "ΔPLT [ms]", &d_plt, &[-100.0, 0.0, 100.0])?;
-        writeln!(
-            out,
-            "  → sites benefiting (ΔSI<0): {:.0}%   (paper: {paper_benefit:.0}%)\n",
-            share_below(&d_si, 0.0) * 100.0
-        )?;
+    for row in [&FIG3A_TOP, &FIG3A_RANDOM] {
+        paired(row, scale, out, lost)?;
+        writeln!(out, "{}\n", row.paper)?;
     }
     Ok(())
 }
 
 /// Fig. 3b — push 1/5/10/15/all on the random corpus (§4.2.1).
 fn fig3b(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
-    writeln!(
-        out,
-        "Fig. 3b — limited push amounts, random-100, {} sites × {} runs",
-        scale.sites, scale.runs
-    )?;
-    let rows = fig3b_push_limit(scale, lost);
-    for &limit in &LIMITS {
-        let label = match limit {
-            Some(n) => format!("push {n}"),
-            None => "push all".to_string(),
-        };
-        let d_plt: Vec<f64> = rows.iter().filter(|r| r.limit == limit).map(|r| r.d_plt).collect();
-        let d_si: Vec<f64> = rows.iter().filter(|r| r.limit == limit).map(|r| r.d_si).collect();
-        cdf_summary(out, &format!("{label}: ΔPLT [ms]"), &d_plt, &[0.0])?;
-        cdf_summary(out, &format!("{label}: ΔSI  [ms]"), &d_si, &[0.0])?;
-    }
-    Ok(())
+    paired(&FIG3B, scale, out, lost)?;
+    writeln!(out, "{}", FIG3B.paper)
 }
 
-/// §4.2.1 — pushing specific object types on the random corpus.
+/// §4.2.1 — pushing specific object types on the random corpus, and the
+/// share of sites whose best single type (css, js or images) the sign
+/// test classes better.
 fn types(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
-    writeln!(out, "Type study — random-100, {} sites × {} runs", scale.sites, scale.runs)?;
-    let study = type_study(scale, lost);
+    let rows = paired(&TYPES, scale, out, lost)?;
+    let aa = shares(&rows, |r| &r.aa);
+    let best = [0, 1].map(|m| {
+        let better =
+            |r: &&PairedSite| r.treatments[..3].iter().any(|d| d.class[m] == Class::Better);
+        resolved(rows.iter().filter(better).count() as f64 / rows.len().max(1) as f64, aa[m][0])
+    });
     writeln!(
         out,
-        "{:>12} {:>14} {:>14} {:>18}",
-        "type", "mean ΔSI [ms]", "median ΔSI", "sites worse (SI)"
+        "{:28}  PLT better {:>10}   SI better {:>10}",
+        "best single type", best[0], best[1]
     )?;
-    for sel in TypeSelection::ALL {
-        let d: Vec<f64> = study
-            .rows
-            .iter()
-            .filter_map(|r| r.deltas.iter().find(|(s, _, _)| *s == sel).map(|&(_, dsi, _)| dsi))
-            .collect();
-        let s = RunStats::of(&d);
-        let worse = d.iter().filter(|&&x| x > 0.0).count() as f64 / d.len() as f64 * 100.0;
-        writeln!(out, "{:>12} {:>14.1} {:>14.1} {:>17.0}%", sel.label(), s.mean, s.median, worse)?;
-    }
-    writeln!(
-        out,
-        "\nimages worsen SI for {:.0}% of sites (paper: 74%); best-type improves SI for {:.0}% (paper: 24%), PLT for {:.0}% (paper: 20%)",
-        study.images_worse_share * 100.0,
-        study.best_type_improves_si * 100.0,
-        study.best_type_improves_plt * 100.0
-    )
+    writeln!(out, "{}", TYPES.paper)
 }
 
-/// Fig. 4 — custom strategies on the synthetic sites s1–s10 (§4.3).
+/// Fig. 4 — custom strategies on the synthetic sites s1–s10 (§4.3): per
+/// site, each treatment's median paired Δ as a share of the no-push
+/// median, and its sign-test classes.
 fn fig4(scale: Scale, out: &mut dyn Write, lost: &mut Vec<String>) -> io::Result<()> {
     writeln!(
         out,
-        "Fig. 4 — s1..s10, {} runs each (avg relative change vs no push; Δ<0 better)",
-        scale.runs
+        "{}, {} runs each, paired (median Δ vs no push in % of its median; Δ<0 better)",
+        FIG4.title, scale.runs
     )?;
     writeln!(
         out,
-        "{:22} {:>9} {:>9} | {:>9} {:>9} | {:>10} {:>10} | {:>8}",
-        "site", "all ΔPLT%", "all ΔSI%", "cust ΔPLT%", "cust ΔSI%", "cust KB", "all KB", "±CI95 SI"
+        "{:22} {:>9} {:>9} | {:>9} {:>9} | {:>10} {:>10} | {:>13} {:>13}",
+        "site",
+        "all ΔPLT%",
+        "all ΔSI%",
+        "cust ΔPLT%",
+        "cust ΔSI%",
+        "cust KB",
+        "all KB",
+        "all PLT/SI",
+        "cust PLT/SI"
     )?;
-    for r in fig4_custom(scale, lost) {
+    let rows = FIG4.run(scale, lost);
+    for r in &rows {
+        let (all, cust) = (&r.treatments[0], &r.treatments[1]);
+        let pct = |d: &Delta, m: usize| 100.0 * d.median[m] / r.base[m];
+        let class = |d: &Delta| format!("{}/{}", class_label(d.class[0]), class_label(d.class[1]));
         writeln!(
             out,
-            "{:22} {:>9.1} {:>9.1} | {:>10.1} {:>9.1} | {:>10.0} {:>10.0} | {:>8.1}",
+            "{:22} {:>9.1} {:>9.1} | {:>10.1} {:>9.1} | {:>10.0} {:>10.0} | {:>13} {:>13}",
             r.site,
-            r.push_all_plt_pct,
-            r.push_all_si_pct,
-            r.custom_plt_pct,
-            r.custom_si_pct,
-            r.custom_bytes / 1024.0,
-            r.push_all_bytes / 1024.0,
-            si_stats(&r.custom).ci_half_width(0.95)
+            pct(all, 0),
+            pct(all, 1),
+            pct(cust, 0),
+            pct(cust, 1),
+            cust.pushed_bytes / 1024.0,
+            all.pushed_bytes / 1024.0,
+            class(all),
+            class(cust)
         )?;
     }
-    Ok(())
+    let aa = shares(&rows, |r| &r.aa);
+    shares_line(out, "A/A: no push, disjoint seeds", aa, [[f64::NEG_INFINITY; 3]; 2])?;
+    writeln!(out, "{}", FIG4.paper)
+}
+
+/// How the sign test classed a paired Δ.
+fn class_label(class: Class) -> &'static str {
+    match class {
+        Class::Better => "better",
+        Class::Indistinguishable => "n.s.",
+        Class::Worse => "worse",
+    }
 }
 
 /// Fig. 5b — the Interleaving Push motivating example (§5).

@@ -49,6 +49,18 @@ fn a_good_invocation_prints_the_report_on_stdout() {
 }
 
 #[test]
+fn the_provenance_line_counts_the_declared_replays() {
+    // Table 1 prints specs and replays nothing; fig4 runs 10 sites × 4
+    // arms (no push, the A/A arm, push all, custom) × 5 runs.
+    for (id, replays) in [("table1", 0), ("fig4", 200)] {
+        let out = h2push(&["experiment", id, "--quick"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{id}: {stderr}");
+        assert!(stderr.ends_with(&format!(", seed 42, {replays} replays\n")), "{id}: {stderr}");
+    }
+}
+
+#[test]
 fn har_exports_one_entry_per_discovered_resource_and_marks_the_accepted_pushes() {
     use h2push::strategies::{paper_strategy, PaperStrategy};
     use h2push::testbed::{ReplayConfig, RunPlan};
