@@ -15,7 +15,7 @@
 pub struct FaultObservation {
     /// Data packets offered to the lossy access link.
     pub data_packets: u64,
-    /// Packets dropped, for any reason (queue, random, fault, flap).
+    /// Packets dropped, for any reason (queue, random, fault).
     pub drops: u64,
     /// RTO retransmissions the TCP model performed.
     pub retransmits: u64,
@@ -68,19 +68,6 @@ impl LossRecovery {
         self.partial_loads += u64::from(obs.partial);
     }
 
-    /// Merge another accumulator (e.g. per-strategy cells into a total).
-    pub fn merge(&mut self, other: &LossRecovery) {
-        self.runs += other.runs;
-        self.data_packets += other.data_packets;
-        self.drops += other.drops;
-        self.retransmits += other.retransmits;
-        self.retries += other.retries;
-        self.timeouts += other.timeouts;
-        self.conn_errors += other.conn_errors;
-        self.failed_resources += other.failed_resources;
-        self.partial_loads += other.partial_loads;
-    }
-
     /// Number of runs recorded.
     pub fn runs(&self) -> u64 {
         self.runs
@@ -114,21 +101,6 @@ impl LossRecovery {
     /// Mean browser retries per run.
     pub fn mean_retries(&self) -> f64 {
         ratio(self.retries, self.runs)
-    }
-
-    /// Mean per-resource timeouts per run.
-    pub fn mean_timeouts(&self) -> f64 {
-        ratio(self.timeouts, self.runs)
-    }
-
-    /// Mean connection errors per run.
-    pub fn mean_conn_errors(&self) -> f64 {
-        ratio(self.conn_errors, self.runs)
-    }
-
-    /// Mean resources given up on per run.
-    pub fn mean_failed_resources(&self) -> f64 {
-        ratio(self.failed_resources, self.runs)
     }
 
     /// True when no fault or recovery activity was observed at all — the
@@ -194,34 +166,8 @@ mod tests {
         assert!((agg.retransmit_rate() - 0.01).abs() < 1e-12);
         assert_eq!(agg.partial_share(), 0.5);
         assert_eq!(agg.mean_retries(), 1.0);
-        assert_eq!(agg.mean_timeouts(), 0.5);
-        assert_eq!(agg.mean_conn_errors(), 0.5);
-        assert_eq!(agg.mean_failed_resources(), 1.0);
+        assert_eq!((agg.timeouts, agg.conn_errors, agg.failed_resources), (1, 1, 2));
         assert!(!agg.is_clean());
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let obs = FaultObservation {
-            data_packets: 500,
-            drops: 5,
-            retransmits: 5,
-            retries: 1,
-            timeouts: 1,
-            conn_errors: 0,
-            failed_resources: 0,
-            partial: false,
-        };
-        let mut a = LossRecovery::new();
-        a.record(obs);
-        let mut b = LossRecovery::new();
-        b.record(obs);
-        let mut merged = a;
-        merged.merge(&b);
-        let mut direct = LossRecovery::new();
-        direct.record(obs);
-        direct.record(obs);
-        assert_eq!(merged, direct);
     }
 
     #[test]

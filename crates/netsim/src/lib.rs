@@ -25,7 +25,7 @@ pub mod network;
 pub mod queue;
 pub mod time;
 
-pub use fault::{FaultSpec, FaultState, LinkFlap, LossModel, NetStats};
+pub use fault::{FaultSpec, LossModel, NetStats};
 pub use link::{Link, LinkSpec, Transmit};
 pub use network::{
     ConnId, Dir, NetEvent, Network, NetworkSpec, ServerId, ServerSpec, HEADER_OVERHEAD, MSS,

@@ -34,7 +34,7 @@
 //! [`NetEvent::SendReady`] whenever the congestion window has room, at which
 //! point the endpoint's scheduler picks the next frame.
 
-use crate::fault::{FaultSpec, FaultState, NetStats};
+use crate::fault::{FaultSpec, FaultState, NetStats, XorShift};
 use crate::link::{Link, LinkSpec, Transmit};
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -119,11 +119,10 @@ pub struct NetworkSpec {
     pub loss: f64,
     /// Seed for the loss and jitter processes.
     pub seed: u64,
-    /// Injected faults on the access links (loss models, extra jitter,
-    /// reordering, link flaps). The default injects nothing and leaves
-    /// every run byte-identical to a spec without the field; any non-empty
-    /// spec is driven by its own RNG stream derived from `seed`, so faulty
-    /// runs replay bit-identically too.
+    /// Injected burst loss on the access links. The default injects
+    /// nothing and leaves every run byte-identical to a spec without the
+    /// field; a loss model is driven by its own RNG streams derived from
+    /// `seed`, so faulty runs replay bit-identically too.
     pub fault: FaultSpec,
 }
 
@@ -254,10 +253,6 @@ struct TcpDir {
     /// Loss events currently awaiting their RTO (so cwnd is halved once per
     /// burst, not once per lost packet).
     rtos_outstanding: u32,
-    /// Latest scheduled arrival on the access link for this direction —
-    /// the in-order delivery gate used only when reordering is injected
-    /// (TCP's reassembly queue holds later segments behind the straggler).
-    last_arrival: SimTime,
 }
 
 impl TcpDir {
@@ -272,7 +267,6 @@ impl TcpDir {
             pull_pending: false,
             srtt: None,
             rtos_outstanding: 0,
-            last_arrival: SimTime::ZERO,
         }
     }
 
@@ -306,26 +300,6 @@ struct Conn {
     server: usize,
     established: bool,
     dirs: [TcpDir; 2],
-}
-
-/// xorshift64* — a tiny deterministic generator so the crate stays
-/// dependency-free; only used for the optional loss process.
-#[derive(Debug, Clone)]
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift(seed.wrapping_mul(0x9E3779B97F4A7C15).max(1))
-    }
-
-    fn next_f64(&mut self) -> f64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        (x.wrapping_mul(0x2545F4914F6CDD1D) >> 11) as f64 / (1u64 << 53) as f64
-    }
 }
 
 /// The deterministic network simulator.
@@ -424,7 +398,7 @@ impl Network {
     }
 
     /// Fault and loss-recovery counters accumulated so far (data packets
-    /// seen, drops by cause, reorder holds, RTO retransmits).
+    /// seen, drops by cause, RTO retransmits).
     pub fn stats(&self) -> NetStats {
         self.stats
     }
@@ -687,7 +661,7 @@ impl Network {
 
     fn transmit_hop(&mut self, conn: usize, dir: Dir, bytes: usize, hop: u8, kind: Kind) {
         let server = self.conns[conn].server;
-        // Fires when the packet has crossed this hop (or its hold ends).
+        // Fires when the packet has crossed this hop.
         let arrival = Ev::Hop { conn: conn as u32, dir, bytes: seg(bytes), hop, kind };
         // Faults apply on the client access links only — the "lossy" hops.
         let lossy = matches!((dir, hop), (Dir::Up, 0) | (Dir::Down, 1));
@@ -695,25 +669,6 @@ impl Network {
         let wire = bytes + if is_data { HEADER_OVERHEAD } else { 0 };
         if lossy && is_data {
             self.stats.data_packets += 1;
-        }
-        // Link flap: during an outage window the access link drops all data
-        // (recovered through the normal RTO path once the window passes) and
-        // holds control segments until the link returns.
-        if lossy && !self.spec.fault.flaps.is_empty() {
-            if let Some(flap) = self.spec.fault.active_flap(self.now).copied() {
-                if is_data {
-                    self.stats.drops_flap += 1;
-                    self.trace.emit_at(
-                        self.now.as_micros(),
-                        TraceEvent::FaultDrop { conn, cause: DropCause::Flap },
-                    );
-                    self.drop_data(conn, dir, bytes);
-                } else {
-                    let at = (flap.end() + SimDuration::from_micros(1000)).max(self.now);
-                    self.events.push(at, arrival);
-                }
-                return;
-            }
         }
         // Injected loss process; draws from the dedicated fault RNG (and
         // only when a loss model is configured, so fault-free specs keep
@@ -738,31 +693,10 @@ impl Network {
         };
         match outcome {
             Transmit::Delivered(at) => {
-                let mut at = at
+                let at = at
                     + SimDuration::from_micros(
                         (self.rng.next_f64() * JITTER.as_micros() as f64) as u64,
                     );
-                if lossy && !self.spec.fault.is_noop() {
-                    at += self.fault_states[dir.idx()].jitter(&self.spec.fault);
-                    if is_data {
-                        if let Some(hold) =
-                            self.fault_states[dir.idx()].reorder_hold(&self.spec.fault)
-                        {
-                            self.stats.reordered += 1;
-                            at += hold;
-                        }
-                        // In-order delivery gate: the simulator moves byte
-                        // counts FIFO, so a held packet stalls everything
-                        // behind it — exactly TCP's reassembly-queue
-                        // head-of-line blocking. Applied only when
-                        // reordering is injected.
-                        if self.spec.fault.reorder > 0.0 {
-                            let d = &mut self.conns[conn].dirs[dir.idx()];
-                            at = at.max(d.last_arrival);
-                            d.last_arrival = at;
-                        }
-                    }
-                }
                 self.events.push(at, arrival);
             }
             Transmit::Dropped => {
@@ -1003,7 +937,7 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::fault::{FaultSpec, LinkFlap};
+    use crate::fault::FaultSpec;
 
     /// Run a 300 KB download to completion; returns (delivery trace, stats).
     fn download(spec: NetworkSpec) -> (Vec<(u64, usize)>, NetStats) {
@@ -1056,9 +990,6 @@ mod fault_tests {
         let mut spec = NetworkSpec::dsl_testbed();
         spec.seed = 23;
         spec.fault = FaultSpec::gilbert_elliott(0.05);
-        spec.fault.extra_jitter = SimDuration::from_micros(800);
-        spec.fault.reorder = 0.02;
-        spec.fault.reorder_hold = SimDuration::from_millis(3);
         let (a, sa) = download(spec.clone());
         let (b, sb) = download(spec);
         assert_eq!(a, b, "same seed must replay identically");
@@ -1072,7 +1003,6 @@ mod fault_tests {
         let mut spec = NetworkSpec::dsl_testbed();
         spec.seed = 9;
         spec.fault = FaultSpec::gilbert_elliott(0.02);
-        spec.fault.extra_jitter = SimDuration::from_micros(500);
         let (fresh, fresh_stats) = download(spec.clone());
         let mut net = Network::new(NetworkSpec::cable());
         let s = net.add_server(ServerSpec::default());
@@ -1095,60 +1025,6 @@ mod fault_tests {
         spec.seed = 2;
         let (b, _) = download(spec);
         assert_ne!(a, b, "loss pattern should depend on the seed");
-    }
-
-    #[test]
-    fn link_flap_stalls_then_completes() {
-        let mut spec = NetworkSpec::dsl_testbed();
-        spec.fault = FaultSpec {
-            flaps: vec![LinkFlap {
-                start: SimTime::from_millis(200),
-                duration: SimDuration::from_millis(400),
-            }],
-            ..Default::default()
-        };
-        let (trace, stats) = download(spec);
-        let total: usize = trace.iter().map(|&(_, b)| b).sum();
-        assert_eq!(total, 300_000, "transfer survives the outage");
-        assert!(stats.drops_flap > 0, "packets in the window must have died: {stats:?}");
-        // Nothing lands inside the dead window (delivery = flap + one-way
-        // propagation; allow the 25 ms pipe to drain into it).
-        let in_window = trace.iter().filter(|&&(t, _)| (230_000..600_000).contains(&t)).count();
-        assert_eq!(in_window, 0, "deliveries during the outage: {in_window}");
-        let (clean, _) = download(NetworkSpec::dsl_testbed());
-        assert!(
-            trace.last().unwrap().0 > clean.last().unwrap().0 + 390_000,
-            "a 400 ms outage must cost roughly its length"
-        );
-    }
-
-    #[test]
-    fn reordering_preserves_in_order_byte_delivery() {
-        let mut spec = NetworkSpec::dsl_testbed();
-        spec.seed = 5;
-        spec.fault.reorder = 0.05;
-        spec.fault.reorder_hold = SimDuration::from_millis(5);
-        let (trace, stats) = download(spec);
-        let total: usize = trace.iter().map(|&(_, b)| b).sum();
-        assert_eq!(total, 300_000);
-        assert!(stats.reordered > 0, "5% over ~200 packets should hold a few: {stats:?}");
-        // The gate keeps arrival times monotonic.
-        for w in trace.windows(2) {
-            assert!(w[1].0 >= w[0].0, "delivery went backwards: {w:?}");
-        }
-    }
-
-    #[test]
-    fn extra_jitter_changes_timing_but_not_totals() {
-        let mut spec = NetworkSpec::dsl_testbed();
-        spec.seed = 3;
-        spec.fault.extra_jitter = SimDuration::from_millis(2);
-        let (jittered, stats) = download(spec);
-        let (clean, _) = download(NetworkSpec::dsl_testbed());
-        let totals = |t: &[(u64, usize)]| t.iter().map(|&(_, b)| b).sum::<usize>();
-        assert_eq!(totals(&jittered), totals(&clean));
-        assert_eq!(stats.drops_total(), 0, "jitter alone loses nothing");
-        assert_ne!(jittered, clean, "2 ms of jitter must move timestamps");
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! The paper's testbed deliberately runs over a clean emulated DSL link;
 //! this module re-runs the same strategy matrix while the netsim injects
-//! loss, jitter, reordering and outages ([`FaultSpec`]) and the hardened
-//! browser recovers (timeouts, retries, partial loads). Everything stays
+//! Gilbert–Elliott burst loss ([`FaultSpec`]) and the hardened browser
+//! recovers (timeouts, retries, partial loads). `loss-sweep` runs its
+//! matrix: the control profile plus loss at a few rates. Everything stays
 //! deterministic: a [`FaultProfile`] layered onto a rep's derived config
 //! ([`RunPlan::config_for`]) yields a replay that is a pure function of
 //! `(inputs, strategy, mode, run_seed, profile)` — rerunning the same
@@ -16,7 +17,7 @@ use crate::plan::RunPlan;
 use crate::replay::{ReplayConfig, ReplayInputs, ReplayOutcome};
 use crate::sweep::run_cells;
 use h2push_metrics::{percentile, FaultObservation, LossRecovery};
-use h2push_netsim::{FaultSpec, SimDuration, SimTime};
+use h2push_netsim::{FaultSpec, SimDuration};
 use h2push_strategies::Strategy;
 #[cfg(test)]
 use h2push_webmodel::Page;
@@ -53,48 +54,16 @@ impl FaultProfile {
         }
     }
 
-    /// A faulty profile with the standard hardening: 15 s per-resource
-    /// timeout, 120 s page deadline.
-    fn hardened(name: impl Into<String>, fault: FaultSpec) -> Self {
+    /// Bursty Gilbert–Elliott loss averaging `rate`, with the standard
+    /// hardening: 15 s per-resource timeout, 120 s page deadline.
+    pub fn gilbert_elliott(rate: f64) -> Self {
         FaultProfile {
-            name: name.into(),
-            fault,
+            name: format!("ge-{:.1}%", rate * 100.0),
+            fault: FaultSpec::gilbert_elliott(rate),
             resource_timeout: Some(SimDuration::from_millis(15_000)),
             load_deadline: Some(SimDuration::from_millis(120_000)),
         }
     }
-
-    /// Independent (Bernoulli) loss at `rate`.
-    pub fn bernoulli(rate: f64) -> Self {
-        Self::hardened(format!("bernoulli-{:.1}%", rate * 100.0), FaultSpec::bernoulli(rate))
-    }
-
-    /// Bursty Gilbert–Elliott loss averaging `rate`.
-    pub fn gilbert_elliott(rate: f64) -> Self {
-        Self::hardened(format!("ge-{:.1}%", rate * 100.0), FaultSpec::gilbert_elliott(rate))
-    }
-
-    /// Bounded extra jitter (with a little reordering).
-    pub fn jittery(max: SimDuration) -> Self {
-        Self::hardened(format!("jitter-{max}"), FaultSpec::jittery(max))
-    }
-
-    /// A mid-load outage window.
-    pub fn flapping(start: SimTime, duration: SimDuration) -> Self {
-        Self::hardened("flap".to_string(), FaultSpec::flap(start, duration))
-    }
-}
-
-/// The default chaos matrix: control, both loss processes, jitter and a
-/// mid-load outage.
-pub fn default_matrix() -> Vec<FaultProfile> {
-    vec![
-        FaultProfile::none(),
-        FaultProfile::bernoulli(0.01),
-        FaultProfile::gilbert_elliott(0.02),
-        FaultProfile::jittery(SimDuration::from_millis(10)),
-        FaultProfile::flapping(SimTime::from_millis(2_000), SimDuration::from_millis(750)),
-    ]
 }
 
 /// Layer `profile` onto an already-derived replay config: the profile's
@@ -328,7 +297,7 @@ mod tests {
             Mode::Testbed,
             3,
             &inputs.page,
-            &FaultProfile::bernoulli(0.05),
+            &FaultProfile::gilbert_elliott(0.05),
         );
         let out = run_once(&inputs, &cfg).unwrap();
         let obs = observe(&out);
@@ -336,15 +305,5 @@ mod tests {
         assert_eq!(obs.drops, out.net.drops_total());
         assert!(obs.drops > 0);
         assert_eq!(obs.retransmits, out.net.retransmits);
-    }
-
-    #[test]
-    fn default_matrix_names_are_unique_and_start_with_control() {
-        let m = default_matrix();
-        assert_eq!(m[0], FaultProfile::none());
-        let mut names: Vec<&str> = m.iter().map(|p| p.name.as_str()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), m.len());
     }
 }

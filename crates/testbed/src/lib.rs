@@ -28,8 +28,7 @@ pub use badpeer::{
     Victim,
 };
 pub use chaos::{
-    apply_profile, default_matrix, observe, run_fault_matrix, strategy_label, ChaosCell,
-    FaultProfile,
+    apply_profile, observe, run_fault_matrix, strategy_label, ChaosCell, FaultProfile,
 };
 pub use checkpoint::{GridIdentity, JournalScan, ResumeError, SweepJournal};
 pub use driver::ReplayCtx;

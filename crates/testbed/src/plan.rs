@@ -116,7 +116,6 @@ pub struct RunPlan {
     trace: TraceSpec,
     explicit: Option<ReplayConfig>,
     serial: bool,
-    limits: Option<h2push_h2proto::ConnLimits>,
     watchdog: Option<u64>,
 }
 
@@ -138,7 +137,6 @@ impl RunPlan {
             trace: TraceSpec::Off,
             explicit: None,
             serial: false,
-            limits: None,
             watchdog: None,
         }
     }
@@ -193,15 +191,6 @@ impl RunPlan {
         self
     }
 
-    /// Override the adversarial-peer resource limits applied to both
-    /// endpoints of every connection (defaults to
-    /// [`h2push_h2proto::ConnLimits::new`]). Local policy only: benign
-    /// replays are byte-identical under any choice.
-    pub fn limits(mut self, limits: h2push_h2proto::ConnLimits) -> Self {
-        self.limits = Some(limits);
-        self
-    }
-
     /// Override the netsim event-watchdog budget applied to every rep
     /// (defaults to the [`ReplayConfig`] default). Mainly for tests that
     /// need a deterministic non-panic failure; benign replays never come
@@ -250,9 +239,6 @@ impl RunPlan {
                 cfg
             }
         };
-        if let Some(l) = self.limits {
-            cfg.limits = l;
-        }
         if let Some(events) = self.watchdog {
             cfg.watchdog_events = events;
         }

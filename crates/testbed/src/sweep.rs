@@ -1117,7 +1117,10 @@ mod tests {
         assert_ne!(id.hash, base.clone().streaming().identity().hash);
         assert_ne!(id.hash, base.clone().strategy(push_all(&p, &[])).identity().hash);
         assert_ne!(id.hash, base.clone().site(site_page(31)).identity().hash);
-        assert_ne!(id.hash, base.clone().faults(FaultProfile::bernoulli(0.02)).identity().hash);
+        assert_ne!(
+            id.hash,
+            base.clone().faults(FaultProfile::gilbert_elliott(0.02)).identity().hash
+        );
         assert!(id.summary.contains("1 strategies"));
     }
 

@@ -1,25 +1,31 @@
 //! Chaos integration suite: seeded fault profiles × synthetic sites.
 //!
 //! The robustness acceptance checks, end to end through the public API:
-//! every profile of the default chaos matrix completes on generated sites
+//! every profile of `loss-sweep`'s matrix completes on generated sites
 //! without a panic, reruns of the same seed are bit-identical, and the
 //! zero-fault control profile reproduces the plain harness exactly.
 
 use h2push_strategies::{push_all, Strategy};
-use h2push_testbed::{
-    apply_profile, default_matrix, run_fault_matrix, FaultProfile, Mode, ReplayInputs, RunPlan,
-};
+use h2push_testbed::{apply_profile, run_fault_matrix, FaultProfile, Mode, ReplayInputs, RunPlan};
 use h2push_webmodel::{generate_site, CorpusKind};
 
 fn site(seed: u64) -> ReplayInputs {
     ReplayInputs::from(generate_site(CorpusKind::Random, seed))
 }
 
+/// The profiles `h2push experiment loss-sweep` runs: the control plus
+/// Gilbert–Elliott loss at 0.5, 1, 2 and 5 %.
+fn loss_sweep_profiles() -> Vec<FaultProfile> {
+    std::iter::once(FaultProfile::none())
+        .chain([0.005, 0.01, 0.02, 0.05].into_iter().map(FaultProfile::gilbert_elliott))
+        .collect()
+}
+
 #[test]
-fn default_matrix_completes_on_synthetic_sites_and_reruns_bit_identically() {
+fn fault_matrix_completes_on_synthetic_sites_and_reruns_bit_identically() {
     let inputs = site(11);
     let strategies = vec![Strategy::NoPush, push_all(&inputs.page, &[])];
-    let profiles = default_matrix();
+    let profiles = loss_sweep_profiles();
     let mut lost = Vec::new();
     let cells_a = run_fault_matrix(&inputs, &strategies, &profiles, 2, 500, &mut lost);
     let cells_b = run_fault_matrix(&inputs, &strategies, &profiles, 2, 500, &mut lost);
@@ -74,7 +80,7 @@ fn every_default_profile_survives_a_push_heavy_site() {
     // panic and every outcome must carry coherent counters.
     let inputs = site(29);
     let strategy = push_all(&inputs.page, &[]);
-    for profile in default_matrix() {
+    for profile in loss_sweep_profiles() {
         let name = profile.name.clone();
         let out = RunPlan::new(&inputs)
             .strategy(strategy.clone())
@@ -85,6 +91,7 @@ fn every_default_profile_survives_a_push_heavy_site() {
             .outcome;
         assert!(out.net.data_packets > 0);
         assert!(out.net.drops_total() <= out.net.data_packets);
+        assert_eq!((out.net.drops_flap, out.net.reordered), (0, 0), "profile {name}");
         assert!(out.load.onload.is_some(), "profile {name}: no onload");
     }
 }

@@ -40,16 +40,19 @@ fn run(
     faults: Option<FaultProfile>,
     limits: ConnLimits,
 ) -> h2push_testbed::RunReport {
-    let mut plan = RunPlan::new(inputs)
-        .strategy(strategy.clone())
-        .reps(2)
-        .seed(71)
-        .trace(trace)
-        .limits(limits);
+    let mut derived = RunPlan::new(inputs).strategy(strategy.clone()).seed(71);
     if let Some(f) = faults {
-        plan = plan.faults(f);
+        derived = derived.faults(f);
     }
-    plan.run()
+    // Each rep runs its derived config with only the limits swapped.
+    let runs = (0..2)
+        .flat_map(|r| {
+            let mut cfg = derived.config_for(r);
+            cfg.limits = limits;
+            RunPlan::new(inputs).config(cfg).trace(trace).run().runs
+        })
+        .collect();
+    h2push_testbed::RunReport { runs }
 }
 
 fn assert_identical(a: &h2push_testbed::RunReport, b: &h2push_testbed::RunReport, label: &str) {

@@ -72,12 +72,10 @@ impl FrameKind {
 pub enum DropCause {
     /// Uniform Bernoulli loss from the link spec.
     Random,
-    /// Injected fault model (Bernoulli or Gilbert–Elliott burst state).
+    /// Injected fault model (Gilbert–Elliott burst state).
     Fault,
     /// Bottleneck queue overflow.
     Queue,
-    /// Link flap window.
-    Flap,
 }
 
 impl DropCause {
@@ -86,7 +84,6 @@ impl DropCause {
             DropCause::Random => "random",
             DropCause::Fault => "fault",
             DropCause::Queue => "queue",
-            DropCause::Flap => "flap",
         }
     }
 }

@@ -19,7 +19,7 @@ pub mod types;
 pub use corpus::{generate_set, generate_site, CorpusKind};
 pub use critical_css::{rewrite_critical_css, CriticalCssRewrite};
 pub use page::{Page, PageBuilder, ResourceSpec};
-pub use recorddb::{RecordDb, RecordError, RecordedResponse, RequestKey};
+pub use recorddb::{RecordDb, RecordedResponse, RequestKey};
 pub use sites_realworld::{realworld_labels, realworld_set, realworld_site};
 pub use sites_synthetic::{custom_strategy, synthetic_set, synthetic_site};
 pub use types::{

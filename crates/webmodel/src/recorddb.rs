@@ -3,15 +3,14 @@
 //! Mahimahi records HTTP request/response pairs in per-site databases and
 //! later serves replays by matching requests against them. This module is
 //! the equivalent: a [`RecordDb`] maps `(host, path)` to a recorded
-//! response. Databases serialize to JSON so recorded corpora can be stored,
-//! inspected and shared like Mahimahi record directories.
+//! response. A database lives in memory only: every replay records its
+//! page afresh ([`RecordDb::record`]), so nothing is stored or reloaded.
 
 use crate::page::Page;
 use crate::types::ResourceId;
-use serde::{Deserialize, Serialize};
 
 /// A recorded response.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedResponse {
     /// HTTP status.
     pub status: u16,
@@ -23,63 +22,8 @@ pub struct RecordedResponse {
     pub resource: ResourceId,
 }
 
-/// Why a record database failed validation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecordError {
-    /// The JSON did not parse.
-    Json(String),
-    /// Two entries share one `(host, path)` key — replay lookups would
-    /// silently pick one of them.
-    DuplicateKey {
-        /// `:authority` of the colliding entries.
-        host: String,
-        /// `:path` of the colliding entries.
-        path: String,
-    },
-    /// A recorded 200 response with a zero-length body: nothing to
-    /// replay, and a zero-byte transfer would corrupt timing metrics.
-    EmptyBody {
-        /// `:authority` of the offending entry.
-        host: String,
-        /// `:path` of the offending entry.
-        path: String,
-    },
-    /// An entry references a resource the page does not define.
-    DanglingResource {
-        /// `:authority` of the offending entry.
-        host: String,
-        /// `:path` of the offending entry.
-        path: String,
-        /// The out-of-range resource id.
-        resource: ResourceId,
-        /// Number of resources the page actually has.
-        page_resources: usize,
-    },
-}
-
-impl std::fmt::Display for RecordError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecordError::Json(e) => write!(f, "record DB JSON error: {e}"),
-            RecordError::DuplicateKey { host, path } => {
-                write!(f, "duplicate record for {host}{path}")
-            }
-            RecordError::EmptyBody { host, path } => {
-                write!(f, "zero-length 200 body recorded for {host}{path}")
-            }
-            RecordError::DanglingResource { host, path, resource, page_resources } => write!(
-                f,
-                "record for {host}{path} references resource {} but the page has {}",
-                resource.0, page_resources
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RecordError {}
-
 /// A request key: authority plus path.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RequestKey {
     /// `:authority`.
     pub host: String,
@@ -88,14 +32,13 @@ pub struct RequestKey {
 }
 
 /// The record database for one site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordDb {
     /// Site name (matches [`Page::name`]).
     pub site: String,
     entries: Vec<(RequestKey, RecordedResponse)>,
     /// Entry indices sorted by `(host, path)`, so [`RecordDb::lookup`] is a
     /// binary search over borrowed strings — no per-request key allocation.
-    #[serde(skip)]
     index: Vec<usize>,
 }
 
@@ -141,80 +84,14 @@ impl RecordDb {
             .map(|pos| &self.entries[self.index[pos]].1)
     }
 
-    /// Rebuild the lookup index (needed after deserialization).
-    pub fn reindex(&mut self) {
+    /// Rebuild the lookup index over `entries`.
+    fn reindex(&mut self) {
         self.index = (0..self.entries.len()).collect();
         let entries = &self.entries;
         self.index.sort_by(|&a, &b| {
             let (ka, kb) = (&entries[a].0, &entries[b].0);
             (ka.host.as_str(), ka.path.as_str()).cmp(&(kb.host.as_str(), kb.path.as_str()))
         });
-    }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("record DB serializes")
-    }
-
-    /// Deserialize from JSON (and reindex). Performs **no** validation;
-    /// prefer [`RecordDb::load_json`] for untrusted corpora.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        let mut db: RecordDb = serde_json::from_str(s)?;
-        db.reindex();
-        Ok(db)
-    }
-
-    /// Deserialize from JSON and validate the database's internal
-    /// invariants ([`RecordDb::validate`]). This is the loading path for
-    /// recorded corpora coming from disk: a malformed or internally
-    /// inconsistent database is a typed [`RecordError`], not a silent
-    /// lookup anomaly mid-replay.
-    pub fn load_json(s: &str) -> Result<Self, RecordError> {
-        let db = Self::from_json(s).map_err(|e| RecordError::Json(e.to_string()))?;
-        db.validate()?;
-        Ok(db)
-    }
-
-    /// Check internal invariants: no duplicate `(host, path)` keys and
-    /// no zero-length 200 bodies.
-    pub fn validate(&self) -> Result<(), RecordError> {
-        // The index is sorted by key, so duplicates are adjacent.
-        for w in self.index.windows(2) {
-            let (a, b) = (&self.entries[w[0]].0, &self.entries[w[1]].0);
-            if a == b {
-                return Err(RecordError::DuplicateKey {
-                    host: a.host.clone(),
-                    path: a.path.clone(),
-                });
-            }
-        }
-        for (key, resp) in &self.entries {
-            if resp.status == 200 && resp.body_len == 0 {
-                return Err(RecordError::EmptyBody {
-                    host: key.host.clone(),
-                    path: key.path.clone(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// [`RecordDb::validate`], plus cross-checks against the page the
-    /// database claims to record: every entry's resource id must exist.
-    pub fn validate_against(&self, page: &Page) -> Result<(), RecordError> {
-        self.validate()?;
-        let n = page.resources.len();
-        for (key, resp) in &self.entries {
-            if resp.resource.0 >= n {
-                return Err(RecordError::DanglingResource {
-                    host: key.host.clone(),
-                    path: key.path.clone(),
-                    resource: resp.resource,
-                    page_resources: n,
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -253,74 +130,13 @@ mod tests {
 
     #[test]
     fn recorded_pages_validate_clean() {
+        // Every resource is recorded once, under its own origin and path.
         let p = page();
         let db = RecordDb::record(&p);
-        assert_eq!(db.validate(), Ok(()));
-        assert_eq!(db.validate_against(&p), Ok(()));
-        assert!(RecordDb::load_json(&db.to_json()).is_ok());
-    }
-
-    #[test]
-    fn duplicate_keys_are_a_typed_error() {
-        let mut db = RecordDb::record(&page());
-        let dup = db.entries[0].clone();
-        db.entries.push(dup);
-        db.reindex();
-        match db.validate() {
-            Err(RecordError::DuplicateKey { host, path }) => {
-                assert_eq!(host, "example.org");
-                assert_eq!(path, "/");
-            }
-            other => panic!("expected DuplicateKey, got {other:?}"),
+        assert_eq!(db.len(), p.resources.len());
+        for r in &p.resources {
+            let resp = db.lookup(&p.origins[r.origin].host, &r.path).unwrap();
+            assert_eq!((resp.resource, resp.body_len, resp.status), (r.id, r.size, 200));
         }
-        assert!(matches!(
-            RecordDb::load_json(&db.to_json()),
-            Err(RecordError::DuplicateKey { .. })
-        ));
-    }
-
-    #[test]
-    fn zero_length_bodies_are_a_typed_error() {
-        let mut db = RecordDb::record(&page());
-        db.entries[1].1.body_len = 0;
-        db.reindex();
-        assert!(matches!(db.validate(), Err(RecordError::EmptyBody { .. })));
-    }
-
-    #[test]
-    fn dangling_resource_refs_are_a_typed_error() {
-        let p = page();
-        let mut db = RecordDb::record(&p);
-        db.entries[2].1.resource = ResourceId(99);
-        db.reindex();
-        // Internally consistent…
-        assert_eq!(db.validate(), Ok(()));
-        // …but not against the page it claims to record.
-        match db.validate_against(&p) {
-            Err(RecordError::DanglingResource { resource, page_resources, .. }) => {
-                assert_eq!(resource, ResourceId(99));
-                assert_eq!(page_resources, 3);
-            }
-            other => panic!("expected DanglingResource, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn malformed_json_is_a_typed_error() {
-        assert!(matches!(RecordDb::load_json("{nope"), Err(RecordError::Json(_))));
-        let err = RecordError::Json("x".into()).to_string();
-        assert!(err.contains("JSON"));
-    }
-
-    #[test]
-    fn json_round_trip_preserves_lookup() {
-        let db = RecordDb::record(&page());
-        let json = db.to_json();
-        let db2 = RecordDb::from_json(&json).unwrap();
-        assert_eq!(db2.len(), db.len());
-        assert_eq!(
-            db2.lookup("example.org", "/").unwrap().body_len,
-            db.lookup("example.org", "/").unwrap().body_len
-        );
     }
 }

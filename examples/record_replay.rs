@@ -1,5 +1,6 @@
-//! Mahimahi-style record-and-replay: record a site into a JSON database,
-//! persist it, reload it, and replay deterministically (§4.1).
+//! Mahimahi-style record-and-replay: record a site into a request/response
+//! database, match a request against it, and replay deterministically
+//! (§4.1).
 //!
 //! ```sh
 //! cargo run --release --example record_replay
@@ -15,14 +16,8 @@ fn main() {
     let db = RecordDb::record(&page);
     println!("recorded {} request/response pairs for {}", db.len(), page.name);
 
-    // Persist the database like a Mahimahi record directory.
-    let path = std::env::temp_dir().join("h2push-recorddb.json");
-    std::fs::write(&path, db.to_json()).expect("write record db");
-    println!("wrote {}", path.display());
-
-    // Reload and sanity-check a lookup.
-    let reloaded = RecordDb::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let root = reloaded.lookup(page.host_of(h2push::webmodel::ResourceId(0)), "/").unwrap();
+    // Match the document request, as the replay server does.
+    let root = db.lookup(page.host_of(h2push::webmodel::ResourceId(0)), "/").unwrap();
     println!("replayed lookup: / → {} ({} bytes)", root.content_type, root.body_len);
 
     // Replay the recorded site twice; determinism is the whole point.

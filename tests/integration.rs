@@ -11,7 +11,7 @@ use h2push::testbed::{
 };
 use h2push::trace::WaterfallMeta;
 use h2push::webmodel::{
-    generate_site, realworld_site, synthetic_site, CorpusKind, Page, RecordDb, ResourceId,
+    generate_site, realworld_site, synthetic_site, CorpusKind, Page, ResourceId,
 };
 use serde_json::Value;
 
@@ -94,17 +94,6 @@ fn push_all_uses_computed_order() {
         strategy.pushed_bytes(&page),
         "server pushed exactly the strategy's bytes"
     );
-}
-
-#[test]
-fn record_db_round_trip_preserves_replay() {
-    let page = synthetic_site(3);
-    let db = RecordDb::record(&page);
-    let db2 = RecordDb::from_json(&db.to_json()).unwrap();
-    assert_eq!(db.len(), db2.len());
-    // Same replay regardless of which DB instance a server would load.
-    let out = replay(&page, Strategy::NoPush).unwrap();
-    assert!(out.load.finished());
 }
 
 #[test]
