@@ -170,8 +170,9 @@ enum StopKind {
 }
 
 /// Pre-scanned, page-derived load inputs: parser stop points, the preload
-/// scanner's HTML reference index, the visual-weight total, and the index
-/// that resolves a push promise to its resource — everything
+/// scanner's HTML reference index, the visual-weight total, the index
+/// that resolves a push promise to its resource, and the per-page index
+/// lists the paint, CSSOM and child-discovery checks walk — everything
 /// [`Browser::new`] derives from the [`Page`] alone. A pure function of the
 /// page, so it is built once per page and shared across every
 /// configuration and rep touching that page ([`Browser::with_scan`]);
@@ -191,6 +192,18 @@ pub struct PreparedScan {
     /// Resources sorted by `(host, path)`, for resolving a promised
     /// request; where several share one the first in page order is kept.
     by_url: Vec<ResourceId>,
+    /// Render-blocking stylesheets referenced from the HTML, as
+    /// `(offset, id)` sorted by offset: what first paint and a script's
+    /// CSSOM wait on.
+    blocking_css: Vec<(usize, ResourceId)>,
+    /// Above-the-fold resources whose visual weight is not `<= 0.0`, in
+    /// page order, as `(id, layout offset, weight)`; a resource not
+    /// referenced from the HTML has offset 0 (laid out at once).
+    painted: Vec<(ResourceId, usize, f64)>,
+    /// Children each resource discovers when evaluated, in page order:
+    /// those of resource `r` are `children[child_start[r]..child_start[r + 1]]`.
+    child_start: Vec<u32>,
+    children: Vec<ResourceId>,
 }
 
 impl PreparedScan {
@@ -234,6 +247,58 @@ impl PreparedScan {
         let mut by_url: Vec<ResourceId> = page.resources.iter().map(|r| r.id).collect();
         by_url.sort_by_key(|&id| (url(id), id));
         by_url.dedup_by_key(|id| url(*id));
+        let mut blocking_css: Vec<(usize, ResourceId)> = page
+            .resources
+            .iter()
+            .filter(|r| r.rtype == ResourceType::Css && r.render_blocking)
+            .filter_map(|r| match r.discovery {
+                Discovery::Html { offset } => Some((offset, r.id)),
+                _ => None,
+            })
+            .collect();
+        blocking_css.sort_by_key(|&(off, _)| off);
+        // The negation keeps what `completeness` kept when it skipped
+        // `visual_weight <= 0.0`, a NaN weight included.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let painted = page
+            .resources
+            .iter()
+            .filter(|r| r.above_fold && !(r.visual_weight <= 0.0))
+            .map(|r| {
+                let offset = match r.discovery {
+                    Discovery::Html { offset } => offset,
+                    _ => 0,
+                };
+                (r.id, offset, r.visual_weight)
+            })
+            .collect();
+        // A stylesheet discovers its `Css` children, any resource its
+        // `Script` children.
+        let n = page.resources.len();
+        let parent_of = |r: &h2push_webmodel::Resource| match r.discovery {
+            Discovery::Css { parent }
+                if page.resources.get(parent.0).is_some_and(|p| p.rtype == ResourceType::Css) =>
+            {
+                Some(parent.0)
+            }
+            Discovery::Script { parent } if parent.0 < n => Some(parent.0),
+            _ => None,
+        };
+        let mut child_start = vec![0u32; n + 1];
+        for p in page.resources.iter().filter_map(parent_of) {
+            child_start[p + 1] += 1;
+        }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut next = child_start.clone();
+        let mut children = vec![ResourceId(0); child_start[n] as usize];
+        for r in &page.resources {
+            if let Some(p) = parent_of(r) {
+                children[next[p] as usize] = r.id;
+                next[p] += 1;
+            }
+        }
         PreparedScan {
             stops,
             html_refs,
@@ -241,7 +306,16 @@ impl PreparedScan {
             inline_count: page.inline_scripts.len(),
             total_weight: page.total_visual_weight(),
             by_url,
+            blocking_css,
+            painted,
+            child_start,
+            children,
         }
+    }
+
+    /// The children `rid` discovers when evaluated.
+    fn children_of(&self, rid: ResourceId) -> std::ops::Range<usize> {
+        self.child_start[rid.0] as usize..self.child_start[rid.0 + 1] as usize
     }
 
     /// The resource `page` serves at `(authority, path)`, compared as
@@ -1351,12 +1425,14 @@ impl Browser {
         // Every render-blocking stylesheet appearing earlier in the
         // document must be evaluated (a failed one stops gating — real
         // browsers proceed without the sheet).
-        self.page.resources.iter().all(|r| {
-            let gating = r.rtype == ResourceType::Css
-                && r.render_blocking
-                && matches!(r.discovery, Discovery::Html { offset: o } if o < offset);
-            !gating || matches!(self.res[r.id.0].state, ResState::Evaluated | ResState::Failed)
-        })
+        let mut before = self.scan.blocking_css.iter().take_while(|&&(o, _)| o < offset);
+        before.all(|&(_, id)| self.css_settled(id))
+    }
+
+    /// Whether stylesheet `id` no longer gates anything: evaluated, or
+    /// given up on.
+    fn css_settled(&self, id: ResourceId) -> bool {
+        matches!(self.res[id.0].state, ResState::Evaluated | ResState::Failed)
     }
 
     fn advance_parser(&mut self, now: SimTime) {
@@ -1522,18 +1598,10 @@ impl Browser {
     fn finish_eval(&mut self, rid: ResourceId, now: SimTime) {
         self.set_state(rid, ResState::Evaluated);
         self.trace.emit_at(now.as_micros(), TraceEvent::ResourceEvaluated { resource: rid.0 });
-        let page = Arc::clone(&self.page);
-        let r = page.resource(rid);
         // Children discovered by this resource.
-        for c in &page.resources {
-            let found = match c.discovery {
-                Discovery::Css { parent } => parent == rid && r.rtype == ResourceType::Css,
-                Discovery::Script { parent } => parent == rid,
-                _ => false,
-            };
-            if found {
-                self.discover(c.id, now);
-            }
+        for i in self.scan.children_of(rid) {
+            let child = self.scan.children[i];
+            self.discover(child, now);
         }
         // Unblock the parser.
         match self.blocked {
@@ -1573,12 +1641,8 @@ impl Browser {
         if self.parsed < self.page.head_end {
             return false;
         }
-        self.page.resources.iter().all(|r| {
-            let gating = r.rtype == ResourceType::Css
-                && r.render_blocking
-                && matches!(r.discovery, Discovery::Html { offset } if offset <= self.parsed);
-            !gating || matches!(self.res[r.id.0].state, ResState::Evaluated | ResState::Failed)
-        })
+        let mut parsed = self.scan.blocking_css.iter().take_while(|&&(o, _)| o <= self.parsed);
+        parsed.all(|&(_, id)| self.css_settled(id))
     }
 
     fn completeness(&self) -> f64 {
@@ -1591,20 +1655,10 @@ impl Browser {
                 done += t.weight;
             }
         }
-        for r in &self.page.resources {
-            if !r.above_fold || r.visual_weight <= 0.0 {
-                continue;
-            }
-            if self.res[r.id.0].state != ResState::Evaluated {
-                continue;
-            }
+        for &(id, offset, weight) in &self.scan.painted {
             // Layout must have reached an HTML-referenced resource.
-            let laid_out = match r.discovery {
-                Discovery::Html { offset } => offset <= self.parsed,
-                _ => true,
-            };
-            if laid_out {
-                done += r.visual_weight;
+            if self.res[id.0].state == ResState::Evaluated && offset <= self.parsed {
+                done += weight;
             }
         }
         (done / self.scan.total_weight).min(1.0)
@@ -1646,7 +1700,7 @@ impl Browser {
     /// settled. Both are functions of the parse position, the resource
     /// states, `parser_done` and `dcl` only, so when none of those moved
     /// since the last run (a DATA event in the middle of a subresource
-    /// body, say) the three scans over the page's resources are skipped.
+    /// body, say) the paint and onload checks are skipped.
     fn after_state_change(&mut self, now: SimTime) {
         if !std::mem::take(&mut self.progress_dirty) {
             debug_assert!(
@@ -1676,6 +1730,170 @@ impl Browser {
                     self.trace.emit_at(now.as_micros(), TraceEvent::FirstPaint);
                 }
                 self.paints.push(PaintSample { time: now, completeness: 1.0 });
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use h2push_webmodel::{
+        generate_set, realworld_set, rewrite_critical_css, CorpusKind, PageBuilder, ResourceSpec,
+    };
+
+    /// Render-blocking stylesheets in the body as well as the head, and a
+    /// painted resource the HTML does not reference: cases the generated
+    /// corpora leave out.
+    fn body_css_page() -> Page {
+        let mut b = PageBuilder::new("body-css", "body.test", 30_000, 2_000);
+        let head = b.resource(ResourceSpec::css(0, 8_000, 1_000, 0.3));
+        let body = b.resource(ResourceSpec::css(0, 8_000, 9_000, 0.3));
+        let js = b.resource(ResourceSpec::js(0, 10_000, 9_000, 2_000));
+        b.resource(ResourceSpec::font(0, 3_000, head));
+        b.resource(ResourceSpec::font(0, 3_000, body));
+        b.resource(ResourceSpec::image(0, 20_000, 12_000, true, 2.0));
+        b.resource(ResourceSpec::image(0, 20_000, 15_000, true, 0.0));
+        b.resource(ResourceSpec {
+            above_fold: true,
+            visual_weight: 1.5,
+            ..ResourceSpec::script_loaded(0, 5_000, js, ResourceType::Image)
+        });
+        b.inline_script(9_000, 500, true);
+        b.text_paint(3_000, 1.0);
+        b.text_paint(20_000, 1.0);
+        b.build()
+    }
+
+    /// The whole-page scans [`PreparedScan`]'s lists replace, kept as the
+    /// oracles they are checked against.
+    mod oracle {
+        use super::*;
+
+        pub fn render_unblocked(b: &Browser) -> bool {
+            if b.parsed < b.page.head_end {
+                return false;
+            }
+            b.page.resources.iter().all(|r| {
+                let gating = r.rtype == ResourceType::Css
+                    && r.render_blocking
+                    && matches!(r.discovery, Discovery::Html { offset } if offset <= b.parsed);
+                !gating || matches!(b.res[r.id.0].state, ResState::Evaluated | ResState::Failed)
+            })
+        }
+
+        pub fn cssom_ready_before(b: &Browser, offset: usize) -> bool {
+            b.page.resources.iter().all(|r| {
+                let gating = r.rtype == ResourceType::Css
+                    && r.render_blocking
+                    && matches!(r.discovery, Discovery::Html { offset: o } if o < offset);
+                !gating || matches!(b.res[r.id.0].state, ResState::Evaluated | ResState::Failed)
+            })
+        }
+
+        pub fn completeness(b: &Browser) -> f64 {
+            if b.scan.total_weight <= 0.0 {
+                return 1.0;
+            }
+            let mut done = 0.0;
+            for t in &b.page.text_paints {
+                if t.offset <= b.parsed {
+                    done += t.weight;
+                }
+            }
+            for r in &b.page.resources {
+                if !r.above_fold || r.visual_weight <= 0.0 {
+                    continue;
+                }
+                if b.res[r.id.0].state != ResState::Evaluated {
+                    continue;
+                }
+                let laid_out = match r.discovery {
+                    Discovery::Html { offset } => offset <= b.parsed,
+                    _ => true,
+                };
+                if laid_out {
+                    done += r.visual_weight;
+                }
+            }
+            (done / b.scan.total_weight).min(1.0)
+        }
+
+        pub fn children(page: &Page, rid: ResourceId) -> Vec<ResourceId> {
+            let r = page.resource(rid);
+            page.resources
+                .iter()
+                .filter(|c| match c.discovery {
+                    Discovery::Css { parent } => parent == rid && r.rtype == ResourceType::Css,
+                    Discovery::Script { parent } => parent == rid,
+                    _ => false,
+                })
+                .map(|c| c.id)
+                .collect()
+        }
+    }
+
+    /// Every real-world page, its critical-CSS rewrite and a sample of
+    /// generated ones, under random resource states and parse positions:
+    /// the list-driven checks equal the whole-page scans, and
+    /// `completeness` adds the same weights in the same order.
+    #[test]
+    fn prepared_lists_match_the_whole_page_scans() {
+        const STATES: [ResState; 5] = [
+            ResState::Undiscovered,
+            ResState::Fetching,
+            ResState::Loaded,
+            ResState::Evaluated,
+            ResState::Failed,
+        ];
+        let mut pages = vec![body_css_page()];
+        pages.extend(realworld_set());
+        pages.extend(realworld_set().iter().map(|p| rewrite_critical_css(p).page));
+        for (i, kind) in
+            [CorpusKind::Top, CorpusKind::Random, CorpusKind::PushUsers].into_iter().enumerate()
+        {
+            pages.extend(generate_set(kind, 6, 40 + i as u64));
+        }
+        let mut rng = proptest::TestRng::deterministic();
+        let mut below = |n: usize| (rng.next_u64() % n as u64) as usize;
+        for page in pages {
+            let page = Arc::new(page);
+            let mut b = Browser::new(Arc::clone(&page), BrowserConfig::default());
+            for r in &page.resources {
+                let mine: Vec<ResourceId> =
+                    b.scan.children_of(r.id).map(|i| b.scan.children[i]).collect();
+                assert_eq!(mine, oracle::children(&page, r.id), "{} {:?}", page.name, r.id);
+            }
+            let html = page.html_size();
+            let mut offsets: Vec<usize> = page.inline_scripts.iter().map(|s| s.offset).collect();
+            offsets.extend(b.scan.blocking_css.iter().flat_map(|&(o, _)| [o, o + 1]));
+            offsets.push(0);
+            for _ in 0..64 {
+                // Bias toward settled states, so the gates open as often
+                // as they stay shut.
+                let settled = below(4);
+                for info in &mut b.res {
+                    info.state = STATES[if below(4) < settled { 3 + below(2) } else { below(5) }];
+                }
+                let at_offset = offsets[below(offsets.len())];
+                for parsed in [below(html + 2), at_offset, page.head_end, html, 0] {
+                    b.parsed = parsed;
+                    let what = format!("{} parsed {parsed}", page.name);
+                    assert_eq!(b.render_unblocked(), oracle::render_unblocked(&b), "{what}");
+                    assert_eq!(
+                        b.completeness().to_bits(),
+                        oracle::completeness(&b).to_bits(),
+                        "{what}"
+                    );
+                }
+                for &off in offsets.iter().chain([below(html + 2)].iter()) {
+                    assert_eq!(
+                        b.cssom_ready_before(off),
+                        oracle::cssom_ready_before(&b, off),
+                        "{} offset {off}",
+                        page.name
+                    );
+                }
             }
         }
     }

@@ -62,6 +62,19 @@ pub enum Transmit {
     Dropped,
 }
 
+/// Entries in a link's serialization memo, which is direct-mapped: size
+/// `b` lives in entry `b % SER_MEMO`. Packet sizes follow the server's
+/// writes, so a few recent sizes cover most packets.
+const SER_MEMO: usize = 8;
+
+/// Largest `backlog × rate` product (µs · bit/s) the drop-tail test takes
+/// in integers. Below it the `f64` product in [`Link::queued_bytes`] is
+/// exact, and its quotient by 8·10⁶ is below 2³⁰, where half an ulp
+/// (≤ 2⁻²⁴) is smaller than the 1 / 8·10⁶ that separates a non-integer
+/// quotient from the next integer, so truncating it gives the integer
+/// quotient. A rated link with the default 256 KiB queue stays far below.
+const EXACT_BACKLOG_PRODUCT: u64 = 1 << 52;
+
 /// Runtime state of a link.
 #[derive(Debug, Clone)]
 pub struct Link {
@@ -72,12 +85,24 @@ pub struct Link {
     bytes_accepted: u64,
     /// Total packets dropped by the queue.
     drops: u64,
+    /// `(bytes, self.serialization(bytes))` for recently sent sizes, at
+    /// index `bytes % SER_MEMO`; every entry holds the formula's own
+    /// result, starting from sizes `0..SER_MEMO`.
+    ser_memo: [(usize, SimDuration); SER_MEMO],
 }
 
 impl Link {
     /// Create a link from its spec.
     pub fn new(spec: LinkSpec) -> Self {
-        Link { spec, busy_until: SimTime::ZERO, bytes_accepted: 0, drops: 0 }
+        let mut link = Link {
+            spec,
+            busy_until: SimTime::ZERO,
+            bytes_accepted: 0,
+            drops: 0,
+            ser_memo: [(0, SimDuration::ZERO); SER_MEMO],
+        };
+        link.ser_memo = std::array::from_fn(|b| (b, link.serialization(b)));
+        link
     }
 
     /// The link's static spec.
@@ -106,14 +131,43 @@ impl Link {
         }
     }
 
+    /// Whether a packet of `bytes` handed over at `now` overflows the
+    /// drop-tail queue: `queued_bytes(now) + bytes > queue_bytes`, with the
+    /// backlog converted in integers where that is exact (see
+    /// [`EXACT_BACKLOG_PRODUCT`]) and by [`Link::queued_bytes`] elsewhere.
+    fn overflows(&self, now: SimTime, bytes: usize) -> bool {
+        let queued = match self.spec.rate_bps {
+            None => 0,
+            Some(rate) => match self.busy_until.since(now).as_micros().checked_mul(rate) {
+                Some(product) if product <= EXACT_BACKLOG_PRODUCT => (product / 8_000_000) as usize,
+                _ => self.queued_bytes(now),
+            },
+        };
+        queued.saturating_add(bytes) > self.spec.queue_bytes
+    }
+
+    /// [`Link::serialization`] through the memo of recent sizes.
+    fn serialization_memo(&mut self, bytes: usize) -> SimDuration {
+        if self.spec.rate_bps.is_none() {
+            return SimDuration::ZERO;
+        }
+        let (memo_bytes, d) = self.ser_memo[bytes % SER_MEMO];
+        if memo_bytes == bytes {
+            return d;
+        }
+        let d = self.serialization(bytes);
+        self.ser_memo[bytes % SER_MEMO] = (bytes, d);
+        d
+    }
+
     /// Hand a packet of `bytes` to the link at time `now`.
     pub fn transmit(&mut self, now: SimTime, bytes: usize) -> Transmit {
-        if self.queued_bytes(now).saturating_add(bytes) > self.spec.queue_bytes {
+        if self.overflows(now, bytes) {
             self.drops += 1;
             return Transmit::Dropped;
         }
         let start = self.busy_until.max(now);
-        let done = start + self.serialization(bytes);
+        let done = start + self.serialization_memo(bytes);
         self.busy_until = done;
         self.bytes_accepted += bytes as u64;
         Transmit::Delivered(done + self.spec.delay)
@@ -209,6 +263,74 @@ mod tests {
         let t = must_deliver(&mut l, SimTime::from_millis(1), 1_000_000);
         assert_eq!(t, SimTime::from_millis(6));
         assert_eq!(l.queued_bytes(SimTime::ZERO), 0);
+    }
+
+    /// The drop-tail test and the serialization memo against the `f64`
+    /// formulas they stand in for: `queued_bytes(now) + bytes >
+    /// queue_bytes`, and `serialization(bytes)` for every packet. The
+    /// queue sizes straddle the threshold, where a rounding difference
+    /// would show; the backlogs reach past [`EXACT_BACKLOG_PRODUCT`] into
+    /// the fallback.
+    #[test]
+    fn integer_drop_test_and_memo_match_the_f64_formulas() {
+        use proptest::prelude::*;
+        let rates = prop_oneof![
+            Just(mbit(16)),
+            Just(mbit(1)),
+            Just(mbit(8)),
+            1u64..=100_000,
+            1u64..=100_000_000_000,
+        ];
+        let backlogs = prop_oneof![Just(0u64), 0u64..=2_000, 0u64..=1_000_000_000];
+        let sizes = prop_oneof![Just(1500usize), Just(40usize), 0usize..=3_000, 0usize..=1 << 20];
+        let mut rng = proptest::TestRng::deterministic();
+        for _ in 0..20_000 {
+            let (rate, backlog, bytes) =
+                (rates.sample(&mut rng), backlogs.sample(&mut rng), sizes.sample(&mut rng));
+            let now = SimTime::from_millis(3);
+            let mut probe = Link::new(LinkSpec::rated(rate, SimDuration::ZERO));
+            probe.busy_until = now + SimDuration::from_micros(backlog);
+            let queued = probe.queued_bytes(now);
+            for queue_bytes in [0, 1, queued.saturating_add(bytes).saturating_sub(1)]
+                .into_iter()
+                .chain([queued.saturating_add(bytes), queued.saturating_add(bytes) + 1])
+                .chain([256 * 1024, usize::MAX])
+            {
+                let spec = LinkSpec { queue_bytes, ..*probe.spec() };
+                let mut l = Link::new(spec);
+                l.busy_until = probe.busy_until;
+                let want_drop = l.queued_bytes(now).saturating_add(bytes) > queue_bytes;
+                assert_eq!(
+                    l.overflows(now, bytes),
+                    want_drop,
+                    "rate {rate} backlog {backlog} bytes {bytes} queue {queue_bytes}"
+                );
+                let want = l.busy_until.max(now) + l.serialization(bytes);
+                match l.transmit(now, bytes) {
+                    Transmit::Delivered(t) => assert!(!want_drop && t == want),
+                    Transmit::Dropped => assert!(want_drop),
+                }
+            }
+        }
+        // The memo, through a stream of repeating and fresh sizes.
+        for rate in [mbit(16), mbit(1), 7_777_777, 3] {
+            let mut l = Link::new(LinkSpec::rated(rate, SimDuration::ZERO));
+            for _ in 0..5_000 {
+                let bytes = sizes.sample(&mut rng) % 2_000;
+                assert_eq!(l.serialization_memo(bytes), l.serialization(bytes), "{rate} {bytes}");
+            }
+        }
+    }
+
+    /// An exact quotient is where an integer `ceil` would differ from the
+    /// `f64` formula the memo keeps.
+    #[test]
+    fn memo_keeps_the_f64_serialization() {
+        let mut l = Link::new(LinkSpec::rated(mbit(16), SimDuration::ZERO));
+        for _ in 0..3 {
+            assert_eq!(l.serialization_memo(1500), l.serialization(1500));
+            assert_eq!(l.serialization_memo(1500).as_micros(), 750);
+        }
     }
 
     #[test]

@@ -245,6 +245,9 @@ struct TcpDir {
     cwnd: f64,
     ssthresh: f64,
     rwnd: usize,
+    /// `cwnd.min(rwnd as f64) as usize`, the send limit, kept current
+    /// wherever `cwnd` changes so the per-packet path reads an integer.
+    limit: usize,
     in_flight: usize,
     send_buf: usize,
     hungry: bool,
@@ -257,22 +260,34 @@ struct TcpDir {
 
 impl TcpDir {
     fn new(rwnd: usize) -> Self {
-        TcpDir {
+        let mut d = TcpDir {
             cwnd: (10 * MSS) as f64,
             ssthresh: f64::INFINITY,
             rwnd,
+            limit: 0,
             in_flight: 0,
             send_buf: 0,
             hungry: false,
             pull_pending: false,
             srtt: None,
             rtos_outstanding: 0,
-        }
+        };
+        d.update_limit();
+        d
+    }
+
+    fn update_limit(&mut self) {
+        self.limit = self.cwnd.min(self.rwnd as f64) as usize;
+    }
+
+    /// The send limit, checked against its formula in debug builds.
+    fn limit(&self) -> usize {
+        debug_assert_eq!(self.limit, self.cwnd.min(self.rwnd as f64) as usize);
+        self.limit
     }
 
     fn window(&self) -> usize {
-        let w = self.cwnd.min(self.rwnd as f64) as usize;
-        w.saturating_sub(self.in_flight + self.send_buf)
+        self.limit().saturating_sub(self.in_flight + self.send_buf)
     }
 
     fn on_ack(&mut self, acked: usize) {
@@ -284,12 +299,14 @@ impl TcpDir {
             // Congestion avoidance: one MSS per cwnd of ACKed data.
             self.cwnd += (MSS * MSS) as f64 * (acked as f64 / MSS as f64) / self.cwnd;
         }
+        self.update_limit();
     }
 
     fn on_loss(&mut self) {
         if self.rtos_outstanding == 0 {
             self.ssthresh = (self.cwnd / 2.0).max((2 * MSS) as f64);
             self.cwnd = self.ssthresh;
+            self.update_limit();
         }
         self.rtos_outstanding += 1;
     }
@@ -620,7 +637,7 @@ impl Network {
             if d.send_buf == 0 {
                 break;
             }
-            let limit = d.cwnd.min(d.rwnd as f64) as usize;
+            let limit = d.limit();
             if d.in_flight >= limit {
                 break;
             }

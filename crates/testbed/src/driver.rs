@@ -468,9 +468,13 @@ impl SimDriver<'_> {
                     let actions = self.browser.on_pieces(c.group, c.slot, c.down.peek(bytes), t);
                     c.down.consume(bytes);
                     self.intake(actions);
-                    // The browser may have ACKed at the H2 level (window
-                    // updates) — give the server a chance to continue.
-                    self.pump_server(conn);
+                    // No server needs pumping here, by the timer's argument
+                    // below. These bytes feed only the browser. A server's
+                    // inputs are its fed bytes and its TCP window, and both
+                    // last changed at an event that pumped it. A window
+                    // that opens arrives as `SendReady`, and the browser's
+                    // `WINDOW_UPDATE`s reach the server as a later `Up`
+                    // delivery, which pumps it.
                 }
                 NetEvent::SendReady { conn, dir: Dir::Down, .. } => self.pump_server(conn),
                 NetEvent::SendReady { .. } => {

@@ -59,6 +59,7 @@ use crate::plan::{RunOutput, RunPlan, RunReport};
 use crate::pool::{parallel_indexed, worker_threads};
 use crate::replay::{ReplayError, ReplayInputs};
 use h2push_metrics::{RunStats, StreamingHist};
+use h2push_netsim::{LossModel, SimDuration};
 use h2push_strategies::Strategy;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -694,7 +695,30 @@ impl SweepPlan {
             let _ = writeln!(desc, "site {} {page_fp:016x}", site.page.name);
         }
         let _ = writeln!(desc, "reps {} seed {} mode {:?}", self.reps, self.seed, self.mode);
-        let _ = writeln!(desc, "faults {:?}", self.faults);
+        // The profile's fields one by one, not its `Debug` form: renaming
+        // a field or a type leaves the hash, and journals, as they are,
+        // and a field added or removed has to be decided on here.
+        match &self.faults {
+            None => desc.push_str("faults None\n"),
+            Some(f) => {
+                let _ = write!(desc, "faults {:?} loss", f.name);
+                match f.fault.loss {
+                    LossModel::None => desc.push_str(" none"),
+                    LossModel::GilbertElliott { p_enter_bad, p_exit_bad, loss_good, loss_bad } => {
+                        for p in [p_enter_bad, p_exit_bad, loss_good, loss_bad] {
+                            let _ = write!(desc, " {:016x}", p.to_bits());
+                        }
+                    }
+                }
+                let us = |d: Option<SimDuration>| d.map(|d| d.as_micros());
+                let _ = writeln!(
+                    desc,
+                    " timeout {:?} deadline {:?}",
+                    us(f.resource_timeout),
+                    us(f.load_deadline)
+                );
+            }
+        }
         let _ = writeln!(desc, "streaming {}", self.streaming);
         let hash = checkpoint::fnv1a(desc.as_bytes());
         let summary = format!(
@@ -1122,6 +1146,47 @@ mod tests {
             base.clone().faults(FaultProfile::gilbert_elliott(0.02)).identity().hash
         );
         assert!(id.summary.contains("1 strategies"));
+    }
+
+    /// The fault profile enters the grid hash field by field: an
+    /// unfaulted grid hashes as it did when the profile went in through
+    /// its `Debug` form, and every field of a profile moves the hash.
+    #[test]
+    fn grid_identity_hashes_each_fault_profile_field() {
+        let base = SweepPlan::new().strategy(Strategy::NoPush).site(site_page(30)).reps(3).seed(1);
+        assert_eq!(base.identity().hash, 0x00cc_3057_2ceb_e8c2, "unfaulted grid hash moved");
+        let ge = FaultProfile::gilbert_elliott(0.02);
+        let faulted = base.clone().faults(ge.clone()).identity().hash;
+        let LossModel::GilbertElliott { p_enter_bad, p_exit_bad, loss_good, loss_bad } =
+            ge.fault.loss
+        else {
+            unreachable!("gilbert_elliott sets a Gilbert-Elliott loss model")
+        };
+        let with_loss = |p_enter_bad, p_exit_bad, loss_good, loss_bad| {
+            let mut f = ge.clone();
+            f.fault.loss =
+                LossModel::GilbertElliott { p_enter_bad, p_exit_bad, loss_good, loss_bad };
+            f
+        };
+        let d = SimDuration::from_millis(1);
+        let variants = [
+            FaultProfile { name: "ge-x".into(), ..ge.clone() },
+            FaultProfile { fault: Default::default(), ..ge.clone() },
+            with_loss(p_enter_bad * 2.0, p_exit_bad, loss_good, loss_bad),
+            with_loss(p_enter_bad, p_exit_bad * 2.0, loss_good, loss_bad),
+            with_loss(p_enter_bad, p_exit_bad, loss_good + 0.01, loss_bad),
+            with_loss(p_enter_bad, p_exit_bad, loss_good, loss_bad * 0.5),
+            FaultProfile { resource_timeout: None, ..ge.clone() },
+            FaultProfile { resource_timeout: Some(d), ..ge.clone() },
+            FaultProfile { load_deadline: None, ..ge.clone() },
+            FaultProfile { load_deadline: Some(d), ..ge.clone() },
+        ];
+        let mut seen = vec![base.identity().hash, faulted];
+        for f in variants {
+            let hash = base.clone().faults(f.clone()).identity().hash;
+            assert!(!seen.contains(&hash), "{f:?} did not move the grid hash");
+            seen.push(hash);
+        }
     }
 
     #[test]
